@@ -155,3 +155,78 @@ def test_eopt_estimates_track_actuals_after_analyze():
     assert actual / 10.0 <= max(estimate, 1.0) <= actual * 10.0, (
         "estimate {} vs actual {}".format(estimate, actual)
     )
+
+
+# -- interesting orders: the Fig.-22 statements, first block vs full drain -----------
+
+SERVED_CUSTOMERS = 200
+SERVED_ORDERS_PER = 5
+FIRST_BLOCK = 320      # what the mediator pulls for one d() at width 64
+FIG22_STATEMENTS = (
+    ("view",
+     "SELECT c1.id, c1.name, c1.addr, o1.orid, o1.cid, o1.value "
+     "FROM customer c1, orders o1 WHERE c1.id = o1.cid "
+     "ORDER BY c1.id, o1.orid"),
+    ("refine",
+     "SELECT DISTINCT c2.id, c2.name, c2.addr, o2.orid, o2.cid, o2.value "
+     "FROM customer c1, orders o1, customer c2, orders o2 "
+     "WHERE o1.value > 120 AND c1.id = o1.cid AND c2.id = o2.cid "
+     "AND c1.id = c2.id ORDER BY c2.id, o2.orid"),
+)
+
+
+def pull(database, sql, optimizer, first_block):
+    """(best wall seconds, rows, rows_scanned, join_tuples) of the first
+    block or the full drain of ``sql``, access structures warm."""
+    database.optimizer = optimizer
+    stats = database.stats
+    best = None
+    for __ in range(REPEATS + 1):  # the first repeat warms the structures
+        before = stats.snapshot()
+        start = time.perf_counter()
+        cursor = database.execute(sql)
+        rows = cursor.fetch_block(FIRST_BLOCK) if first_block \
+            else cursor.fetchall()
+        elapsed = time.perf_counter() - start
+        delta = stats.diff(before)
+        best = elapsed if best is None else min(best, elapsed)
+    return (best, rows, delta[sn.ROWS_SCANNED],
+            delta.get(sn.JOIN_TUPLES, 0))
+
+
+def test_eopt_key_ordered_statements_stream_their_first_block():
+    """The pushed statements of the Fig.-22 session end in ``ORDER BY``
+    a chain of primary keys: met from key order, the first block costs
+    a few groups instead of the whole join + sort (the deterministic
+    floors are tier-1: ``TestFirstBlockGuards``)."""
+    db = build_customers_orders(
+        n_customers=SERVED_CUSTOMERS, orders_per_customer=SERVED_ORDERS_PER
+    ).database
+    table = []
+    for name, sql in FIG22_STATEMENTS:
+        for first_block in (True, False):
+            seed = pull(db, sql, False, first_block)
+            ordered = pull(db, sql, True, first_block)
+            assert ordered[1] == seed[1]
+            what = "first {}".format(FIRST_BLOCK) if first_block else "drain"
+            for variant, (wall, rows, scanned, joined) in (
+                    ("hash + sort", seed), ("key order", ordered)):
+                table.append((name, what, variant, round(wall * 1e3, 2),
+                              scanned, joined, len(rows)))
+                bench_record(
+                    "E-OPT", "{}-{}-{}".format(
+                        name, what.replace(" ", "-"),
+                        variant.replace(" + ", "-").replace(" ", "-")),
+                    params={"n_customers": SERVED_CUSTOMERS,
+                            "orders_per": SERVED_ORDERS_PER},
+                    seconds={"wall": wall},
+                    counters={"rows_scanned": scanned,
+                              "join_tuples": joined, "rows": len(rows)},
+                )
+    print_series(
+        "E-OPT: Fig.-22 statements ({}x{}), sort vs key order".format(
+            SERVED_CUSTOMERS, SERVED_ORDERS_PER),
+        ("statement", "pull", "plan", "wall (ms)", "rows_scanned",
+         "join_tuples", "rows"),
+        table,
+    )

@@ -13,7 +13,8 @@ the statistics layer the DESIGN calls for:
   equijoins), with System-R defaults when statistics are missing or
   stale;
 * :mod:`repro.optimizer.cost` — the cost model behind the executor's
-  join ordering, build/probe-side choice, and index-vs-scan decision;
+  join ordering, build/probe-side choice, index-vs-scan decision, and
+  the choice between sorting and an order-preserving plan;
 * :mod:`repro.optimizer.planview` — mediator-level cardinality
   estimates for XMAS plans, rendered as ``est=… act=…`` by
   ``EXPLAIN ANALYZE``.
@@ -38,7 +39,13 @@ from repro.optimizer.selectivity import (
     equijoin_selectivity,
     predicate_selectivity,
 )
-from repro.optimizer.cost import JoinStep, SelectPlanner, estimate_select
+from repro.optimizer.cost import (
+    JoinStep,
+    LookupStep,
+    OrderedPlan,
+    SelectPlanner,
+    estimate_select,
+)
 from repro.optimizer.planview import estimate_plan
 
 __all__ = [
@@ -52,6 +59,8 @@ __all__ = [
     "equijoin_selectivity",
     "predicate_selectivity",
     "JoinStep",
+    "LookupStep",
+    "OrderedPlan",
     "SelectPlanner",
     "estimate_select",
     "estimate_plan",

@@ -1,6 +1,6 @@
 """The cost model driving the SQL executor's physical choices.
 
-Three decisions, all previously syntactic, become cost-based here:
+Four decisions, all previously syntactic, become cost-based here:
 
 * **join order** — a greedy enumeration over the join graph: start from
   the alias with the smallest estimated (filtered) cardinality, then
@@ -12,7 +12,12 @@ Three decisions, all previously syntactic, become cost-based here:
   alias);
 * **index vs scan** — among the usable (prefix-bound) secondary
   indexes, the one with the fewest estimated matching rows, and only
-  when that beats a full scan.
+  when that beats a full scan;
+* **sort vs interesting order** — an ``ORDER BY`` led by the primary
+  key of one alias can be met by reading that alias in key order and
+  joining everything else to it by lookup, which streams; that plan is
+  costed against hash joins + a full sort and the cheaper one runs
+  (:meth:`SelectPlanner.ordered_plan`).
 
 Everything here consumes the executor's resolved predicate objects
 duck-typed (``aliases``/``op``/``left``/``right`` with
@@ -21,7 +26,10 @@ duck-typed (``aliases``/``op``/``left``/``right`` with
 
 from __future__ import annotations
 
+from math import log2
+
 from repro.optimizer.selectivity import (
+    column_ndv,
     conjunction_selectivity,
     default_selectivity,
     equijoin_selectivity,
@@ -58,6 +66,52 @@ class JoinStep:
         )
 
 
+class LookupStep:
+    """One step of an order-preserving plan: join ``alias`` to the
+    stream by index nested loop.
+
+    ``access`` says how its rows are found for an outer row: ``"key"``
+    (primary-key lookup), ``"index"`` (hash probe on ``columns`` — the
+    DDL index on exactly these columns, else the table version's join
+    index on the single column) or ``"loop"`` (no equality: the
+    filtered table, materialized once).  ``lookups`` are the equijoin
+    predicates that supply the probe values, one per column of
+    ``columns``, in order.  ``semi`` numbers the semijoin group the
+    alias belongs to (``None``: an ordinary join).
+    """
+
+    __slots__ = ("alias", "access", "columns", "lookups", "semi", "estimate")
+
+    def __init__(self, alias, access, columns, lookups, semi, estimate):
+        self.alias = alias
+        self.access = access
+        self.columns = columns
+        self.lookups = lookups
+        self.semi = semi
+        self.estimate = estimate
+
+    def __repr__(self):
+        return "LookupStep({}, {}{}, semi={}, est={:.1f})".format(
+            self.alias, self.access, list(self.columns), self.semi,
+            self.estimate,
+        )
+
+
+class OrderedPlan:
+    """Read ``driver`` in primary-key order, then join ``steps`` in
+    turn.  The stream arrives sorted on the first ``sorted_prefix``
+    ``ORDER BY`` columns; ``cost`` is in the units of
+    :meth:`SelectPlanner.sort_plan_cost`."""
+
+    __slots__ = ("driver", "sorted_prefix", "steps", "cost")
+
+    def __init__(self, driver, sorted_prefix, steps, cost):
+        self.driver = driver
+        self.sorted_prefix = sorted_prefix
+        self.steps = steps
+        self.cost = cost
+
+
 class SelectPlanner:
     """Cost-based physical planning for one SELECT.
 
@@ -80,6 +134,7 @@ class SelectPlanner:
         self._scan_est = {
             alias: self._filtered_rows(alias) for alias in binding.aliases
         }
+        self._join_order = None
 
     # -- per-alias estimates ---------------------------------------------------
 
@@ -113,6 +168,11 @@ class SelectPlanner:
 
     def join_order(self):
         """The greedy cost-based order; a list of :class:`JoinStep`."""
+        if self._join_order is None:
+            self._join_order = self._plan_join_order()
+        return self._join_order
+
+    def _plan_join_order(self):
         pending = list(self.binding.aliases)
         if not pending:
             return []
@@ -145,16 +205,18 @@ class SelectPlanner:
                 estimate *= default_selectivity(p.op)
         return estimate
 
+    def _joining(self, alias, joined):
+        """The two-alias predicates between ``alias`` and ``joined``."""
+        return [
+            p for p in self.predicates
+            if len(p.aliases) == 2 and alias in p.aliases
+            and (p.aliases - {alias}) <= joined
+        ]
+
     def _next_step(self, pending, joined, stream_est):
         connected = [
             a for a in pending
-            if any(
-                p.op == "="
-                and len(p.aliases) == 2
-                and a in p.aliases
-                and (p.aliases - {a}) <= joined
-                for p in self.predicates
-            )
+            if any(p.op == "=" for p in self._joining(a, joined))
         ]
         if connected:
             best = min(
@@ -180,11 +242,7 @@ class SelectPlanner:
 
     def _join_estimate(self, alias, joined, stream_est):
         estimate = stream_est * self._scan_est[alias]
-        for p in self.predicates:
-            if len(p.aliases) != 2 or alias not in p.aliases:
-                continue
-            if not (p.aliases - {alias}) <= joined:
-                continue
+        for p in self._joining(alias, joined):
             if p.op == "=" and not (p.left.is_literal or p.right.is_literal):
                 estimate *= self._equijoin_selectivity(p)
             else:
@@ -201,8 +259,7 @@ class SelectPlanner:
 
     def _has_usable_index(self, alias):
         bound = _equality_bindings(self._local[alias])
-        table = self.table(alias)
-        return any(columns[0] in bound for columns in table.indexes())
+        return bool(self.table(alias).usable_indexes(bound))
 
     # -- index choice ----------------------------------------------------------
 
@@ -212,6 +269,11 @@ class SelectPlanner:
         Returns the winning ``(columns, prefix_len)`` or ``None`` when a
         full scan is estimated to be cheaper.
         """
+        choice = self._cheapest_index(alias, candidates)
+        return None if choice is None else choice[0]
+
+    def _cheapest_index(self, alias, candidates):
+        """``(candidate, estimated rows)`` of :meth:`choose_index`."""
         if not candidates:
             return None
         table = self.table(alias)
@@ -230,10 +292,173 @@ class SelectPlanner:
         estimate = probe_estimate(best)
         if best[1] == len(best[0]):
             # Fully bound: a single O(1) bucket probe always wins.
-            return best
+            return best, estimate
         if estimate < rows * PARTIAL_PREFIX_THRESHOLD:
-            return best
+            return best, estimate
         return None
+
+    # -- sort vs interesting order -----------------------------------------------
+
+    def sort_plan_cost(self):
+        """Cost of hash joins in :meth:`join_order` plus a full sort.
+
+        The unit is one row handled: every row a scan reads, every
+        tuple a join emits, and ``n log2 n`` for sorting the ``n``
+        estimated result rows.
+        """
+        cost = 0.0
+        for alias in self.binding.aliases:
+            table = self.table(alias)
+            bound = _equality_bindings(self._local[alias])
+            choice = self._cheapest_index(alias, table.usable_indexes(bound))
+            cost += len(table) if choice is None else choice[1]
+        cost += sum(step.estimate for step in self.join_order()[1:])
+        rows = self.final_estimate()
+        return cost + rows * log2(rows + 2.0)
+
+    def ordered_plan(self, order_by, shown=None):
+        """The order-preserving plan for ``ORDER BY order_by``, or
+        ``None`` when there is none or the sort plan is cheaper.
+
+        ``order_by`` lists ``(alias, column position)``.  The plan
+        exists when the leading ``ORDER BY`` columns are a leading part
+        of one alias's primary key, in key order: that alias drives, in
+        key order, and index nested loops keep its order.  ``shown``
+        names the aliases with a column in the select list or ``ORDER
+        BY`` when the statement is ``DISTINCT`` (else ``None``): every
+        connected set of the other aliases only decides whether an
+        output row exists, so it is joined as a semijoin, right after
+        the aliases it attaches to.
+
+        Costed in :meth:`sort_plan_cost`'s unit: rows read in key order
+        and by lookup, tuples emitted, and the sorts within runs of
+        equal leading key.  A join index costs its table one more scan
+        per table version, which is not charged: it is the build side
+        the hash join would have read anyway, and later statements
+        reuse it.
+        """
+        driver = order_by[0][0]
+        key = self.table(driver).schema.key_indexes()
+        prefix = 0
+        for (alias, index), key_index in zip(order_by, key):
+            if alias != driver or index != key_index:
+                break
+            prefix += 1
+        if not prefix:
+            return None
+        hidden = set()
+        if shown is not None:
+            hidden = set(self.binding.aliases) - set(shown)
+        groups = self._connected(hidden)
+        pending = [
+            a for a in self.binding.aliases if a != driver and a not in hidden
+        ]
+        joined = {driver}
+        stream = self._scan_est[driver]
+        cost = float(len(self.table(driver)))
+        steps = []
+        while pending or groups:
+            group = next(
+                (g for g in groups if self._attachments(g) <= joined), None
+            )
+            if group is not None:
+                groups.remove(group)
+                members = list(group)
+                semi = self._position[members[0]]
+                entered = stream
+            else:
+                members = [self._next_step(pending, joined, stream)[0]]
+                pending.remove(members[0])
+                semi = None
+            while members:
+                alias, estimate = self._next_step(members, joined, stream)
+                members.remove(alias)
+                step, reads = self._lookup_step(
+                    alias, joined, stream, estimate, semi
+                )
+                steps.append(step)
+                joined.add(alias)
+                cost += reads + step.estimate
+                stream = step.estimate
+            if semi is not None:
+                stream = min(entered, stream)
+        runs = max(1.0, self._scan_est[driver])
+        cost += stream * log2(stream / runs + 2.0)
+        if cost > self.sort_plan_cost():
+            return None
+        return OrderedPlan(driver, prefix, steps, cost)
+
+    def _connected(self, aliases):
+        """The connected components of ``aliases`` under the predicates
+        between them, as lists in FROM order."""
+        component = {a: {a} for a in aliases}
+        for p in self.predicates:
+            if len(p.aliases) == 2 and p.aliases <= aliases:
+                a, b = p.aliases
+                if component[a] is not component[b]:
+                    component[a] |= component[b]
+                    for member in component[b]:
+                        component[member] = component[a]
+        groups = []
+        for alias in self.binding.aliases:
+            if alias in aliases and component[alias] is not None:
+                members = component[alias]
+                groups.append(sorted(members, key=self._position.get))
+                for member in members:
+                    component[member] = None
+        return groups
+
+    def _attachments(self, group):
+        """The aliases outside ``group`` its predicates mention."""
+        members = set(group)
+        outside = set()
+        for p in self.predicates:
+            if p.aliases & members:
+                outside |= p.aliases - members
+        return outside
+
+    def _lookup_step(self, alias, joined, stream_est, estimate, semi):
+        """``(LookupStep, estimated rows read)`` for joining ``alias``
+        to a stream of ``stream_est`` rows over ``joined``."""
+        table = self.table(alias)
+        by_column = {}
+        for p in self._joining(alias, joined):
+            if p.op == "=":
+                own = p.left if p.left.aliases == {alias} else p.right
+                by_column.setdefault(own.column, p)
+        key = table.schema.primary_key
+        if key and all(column in by_column for column in key):
+            # At most one row per probe, whatever the NDV guess says.
+            access, columns = "key", tuple(key)
+            fanout = 1.0
+            estimate = min(estimate, stream_est)
+        elif by_column:
+            access = "index"
+            indexed = [
+                columns for columns in table.indexes()
+                if all(column in by_column for column in columns)
+            ]
+            if indexed:
+                columns = max(indexed, key=len)
+            else:
+                columns = (max(
+                    by_column, key=lambda c: column_ndv(table, c)
+                ),)
+            distinct = 1.0
+            for column in columns:
+                distinct *= column_ndv(table, column)
+            fanout = len(table) / min(max(distinct, 1.0), max(len(table), 1))
+        else:
+            access, columns = "loop", ()
+            fanout = self._scan_est[alias]
+        reads = stream_est * fanout
+        if access == "loop":
+            reads += len(table)
+        step = LookupStep(
+            alias, access, columns, [by_column[c] for c in columns], semi,
+            estimate,
+        )
+        return step, reads
 
 
 def estimate_select(database, stmt):

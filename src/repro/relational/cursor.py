@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 import threading
 from collections import deque
+from itertools import islice
 
 from repro import stats as statnames
 from repro.errors import ShardError, SourceError
@@ -27,40 +28,57 @@ class Cursor:
     """A forward-only cursor over a row generator.
 
     Supports the DB-API-flavoured ``fetchone`` / ``fetchmany`` /
-    ``fetchall`` plus plain iteration.  Closing the cursor abandons the
+    ``fetchall`` plus plain iteration.  Closing the cursor closes the
     underlying generator, so unread rows are never computed.
+
+    ``after_fetch(n)``, when given, is called at the end of every fetch
+    with the number of rows it took (the executor flushes its work
+    counters there, inside whatever span asked for the rows).
     """
 
-    def __init__(self, column_names, rows, stats=None):
+    def __init__(self, column_names, rows, stats=None, after_fetch=None):
         self.column_names = list(column_names)
         self._rows = iter(rows)
         self._stats = stats
+        self._after_fetch = after_fetch
         self._closed = False
         self._pending_exc = None
         self.rows_fetched = 0
 
+    def _pull(self, size):
+        """Up to ``size`` rows straight off the generator, accounted as
+        one fetch.  Rows pulled before the generator raises are kept:
+        ``(rows, exception or None)``."""
+        out = []
+        failure = None
+        try:
+            if not self._closed:
+                for row in islice(self._rows, size):
+                    out.append(row)
+                if size is None or len(out) < size:
+                    self._closed = True
+        except Exception as exc:
+            failure = exc
+        finally:
+            self.rows_fetched += len(out)
+            if out and self._stats is not None:
+                self._stats.incr(statnames.TUPLES_SHIPPED, len(out))
+            if self._after_fetch is not None:
+                self._after_fetch(len(out))
+        return out, failure
+
     def fetchone(self):
         """The next row, or ``None`` when exhausted."""
-        if self._closed:
-            return None
-        try:
-            row = next(self._rows)
-        except StopIteration:
-            self._closed = True
-            return None
-        self.rows_fetched += 1
-        if self._stats is not None:
-            self._stats.incr(statnames.TUPLES_SHIPPED)
-        return row
+        out, failure = self._pull(1)
+        if failure is not None:
+            raise failure
+        return out[0] if out else None
 
     def fetchmany(self, size):
         """Up to ``size`` rows (possibly fewer at the end)."""
-        out = []
-        for _ in range(size):
-            row = self.fetchone()
-            if row is None:
-                break
-            out.append(row)
+        out, failure = self._pull(size)
+        if failure is not None:
+            raise failure
         return out
 
     def fetch_block(self, size):
@@ -80,34 +98,28 @@ class Cursor:
         if self._pending_exc is not None:
             exc, self._pending_exc = self._pending_exc, None
             raise exc
-        out = []
-        for _ in range(size):
-            try:
-                row = self.fetchone()
-            except Exception as exc:
-                if not out:
-                    raise
-                self._pending_exc = exc
-                break
-            if row is None:
-                break
-            out.append(row)
+        out, failure = self._pull(size)
+        if failure is not None:
+            if not out:
+                raise failure
+            self._pending_exc = failure
         if out and self._stats is not None:
             self._stats.incr(statnames.BLOCKS_SHIPPED)
         return out
 
     def fetchall(self):
         """All remaining rows."""
-        out = []
-        while True:
-            row = self.fetchone()
-            if row is None:
-                return out
-            out.append(row)
+        out, failure = self._pull(None)
+        if failure is not None:
+            raise failure
+        return out
 
     def close(self):
-        """Abandon the cursor; subsequent fetches return ``None``."""
+        """Close the row generator; subsequent fetches return ``None``."""
         self._closed = True
+        close = getattr(self._rows, "close", None)
+        if close is not None:
+            close()
 
     def __iter__(self):
         while True:

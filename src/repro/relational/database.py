@@ -33,8 +33,9 @@ class Database:
         self.name = name
         self.stats = stats or Instrument()
         #: When true the executor plans SELECTs cost-based (join order,
-        #: build side, index choice) from ``ANALYZE`` statistics; when
-        #: false it keeps the seed's syntactic FROM-order planning.
+        #: build side, index choice, sort vs key order) from ``ANALYZE``
+        #: statistics; when false it keeps the seed's syntactic
+        #: FROM-order planning.
         self.optimizer = optimizer
         self._tables = {}
         # Table *epochs* make versions survive drop/recreate: a table
@@ -153,8 +154,8 @@ class Database:
             raise SqlError("execute() is for SELECT; use run() for DDL/DML")
         self.stats.incr(statnames.SQL_QUERIES)
         self.stats.event("sql", sql, database=self.name)
-        names, rows = execute_select(self, stmt, obs=self.stats)
-        return Cursor(names, rows, stats=self.stats)
+        names, rows, after_fetch = execute_select(self, stmt)
+        return Cursor(names, rows, stats=self.stats, after_fetch=after_fetch)
 
     def run(self, sql):
         """Execute DDL/DML; returns the affected row count.

@@ -1,30 +1,61 @@
 """Pipelined executor for the SQL subset.
 
 Evaluation is generator-based end to end: nothing past the rows a cursor
-has actually fetched is computed (except where semantics force
-materialization — the build side of a hash join and ORDER BY sorting).
-This mirrors the pipelined, cursor-driven evaluation the paper assumes of
-relational sources and is what makes the mediator's navigation-driven
-evaluation effective down to the base tables.
+has actually fetched is computed, except where a plan has to hold rows
+back.  This mirrors the pipelined, cursor-driven evaluation the paper
+assumes of relational sources and is what makes the mediator's
+navigation-driven evaluation effective down to the base tables.
 
-Join strategy: predicates are classified into per-alias filters (applied
-on the scan), equi-join predicates (hash joins), and residual cross-alias
-predicates (filtered after a nested-loop/cross product).  With the
-cost-based optimizer on (``Database(optimizer=True)``, the default) the
-join order, each hash join's build side, and the index-vs-scan choice
-come from :class:`repro.optimizer.cost.SelectPlanner`; with it off the
-seed's syntactic planning applies — the join order greedily follows
-equi-join connectivity from the first FROM entry, the build side is
-always the newly joined alias, and only fully bound indexes are used.
+There are two physical plans.
+
+**Hash joins + sort** (every statement without ``ORDER BY``, every
+statement under ``Database(optimizer=False)``, and any statement for
+which it is estimated cheaper).  Predicates are classified into
+per-alias filters (applied on the scan), equi-join predicates (hash
+joins), and residual cross-alias predicates (filtered after a
+nested-loop/cross product).  *Blocks:* the build side of each hash join
+is materialized on the first pull, and ``ORDER BY`` materializes and
+sorts the whole join before the first row.  *Streams:* the probe side,
+projection and ``DISTINCT``.  With the cost-based optimizer on
+(``Database(optimizer=True)``, the default) the join order, each hash
+join's build side, and the index-vs-scan choice come from
+:class:`repro.optimizer.cost.SelectPlanner`; with it off the seed's
+syntactic planning applies — the join order greedily follows equi-join
+connectivity from the first FROM entry, the build side is always the
+newly joined alias, and only fully bound indexes are used.
+
+**Order-preserving index nested loops** (optimizer on, ``ORDER BY``
+led by the primary key of one alias, estimated no dearer than the
+above; see :meth:`~repro.optimizer.cost.SelectPlanner.ordered_plan`).
+The leading alias is read in key order and every other alias is joined
+to it by lookup — primary key, DDL index, or a per-table-version hash
+*join index* — which keeps that order.  *Blocks:* only one run of rows
+with equal leading key at a time, sorted on the remaining ``ORDER BY``
+columns; building a join index (one scan, reused until the table's
+version moves); an alias joined without any equality, which is
+materialized once.  *Streams:* everything else — the first row costs
+one run, not the join.  Under ``DISTINCT`` the aliases that contribute
+no output column are joined as semijoins (first match only), and
+``DISTINCT`` itself forgets its rows at each run boundary.
+
+Both plans snapshot every table on the first pull
+(:meth:`~repro.relational.table.Table.access_paths`), so a cursor reads
+one version of each table however long it stays open.  Rows flow as
+plain tuples concatenated in join order; a per-statement *layout*
+(alias → offset) places each column.  Work counters are kept in a local
+list and handed to the instrument once per cursor fetch.
 """
 
 from __future__ import annotations
 
 import operator
+from collections import namedtuple
+from operator import itemgetter
 
 from repro import stats as statnames
 from repro.errors import SchemaError, SqlError
 from repro.relational import ast
+from repro.relational.types import sort_key as _sort_key
 
 _OPS = {
     "=": operator.eq,
@@ -34,6 +65,13 @@ _OPS = {
     ">": operator.gt,
     ">=": operator.ge,
 }
+
+#: Slots of a statement's local work counters, and the instrument
+#: counters they are flushed to.
+_SCANNED, _JOINED, _LOOKUPS = range(3)
+_COUNTERS = (
+    statnames.ROWS_SCANNED, statnames.JOIN_TUPLES, statnames.INDEX_LOOKUPS
+)
 
 
 def compare(left, op, right):
@@ -55,62 +93,56 @@ def compare(left, op, right):
 
 
 class _Binding:
-    """Name resolution for one SELECT: alias -> (table, column offsets)."""
+    """Name resolution for one SELECT: alias -> table."""
 
     def __init__(self, database, table_refs):
         self.aliases = []
         self.tables = {}
-        self.offsets = {}
-        self.widths = {}
-        offset = 0
         for ref in table_refs:
             if ref.alias in self.tables:
                 raise SqlError("duplicate alias {!r}".format(ref.alias))
-            table = database.table(ref.table)
             self.aliases.append(ref.alias)
-            self.tables[ref.alias] = table
-            self.offsets[ref.alias] = offset
-            self.widths[ref.alias] = len(table.schema.columns)
-            offset += self.widths[ref.alias]
-        self.total_width = offset
+            self.tables[ref.alias] = database.table(ref.table)
+
+    def width(self, alias):
+        return len(self.tables[alias].schema.columns)
 
     def resolve(self, colref):
-        """Map a :class:`ColRef` to (alias, flat offset)."""
+        """Map a :class:`ColRef` to (alias, column position in it)."""
         if colref.qualifier is not None:
             alias = colref.qualifier
             if alias not in self.tables:
                 raise SchemaError("unknown alias {!r}".format(alias))
-            idx = self.tables[alias].schema.column_index(colref.column)
-            return alias, self.offsets[alias] + idx
-        candidates = [
-            alias
-            for alias in self.aliases
-            if self.tables[alias].schema.has_column(colref.column)
-        ]
-        if not candidates:
-            raise SchemaError("unknown column {!r}".format(colref.column))
-        if len(candidates) > 1:
-            raise SchemaError(
-                "ambiguous column {!r} (in {})".format(
-                    colref.column, ", ".join(candidates)
+        else:
+            candidates = [
+                alias
+                for alias in self.aliases
+                if self.tables[alias].schema.has_column(colref.column)
+            ]
+            if not candidates:
+                raise SchemaError("unknown column {!r}".format(colref.column))
+            if len(candidates) > 1:
+                raise SchemaError(
+                    "ambiguous column {!r} (in {})".format(
+                        colref.column, ", ".join(candidates)
+                    )
                 )
-            )
-        alias = candidates[0]
-        idx = self.tables[alias].schema.column_index(colref.column)
-        return alias, self.offsets[alias] + idx
+            alias = candidates[0]
+        return alias, self.tables[alias].schema.column_index(colref.column)
 
 
 class _Operand:
-    """A resolved predicate operand: flat-row getter plus metadata used
-    for index selection (the column name, or the literal value)."""
+    """A resolved predicate operand: a column (``alias``, ``index`` in
+    the alias's row, ``column`` name) or a literal value."""
 
     _NO_LITERAL = object()
 
-    def __init__(self, getter, aliases, column=None,
+    def __init__(self, alias=None, index=None, column=None,
                  literal=_NO_LITERAL):
-        self.get = getter
-        self.aliases = aliases
+        self.alias = alias
+        self.index = index
         self.column = column
+        self.aliases = frozenset() if alias is None else frozenset([alias])
         self._literal = literal
 
     @property
@@ -121,18 +153,15 @@ class _Operand:
     def literal(self):
         return self._literal
 
+    def position(self, layout):
+        return layout[self.alias] + self.index
+
 
 def _resolve_operand(binding, operand):
     if isinstance(operand, ast.Literal):
-        value = operand.value
-        return _Operand(
-            lambda row: value, frozenset(), literal=value
-        )
-    alias, pos = binding.resolve(operand)
-    return _Operand(
-        lambda row, p=pos: row[p], frozenset([alias]),
-        column=operand.column,
-    )
+        return _Operand(literal=operand.value)
+    alias, index = binding.resolve(operand)
+    return _Operand(alias, index, operand.column)
 
 
 class _ResolvedPredicate:
@@ -142,8 +171,28 @@ class _ResolvedPredicate:
         self.right = _resolve_operand(binding, predicate.right)
         self.aliases = self.left.aliases | self.right.aliases
 
-    def test(self, row):
-        return compare(self.left.get(row), self.op, self.right.get(row))
+    def compile(self, layout):
+        """``row -> bool`` for rows laid out by ``layout`` (alias ->
+        offset of the alias's columns in the row)."""
+        op, left, right = self.op, self.left, self.right
+        if left.is_literal and right.is_literal:
+            result = compare(left.literal, op, right.literal)
+            return lambda row: result
+        if right.is_literal:
+            pos, value = left.position(layout), right.literal
+            return lambda row: compare(row[pos], op, value)
+        if left.is_literal:
+            pos, value = right.position(layout), left.literal
+            return lambda row: compare(value, op, row[pos])
+        lpos, rpos = left.position(layout), right.position(layout)
+        return lambda row: compare(row[lpos], op, row[rpos])
+
+    def side_of(self, alias):
+        """``(operand of alias, the other operand)`` of a two-alias
+        predicate."""
+        if self.left.alias == alias:
+            return self.left, self.right
+        return self.right, self.left
 
     def equality_binding(self):
         """``(column, literal)`` when this is ``col = const``, else None."""
@@ -168,42 +217,125 @@ def resolve_select(database, stmt):
     return binding, predicates
 
 
-def execute_select(database, stmt, obs=None):
-    """Evaluate a SELECT; returns ``(column_names, row_generator)``.
+def execute_select(database, stmt):
+    """Evaluate a SELECT; returns ``(column_names, rows, after_fetch)``.
 
-    With ``obs`` (an :class:`repro.obs.Instrument`), each produced row is
-    counted under a per-table-set counter and attributed to whichever
-    navigation span is active when the cursor pulls it.
+    ``rows`` is a generator that does nothing until first pulled.  The
+    cursor calls ``after_fetch(n)`` at the end of every fetch with the
+    number of rows it took: that hands the work counted since the last
+    call — and ``n`` under the statement's ``rows_out:<tables>`` — to
+    ``database.stats`` in one increment each, attributed to whichever
+    navigation span is active during the fetch.
     """
     binding, predicates = resolve_select(database, stmt)
-    planner = None
+    names, columns = _projection(binding, stmt.items)
+    order_by = [binding.resolve(c) for c in stmt.order_by]
+    planner = ordered = None
     if getattr(database, "optimizer", False):
         from repro.optimizer.cost import SelectPlanner
 
         planner = SelectPlanner(binding, predicates)
-    rows = _join_pipeline(
-        binding, predicates, planner=planner, stats=database.stats
-    )
-    if stmt.order_by:
-        keys = [binding.resolve(c)[1] for c in stmt.order_by]
-        rows = _sorted_stream(rows, keys)
-    names, positions = _projection(binding, stmt.items)
-    projected = (tuple(row[p] for p in positions) for row in rows)
-    if stmt.distinct:
-        projected = _distinct_stream(projected)
-    if obs is not None:
-        projected = _attributed_rows(projected, obs, stmt)
-    return names, projected
-
-
-def _attributed_rows(rows, obs, stmt):
-    """Count rows out of one statement's pipeline, at fetch time."""
-    counter = "rows_out:" + ",".join(
+        if order_by:
+            shown = {alias for alias, _ in columns + order_by}
+            ordered = planner.ordered_plan(
+                order_by, shown if stmt.distinct else None
+            )
+    counts = [0] * len(_COUNTERS)
+    if ordered is not None:
+        start = _ordered_select(
+            binding, predicates, ordered, columns, order_by, stmt.distinct,
+            counts,
+        )
+    else:
+        start = _sorted_select(
+            binding, predicates, planner, columns, order_by, stmt.distinct,
+            counts,
+        )
+    obs = database.stats
+    rows_out = "rows_out:" + ",".join(
         sorted({ref.table for ref in stmt.tables})
     )
-    for row in rows:
-        obs.incr(counter)
-        yield row
+
+    def after_fetch(fetched):
+        for slot, name in enumerate(_COUNTERS):
+            if counts[slot]:
+                obs.incr(name, counts[slot])
+                counts[slot] = 0
+        if fetched:
+            obs.incr(rows_out, fetched)
+
+    return names, _deferred(start), after_fetch
+
+
+def _deferred(start):
+    """Run ``start()`` — snapshot the tables, build the operator chain —
+    on the first pull, not when the statement is issued."""
+    yield from start()
+
+
+def _projection(binding, items):
+    """``(names, [(alias, column position)])`` of the select list."""
+    names = []
+    columns = []
+    for item in items:
+        if item.is_star:
+            for alias in binding.aliases:
+                table = binding.tables[alias]
+                for i, col in enumerate(table.schema.columns):
+                    names.append(col.name)
+                    columns.append((alias, i))
+        else:
+            names.append(item.alias or item.ref.column)
+            columns.append(binding.resolve(item.ref))
+    return names, columns
+
+
+def _positions(layout, columns):
+    return [layout[alias] + index for alias, index in columns]
+
+
+def _getter(positions):
+    """``row -> value`` for one position, ``row -> tuple`` for more
+    (both sides of a join key use the same arity, so they compare)."""
+    return itemgetter(*positions)
+
+
+def _projector(positions):
+    if len(positions) == 1:
+        (pos,) = positions
+        return lambda row: (row[pos],)
+    return itemgetter(*positions)
+
+
+def _sorter(positions):
+    if len(positions) == 1:
+        (pos,) = positions
+        return lambda row: _sort_key(row[pos])
+    return lambda row: [_sort_key(row[p]) for p in positions]
+
+
+def _all_of(tests):
+    """One ``row -> bool`` for a conjunction; ``None`` when empty."""
+    if not tests:
+        return None
+    if len(tests) == 1:
+        return tests[0]
+
+    def test(row):
+        for t in tests:
+            if not t(row):
+                return False
+        return True
+
+    return test
+
+
+def _take(predicates, wanted):
+    """Remove and return the predicates satisfying ``wanted``."""
+    taken = [p for p in predicates if wanted(p)]
+    for p in taken:
+        predicates.remove(p)
+    return taken
 
 
 def _distinct_stream(rows):
@@ -214,142 +346,124 @@ def _distinct_stream(rows):
             yield row
 
 
-def _projection(binding, items):
-    names = []
-    positions = []
-    for item in items:
-        if item.is_star:
-            for alias in binding.aliases:
-                table = binding.tables[alias]
-                base = binding.offsets[alias]
-                for i, col in enumerate(table.schema.columns):
-                    names.append(col.name)
-                    positions.append(base + i)
-        else:
-            alias_name = item.alias or item.ref.column
-            __, pos = binding.resolve(item.ref)
-            names.append(alias_name)
-            positions.append(pos)
-    return names, positions
+# -- hash joins + sort ---------------------------------------------------------------
 
 
-def _sorted_stream(rows, key_positions):
-    materialized = list(rows)
-    materialized.sort(key=lambda row: tuple(_sort_key(row[p]) for p in key_positions))
-    return iter(materialized)
+#: One alias of the hash plan: how it is scanned (``local`` filters,
+#: ``index`` probe or ``None``) and joined in (``equi`` hash keys,
+#: ``cross`` residual filters, ``build_new`` side).
+_HashStep = namedtuple("_HashStep", "alias local index equi cross build_new")
 
 
-def _sort_key(value):
-    """A total order over NULLs, numbers, and strings (NULLs first)."""
-    if value is None:
-        return (0, 0, "")
-    if isinstance(value, (int, float)):
-        return (1, value, "")
-    return (2, 0, str(value))
+def _sorted_select(binding, predicates, planner, columns, order_by,
+                   distinct, counts):
+    steps, final = _hash_steps(binding, predicates, planner)
+    layout = {}
+    width = 0
+    for step in steps:
+        layout[step.alias] = width
+        width += binding.width(step.alias)
+    project = _projector(_positions(layout, columns))
+    order_positions = _positions(layout, order_by)
+
+    def start():
+        rows = _hash_pipeline(binding, steps, final, layout, counts)
+        if order_positions:
+            rows = sorted(rows, key=_sorter(order_positions))
+        projected = map(project, rows)
+        return _distinct_stream(projected) if distinct else projected
+
+    return start
 
 
-def _join_pipeline(binding, predicates, planner=None, stats=None):
-    """Build the lazily evaluated join tree over all FROM entries.
+def _hash_steps(binding, predicates, planner):
+    """The join order and each step's predicates: ``(steps, final)``.
 
     With a :class:`~repro.optimizer.cost.SelectPlanner` the join order
     and each step's build side follow its cost-based plan; without one
-    (optimizer off) the seed's syntactic order applies.
+    (optimizer off) the seed's syntactic order applies.  ``final`` is
+    what no step could take (predicates between literals).
     """
-    remaining_preds = list(predicates)
-    joined_aliases = set()
-    stream = None
-
-    def scan_alias(alias):
-        """Filtered scan of one alias, padded into the flat row layout.
-
-        Equality predicates covered by a secondary index turn the scan
-        into an index probe; remaining predicates filter on top.
-        """
-        local = [
-            p
-            for p in remaining_preds
-            if p.aliases and p.aliases <= {alias}
-        ]
-        for p in local:
-            remaining_preds.remove(p)
-        table = binding.tables[alias]
-        base = binding.offsets[alias]
-        width = binding.total_width
-        index_columns, index_values = _pick_index(
-            table, local, planner=planner, alias=alias
-        )
-
-        def generator():
-            if index_columns is not None:
-                rows = table.index_scan(index_columns, index_values)
-            else:
-                rows = table.scan()
-            for row in rows:
-                flat = [None] * width
-                flat[base : base + len(row)] = row
-                flat = tuple(flat)
-                if all(p.test(flat) for p in local):
-                    yield flat
-
-        return generator
-
-    plan_steps = planner.join_order() if planner is not None else None
-    step_index = 0
+    if not binding.aliases:
+        raise SqlError("SELECT requires at least one table")
+    remaining = list(predicates)
+    planned = planner.join_order() if planner is not None else None
     pending = list(binding.aliases)
+    joined = set()
+    steps = []
     while pending:
-        if plan_steps is not None:
-            step = plan_steps[step_index]
-            step_index += 1
+        if planned is not None:
+            step = planned[len(steps)]
             alias = step.alias
-            build_new = step.build_new if step.build_new is not None else True
+            build_new = step.build_new is not False
         else:
-            alias = _next_alias(pending, joined_aliases, remaining_preds)
+            alias = _next_alias(pending, joined, remaining)
             build_new = True
         pending.remove(alias)
-        if stream is None:
-            stream = scan_alias(alias)
-            joined_aliases.add(alias)
-            continue
-        equi = [
-            p
-            for p in remaining_preds
-            if p.op == "="
-            and len(p.aliases) == 2
-            and alias in p.aliases
-            and (p.aliases - {alias}) <= joined_aliases
-        ]
-        cross = [
-            p
-            for p in remaining_preds
-            if p.op != "="
-            and alias in p.aliases
-            and (p.aliases - {alias}) <= joined_aliases
-            and len(p.aliases) == 2
-        ]
-        for p in equi + cross:
-            remaining_preds.remove(p)
-        stream = _hash_join(
-            stream, scan_alias(alias), alias, equi, cross,
-            build_new=build_new, stats=stats,
+        local = _take(remaining, lambda p: p.aliases == {alias})
+        index = _pick_index(
+            binding.tables[alias], local, planner=planner, alias=alias
         )
-        joined_aliases.add(alias)
 
-    if stream is None:
-        raise SqlError("SELECT requires at least one table")
+        def joins(p):
+            return (len(p.aliases) == 2 and alias in p.aliases
+                    and (p.aliases - {alias}) <= joined)
 
-    final_preds = list(remaining_preds)
+        equi = _take(remaining, lambda p: p.op == "=" and joins(p))
+        cross = _take(remaining, joins)
+        steps.append(_HashStep(alias, local, index, equi, cross, build_new))
+        joined.add(alias)
+    return steps, remaining
 
-    def finalize():
-        for row in stream():
-            if all(p.test(row) for p in final_preds):
-                yield row
 
-    return finalize()
+def _hash_pipeline(binding, steps, final, layout, counts):
+    stream = None
+    for step in steps:
+        alias = step.alias
+        local = _all_of([p.compile({alias: 0}) for p in step.local])
+        scan = _scan(
+            binding.tables[alias].access_paths(), step.index, local, counts
+        )
+        if stream is None:
+            stream = scan
+            continue
+        sides = [p.side_of(alias) for p in step.equi]
+        keys = (None, None)
+        if sides:
+            keys = (
+                _getter([other.position(layout) for _, other in sides]),
+                _getter([own.index for own, _ in sides]),
+            )
+        stream = _hash_join(
+            stream, scan, *keys,
+            _all_of([p.compile(layout) for p in step.cross]),
+            step.build_new, counts,
+        )
+    test = _all_of([p.compile(layout) for p in final])
+    return stream if test is None else filter(test, stream)
+
+
+def _scan(paths, index, test, counts):
+    """Filtered scan of one alias's table version.
+
+    Equality predicates covered by a secondary index turn the scan into
+    an index probe (``index`` is ``(columns, values)``); ``test`` filters
+    on top.  Every row read counts as scanned, as it is read.
+    """
+    if index is not None:
+        counts[_LOOKUPS] += 1
+        rows = paths.index_rows(*index)
+    else:
+        rows = paths.scan()
+    for row in rows:
+        counts[_SCANNED] += 1
+        if test is None or test(row):
+            yield row
 
 
 def _pick_index(table, local_predicates, planner=None, alias=None):
     """The secondary index to probe for the local equality predicates;
-    returns ``(columns, values)`` or ``(None, None)`` for a full scan.
+    returns ``(columns, values)`` or ``None`` for a full scan.
 
     An index is usable when a *leading prefix* of its columns is bound
     by equality predicates (an index on ``(a, b)`` answers ``a = 1``).
@@ -363,13 +477,7 @@ def _pick_index(table, local_predicates, planner=None, alias=None):
         eq = p.equality_binding()
         if eq is not None:
             bindings.setdefault(eq[0], eq[1])
-    candidates = []
-    for columns in table.indexes():
-        prefix_len = 0
-        while prefix_len < len(columns) and columns[prefix_len] in bindings:
-            prefix_len += 1
-        if prefix_len:
-            candidates.append((columns, prefix_len))
+    candidates = table.usable_indexes(bindings)
     if planner is not None:
         best = planner.choose_index(alias, candidates)
     else:
@@ -383,7 +491,7 @@ def _pick_index(table, local_predicates, planner=None, alias=None):
                 if best is None or prefix_len > best[1]:
                     best = (columns, prefix_len)
     if best is None:
-        return None, None
+        return None
     columns, prefix_len = best
     return columns, [bindings[c] for c in columns[:prefix_len]]
 
@@ -412,69 +520,264 @@ def _next_alias(pending, joined, predicates):
     return pending[0]
 
 
-def _hash_join(probe_stream, build_scan, build_alias, equi_preds, cross_preds,
-               build_new=True, stats=None):
-    """Hash join (or filtered cross product when no equi predicate).
+def _hash_join(stream, scan, stream_key, scan_key, test, build_new, counts):
+    """Hash join (or filtered cross product when there is no key) of the
+    accumulated ``stream`` with the ``scan`` of a new alias.
 
-    One side is materialized into a hash table on first pull; the other
-    stays pipelined, so cursor pulls still drive how much of it is
-    consumed.  ``build_new`` picks the side: ``True`` (the seed
-    behavior) materializes the newly joined alias and streams the
-    accumulated pipeline; ``False`` — chosen by the cost model when the
-    accumulated stream is estimated smaller — materializes the stream
-    and pipelines the new alias's scan instead.  Every emitted tuple
+    One side is materialized on first pull; the other stays pipelined,
+    so cursor pulls still drive how much of it is consumed.
+    ``build_new`` picks the side: ``True`` (the seed behavior)
+    materializes the newly joined alias and streams the accumulated
+    pipeline; ``False`` — chosen by the cost model when the accumulated
+    stream is estimated smaller — materializes the stream and pipelines
+    the new alias's scan instead.  Either way a joined row is the
+    stream's row followed by the new alias's.  Every emitted tuple
     counts one ``join_tuples``, the intermediate-traffic metric the
     E-OPT benchmark compares across join orders.
     """
-
-    def build_key_getters():
-        stream_getters = []
-        new_getters = []
-        for p in equi_preds:
-            if p.left.aliases == frozenset([build_alias]):
-                new_getters.append(p.left.get)
-                stream_getters.append(p.right.get)
+    if build_new:
+        build, build_key, probe, probe_key = scan, scan_key, stream, stream_key
+    else:
+        build, build_key, probe, probe_key = stream, stream_key, scan, scan_key
+    if build_key is None:
+        every = list(build)
+        matches = lambda row: every
+    else:
+        buckets = {}
+        for row in build:
+            buckets.setdefault(build_key(row), []).append(row)
+        matches = lambda row: buckets.get(probe_key(row), ())
+    for probe_row in probe:
+        for build_row in matches(probe_row):
+            if build_new:
+                merged = probe_row + build_row
             else:
-                new_getters.append(p.right.get)
-                stream_getters.append(p.left.get)
-        return stream_getters, new_getters
+                merged = build_row + probe_row
+            if test is None or test(merged):
+                counts[_JOINED] += 1
+                yield merged
 
-    def generator():
-        stream_getters, new_getters = build_key_getters()
-        if build_new:
-            build_side, build_getters = build_scan, new_getters
-            probe_side, probe_getters = probe_stream, stream_getters
+
+# -- order-preserving index nested loops ---------------------------------------------
+
+
+class _Lookup:
+    """One compiled :class:`~repro.optimizer.cost.LookupStep`.
+
+    ``fetch(row)`` gives the candidate rows of the step's alias for an
+    outer ``row``; ``inner`` filters a candidate on its own, ``merged``
+    the concatenation.  ``scans`` says whether taking a candidate reads
+    the table (it does not when they come from a materialized loop).
+    """
+
+    __slots__ = ("fetch", "scans", "inner", "merged")
+
+    def __init__(self, step, paths, layout, local, rest, counts):
+        alias = step.alias
+        inner = _all_of([p.compile({alias: 0}) for p in local])
+        self.scans = step.access != "loop"
+        self.fetch = _fetcher(step, paths, layout, inner, counts)
+        # A loop's candidates were filtered when it was materialized.
+        self.inner = inner if self.scans else None
+        self.merged = _all_of([_join_test(p, layout) for p in rest])
+
+
+def _ordered_select(binding, predicates, plan, columns, order_by, distinct,
+                    counts):
+    # Aliases joined only for existence (a semijoin group) are laid out
+    # past the row they are tested against and never kept.
+    layout = {plan.driver: 0}
+    width = binding.width(plan.driver)
+    remaining = list(predicates)
+    driver_tests = _take(remaining, lambda p: p.aliases <= {plan.driver})
+    joined = {plan.driver}
+    units = []  # (semi group or None, [(step, local, rest)])
+    for step in plan.steps:
+        alias = step.alias
+        if step.semi is None:
+            layout[alias] = width
+            width += binding.width(alias)
         else:
-            build_side, build_getters = probe_stream, stream_getters
-            probe_side, probe_getters = build_scan, new_getters
-        if equi_preds:
-            buckets = {}
-            for row in build_side():
-                key = tuple(g(row) for g in build_getters)
-                buckets.setdefault(key, []).append(row)
-            for probe_row in probe_side():
-                key = tuple(g(probe_row) for g in probe_getters)
-                for build_row in buckets.get(key, ()):
-                    merged = _merge(probe_row, build_row)
-                    if all(p.test(merged) for p in cross_preds):
-                        if stats is not None:
-                            stats.incr(statnames.JOIN_TUPLES)
-                        yield merged
-        else:
-            build_rows = list(build_side())
-            for probe_row in probe_side():
-                for build_row in build_rows:
-                    merged = _merge(probe_row, build_row)
-                    if all(p.test(merged) for p in cross_preds):
-                        if stats is not None:
-                            stats.incr(statnames.JOIN_TUPLES)
-                        yield merged
+            if not units or units[-1][0] != step.semi:
+                units.append((step.semi, []))
+                group_width = width
+            layout[alias] = group_width
+            group_width += binding.width(alias)
+        joined.add(alias)
+        for p in step.lookups:
+            remaining.remove(p)
+        local = _take(remaining, lambda p: p.aliases == {alias})
+        rest = _take(remaining, lambda p: p.aliases <= joined)
+        if step.semi is None:
+            units.append((None, []))
+        units[-1][1].append((step, local, rest))
 
-    return generator
+    positions = _positions(layout, columns)
+    project = _projector(positions)
+    order_positions = _positions(layout, order_by)
+    run_positions = order_positions[:plan.sorted_prefix]
+    rest_positions = order_positions[plan.sorted_prefix:]
+    # Rows of different runs differ in the run columns, so DISTINCT may
+    # forget a finished run — if those columns are part of the output.
+    forget = distinct and set(run_positions) <= set(positions)
+
+    def start():
+        paths = {
+            alias: binding.tables[alias].access_paths()
+            for alias in binding.aliases
+        }
+        rows = _key_ordered(
+            paths[plan.driver],
+            _all_of([p.compile(layout) for p in driver_tests]),
+            counts,
+        )
+        for semi, members in units:
+            lookups = [
+                _Lookup(step, paths[step.alias], layout, local, rest, counts)
+                for step, local, rest in members
+            ]
+            if semi is None:
+                rows = _lookup_join(rows, lookups[0], counts)
+            else:
+                rows = _semi_join(rows, lookups, counts)
+        if not rest_positions and not distinct:
+            return map(project, rows)
+        if not rest_positions and not forget:
+            return _distinct_stream(map(project, rows))
+        return _run_output(
+            rows, _getter(run_positions),
+            _sorter(rest_positions) if rest_positions else None,
+            project, distinct, forget,
+        )
+
+    return start
 
 
-def _merge(row_a, row_b):
-    """Overlay two flat rows (their populated slot ranges are disjoint)."""
-    return tuple(
-        b if a is None else a for a, b in zip(row_a, row_b)
-    )
+def _join_test(predicate, layout):
+    """A join predicate over a merged row.  Equality between columns
+    is plain ``==`` here — the hash join's key semantics, under which
+    NULL joins NULL — so both plans give the same answer."""
+    if (predicate.op == "=" and predicate.left.alias is not None
+            and predicate.right.alias is not None):
+        lpos = predicate.left.position(layout)
+        rpos = predicate.right.position(layout)
+        return lambda row: row[lpos] == row[rpos]
+    return predicate.compile(layout)
+
+
+def _key_ordered(paths, test, counts):
+    rows = paths.rows
+    for pos in paths.key_order():
+        counts[_SCANNED] += 1
+        row = rows[pos]
+        if test is None or test(row):
+            yield row
+
+
+def _fetcher(step, paths, layout, inner, counts):
+    """``outer row -> candidate rows`` of ``step.alias``, counting the
+    probe.  (Rows are counted by whoever takes them: a semijoin stops at
+    the first match.)"""
+    if step.access == "loop":
+        # No equality to look up by: the filtered table, read once.
+        every = []
+
+        def fetch_all(row):
+            if not every:
+                every.append(list(_scan(paths, None, inner, counts)))
+            return every[0]
+
+        return fetch_all
+    outer = _getter([
+        p.side_of(step.alias)[1].position(layout) for p in step.lookups
+    ])
+    if step.access == "key":
+        lookup = paths.lookup
+        single = len(step.lookups) == 1
+
+        def fetch_key(row):
+            key = outer(row)
+            found = lookup((key,) if single else key)
+            return () if found is None else (found,)
+
+        return fetch_key
+    probe = paths.probe(step.columns)
+
+    def fetch_bucket(row):
+        counts[_LOOKUPS] += 1
+        return probe(outer(row)) or ()
+
+    return fetch_bucket
+
+
+def _lookup_join(outer, lookup, counts):
+    """Index nested loop: the outer order is the output order."""
+    fetch, inner_test, merged_test = lookup.fetch, lookup.inner, lookup.merged
+    scans = lookup.scans
+    for row in outer:
+        found = fetch(row)
+        if scans:
+            counts[_SCANNED] += len(found)
+        for inner in found:
+            if inner_test is not None and not inner_test(inner):
+                continue
+            merged = row + inner
+            if merged_test is None or merged_test(merged):
+                counts[_JOINED] += 1
+                yield merged
+
+
+def _semi_join(outer, group, counts):
+    """Keep the outer rows for which the aliases of ``group`` have at
+    least one joint match; the search stops at the first."""
+    last = len(group) - 1
+
+    def exists(row, depth):
+        lookup = group[depth]
+        for inner in lookup.fetch(row):
+            if lookup.scans:
+                counts[_SCANNED] += 1
+            if lookup.inner is not None and not lookup.inner(inner):
+                continue
+            merged = row + inner
+            if lookup.merged is not None and not lookup.merged(merged):
+                continue
+            counts[_JOINED] += 1
+            if depth == last or exists(merged, depth + 1):
+                return True
+        return False
+
+    for row in outer:
+        if exists(row, 0):
+            yield row
+
+
+def _run_output(rows, run_key, rest_key, project, distinct, forget):
+    """Incremental sort: ``rows`` arrive ordered on ``run_key``; each
+    run of equal ``run_key`` is sorted on ``rest_key`` and projected.
+    ``DISTINCT`` forgets its rows between runs when ``forget``."""
+    seen = set()
+    run = []
+    current = None
+    for row in rows:
+        key = run_key(row)
+        if run and key != current:
+            yield from _finish_run(run, rest_key, project, distinct, seen)
+            run = []
+            if forget:
+                seen = set()
+        current = key
+        run.append(row)
+    if run:
+        yield from _finish_run(run, rest_key, project, distinct, seen)
+
+
+def _finish_run(run, rest_key, project, distinct, seen):
+    if rest_key is not None:
+        run.sort(key=rest_key)
+    for row in map(project, run):
+        if distinct:
+            if row in seen:
+                continue
+            seen.add(row)
+        yield row

@@ -58,6 +58,19 @@ def _coerce_real(value):
     return float(value)
 
 
+def sort_key(value):
+    """A total order over NULLs, numbers, and strings (NULLs first).
+
+    ``ORDER BY``, the shard merge and the tables' key order all sort by
+    it, which is what lets key order stand in for a sort.
+    """
+    if value is None:
+        return (0, 0, "")
+    if isinstance(value, (int, float)):
+        return (1, value, "")
+    return (2, 0, str(value))
+
+
 INTEGER = ColumnType("INTEGER", (int,), _coerce_int)
 REAL = ColumnType("REAL", (int, float), _coerce_real)
 TEXT = ColumnType("TEXT", (str,), str)

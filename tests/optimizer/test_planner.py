@@ -180,3 +180,135 @@ class TestEstimateSelect:
 
         with pytest.raises(SqlError):
             db.estimate("DELETE FROM orders WHERE orid = 1")
+
+
+def ordered_plan_for(db, sql):
+    """``(planner, plan)`` the way ``execute_select`` asks for it."""
+    stmt = parse_sql(sql)
+    binding, predicates = resolve_select(db, stmt)
+    planner = SelectPlanner(binding, predicates)
+    order_by = [binding.resolve(c) for c in stmt.order_by]
+    shown = None
+    if stmt.distinct:
+        shown = {a for a, _ in order_by}
+        shown |= {binding.resolve(item.ref)[0] for item in stmt.items}
+    return planner, planner.ordered_plan(order_by, shown)
+
+
+class TestOrderedPlan:
+    VIEW = (
+        "SELECT c.id, o.orid FROM customer c, orders o"
+        " WHERE c.id = o.cid ORDER BY c.id, o.orid"
+    )
+    REFINE = (
+        "SELECT DISTINCT c2.id, o2.orid"
+        " FROM customer c1, orders o1, customer c2, orders o2"
+        " WHERE o1.value > 50 AND c1.id = o1.cid AND c2.id = o2.cid"
+        " AND c1.id = c2.id ORDER BY c2.id, o2.orid"
+    )
+
+    def test_key_led_order_by_drives_that_alias(self, db):
+        planner, plan = ordered_plan_for(db, self.VIEW)
+        assert plan.driver == "c" and plan.sorted_prefix == 1
+        (step,) = plan.steps
+        assert (step.alias, step.access, step.columns) == (
+            "o", "index", ("cid",)
+        )
+        assert step.semi is None and len(step.lookups) == 1
+        assert plan.cost <= planner.sort_plan_cost()
+
+    def test_unshown_aliases_become_a_semijoin_group(self, db):
+        _, plan = ordered_plan_for(db, self.REFINE)
+        assert plan.driver == "c2"
+        assert [(s.alias, s.access) for s in plan.steps] == [
+            ("c1", "key"), ("o1", "index"), ("o2", "index")
+        ]
+        # Joined right after c2, the only alias the group attaches to.
+        assert [s.semi is not None for s in plan.steps] == [
+            True, True, False
+        ]
+        assert plan.steps[0].semi == plan.steps[1].semi
+        # A key lookup yields at most one row, whatever the NDV guess.
+        assert plan.steps[0].estimate <= 50
+
+    def test_no_semijoin_without_distinct(self, db):
+        _, plan = ordered_plan_for(
+            db, self.REFINE.replace("DISTINCT ", "")
+        )
+        assert plan is not None
+        assert all(step.semi is None for step in plan.steps)
+
+    @pytest.mark.parametrize("order_by", [
+        "c.name", "o.cid, o.orid", "c.name, c.id",
+    ])
+    def test_order_not_led_by_a_key_has_no_plan(self, db, order_by):
+        _, plan = ordered_plan_for(
+            db,
+            "SELECT c.id FROM customer c, orders o WHERE c.id = o.cid"
+            " ORDER BY " + order_by,
+        )
+        assert plan is None
+
+    def test_keyless_table_has_no_plan(self):
+        database = Database("keyless")
+        database.run("CREATE TABLE t (a INT, b INT)")
+        _, plan = ordered_plan_for(database, "SELECT a FROM t ORDER BY a")
+        assert plan is None
+
+    def test_composite_key_prefix(self):
+        database = Database("composite")
+        database.run(
+            "CREATE TABLE t (x INT, y INT, v INT, PRIMARY KEY (x, y))"
+        )
+        for order_by, prefix in (
+            ("t.x", 1), ("t.x, t.y", 2), ("t.x, t.v", 1), ("t.x, t.y, t.v", 2),
+        ):
+            _, plan = ordered_plan_for(
+                database, "SELECT t.v FROM t t ORDER BY " + order_by
+            )
+            assert plan.sorted_prefix == prefix, order_by
+        _, plan = ordered_plan_for(
+            database, "SELECT t.v FROM t t ORDER BY t.y, t.x"
+        )
+        assert plan is None
+
+    def test_ddl_index_on_the_join_columns_is_used(self, db):
+        db.run("CREATE INDEX by_cid_value ON orders (cid, value)")
+        _, plan = ordered_plan_for(db, self.VIEW)
+        # (cid, value) is not covered by the one equijoin: join index.
+        assert plan.steps[0].columns == ("cid",)
+        _, plan = ordered_plan_for(
+            db,
+            "SELECT c.id FROM customer c, orders o, orders p"
+            " WHERE c.id = o.cid AND p.cid = o.cid AND p.value = o.value"
+            " ORDER BY c.id",
+        )
+        by_alias = {step.alias: step for step in plan.steps}
+        assert by_alias["p"].columns == ("cid", "value")
+        assert [
+            (p.left.column, p.right.column) for p in by_alias["p"].lookups
+        ] == [("cid", "cid"), ("value", "value")]
+
+    def test_alias_without_equality_is_looped(self, db):
+        _, plan = ordered_plan_for(
+            db,
+            "SELECT c.id FROM customer c, orders o WHERE o.value <= 2"
+            " ORDER BY c.id",
+        )
+        (step,) = plan.steps
+        assert step.access == "loop" and step.lookups == []
+
+    def test_selective_indexed_filter_elsewhere_still_sorts(self, db):
+        # An index probe makes the hash plan read 2 orders and 50
+        # customers; driving customer in key order would read all 200
+        # orders through the join index.
+        db.run("CREATE INDEX by_value ON orders (value)")
+        sql = (
+            "SELECT c.id, o.orid FROM customer c, orders o"
+            " WHERE c.id = o.cid AND o.value = 2 ORDER BY c.id, o.orid"
+        )
+        assert ordered_plan_for(db, sql)[1] is None
+        db.optimizer = False
+        reference = db.execute(sql).fetchall()
+        db.optimizer = True
+        assert db.execute(sql).fetchall() == reference != []

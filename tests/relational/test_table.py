@@ -113,3 +113,109 @@ class TestMutation:
         with pytest.raises(IntegrityError):
             table.update_where(lambda row: row[0] == 2,
                                lambda row: (1, row[1]))
+
+
+class TestAccessPaths:
+    """One table version, frozen for readers."""
+
+    def test_same_object_until_the_version_moves(self):
+        table = make_table()
+        table.insert([1, "a"])
+        paths = table.access_paths()
+        assert table.access_paths() is paths
+        assert paths.version == table.version
+        table.insert([2, "b"])
+        assert table.access_paths() is not paths
+
+    def test_insert_after_capture_is_invisible(self):
+        table = make_table()
+        table.create_index(("name",))
+        table.insert_many([[2, "a"], [1, "a"]])
+        paths = table.access_paths()
+        table.insert([0, "a"])
+        assert list(paths.scan()) == [(2, "a"), (1, "a")]
+        assert paths.lookup((0,)) is None
+        assert paths.index_rows(("name",), ["a"]) == [(2, "a"), (1, "a")]
+        assert paths.probe(("name",))("a") == [(2, "a"), (1, "a")]
+        assert paths.key_order() == [1, 0]
+        assert table.access_paths().key_order() == [2, 1, 0]
+
+    def test_delete_and_update_leave_captured_paths_alone(self):
+        table = make_table()
+        table.create_index(("name",))
+        table.insert_many([[1, "a"], [2, "b"], [3, "a"]])
+        paths = table.access_paths()
+        order = paths.key_order()
+        join = paths.probe(("id",))
+        table.delete_where(lambda row: row[0] == 1)
+        table.update_where(lambda row: row[0] == 3, lambda row: (3, "c"))
+        assert list(paths.scan()) == [(1, "a"), (2, "b"), (3, "a")]
+        assert paths.lookup((1,)) == (1, "a")
+        assert paths.index_rows(("name",), ["a"]) == [(1, "a"), (3, "a")]
+        assert [paths.rows[p] for p in order] == list(paths.scan())
+        assert join(3) == [(3, "a")]
+        fresh = table.access_paths()
+        assert fresh.lookup((1,)) is None
+        assert fresh.probe(("id",))(3) == [(3, "c")]
+
+    def test_key_order_is_the_order_by_order(self):
+        schema = TableSchema(
+            "t", [Column("k", TEXT), Column("n", INTEGER)],
+            primary_key=("k", "n"),
+        )
+        table = Table(schema)
+        table.insert_many([["b", 1], ["a", 2], [None, 5], ["a", 1]])
+        paths = table.access_paths()
+        assert [paths.rows[p] for p in paths.key_order()] == [
+            (None, 5), ("a", 1), ("a", 2), ("b", 1)
+        ]
+
+    def test_key_order_needs_a_key(self):
+        table = make_table(key=())
+        with pytest.raises(SchemaError):
+            table.access_paths().key_order()
+
+    def test_join_index_is_one_counted_scan_per_version(self):
+        stats = StatsRegistry()
+        table = make_table(stats=stats)
+        table.insert_many([[1, "a"], [2, "b"], [3, "a"]])
+        paths = table.access_paths()
+        assert paths.probe(("name",))("a") == [(1, "a"), (3, "a")]
+        assert paths.probe(("name",))("z") is None
+        assert stats.get(statnames.ROWS_SCANNED) == 3
+        paths.key_order()
+        assert stats.get(statnames.ROWS_SCANNED) == 3
+        assert table.indexes() == [] and table.version == 3
+
+    def test_ddl_index_is_probed_in_place(self):
+        stats = StatsRegistry()
+        table = make_table(stats=stats)
+        table.insert_many([[1, "a"], [2, "b"], [3, "a"]])
+        table.create_index(("name",))
+        table.create_index(("name", "id"))
+        paths = table.access_paths()
+        assert paths.probe(("name",))("a") == [(1, "a"), (3, "a")]
+        assert paths.probe(("name", "id"))(("a", 3)) == [(3, "a")]
+        assert paths.probe(("name",))("z") == []
+        assert stats.get(statnames.ROWS_SCANNED) == 0
+
+    def test_failed_update_swaps_nothing(self):
+        table = make_table()
+        table.create_index(("name",))
+        table.insert_many([[1, "a"], [2, "b"]])
+        with pytest.raises(IntegrityError):
+            table.update_where(lambda row: row[0] == 2,
+                               lambda row: (1, "x"))
+        assert table.rows_snapshot() == [(1, "a"), (2, "b")]
+        assert table.lookup_key([2]) == (2, "b")
+        assert list(table.index_scan(("name",), ["b"])) == [(2, "b")]
+
+    def test_usable_indexes(self):
+        table = make_table()
+        table.create_index(("name", "id"))
+        table.create_index(("id",))
+        assert table.usable_indexes({"name"}) == [(("name", "id"), 1)]
+        assert table.usable_indexes({"id", "name"}) == [
+            (("id",), 1), (("name", "id"), 2)
+        ]
+        assert table.usable_indexes({"other"}) == []
