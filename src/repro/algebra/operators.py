@@ -25,6 +25,10 @@ class Operator:
 
     #: short name used in signatures and the printer, set per subclass
     opname = "?"
+    #: memo of the fingerprint's per-node part (:mod:`repro.algebra.plan`)
+    #: while a rewrite is under way; safe because nodes are never
+    #: modified once built
+    _shape = None
 
     @property
     def children(self):
@@ -63,11 +67,6 @@ class Operator:
         from repro.algebra.printer import render_operator
 
         return render_operator(self)
-
-
-def _single_child_with(self_cls_fields):
-    """(helper used inline below; kept trivial for readability)"""
-    raise NotImplementedError
 
 
 class MkSrc(Operator):

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import re
 
 from repro.errors import PlanError
 from repro.algebra import operators as ops
+from repro.algebra.conditions import Condition, VarOperand
+from repro.xmltree.paths import Path
 
 
 def iter_operators(plan, include_nested=True):
@@ -196,48 +197,104 @@ def replace_operator(plan, target, replacement):
     identity) replaced by ``replacement``."""
     if plan is target:
         return replacement
-    new_children = tuple(
-        replace_operator(c, target, replacement) for c in plan.children
-    )
-    node = plan
-    if any(n is not o for n, o in zip(new_children, plan.children)):
-        node = plan.with_children(new_children)
-    if isinstance(node, ops.Apply):
-        new_nested = replace_operator(plan.plan, target, replacement)
-        if new_nested is not plan.plan:
-            node = node.with_nested_plan(new_nested)
+    return _with_subplans(plan, replace_operator, target, replacement)
+
+
+def rename_shared(plan, mapping):
+    """``plan`` with variables substituted per ``mapping``, like
+    :func:`rename_vars`, but sharing with ``plan`` every subtree that
+    mentions none of them — what one version of a plan may do with the
+    next, and a renaming that costs what it touches."""
+    node = _with_subplans(plan, rename_shared, mapping)
+    mentioned = plan.local_defined_vars() | plan.used_vars()
+    if not mapping.keys().isdisjoint(mentioned):
+        node = node.rename_local(mapping)
     return node
 
 
-_VAR_TOKEN = re.compile(r"\$[A-Za-z0-9_]+")
-
-
-def canonical_plan_text(plan):
-    """The rendered plan with variables alpha-renamed by first occurrence.
-
-    Two plans that differ only in variable *names* (e.g. the same rule
-    sequence replayed with a fresh :class:`VarFactory`) canonicalize to
-    the same text; any structural difference survives.
-    """
-    from repro.algebra.printer import render_plan
-
-    mapping = {}
-
-    def canon(match):
-        var = match.group(0)
-        if var not in mapping:
-            mapping[var] = "$g{}".format(len(mapping))
-        return mapping[var]
-
-    return _VAR_TOKEN.sub(canon, render_plan(plan))
+def _with_subplans(plan, visit, *args):
+    """``plan`` over ``visit(sub, *args)`` of each of its children and of
+    its nested plan; ``plan`` itself when none of them changed."""
+    node = plan
+    children = plan.children
+    new_children = tuple([visit(child, *args) for child in children])
+    if any(n is not o for n, o in zip(new_children, children)):
+        node = plan.with_children(new_children)
+    if isinstance(plan, ops.Apply):
+        new_nested = visit(plan.plan, *args)
+        if new_nested is not plan.plan:
+            node = node.with_nested_plan(new_nested)
+    if node is not plan:
+        node._shape = plan._shape  # same arity, same signature
+    return node
 
 
 def plan_fingerprint(plan):
     """A short stable fingerprint of a plan's structure.
 
-    Alpha-renaming-invariant (see :func:`canonical_plan_text`), so the
+    One pre-order pass over the operators' ``signature()``s with every
+    variable replaced by the index of its first occurrence, so two plans
+    that differ only in variable *names* (the same rule sequence
+    replayed with a fresh :class:`VarFactory`) fingerprint alike and the
     rewrite engine's cycle detector is not fooled by rules that mint
-    fresh variable names on every application.
+    fresh names on every application; any structural difference
+    survives.
     """
-    text = canonical_plan_text(plan)
+    return fingerprint_operators(iter_operators(plan))
+
+
+def fingerprint_operators(nodes):
+    """:func:`plan_fingerprint` of the plan whose pre-order is ``nodes``."""
+    frames, names = [], []
+    for node in nodes:
+        frame, variables = node._shape or _shape(node)
+        frames.append(frame)
+        names += variables
+    numbers = {}
+    order = [numbers.setdefault(name, len(numbers)) for name in names]
+    text = "".join(frames) + repr(order)
     return hashlib.sha1(text.encode("utf-8")).hexdigest()[:12]
+
+
+def _shape(node):
+    """``(frame, variables)``: the node's arity and signature with its
+    variables blanked, flattened and spelled out, and those variables in
+    order.  Memoised on the (immutable) node, which a local replacement
+    shares with the next plan version.
+
+    Variables are the ``$``-prefixed strings of a signature.  The
+    variable list of an ``Empty`` is left out, as it is from the printed
+    plan: it is kept sorted by name, an order no renaming preserves.
+    """
+    frame, variables = [len(node.children)], []
+    if isinstance(node, ops.Empty):
+        frame.append(node.opname)
+    else:
+        _flatten(node.signature(), frame, variables)
+    node._shape = shape = (repr(frame), tuple(variables))
+    return shape
+
+
+def _flatten(value, out, variables):
+    if isinstance(value, str):
+        if value.startswith("$"):
+            variables.append(value)
+            value = ...  # no signature holds an Ellipsis of its own
+        out.append(value)
+    elif isinstance(value, tuple):
+        out.append(len(value))
+        for item in value:
+            _flatten(item, out, variables)
+    elif isinstance(value, Condition):
+        out += (value.op, value.mode)
+        for operand in (value.left, value.right):
+            if isinstance(operand, VarOperand):
+                _flatten(operand.var, out, variables)
+            else:
+                out += ("const", operand.value)
+    elif isinstance(value, Path):
+        out.append(len(value.steps))
+        for step in value.steps:
+            out += (step.kind, step.label)
+    else:
+        out.append(value)

@@ -54,11 +54,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.algebra import operators as ops
 from repro.algebra.conditions import Condition
-from repro.algebra.plan import (
-    iter_operators,
-    rename_vars,
-    replace_operator,
-)
+from repro.algebra.plan import rename_vars, replace_operator
 from repro.analysis.diagnostics import Diagnostic, sort_diagnostics
 from repro.analysis.verifier import infer_schema, verify_plan
 from repro.errors import MixError, RewriteError
@@ -67,6 +63,7 @@ from repro.rewriter.context import RewriteContext
 from repro.rewriter.rule import (
     declared_contract,
     is_set_semantics,
+    probed_at,
     rule_name,
     validate_rule,
 )
@@ -476,9 +473,10 @@ def certify_rules(rules=None, extension_rules=(), differential=True,
     sites: Dict[str, set] = {n: set() for n in names}
     for pi, entry in enumerate(plans):
         ctx = RewriteContext(entry.plan)
-        nodes = list(iter_operators(entry.plan))
-        for ni, node in enumerate(nodes):
+        for ni, node in enumerate(ctx.nodes):
             for name, rule in zip(names, all_rules):
+                if not probed_at(rule, type(node)):
+                    continue  # the engine never asks it here either
                 focused = name in focus_names
                 try:
                     result = rule.apply(node, ctx)

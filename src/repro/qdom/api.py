@@ -142,10 +142,16 @@ class QdomNode:
                     return
                 child = child.r()
 
-        if bulk:
-            rec_bulk(vnode.node, 0)
-        else:
-            rec_seed(self, 0)
+        try:
+            if bulk:
+                rec_bulk(vnode.node, 0)
+            else:
+                rec_seed(self, 0)
+        finally:
+            # A recursive closure refers to itself: left alone, the pair
+            # pins ``vnode`` — the whole walked answer — until a full
+            # collection, however long ago the client let go of it.
+            rec_bulk = rec_seed = None
         return steps, remaining[0] <= 0
 
     def find(self, label):

@@ -27,6 +27,9 @@ from repro.rewriter import Rewriter, push_to_sources
 from repro.sources.catalog import SourceCatalog
 from repro.xquery.parser import parse_xquery
 
+#: ``prepare``'s "no key given" (``None`` is a key: "do not cache").
+_COMPUTE_KEY = object()
+
 
 class Mediator:
     """A MIX mediator over a catalog of wrapped sources.
@@ -298,7 +301,7 @@ class Mediator:
             "query", kind="query", query=_clip_query(query_text)
         ):
             key = self._plan_key(query_text)
-            exec_plan, compose_plan, _status = self.prepare(query_text)
+            exec_plan, compose_plan, _status = self.prepare(query_text, key)
             memo_ok = (
                 self.cache is not None
                 and key is not None
@@ -377,14 +380,16 @@ class Mediator:
             self.cost_optimizer,
         )
 
-    def prepare(self, query_text):
+    def prepare(self, query_text, key=_COMPUTE_KEY):
         """Compile ``query_text`` to ``(exec_plan, compose_plan, status)``.
 
         ``status`` is ``"hit"``/``"miss"`` when the plan cache was
         consulted, ``"off"`` when it was bypassed.  A hit skips
-        parse → translate → rewrite → SQL-split entirely.
+        parse → translate → rewrite → SQL-split entirely.  ``key`` is
+        the text's :meth:`_plan_key` when the caller already has it.
         """
-        key = self._plan_key(query_text)
+        if key is _COMPUTE_KEY:
+            key = self._plan_key(query_text)
         if key is not None:
             hit, cached = self.cache.lookup_plan(key)
             if hit:
@@ -398,24 +403,28 @@ class Mediator:
         plan = self._expand_views(plan)
         verified_stages = None
         if self.strict:
-            exec_plan, compose_plan, verified_stages = (
+            exec_plan, compose_plan, fired, verified_stages = (
                 self._compile_verified(plan)
             )
         else:
-            exec_plan, compose_plan = self.optimize_plan(plan)
+            exec_plan, compose_plan, fired = self._optimize(plan)
         self.last_verified_stages = verified_stages
+        self.last_rewrite_rules = fired
         if key is not None:
+            # ``fired`` is this compile's own list: another session may
+            # have moved ``last_rewrite_rules`` on since.
             self.cache.store_plan(
                 key, exec_plan, compose_plan,
                 verified_stages=verified_stages,
-                rewrite_rules=self.last_rewrite_rules,
+                rewrite_rules=fired,
             )
             return exec_plan, compose_plan, "miss"
         return exec_plan, compose_plan, "off"
 
     def _compile_verified(self, plan):
         """Rewrite/push ``plan`` with the static verifier run after
-        every stage; returns ``(exec_plan, compose_plan, stages)``.
+        every stage; returns ``(exec_plan, compose_plan, fired rule
+        names, stages)``.
 
         Raises :class:`~repro.errors.PlanVerificationError` (naming the
         stage, and for rewrites the rule) as soon as a stage's output
@@ -428,10 +437,10 @@ class Mediator:
                 plan, catalog=self.catalog, stage="translate"
             )
         stages = 1
-        trace = [] if self.optimize else None
-        exec_plan, compose_plan = self.optimize_plan(plan, trace=trace)
+        trace = []
+        exec_plan, compose_plan, fired = self._optimize(plan, trace)
         with self.obs.timer("verify"):
-            for step in trace or ():
+            for step in trace:
                 assert_plan_verifies(
                     step.plan, catalog=self.catalog,
                     stage="rewrite[{}]".format(step.rule_name),
@@ -443,7 +452,7 @@ class Mediator:
                     exec_plan, catalog=self.catalog, stage="sql-split"
                 )
                 stages += 1
-        return exec_plan, compose_plan, stages
+        return exec_plan, compose_plan, fired, stages
 
     def translate(self, query_text, assign_root=True):
         """XQuery text (or parsed AST) to a validated XMAS plan."""
@@ -468,19 +477,28 @@ class Mediator:
         against it, because a plan with ``rQ`` leaves cannot be further
         combined with new conditions and re-pushed.
         """
+        exec_plan, compose_plan, fired = self._optimize(plan, trace)
+        self.last_rewrite_rules = fired
+        return exec_plan, compose_plan
+
+    def _optimize(self, plan, trace=None):
+        """:meth:`optimize_plan`, also returning the names of the rules
+        this call fired — read from the call's own trace, since the
+        rewriter and this mediator are shared between sessions."""
+        if trace is None:
+            trace = []
+        first = len(trace)
         if self.optimize:
             with self.obs.timer("rewrite"):
                 plan = self._rewriter.rewrite(plan, trace=trace)
-            self.last_rewrite_rules = self._rewriter.last_rule_names
-        else:
-            self.last_rewrite_rules = ()
+        fired = tuple(step.rule_name for step in trace[first:])
         compose_plan = plan
         if self.push_sql:
             with self.obs.timer("push_sql"):
                 plan = push_to_sources(
                     plan, self.catalog, cost=self.cost_optimizer
                 )
-        return plan, compose_plan
+        return plan, compose_plan, fired
 
     def _run(self, plan, on_source_error=None):
         """Optimize + evaluate an (already composed) plan.

@@ -4,11 +4,18 @@ The rules of Table 2 have side conditions that are not purely structural:
 which label a variable's elements carry (to match a ``getD`` path against
 a ``crElt``), which variables are still *live* above a node (to turn a
 join into a semijoin), which labels a list variable's items can have (to
-resolve a ``getD`` over a ``cat``).  :class:`RewriteContext` computes all
-of these against the current whole plan.
+resolve a ``getD`` over a ``cat``).  :class:`RewriteContext` answers all
+of these for one version of the whole plan.
+
+A context is read-only and belongs to the plan it was built over: the
+driver makes a new one after every firing (:meth:`successor`).  Each
+fact is computed on first use, in one pass over the plan, and kept for
+the context's life; nothing is left behind on the plan.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from repro.algebra import operators as ops
 from repro.algebra.plan import VarFactory, iter_operators
@@ -18,11 +25,59 @@ from repro.xmltree.paths import Step
 class RewriteContext:
     """Analyses over the full plan a rule is being applied within."""
 
-    def __init__(self, root):
+    def __init__(self, root, uses=None):
         self.root = root
-        self.vars = VarFactory(root)
+        self._def_sites = {}
+        #: ``{node: {var: how many operators of its subtree read it}}``,
+        #: filled on demand; see :meth:`successor`.
+        self._uses = {} if uses is None else uses
+
+    def successor(self, root):
+        """The context of the next version of the plan.
+
+        What is known per subtree carries over: operators are immutable
+        and :func:`~repro.algebra.plan.replace_operator` shares every
+        untouched subtree between versions, so a firing recounts only
+        the spine above its replacement.
+        """
+        return RewriteContext(root, self._uses)
+
+    @cached_property
+    def nodes(self):
+        """The plan's operators in pre-order (nested plans included)."""
+        return tuple(iter_operators(self.root))
+
+    @cached_property
+    def vars(self):
+        """A :class:`VarFactory` avoiding every name in the plan."""
+        return VarFactory(self.root)
 
     # -- labels ------------------------------------------------------------------
+
+    def _defs(self, scope):
+        """``(labels, lists)`` of ``scope``: the labels each variable's
+        definition sites give its elements, and the first ``cat`` or
+        ``apply`` (in pre-order) that binds each list variable."""
+        index = self._def_sites.get(id(scope))
+        if index is None:
+            labels, lists = {}, {}
+            nodes = self.nodes if scope is self.root else iter_operators(scope)
+            for node in nodes:
+                if isinstance(node, (ops.CrElt, ops.GetD)):
+                    label = (
+                        node.label if isinstance(node, ops.CrElt)
+                        else _last_label(node.path)  # None: wildcard/data
+                    )
+                    labels.setdefault(node.out_var, set()).add(label)
+                elif isinstance(node, ops.RelQuery):
+                    for entry in node.varmap:
+                        labels.setdefault(entry.var, set()).add(entry.label)
+                elif isinstance(node, ops.MkSrc):
+                    labels.setdefault(node.var, set()).add(None)
+                elif isinstance(node, (ops.Cat, ops.Apply)):
+                    lists.setdefault(node.out_var, node)
+            index = self._def_sites[id(scope)] = (labels, lists)
+        return index
 
     def var_labels(self, var, scope=None):
         """The set of labels elements bound to ``var`` may carry.
@@ -30,27 +85,7 @@ class RewriteContext:
         ``None`` in the set means "unknown" (give up matching).
         """
         scope = scope if scope is not None else self.root
-        labels = set()
-        found = False
-        for node in iter_operators(scope):
-            if isinstance(node, ops.CrElt) and node.out_var == var:
-                labels.add(node.label)
-                found = True
-            elif isinstance(node, ops.GetD) and node.out_var == var:
-                label = _last_label(node.path)
-                labels.add(label)  # may be None (wildcard/data step)
-                found = True
-            elif isinstance(node, ops.RelQuery):
-                for entry in node.varmap:
-                    if entry.var == var:
-                        labels.add(entry.label)
-                        found = True
-            elif isinstance(node, ops.MkSrc) and node.var == var:
-                labels.add(None)
-                found = True
-        if not found:
-            labels.add(None)
-        return labels
+        return set(self._defs(scope)[0].get(var, (None,)))
 
     def list_item_labels(self, var, scope=None):
         """Possible labels of the items of the list bound to ``var``.
@@ -59,22 +94,20 @@ class RewriteContext:
         means unknown.
         """
         scope = scope if scope is not None else self.root
-        for node in iter_operators(scope):
-            if isinstance(node, ops.Cat) and node.out_var == var:
-                out = set()
-                for item_var, single in (
-                    (node.x_var, node.x_single),
-                    (node.y_var, node.y_single),
-                ):
-                    if single:
-                        out |= self.var_labels(item_var, scope)
-                    else:
-                        out |= self.list_item_labels(item_var, scope)
-                return out
-            if isinstance(node, ops.Apply) and node.out_var == var:
-                if isinstance(node.plan, ops.TD):
-                    return self.var_labels(node.plan.var, node.plan)
-                return {None}
+        node = self._defs(scope)[1].get(var)
+        if isinstance(node, ops.Cat):
+            out = set()
+            for item_var, single in (
+                (node.x_var, node.x_single),
+                (node.y_var, node.y_single),
+            ):
+                if single:
+                    out |= self.var_labels(item_var, scope)
+                else:
+                    out |= self.list_item_labels(item_var, scope)
+            return out
+        if isinstance(node, ops.Apply) and isinstance(node.plan, ops.TD):
+            return self.var_labels(node.plan.var, node.plan)
         return {None}
 
     def labels_can_match(self, labels, path):
@@ -88,45 +121,44 @@ class RewriteContext:
     def used_above(self, target):
         """Variables consumed by operators strictly above ``target``.
 
-        "Above" is every operator on the path(s) from the root down to —
-        but excluding — ``target``, plus all side branches hanging off
-        that path (a join sibling may consume the variable too).
+        "Above" is every operator outside ``target``'s subtree: the
+        path(s) from the root down to — but excluding — ``target``, plus
+        all side branches hanging off that path (a join sibling may
+        consume the variable too; not for well-formed joins, whose
+        inputs are disjoint, but stay conservative).  A ``target`` that
+        is not in the plan (already replaced) gets everything used
+        anywhere.
         """
-        used = set()
-        found = self._collect_above(self.root, target, used)
-        if not found:
-            # target not in plan (already replaced); be conservative.
-            for node in iter_operators(self.root):
-                used |= node.used_vars()
-        return used
+        everywhere = self._subtree_uses(self.root)
+        times = self.nodes.count(target)  # operators compare by identity
+        if not times:
+            return set(everywhere)
+        inside = self._subtree_uses(target)
+        return {
+            var for var, count in everywhere.items()
+            if count > times * inside.get(var, 0)
+        }
 
-    def _collect_above(self, node, target, used):
-        if node is target:
-            return True
-        subtrees = list(node.children)
-        if isinstance(node, ops.Apply):
-            subtrees.append(node.plan)
-        hit = False
-        for child in subtrees:
-            if self._collect_above(child, target, used):
-                hit = True
-        if hit:
-            used |= node.used_vars()
-            # Sibling branches of the spine can also consume variables
-            # exported from below the target (not for well-formed joins,
-            # whose inputs are disjoint, but stay conservative).
+    def _subtree_uses(self, node):
+        """How many operators of ``node``'s subtree (nested plans
+        included) read each variable."""
+        uses = self._uses.get(node)
+        if uses is None:
+            subtrees = node.children
+            if isinstance(node, ops.Apply):
+                subtrees += (node.plan,)
+            uses = {}
             for child in subtrees:
-                if not _contains(child, target):
-                    for other in iter_operators(child):
-                        used |= other.used_vars()
-        return hit
-
-
-def _contains(plan, target):
-    for node in iter_operators(plan):
-        if node is target:
-            return True
-    return False
+                below = self._subtree_uses(child)
+                if uses:
+                    for var, count in below.items():
+                        uses[var] = uses.get(var, 0) + count
+                else:
+                    uses = dict(below)
+            for var in node.used_vars():
+                uses[var] = uses.get(var, 0) + 1
+            self._uses[node] = uses
+        return uses
 
 
 def _last_label(path):

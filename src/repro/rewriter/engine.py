@@ -12,7 +12,7 @@ Rules are first-class registrable objects (:mod:`repro.rewriter.rule`):
 order, rejecting duplicate names and filtering set-semantics-only rules
 when the rewriter runs in multiset mode.
 
-Two engine-level behaviors matter for cost and debuggability:
+Three engine-level behaviors matter for cost and debuggability:
 
 * **Resume scan** — after a rule fires at pre-order position ``i``, the
   next scan resumes at ``i`` instead of restarting from the root
@@ -21,6 +21,10 @@ Two engine-level behaviors matter for cost and debuggability:
   to ``Empty``, a rename identified two variables), so a clean tail is
   confirmed by one full pass from the root before the fixpoint is
   declared — the result is always a true fixpoint of the rule set.
+* **Typed dispatch** — a rule that declares ``matches`` is probed only
+  at nodes of those operator types; the per-type rule tuples are built
+  when a rule is registered, in priority order, so which rule fires
+  where is what probing every rule everywhere would give.
 * **Cycle detection** — every step's plan is fingerprinted
   (:func:`repro.algebra.plan.plan_fingerprint`, alpha-renaming
   invariant); a recurring fingerprint raises
@@ -38,15 +42,20 @@ from __future__ import annotations
 from collections import deque
 
 from repro.errors import RewriteError
+from repro.algebra import operators as ops
 from repro.algebra.plan import (
-    iter_operators,
-    plan_fingerprint,
-    rename_vars,
+    fingerprint_operators,
+    rename_shared,
     replace_operator,
 )
 from repro.algebra.printer import render_plan
 from repro.rewriter.context import RewriteContext
-from repro.rewriter.rule import is_set_semantics, rule_name, validate_rule
+from repro.rewriter.rule import (
+    is_set_semantics,
+    probed_at,
+    rule_name,
+    validate_rule,
+)
 from repro.rewriter.rules import DEFAULT_RULES
 
 #: How many trailing steps a non-terminating rewrite attaches to its
@@ -55,19 +64,31 @@ KEEP_STEPS = 8
 
 
 class RewriteStep:
-    """One recorded rule application."""
+    """One recorded rule application: the rule, the pre-order index of
+    the node it fired at, and the plan after it."""
 
-    __slots__ = ("rule_name", "plan", "fingerprint")
+    __slots__ = ("rule_name", "plan", "fingerprint", "index")
 
-    def __init__(self, rule_name, plan, fingerprint=None):
+    def __init__(self, rule_name, plan, fingerprint=None, index=None):
         self.rule_name = rule_name
         self.plan = plan
         self.fingerprint = fingerprint
+        self.index = index
 
     def render(self):
         return "-- after {} --\n{}".format(
             self.rule_name, render_plan(self.plan)
         )
+
+
+def _operator_types():
+    """Every operator class defined so far, subclasses included."""
+    found, queue = [], [ops.Operator]
+    while queue:
+        for cls in queue.pop().__subclasses__():
+            found.append(cls)
+            queue.append(cls)
+    return found
 
 
 class Rewriter:
@@ -90,6 +111,10 @@ class Rewriter:
             docstring).  ``False`` reproduces the seed's
             O(steps·nodes·rules) restart behavior; the fixpoints are
             identical either way.
+
+    One rewriter serves every session of a mediator: :meth:`rewrite`
+    keeps its working state in locals, and the rule tables change only
+    in :meth:`register`, by replacement.
     """
 
     def __init__(self, rules=None, set_semantics=True, max_steps=2000,
@@ -98,11 +123,13 @@ class Rewriter:
         self.max_steps = max_steps
         self.resume_scan = resume_scan
         self.rules = ()
-        #: Rule names fired by the most recent :meth:`rewrite`, in
-        #: order (EXPLAIN's ``-- rewrite:`` provenance reads this).
+        self._dispatch = {}
+        #: Rule names fired by the most recent :meth:`rewrite` to
+        #: finish, in order — a convenience for single-threaded callers;
+        #: concurrent ones read the ``trace`` they passed in.
         self.last_rule_names = ()
-        #: ``rule.apply`` probe count of the most recent rewrite (the
-        #: resume-scan tests assert this drops against restart mode).
+        #: ``rule.apply`` probe count of that rewrite (the resume-scan
+        #: tests assert this drops against restart mode).
         self.last_probes = 0
         if rules is None:
             rules = DEFAULT_RULES
@@ -128,7 +155,15 @@ class Rewriter:
                 "duplicate rule name {!r}: already registered".format(name)
             )
         self.rules = self.rules + (rule,)
+        self._dispatch = {
+            op_type: self._rules_for(op_type)
+            for op_type in _operator_types()
+        }
         return self
+
+    def _rules_for(self, op_type):
+        """The rules probed at ``op_type`` nodes, in priority order."""
+        return tuple(r for r in self.rules if probed_at(r, op_type))
 
     def rewrite(self, plan, trace=None):
         """Rewrite ``plan`` to a fixpoint; returns the optimized plan.
@@ -138,14 +173,14 @@ class Rewriter:
         last-k steps attached) when the rule set cycles or exceeds
         ``max_steps``.
         """
-        steps = 0
-        start = 0
-        seen = {plan_fingerprint(plan): 0}
+        steps = start = probes = 0
+        ctx = RewriteContext(plan)
+        seen = {fingerprint_operators(ctx.nodes): 0}
         recent = deque(maxlen=KEEP_STEPS)
         fired_names = []
-        self.last_probes = 0
         while True:
-            fired = self._apply_one(plan, start)
+            fired, tried = self._apply_one(ctx, start)
+            probes += tried
             if fired is None:
                 if start == 0:
                     break
@@ -157,8 +192,9 @@ class Rewriter:
             plan, name, index = fired
             start = index if self.resume_scan else 0
             steps += 1
-            fingerprint = plan_fingerprint(plan)
-            step = RewriteStep(name, plan, fingerprint)
+            ctx = ctx.successor(plan)
+            fingerprint = fingerprint_operators(ctx.nodes)
+            step = RewriteStep(name, plan, fingerprint, index)
             recent.append(step)
             fired_names.append(name)
             if trace is not None:
@@ -189,14 +225,13 @@ class Rewriter:
                     ),
                     recent, kind="divergence",
                 )
+        for node in ctx.nodes:
+            node._shape = None  # the fingerprints' scratch, not the plan's
         self.last_rule_names = tuple(fired_names)
+        self.last_probes = probes
         return plan
 
     def _termination_error(self, reason, recent, kind):
-        involved = []
-        for step in recent:
-            if step.rule_name not in involved:
-                involved.append(step.rule_name)
         return RewriteError(
             "MIX-E013 {} [last {} steps: {}]".format(
                 reason,
@@ -211,31 +246,36 @@ class Rewriter:
             kind=kind,
         )
 
-    def _apply_one(self, plan, start=0):
-        """The first (node, rule) match at pre-order position >= ``start``.
+    def _apply_one(self, ctx, start):
+        """The first (node, rule) match at pre-order position >= ``start``
+        of ``ctx``'s plan.
 
-        Returns ``(new_plan, rule_name, index)`` or ``None``.  Positions
-        are stable across a local replacement — every node before the
-        fired index keeps its pre-order slot — so the driver can resume
-        where it left off.
+        Returns ``((new_plan, rule_name, index) or None, probes made)``.
+        Positions are stable across a local replacement — every node
+        before the fired index keeps its pre-order slot — so the driver
+        can resume where it left off.  A node is shown only to the rules
+        that declare its type (or none) in ``matches``.
         """
-        ctx = RewriteContext(plan)
+        nodes = ctx.nodes
+        dispatch = self._dispatch
         probes = 0
-        for index, node in enumerate(iter_operators(plan)):
-            if index < start:
-                continue
-            for rule in self.rules:
+        for index in range(start, len(nodes)):
+            node = nodes[index]
+            rules = dispatch.get(type(node))
+            if rules is None:  # an operator class newer than the rules
+                rules = self._rules_for(type(node))
+            for rule in rules:
                 probes += 1
                 result = rule.apply(node, ctx)
                 if result is None:
                     continue
-                self.last_probes += probes
-                new_plan = replace_operator(plan, node, result.replacement)
+                new_plan = replace_operator(
+                    ctx.root, node, result.replacement
+                )
                 if result.rename:
-                    new_plan = rename_vars(new_plan, result.rename)
-                return new_plan, rule_name(rule), index
-        self.last_probes += probes
-        return None
+                    new_plan = rename_shared(new_plan, result.rename)
+                return (new_plan, rule_name(rule), index), probes
+        return None, probes
 
 
 def rewrite_plan(plan, set_semantics=True, trace=None):

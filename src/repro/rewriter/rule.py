@@ -24,6 +24,11 @@ certifier (:mod:`repro.analysis.rulecheck`) key on:
     (duplicates may be eliminated).  ``Rewriter(set_semantics=False)``
     skips them so every rewrite preserves exact multiset results.
 
+``matches``
+    The operator types a match can be rooted at (``(ops.GetD,)``): the
+    engine probes the rule only at nodes of those types.  A rule that
+    declares none is probed at every node.
+
 :func:`validate_rule` enforces the *registration* contract (callable
 ``apply``, non-empty name, known contract string) — duck-typed rules
 with missing metadata are accepted with the defaults.
@@ -32,6 +37,8 @@ applies to extension rules: all metadata must be declared explicitly.
 """
 
 from __future__ import annotations
+
+from typing import Optional, Tuple
 
 from repro.errors import RewriteError
 
@@ -63,11 +70,15 @@ class Rule:
         schema_contract: the declared root-schema promise (see module
             docstring); checked per firing by the certifier.
         set_semantics: sound only under set semantics when ``True``.
+        matches: operator types ``apply`` can return a result for, or
+            ``None`` for "any"; ``apply`` must return ``None`` at every
+            other node, because the engine no longer asks.
     """
 
     name = ""
     schema_contract = "preserve"
     set_semantics = False
+    matches: Optional[Tuple[type, ...]] = None
 
     def apply(self, node, ctx):
         """Return a :class:`RuleResult`, or ``None`` when the rule does
@@ -92,6 +103,12 @@ def declared_contract(rule):
 def is_set_semantics(rule):
     """Whether the rule is sound only under set semantics."""
     return bool(getattr(rule, "set_semantics", False))
+
+
+def probed_at(rule, op_type):
+    """Whether the engine probes ``rule`` at nodes of type ``op_type``."""
+    matches = getattr(rule, "matches", None)
+    return matches is None or issubclass(op_type, matches)
 
 
 def validate_rule(rule):

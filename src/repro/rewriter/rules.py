@@ -76,6 +76,7 @@ class ComposeMkSrcTD(Rule):
 
     name = "compose-mksrc-tD (rule 11)"
     schema_contract = "widen"  # the view body's variables surface
+    matches = (ops.MkSrc,)
 
     def apply(self, node, ctx):
         if not isinstance(node, ops.MkSrc) or node.input is None:
@@ -93,6 +94,7 @@ class GetDThroughCrElt(Rule):
 
     name = "getD-through-crElt (rules 1-4)"
     schema_contract = "preserve"
+    matches = (ops.GetD,)
 
     def apply(self, node, ctx):
         if not isinstance(node, ops.GetD):
@@ -134,6 +136,7 @@ class GetDThroughCat(Rule):
 
     name = "getD-through-cat (rules 5-8)"
     schema_contract = "preserve"
+    matches = (ops.GetD,)
 
     def apply(self, node, ctx):
         if not isinstance(node, ops.GetD):
@@ -186,6 +189,7 @@ class GetDIntoApply(Rule):
 
     name = "getD-into-apply (rule 9)"
     schema_contract = "widen"  # adds the renamed copy branch
+    matches = (ops.GetD,)
 
     def apply(self, node, ctx):
         if not isinstance(node, ops.GetD):
@@ -239,6 +243,7 @@ class GetDPushdown(Rule):
 
     name = "getD-pushdown"
     schema_contract = "preserve"
+    matches = (ops.GetD,)
 
     def apply(self, node, ctx):
         if not isinstance(node, ops.GetD):
@@ -290,6 +295,7 @@ class SelectPushdown(Rule):
 
     name = "select-pushdown"
     schema_contract = "preserve"
+    matches = (ops.Select,)
 
     def apply(self, node, ctx):
         if not isinstance(node, ops.Select):
@@ -349,6 +355,7 @@ class JoinToSemiJoin(Rule):
 
     name = "join-to-semijoin (live variables)"
     schema_contract = "narrow"  # drops the probe side's bindings
+    matches = (ops.Join,)
     set_semantics = True
 
     def apply(self, node, ctx):
@@ -378,6 +385,7 @@ class SemiJoinBelowGroupBy(Rule):
 
     name = "semijoin-below-gBy (rule 12)"
     schema_contract = "preserve"
+    matches = (ops.SemiJoin,)
 
     def apply(self, node, ctx):
         if not isinstance(node, ops.SemiJoin):
@@ -434,10 +442,10 @@ class DeadOperatorElimination(Rule):
     name = "dead-operator-elimination"
     schema_contract = "narrow"  # removes the dead output binding
 
-    _ONE_TO_ONE = (ops.CrElt, ops.Cat, ops.Apply)
+    matches = (ops.CrElt, ops.Cat, ops.Apply)  # the one-to-one operators
 
     def apply(self, node, ctx):
-        if not isinstance(node, self._ONE_TO_ONE):
+        if not isinstance(node, self.matches):
             return None
         used = ctx.used_above(node)
         if node.out_var in used:

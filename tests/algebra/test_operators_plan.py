@@ -33,6 +33,8 @@ from repro.algebra.plan import (
     VarFactory,
     all_vars,
     find_operators,
+    plan_fingerprint,
+    rename_shared,
     replace_operator,
 )
 
@@ -145,6 +147,40 @@ class TestRenameClone:
         renamed2 = rename_vars(plan, {"$O": "$OO"})
         inner = find_operators(renamed2, CrElt)
         assert any(op.skolem_args == ("$OO",) for op in inner)
+
+    def test_rename_shared_equals_rename_and_keeps_untouched_subtrees(self):
+        plan = fig6_style_plan()
+        for var in sorted(all_vars(plan)):
+            for mapping in ({var: "$NEW"}, {var: "$C"}, {"$ABSENT": var}):
+                shared = rename_shared(plan, mapping)
+                assert plan_equal(shared, rename_vars(plan, mapping))
+                kept = {id(n) for n in iter_operators(plan)}
+                for node in iter_operators(shared):
+                    mentions = node.local_defined_vars() | node.used_vars()
+                    if id(node) in kept:
+                        assert not set(mapping) & mentions
+        assert rename_shared(plan, {"$ABSENT": "$X"}) is plan
+        # The $O branch of the join is not the $C branch's business.
+        renamed = rename_shared(plan, {"$K": "$KK"})
+        before = find_operators(plan, Join)[0]
+        after = find_operators(renamed, Join)[0]
+        assert after is not before and after.right is before.right
+
+    def test_fingerprint_of_a_rebuilt_spine(self):
+        # replace_operator and rename_shared hand the per-node part of
+        # the fingerprint on to the copies they make; it must be the one
+        # a fresh computation gives.
+        plan = fig6_style_plan()
+        plan_fingerprint(plan)
+        target = find_operators(plan, MkSrc)[0]
+        replaced = replace_operator(plan, target, MkSrc("other", "$K"))
+        renamed = rename_shared(plan, {"$K": "$KK"})
+        for warm in (replaced, renamed):
+            assert plan_fingerprint(warm) == plan_fingerprint(
+                clone_plan(warm)
+            )
+        assert plan_fingerprint(renamed) == plan_fingerprint(plan)
+        assert plan_fingerprint(replaced) != plan_fingerprint(plan)
 
     def test_clone_is_equal_but_distinct(self):
         plan = fig6_style_plan()

@@ -33,6 +33,30 @@ class TestQdomNodeApi:
     def test_repr(self, root):
         assert "CustRec" in repr(root.d())
 
+    @pytest.mark.parametrize("block_size", [1, 64])
+    def test_walk_lets_go_of_the_answer(self, paper_wrapper, block_size):
+        # walk's recursive helpers used to stay behind in a reference
+        # cycle holding the walked tree: only a full collection freed
+        # it, so a server's peak memory hung on collector timing.
+        import gc
+
+        from repro.xmltree.tree import Node
+
+        mediator = Mediator(block_size=block_size).add_source(paper_wrapper)
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            steps, truncated = mediator.query(Q1).walk()
+            assert steps and not truncated
+            gc.collect()
+            stranded = [o for o in gc.garbage if isinstance(o, Node)]
+        finally:
+            gc.set_debug(0)
+            del gc.garbage[:]
+            gc.enable()
+        assert stranded == []
+
     def test_find_returns_none(self, root):
         assert root.find("nope") is None
 

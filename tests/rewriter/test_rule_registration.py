@@ -146,6 +146,74 @@ class TestRegistration:
         assert rewriter.register(TagRule("chained", log)) is rewriter
 
 
+class Probe:
+    """A duck-typed rule that never fires and logs where it was asked."""
+
+    schema_contract = "preserve"
+
+    def __init__(self, name, matches=None):
+        self.name = name
+        self.seen = []
+        if matches is not None:
+            self.matches = matches
+
+    def apply(self, node, ctx):
+        self.seen.append(type(node))
+        return None
+
+
+class TestTypedDispatch:
+    def test_undeclared_rule_is_probed_at_every_node(self):
+        rule = Probe("everywhere")
+        rewriter = Rewriter(rules=[rule])
+        rewriter.rewrite(select_plan())
+        assert rule.seen == [ops.Select, ops.GetD, ops.MkSrc]
+        assert rewriter.last_probes == 3
+
+    def test_declared_rule_is_probed_at_its_types_only(self):
+        typed = Probe("typed", matches=(ops.GetD, ops.MkSrc))
+        untyped = Probe("untyped")
+        rewriter = Rewriter(rules=[typed, untyped])
+        rewriter.rewrite(select_plan())
+        assert typed.seen == [ops.GetD, ops.MkSrc]
+        assert rewriter.last_probes == 5
+
+    def test_priority_order_survives_dispatch(self):
+        log = []
+
+        class First(TagRule):
+            matches = (ops.Select,)
+
+        rewriter = Rewriter(
+            rules=[TagRule("untyped", log), First("typed", log)]
+        )
+        rewriter.rewrite(select_plan())
+        assert log == ["untyped"]
+
+    def test_operator_class_defined_after_registration(self):
+        rule = Probe("selects", matches=(ops.Select,))
+        rewriter = Rewriter(rules=[rule, Probe("everywhere")])
+
+        class LateSelect(ops.Select):
+            pass
+
+        from repro.algebra.conditions import Condition
+
+        plan = LateSelect(Condition.var_const("$A", ">", 1), getd_plan())
+        table = dict(rewriter._dispatch)
+        rewriter.rewrite(plan)
+        assert rule.seen == [LateSelect]
+        # The table belongs to register(): a rewrite leaves it alone.
+        assert rewriter._dispatch == table
+
+    def test_default_rules_declare_where_they_match(self):
+        undeclared = [
+            r.name for r in DEFAULT_RULES
+            if getattr(r, "matches", None) is None
+        ]
+        assert undeclared == ["empty-propagation"]
+
+
 class TestMediatorExtensionRules:
     def _mediator(self, **kw):
         from repro import Mediator
