@@ -19,7 +19,7 @@ Two further comparison modes are required by Sections 5-6:
 
 from __future__ import annotations
 
-from repro.errors import PlanError
+from repro.errors import ParameterValueDemanded, PlanError
 from repro.relational.executor import compare
 from repro.xmltree.tree import Node, atomize
 from repro.algebra.values import Skolem, value_key
@@ -71,6 +71,39 @@ class ConstOperand:
         return hash(("c", self.value))
 
 
+class ParamOperand(ConstOperand):
+    """A literal left open while a query *shape* is compiled.
+
+    ``index`` is its slot in the values bound at evaluation time
+    (:func:`repro.cache.shapes.bind_plan`); equal literals of one
+    request share a slot, so two parameters are equal exactly when the
+    constants they stand for are.  Every compile step that only moves
+    or compares conditions treats it as the constant it is; one that
+    reads ``value`` gets :class:`~repro.errors.ParameterValueDemanded`.
+    """
+
+    __slots__ = ("index",)
+
+    def __init__(self, index):
+        self.index = index
+
+    @property
+    def value(self):
+        raise ParameterValueDemanded(
+            "the value of parameter {!r} is not known at compile "
+            "time".format(self)
+        )
+
+    def __repr__(self):
+        return "?{}".format(self.index)
+
+    def __eq__(self, other):
+        return isinstance(other, ParamOperand) and self.index == other.index
+
+    def __hash__(self):
+        return hash(("p", self.index))
+
+
 class Condition:
     """``left op right`` over variables and constants.
 
@@ -100,7 +133,11 @@ class Condition:
 
     @classmethod
     def var_const(cls, var, op, value):
-        return cls(VarOperand(var), op, ConstOperand(value))
+        """``var op value``; ``value`` may be a ready-made operand (a
+        :class:`ParamOperand` standing for a literal)."""
+        if not isinstance(value, ConstOperand):
+            value = ConstOperand(value)
+        return cls(VarOperand(var), op, value)
 
     @classmethod
     def var_var(cls, left_var, op, right_var):

@@ -7,7 +7,7 @@ import itertools
 
 from repro.errors import PlanError
 from repro.algebra import operators as ops
-from repro.algebra.conditions import Condition, VarOperand
+from repro.algebra.conditions import Condition, ParamOperand, VarOperand
 from repro.xmltree.paths import Path
 
 
@@ -290,6 +290,8 @@ def _flatten(value, out, variables):
         for operand in (value.left, value.right):
             if isinstance(operand, VarOperand):
                 _flatten(operand.var, out, variables)
+            elif isinstance(operand, ParamOperand):
+                out += ("param", operand.index)
             else:
                 out += ("const", operand.value)
     elif isinstance(value, Path):

@@ -4,7 +4,9 @@ Three caches, one invalidation philosophy (version-based, never
 time-based; partial or degraded work is never committed):
 
 * :class:`~repro.cache.manager.CacheManager` — the mediator's plan
-  cache and navigation memo (see :mod:`repro.cache.manager`);
+  cache and navigation memo (see :mod:`repro.cache.manager`); plans are
+  compiled per query *shape* and bound to a request's literals (see
+  :mod:`repro.cache.shapes`);
 * :class:`~repro.cache.sqlcache.SqlResultCache` — the pushed-SQL result
   cache a :class:`~repro.sources.RelationalWrapper` consults before
   shipping rows (see :mod:`repro.cache.sqlcache`);
@@ -23,7 +25,6 @@ and read the counters back via ``mediator.cache_stats()`` or the
 from repro.cache.keys import (
     catalog_shape,
     data_fingerprint,
-    normalize_query,
     normalize_sql,
 )
 from repro.cache.lru import LRUCache
@@ -36,6 +37,5 @@ __all__ = [
     "SqlResultCache",
     "catalog_shape",
     "data_fingerprint",
-    "normalize_query",
     "normalize_sql",
 ]

@@ -1,13 +1,15 @@
 """Cache keys and validity fingerprints.
 
 A cache in this stack is only allowed to be *exactly* right: every key
-binds the question (normalized query or SQL text) together with a
-fingerprint of everything the answer depends on, and every fingerprint
-is version-based — never time-based.
+binds the question together with a fingerprint of everything the answer
+depends on, and every fingerprint is version-based — never time-based.
+Keys are taken from the token structure of the question, never from a
+whitespace-collapsed text: two spaces inside a string literal are data.
 
-* :func:`normalize_query` — whitespace-insensitive identity of an XQuery
-  (parsed ASTs are rendered through the printer first, so a text query
-  and its AST share one cache line);
+* the XQuery side is :mod:`repro.cache.shapes` (shape text + literals
+  of the *parsed* query);
+* :func:`normalize_sql` — layout-insensitive identity of a pushed SQL
+  statement;
 * :func:`catalog_shape` — which documents and SQL servers the mediator
   can see (a new ``add_source`` changes the plans a query may compile
   to);
@@ -19,26 +21,27 @@ is version-based — never time-based.
 
 from __future__ import annotations
 
+import re
 
-def normalize_query(query_text):
-    """A whitespace-collapsed identity for an XQuery text or AST.
-
-    Returns ``None`` for objects that cannot be rendered back to text —
-    such queries simply bypass the plan cache.
-    """
-    if not isinstance(query_text, str):
-        try:
-            from repro.xquery.printer import render_query
-
-            query_text = render_query(query_text)
-        except Exception:
-            return None
-    return " ".join(query_text.split())
+#: The pieces of a statement that white space separates, as the SQL
+#: tokenizer sees them: a string literal (one piece, spaces and all), a
+#: ``--`` comment, a run of anything else, a stray quote.
+_SQL_PIECE = re.compile(
+    r"'(?:[^']|'')*'|--[^\n]*|(?:[^\s'-]|-(?!-))+|\S"
+)
 
 
 def normalize_sql(sql):
-    """Whitespace-collapsed identity for a pushed SQL statement."""
-    return " ".join(str(sql).split())
+    """An identity for a SQL statement that ignores layout — white
+    space between tokens, comments — and nothing else: two statements
+    with one key tokenize alike."""
+    sql = str(sql)
+    if "'" not in sql and "--" not in sql:
+        return " ".join(sql.split())
+    return " ".join(
+        piece for piece in _SQL_PIECE.findall(sql)
+        if not piece.startswith("--")
+    )
 
 
 def catalog_shape(catalog):

@@ -2,19 +2,22 @@
 
 One :class:`CacheManager` per :class:`~repro.qdom.Mediator` owns:
 
-* the **plan cache** — normalized query text + catalog/view fingerprint
-  to the ``(executable_plan, compose_plan)`` pair that
-  parse → translate → rewrite → SQL-split produced.  Plans carry no
-  data, so a plan entry is valid until the catalog's shape or the view
-  definitions change (both are part of the key; ``define_view``
-  additionally clears the caches so redefinitions are counted as
-  invalidations, not silent key churn);
-* the **navigation memo** — the same key plus the catalog's *data*
-  fingerprint to the root :class:`~repro.xmltree.tree.Node` of a
-  previous answer.  Because lazy results memoize materialized prefixes
-  in place, a memo hit shares every child list one session already
-  forced with the next session over the same view — repeated queries
-  ship zero tuples.
+* the **plan cache** — query *shape* (:mod:`repro.cache.shapes`) +
+  catalog/view fingerprint to the
+  :class:`~repro.cache.shapes.PreparedPlan` that
+  parse → translate → rewrite → SQL-split produced, literals unbound.
+  Plans carry no data, so a plan entry is valid until the catalog's
+  shape or the view definitions change (both are part of the key;
+  ``define_view`` additionally clears the caches so redefinitions are
+  counted as invalidations, not silent key churn).  In front of it,
+  ``text_shapes`` remembers the shape and literals of the texts seen
+  last, so an exact repeat does not pay a parse;
+* the **navigation memo** — the same key plus the request's literal
+  values and the catalog's *data* fingerprint to the root
+  :class:`~repro.xmltree.tree.Node` of a previous answer.  Because
+  lazy results memoize materialized prefixes in place, a memo hit
+  shares every child list one session already forced with the next
+  session over the same view — repeated queries ship zero tuples.
 
 The memo is the correctness-critical one, so it is fenced three ways:
 
@@ -45,21 +48,28 @@ they validate against are snapshotted under the database write lock.
 
 from __future__ import annotations
 
+import threading
+
 from repro import stats as statnames
 from repro.cache.keys import data_fingerprint
 from repro.cache.lru import LRUCache
 from repro.resilience.stub import PrefixPoisonWatch
 
 
+#: Stored under a shape's key when its compile read a literal's value:
+#: the shape's texts are compiled one by one, keyed on the values too.
+_PER_TEXT = object()
+
+
 class _MemoEntry:
     """A memoized answer plus everything needed to prove it still valid."""
 
-    __slots__ = ("root", "compose_plan", "fingerprint", "fail_epoch",
+    __slots__ = ("root", "view", "fingerprint", "fail_epoch",
                  "poison_watch")
 
-    def __init__(self, root, compose_plan, fingerprint, fail_epoch):
+    def __init__(self, root, view, fingerprint, fail_epoch):
         self.root = root
-        self.compose_plan = compose_plan
+        self.view = view
         self.fingerprint = fingerprint
         self.fail_epoch = fail_epoch
         # Incremental poison check: re-validating a hit only scans tree
@@ -74,29 +84,33 @@ class CacheManager:
         self.obs = obs
         self.plan_cache = LRUCache(maxsize, obs=obs, prefix="plan_cache")
         self.nav_memo = LRUCache(maxsize, obs=obs, prefix="nav_memo")
+        #: query text -> ``(shape text, literals)``; not a plan level,
+        #: so it counts nothing.
+        self.text_shapes = LRUCache(maxsize)
+        #: Plan hits that bound at least one literal into a shape.
+        self.bound_hits = 0
+        self._bound_lock = threading.Lock()
 
     # -- plan cache --------------------------------------------------------------------
 
-    def lookup_plan(self, key):
-        """``(hit, (exec_plan, compose_plan, verified_stages,
-        rewrite_rules))``.
+    def lookup_plan(self, key, values=()):
+        """``(hit, PreparedPlan)`` for a request of shape ``key`` with
+        literal ``values``; one hit or one miss per request."""
+        if self.plan_cache.peek(key) is _PER_TEXT:
+            key = (key, values)
+        hit, prepared = self.plan_cache.lookup(key)
+        if hit and values and prepared.templated:
+            with self._bound_lock:
+                self.bound_hits += 1
+        return hit, prepared
 
-        ``verified_stages`` is the static-verifier stage count recorded
-        when the plan was compiled under ``Mediator(strict=True)``, or
-        ``None`` for unverified plans — hits reuse it instead of
-        re-verifying.  ``rewrite_rules`` is the fired-rule-name sequence
-        of the compile-time rewrite, so EXPLAIN's ``-- rewrite:``
-        provenance survives a warm hit (which skips the rewrite).
-        """
-        return self.plan_cache.lookup(key)
-
-    def store_plan(self, key, exec_plan, compose_plan,
-                   verified_stages=None, rewrite_rules=()):
-        self.plan_cache.store(
-            key,
-            (exec_plan, compose_plan, verified_stages,
-             tuple(rewrite_rules)),
-        )
+    def store_plan(self, key, prepared, values=()):
+        """Store what a miss compiled.  A plan that is not
+        ``templated`` answers this shape for ``values`` only."""
+        if not prepared.templated:
+            self.plan_cache.store(key, _PER_TEXT)
+            key = (key, values)
+        self.plan_cache.store(key, prepared)
 
     # -- navigation memo --------------------------------------------------------------
 
@@ -132,15 +146,15 @@ class CacheManager:
         hit, entry = self.nav_memo.lookup(key, validate=validate)
         return entry if hit else None
 
-    def store_result(self, key, root, compose_plan, catalog):
-        """Memoize an answer root; silently refused when the catalog
-        cannot fingerprint its data."""
+    def store_result(self, key, root, view, catalog):
+        """Memoize an answer root and the
+        :class:`~repro.cache.shapes.BoundPlan` it is a view of;
+        silently refused when the catalog cannot fingerprint its data."""
         fingerprint = data_fingerprint(catalog)
         if fingerprint is None:
             return False
         self.nav_memo.store(
-            key,
-            _MemoEntry(root, compose_plan, fingerprint, self._fail_epoch()),
+            key, _MemoEntry(root, view, fingerprint, self._fail_epoch())
         )
         return True
 
@@ -155,10 +169,13 @@ class CacheManager:
         return self.plan_cache.clear() + self.nav_memo.clear()
 
     def stats(self):
-        return {
-            "plan_cache": self.plan_cache.stats(),
-            "nav_memo": self.nav_memo.stats(),
-        }
+        plans = self.plan_cache.stats()
+        plans["shapes"] = sum(
+            1 for entry in self.plan_cache.values()
+            if entry is not _PER_TEXT and entry.templated
+        )
+        plans["bound_hits"] = self.bound_hits
+        return {"plan_cache": plans, "nav_memo": self.nav_memo.stats()}
 
     def __repr__(self):
         return "CacheManager(plan={!r}, nav={!r})".format(

@@ -30,8 +30,6 @@ Correctness rules:
 
 from __future__ import annotations
 
-import threading
-
 from repro import stats as statnames
 from repro.relational import ast
 from repro.relational.cursor import Cursor
@@ -41,11 +39,13 @@ from repro.cache.lru import LRUCache
 
 
 class _Entry:
-    """One cached result: the rows plus the versions they were read at."""
+    """One cached result: the rows, the tables they were read from and
+    the versions those were at."""
 
-    __slots__ = ("fingerprint", "column_names", "rows")
+    __slots__ = ("tables", "fingerprint", "column_names", "rows")
 
-    def __init__(self, fingerprint, column_names, rows):
+    def __init__(self, tables, fingerprint, column_names, rows):
+        self.tables = tables
         self.fingerprint = fingerprint
         self.column_names = list(column_names)
         self.rows = tuple(rows)
@@ -66,52 +66,42 @@ class SqlResultCache:
 
     def __init__(self, maxsize=128, obs=None, prefix="sql_cache"):
         self._lru = LRUCache(maxsize, obs=obs, prefix=prefix)
-        self._tables_for = {}  # normalized sql -> tuple of table names
-        # Guards the side map only; the LRU has its own lock.  parse_sql
-        # is pure, so the worst a race could cost is a duplicate parse —
-        # but a concurrent clear()+set would let the map grow unbounded.
-        self._tables_lock = threading.Lock()
-
-    # -- key helpers ----------------------------------------------------------------
-
-    def _referenced_tables(self, key, sql):
-        with self._tables_lock:
-            tables = self._tables_for.get(key)
-        if tables is None:
-            stmt = parse_sql(sql)
-            if not isinstance(stmt, ast.SelectStmt):
-                return None  # only SELECTs are cacheable
-            tables = tuple(sorted({ref.table for ref in stmt.tables}))
-            with self._tables_lock:
-                if len(self._tables_for) > 4 * (self._lru.maxsize or 128):
-                    self._tables_for.clear()  # bounded side map
-                self._tables_for[key] = tables
-        return tables
 
     @staticmethod
-    def _fingerprint(database, tables):
-        """Current ``(epoch, version)`` per referenced table; ``None``
+    def _fingerprint(versions, tables):
+        """``(epoch, version)`` per referenced table in ``versions``
+        (:meth:`~repro.relational.Database.table_versions`); ``None``
         entries (dropped tables) can never match a stored fingerprint."""
-        versions = database.table_versions()
         return tuple((name, versions.get(name)) for name in tables)
 
     # -- the wrapper-facing call ------------------------------------------------------
 
     def execute(self, database, sql):
         """Serve ``sql`` from cache or execute-and-record through
-        ``database``; always returns a :class:`Cursor`."""
+        ``database``; always returns a :class:`Cursor`.
+
+        A hit parses nothing (the entry knows its tables); a miss
+        parses the statement once and hands it down to the database.
+        """
         key = normalize_sql(sql)
-        tables = self._referenced_tables(key, sql)
-        if tables is None:
-            return database.execute(sql)
-        fingerprint = self._fingerprint(database, tables)
+        versions = database.table_versions()
         hit, entry = self._lru.lookup(
-            key, validate=lambda e: e.fingerprint == fingerprint
+            key,
+            validate=lambda e: e.fingerprint == self._fingerprint(
+                versions, e.tables
+            ),
         )
         if hit:
             database.stats.event("sql_cache_hit", key, database=database.name)
             return self._replay(database, entry)
-        return self._record(database, sql, key, tables, fingerprint)
+        stmt = parse_sql(sql)
+        if not isinstance(stmt, ast.SelectStmt):
+            return database.execute(sql, stmt)  # only SELECTs are cacheable
+        tables = tuple(sorted({ref.table for ref in stmt.tables}))
+        return self._record(
+            database, sql, stmt, key, tables,
+            self._fingerprint(versions, tables),
+        )
 
     def _replay(self, database, entry):
         def rows():
@@ -123,8 +113,8 @@ class SqlResultCache:
         # do not cross the source boundary.
         return Cursor(entry.column_names, rows(), stats=None)
 
-    def _record(self, database, sql, key, tables, fingerprint):
-        inner = database.execute(sql)
+    def _record(self, database, sql, stmt, key, tables, fingerprint):
+        inner = database.execute(sql, stmt)
 
         def rows():
             acc = []
@@ -133,9 +123,11 @@ class SqlResultCache:
                 yield row
             # Exhausted: commit only if no referenced table moved while
             # the cursor was open (a torn read must not be cached).
-            if self._fingerprint(database, tables) == fingerprint:
+            current = self._fingerprint(database.table_versions(), tables)
+            if current == fingerprint:
                 self._lru.store(
-                    key, _Entry(fingerprint, inner.column_names, acc)
+                    key,
+                    _Entry(tables, fingerprint, inner.column_names, acc),
                 )
 
         return Cursor(inner.column_names, rows(), stats=None)

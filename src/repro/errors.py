@@ -78,6 +78,14 @@ class PlanError(MixError):
     """An XMAS plan is structurally invalid (unknown variable, arity, ...)."""
 
 
+class ParameterValueDemanded(PlanError):
+    """A compile step read the value of a literal that was left open.
+
+    Raised by :class:`repro.algebra.conditions.ParamOperand`; the
+    mediator answers it by compiling the text with its literals inline.
+    """
+
+
 class PlanVerificationError(PlanError):
     """The static plan verifier rejected a plan.
 

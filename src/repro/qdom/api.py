@@ -21,12 +21,16 @@ class QdomNode:
     paper's ``⊥``.
     """
 
-    __slots__ = ("_mediator", "_vnode", "view_plan")
+    __slots__ = ("_mediator", "_vnode", "view")
 
-    def __init__(self, mediator, vnode, view_plan):
+    def __init__(self, mediator, vnode, view):
         self._mediator = mediator
         self._vnode = vnode
-        self.view_plan = view_plan
+        #: The :class:`~repro.cache.shapes.BoundPlan` of the view this
+        #: node belongs to.  Every node of an answer shares it: the
+        #: literals an in-place query composes with ride here, not on
+        #: the root handle.
+        self.view = view
 
     # -- navigation (Section 2) ----------------------------------------------------
 
@@ -35,14 +39,14 @@ class QdomNode:
         child = self._vnode.down()
         if child is None:
             return None
-        return QdomNode(self._mediator, child, self.view_plan)
+        return QdomNode(self._mediator, child, self.view)
 
     def r(self):
         """``r(p)``: the right sibling, or ``None``."""
         sibling = self._vnode.right()
         if sibling is None:
             return None
-        return QdomNode(self._mediator, sibling, self.view_plan)
+        return QdomNode(self._mediator, sibling, self.view)
 
     def fl(self):
         """``fl(p)``: the node's label."""
@@ -71,11 +75,19 @@ class QdomNode:
         """
         children = self._vnode.down_many(count)
         return [
-            QdomNode(self._mediator, child, self.view_plan)
+            QdomNode(self._mediator, child, self.view)
             for child in children
         ]
 
     # -- conveniences (not QDOM commands) --------------------------------------------
+
+    @property
+    def view_plan(self):
+        """The ``tD``-rooted plan of the view this node belongs to (the
+        one ``q`` composes with), or ``None`` outside a view."""
+        if self.view is None:
+            return None
+        return self.view.compose_plan()
 
     @property
     def oid(self):

@@ -13,9 +13,16 @@ from __future__ import annotations
 
 import itertools
 
-from repro.errors import CompositionError
+from repro.errors import CompositionError, ParameterValueDemanded
 from repro.algebra.plan import validate_plan
-from repro.cache.keys import catalog_shape, normalize_query
+from repro.cache.keys import catalog_shape
+from repro.cache.shapes import (
+    BoundPlan,
+    PreparedPlan,
+    parametrise,
+    query_shape,
+    request_shape,
+)
 from repro.algebra.translator import Translator
 from repro.composer import compose_at_root, decontextualize
 from repro.engine.lazy import LazyEngine
@@ -26,9 +33,6 @@ from repro.obs import Instrument, explain_analyze, explain_analyze_with_trace
 from repro.rewriter import Rewriter, push_to_sources
 from repro.sources.catalog import SourceCatalog
 from repro.xquery.parser import parse_xquery
-
-#: ``prepare``'s "no key given" (``None`` is a key: "do not cache").
-_COMPUTE_KEY = object()
 
 
 class Mediator:
@@ -290,54 +294,41 @@ class Mediator:
         for this one query (``"raise"`` or ``"degrade"``).
 
         With caching enabled, the compiled plan is reused across
-        repeats of the same (normalized) query, and — under the strict
-        ``"raise"`` policy only — the answer's root is shared through
-        the navigation memo, so child lists one session materialized
-        are free for the next.  Degraded runs never touch the memo:
-        a ``<mix:error>`` stub must never be served from cache.
+        queries of one *shape* (:mod:`repro.cache.shapes` — the text up
+        to its literals), and — under the strict ``"raise"`` policy
+        only — the answer's root is shared between repeats of the shape
+        with the same literals through the navigation memo, so child
+        lists one session materialized are free for the next.  Degraded
+        runs never touch the memo: a ``<mix:error>`` stub must never be
+        served from cache.
         """
         policy = on_source_error or self.on_source_error
         with self.obs.command_span(
             "query", kind="query", query=_clip_query(query_text)
         ):
-            key = self._plan_key(query_text)
-            exec_plan, compose_plan, _status = self.prepare(query_text, key)
-            memo_ok = (
-                self.cache is not None
-                and key is not None
-                and policy == "raise"
-            )
-            if memo_ok:
-                entry = self.cache.lookup_result(key, self.catalog)
+            view, _status, memo_key = self._prepare(query_text)
+            if policy != "raise":
+                memo_key = None
+            if memo_key is not None:
+                entry = self.cache.lookup_result(memo_key, self.catalog)
                 if entry is not None:
-                    return QdomNode(
-                        self,
-                        VNode.root(
-                            entry.root, obs=self.obs,
-                            prefetch=self.block_size,
-                        ),
-                        entry.compose_plan,
-                    )
-            root = self._evaluate(exec_plan, policy)
-            if memo_ok:
-                self.cache.store_result(
-                    key, root, compose_plan, self.catalog
-                )
-            return QdomNode(
-                self,
-                VNode.root(root, obs=self.obs, prefetch=self.block_size),
-                compose_plan,
-            )
+                    return self._handle(entry.root, entry.view)
+            root = self._evaluate(view.exec_plan(), policy)
+            if memo_key is not None:
+                self.cache.store_result(memo_key, root, view, self.catalog)
+            return self._handle(root, view)
 
     def query_from(self, qdom_node, query_text):
         """Run an XQuery whose ``document(root)`` is ``qdom_node``.
 
         Implements the paper's ``q(query, p)``: the query is
         decontextualized against the view that produced ``qdom_node``
-        and evaluated as an ordinary context-free query.
+        and evaluated as an ordinary context-free query.  With caching
+        enabled the composed plan is compiled once per (view shape,
+        start-node context, query shape) and bound per request.
         """
-        view_plan = qdom_node.view_plan
-        if view_plan is None:
+        view = qdom_node.view
+        if view is None:
             raise CompositionError(
                 "this node does not belong to a mediator view"
             )
@@ -346,80 +337,166 @@ class Mediator:
             query=_clip_query(query_text),
             oid=str(qdom_node.oid),
         ):
-            query_plan = self.translate(query_text, assign_root=False)
-            query_plan = self._expand_views(query_plan)
             vnode = qdom_node.vnode
-            if vnode.is_root:
-                composed = compose_at_root(view_plan, query_plan)
-            else:
-                provenance = vnode.require_query_root()
-                composed = decontextualize(view_plan, provenance, query_plan)
-            return self._run(composed)
+            provenance = (
+                None if vnode.is_root else vnode.require_query_root()
+            )
+            composed, _status, _ = self._prepare(
+                query_text, view, provenance
+            )
+            root = self._evaluate(
+                composed.exec_plan(), self.on_source_error
+            )
+            return self._handle(root, composed)
+
+    def _handle(self, root, view):
+        """The client handle on an answer root."""
+        return QdomNode(
+            self,
+            VNode.root(root, obs=self.obs, prefetch=self.block_size),
+            view,
+        )
 
     # -- pipeline stages ----------------------------------------------------------------
 
-    def _plan_key(self, query_text):
-        """The plan-cache key for ``query_text``, or ``None`` when this
-        query cannot be cached (cache off, or unrenderable AST).
+    def _plan_key(self, query_text, view=None, provenance=None):
+        """``(key, values, parsed query)`` of a request, or ``None``
+        when it cannot be cached (cache off, or an unrenderable AST).
 
-        The key binds everything the compiled plan depends on: the
-        normalized query, the catalog's exported documents, the view
-        epoch, and the two pipeline switches.
+        ``key`` binds everything the compiled plan depends on: the
+        query's shape, which of its literals are equal (to each other
+        and to the view's) and their types, the prepared view and
+        start-node context of an in-place query, the catalog's exported
+        documents, the view epoch, and the pipeline switches.
+        ``values`` are the literals the plan is bound to — the view's
+        first.  The parsed query is ``None`` for an exact repeat of a
+        text, which does not pay a parse.
         """
         if self.cache is None:
             return None
-        normalized = normalize_query(query_text)
-        if normalized is None:
-            return None
-        return (
-            normalized,
+        query = None
+        if isinstance(query_text, str):
+            hit, entry = self.cache.text_shapes.lookup(query_text)
+            if not hit:
+                query = parse_xquery(query_text)
+                entry = self._shape_entry(query)
+                self.cache.text_shapes.store(query_text, entry)
+        else:
+            try:
+                query = query_text
+                entry = self._shape_entry(query)
+            except (AttributeError, TypeError):  # not a query AST
+                return None
+        shape_text, literals, plain = entry
+        if view is not None and view.values:
+            shape, values = request_shape(shape_text, literals, view.values)
+        else:
+            shape, values = plain
+        context = None
+        if provenance is not None:
+            context = (provenance.var, tuple(sorted(
+                (var, str(key)) for var, key in provenance.fixed.items()
+            )))
+        key = (
+            shape,
+            view.prepared if view is not None else None,
+            context,
             catalog_shape(self.catalog),
             self._views_epoch,
             self.optimize,
             self.push_sql,
             self.cost_optimizer,
         )
+        return key, values, query
 
-    def prepare(self, query_text, key=_COMPUTE_KEY):
+    @staticmethod
+    def _shape_entry(query):
+        """What ``text_shapes`` keeps of a parsed query: its shape
+        text, its literals, and its :func:`request_shape` against no
+        view (all a plain ``query`` needs)."""
+        shape_text, literals = query_shape(query)
+        return shape_text, literals, request_shape(shape_text, literals)
+
+    def prepare(self, query_text):
         """Compile ``query_text`` to ``(exec_plan, compose_plan, status)``.
 
         ``status`` is ``"hit"``/``"miss"`` when the plan cache was
         consulted, ``"off"`` when it was bypassed.  A hit skips
-        parse → translate → rewrite → SQL-split entirely.  ``key`` is
-        the text's :meth:`_plan_key` when the caller already has it.
+        parse → translate → rewrite → SQL-split entirely: the text's
+        literals are bound into the plan compiled for its shape.
         """
-        if key is _COMPUTE_KEY:
-            key = self._plan_key(query_text)
-        if key is not None:
-            hit, cached = self.cache.lookup_plan(key)
-            if hit:
-                # Verification and rewrite provenance are cached with
-                # the plan: a warm hit reuses the stored stage count
-                # and fired-rule names instead of recompiling.
-                self.last_verified_stages = cached[2]
-                self.last_rewrite_rules = cached[3]
-                return cached[0], cached[1], "hit"
-        plan = self.translate(query_text)
+        view, status, _ = self._prepare(query_text)
+        return view.exec_plan(), view.compose_plan(), status
+
+    def _prepare(self, query_text, view=None, provenance=None):
+        """``(BoundPlan, status, navigation-memo key)`` for a query —
+        issued from the node of ``view`` with ``provenance`` (``None``
+        at its root) when ``view`` is given.
+
+        With the cache on every text goes shape → lookup → (compile
+        once) → bind; its literals are compiled inline only when the
+        compile of its shape reads one
+        (:class:`~repro.errors.ParameterValueDemanded`).  With the
+        cache off nothing is parametrised.
+        """
+        request = self._plan_key(query_text, view, provenance)
+        if request is None:
+            prepared = self._compile(query_text, view, provenance)
+            status, memo_key, values = "off", None, ()
+        else:
+            key, values, query = request
+            hit, prepared = self.cache.lookup_plan(key, values)
+            status, memo_key = "hit" if hit else "miss", (key, values)
+            if not hit:
+                if query is None:
+                    query = parse_xquery(query_text)
+                __, slots, __ = key[0]  # the request's shape
+                try:
+                    prepared = self._compile(
+                        parametrise(query, slots), view, provenance,
+                        templated=True,
+                    )
+                except ParameterValueDemanded:
+                    prepared = self._compile(query, view, provenance)
+                self.cache.store_plan(key, prepared, values)
+        # Verification and rewrite provenance are cached with the plan:
+        # a hit reuses the stored stage count and fired-rule names, and
+        # a miss reads its own compile's — another session may have
+        # moved this mediator's on since.
+        self.last_verified_stages = prepared.verified_stages
+        self.last_rewrite_rules = prepared.rewrite_rules
+        if not prepared.templated:
+            values = ()  # its literals are in the plan
+        return BoundPlan(prepared, values), status, memo_key
+
+    def _compile(self, query, view=None, provenance=None, templated=False):
+        """translate → expand views → compose → rewrite → SQL split.
+
+        ``templated`` says ``query``'s literals are parameters; the
+        view is then composed unbound, so its parameters and the
+        query's end up in one plan.
+        """
+        plan = self.translate(query, assign_root=view is None)
         plan = self._expand_views(plan)
+        if view is not None:
+            view_plan = (
+                view.prepared.compose_plan if templated
+                else view.compose_plan()
+            )
+            if provenance is None:
+                plan = compose_at_root(view_plan, plan)
+            else:
+                plan = decontextualize(view_plan, provenance, plan)
         verified_stages = None
-        if self.strict:
+        if self.strict and view is None:
             exec_plan, compose_plan, fired, verified_stages = (
                 self._compile_verified(plan)
             )
         else:
             exec_plan, compose_plan, fired = self._optimize(plan)
-        self.last_verified_stages = verified_stages
-        self.last_rewrite_rules = fired
-        if key is not None:
-            # ``fired`` is this compile's own list: another session may
-            # have moved ``last_rewrite_rules`` on since.
-            self.cache.store_plan(
-                key, exec_plan, compose_plan,
-                verified_stages=verified_stages,
-                rewrite_rules=fired,
-            )
-            return exec_plan, compose_plan, "miss"
-        return exec_plan, compose_plan, "off"
+        return PreparedPlan(
+            exec_plan, compose_plan, verified_stages, fired, templated
+        )
 
     def _compile_verified(self, plan):
         """Rewrite/push ``plan`` with the static verifier run after
@@ -499,21 +576,6 @@ class Mediator:
                     plan, self.catalog, cost=self.cost_optimizer
                 )
         return plan, compose_plan, fired
-
-    def _run(self, plan, on_source_error=None):
-        """Optimize + evaluate an (already composed) plan.
-
-        Composed plans carry context from a live result handle, so they
-        bypass both mediator caches.
-        """
-        exec_plan, compose_plan = self.optimize_plan(plan)
-        policy = on_source_error or self.on_source_error
-        root = self._evaluate(exec_plan, policy)
-        return QdomNode(
-            self,
-            VNode.root(root, obs=self.obs, prefetch=self.block_size),
-            compose_plan,
-        )
 
     def _evaluate(self, exec_plan, policy):
         """Evaluate an executable plan to its answer root Node."""

@@ -129,7 +129,7 @@ class Session:
         from repro.qdom.api import QdomNode
 
         self._current = QdomNode(
-            self._mediator, parent, self.current.view_plan
+            self._mediator, parent, self.current.view
         )
         self._record("up", parent.label())
         return self

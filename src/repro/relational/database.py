@@ -143,13 +143,15 @@ class Database:
 
     # -- statement execution ----------------------------------------------------
 
-    def execute(self, sql):
+    def execute(self, sql, stmt=None):
         """Execute a SELECT; returns a :class:`Cursor`.
 
         Issuing the statement counts one :data:`repro.stats.SQL_QUERIES`;
-        rows are counted as shipped only when fetched.
+        rows are counted as shipped only when fetched.  ``stmt`` is
+        ``parse_sql(sql)`` when the caller already has it.
         """
-        stmt = parse_sql(sql)
+        if stmt is None:
+            stmt = parse_sql(sql)
         if not isinstance(stmt, ast.SelectStmt):
             raise SqlError("execute() is for SELECT; use run() for DDL/DML")
         self.stats.incr(statnames.SQL_QUERIES)

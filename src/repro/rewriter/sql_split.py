@@ -24,6 +24,12 @@ semijoin as a plain self-join, which duplicates rows when several ``o2``
 orders match; we emit SELECT DISTINCT to preserve the set semantics of
 the algebra (recorded in EXPERIMENTS.md).
 
+Parameters: a condition whose constant is a
+:class:`~repro.algebra.conditions.ParamOperand` (a literal left open by
+the plan cache, see :mod:`repro.cache.shapes`) compiles to a ``?<slot>``
+placeholder in the statement; :func:`bind_sql` fills the placeholders of
+one request in.  The split itself never looks at a literal's value.
+
 Cost-based refinements (``cost=True`` plus fresh ``ANALYZE`` statistics
 on every referenced table — without both, the emitted SQL is
 byte-identical to the seed's):
@@ -38,10 +44,12 @@ byte-identical to the seed's):
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import SourceError, UnknownSourceError
 from repro.xmltree.paths import Step
 from repro.algebra import operators as ops
-from repro.algebra.conditions import KEY, OID, VALUE
+from repro.algebra.conditions import KEY, OID, VALUE, ParamOperand
 from repro.rewriter.context import RewriteContext
 
 
@@ -333,7 +341,7 @@ def _condition_sql(condition, model, catalog):
             if ref is None:
                 return None
             return ["{} {} {}".format(
-                ref, _sql_op(condition.op), _sql_literal(condition.right.value)
+                ref, _sql_op(condition.op), _sql_operand(condition.right)
             )]
         if condition.is_var_var():
             left = colref(condition.left.var)
@@ -393,10 +401,39 @@ def _sql_op(op):
     return op
 
 
+def _sql_operand(operand):
+    """A constant as SQL text; a parameter as the ``?<slot>`` placeholder
+    :func:`bind_sql` fills in."""
+    if isinstance(operand, ParamOperand):
+        return "?{}".format(operand.index)
+    return _sql_literal(operand.value)
+
+
 def _sql_literal(value):
     if isinstance(value, str):
         return "'{}'".format(value.replace("'", "''"))
     return str(value)
+
+
+#: A string literal (skipped: a ``?`` inside one is data) or a
+#: placeholder.  Outside its string literals pushed SQL is names,
+#: numbers and operators, so any other ``?`` is a placeholder.
+_PLACEHOLDER = re.compile(r"'(?:[^']|'')*'|\?(\d+)")
+
+
+def bind_sql(sql, values):
+    """``sql`` with every ``?<slot>`` placeholder replaced by the SQL
+    literal of ``values[slot]``."""
+    if "?" not in sql:
+        return sql
+
+    def fill(match):
+        slot = match.group(1)
+        if slot is None:
+            return match.group(0)
+        return _sql_literal(values[int(slot)])
+
+    return _PLACEHOLDER.sub(fill, sql)
 
 
 # -- rQ construction --------------------------------------------------------------

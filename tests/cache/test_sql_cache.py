@@ -18,6 +18,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Database, SqlResultCache
+from repro.cache import normalize_sql
 from repro.errors import SqlError
 from repro.obs import Instrument
 from repro import stats as sn
@@ -56,6 +57,64 @@ def test_whitespace_variants_share_one_entry(db, cache):
     ).fetchall() == cache.execute(db, SELECT_CUSTOMERS).fetchall()
     assert len(cache) == 1
     assert cache.stats()["misses"] == 1
+
+
+def test_spacing_inside_a_string_literal_is_data(cache):
+    # normalize_sql used to collapse it: the second statement replayed
+    # the first one's row.
+    db = Database("two", stats=Instrument())
+    db.run("CREATE TABLE customer (id TEXT, name TEXT, PRIMARY KEY (id))")
+    db.run("INSERT INTO customer VALUES ('C1', 'a  b'), ('C2', 'a b')")
+    select = "SELECT id FROM customer WHERE name = '{}'"
+    assert cache.execute(db, select.format("a  b")).fetchall() == [("C1",)]
+    assert cache.execute(db, select.format("a b")).fetchall() == [("C2",)]
+    assert cache.execute(db, select.format("a  b")).fetchall() == [("C1",)]
+    assert len(cache) == 2 and cache.stats()["hits"] == 1
+
+
+@pytest.mark.parametrize("one, other", [
+    # A comment ends at the line break, wherever the key's spaces fall.
+    ("SELECT id FROM customer -- c\n WHERE id = 'XYZ'",
+     "SELECT id FROM customer -- c WHERE id = 'XYZ'"),
+    ("SELECT id FROM customer WHERE name = 'it''s  --  so'",
+     "SELECT id FROM customer WHERE name = 'it''s -- so'"),
+    ("SELECT id FROM customer WHERE id = 'a' 'b'",
+     "SELECT id FROM customer WHERE id = 'a''b'"),
+])
+def test_statements_that_tokenize_apart_have_keys_apart(one, other):
+    assert normalize_sql(one) != normalize_sql(other)
+
+
+def test_layout_and_comments_are_not_part_of_the_key():
+    assert normalize_sql(
+        "SELECT id -- the key\n  FROM customer\tWHERE name='a  b' AND x = -1"
+    ) == normalize_sql(
+        "SELECT id FROM customer WHERE name='a  b'   AND x = -1 -- done"
+    )
+
+
+def test_a_statement_is_parsed_once_per_miss_and_never_on_a_hit(
+        db, cache, monkeypatch):
+    from repro.cache import sqlcache
+    from repro.relational import database
+
+    parses = []
+    for module in (sqlcache, database):
+        original = module.parse_sql
+        monkeypatch.setattr(
+            module, "parse_sql",
+            lambda sql, original=original: parses.append(sql)
+            or original(sql),
+        )
+    cache.execute(db, SELECT_CUSTOMERS).fetchall()
+    assert len(parses) == 1
+    cache.execute(db, SELECT_CUSTOMERS).fetchall()  # hit
+    assert len(parses) == 1
+    for number in range(50):  # unique texts: no side table to thrash
+        cache.execute(
+            db, "SELECT * FROM orders WHERE orid = {}".format(number)
+        ).fetchall()
+    assert len(parses) == 51
 
 
 def test_dml_on_referenced_table_invalidates(db, cache):

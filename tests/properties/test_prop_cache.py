@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import os
 
+import re
+
 from hypothesis import given, settings, strategies as st
 
-from repro import Database, Mediator, RelationalWrapper
+from repro import Database, Mediator, RelationalWrapper, render_plan
 from repro.obs import Instrument
 from repro.resilience import ERROR_LABEL
 from repro.xmltree import serialize
@@ -95,6 +97,57 @@ def fresh_pair():
     return db, cached, cold
 
 
+#: Shapes whose literals the differential below draws: a filter, a
+#: filtered join, a query through the view, and refinements issued from
+#: the root and from the first node of the answers.
+SHAPES = [
+    "FOR $O IN document(root2)/order WHERE $O/value/data() > {} "
+    "RETURN <Big> $O </Big>",
+    "FOR $C IN document(root1)/customer $O IN document(root2)/order "
+    "WHERE $C/id/data() = $O/cid/data() AND $O/value/data() < {} "
+    "RETURN <CustRec> $C <OrderInfo> $O </OrderInfo> {{$O}} </CustRec> {{$C}}",
+    "FOR $R IN document(vw)/Rec $S IN $R/order "
+    "WHERE $S/value/data() > {} AND $S/orid/data() != {} RETURN $R",
+    "FOR $C IN document(root1)/customer WHERE $C/id/data() = {} RETURN $C",
+]
+ROOT_REFINES = [
+    "FOR $R IN document(root)/Big $S IN $R/order "
+    "WHERE $S/value/data() > {} RETURN $R",
+    "FOR $R IN document(root)/CustRec $S IN $R/OrderInfo "
+    "WHERE $S/order/value/data() > {} RETURN $R",
+    "FOR $R IN document(root)/Rec $S IN $R/order "
+    "WHERE $S/value/data() < {} RETURN $S",
+    "FOR $C IN document(root)/customer WHERE $C/name/data() != {} "
+    "RETURN $C",
+]
+NODE_REFINE = (
+    "FOR $O IN document(root)/OrderInfo "
+    "WHERE $O/order/value/data() > {} RETURN $O"
+)
+LITERALS = st.one_of(
+    st.sampled_from([0, 100, 2400, 20000, 30000, 200000]),
+    st.integers(-5, 300000),
+    st.sampled_from([2400.0, 0.5, 99999.5]),
+    st.sampled_from(["XYZ", "ABC", "a  b", "it's", "?0"]),
+)
+
+
+def spelled(literal):
+    """A literal as query text."""
+    return '"{}"'.format(literal) if isinstance(literal, str) else literal
+
+
+def compiled(handle, mediator):
+    """The bound plans behind an answer (pushed SQL included) and the
+    compile's rewrite provenance; the root's view number blanked, as
+    every inline compile takes a fresh one."""
+    return (
+        re.sub(r"view\d+", "view", render_plan(handle.view.exec_plan())),
+        re.sub(r"view\d+", "view", render_plan(handle.view.compose_plan())),
+        mediator.last_rewrite_rules,
+    )
+
+
 def transcript(handle, budget=None):
     """The lazy navigation transcript of a result: ``(depth, label)``
     per d/r landing, depth-first, optionally stopping after ``budget``
@@ -149,6 +202,7 @@ def test_cached_and_cold_mediators_agree_at_every_step(ops):
             budget = b
             warm = cached.query(query)
             ref = cold.query(query)
+            assert compiled(warm, cached) == compiled(ref, cold)
             if budget is None:
                 warm_tree, ref_tree = warm.to_tree(), ref.to_tree()
                 assert serialize(warm_tree) == serialize(ref_tree), (
@@ -211,3 +265,34 @@ def test_repeated_query_storm_stays_consistent(seed):
     # invalidate exactly — never a stale answer (checked above), and
     # the memo was genuinely in play.
     assert cached.cache_stats()["nav_memo"]["misses"] >= 1
+
+
+@given(st.lists(
+    st.tuples(st.integers(0, len(SHAPES) - 1), LITERALS, LITERALS, LITERALS),
+    min_size=1, max_size=8,
+))
+@settings(max_examples=25, deadline=None)
+def test_bound_plans_are_the_inline_compiles(requests):
+    """bind ≡ compile: whatever literals a request carries, the plan the
+    caching mediator binds them into — for ``query``, for ``q`` from the
+    root and for ``q`` from a node — is the plan ``cache=False``
+    compiles from the same text, and so is the answer."""
+    __, cached, cold = fresh_pair()
+    for index, first, second, third in requests:
+        index = (index + CACHE_SEED) % len(SHAPES)
+        first, second, third = spelled(first), spelled(second), spelled(third)
+        text = SHAPES[index].format(first, second)
+        warm, ref = cached.query(text), cold.query(text)
+        assert compiled(warm, cached) == compiled(ref, cold), text
+        assert serialize(warm.to_tree()) == serialize(ref.to_tree()), text
+        refine = ROOT_REFINES[index].format(third)
+        warm_q, ref_q = warm.q(refine), ref.q(refine)
+        assert compiled(warm_q, cached) == compiled(ref_q, cold), refine
+        assert serialize(warm_q.to_tree()) == serialize(ref_q.to_tree())
+        if index == 1 and warm.d() is not None:
+            refine = NODE_REFINE.format(third)
+            warm_q, ref_q = warm.d().q(refine), ref.d().q(refine)
+            assert compiled(warm_q, cached) == compiled(ref_q, cold), refine
+            assert serialize(warm_q.to_tree()) == serialize(ref_q.to_tree())
+    stats = cached.cache_stats()["plan_cache"]
+    assert stats["hits"] + stats["misses"] >= 2 * len(requests)

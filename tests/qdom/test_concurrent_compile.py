@@ -37,9 +37,10 @@ def view_mediator():
 
 
 def cached_rules(mediator, text):
-    hit, cached = mediator.cache.lookup_plan(mediator._plan_key(text))
+    key, values, _ = mediator._plan_key(text)
+    hit, cached = mediator.cache.lookup_plan(key, values)
     assert hit, text
-    return cached[3]
+    return cached.rewrite_rules
 
 
 def test_cached_provenance_is_the_compiles_own():
