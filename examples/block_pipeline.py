@@ -1,8 +1,8 @@
 """Block-at-a-time execution made visible.
 
-Runs the same deep navigation walk twice — once in the seed's
-tuple-at-a-time mode (``block_size=1``) and once with the default
-block-vectorized pipeline (``block_size=64``) — and prints what changed
+Runs the same deep navigation walk twice — once with one-tuple blocks
+(``block_size=1``, the seed's pull order and per-hop navigation) and
+once with the default width (``block_size=64``) — and prints what changed
 and, more importantly, what did not: the serialized answer and the
 tuples shipped are byte-for-byte identical, while the per-hop QDOM
 command traffic collapses to one bulk command per unshipped block.
@@ -66,7 +66,7 @@ header = "{:>14} {:>12} {:>10} {:>10} {:>10} {:>10}".format(
     "mode", "wall (s)", "steps", "shipped", "commands", "blocks")
 print(header)
 print("-" * len(header))
-for label, m in (("tuple (1)", tuple_mode), ("block (64)", block_mode)):
+for label, m in (("width 1", tuple_mode), ("width 64", block_mode)):
     print("{:>14} {:>12.4f} {:>10} {:>10} {:>10} {:>10}".format(
         label, m["seconds"], m["steps"], m["shipped"],
         m["commands"], m["blocks"]))

@@ -62,8 +62,8 @@ plans.
 
 Block-at-a-time execution (:mod:`repro.engine.block`) is on by default;
 ``--block-size=N`` tunes the vector width for ``demo``, ``explain``,
-``serve``, and ``bench-serve`` — ``--block-size=1`` restores the seed's
-tuple-at-a-time pipeline (and its byte-identical EXPLAIN output).
+``serve``, and ``bench-serve`` — ``--block-size=1`` runs one-tuple
+blocks, the seed's pull order (and its byte-identical EXPLAIN output).
 
 ``demo`` and ``explain`` also accept ``--shards=K``, which replaces the
 single Fig. 2 wrapper by a :class:`~repro.sources.shard.ShardedSource`
@@ -279,8 +279,8 @@ def _optimizer_options(args):
 
 def _block_options(args):
     """Extract ``--block-size=N`` (default: the mediator's own default,
-    :data:`repro.engine.block.DEFAULT_BLOCK_SIZE`; ``1`` is the seed's
-    tuple-at-a-time mode)."""
+    :data:`repro.engine.block.DEFAULT_BLOCK_SIZE`; ``1`` is a one-tuple
+    block, the seed's pull order)."""
     size, args = _pop_option(args, "--block-size")
     if size is None:
         return None, args

@@ -48,8 +48,7 @@ CODES = {
                         " know"),
     "MIX-E010": (ERROR, "join/semijoin condition references a variable"
                         " bound by neither input"),
-    "MIX-E011": (ERROR, "block pipeline diverges from tuple-at-a-time"
-                        " execution (dropped or corrupted binding)"),
+    # MIX-E011 is retired (see RETIRED below).
     # -- rule certifier (repro.analysis.rulecheck) ---------------------
     "MIX-E012": (ERROR, "rewrite rule breaks its declared schema"
                         " contract (or diverges on answers)"),
@@ -71,6 +70,15 @@ CODES = {
                           " corpus (dead rule)"),
     "MIX-W008": (WARNING, "rewrite rule is shadowed by an earlier rule"
                           " at every site it matches"),
+}
+
+#: Retired codes: code -> why.  Kept out of :data:`CODES`, so a
+#: :class:`Diagnostic` rejects them as unknown, and reserved here so no
+#: new invariant ever reuses the number.
+RETIRED = {
+    "MIX-E011": "block pipeline vs tuple-at-a-time differential; the"
+                " tuple-at-a-time engine is gone (width 1 is a one-tuple"
+                " block)",
 }
 
 

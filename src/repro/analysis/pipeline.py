@@ -34,7 +34,7 @@ class StageReport:
 
     ``rule`` is the rewrite rule that produced this stage's plan (the
     provenance key of rewrite stages), ``None`` for the non-rewrite
-    stages (``translate``, ``sql-split``, ``block-pipeline``).
+    stages (``translate``, ``sql-split``).
     """
 
     __slots__ = ("name", "plan", "diagnostics", "rule")
@@ -108,22 +108,13 @@ class PipelineReport:
         )
 
 
-def verify_query_pipeline(mediator, query_text, source=None,
-                          block_check=False):
+def verify_query_pipeline(mediator, query_text, source=None):
     """Compile ``query_text`` through ``mediator``'s pipeline, verifying
     after every stage; returns a :class:`PipelineReport`.
 
     The compilation happens outside the mediator's plan cache and does
     not consume a view id, so calling this never perturbs the mediator
     (EXPLAIN relies on that to keep its golden output stable).
-
-    ``block_check=True`` appends a ``block-pipeline`` stage that runs
-    the executable plan through both the tuple-at-a-time engine and the
-    block-vectorized engine (fresh instruments, the mediator's sources)
-    and compares the serialized answers — a divergence is the
-    ``MIX-E011`` invariant.  It is opt-in because unlike the static
-    stages it *evaluates* the plan, touching source caches and any
-    fault schedules; EXPLAIN's footer therefore never includes it.
     """
     plan = mediator.translate(query_text, assign_root=False)
     plan = mediator._expand_views(plan)
@@ -167,65 +158,4 @@ def verify_query_pipeline(mediator, query_text, source=None,
                 ),
             )
         )
-    if block_check:
-        stages.append(_verify_block_pipeline(mediator, plan, source))
     return PipelineReport(query_text, stages)
-
-
-def _verify_block_pipeline(mediator, plan, source):
-    """The runtime block-vs-tuple differential probe (``MIX-E011``).
-
-    Evaluates the executable plan twice — once tuple-at-a-time
-    (``block_size=1``) and once with the mediator's block size (or the
-    default when the mediator itself runs in tuple mode) — and demands
-    byte-identical serialized answers.  Exceptions must match too: a
-    block pipeline that fails where tuple mode succeeds (or vice versa)
-    is just as diverged as one that drops a binding.
-    """
-    from repro.engine.block import DEFAULT_BLOCK_SIZE
-    from repro.engine.lazy import LazyEngine
-    from repro.obs.instrument import Instrument
-    from repro.xmltree import serialize
-
-    block_size = getattr(mediator, "block_size", 1)
-    if block_size <= 1:
-        block_size = DEFAULT_BLOCK_SIZE
-    policy = getattr(mediator, "on_source_error", "raise")
-    stage_name = "block-pipeline"
-
-    def run(size):
-        engine = LazyEngine(
-            mediator.catalog, stats=Instrument(),
-            on_source_error=policy, block_size=size,
-        )
-        try:
-            root = engine.evaluate_tree(plan)
-            return serialize(root.copy_subtree()), None
-        except Exception as exc:  # noqa: BLE001 — compared, not hidden
-            return None, "{}: {}".format(type(exc).__name__, exc)
-
-    tuple_answer, tuple_error = run(1)
-    block_answer, block_error = run(block_size)
-    diagnostics = []
-    if (tuple_answer, tuple_error) != (block_answer, block_error):
-        if tuple_error != block_error:
-            detail = (
-                "tuple mode {} but block_size={} {}".format(
-                    "raised " + tuple_error if tuple_error
-                    else "succeeded",
-                    block_size,
-                    "raised " + block_error if block_error
-                    else "succeeded",
-                )
-            )
-        else:
-            detail = (
-                "serialized answers differ between block_size=1 and"
-                " block_size={} ({} vs {} bytes)".format(
-                    block_size, len(tuple_answer), len(block_answer)
-                )
-            )
-        diagnostics.append(Diagnostic(
-            "MIX-E011", detail, stage=stage_name, source=source,
-        ))
-    return StageReport(stage_name, plan, diagnostics)

@@ -18,7 +18,6 @@ The lazy engine exposes results as a virtual tree
 
 from repro.engine.eager import EagerEngine, evaluate_eager
 from repro.engine.lazy import LazyEngine
-from repro.engine.profile import Profiler, render_profile
 from repro.engine.table_nav import OperatorTable, TableNode
 from repro.engine.vtree import VNode, Provenance
 
@@ -26,10 +25,8 @@ __all__ = [
     "EagerEngine",
     "LazyEngine",
     "OperatorTable",
-    "Profiler",
     "Provenance",
     "TableNode",
     "VNode",
     "evaluate_eager",
-    "render_profile",
 ]

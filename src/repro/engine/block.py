@@ -1,27 +1,27 @@
-"""Block-at-a-time dataflow: fixed-size vectors of binding tuples.
+"""Block-at-a-time dataflow: vectors of binding tuples.
 
-The seed engine moves one :class:`~repro.algebra.bindings.BindingTuple`
-per pull, paying one merged operator span, one counter bump, and one
-Python frame per tuple per operator — the dominant cost on deep lazy
+A per-tuple pull pays one merged operator span, one counter bump, and
+one Python frame per tuple per operator — the dominant cost on deep lazy
 walks per the E-SERVE/E-OPT profiles.  Block execution amortizes that
-bookkeeping: operators exchange :class:`Block` vectors of up to
+bookkeeping: operators exchange blocks (plain lists) of up to
 ``block_size`` tuples and pay the per-pull overhead once per block.
 
 Design invariants (the differential battery in
-``tests/test_block_differential.py`` enforces them):
+``tests/test_block_differential.py`` enforces them against the eager
+oracle, at widths 1 through 1024):
 
 * **Same tuples, same order.**  A block stream flattens to exactly the
-  tuple stream of the seed engine — byte-identical serialized answers.
+  seed's tuple stream — byte-identical serialized answers.
 * **Same source traffic.**  ``tuples_shipped`` counts rows, never
-  blocks, so the wrapper-boundary counters match tuple mode exactly;
+  blocks, so the wrapper-boundary counters match at every width;
   blocks add their own :data:`repro.stats.BLOCKS_SHIPPED` tally.
 * **Same failures, same positions.**  A lazy stream that raises after
   producing *k* tuples still delivers those *k* tuples first: the
-  chunker parks the exception (:class:`BlockedIterator`) and re-raises
-  it on the next pull, exactly where tuple mode would have surfaced it.
+  chunker parks the exception and re-raises it on the next pull.
 
-``block_size=1`` short-circuits everything — the engine runs the seed
-tuple-at-a-time code paths untouched (the EXPLAIN goldens rely on it).
+There is no separate tuple-at-a-time engine: ``block_size=1`` is a
+one-tuple block, which pulls, counts and fails exactly where the seed
+did (the EXPLAIN goldens and per-hop transcripts rely on it).
 """
 
 from __future__ import annotations
@@ -32,115 +32,16 @@ from __future__ import annotations
 DEFAULT_BLOCK_SIZE = 64
 
 
-class Block:
-    """One vector of binding tuples flowing between XMAS operators.
-
-    A thin, list-backed value: blocks are built once by an operator and
-    then only read.  The final block of a stream is usually *partial*
-    (fewer than ``capacity`` tuples); empty blocks are legal but the
-    engine never emits them (filters collapse to nothing instead).
-    """
-
-    __slots__ = ("tuples", "capacity")
-
-    def __init__(self, tuples=(), capacity=None):
-        self.tuples = list(tuples)
-        self.capacity = len(self.tuples) if capacity is None else capacity
-
-    def __len__(self):
-        return len(self.tuples)
-
-    def __bool__(self):
-        return bool(self.tuples)
-
-    def __iter__(self):
-        return iter(self.tuples)
-
-    def __getitem__(self, index):
-        return self.tuples[index]
-
-    @property
-    def is_full(self):
-        return len(self.tuples) >= self.capacity
-
-    @property
-    def is_partial(self):
-        return len(self.tuples) < self.capacity
-
-    def __repr__(self):
-        return "Block({}/{})".format(len(self.tuples), self.capacity)
-
-
-class BlockedIterator:
-    """Chunk a tuple iterator into :class:`Block`\\ s of ``size``.
-
-    Mid-stream exceptions keep their position: if the underlying
-    iterator raises after yielding *k* tuples of the current block, the
-    partial block of those *k* tuples is delivered first and the
-    exception re-raised on the *next* pull.  Collapsing both into one
-    pull would make block mode lose answers tuple mode had already
-    produced.
-
-    ``skip()`` delegates to the underlying iterator when it offers one
-    (the resilient source iterators do) so the engine's degradation net
-    can move past poisoned positions in block mode too.
-    """
-
-    __slots__ = ("_inner", "_size", "_pending", "_done")
-
-    def __init__(self, iterator, size):
-        if size < 1:
-            raise ValueError("block size must be >= 1, got {}".format(size))
-        self._inner = iter(iterator)
-        self._size = size
-        self._pending = None
-        self._done = False
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        if self._pending is not None:
-            exc, self._pending = self._pending, None
-            raise exc
-        if self._done:
-            raise StopIteration
-        tuples = []
-        while len(tuples) < self._size:
-            try:
-                tuples.append(next(self._inner))
-            except StopIteration:
-                self._done = True
-                break
-            except Exception as exc:
-                if not tuples:
-                    raise
-                self._pending = exc
-                break
-        if not tuples:
-            raise StopIteration
-        return Block(tuples, capacity=self._size)
-
-    def skip(self):
-        skip = getattr(self._inner, "skip", None)
-        if skip is not None:
-            skip()
-
-    def __repr__(self):
-        return "BlockedIterator(size={})".format(self._size)
-
-
 class VectorBlocks:
     """Chunk a *vector-yielding* generator (lists of tuples, any length
-    including empty) into :class:`Block`\\ s of exactly ``size`` (the
-    final one may be partial).
+    including empty) into blocks of exactly ``size`` (the final one may
+    be partial).
 
-    This is the engine-side chunker: vectorized operators emit one list
-    per input block, and this layer repacks them so downstream operators
-    always see full blocks regardless of filter selectivity or join
-    fan-out.  Mid-stream exceptions follow the same parking rule as
-    :class:`BlockedIterator`: buffered tuples are delivered first, the
-    exception re-raises on the next pull.
+    This is the engine-side chunker: operators emit one list per input
+    block, and this layer repacks them so downstream operators always
+    see full blocks regardless of filter selectivity or join fan-out.
+    Mid-stream exceptions are *parked*: buffered tuples are delivered
+    first, the exception re-raises on the next pull.
     """
 
     __slots__ = ("_inner", "_size", "_buf", "_pending", "_done")
@@ -174,10 +75,10 @@ class VectorBlocks:
         if len(self._buf) > self._size:
             out = self._buf[:self._size]
             self._buf = self._buf[self._size:]
-            return Block(out, capacity=self._size)
+            return out
         if self._buf:
             out, self._buf = self._buf, []
-            return Block(out, capacity=self._size)
+            return out
         if self._pending is not None:
             exc, self._pending = self._pending, None
             raise exc
@@ -189,55 +90,8 @@ class VectorBlocks:
         )
 
 
-def blocked(iterator, size):
-    """Chunk ``iterator`` into :class:`Block`\\ s of up to ``size``."""
-    return BlockedIterator(iterator, size)
-
-
 def flatten(block_iterator):
     """The tuple stream of a block stream (generator)."""
     for block in block_iterator:
         for t in block:
             yield t
-
-
-def rechunk(block_iterator, size):
-    """Re-chunk a block stream to blocks of exactly ``size`` (except the
-    final partial one).  Used where an operator's output cardinality
-    differs from its input's (``getD`` expansion, ``select`` filtering
-    would otherwise emit degenerate one-tuple blocks)."""
-    return BlockedIterator(flatten(block_iterator), size)
-
-
-# -- seeded defect injection (verifier battery only) ---------------------------------
-
-#: When set to ``"drop-binding"``, every block loses one binding from its
-#: first tuple — a stand-in for a buggy vectorized operator.  The
-#: analysis battery arms this to prove the block-pipeline verifier stage
-#: (MIX-E011) catches real divergence; production code never sets it.
-_SEEDED_DEFECT = None
-
-
-def seed_block_defect(kind):
-    """Arm a deliberate block-pipeline defect (tests only)."""
-    global _SEEDED_DEFECT
-    if kind not in (None, "drop-binding"):
-        raise ValueError("unknown block defect {!r}".format(kind))
-    _SEEDED_DEFECT = kind
-
-
-def clear_block_defect():
-    global _SEEDED_DEFECT
-    _SEEDED_DEFECT = None
-
-
-def apply_seeded_defect(block):
-    """The block after any armed defect (identity in production)."""
-    if _SEEDED_DEFECT is None or not block:
-        return block
-    first = block[0]
-    variables = sorted(first.variables())
-    if not variables:
-        return block
-    dropped = first.project([v for v in variables[:-1]])
-    return Block([dropped] + list(block.tuples[1:]), capacity=block.capacity)

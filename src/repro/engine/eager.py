@@ -36,7 +36,7 @@ class EagerEngine:
     failed source reads (mirroring the lazy engine), instead of raising.
     """
 
-    def __init__(self, catalog, stats=None, oids=None, profiler=None,
+    def __init__(self, catalog, stats=None, oids=None,
                  on_source_error=RAISE):
         if on_source_error not in (RAISE, DEGRADE):
             raise ValueError(
@@ -48,9 +48,6 @@ class EagerEngine:
         self.obs = self.stats
         self.oids = oids or OidGenerator("e")
         self.on_source_error = on_source_error
-        self.profiler = profiler
-        if profiler is not None:
-            profiler.bind(self.obs)
 
     def _degraded_stub(self, exc, source=None):
         """Record and build the stub standing in for a failed subtree."""

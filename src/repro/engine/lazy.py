@@ -21,14 +21,15 @@ the input's inferred sort order clusters the group variables (e.g. below
 an ``orderBy`` or an ``rQ`` whose SQL carries a matching ORDER BY), and
 the buffering stateful one otherwise.
 
-**Block execution** (``block_size > 1``): operators exchange
-:class:`~repro.engine.block.Block` vectors instead of single tuples —
-the per-pull span/counter bookkeeping is paid once per block, pushed-SQL
-rows are fetched ``fetch_block``-at-a-time, and vectorized handlers
-(``_blk_*``) process whole blocks per Python call.  The flattened block
-stream is tuple-for-tuple identical to the seed stream (the
-block-differential battery proves it); ``block_size=1`` (the default
-here) runs the untouched seed code paths.
+**Block execution**: operators exchange vectors of binding tuples (see
+:mod:`repro.engine.block`) — the per-pull span/counter bookkeeping is
+paid once per block, pushed-SQL rows are fetched
+``fetch_block``-at-a-time, and every handler processes a whole block
+per Python call.  There is one handler per operator and one path for
+every width: ``block_size=1`` is simply a one-tuple block, whose
+flattened stream, source traffic and per-hop navigation transcripts are
+the seed's (the EXPLAIN goldens and the block-differential battery pin
+that).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from repro.algebra import operators as ops
 from repro.algebra.bindings import BindingSet, BindingTuple
 from repro.algebra.conditions import skolem_arg_of, KEY, VALUE
 from repro.algebra.values import Skolem, VList, value_key
-from repro.engine.block import VectorBlocks, apply_seeded_defect, flatten
+from repro.engine.block import VectorBlocks, flatten
 from repro.engine.gby import (
     input_is_sorted_for,
     presorted_gby_stream,
@@ -71,15 +72,15 @@ class LazyEngine:
         on_source_error: ``"raise"`` (default) propagates source
             failures; ``"degrade"`` substitutes ``<mix:error>`` stubs so
             navigation over the healthy part of the result continues.
-        block_size: tuples per dataflow vector.  ``1`` (default) is the
-            seed tuple-at-a-time pipeline; ``>1`` switches every
-            operator to block-at-a-time execution (same tuples, same
-            order, same source traffic — see :mod:`repro.engine.block`).
+        block_size: tuples per dataflow vector (default ``1``, a
+            one-tuple block: the seed's pull granularity).  Every width
+            yields the same tuples, in the same order, with the same
+            source traffic — see :mod:`repro.engine.block`.
     """
 
     def __init__(self, catalog, stats=None, oids=None,
-                 force_stateful_gby=False, profiler=None,
-                 on_source_error=RAISE, block_size=1):
+                 force_stateful_gby=False, on_source_error=RAISE,
+                 block_size=1):
         if on_source_error not in (RAISE, DEGRADE):
             raise ValueError(
                 "on_source_error must be 'raise' or 'degrade', "
@@ -96,9 +97,6 @@ class LazyEngine:
         self.oids = oids or OidGenerator("L")
         self.force_stateful_gby = force_stateful_gby
         self.on_source_error = on_source_error
-        self.profiler = profiler
-        if profiler is not None:
-            profiler.bind(self.obs)
 
     def _degraded_stub(self, exc, source=None):
         """Record and build the stub standing in for a failed subtree."""
@@ -129,50 +127,33 @@ class LazyEngine:
         return root
 
     def stream(self, plan, env):
-        """The lazy tuple stream of a (non-``tD``) plan.
+        """The lazy tuple stream of a (non-``tD``) plan: the flattened
+        block stream, for consumers that think in tuples (``gBy``
+        partition replay, the nested-set values of ``apply``)."""
+        return LazyList(flatten(self.blocks(plan, env)))
 
-        In block mode this is the flattened block stream — consumers
-        that think in tuples (``gBy`` partition replay, the nested-set
-        values of ``apply``) see the identical tuple sequence either
-        way.
+    def blocks(self, plan, env):
+        """The lazy block stream of a plan.
+
+        Every operator has one ``_blk_*`` handler yielding tuple
+        vectors; :class:`~repro.engine.block.VectorBlocks` repacks them
+        to ``block_size``.  Counting happens here, once per block.
         """
-        if self.block_size > 1:
-            return LazyList(flatten(self.blocks(plan, env)))
         handler = self._HANDLERS.get(type(plan))
         if handler is None:
             raise PlanError(
                 "no lazy handler for {}".format(type(plan).__name__)
             )
-        return LazyList(self._counted(handler(self, plan, env), plan))
-
-    def blocks(self, plan, env):
-        """The lazy :class:`~repro.engine.block.Block` stream of a plan.
-
-        Every operator has a vectorized ``_blk_*`` handler yielding
-        tuple vectors; an operator without one falls back to chunking
-        its tuple handler (semantics are identical by construction, only
-        the amortization is lost).  Counting happens here, once per
-        block.
-        """
-        handler = self._BLOCK_HANDLERS.get(type(plan))
-        if handler is not None:
-            vectors = handler(self, plan, env)
-        else:
-            tuple_handler = self._HANDLERS.get(type(plan))
-            if tuple_handler is None:
-                raise PlanError(
-                    "no lazy handler for {}".format(type(plan).__name__)
-                )
-            vectors = ([t] for t in tuple_handler(self, plan, env))
         return self._counted_blocks(
-            VectorBlocks(vectors, self.block_size), plan
+            VectorBlocks(handler(self, plan, env), self.block_size), plan
         )
 
     def _counted_blocks(self, block_iter, plan):
         """Per-*block* accounting: one merged operator span, one
         ``operator_tuples``/``node_count`` bump of ``len(block)`` per
-        pull — the same totals as tuple mode at a fraction of the
-        bookkeeping (this amortization is what E-BLOCK measures)."""
+        pull.  Each pull runs inside the operator's span, so the work is
+        attributed to whichever navigation command caused it (this
+        amortization is what E-BLOCK measures)."""
         obs = self.obs
         block_iter = iter(block_iter)
         token = node_token(plan)
@@ -188,33 +169,9 @@ class LazyEngine:
                     block = next(block_iter)
                 except StopIteration:
                     return
-                block = apply_seeded_defect(block)
                 obs.incr(statnames.OPERATOR_TUPLES, len(block))
                 obs.record_node(token, len(block))
             yield block
-
-    def _counted(self, generator, plan):
-        obs = self.obs
-        generator = iter(generator)
-        token = node_token(plan)
-        name = getattr(plan, "opname", type(plan).__name__)
-        attrs = (
-            {"server": plan.server, "sql": plan.sql}
-            if isinstance(plan, ops.RelQuery)
-            else {}
-        )
-        while True:
-            # Each pull runs inside the operator's merged span, so the
-            # work is attributed to whichever navigation command caused
-            # it — and the wall time lands on this plan node.
-            with obs.operator_span(name, key=token, **attrs):
-                try:
-                    t = next(generator)
-                except StopIteration:
-                    return
-                obs.incr(statnames.OPERATOR_TUPLES)
-                obs.record_node(token)
-            yield t
 
     # -- tD and the virtual tree ---------------------------------------------------
 
@@ -229,33 +186,16 @@ class LazyEngine:
         return Node(oid, "list", lazy_tail=self._td_children(plan, env))
 
     def _td_children(self, plan, env):
-        """The child elements a ``tD`` exports, as a lazy generator."""
-        if self.block_size > 1:
-            return self._td_children_blocked(plan, env)
-        return self._td_children_spanned(plan, env)
-
-    def _td_children_spanned(self, plan, env):
-        obs = self.obs
-        token = node_token(plan)
-        inner = self._td_children_raw(plan, env)
-        while True:
-            with obs.operator_span("tD", key=token):
-                try:
-                    item = next(inner)
-                except StopIteration:
-                    return
-                obs.record_node(token)
-            yield item
-
-    def _td_children_blocked(self, plan, env):
-        """Block-mode ``tD`` export: one span per input block.
+        """The child elements a ``tD`` exports, as a lazy generator: one
+        span per input block.
 
         Node-valued exports are unpacked (and counted) a whole block at
         a time; set-valued exports (``VList``) stay lazy per item so the
         export never forces more of a nested stream than navigation
-        demanded.  The outermost degradation net is the same as tuple
-        mode's: a source failure escaping the operators becomes one stub
-        child and ends the export.
+        demanded.  The outermost degradation net: a source failure that
+        escapes the operators below (the leaf-level nets catch their
+        own) becomes one stub child and ends the export, instead of
+        unwinding the client's navigation.
         """
         obs = self.obs
         token = node_token(plan)
@@ -303,38 +243,18 @@ class LazyEngine:
                     obs.record_node(token)
                     yield item
 
-    def _td_children_raw(self, plan, env):
-        # The outermost degradation net: a source failure that escapes
-        # the operators below (the leaf-level nets catch their own)
-        # becomes one stub child and ends the export, instead of
-        # unwinding the client's navigation.
-        stream = iter(self.stream(plan.input, env))
-        while True:
-            try:
-                t = next(stream)
-            except StopIteration:
-                return
-            except SourceError as exc:
-                if self.on_source_error != DEGRADE:
-                    raise
-                yield self._degraded_stub(exc)
-                return
-            value = t.get(plan.var)
-            if isinstance(value, Node):
-                yield value
-            elif isinstance(value, VList):
-                for item in value:
-                    if not isinstance(item, Node):
-                        raise EvaluationError("tD cannot export nested sets")
-                    yield item
-            else:
-                raise EvaluationError(
-                    "tD variable {} bound to a nested set".format(plan.var)
-                )
+    # -- operators -------------------------------------------------------------------
+    #
+    # Each ``_blk_*`` handler consumes its input via :meth:`blocks` and
+    # yields *vectors* (plain lists of tuples, typically one per input
+    # block); :class:`~repro.engine.block.VectorBlocks` repacks them into
+    # ``block_size`` blocks and parks mid-vector exceptions so failures
+    # keep their tuple positions.
 
-    # -- source access ---------------------------------------------------------------
-
-    def _eval_mksrc(self, plan, env):
+    def _blk_mksrc(self, plan, env):
+        # Vectors of one: the degrade/retry/skip net is per child, and
+        # source-side span batching happens inside the wrapper
+        # (``set_block_size``).
         if plan.input is not None:
             if not isinstance(plan.input, ops.TD):
                 raise EvaluationError(
@@ -348,7 +268,7 @@ class LazyEngine:
                 if self.on_source_error != DEGRADE:
                     raise
                 stub = self._degraded_stub(exc, source=plan.source)
-                yield BindingTuple({plan.var: stub})
+                yield [BindingTuple({plan.var: stub})]
                 return
         while True:
             try:
@@ -359,7 +279,7 @@ class LazyEngine:
                 if self.on_source_error != DEGRADE:
                     raise
                 stub = self._degraded_stub(exc, source=plan.source)
-                yield BindingTuple({plan.var: stub})
+                yield [BindingTuple({plan.var: stub})]
                 if isinstance(exc, CircuitOpenError):
                     return  # the source is out of service
                 if isinstance(exc, TransientSourceError):
@@ -376,225 +296,7 @@ class LazyEngine:
                     return
                 skip()
                 continue
-            yield BindingTuple({plan.var: child})
-
-    def _eval_relquery(self, plan, env):
-        from repro.engine.eager import _assemble_rq_element
-
-        try:
-            server = self.catalog.server(plan.server)
-            self.obs.incr(statnames.RQ_STATEMENTS)
-            self.obs.event("sql", plan.sql, server=plan.server)
-            cursor = server.execute_sql(plan.sql)
-        except SourceError as exc:
-            if self.on_source_error != DEGRADE:
-                raise
-            stub = self._degraded_stub(exc, source=plan.server)
-            yield BindingTuple(
-                {entry.var: stub for entry in plan.varmap}
-            )
-            return
-
-        while True:
-            try:
-                row = cursor.fetchone()
-            except SourceError as exc:
-                # Mid-stream failure (e.g. one member of a sharded
-                # scatter died): one stub row marks the lost slice and
-                # the cursor keeps serving the surviving members.  A
-                # dead single-source cursor simply reads exhausted on
-                # the next fetch.
-                if self.on_source_error != DEGRADE:
-                    raise
-                stub = self._degraded_stub(exc, source=plan.server)
-                yield BindingTuple(
-                    {entry.var: stub for entry in plan.varmap}
-                )
-                continue
-            if row is None:
-                return
-            bindings = {}
-            for entry in plan.varmap:
-                value = _assemble_rq_element(entry, row, self.oids)
-                if value is None:  # NULL field: no binding, drop the row
-                    bindings = None
-                    break
-                bindings[entry.var] = value
-            if bindings is not None:
-                yield BindingTuple(bindings)
-
-    # -- tuple operators ---------------------------------------------------------------
-
-    def _eval_getd(self, plan, env):
-        for t in self.stream(plan.input, env):
-            for match in eval_path_on_value(t.get(plan.in_var), plan.path):
-                yield t.extend(plan.out_var, match)
-
-    def _eval_select(self, plan, env):
-        for t in self.stream(plan.input, env):
-            if plan.condition.evaluate(t):
-                yield t
-
-    def _eval_project(self, plan, env):
-        seen = set()
-        for t in self.stream(plan.input, env):
-            projected = t.project(plan.variables)
-            key = projected.key(plan.variables)
-            if key not in seen:
-                seen.add(key)
-                yield projected
-
-    def _eval_join(self, plan, env):
-        right = self.stream(plan.right, env)
-        hash_conds, loop_conds = _split_join_conditions(plan.conditions)
-        if hash_conds:
-            left_defined, right_defined = self._join_sides(plan)
-            index = None
-            for lt in self.stream(plan.left, env):
-                if index is None:
-                    # Build the hash table on first probe; an empty left
-                    # input never touches the right source at all.
-                    index = _build_join_index(
-                        right, hash_conds, left_defined, right_defined
-                    )
-                probe_key = _probe_key(
-                    lt, hash_conds, left_defined, right_defined
-                )
-                for rt in index.get(probe_key, ()):
-                    if all(c.evaluate(lt, extra=rt) for c in loop_conds):
-                        yield lt.merge(rt)
-        else:
-            for lt in self.stream(plan.left, env):
-                for rt in right:
-                    if all(
-                        c.evaluate(lt, extra=rt) for c in plan.conditions
-                    ):
-                        yield lt.merge(rt)
-
-    def _join_sides(self, plan):
-        from repro.algebra.plan import defined_vars
-
-        left = defined_vars(plan.left) or frozenset()
-        right = defined_vars(plan.right) or frozenset()
-        return left, right
-
-    def _eval_semijoin(self, plan, env):
-        if plan.keep == "left":
-            keep_plan, probe_plan = plan.left, plan.right
-        else:
-            keep_plan, probe_plan = plan.right, plan.left
-        probe = self.stream(probe_plan, env)
-        probe_materialized = None
-        seen = set()
-        for kt in self.stream(keep_plan, env):
-            if probe_materialized is None:
-                probe_materialized = probe.materialize()
-            matched = False
-            for pt in probe_materialized:
-                first, second = (
-                    (kt, pt) if plan.keep == "left" else (pt, kt)
-                )
-                if all(
-                    c.evaluate(first, extra=second)
-                    for c in plan.conditions
-                ):
-                    matched = True
-                    break
-            if matched:
-                key = kt.key()
-                if key not in seen:
-                    seen.add(key)
-                    yield kt
-
-    def _eval_crelt(self, plan, env):
-        for t in self.stream(plan.input, env):
-            yield t.extend(plan.out_var, self._build_element(plan, t))
-
-    def _build_element(self, plan, t):
-        ch_value = t.get(plan.ch_var)
-        args = [skolem_arg_of(t.get(v)) for v in plan.skolem_args]
-        oid = Skolem(plan.out_var, plan.fn, args, arg_vars=plan.skolem_args)
-        self.stats.incr(statnames.ELEMENTS_BUILT)
-        if plan.ch_is_list or isinstance(ch_value, Node):
-            return Node(oid, plan.label, [ch_value])
-        if isinstance(ch_value, VList):
-
-            def tail(source=ch_value):
-                for item in source:
-                    if isinstance(item, VList):
-                        for sub in item:
-                            yield sub
-                    else:
-                        yield item
-
-            return Node(oid, plan.label, lazy_tail=tail())
-        raise EvaluationError(
-            "crElt child variable {} bound to {!r}".format(
-                plan.ch_var, ch_value
-            )
-        )
-
-    def _eval_cat(self, plan, env):
-        for t in self.stream(plan.input, env):
-            x = _lazy_as_list(t.get(plan.x_var), plan.x_single)
-            y = _lazy_as_list(t.get(plan.y_var), plan.y_single)
-            yield t.extend(plan.out_var, x.lazy_concat(y))
-
-    def _eval_groupby(self, plan, env):
-        input_list = self.stream(plan.input, env)
-        sorted_vars = infer_sorted_vars(plan.input)
-        use_presorted = not self.force_stateful_gby and input_is_sorted_for(
-            sorted_vars, plan.group_vars
-        )
-        if use_presorted:
-            return presorted_gby_stream(
-                input_list, plan.group_vars, plan.out_var, self.stats
-            )
-        return stateful_gby_stream(
-            input_list, plan.group_vars, plan.out_var, self.stats
-        )
-
-    def _eval_apply(self, plan, env):
-        for t in self.stream(plan.input, env):
-            inner_env = dict(env)
-            if plan.inp_var is not None:
-                inner_env[plan.inp_var] = t.get(plan.inp_var)
-            if isinstance(plan.plan, ops.TD):
-                value = VList(
-                    lazy_tail=self._td_children(plan.plan, inner_env)
-                )
-            else:
-                inner_stream = self.stream(plan.plan, inner_env)
-                value = BindingSet(lazy_tail=iter(inner_stream))
-            yield t.extend(plan.out_var, value)
-
-    def _eval_nestedsrc(self, plan, env):
-        if plan.var not in env:
-            raise EvaluationError(
-                "nestedSrc({}) evaluated outside an apply".format(plan.var)
-            )
-        for t in env[plan.var]:
-            yield t
-
-    def _eval_empty(self, plan, env):
-        return iter(())
-
-    def _eval_orderby(self, plan, env):
-        tuples = self.stream(plan.input, env).materialize()
-        tuples.sort(
-            key=lambda t: tuple(
-                repr(value_key(t.get(v))) for v in plan.variables
-            )
-        )
-        return iter(tuples)
-
-    # -- vectorized (block-at-a-time) operators -----------------------------------
-    #
-    # Each ``_blk_*`` handler consumes its input via :meth:`blocks` and
-    # yields *vectors* (plain lists of tuples, one per input block);
-    # :class:`~repro.engine.block.VectorBlocks` repacks them into
-    # fixed-size blocks and parks mid-vector exceptions so failures keep
-    # their tuple-mode positions.
+            yield [BindingTuple({plan.var: child})]
 
     def _blk_relquery(self, plan, env):
         from repro.engine.eager import _assemble_rq_element
@@ -682,7 +384,7 @@ class LazyEngine:
             for lblock in self.blocks(plan.left, env):
                 if index is None:
                     # Build on first probe block: an empty left input
-                    # never touches the right source, as in tuple mode.
+                    # never touches the right source at all.
                     index = _build_join_index(
                         flatten(self.blocks(plan.right, env)),
                         hash_conds, left_defined, right_defined,
@@ -710,6 +412,13 @@ class LazyEngine:
                         ):
                             out.append(lt.merge(rt))
                 yield out
+
+    def _join_sides(self, plan):
+        from repro.algebra.plan import defined_vars
+
+        left = defined_vars(plan.left) or frozenset()
+        right = defined_vars(plan.right) or frozenset()
+        return left, right
 
     def _blk_semijoin(self, plan, env):
         if plan.keep == "left":
@@ -750,6 +459,30 @@ class LazyEngine:
                 for t in block
             ]
 
+    def _build_element(self, plan, t):
+        ch_value = t.get(plan.ch_var)
+        args = [skolem_arg_of(t.get(v)) for v in plan.skolem_args]
+        oid = Skolem(plan.out_var, plan.fn, args, arg_vars=plan.skolem_args)
+        self.stats.incr(statnames.ELEMENTS_BUILT)
+        if plan.ch_is_list or isinstance(ch_value, Node):
+            return Node(oid, plan.label, [ch_value])
+        if isinstance(ch_value, VList):
+
+            def tail(source=ch_value):
+                for item in source:
+                    if isinstance(item, VList):
+                        for sub in item:
+                            yield sub
+                    else:
+                        yield item
+
+            return Node(oid, plan.label, lazy_tail=tail())
+        raise EvaluationError(
+            "crElt child variable {} bound to {!r}".format(
+                plan.ch_var, ch_value
+            )
+        )
+
     def _blk_cat(self, plan, env):
         for block in self.blocks(plan.input, env):
             out = []
@@ -758,6 +491,23 @@ class LazyEngine:
                 y = _lazy_as_list(t.get(plan.y_var), plan.y_single)
                 out.append(t.extend(plan.out_var, x.lazy_concat(y)))
             yield out
+
+    def _blk_groupby(self, plan, env):
+        # gBy runs the Table-1 streams over the (block-fed, memoized)
+        # input stream; output groups are few, so per-group vectors of
+        # one cost nothing.
+        input_list = self.stream(plan.input, env)
+        sorted_vars = infer_sorted_vars(plan.input)
+        use_presorted = not self.force_stateful_gby and input_is_sorted_for(
+            sorted_vars, plan.group_vars
+        )
+        gby_stream = (
+            presorted_gby_stream if use_presorted else stateful_gby_stream
+        )
+        for t in gby_stream(
+            input_list, plan.group_vars, plan.out_var, self.stats
+        ):
+            yield [t]
 
     def _blk_apply(self, plan, env):
         for block in self.blocks(plan.input, env):
@@ -800,46 +550,14 @@ class LazyEngine:
         )
         yield tuples
 
-    def _vec_mksrc(self, plan, env):
-        # The degrade/retry/skip net of the tuple handler is the
-        # semantics; blocks only batch the delivery.  Source-side span
-        # batching happens inside the wrapper (``set_block_size``).
-        for t in self._eval_mksrc(plan, env):
-            yield [t]
-
-    def _vec_groupby(self, plan, env):
-        # gBy reuses the Table-1 streams over the (block-fed, memoized)
-        # input stream; output groups are few, so per-group vectors of
-        # one cost nothing.
-        for t in self._eval_groupby(plan, env):
-            yield [t]
-
-    def _vec_empty(self, plan, env):
+    def _blk_empty(self, plan, env):
         return iter(())
 
     _HANDLERS = {}
-    _BLOCK_HANDLERS = {}
 
 
 LazyEngine._HANDLERS = {
-    ops.MkSrc: LazyEngine._eval_mksrc,
-    ops.RelQuery: LazyEngine._eval_relquery,
-    ops.GetD: LazyEngine._eval_getd,
-    ops.Select: LazyEngine._eval_select,
-    ops.Project: LazyEngine._eval_project,
-    ops.Join: LazyEngine._eval_join,
-    ops.SemiJoin: LazyEngine._eval_semijoin,
-    ops.CrElt: LazyEngine._eval_crelt,
-    ops.Cat: LazyEngine._eval_cat,
-    ops.GroupBy: LazyEngine._eval_groupby,
-    ops.Apply: LazyEngine._eval_apply,
-    ops.NestedSrc: LazyEngine._eval_nestedsrc,
-    ops.OrderBy: LazyEngine._eval_orderby,
-    ops.Empty: LazyEngine._eval_empty,
-}
-
-LazyEngine._BLOCK_HANDLERS = {
-    ops.MkSrc: LazyEngine._vec_mksrc,
+    ops.MkSrc: LazyEngine._blk_mksrc,
     ops.RelQuery: LazyEngine._blk_relquery,
     ops.GetD: LazyEngine._blk_getd,
     ops.Select: LazyEngine._blk_select,
@@ -848,11 +566,11 @@ LazyEngine._BLOCK_HANDLERS = {
     ops.SemiJoin: LazyEngine._blk_semijoin,
     ops.CrElt: LazyEngine._blk_crelt,
     ops.Cat: LazyEngine._blk_cat,
-    ops.GroupBy: LazyEngine._vec_groupby,
+    ops.GroupBy: LazyEngine._blk_groupby,
     ops.Apply: LazyEngine._blk_apply,
     ops.NestedSrc: LazyEngine._blk_nestedsrc,
     ops.OrderBy: LazyEngine._blk_orderby,
-    ops.Empty: LazyEngine._vec_empty,
+    ops.Empty: LazyEngine._blk_empty,
 }
 
 

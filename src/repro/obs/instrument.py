@@ -147,11 +147,6 @@ class Instrument:
         with self._lock:
             return dict(self._node_counts)
 
-    def merge_node_counts(self, counts):
-        """Fold an external ``token -> tuples`` mapping in (adapter use)."""
-        for token, amount in counts.items():
-            self.record_node(token, amount)
-
     # -- spans ------------------------------------------------------------------------
 
     @property

@@ -79,9 +79,9 @@ class Mediator:
             Answers are byte-identical at every size and
             ``tuples_shipped`` is unchanged; sizes ``> 1`` amortize the
             per-tuple engine bookkeeping and per-hop navigation
-            commands (see E-BLOCK).  ``1`` reproduces the seed's
-            tuple-at-a-time pipeline and per-hop command transcripts
-            exactly (strict shipping-minimality and golden-trace tests
+            commands (see E-BLOCK).  ``1`` is a one-tuple block: it
+            reproduces the seed's pull order and per-hop command
+            transcripts exactly (strict shipping-minimality and golden-trace tests
             pin this).  Sources added through :meth:`add_source` that
             support ``set_block_size`` batch their row fetches to the
             same width.
@@ -594,22 +594,17 @@ class Mediator:
 
     # -- static analysis --------------------------------------------------------------
 
-    def verify_query(self, query_text, block_check=False):
+    def verify_query(self, query_text):
         """Per-stage static verification of ``query_text``'s pipeline.
 
         Recompiles outside the plan cache (without consuming a view id,
         so repeated calls never perturb plan naming) and runs the plan
         verifier after translate, after every rewrite step, and after
-        the SQL split.  ``block_check=True`` adds the runtime
-        block-vs-tuple differential stage (``MIX-E011``) — opt-in, as
-        it evaluates the plan against the live sources.  Returns a
-        :class:`~repro.analysis.PipelineReport`.
+        the SQL split.  Returns a :class:`~repro.analysis.PipelineReport`.
         """
         from repro.analysis import verify_query_pipeline
 
-        return verify_query_pipeline(
-            self, query_text, block_check=block_check
-        )
+        return verify_query_pipeline(self, query_text)
 
     def lint(self, query_text):
         """Schema-aware lint of ``query_text`` against this mediator's

@@ -17,6 +17,7 @@ from repro.analysis import (
     render_text,
     sort_diagnostics,
 )
+from repro.analysis.diagnostics import RETIRED
 
 
 class TestCodeRegistry:
@@ -39,6 +40,14 @@ class TestCodeRegistry:
         expected = {"MIX-E%03d" % i for i in range(1, 11)}
         expected |= {"MIX-W%03d" % i for i in range(1, 7)}
         assert expected <= set(CODES)
+
+    def test_retired_codes_stay_reserved(self):
+        # MIX-E011 (block vs tuple-at-a-time) left with the tuple engine:
+        # it can never be emitted again, and never means anything else.
+        assert "MIX-E011" in RETIRED
+        assert not set(RETIRED) & set(CODES)
+        with pytest.raises(ValueError):
+            Diagnostic("MIX-E011", "x")
 
 
 class TestDiagnostic:

@@ -1,9 +1,9 @@
 """Block boundary and edge-case battery for :mod:`repro.engine.block`.
 
-The differential suite proves block and tuple execution agree end to
-end; this file pins the primitives' contracts directly — empty and
-partial blocks, oversized widths, exception *parking* (partial output
-first, the failure re-raised at its tuple-mode position), prefetch
+The differential suite proves every block width agrees with the eager
+oracle end to end; this file pins the primitives' contracts directly —
+empty and partial blocks, oversized widths, exception *parking* (partial
+output first, the failure re-raised at its width-1 position), prefetch
 surviving a broken lazy tail, and mid-block faults through the PR-2
 injector.
 """
@@ -14,14 +14,7 @@ import pytest
 
 from repro import Database, Instrument, Mediator, RelationalWrapper
 from repro import stats as statnames
-from repro.engine.block import (
-    Block,
-    BlockedIterator,
-    VectorBlocks,
-    blocked,
-    flatten,
-    rechunk,
-)
+from repro.engine.block import VectorBlocks, flatten
 from repro.errors import MixError
 from repro.relational.cursor import Cursor
 from repro.resilience import FaultInjectingSource, ManualClock
@@ -38,93 +31,6 @@ def failing_after(values, exc=None):
     for value in values:
         yield value
     raise exc or Boom("stream died")
-
-
-# -- Block ---------------------------------------------------------------------------
-
-
-class TestBlock:
-    def test_basic_shape(self):
-        block = Block([1, 2, 3], capacity=4)
-        assert len(block) == 3
-        assert list(block) == [1, 2, 3]
-        assert block[0] == 1 and block[-1] == 3
-        assert block.is_partial and not block.is_full
-
-    def test_full_and_empty(self):
-        assert Block([1, 2], capacity=2).is_full
-        empty = Block([], capacity=8)
-        assert not empty and len(empty) == 0
-        assert empty.is_partial
-
-    def test_capacity_defaults_to_length(self):
-        assert Block([1, 2, 3]).is_full
-
-
-# -- BlockedIterator -----------------------------------------------------------------
-
-
-class TestBlockedIterator:
-    def test_exact_chunking_with_partial_final_block(self):
-        blocks = list(blocked(iter(range(7)), 3))
-        assert [list(b) for b in blocks] == [[0, 1, 2], [3, 4, 5], [6]]
-        assert [b.is_partial for b in blocks] == [False, False, True]
-
-    def test_block_larger_than_stream(self):
-        blocks = list(blocked(iter(range(3)), 1024))
-        assert len(blocks) == 1
-        assert list(blocks[0]) == [0, 1, 2]
-        assert blocks[0].is_partial
-
-    def test_empty_stream_yields_no_blocks(self):
-        assert list(blocked(iter(()), 4)) == []
-
-    def test_size_must_be_positive(self):
-        with pytest.raises(ValueError):
-            BlockedIterator(iter(()), 0)
-
-    def test_midblock_failure_delivers_partial_then_raises(self):
-        chunker = BlockedIterator(failing_after([1, 2, 3, 4, 5]), 4)
-        assert list(next(chunker)) == [1, 2, 3, 4]
-        # The failure hits inside the second block: its one buffered
-        # tuple arrives first (tuple mode had already produced it) ...
-        partial = next(chunker)
-        assert list(partial) == [5] and partial.is_partial
-        # ... and the exception surfaces on the next pull.
-        with pytest.raises(Boom):
-            next(chunker)
-
-    def test_failure_at_block_start_raises_immediately(self):
-        chunker = BlockedIterator(failing_after([1, 2]), 2)
-        assert list(next(chunker)) == [1, 2]
-        with pytest.raises(Boom):
-            next(chunker)
-
-    def test_skip_delegates_to_the_inner_stream(self):
-        class Skippable:
-            def __init__(self):
-                self.skipped = 0
-
-            def __iter__(self):
-                return self
-
-            def __next__(self):
-                raise StopIteration
-
-            def skip(self):
-                self.skipped += 1
-
-        inner = Skippable()
-        chunker = BlockedIterator(inner, 4)
-        chunker.skip()
-        assert inner.skipped == 1
-        # No inner skip() is a no-op, not an error.
-        BlockedIterator(iter(()), 4).skip()
-
-    def test_reprs_show_shape(self):
-        assert repr(Block([1], capacity=4)) == "Block(1/4)"
-        assert "size=4" in repr(BlockedIterator(iter(()), 4))
-        assert "buffered=0" in repr(VectorBlocks(iter(()), 4))
 
 
 # -- VectorBlocks --------------------------------------------------------------------
@@ -163,11 +69,15 @@ class TestVectorBlocks:
         with pytest.raises(Boom):
             next(chunker)
 
-    def test_rechunk_resizes_a_block_stream(self):
-        blocks = iter([Block([1, 2, 3, 4, 5], capacity=5)])
-        assert [list(b) for b in rechunk(blocks, 2)] == [
-            [1, 2], [3, 4], [5]
-        ]
+    def test_width_larger_than_stream_is_one_partial_block(self):
+        assert list(VectorBlocks(iter([[0, 1], [2]]), 1024)) == [[0, 1, 2]]
+
+    def test_width_one_is_one_tuple_blocks(self):
+        blocks = list(VectorBlocks(iter([[1, 2], [], [3]]), 1))
+        assert blocks == [[1], [2], [3]]
+
+    def test_repr_shows_shape(self):
+        assert "buffered=0" in repr(VectorBlocks(iter(()), 4))
 
 
 # -- Cursor.fetch_block --------------------------------------------------------------

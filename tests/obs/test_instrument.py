@@ -12,7 +12,6 @@ from repro.obs import (
     trace_to_dict,
     trace_to_json,
 )
-from repro.engine.profile import Profiler
 
 
 class _FakeOp:
@@ -177,31 +176,23 @@ def test_tokens_survive_id_reuse_after_gc():
 
 
 def test_profiler_counts_do_not_alias_across_gc():
-    profiler = Profiler()
+    inst = Instrument()
     for __ in range(50):
         op = _FakeOp()
-        profiler.record(op, 1)
+        inst.record_node(node_token(op), 1)
         del op
         gc.collect()
     fresh = _FakeOp()
-    assert profiler.count_for(fresh) == 0  # never aliased onto a dead op
-    assert profiler.total() == 50
+    # never aliased onto a dead op
+    assert inst.node_count(node_token(fresh)) == 0
+    assert sum(inst.node_counts().values()) == 50
 
 
 def test_profiler_fallback_handles_slotted_objects():
-    profiler = Profiler()
-    anon = object()  # no __dict__: attribute stamping impossible
-    profiler.record(anon, 5)
-    assert profiler.count_for(anon) == 5
-    other = object()
-    assert profiler.count_for(other) == 0
-
-
-def test_profiler_bind_carries_counts_onto_engine_bus():
-    profiler = Profiler()
-    op = _FakeOp()
-    profiler.record(op, 3)
     inst = Instrument()
-    profiler.bind(inst)
-    assert profiler.count_for(op) == 3
-    assert inst.node_count(node_token(op)) == 3
+    fallback = {}
+    anon = object()  # no __dict__: attribute stamping impossible
+    inst.record_node(node_token(anon, fallback), 5)
+    assert inst.node_count(node_token(anon, fallback)) == 5
+    other = object()
+    assert inst.node_count(node_token(other, fallback)) == 0

@@ -1,9 +1,13 @@
-"""The block-vs-tuple differential battery (ISSUE acceptance criterion).
+"""The block-width differential battery.
 
-One query, five engines: the same mediator pipeline is run at block
+One query, five widths: the same mediator pipeline is run at block
 sizes {1, 2, 7, 64, 1024} over identical workloads, and every
-configuration must be observationally identical to the tuple-at-a-time
-reference (``block_size=1``, the seed's execution model):
+configuration must be observationally identical to ``block_size=1``
+(the seed's execution model, a one-tuple block) *and* to the eager
+oracle — ``Mediator(lazy=False, cache=False, block_size=1)``, the
+configuration ``mixbench/oracle.py`` uses — which shares no execution
+code with the lazy engine, so width 1 is checked against an independent
+reference rather than against itself:
 
 * byte-identical serialized answers (labels and values; oids are
   surrogates and legitimately differ),
@@ -61,7 +65,7 @@ RETURN <Rec> $O </Rec>
 """
 
 
-def fresh_mediator(block_size):
+def fresh_mediator(block_size, **options):
     """A fresh mediator (own database, own instrument) at ``block_size``.
 
     The workload shape rotates with ``MIX_BLOCK_SEED`` so different CI
@@ -91,11 +95,16 @@ def fresh_mediator(block_size):
         .register_document("root1", "customer")
         .register_document("root2", "orders", element_label="order")
     )
-    mediator = Mediator(stats=stats, block_size=block_size).add_source(
-        wrapper
-    )
+    mediator = Mediator(
+        stats=stats, block_size=block_size, **options
+    ).add_source(wrapper)
     mediator.define_view("vw", VIEW_DEF)
     return stats, mediator
+
+
+def oracle_mediator():
+    """The eager, uncached, width-1 oracle over the same workload."""
+    return fresh_mediator(1, lazy=False, cache=False)[1]
 
 
 def transcript(handle, budget=None, raw=False):
@@ -134,6 +143,13 @@ def test_all_block_sizes_agree_with_tuple_mode(query_index, budget):
     ref_answer = serialize(ref_root.to_tree())
     ref_shipped = ref_stats.get(statnames.TUPLES_SHIPPED)
     ref_walk = transcript(ref.query(query), budget)
+    oracle = oracle_mediator()
+    assert ref_answer == serialize(oracle.query(query).to_tree()), (
+        "block_size=1 answer diverged from the eager oracle"
+    )
+    assert ref_walk == transcript(oracle.query(query), budget), (
+        "block_size=1 partial walk diverged from the eager oracle"
+    )
     for size in BLOCK_SIZES[1:]:
         stats, mediator = fresh_mediator(size)
         root = mediator.query(query)
@@ -159,7 +175,7 @@ def test_bulk_walk_matches_stepwise_transcript(query_index, budget):
     ``d``/``r``/``fl`` in tuple mode) must reproduce the stepwise
     transcript exactly, truncation flag included."""
     query = QUERIES[(query_index + BLOCK_SEED) % len(QUERIES)]
-    reference = None
+    reference = oracle_mediator().query(query).walk(budget)
     for size in BLOCK_SIZES:
         __, mediator = fresh_mediator(size)
         steps, truncated = mediator.query(query).walk(budget)
@@ -174,36 +190,34 @@ def test_bulk_walk_matches_stepwise_transcript(query_index, budget):
         )
         if budget is not None:
             assert truncated == (len(stepwise) >= budget)
-        if reference is None:
-            reference = (steps, truncated)
-        else:
-            assert (steps, truncated) == reference, (
-                "walk() replies diverged at block_size={}".format(size)
-            )
+        assert (steps, truncated) == reference, (
+            "walk() diverged from the eager oracle at block_size={}"
+            .format(size)
+        )
 
 
 @given(st.sampled_from([None, 1, 4]))
 @settings(max_examples=10, deadline=None)
 def test_query_in_place_agrees_across_block_sizes(budget):
     """``q(query, p)`` — decontextualized re-querying from a navigated
-    handle — must see the same world at every block size."""
+    handle — must see the eager oracle's world at every block size."""
     follow_up = (
         "FOR $P IN document(root)/CustRec"
         " WHERE $P/customer/id/data() = \"C1\" RETURN $P"
     )
-    reference = None
+
+    def run(mediator):
+        answer = serialize(mediator.query(QUERIES[0]).q(follow_up).to_tree())
+        walk = transcript(mediator.query(QUERIES[0]).q(follow_up), budget)
+        return answer, walk
+
+    reference = run(oracle_mediator())
     for size in BLOCK_SIZES:
         __, mediator = fresh_mediator(size)
-        root = mediator.query(QUERIES[0])
-        sub = root.q(follow_up)
-        answer = serialize(sub.to_tree())
-        walk = transcript(mediator.query(QUERIES[0]).q(follow_up), budget)
-        if reference is None:
-            reference = (answer, walk)
-        else:
-            assert (answer, walk) == reference, (
-                "q-in-place diverged at block_size={}".format(size)
-            )
+        assert run(mediator) == reference, (
+            "q-in-place diverged from the eager oracle at block_size={}"
+            .format(size)
+        )
 
 
 def test_explain_is_stable_per_block_size():
