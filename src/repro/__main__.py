@@ -1,77 +1,9 @@
-"""Command-line entry point: ``python -m repro <command>``.
+"""Command-line entry point: ``python -m repro <command> [options] [args]``.
 
-Commands:
-
-* ``demo``     — run the paper's Example 2.1 interactively-ish, printing
-  every QDOM command and what it returned;
-* ``figures``  — regenerate the paper's figure artifacts (plans, result
-  trees, the rewriting trace, and the Fig. 22 SQL) to stdout;
-* ``bench``    — print the quantitative experiment series without
-  needing pytest;
-* ``explain``  — EXPLAIN ANALYZE the paper's Q1 (or a query read from a
-  file with ``explain <path>``) against the Fig. 2 database; ``--json``
-  additionally prints the JSON trace of a single ``d`` navigation, and
-  ``--analyze`` collects source statistics first so every estimable
-  operator shows ``est=… act=…``;
-* ``sql``      — run SQL statements (including ``ANALYZE``) against the
-  paper database: each quoted argument is one statement, or statements
-  are read from stdin one per line;
-* ``lint``     — static schema-aware analysis of XQuery files against
-  the paper catalog (dead paths, unsatisfiable predicates, unused
-  variables; see :mod:`repro.analysis`); with no files, lints the
-  built-in Q1.  ``--json`` switches to the machine-readable report,
-  ``--analyze`` collects statistics first so range checks can fire,
-  ``--strict`` exits nonzero on warnings too;
-* ``check-plan`` — compile a query (default: the golden Fig. 22 Q1)
-  through translate → Table-2 rewrites → SQL split and run the static
-  plan verifier after every stage, printing a per-stage verdict;
-* ``check-rules`` — statically certify the rewrite rule set against the
-  generated plan corpus (schema contracts, termination/confluence,
-  liveness/shadowing, differential answer preservation; see
-  :mod:`repro.analysis.rulecheck`).  ``--rules=module:attr`` appends
-  extension rules loaded from an importable module to the Table-2 set,
-  ``--json`` switches to the machine-readable report; exit status 1
-  means at least one rule failed certification;
-* ``serve``    — run the concurrent mediator server (JSON-lines over
-  TCP, see :mod:`repro.server`) over the paper database;
-  ``--host``/``--port`` bind the endpoint (default 127.0.0.1:4617),
-  ``--max-sessions``/``--max-inflight`` set the admission limits;
-* ``bench-serve`` — drive a scaled workload server with N closed-loop
-  zipf clients and print throughput + p50/p95/p99 latency;
-  ``--bench-json[=DIR]`` additionally writes ``BENCH_SERVE.json``
-  (PR-4 bench-json format) to DIR (default: the current directory).
-
-``demo`` and ``explain`` accept ``--fault-profile=NAME`` (with optional
-``--fault-seed=N``), which interposes a seeded
-:class:`~repro.resilience.FaultInjectingSource` plus a
-:class:`~repro.resilience.ResilientSource` between the mediator and the
-Fig. 2 wrapper, and switches the mediator to partial-result degradation:
-
-* ``transient`` — random transient pull/SQL faults, absorbed by retry;
-* ``slow``      — slow pulls against a latency budget (timeouts);
-* ``outage``    — a permanent failure that trips the circuit breaker.
-
-All profile timing runs on a manual clock: no real sleeps.
-
-The multi-level query cache (plan / pushed-SQL / navigation, see
-:mod:`repro.cache`) is **on** for CLI runs; ``--no-cache`` switches it
-off and ``--cache-size=N`` bounds each level (``0`` also disables).
-Statistics-driven cost-based planning (:mod:`repro.optimizer`) is also
-on by default; ``--no-optimizer`` falls back to the seed's syntactic
-plans.
-
-Block-at-a-time execution (:mod:`repro.engine.block`) is on by default;
-``--block-size=N`` tunes the vector width for ``demo``, ``explain``,
-``serve``, and ``bench-serve`` — ``--block-size=1`` runs one-tuple
-blocks, the seed's pull order (and its byte-identical EXPLAIN output).
-
-``demo`` and ``explain`` also accept ``--shards=K``, which replaces the
-single Fig. 2 wrapper by a :class:`~repro.sources.shard.ShardedSource`
-over K members — ``orders`` hash-partitioned on ``cid``, ``customer``
-replicated — so pushed SQL scatters to all live members in parallel and
-``explain`` grows a ``-- shard:`` footer.  ``--shards`` cannot be
-combined with ``--fault-profile`` (the profiles script a single
-source's pull schedule).
+Each command is a ``cmd_*`` function taking ``(options, args)``.  The
+options it accepts are its ``_ACCEPTS`` row of the ``_OPTIONS`` table,
+and the usage text is generated from both tables, so a new flag is one
+table entry; any other ``--`` argument is a usage error (status 2).
 """
 
 from __future__ import annotations
@@ -81,51 +13,246 @@ import sys
 FAULT_PROFILES = ("transient", "slow", "outage")
 
 
-def _paper_database(stats=None):
-    from repro import Database, Instrument
+def _int(low=None):
+    """The parser of an integer option, optionally bounded below."""
 
-    db = Database("paper", stats=stats or Instrument())
+    def parse(flag, text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise SystemExit("{} expects an integer, got {!r}".format(
+                flag, text))
+        if low is not None and value < low:
+            raise SystemExit("{} must be >= {}, got {}".format(
+                flag, low, value))
+        return value
+
+    return parse
+
+
+def _float(flag, text):
+    try:
+        return float(text)
+    except ValueError:
+        raise SystemExit("{} expects a number, got {!r}".format(flag, text))
+
+
+def _fault_profile(flag, text):
+    if text not in FAULT_PROFILES:
+        raise SystemExit("unknown fault profile {!r} (choose from {})".format(
+            text, "/".join(FAULT_PROFILES)))
+    return text
+
+
+def _text(flag, text):
+    return text
+
+
+_SWITCH = (None, None, False)
+
+#: ``--flag`` -> ``(metavar, parse, default)``.  ``parse(flag, text)``
+#: turns ``--flag=text`` into the value stored under the flag's key
+#: (``--block-size`` -> ``block_size``); a switch has no metavar or
+#: parser and is ``True`` when given.
+_OPTIONS = {
+    "--json": _SWITCH,
+    "--analyze": _SWITCH,
+    "--strict": _SWITCH,
+    "--no-cache": _SWITCH,
+    "--cache-size": ("N", _int(0), 128),
+    "--no-optimizer": _SWITCH,
+    "--block-size": ("N", _int(1), None),
+    "--shards": ("K", _int(1), None),
+    "--fault-profile": ("|".join(FAULT_PROFILES), _fault_profile, None),
+    "--fault-seed": ("N", _int(), 0),
+    "--rules": ("module:attr", _text, None),
+    "--host": ("HOST", _text, "127.0.0.1"),
+    "--port": ("N", _int(), 4617),
+    "--max-sessions": ("N", _int(), 512),
+    "--max-inflight": ("N", _int(), 64),
+    "--clients": ("N", _int(), 120),
+    "--interactions": ("N", _int(), 8),
+    "--seed": ("N", _int(), 0),
+    "--customers": ("N", _int(), 40),
+    "--orders": ("N", _int(), 3),
+    "--think": ("SECONDS", _float, 0.0),
+    "--zipf": ("S", _float, 1.1),
+    "--bench-json": ("DIR", _text, None),
+}
+
+#: Valued options that may also be given bare, and their value then.
+_BARE = {"--bench-json": "."}
+
+_MEDIATOR = ("--no-cache", "--cache-size", "--no-optimizer", "--block-size")
+_DEPLOYMENT = ("--shards", "--fault-profile", "--fault-seed")
+
+#: The options each command takes, in usage order.
+_ACCEPTS = {
+    "demo": _MEDIATOR + _DEPLOYMENT,
+    "figures": (),
+    "bench": (),
+    "explain": ("--json", "--analyze") + _MEDIATOR + _DEPLOYMENT,
+    "sql": (),
+    "lint": ("--json", "--strict", "--analyze"),
+    "check-plan": ("--no-optimizer",),
+    "check-rules": ("--json", "--rules"),
+    "serve": _MEDIATOR + (
+        "--host", "--port", "--max-sessions", "--max-inflight"),
+    "bench-serve": _MEDIATOR + (
+        "--clients", "--interactions", "--seed", "--customers", "--orders",
+        "--think", "--zipf", "--bench-json"),
+}
+
+
+class _UsageError(Exception):
+    """An argument the command's ``_ACCEPTS`` row does not allow."""
+
+
+def _key(flag):
+    return flag[2:].replace("-", "_")
+
+
+def _parse(command, args):
+    """``(options, positional args)`` of one command's argument list.
+
+    ``options`` holds every ``_OPTIONS`` key, at its default unless
+    given.  An argument is an option when it starts with ``--`` and a
+    letter (``sql "-- note"`` stays a statement).  An option outside the
+    command's row, a valued option without its value and a switch with
+    one raise :class:`_UsageError`.
+    """
+    options = {_key(flag): spec[2] for flag, spec in _OPTIONS.items()}
+    positional = []
+    for arg in args:
+        if not (arg.startswith("--") and arg[2:3].isalpha()):
+            positional.append(arg)
+            continue
+        flag, has_value, text = arg.partition("=")
+        if flag not in _ACCEPTS[command]:
+            raise _UsageError("unknown option {!r}".format(arg))
+        metavar, parse, __ = _OPTIONS[flag]
+        if parse is None:
+            if has_value:
+                raise _UsageError("option {} takes no value".format(flag))
+            value = True
+        elif has_value:
+            value = parse(flag, text)
+        elif flag in _BARE:
+            value = _BARE[flag]
+        else:
+            raise _UsageError("option {} needs a value ({}={})".format(
+                flag, flag, metavar))
+        options[_key(flag)] = value
+    return options, positional
+
+
+def _command(command):
+    """The ``cmd_*`` function that runs ``command``."""
+    return globals()["cmd_" + command.replace("-", "_")]
+
+
+def _usage():
+    """Each command's options (from the tables) and docstring summary."""
+    lines = ["usage: python -m repro <command> [options] [args]"]
+    for command, flags in _ACCEPTS.items():
+        words = ["  " + command]
+        for flag in flags:
+            metavar = _OPTIONS[flag][0]
+            value = "" if metavar is None else "=" + metavar
+            if flag in _BARE:
+                value = "[{}]".format(value)
+            words.append("[{}{}]".format(flag, value))
+        lines.append(" ".join(words))
+        lines.append("      " + _command(command).__doc__.splitlines()[0])
+    return "\n".join(lines)
+
+
+_CUSTOMERS = (
+    ("XYZ", "XYZInc.", "LosAngeles"),
+    ("DEF", "DEFCorp.", "NewYork"),
+    ("ABC", "ABCInc.", "SanDiego"),
+)
+
+_ORDERS = (
+    (28904, "XYZ", 2400),
+    (87456, "ABC", 200000),
+    (111, "XYZ", 100),
+    (222, "DEF", 30000),
+)
+
+
+def _paper_database(stats=None, member=None, shards=1):
+    """The Fig. 2 database, or member ``member`` of a ``shards`` fleet.
+
+    A member holds the orders whose ``cid`` hashes to it (each
+    customer's orders land together, so the pushed Q1 join stays
+    member-local) and a replica of ``customer``.
+    """
+    from repro import Database, Instrument
+    from repro.sources import hash_shard
+
+    name = "paper" if member is None else "paper{}".format(member)
+    db = Database(name, stats=stats or Instrument())
     db.run("CREATE TABLE customer (id TEXT, name TEXT, addr TEXT,"
            " PRIMARY KEY (id))")
     db.run("CREATE TABLE orders (orid INT, cid TEXT, value INT,"
            " PRIMARY KEY (orid))")
-    db.run("INSERT INTO customer VALUES ('XYZ', 'XYZInc.', 'LosAngeles'),"
-           " ('DEF', 'DEFCorp.', 'NewYork'), ('ABC', 'ABCInc.', 'SanDiego')")
-    db.run("INSERT INTO orders VALUES (28904, 'XYZ', 2400),"
-           " (87456, 'ABC', 200000), (111, 'XYZ', 100), (222, 'DEF', 30000)")
+    db.table("customer").insert_many(_CUSTOMERS)
+    db.table("orders").insert_many(
+        row for row in _ORDERS
+        if member is None or hash_shard(row[1], shards) == member
+    )
     return db
 
 
-def _paper_mediator(fault_profile=None, fault_seed=0, cache=True,
-                    cache_size=128, cost_optimizer=True, block_size=None,
-                    shards=None):
-    from repro import Instrument, Mediator, RelationalWrapper
+def _paper_wrapper(stats, member=None, shards=1):
+    from repro import RelationalWrapper
 
-    if shards is not None and fault_profile is not None:
+    db = _paper_database(stats, member, shards)
+    return (
+        RelationalWrapper(db, server_name="s" if member is None else db.name)
+        .register_document("root1", "customer")
+        .register_document("root2", "orders", element_label="order")
+    )
+
+
+def _mediator_settings(options):
+    """The ``Mediator`` keywords the shared mediator options set."""
+    return {
+        "cache": not options["no_cache"],
+        "cache_size": options["cache_size"],
+        "cost_optimizer": not options["no_optimizer"],
+        "block_size": options["block_size"],
+    }
+
+
+def _paper_mediator(options):
+    """A mediator over the Fig. 2 deployment the options describe: one
+    wrapper, a ``--shards`` fleet, or a ``--fault-profile`` source."""
+    from repro import Instrument, Mediator
+    from repro.sources import Partition, ShardedSource
+
+    shards, profile = options["shards"], options["fault_profile"]
+    if shards is not None and profile is not None:
         raise SystemExit(
             "--shards cannot be combined with --fault-profile: the fault "
             "profiles script a single source's pull schedule (wrap shard "
             "members with repro.resilience.shard_resilience instead)"
         )
-    stats = Instrument()
+    settings = _mediator_settings(options)
+    stats = settings["stats"] = Instrument()
     if shards is not None:
-        wrapper = _sharded_paper_source(shards, stats)
-        mediator = Mediator(stats=stats, cache=cache, cache_size=cache_size,
-                            cost_optimizer=cost_optimizer,
-                            block_size=block_size)
-        return stats, mediator.add_source(wrapper)
-    db = _paper_database(stats)
-    wrapper = (
-        RelationalWrapper(db)
-        .register_document("root1", "customer")
-        .register_document("root2", "orders", element_label="order")
-    )
-    if fault_profile is None:
-        mediator = Mediator(stats=stats, cache=cache, cache_size=cache_size,
-                            cost_optimizer=cost_optimizer,
-                            block_size=block_size)
-        return stats, mediator.add_source(wrapper)
-    source = _faulty_source(wrapper, fault_profile, fault_seed, stats)
+        fleet = ShardedSource(
+            [_paper_wrapper(stats, index, shards) for index in range(shards)],
+            Partition("orders", "cid", "hash"),
+            replicated=("customer",),
+            server_name="paper",
+            obs=stats,
+        )
+        return Mediator(**settings).add_source(fleet)
+    wrapper = _paper_wrapper(stats)
+    if profile is None:
+        return Mediator(**settings).add_source(wrapper)
     # SQL push-down off: the demo should *navigate* the faulty source,
     # so the injected pull faults (and their recovery) actually fire.
     # The cache stays on when asked: the degrade policy automatically
@@ -135,75 +262,20 @@ def _paper_mediator(fault_profile=None, fault_seed=0, cache=True,
     # narratives (which fault fires where, when the breaker trips) are
     # written against the seed's demand order.  An explicit
     # ``--block-size`` still wins.
-    mediator = Mediator(
-        stats=stats, push_sql=False, on_source_error="degrade",
-        cache=cache, cache_size=cache_size, cost_optimizer=cost_optimizer,
-        block_size=1 if block_size is None else block_size,
-    )
-    return stats, mediator.add_source(source)
-
-
-_PAPER_CUSTOMERS = (
-    ("XYZ", "XYZInc.", "LosAngeles"),
-    ("DEF", "DEFCorp.", "NewYork"),
-    ("ABC", "ABCInc.", "SanDiego"),
-)
-
-_PAPER_ORDERS = (
-    (28904, "XYZ", 2400),
-    (87456, "ABC", 200000),
-    (111, "XYZ", 100),
-    (222, "DEF", 30000),
-)
-
-
-def _sharded_paper_source(shards, stats):
-    """The Fig. 2 database as ``shards`` hash-partitioned members.
-
-    ``orders`` is hash-partitioned on ``cid`` (each customer's orders
-    land together, so the pushed Q1 join stays member-local);
-    ``customer`` replicates to every member.
-    """
-    from repro import Database, RelationalWrapper
-    from repro.sources import Partition, ShardedSource, hash_shard
-
-    members = []
-    for index in range(shards):
-        db = Database("paper{}".format(index), stats=stats)
-        db.run("CREATE TABLE customer (id TEXT, name TEXT, addr TEXT,"
-               " PRIMARY KEY (id))")
-        db.run("CREATE TABLE orders (orid INT, cid TEXT, value INT,"
-               " PRIMARY KEY (orid))")
-        for cid, name, addr in _PAPER_CUSTOMERS:
-            db.run("INSERT INTO customer VALUES ('{}', '{}', '{}')".format(
-                cid, name, addr))
-        for orid, cid, value in _PAPER_ORDERS:
-            if hash_shard(cid, shards) == index:
-                db.run("INSERT INTO orders VALUES ({}, '{}', {})".format(
-                    orid, cid, value))
-        members.append(
-            RelationalWrapper(db, server_name="paper{}".format(index))
-            .register_document("root1", "customer")
-            .register_document("root2", "orders", element_label="order")
-        )
-    return ShardedSource(
-        members,
-        Partition("orders", "cid", "hash"),
-        replicated=("customer",),
-        server_name="paper",
-        obs=stats,
-    )
+    if settings["block_size"] is None:
+        settings["block_size"] = 1
+    source = _faulty_source(wrapper, profile, options["fault_seed"], stats)
+    return Mediator(
+        push_sql=False, on_source_error="degrade", **settings
+    ).add_source(source)
 
 
 def _faulty_source(wrapper, profile, seed, stats):
-    """Wrap the paper wrapper per a named fault profile (seeded)."""
+    """Wrap the paper wrapper per a named fault profile (seeded, on a
+    manual clock: no real sleeps)."""
     from repro.resilience import (
-        CircuitBreaker,
-        FaultInjectingSource,
-        ManualClock,
-        ResilientSource,
-        RetryPolicy,
-        Timeout,
+        CircuitBreaker, FaultInjectingSource, ManualClock, ResilientSource,
+        RetryPolicy, Timeout,
     )
 
     clock = ManualClock()
@@ -225,103 +297,30 @@ def _faulty_source(wrapper, profile, seed, stats):
             faulty, retry=retry, timeout=Timeout(0.25, clock=clock),
             on_error="degrade", obs=stats,
         )
-    if profile == "outage":
-        # Two consecutive permanent failures trip the breaker (threshold
-        # 2): the rest of root2 is circuit-rejected and the stream ends
-        # with a terminal stub.
-        faulty.fail_pull("root2", 0, kind="permanent")
-        faulty.fail_pull("root2", 1, kind="permanent")
-        faulty.fail_sql(kind="permanent", match="orders")
-        breaker = CircuitBreaker(
-            failure_threshold=2, cooldown=5.0, clock=clock
-        )
-        return ResilientSource(
-            faulty, retry=retry, breaker=breaker,
-            on_error="degrade", obs=stats,
-        )
-    raise ValueError(
-        "unknown fault profile {!r} (choose from {})".format(
-            profile, "/".join(FAULT_PROFILES)
-        )
+    # "outage": two consecutive permanent failures trip the breaker
+    # (threshold 2): the rest of root2 is circuit-rejected and the
+    # stream ends with a terminal stub.
+    faulty.fail_pull("root2", 0, kind="permanent")
+    faulty.fail_pull("root2", 1, kind="permanent")
+    faulty.fail_sql(kind="permanent", match="orders")
+    breaker = CircuitBreaker(
+        failure_threshold=2, cooldown=5.0, clock=clock
+    )
+    return ResilientSource(
+        faulty, retry=retry, breaker=breaker,
+        on_error="degrade", obs=stats,
     )
 
 
-def _pop_option(args, name):
-    """Extract ``--name=value`` from an argument list."""
-    value = None
-    rest = []
-    for arg in args:
-        if arg.startswith(name + "="):
-            value = arg.split("=", 1)[1]
-        else:
-            rest.append(arg)
-    return value, rest
-
-
-def _fault_options(args):
-    profile, args = _pop_option(args, "--fault-profile")
-    seed, args = _pop_option(args, "--fault-seed")
-    if profile is not None and profile not in FAULT_PROFILES:
-        raise SystemExit(
-            "unknown fault profile {!r} (choose from {})".format(
-                profile, "/".join(FAULT_PROFILES)
-            )
-        )
-    return profile, int(seed or 0), args
-
-
-def _optimizer_options(args):
-    """Extract ``--no-optimizer`` (CLI default: cost-based planning on)."""
-    cost = "--no-optimizer" not in args
-    args = [arg for arg in args if arg != "--no-optimizer"]
-    return cost, args
-
-
-def _block_options(args):
-    """Extract ``--block-size=N`` (default: the mediator's own default,
-    :data:`repro.engine.block.DEFAULT_BLOCK_SIZE`; ``1`` is a one-tuple
-    block, the seed's pull order)."""
-    size, args = _pop_option(args, "--block-size")
-    if size is None:
-        return None, args
+def _read(command, path):
+    """The text of ``path``, or ``None`` after reporting why not."""
     try:
-        size = int(size)
-    except ValueError:
-        raise SystemExit("--block-size expects an integer, got {!r}".format(
-            size))
-    if size < 1:
-        raise SystemExit("--block-size must be >= 1, got {}".format(size))
-    return size, args
-
-
-def _shard_options(args):
-    """Extract ``--shards=K`` (default: the single unsharded source)."""
-    shards, args = _pop_option(args, "--shards")
-    if shards is None:
-        return None, args
-    try:
-        shards = int(shards)
-    except ValueError:
-        raise SystemExit("--shards expects an integer, got {!r}".format(
-            shards))
-    if shards < 1:
-        raise SystemExit("--shards must be >= 1, got {}".format(shards))
-    return shards, args
-
-
-def _cache_options(args):
-    """Extract ``--no-cache`` / ``--cache-size=N`` (CLI default: on)."""
-    cache = "--no-cache" not in args
-    args = [arg for arg in args if arg != "--no-cache"]
-    size, args = _pop_option(args, "--cache-size")
-    try:
-        size = 128 if size is None else int(size)
-    except ValueError:
-        raise SystemExit("--cache-size expects an integer, got {!r}".format(
-            size))
-    if size < 0:
-        raise SystemExit("--cache-size must be >= 0, got {}".format(size))
-    return cache, size, args
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        print("{}: cannot read {}: {}".format(command, path, exc),
+              file=sys.stderr)
+        return None
 
 
 Q1 = """
@@ -332,23 +331,17 @@ RETURN <CustRec> $C <OrderInfo> $O </OrderInfo> {$O} </CustRec> {$C}
 """
 
 
-def cmd_demo(args=()):
+def cmd_demo(options, args):
     """Example 2.1, command for command, with traffic counters."""
-    profile, seed, args = _fault_options(list(args))
-    cache, cache_size, args = _cache_options(args)
-    cost, args = _optimizer_options(args)
-    block_size, args = _block_options(args)
-    shards, args = _shard_options(args)
-    stats, mediator = _paper_mediator(
-        fault_profile=profile, fault_seed=seed,
-        cache=cache, cache_size=cache_size, cost_optimizer=cost,
-        block_size=block_size, shards=shards,
-    )
-    if profile is not None:
+    mediator = _paper_mediator(options)
+    stats = mediator.stats
+    if options["fault_profile"] is not None:
         # The scripted Example 2.1 walk assumes every step lands on a
         # node; under injected faults parts of the view may be missing,
         # so the faulty demo walks whatever survived instead.
-        return _demo_faulty(stats, mediator, profile, seed)
+        return _demo_faulty(
+            mediator, options["fault_profile"], options["fault_seed"]
+        )
 
     def say(command, node):
         label = node.fl() if node is not None else "⊥"
@@ -388,10 +381,11 @@ def cmd_demo(args=()):
     return 0
 
 
-def _demo_faulty(stats, mediator, profile, seed):
+def _demo_faulty(mediator, profile, seed):
     """Walk Q1's degraded result and report what the faults cost."""
     from repro.resilience import ERROR_LABEL
 
+    stats = mediator.stats
     print("Example 2.1 under fault profile {!r} (seed {}):\n".format(
         profile, seed))
     totals = {"nodes": 0, "stubs": 0}
@@ -421,7 +415,7 @@ def _demo_faulty(stats, mediator, profile, seed):
     return 0
 
 
-def cmd_figures(args=()):
+def cmd_figures(options, args):
     """Regenerate the paper's artifacts to stdout."""
     import subprocess
 
@@ -431,7 +425,7 @@ def cmd_figures(args=()):
     )
 
 
-def cmd_bench(args=()):
+def cmd_bench(options, args):
     """Print the experiment series (no pytest-benchmark timings)."""
     import subprocess
 
@@ -441,38 +435,16 @@ def cmd_bench(args=()):
     )
 
 
-def cmd_explain(args=()):
+def cmd_explain(options, args):
     """EXPLAIN ANALYZE a query against the paper's Fig. 2 database."""
     from repro.errors import MixError
     from repro.obs import trace_to_json
 
-    args = list(args)
-    as_json = "--json" in args
-    while "--json" in args:
-        args.remove("--json")
-    analyze_first = "--analyze" in args
-    while "--analyze" in args:
-        args.remove("--analyze")
-    profile, seed, args = _fault_options(args)
-    cache, cache_size, args = _cache_options(args)
-    cost, args = _optimizer_options(args)
-    block_size, args = _block_options(args)
-    shards, args = _shard_options(args)
-    query = Q1
-    if args:
-        try:
-            with open(args[0], "r", encoding="utf-8") as handle:
-                query = handle.read()
-        except OSError as exc:
-            print("explain: cannot read {}: {}".format(args[0], exc),
-                  file=sys.stderr)
-            return 1
-    __, mediator = _paper_mediator(
-        fault_profile=profile, fault_seed=seed,
-        cache=cache, cache_size=cache_size, cost_optimizer=cost,
-        block_size=block_size, shards=shards,
-    )
-    if analyze_first:
+    query = _read("explain", args[0]) if args else Q1
+    if query is None:
+        return 1
+    mediator = _paper_mediator(options)
+    if options["analyze"]:
         analyzed = mediator.analyze_sources()
         for server, count in sorted(analyzed.items()):
             print("-- analyzed[{}]: {} tables".format(server, count))
@@ -481,7 +453,7 @@ def cmd_explain(args=()):
     except MixError as exc:
         print("explain: {}".format(exc), file=sys.stderr)
         return 1
-    if as_json:
+    if options["json"]:
         # One navigation into the (fresh) virtual result: its trace links
         # the d command to the operator pulls and the SQL they caused.
         root = mediator.query(query)
@@ -491,7 +463,7 @@ def cmd_explain(args=()):
     return 0
 
 
-def cmd_lint(args=()):
+def cmd_lint(options, args):
     """Schema-aware static analysis of XQuery text (no execution).
 
     With file arguments, lints each file against the paper catalog;
@@ -502,31 +474,15 @@ def cmd_lint(args=()):
     from repro.analysis import has_errors, render_json, render_text
     from repro.errors import MixError
 
-    args = list(args)
-    as_json = "--json" in args
-    while "--json" in args:
-        args.remove("--json")
-    strict = "--strict" in args
-    while "--strict" in args:
-        args.remove("--strict")
-    analyze_first = "--analyze" in args
-    while "--analyze" in args:
-        args.remove("--analyze")
-    __, mediator = _paper_mediator()
-    if analyze_first:
+    mediator = _paper_mediator(options)
+    if options["analyze"]:
         mediator.analyze_sources()
-    inputs = []
-    if args:
-        for path in args:
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    inputs.append((path, handle.read()))
-            except OSError as exc:
-                print("lint: cannot read {}: {}".format(path, exc),
-                      file=sys.stderr)
-                return 1
-    else:
-        inputs.append(("<Q1>", Q1))
+    inputs = [("<Q1>", Q1)] if not args else []
+    for path in args:
+        text = _read("lint", path)
+        if text is None:
+            return 1
+        inputs.append((path, text))
     status = 0
     for name, text in inputs:
         try:
@@ -537,20 +493,18 @@ def cmd_lint(args=()):
             continue
         for diag in diagnostics:
             diag.source = name
-        if as_json:
+        if options["json"]:
             print(render_json(diagnostics))
         elif diagnostics:
             print(render_text(diagnostics))
         else:
             print("{}: clean".format(name))
-        if has_errors(diagnostics):
-            status = 1
-        elif strict and diagnostics:
+        if has_errors(diagnostics) or (options["strict"] and diagnostics):
             status = 1
     return status
 
 
-def cmd_check_plan(args=()):
+def cmd_check_plan(options, args):
     """Verify a query's plan after every compilation stage.
 
     Compiles the query (default: the built-in Q1) through
@@ -561,18 +515,10 @@ def cmd_check_plan(args=()):
     """
     from repro.errors import MixError
 
-    args = list(args)
-    cost, args = _optimizer_options(args)
-    query = Q1
-    if args:
-        try:
-            with open(args[0], "r", encoding="utf-8") as handle:
-                query = handle.read()
-        except OSError as exc:
-            print("check-plan: cannot read {}: {}".format(args[0], exc),
-                  file=sys.stderr)
-            return 1
-    __, mediator = _paper_mediator(cost_optimizer=cost)
+    query = _read("check-plan", args[0]) if args else Q1
+    if query is None:
+        return 1
+    mediator = _paper_mediator(options)
     try:
         report = mediator.verify_query(query)
     except MixError as exc:
@@ -588,7 +534,7 @@ def cmd_check_plan(args=()):
     return 0 if report.ok else 1
 
 
-def cmd_check_rules(args=()):
+def cmd_check_rules(options, args):
     """Certify the rewrite rule set against the generated plan corpus.
 
     Runs :func:`repro.analysis.certify_rules` over the Table-2
@@ -603,15 +549,11 @@ def cmd_check_rules(args=()):
     from repro.analysis import certify_rules
     from repro.errors import MixError
 
-    args = list(args)
-    as_json = "--json" in args
-    while "--json" in args:
-        args.remove("--json")
-    rules_spec, args = _pop_option(args, "--rules")
     if args:
         print("check-rules: unexpected argument {!r}".format(args[0]),
               file=sys.stderr)
         return 2
+    rules_spec = options["rules"]
     extension = ()
     if rules_spec is not None:
         module_name, sep, attr = rules_spec.partition(":")
@@ -631,11 +573,11 @@ def cmd_check_rules(args=()):
     except MixError as exc:
         print("check-rules: {}".format(exc), file=sys.stderr)
         return 1
-    print(report.render_json() if as_json else report.render_text())
+    print(report.render_json() if options["json"] else report.render_text())
     return 0 if report.error_count == 0 else 1
 
 
-def cmd_sql(args=()):
+def cmd_sql(options, args):
     """A tiny SQL shell against the paper's Fig. 2 database.
 
     Each quoted command-line argument is one statement; with none,
@@ -657,12 +599,10 @@ def cmd_sql(args=()):
         print("sql> {}".format(sql))
         try:
             if sql.upper().startswith("SELECT"):
-                cursor = db.execute(sql)
-                count = 0
-                for row in cursor:
+                rows = list(db.execute(sql))
+                for row in rows:
                     print("  " + " | ".join(str(v) for v in row))
-                    count += 1
-                print("-- {} rows".format(count))
+                print("-- {} rows".format(len(rows)))
             elif sql.upper().startswith("ANALYZE"):
                 print("-- {} tables analyzed".format(db.run(sql)))
             else:
@@ -673,19 +613,7 @@ def cmd_sql(args=()):
     return 0
 
 
-def _int_option(args, name, default):
-    """Extract ``--name=N`` as an int with a usage error on junk."""
-    value, args = _pop_option(args, name)
-    if value is None:
-        return default, args
-    try:
-        return int(value), args
-    except ValueError:
-        raise SystemExit("{} expects an integer, got {!r}".format(
-            name, value))
-
-
-def cmd_serve(args=()):
+def cmd_serve(options, args):
     """Run the concurrent mediator server over the paper database.
 
     Serves QDOM navigation, query-in-place, the SQL shell, and EXPLAIN
@@ -695,37 +623,20 @@ def cmd_serve(args=()):
     """
     from repro.server import MediatorService, MixServer, ServerLimits
 
-    args = list(args)
-    cache, cache_size, args = _cache_options(args)
-    cost, args = _optimizer_options(args)
-    block_size, args = _block_options(args)
-    host, args = _pop_option(args, "--host")
-    port, args = _int_option(args, "--port", 4617)
-    max_sessions, args = _int_option(args, "--max-sessions", 512)
-    max_inflight, args = _int_option(args, "--max-inflight", 64)
-    from repro import Instrument, Mediator, RelationalWrapper
-
-    stats = Instrument()
-    db = _paper_database(stats)
-    wrapper = (
-        RelationalWrapper(db)
-        .register_document("root1", "customer")
-        .register_document("root2", "orders", element_label="order")
-    )
-    mediator = Mediator(stats=stats, cache=cache, cache_size=cache_size,
-                        cost_optimizer=cost,
-                        block_size=block_size).add_source(wrapper)
+    mediator = _paper_mediator(options)
+    stats = mediator.stats
     service = MediatorService(
         mediator,
-        limits=ServerLimits(max_sessions=max_sessions,
-                            max_inflight=max_inflight),
-        database=db,
+        limits=ServerLimits(max_sessions=options["max_sessions"],
+                            max_inflight=options["max_inflight"]),
+        database=mediator.catalog.server("s").database,
     )
-    server = MixServer(service, (host or "127.0.0.1", port))
+    server = MixServer(service, (options["host"], options["port"]))
     bound_host, bound_port = server.address
     print("repro.server listening on {}:{} "
           "(max_sessions={}, max_inflight={}); Ctrl-C stops".format(
-              bound_host, bound_port, max_sessions, max_inflight))
+              bound_host, bound_port, options["max_sessions"],
+              options["max_inflight"]))
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -740,7 +651,7 @@ def cmd_serve(args=()):
     return 0
 
 
-def cmd_bench_serve(args=()):
+def cmd_bench_serve(options, args):
     """E-SERVE: closed-loop load against an in-process server.
 
     N concurrent client sessions (default 120 — the acceptance floor
@@ -749,47 +660,27 @@ def cmd_bench_serve(args=()):
     the measured throughput and latency percentiles are printed (and,
     with ``--bench-json``, recorded as ``BENCH_SERVE.json``).
     """
-    from repro import Instrument, Mediator
     from repro.server import (
         MediatorService, ServerLimits, run_load, write_bench_json,
     )
     from repro.workloads import build_customers_orders
 
-    args = list(args)
-    cache, cache_size, args = _cache_options(args)
-    cost, args = _optimizer_options(args)
-    block_size, args = _block_options(args)
-    clients, args = _int_option(args, "--clients", 120)
-    interactions, args = _int_option(args, "--interactions", 8)
-    seed, args = _int_option(args, "--seed", 0)
-    customers, args = _int_option(args, "--customers", 40)
-    orders, args = _int_option(args, "--orders", 3)
-    think, args = _pop_option(args, "--think")
-    zipf, args = _pop_option(args, "--zipf")
-    bench_dir = None
-    if "--bench-json" in args:
-        bench_dir = "."
-        args = [a for a in args if a != "--bench-json"]
-    explicit_dir, args = _pop_option(args, "--bench-json")
-    if explicit_dir is not None:
-        bench_dir = explicit_dir
+    clients = options["clients"]
+    interactions = options["interactions"]
     built = build_customers_orders(
-        n_customers=customers, orders_per_customer=orders,
+        n_customers=options["customers"],
+        orders_per_customer=options["orders"],
     )
-    mediator = Mediator(
-        stats=built.stats, cache=cache, cache_size=cache_size,
-        cost_optimizer=cost, block_size=block_size,
-    ).add_source(built.wrapper)
     service = MediatorService(
-        mediator,
+        built.mediator(**_mediator_settings(options)),
         limits=ServerLimits(max_sessions=clients + 8,
                             max_inflight=clients + 8),
         database=built.database,
     )
     report = run_load(
         service, clients=clients, interactions=interactions,
-        think_time=float(think or 0.0), zipf_s=float(zipf or 1.1),
-        seed=seed,
+        think_time=options["think"], zipf_s=options["zipf"],
+        seed=options["seed"],
     )
     counters = report.counters()
     print("== E-SERVE: {} concurrent sessions, {} interactions each "
@@ -805,38 +696,24 @@ def cmd_bench_serve(args=()):
         print("bench-serve: {} requests failed".format(report.errors),
               file=sys.stderr)
         return 1
-    if bench_dir is not None:
-        path = write_bench_json(bench_dir, [("serve", report)])
+    if options["bench_json"] is not None:
+        path = write_bench_json(options["bench_json"], [("serve", report)])
         print("  wrote {}".format(path))
     return 0
 
 
 def main(argv=None):
     argv = argv if argv is not None else sys.argv[1:]
-    commands = {
-        "demo": cmd_demo,
-        "figures": cmd_figures,
-        "bench": cmd_bench,
-        "explain": cmd_explain,
-        "sql": cmd_sql,
-        "lint": cmd_lint,
-        "check-plan": cmd_check_plan,
-        "check-rules": cmd_check_rules,
-        "serve": cmd_serve,
-        "bench-serve": cmd_bench_serve,
-    }
-    if not argv or argv[0] not in commands:
-        print(__doc__)
-        print("usage: python -m repro"
-              " {demo|figures|bench|explain|sql|lint|check-plan"
-              "|check-rules|serve|bench-serve}"
-              " [--fault-profile=" + "|".join(FAULT_PROFILES) +
-              "] [--fault-seed=N] [--no-cache] [--cache-size=N]"
-              " [--no-optimizer] [--block-size=N] [--shards=K] [--analyze]"
-              " [--json] [--strict] [--rules=module:attr]"
-              " [--host=H] [--port=N] [--clients=N] [--bench-json[=DIR]]")
+    if not argv or argv[0] not in _ACCEPTS:
+        print(_usage())
         return 2
-    return commands[argv[0]](argv[1:])
+    command = argv[0]
+    try:
+        options, args = _parse(command, argv[1:])
+    except _UsageError as exc:
+        print("{}: {}".format(command, exc), file=sys.stderr)
+        return 2
+    return _command(command)(options, args)
 
 
 if __name__ == "__main__":

@@ -84,7 +84,13 @@ def explain_analyze_with_trace(mediator, query_text, mask_times=False):
     """Like :func:`explain_analyze` but returns ``(text, trace, plan)``.
 
     ``trace`` is the root :class:`~repro.obs.span.Span` of the
-    evaluation, ready for :func:`repro.obs.export.trace_to_json`.
+    evaluation, ready for :func:`repro.obs.export.trace_to_json`.  The
+    footer is one record of ``(kind, body, source)`` entries: the totals
+    line, then ``block`` (width > 1 only), ``rewrite`` per fired rule,
+    ``plan_cache``, ``verified`` and one ``cache``/``shard``/
+    ``resilience`` line per reporting source.  Each entry after the
+    totals is also a trace event on the root span with the same kind,
+    body and ``source`` attribute.
     """
     from repro.engine.eager import EagerEngine
     from repro.engine.lazy import LazyEngine
@@ -100,9 +106,10 @@ def explain_analyze_with_trace(mediator, query_text, mask_times=False):
     )
     verify_report = _verify_report(mediator, query_text)
     policy = getattr(mediator, "on_source_error", "raise")
-    before = _resilience_snapshot(mediator.catalog)
-    cache_before = _cache_snapshot(mediator.catalog)
-    shard_before = _shard_snapshot(mediator.catalog)
+    before = {
+        (kind, name): health
+        for kind, __, name, health in _source_health(mediator.catalog)
+    }
     block_size = getattr(mediator, "block_size", 1)
     with instrument.command_span(
         "explain", kind="explain", query=_clip(query_text)
@@ -113,70 +120,43 @@ def explain_analyze_with_trace(mediator, query_text, mask_times=False):
                 block_size=block_size,
             )
             root = engine.evaluate_tree(exec_plan)
-            if block_size > 1:
-                # Block mode: the walk rides the prefetch path with the
-                # explain instrument attached, so the footer's
-                # prefetch_hits reflect this evaluation.
-                walk_fully(
-                    VNode.root(root, obs=instrument, prefetch=block_size)
-                )
-            else:
-                walk_fully(VNode.root(root))
+            walk_fully(
+                VNode.root(root, obs=instrument, prefetch=block_size)
+            )
         else:
             engine = EagerEngine(
                 mediator.catalog, stats=instrument, on_source_error=policy
             )
             engine.evaluate_tree(exec_plan)
-        after = _resilience_snapshot(mediator.catalog)
-        resilience = _resilience_deltas(before, after)
-        cache_deltas = _cache_deltas(
-            cache_before, _cache_snapshot(mediator.catalog)
-        )
-        shard_deltas = _shard_deltas(
-            shard_before, _shard_snapshot(mediator.catalog)
-        )
-        instrument.event("cache", "plan_cache={}".format(plan_status))
+        record = [("totals", "tuples={} rq_statements={}".format(
+            instrument.get("operator_tuples"),
+            instrument.get("rq_statements"),
+        ), None)]
+        if block_size > 1:
+            # At width 1 the seed's goldens stay byte-identical.
+            record.append(("block", "size={} blocks_shipped={} "
+                           "prefetch_hits={}".format(
+                               block_size,
+                               instrument.get("blocks_shipped"),
+                               instrument.get("prefetch_hits"),
+                           ), None))
         for name, count in _rule_steps(rewrite_rules):
-            # Inside the command span: JSON traces carry the rewrite
-            # provenance alongside the cache and verify summaries.
-            instrument.event(
-                "rewrite", "rule={} steps={}".format(name, count)
+            record.append(
+                ("rewrite", "rule={} steps={}".format(name, count), None)
             )
+        record.append(("plan_cache", plan_status, None))
         if verify_report is not None:
-            # Inside the command span: `explain --json` traces carry the
-            # static-verification verdict alongside the cache summary.
-            instrument.event("verify", _verify_summary(verify_report))
-        for entry in cache_deltas:
-            # Inside the command span: the JSON trace export carries the
-            # per-source cache summary alongside the spans.
-            instrument.event(
-                "cache",
-                "hits={hits} misses={misses} evictions={evictions} "
-                "invalidations={invalidations} "
-                "tuples_shipped={tuples_shipped} "
-                "tuples_from_cache={tuples_from_cache}".format(**entry),
-                source=entry["source"],
+            record.append(
+                ("verified", _verify_summary(verify_report), None)
             )
-        for entry in shard_deltas:
-            # Inside the command span: the JSON trace export carries the
-            # per-fleet scatter summary alongside the spans.
-            instrument.event(
-                "shard",
-                "shards={shards} scattered={scattered} pruned={pruned} "
-                "failed={failed}".format(**entry),
-                source=entry["source"],
-            )
-        for entry in resilience:
-            # Inside the command span, so the JSON trace export carries
-            # the per-source resilience summary alongside the spans.
-            instrument.event(
-                "resilience",
-                "retries={retries} timeouts={timeouts} "
-                "failures={failures} degraded={degraded}".format(**entry),
-                **{"source": entry["source"],
-                   "breaker": str(entry["breaker"]),
-                   "transitions": ",".join(entry["transitions"]) or "-"}
-            )
+        for kind, fields, name, health in _source_health(mediator.catalog):
+            pre = before.get((kind, name), {})
+            record.append((kind, " ".join(
+                "{}={}".format(field, _field(field, pre, health))
+                for field in fields
+            ), name))
+        for kind, body, source in record[1:]:
+            instrument.event(kind, body, source=source)
     estimates = {}
     if getattr(mediator, "cost_optimizer", False):
         from repro.optimizer.planview import estimate_plan
@@ -185,63 +165,24 @@ def explain_analyze_with_trace(mediator, query_text, mask_times=False):
     text = render_explain(
         exec_plan, instrument, mask_times=mask_times, estimates=estimates
     )
-    footer = "-- tuples={} rq_statements={}".format(
-        instrument.get("operator_tuples"), instrument.get("rq_statements")
-    )
-    if block_size > 1:
-        # Only in block mode: the seed's tuple-mode goldens stay
-        # byte-identical at block_size=1.
-        footer += (
-            "\n-- block: size={} blocks_shipped={} "
-            "prefetch_hits={}".format(
-                block_size,
-                instrument.get("blocks_shipped"),
-                instrument.get("prefetch_hits"),
-            )
-        )
-    for name, count in _rule_steps(rewrite_rules):
-        # Only when the rewrite fired at all: queries whose plans are
-        # already in normal form (the seed's goldens among them) keep
-        # their byte-identical footers.
-        footer += "\n-- rewrite: rule={} steps={}".format(name, count)
-    footer += "\n-- plan_cache: {}".format(plan_status)
-    if verify_report is not None:
-        footer += "\n-- verified: {}".format(_verify_summary(verify_report))
-    for entry in cache_deltas:
-        footer += (
-            "\n-- cache[{source}]: hits={hits} misses={misses} "
-            "evictions={evictions} invalidations={invalidations} "
-            "tuples_shipped={tuples_shipped} "
-            "tuples_from_cache={tuples_from_cache}".format(**entry)
-        )
-    for entry in shard_deltas:
-        footer += (
-            "\n-- shard[{source}]: shards={shards} scattered={scattered} "
-            "pruned={pruned} failed={failed}".format(**entry)
-        )
-    for entry in resilience:
-        footer += (
-            "\n-- resilience[{source}]: retries={retries} "
-            "timeouts={timeouts} failures={failures} degraded={degraded} "
-            "circuit_rejections={circuit_rejections} "
-            "breaker={breaker} transitions={transitions_text}".format(
-                transitions_text=",".join(entry["transitions"]) or "-",
-                **entry
-            )
-        )
+    footer = "\n".join(_footer_line(*entry) for entry in record)
     return text + "\n" + footer, instrument.last_trace(), exec_plan
+
+
+def _footer_line(kind, body, source):
+    if kind == "totals":
+        return "-- " + body
+    if source is not None:
+        kind = "{}[{}]".format(kind, source)
+    return "-- {}: {}".format(kind, body)
 
 
 def _rule_steps(rewrite_rules):
     """``(rule_name, fire_count)`` pairs in first-fired order."""
-    order = []
     counts = {}
     for name in rewrite_rules:
-        if name not in counts:
-            order.append(name)
-            counts[name] = 0
-        counts[name] += 1
-    return [(name, counts[name]) for name in order]
+        counts[name] = counts.get(name, 0) + 1
+    return list(counts.items())
 
 
 def _verify_report(mediator, query_text):
@@ -261,102 +202,45 @@ def _verify_summary(report):
     return "FAILED at {} ({})".format(report.failed_stage, first.code)
 
 
-_HEALTH_COUNTERS = (
-    "retries", "failures", "timeouts", "degraded", "circuit_rejections"
+#: One footer line per source whose health hook reports:
+#: ``(kind, hook, fields)``, in footer order.
+_SOURCE_FOOTERS = (
+    ("cache", "sql_cache_health", (
+        "hits", "misses", "evictions", "invalidations",
+        "tuples_shipped", "tuples_from_cache",
+    )),
+    ("shard", "shard_health", ("shards", "scattered", "pruned", "failed")),
+    ("resilience", "resilience_health", (
+        "retries", "timeouts", "failures", "degraded",
+        "circuit_rejections", "breaker", "transitions",
+    )),
 )
 
 
-_CACHE_COUNTERS = (
-    "hits", "misses", "evictions", "invalidations",
-    "tuples_shipped", "tuples_from_cache",
-)
-
-
-def _cache_snapshot(catalog):
-    """Current SQL-cache health of every caching source in the catalog."""
-    sources_fn = getattr(catalog, "sources", None)
-    if sources_fn is None:
-        return {}
-    out = {}
-    for source in sources_fn():
-        health_fn = getattr(source, "sql_cache_health", None)
-        if callable(health_fn):
-            health = health_fn()
+def _source_health(catalog):
+    """``(kind, fields, source name, health)`` for every footer hook
+    that reports, in :data:`_SOURCE_FOOTERS` order."""
+    sources = getattr(catalog, "sources", None)
+    out = []
+    for kind, hook, fields in _SOURCE_FOOTERS:
+        for source in sources() if sources is not None else ():
+            health_fn = getattr(source, hook, None)
+            health = health_fn() if callable(health_fn) else None
             if health is not None:
-                out[health["source"]] = health
+                out.append((kind, fields, health["source"], health))
     return out
 
 
-def _cache_deltas(before, after):
-    """What each source's result cache did during one evaluation."""
-    deltas = []
-    for name in after:
-        pre = before.get(name, {})
-        entry = {"source": name}
-        for counter in _CACHE_COUNTERS:
-            entry[counter] = after[name][counter] - pre.get(counter, 0)
-        deltas.append(entry)
-    return deltas
-
-
-_SHARD_COUNTERS = ("scattered", "pruned", "failed")
-
-
-def _shard_snapshot(catalog):
-    """Current scatter health of every sharded source in the catalog."""
-    sources_fn = getattr(catalog, "sources", None)
-    if sources_fn is None:
-        return {}
-    out = {}
-    for source in sources_fn():
-        health_fn = getattr(source, "shard_health", None)
-        if callable(health_fn):
-            health = health_fn()
-            if health is not None:
-                out[health["source"]] = health
-    return out
-
-
-def _shard_deltas(before, after):
-    """What each sharded source's scatter-gather did in one evaluation."""
-    deltas = []
-    for name in after:
-        pre = before.get(name, {})
-        entry = {"source": name, "shards": after[name]["shards"]}
-        for counter in _SHARD_COUNTERS:
-            entry[counter] = after[name][counter] - pre.get(counter, 0)
-        deltas.append(entry)
-    return deltas
-
-
-def _resilience_snapshot(catalog):
-    """Current health of every resilient source the catalog knows."""
-    sources_fn = getattr(catalog, "sources", None)
-    if sources_fn is None:
-        return {}
-    out = {}
-    for source in sources_fn():
-        health_fn = getattr(source, "resilience_health", None)
-        if callable(health_fn):
-            health = health_fn()
-            if health is not None:
-                out[health["source"]] = health
-    return out
-
-
-def _resilience_deltas(before, after):
-    """What each resilient source went through during one evaluation."""
-    deltas = []
-    for name in after:
-        pre = before.get(name, {})
-        entry = {"source": name}
-        for counter in _HEALTH_COUNTERS:
-            entry[counter] = after[name][counter] - pre.get(counter, 0)
-        seen = len(pre.get("breaker_transitions", []))
-        entry["transitions"] = after[name]["breaker_transitions"][seen:]
-        entry["breaker"] = after[name]["breaker"]
-        deltas.append(entry)
-    return deltas
+def _field(field, pre, post):
+    """A footer field over one evaluation: ``shards`` and ``breaker``
+    are current state, ``transitions`` the breaker transitions it added,
+    and every other field the counter's change."""
+    if field in ("shards", "breaker"):
+        return post[field]
+    if field == "transitions":
+        seen = len(pre.get("breaker_transitions", ()))
+        return ",".join(post["breaker_transitions"][seen:]) or "-"
+    return post[field] - pre.get(field, 0)
 
 
 def _clip(text, limit=160):

@@ -103,10 +103,9 @@ class Mediator:
     """
 
     def __init__(self, catalog=None, stats=None, optimize=True,
-                 push_sql=True, lazy=True, dedup_groups=False,
-                 on_source_error="raise", cache=False, cache_size=128,
-                 cost_optimizer=True, strict=False, block_size=None,
-                 extension_rules=None):
+                 push_sql=True, lazy=True, on_source_error="raise",
+                 cache=False, cache_size=128, cost_optimizer=True,
+                 strict=False, block_size=None, extension_rules=None):
         if on_source_error not in ("raise", "degrade"):
             raise ValueError(
                 "on_source_error must be 'raise' or 'degrade', "
@@ -142,7 +141,7 @@ class Mediator:
             self.cache = CacheManager(cache_size, obs=self.obs)
         else:
             self.cache = None
-        self._translator = Translator(dedup_groups=dedup_groups)
+        self._translator = Translator()
         self._rewriter = Rewriter()
         #: Rule-name sequence fired while compiling the most recent
         #: plan (restored from the plan cache on a warm hit, so

@@ -181,9 +181,10 @@ class RelationalWrapper(Source):
         return sorted(self._documents)
 
     def iter_document_children(self, doc_id):
-        """Row-at-a-time iterator of tuple objects (cursor driven)."""
+        """Cursor-driven tuple objects, one per pull, fetched
+        ``set_block_size`` rows at a time (width 1 is a one-row fetch)."""
         table_name, label = self._doc_entry(doc_id)
-        table = self.database.table(table_name)
+        schema = self.database.table(table_name).schema
         stats = self.database.stats
         span_name = "wrap({})".format(doc_id)
         span_key = "wrap:{}:{}".format(self.server_name, doc_id)
@@ -193,38 +194,21 @@ class RelationalWrapper(Source):
             cursor = self.execute_sql(
                 "SELECT * FROM {}".format(table_name)
             )
-        if self._block_size > 1:
-            schema = table.schema
-            size = self._block_size
-            while True:
-                # One span covers the whole batch: rows cross the
-                # cursor boundary block-at-a-time, but each is still
-                # one source navigation and one shipped tuple.
-                with self._span(stats, span_name, span_key, table_name):
-                    rows = cursor.fetch_block(size)
-                    if not rows:
-                        return
-                    stats.incr(statnames.SOURCE_NAVIGATIONS, len(rows))
-                    elements = [
-                        self.row_to_element(schema, row, label=label)
-                        for row in rows
-                    ]
-                for element in elements:
-                    yield element
-            return
-        rows = iter(cursor)
         while True:
-            # Each row pull is one source navigation; the span attributes
-            # it (and the cursor work underneath) to the QDOM command
-            # that demanded the row.
+            # One span covers the whole batch: rows cross the cursor
+            # boundary block-at-a-time, but each is still one source
+            # navigation and one shipped tuple.
             with self._span(stats, span_name, span_key, table_name):
-                try:
-                    row = next(rows)
-                except StopIteration:
+                rows = cursor.fetch_block(self._block_size)
+                if not rows:
                     return
-                stats.incr(statnames.SOURCE_NAVIGATIONS)
-                element = self.row_to_element(table.schema, row, label=label)
-            yield element
+                stats.incr(statnames.SOURCE_NAVIGATIONS, len(rows))
+                elements = [
+                    self.row_to_element(schema, row, label=label)
+                    for row in rows
+                ]
+            for element in elements:
+                yield element
 
     @staticmethod
     def _span(stats, name, key, table_name):

@@ -198,8 +198,8 @@ class SqliteWrapper(Source):
             )
 
     def iter_document_children(self, doc_id):
-        """Cursor-driven tuple objects, one per row (optionally fetched
-        block-at-a-time under ``set_block_size``)."""
+        """Cursor-driven tuple objects, one per pull, fetched
+        ``set_block_size`` rows at a time (width 1 is a one-row fetch)."""
         table_name, label = self._doc_entry(doc_id)
         schema = self.describe_table(table_name)
         stats = self.stats
@@ -209,31 +209,18 @@ class SqliteWrapper(Source):
             cursor = self.execute_sql(
                 "SELECT * FROM {}".format(_quote(table_name))
             )
-        if self._block_size > 1:
-            size = self._block_size
-            while True:
-                with self._span(stats, span_name, span_key, table_name):
-                    rows = cursor.fetch_block(size)
-                    if not rows:
-                        return
-                    stats.incr(statnames.SOURCE_NAVIGATIONS, len(rows))
-                    elements = [
-                        self.row_to_element(schema, row, label=label)
-                        for row in rows
-                    ]
-                for element in elements:
-                    yield element
-            return
-        rows = iter(cursor)
         while True:
             with self._span(stats, span_name, span_key, table_name):
-                try:
-                    row = next(rows)
-                except StopIteration:
+                rows = cursor.fetch_block(self._block_size)
+                if not rows:
                     return
-                stats.incr(statnames.SOURCE_NAVIGATIONS)
-                element = self.row_to_element(schema, row, label=label)
-            yield element
+                stats.incr(statnames.SOURCE_NAVIGATIONS, len(rows))
+                elements = [
+                    self.row_to_element(schema, row, label=label)
+                    for row in rows
+                ]
+            for element in elements:
+                yield element
 
     @staticmethod
     def _span(stats, name, key, table_name):

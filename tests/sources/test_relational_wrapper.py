@@ -62,6 +62,13 @@ class TestLazyIteration:
         children = list(wrapper.iter_document_children("root2"))
         assert len(children) == 4
 
+    def test_width_one_is_one_row_fetches(self, wrapper, stats):
+        # One fetch path at every width: width 1 ships one-row blocks.
+        assert len(list(wrapper.iter_document_children("root2"))) == 4
+        assert stats.get(statnames.TUPLES_SHIPPED) == 4
+        assert stats.get(statnames.SOURCE_NAVIGATIONS) == 4
+        assert stats.get(statnames.BLOCKS_SHIPPED) == 4
+
 
 class TestOidCodec:
     def test_roundtrip(self, wrapper):

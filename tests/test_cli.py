@@ -1,6 +1,100 @@
 """Tests for the ``python -m repro`` entry point."""
 
-from repro.__main__ import main
+import pytest
+
+from repro.__main__ import _ACCEPTS, _OPTIONS, _parse, main
+
+# ``--flag=text`` samples and the value each must parse to; every
+# valued option in the table needs one.
+SAMPLES = {
+    "--cache-size": ("16", 16),
+    "--block-size": ("4", 4),
+    "--shards": ("2", 2),
+    "--fault-profile": ("outage", "outage"),
+    "--fault-seed": ("7", 7),
+    "--rules": ("pkg.mod:RULES", "pkg.mod:RULES"),
+    "--host": ("0.0.0.0", "0.0.0.0"),
+    "--port": ("0", 0),
+    "--max-sessions": ("9", 9),
+    "--max-inflight": ("3", 3),
+    "--clients": ("5", 5),
+    "--interactions": ("2", 2),
+    "--seed": ("11", 11),
+    "--customers": ("20", 20),
+    "--orders": ("4", 4),
+    "--think": ("0.5", 0.5),
+    "--zipf": ("1.3", 1.3),
+    "--bench-json": ("out", "out"),
+}
+
+
+def flag_arg(flag):
+    return flag if _OPTIONS[flag][1] is None else "{}={}".format(
+        flag, SAMPLES[flag][0])
+
+
+class TestOptionTable:
+    def test_every_valued_option_has_a_sample(self):
+        valued = {f for f, (__, parse, __) in _OPTIONS.items() if parse}
+        assert valued == set(SAMPLES)
+
+    @pytest.mark.parametrize("command", sorted(_ACCEPTS))
+    def test_accepted_flags_parse_to_their_key(self, command):
+        for flag in _ACCEPTS[command]:
+            options, args = _parse(command, [flag_arg(flag), "pos"])
+            want = True if flag not in SAMPLES else SAMPLES[flag][1]
+            assert options[flag[2:].replace("-", "_")] == want, flag
+            assert args == ["pos"]
+
+    @pytest.mark.parametrize("command", sorted(_ACCEPTS))
+    def test_other_flags_exit_2(self, command, capsys):
+        for flag in sorted(set(_OPTIONS) - set(_ACCEPTS[command])):
+            arg = flag_arg(flag)
+            assert main([command, arg]) == 2, flag
+            assert capsys.readouterr().err.strip() == (
+                "{}: unknown option {!r}".format(command, arg))
+
+    def test_defaults_fill_every_key(self):
+        options, args = _parse("demo", [])
+        assert args == []
+        assert options["block_size"] is None
+        assert options["cache_size"] == 128
+        assert options["no_cache"] is False
+        assert options["port"] == 4617
+
+    @pytest.mark.parametrize("argv", [
+        ["demo", "--blok-size=4"],
+        ["demo", "--block-size", "4"],
+        ["serve", "--bogus"],
+        ["explain", "--no-cahce"],
+        ["explain", "--json=yes"],
+        ["bench-serve", "--clients"],
+    ])
+    def test_usage_errors_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(argv[0] + ": ")
+
+    def test_bad_value_keeps_its_message(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["demo", "--block-size=x"])
+        assert str(exc.value) == "--block-size expects an integer, got 'x'"
+
+    def test_bench_json_may_be_bare(self):
+        options, __ = _parse("bench-serve", ["--bench-json"])
+        assert options["bench_json"] == "."
+
+    def test_sql_comment_is_not_an_option(self, capsys):
+        assert main(["sql", "-- note", "SELECT id FROM customer"]) == 0
+        assert "-- 3 rows" in capsys.readouterr().out
+
+    def test_usage_lists_every_commands_flags(self, capsys):
+        assert main([]) == 2
+        usage = capsys.readouterr().out
+        for command, flags in _ACCEPTS.items():
+            (line,) = [l for l in usage.splitlines()
+                       if l.split()[:1] == [command]]
+            for flag in flags:
+                assert flag in line, (command, flag)
 
 
 class TestCli:
