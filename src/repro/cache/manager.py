@@ -170,9 +170,10 @@ class CacheManager:
 
     def stats(self):
         plans = self.plan_cache.stats()
-        plans["shapes"] = sum(
-            1 for entry in self.plan_cache.values()
-            if entry is not _PER_TEXT and entry.templated
+        entries = [e for e in self.plan_cache.values() if e is not _PER_TEXT]
+        plans["shapes"] = sum(1 for e in entries if e.templated)
+        plans["demand_recorded"] = sum(
+            1 for e in entries if e.demand is not None
         )
         plans["bound_hits"] = self.bound_hits
         return {"plan_cache": plans, "nav_memo": self.nav_memo.stats()}

@@ -202,10 +202,13 @@ class PreparedPlan:
             EXPLAIN's ``-- rewrite:`` provenance survives a hit.
         templated: ``False`` for a text compiled with its literals
             inline (cache off, or a compile that read a value).
+        demand: the most root children navigation reached on an answer
+            of this plan (capped at the block size; ``None`` before any
+            was navigated): the first width of its next answer.
     """
 
     __slots__ = ("exec_plan", "compose_plan", "verified_stages",
-                 "rewrite_rules", "templated")
+                 "rewrite_rules", "templated", "demand")
 
     def __init__(self, exec_plan, compose_plan, verified_stages=None,
                  rewrite_rules=(), templated=False):
@@ -214,6 +217,13 @@ class PreparedPlan:
         self.verified_stages = verified_stages
         self.rewrite_rules = tuple(rewrite_rules)
         self.templated = templated
+        self.demand = None
+
+    def note_demand(self, reached):
+        """Raise the demand to ``reached``; unlocked, as a lost update
+        between sessions only leaves it lower than it could be."""
+        if reached > (self.demand or 0):
+            self.demand = reached
 
 
 class BoundPlan:

@@ -114,23 +114,19 @@ class SqlResultCache:
         return Cursor(entry.column_names, rows(), stats=None)
 
     def _record(self, database, sql, stmt, key, tables, fingerprint):
-        inner = database.execute(sql, stmt)
+        # The caller gets the database's cursor: one fetch, counted once.
+        cursor = database.execute(sql, stmt)
 
-        def rows():
-            acc = []
-            for row in inner:  # inner counts tuples_shipped as usual
-                acc.append(row)
-                yield row
+        def commit(rows):
             # Exhausted: commit only if no referenced table moved while
             # the cursor was open (a torn read must not be cached).
             current = self._fingerprint(database.table_versions(), tables)
             if current == fingerprint:
                 self._lru.store(
-                    key,
-                    _Entry(tables, fingerprint, inner.column_names, acc),
+                    key, _Entry(tables, fingerprint, cursor.column_names, rows)
                 )
 
-        return Cursor(inner.column_names, rows(), stats=None)
+        return cursor.record(commit)
 
     # -- maintenance / inspection -----------------------------------------------------
 

@@ -26,16 +26,33 @@ did (the EXPLAIN goldens and per-hop transcripts rely on it).
 
 from __future__ import annotations
 
-#: The default vector width of Mediator block execution.  Chosen from the
-#: E-BLOCK sweep: past ~64 the span amortization is saturated while the
-#: prefetch overshoot on partial walks keeps growing.
+#: The default, and largest, vector width of Mediator block execution.
+#: Chosen from the E-BLOCK sweep: past ~64 the span amortization is
+#: saturated while the prefetch overshoot on partial walks keeps growing.
+#: A cached shape's answers start at its demand (:mod:`repro.engine.lazy`).
 DEFAULT_BLOCK_SIZE = 64
+
+
+class Width:
+    """A pipeline's block width: ``size``, grown ×4 per :meth:`grow` up
+    to ``limit``.  All blocks and fetches of a pipeline read one."""
+
+    __slots__ = ("size", "limit")
+
+    def __init__(self, size, limit):
+        if size < 1:
+            raise ValueError("block size must be >= 1, got {}".format(size))
+        self.size = size
+        self.limit = limit
+
+    def grow(self):
+        self.size = min(self.size * 4, self.limit)
 
 
 class VectorBlocks:
     """Chunk a *vector-yielding* generator (lists of tuples, any length
-    including empty) into blocks of exactly ``size`` (the final one may
-    be partial).
+    including empty) into blocks of exactly ``size`` (an int or a shared
+    :class:`Width`; the final block may be partial).
 
     This is the engine-side chunker: operators emit one list per input
     block, and this layer repacks them so downstream operators always
@@ -44,13 +61,11 @@ class VectorBlocks:
     first, the exception re-raises on the next pull.
     """
 
-    __slots__ = ("_inner", "_size", "_buf", "_pending", "_done")
+    __slots__ = ("_inner", "_width", "_buf", "_pending", "_done")
 
     def __init__(self, vectors, size):
-        if size < 1:
-            raise ValueError("block size must be >= 1, got {}".format(size))
         self._inner = iter(vectors)
-        self._size = size
+        self._width = size if isinstance(size, Width) else Width(size, size)
         self._buf = []
         self._pending = None
         self._done = False
@@ -59,7 +74,8 @@ class VectorBlocks:
         return self
 
     def __next__(self):
-        while (len(self._buf) < self._size and not self._done
+        size = self._width.size
+        while (len(self._buf) < size and not self._done
                and self._pending is None):
             try:
                 chunk = next(self._inner)
@@ -72,9 +88,9 @@ class VectorBlocks:
                     raise
             else:
                 self._buf.extend(chunk)
-        if len(self._buf) > self._size:
-            out = self._buf[:self._size]
-            self._buf = self._buf[self._size:]
+        if len(self._buf) > size:
+            out = self._buf[:size]
+            self._buf = self._buf[size:]
             return out
         if self._buf:
             out, self._buf = self._buf, []
@@ -86,7 +102,7 @@ class VectorBlocks:
 
     def __repr__(self):
         return "VectorBlocks(size={}, buffered={})".format(
-            self._size, len(self._buf)
+            self._width.size, len(self._buf)
         )
 
 

@@ -49,7 +49,7 @@ from repro.algebra import operators as ops
 from repro.algebra.bindings import BindingSet, BindingTuple
 from repro.algebra.conditions import skolem_arg_of, KEY, VALUE
 from repro.algebra.values import Skolem, VList, value_key
-from repro.engine.block import VectorBlocks, flatten
+from repro.engine.block import VectorBlocks, Width, flatten
 from repro.engine.gby import (
     input_is_sorted_for,
     presorted_gby_stream,
@@ -76,11 +76,16 @@ class LazyEngine:
             one-tuple block: the seed's pull granularity).  Every width
             yields the same tuples, in the same order, with the same
             source traffic — see :mod:`repro.engine.block`.
+        demand: how many root children earlier answers of the plan were
+            navigated to.  The root export pipeline — root ``tD``, every
+            operator beneath it, its ``rQ`` fetches — starts that wide
+            and grows ×4 per root pull up to ``block_size`` (``None``:
+            every width is ``block_size``).
     """
 
     def __init__(self, catalog, stats=None, oids=None,
                  force_stateful_gby=False, on_source_error=RAISE,
-                 block_size=1):
+                 block_size=1, demand=None):
         if on_source_error not in (RAISE, DEGRADE):
             raise ValueError(
                 "on_source_error must be 'raise' or 'degrade', "
@@ -97,6 +102,12 @@ class LazyEngine:
         self.oids = oids or OidGenerator("L")
         self.force_stateful_gby = force_stateful_gby
         self.on_source_error = on_source_error
+        self._full = Width(block_size, block_size)
+        self._ramp = self._full
+        if demand and demand < block_size:
+            self._ramp = Width(demand, block_size)
+        #: The env of the root export pipeline: the only one on the ramp.
+        self._root_env = {}
 
     def _degraded_stub(self, exc, source=None):
         """Record and build the stub standing in for a failed subtree."""
@@ -117,7 +128,9 @@ class LazyEngine:
         result tree root; any other root returns the lazy tuple stream.
         """
         if isinstance(plan, ops.TD):
-            return self._td_root(plan, {})
+            if self._ramp is not self._full:
+                self.obs.incr(statnames.DEMAND_SIZED)
+            return self._td_root(plan, self._root_env)
         return self.stream(plan, {})
 
     def evaluate_tree(self, plan):
@@ -145,8 +158,15 @@ class LazyEngine:
                 "no lazy handler for {}".format(type(plan).__name__)
             )
         return self._counted_blocks(
-            VectorBlocks(handler(self, plan, env), self.block_size), plan
+            VectorBlocks(handler(self, plan, env), self._width(env)), plan
         )
+
+    def _width(self, env):
+        """The :class:`Width` of the pipeline under ``env``: only the root
+        export ramps.  Inputs an operator reads to the end (join build
+        sides, semijoin probes, sort and stateful gBy inputs) are pulled
+        under a copy of ``env`` — at full width, like ``apply`` bodies."""
+        return self._ramp if env is self._root_env else self._full
 
     def _counted_blocks(self, block_iter, plan):
         """Per-*block* accounting: one merged operator span, one
@@ -195,11 +215,12 @@ class LazyEngine:
         demanded.  The outermost degradation net: a source failure that
         escapes the operators below (the leaf-level nets catch their
         own) becomes one stub child and ends the export, instead of
-        unwinding the client's navigation.
+        unwinding the client's navigation.  Each pull grows the ramp.
         """
         obs = self.obs
         token = node_token(plan)
         var = plan.var
+        width = self._width(env)
         blocks = iter(self.blocks(plan.input, env))
         while True:
             stub = None
@@ -228,6 +249,7 @@ class LazyEngine:
                                 "set".format(var)
                             )
                     obs.record_node(token, direct)
+            width.grow()
             if stub is not None:
                 yield stub
                 return
@@ -314,14 +336,14 @@ class LazyEngine:
                 {entry.var: stub for entry in plan.varmap}
             )]
             return
-        size = self.block_size
+        width = self._width(env)
         fetch = getattr(cursor, "fetch_block", None)
         if fetch is None:
             fetch = cursor.fetchmany
         varmap = plan.varmap
         while True:
             try:
-                rows = fetch(size)
+                rows = fetch(width.size)
             except SourceError as exc:
                 # A parked mid-batch failure (shard death included):
                 # degrade to one stub vector and keep draining the
@@ -335,7 +357,6 @@ class LazyEngine:
                 continue
             if not rows:
                 return
-            self.obs.incr(statnames.BLOCKS_SHIPPED)
             out = []
             for row in rows:
                 bindings = {}
@@ -386,7 +407,7 @@ class LazyEngine:
                     # Build on first probe block: an empty left input
                     # never touches the right source at all.
                     index = _build_join_index(
-                        flatten(self.blocks(plan.right, env)),
+                        flatten(self.blocks(plan.right, dict(env))),
                         hash_conds, left_defined, right_defined,
                     )
                 out = []
@@ -401,7 +422,7 @@ class LazyEngine:
                             out.append(lt.merge(rt))
                 yield out
         else:
-            right = self.stream(plan.right, env)
+            right = self.stream(plan.right, dict(env))
             for lblock in self.blocks(plan.left, env):
                 out = []
                 for lt in lblock:
@@ -425,7 +446,7 @@ class LazyEngine:
             keep_plan, probe_plan = plan.left, plan.right
         else:
             keep_plan, probe_plan = plan.right, plan.left
-        probe = self.stream(probe_plan, env)
+        probe = self.stream(probe_plan, dict(env))
         probe_materialized = None
         seen = set()
         for kblock in self.blocks(keep_plan, env):
@@ -496,13 +517,15 @@ class LazyEngine:
         # gBy runs the Table-1 streams over the (block-fed, memoized)
         # input stream; output groups are few, so per-group vectors of
         # one cost nothing.
-        input_list = self.stream(plan.input, env)
         sorted_vars = infer_sorted_vars(plan.input)
         use_presorted = not self.force_stateful_gby and input_is_sorted_for(
             sorted_vars, plan.group_vars
         )
         gby_stream = (
             presorted_gby_stream if use_presorted else stateful_gby_stream
+        )
+        input_list = self.stream(
+            plan.input, env if use_presorted else dict(env)
         )
         for t in gby_stream(
             input_list, plan.group_vars, plan.out_var, self.stats
@@ -542,7 +565,7 @@ class LazyEngine:
             yield buf
 
     def _blk_orderby(self, plan, env):
-        tuples = self.stream(plan.input, env).materialize()
+        tuples = self.stream(plan.input, dict(env)).materialize()
         tuples.sort(
             key=lambda t: tuple(
                 repr(value_key(t.get(v))) for v in plan.variables

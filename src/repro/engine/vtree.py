@@ -72,10 +72,15 @@ class VNode:
     commands land on the materialized prefix and count
     :data:`~repro.stats.PREFETCH_HITS` instead of touching the engine.
     ``prefetch=1`` is the seed's one-hop-one-force behavior.
+
+    **Demand**: a root given its answer's plan records on it how many
+    children navigation reached, and with a prior demand forces
+    ``min(max(demand, 4·index), prefetch)`` per step, as the engine's
+    ramp pulls them.
     """
 
     __slots__ = ("node", "parent", "index", "fixed", "is_root", "obs",
-                 "prefetch")
+                 "prefetch", "plan", "demand")
 
     def __init__(self, node, parent=None, index=0, fixed=None, is_root=False,
                  obs=None, prefetch=1):
@@ -86,18 +91,29 @@ class VNode:
         self.is_root = is_root
         self.obs = obs
         self.prefetch = max(int(prefetch), 1)
+        self.plan = None
+        self.demand = None
 
     # -- construction -------------------------------------------------------------
 
     @classmethod
-    def root(cls, node, obs=None, prefetch=1):
+    def root(cls, node, obs=None, prefetch=1, plan=None):
         """Wrap a result root (the ``tD`` output).
 
         ``obs`` is the :class:`~repro.obs.Instrument` navigation commands
         report to; it — like ``prefetch`` — is inherited by every VNode
-        reached from here.
+        reached from here.  ``plan`` is the answer's
+        :class:`~repro.cache.shapes.PreparedPlan`, if it has one.
         """
-        return cls(node, is_root=True, obs=obs, prefetch=prefetch)
+        vnode = cls(node, is_root=True, obs=obs, prefetch=prefetch)
+        vnode.plan = plan
+        vnode.demand = None if plan is None else plan.demand
+        return vnode
+
+    def note_demand(self, reached):
+        """Record ``reached`` root children on the plan (roots only)."""
+        if self.plan is not None:
+            self.plan.note_demand(min(reached, self.prefetch))
 
     def _wrap_child(self, child, index):
         fixed = dict(self.fixed)
@@ -115,13 +131,17 @@ class VNode:
         raise) — they are the prefetch hits the counters expose.
         """
         node = self.node
+        self.note_demand(index + 1)
         if self.prefetch <= 1:
             return node.child(index)
         if node.materialized_child_count > index:
             if self.obs is not None:
                 self.obs.incr(PREFETCH_HITS)
             return node.child(index)
-        node.prefetch_children(index + 1, self.prefetch - 1)
+        step = self.prefetch
+        if self.demand is not None:
+            step = min(max(self.demand, 4 * index), step)
+        node.prefetch_children(index + 1, step - 1)
         return node.child(index)
 
     def _command(self, name):
@@ -160,6 +180,7 @@ class VNode:
         prefetch are counted as hits; the rest are forced in
         ``prefetch``-sized steps."""
         with self._command("d_many"):
+            self.note_demand(self.prefetch if count is None else count)
             node = self.node
             already = node.materialized_child_count
             step = self.prefetch
@@ -260,5 +281,6 @@ def vnode_to_tree(vnode):
     QDOM command per child (``walk_fully`` does that).  Forcing still
     pays for any source work a lazy tail owes, but exporting an
     already-materialized answer — an eager result, or a navigation-memo
-    hit — costs only the tree copy."""
+    hit — costs only the tree copy.  A root records full demand."""
+    vnode.note_demand(vnode.prefetch)
     return vnode.node.copy_subtree()

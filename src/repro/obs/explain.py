@@ -111,6 +111,9 @@ def explain_analyze_with_trace(mediator, query_text, mask_times=False):
         for kind, __, name, health in _source_health(mediator.catalog)
     }
     block_size = getattr(mediator, "block_size", 1)
+    # Sources count shipped blocks on the mediator's instrument.
+    sources_obs = getattr(mediator, "obs", instrument)
+    blocks_before = sources_obs.get("blocks_shipped")
     with instrument.command_span(
         "explain", kind="explain", query=_clip(query_text)
     ):
@@ -137,7 +140,8 @@ def explain_analyze_with_trace(mediator, query_text, mask_times=False):
             record.append(("block", "size={} blocks_shipped={} "
                            "prefetch_hits={}".format(
                                block_size,
-                               instrument.get("blocks_shipped"),
+                               sources_obs.get("blocks_shipped")
+                               - blocks_before,
                                instrument.get("prefetch_hits"),
                            ), None))
         for name, count in _rule_steps(rewrite_rules):

@@ -128,15 +128,20 @@ class QdomNode:
         remaining = [float("inf") if budget is None else budget]
         vnode = self._vnode
         bulk = vnode.prefetch > 1
+        vnode.note_demand(vnode.prefetch)
 
         def rec_bulk(node, depth):
             # A bulk reply ships whole blocks: subtrees that earlier
             # d_many replies already materialized are walked client-
             # locally, with no further commands.  Only nodes still owing
-            # a lazy tail cost a command (and its span).
+            # a lazy tail cost a command (and its span), which forces no
+            # more children than the budget left can land on.
+            if remaining[0] <= 0:
+                return
             if not node.fully_materialized or node.is_broken:
-                VNode(node, obs=vnode.obs,
-                      prefetch=vnode.prefetch).down_many()
+                VNode(node, obs=vnode.obs, prefetch=vnode.prefetch).down_many(
+                    None if budget is None else remaining[0]
+                )
             for child in node.materialized_children():
                 if remaining[0] <= 0:
                     return

@@ -84,7 +84,9 @@ class Mediator:
             transcripts exactly (strict shipping-minimality and golden-trace tests
             pin this).  Sources added through :meth:`add_source` that
             support ``set_block_size`` batch their row fetches to the
-            same width.
+            same width.  It is the *largest* width: with the cache on,
+            a shape whose answers were navigated to ``k`` root children
+            starts its next answer at ``k`` (:mod:`repro.engine.lazy`).
         extension_rules: extra rewrite rules registered *after* the
             Table-2 set (registration order is application priority;
             see :class:`repro.rewriter.Rewriter`).  Each rule must
@@ -312,7 +314,7 @@ class Mediator:
                 entry = self.cache.lookup_result(memo_key, self.catalog)
                 if entry is not None:
                     return self._handle(entry.root, entry.view)
-            root = self._evaluate(view.exec_plan(), policy)
+            root = self._evaluate(view, policy)
             if memo_key is not None:
                 self.cache.store_result(memo_key, root, view, self.catalog)
             return self._handle(root, view)
@@ -343,16 +345,15 @@ class Mediator:
             composed, _status, _ = self._prepare(
                 query_text, view, provenance
             )
-            root = self._evaluate(
-                composed.exec_plan(), self.on_source_error
-            )
+            root = self._evaluate(composed, self.on_source_error)
             return self._handle(root, composed)
 
     def _handle(self, root, view):
-        """The client handle on an answer root."""
+        """The client handle on an answer root (recording demand)."""
         return QdomNode(
             self,
-            VNode.root(root, obs=self.obs, prefetch=self.block_size),
+            VNode.root(root, obs=self.obs, prefetch=self.block_size,
+                       plan=view.prepared),
             view,
         )
 
@@ -576,12 +577,14 @@ class Mediator:
                 )
         return plan, compose_plan, fired
 
-    def _evaluate(self, exec_plan, policy):
-        """Evaluate an executable plan to its answer root Node."""
+    def _evaluate(self, view, policy):
+        """Evaluate a :class:`~repro.cache.shapes.BoundPlan` to its
+        answer root Node, the first pull sized by the plan's demand."""
+        exec_plan = view.exec_plan()
         if self.lazy:
             engine = LazyEngine(
                 self.catalog, stats=self.stats, on_source_error=policy,
-                block_size=self.block_size,
+                block_size=self.block_size, demand=view.prepared.demand,
             )
         else:
             # The eager engine materializes everything up front; block

@@ -121,6 +121,22 @@ class Cursor:
         if close is not None:
             close()
 
+    def record(self, on_exhausted):
+        """Pass the rows this cursor ships to ``on_exhausted`` once the
+        row generator runs out (not on close or failure); fetches and
+        their accounting are unchanged.  Returns the cursor."""
+        rows = self._rows
+
+        def recording():
+            kept = []
+            for row in rows:
+                kept.append(row)
+                yield row
+            on_exhausted(kept)
+
+        self._rows = recording()
+        return self
+
     def __iter__(self):
         while True:
             row = self.fetchone()

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Database, SqlResultCache
+from repro import Database, Mediator, SqlResultCache
 from repro.cache import normalize_sql
 from repro.errors import SqlError
 from repro.obs import Instrument
 from repro import stats as sn
 
-from tests.conftest import make_paper_db
+from tests.conftest import make_paper_db, make_scaled_wrapper
 
 
 @pytest.fixture
@@ -209,6 +209,39 @@ def test_eviction_respects_bound(db):
     assert cache.stats()["evictions"] == 1
     cache.execute(db, SELECT_CUSTOMERS).fetchall()
     assert cache.stats()["hits"] == 0
+
+
+@pytest.mark.parametrize("width", [1, 7, 64])
+def test_fetches_count_alike_with_the_cache_on_and_off(width):
+    # A miss hands out the database's own cursor: each fetch is one
+    # fetch there, counted once, and exhaustion still commits.
+    counts = []
+    for cached in (False, True):
+        stats = Instrument()
+        wrapper = make_scaled_wrapper(20, 5, stats=stats)
+        if cached:
+            wrapper.enable_sql_cache(8, obs=Instrument())
+        cursor = wrapper.execute_sql(SELECT_ORDERS)
+        while cursor.fetch_block(width):
+            pass
+        counts.append((stats.get(sn.TUPLES_SHIPPED),
+                       stats.get(sn.BLOCKS_SHIPPED)))
+    assert counts[0] == counts[1] == (100, -(-100 // width))
+    assert len(wrapper.sql_cache) == 1
+
+
+@pytest.mark.parametrize("width", [1, 7, 64])
+def test_a_walk_counts_alike_with_the_cache_on_and_off(width):
+    counts = []
+    for cached in (False, True):
+        stats = Instrument()
+        mediator = Mediator(stats=stats, cache=cached, block_size=width)
+        mediator.add_source(make_scaled_wrapper(20, 5, stats=stats))
+        mediator.query("FOR $O IN document(root2)/order RETURN $O").walk()
+        counts.append((stats.get(sn.TUPLES_SHIPPED),
+                       stats.get(sn.BLOCKS_SHIPPED)))
+    assert counts[0] == counts[1]
+    assert counts[0][0] == 100
 
 
 def test_counters_mirror_onto_instrument(db):

@@ -57,6 +57,30 @@ class TestQdomNodeApi:
             gc.enable()
         assert stranded == []
 
+    @pytest.mark.parametrize("query", [
+        "FOR $O IN document(root2)/order RETURN $O",
+        "FOR $C IN document(root1)/customer $O IN document(root2)/order"
+        " WHERE $C/id/data() = $O/cid/data()"
+        " RETURN <CustRec> $C <OrderInfo> $O </OrderInfo> {$O}"
+        " </CustRec> {$C}",
+    ])
+    def test_budgeted_walk_forces_at_most_one_block(self, query):
+        # A budgeted bulk walk used to force every child of every node
+        # it entered: walk(3) shipped the whole answer at width 64.
+        from repro import stats as sn
+        from repro.workloads import build_customers_orders
+
+        shipped = []
+        for walk in (lambda root: root.d(), lambda root: root.walk(3)):
+            built = build_customers_orders(
+                n_customers=200, orders_per_customer=5
+            )
+            mediator = Mediator(stats=built.stats, block_size=64)
+            walk(mediator.add_source(built.wrapper).query(query))
+            shipped.append(built.stats.get(sn.TUPLES_SHIPPED))
+        one_block, budgeted = shipped
+        assert budgeted <= one_block < 1000
+
     def test_find_returns_none(self, root):
         assert root.find("nope") is None
 

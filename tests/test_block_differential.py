@@ -165,6 +165,20 @@ def test_all_block_sizes_agree_with_tuple_mode(query_index, budget):
             "partial-walk transcripts diverged at block_size={} "
             "(budget {})".format(size, budget)
         )
+    for size in BLOCK_SIZES:
+        # The script once more on one caching mediator: the first run
+        # records how far it navigated, and every later evaluation of
+        # the shape (the memo dropped in between) starts that wide.
+        __, cached = fresh_mediator(size, cache=True)
+        for run in range(2):
+            assert transcript(cached.query(query), budget) == ref_walk, (
+                "run {} of a cached shape diverged at block_size={} "
+                "(budget {})".format(run + 1, size, budget)
+            )
+            cached.cache.nav_memo.clear()
+        assert serialize(cached.query(query).to_tree()) == ref_answer, (
+            "demand-sized answer diverged at block_size={}".format(size)
+        )
 
 
 @given(st.integers(0, len(QUERIES) - 1),
@@ -217,6 +231,18 @@ def test_query_in_place_agrees_across_block_sizes(budget):
         assert run(mediator) == reference, (
             "q-in-place diverged from the eager oracle at block_size={}"
             .format(size)
+        )
+        # Twice on one caching mediator, walks first: the second walk
+        # and the answer evaluate at the demand the first walk recorded.
+        __, cached = fresh_mediator(size, cache=True)
+        walks = [
+            transcript(cached.query(QUERIES[0]).q(follow_up), budget)
+            for __ in range(2)
+        ]
+        answer = serialize(cached.query(QUERIES[0]).q(follow_up).to_tree())
+        assert walks == [reference[1]] * 2 and answer == reference[0], (
+            "cached q-in-place diverged from the eager oracle at "
+            "block_size={}".format(size)
         )
 
 
