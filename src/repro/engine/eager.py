@@ -27,6 +27,7 @@ from repro.algebra.values import Skolem, VList, value_key
 from repro.engine.pathvals import eval_path_on_value
 from repro.obs.instrument import Instrument
 from repro.obs.tokens import node_token
+from repro.sources.relational import assemble
 
 
 class EagerEngine:
@@ -198,7 +199,7 @@ class EagerEngine:
                 break
             bindings = {}
             for entry in plan.varmap:
-                value = _assemble_rq_element(entry, row, self.oids)
+                value = assemble(entry, row, self.oids)
                 if value is None:  # NULL field: the binding would not exist
                     bindings = None
                     break
@@ -426,41 +427,6 @@ def _as_list(value, single, var):
     raise EvaluationError(
         "cat expects {} to be a list (or use the list() qualifier)".format(var)
     )
-
-
-def _assemble_rq_element(entry, row, oids):
-    """Build one variable's value from a SQL result row (per its kind).
-
-    Returns ``None`` when a ``field``/``leaf`` variable's column is SQL
-    NULL: the corresponding ``getD`` binding would not exist, so the
-    whole tuple must be dropped (the caller's responsibility).
-    NULL columns of an ``element`` variable become absent fields,
-    matching the wrapper's encoding.
-    """
-    if entry.kind == "leaf":
-        ((position, __),) = entry.columns
-        if row[position] is None:
-            return None
-        return Node(oids.fresh(), row[position])
-    if entry.kind == "field":
-        ((position, field_name),) = entry.columns
-        if row[position] is None:
-            return None
-        field = Node(oids.fresh(), field_name)
-        field.append(Node(oids.fresh(), row[position]))
-        return field
-    element_children = []
-    for position, field_name in entry.columns:
-        if row[position] is None:
-            continue
-        field = Node(oids.fresh(), field_name)
-        field.append(Node(oids.fresh(), row[position]))
-        element_children.append(field)
-    if entry.key_positions:
-        oid = "&" + "/".join(str(row[p]) for p in entry.key_positions)
-    else:
-        oid = oids.fresh()
-    return Node(oid, entry.label, element_children)
 
 
 EagerEngine._HANDLERS = {

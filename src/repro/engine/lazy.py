@@ -59,6 +59,7 @@ from repro.engine.pathvals import eval_path_on_value
 from repro.engine.streams import LazyList
 from repro.obs.instrument import Instrument
 from repro.obs.tokens import node_token
+from repro.sources.relational import assemble
 
 
 class LazyEngine:
@@ -321,8 +322,6 @@ class LazyEngine:
             yield [BindingTuple({plan.var: child})]
 
     def _blk_relquery(self, plan, env):
-        from repro.engine.eager import _assemble_rq_element
-
         try:
             server = self.catalog.server(plan.server)
             self.obs.incr(statnames.RQ_STATEMENTS)
@@ -361,7 +360,7 @@ class LazyEngine:
             for row in rows:
                 bindings = {}
                 for entry in varmap:
-                    value = _assemble_rq_element(entry, row, self.oids)
+                    value = assemble(entry, row, self.oids)
                     if value is None:  # NULL field: drop the row
                         bindings = None
                         break

@@ -213,14 +213,9 @@ class FaultInjectingSource(Source):
         if fault is not None and fault.take():
             self._record("materialize", doc_id, None, fault.kind)
             self._raise(fault.kind, "materialize", doc_id)
-        # Route through our own iterator so pull faults also fire on the
+        # Built over our own iterator, so pull faults also fire on the
         # eager path.
-        from repro.xmltree.tree import Node
-
-        root = Node("&{}".format(doc_id), "list")
-        for child in self.iter_document_children(doc_id):
-            root.append(child)
-        return root
+        return super().materialize_document(doc_id)
 
     def supports_sql(self):
         return self.inner.supports_sql()

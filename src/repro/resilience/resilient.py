@@ -253,16 +253,9 @@ class ResilientSource(Source):
 
     def materialize_document(self, doc_id):
         if self.on_error == DEGRADE:
-            # Build through our own pull stream so per-pull retry and
-            # stub substitution apply uniformly to the eager path.  The
-            # rebuilt root is ``list``-labeled, matching the wrappers'
-            # own materialization convention.
-            from repro.xmltree.tree import Node
-
-            root = Node("&{}".format(doc_id), "list")
-            for child in self.iter_document_children(doc_id):
-                root.append(child)
-            return root
+            # Build over our own pull stream so per-pull retry and stub
+            # substitution apply uniformly to the eager path.
+            return super().materialize_document(doc_id)
         return self._call(
             lambda: self.inner.materialize_document(doc_id), doc_id=doc_id
         )

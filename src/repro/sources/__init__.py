@@ -6,7 +6,10 @@ XML view of itself.  Three wrappers are provided:
 * :class:`~repro.sources.relational.RelationalWrapper` — exports each
   registered table as a document whose children are "tuple objects" with
   key-derived oids (Fig. 2), supports lazy cursor-driven child iteration,
-  and executes pushed-down SQL for the ``rQ`` operator;
+  and executes pushed-down SQL for the ``rQ`` operator.  The export
+  itself is :class:`~repro.sources.relational.TableSource`, which both
+  SQL back ends share, and its :func:`~repro.sources.relational.assemble`
+  builds the tuple objects of document scans and ``rQ`` leaves alike;
 * :class:`~repro.sources.xmlfile.XmlFileSource` — an XML file/text
   source; per the paper's footnote, sources with no navigation support
   are fetched in one step;
@@ -15,8 +18,8 @@ XML view of itself.  Three wrappers are provided:
 
 Two federation-oriented wrappers extend the set:
 
-* :class:`~repro.sources.sqlite.SqliteWrapper` — the same relational
-  protocol over a stdlib ``sqlite3`` database;
+* :class:`~repro.sources.sqlite.SqliteWrapper` — the same export over
+  a stdlib ``sqlite3`` database;
 * :class:`~repro.sources.shard.ShardedSource` — one logical table
   horizontally partitioned across k member wrappers, scattered to in
   parallel and gathered through a block-aware merge (see

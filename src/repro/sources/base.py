@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.errors import SourceError
+from repro.xmltree.tree import Node
 
 
 class Source:
@@ -15,11 +16,14 @@ class Source:
       children, pulled one at a time as navigation demands (the
       navigation-driven path);
     * :meth:`materialize_document` — the whole document at once (the
-      eager baseline, and the only option for sources that support no
-      navigation, per the paper's footnote 2).
+      eager baseline).  The default is a ``list`` root over
+      :meth:`iter_document_children`; only a source that supports no
+      navigation (per the paper's footnote 2, :class:`XmlFileSource`)
+      overrides it, and the resilience proxies extend it.
 
     Relational wrappers additionally accept pushed-down SQL via
-    :meth:`execute_sql`.
+    :meth:`execute_sql`; the SQL back ends share their Fig.-2 export
+    through :class:`~repro.sources.relational.TableSource`.
 
     Sources that can version their data implement ``data_version()``
     returning a hashable token that changes on every write (the
@@ -51,8 +55,10 @@ class Source:
         raise NotImplementedError
 
     def materialize_document(self, doc_id):
-        """The full document tree (root Node)."""
-        raise NotImplementedError
+        """The full document tree: a ``list`` root over every child."""
+        return Node(
+            "&{}".format(doc_id), "list", self.iter_document_children(doc_id)
+        )
 
     def supports_sql(self):
         """Whether :meth:`execute_sql` is available (relational sources)."""

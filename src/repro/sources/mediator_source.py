@@ -98,12 +98,6 @@ class MediatorSource(Source):
             yield _qdom_to_node(node)
             node = pull(node.r)
 
-    def materialize_document(self, doc_id):
-        root = Node("&{}".format(doc_id), "list")
-        for child in self.iter_document_children(doc_id):
-            root.append(child)
-        return root
-
     def invalidate(self, doc_id=None):
         """Drop cached roots so the next access re-runs the lower query."""
         if doc_id is None:

@@ -1,4 +1,4 @@
-"""The relational-to-XML wrapper (paper Fig. 2).
+"""The relational-to-XML export (paper Fig. 2), shared by every SQL back end.
 
 Each registered table becomes a document: a ``list``-labeled root whose
 children are "tuple objects" — one element per row, labeled with the
@@ -7,38 +7,111 @@ relational database wrapper exporting the database assigns the tuple keys
 (eg, XYZ123) to be the oid's of the corresponding 'tuple' objects —
 after it precedes them with the &."
 
-Laziness: :meth:`iter_document_children` drives a cursor, so rows the
-mediator never navigates to are never shipped (or even joined, thanks to
-the pipelined executor underneath).
+The export exists once: :func:`assemble` builds every value an ``rQ``
+leaf binds *and* every tuple object a document scan yields (a scan is an
+``rQ`` ``element`` entry over ``SELECT *``), and :func:`key_values`
+is the inverse of the key-oid encoding inside it.  :class:`TableSource`
+owns the document registry and the cursor-driven scan; its two back ends,
+:class:`RelationalWrapper` here and
+:class:`~repro.sources.sqlite.SqliteWrapper`, supply only SQL execution,
+schemas, versioning and statistics.
+
+Laziness: :meth:`TableSource.iter_document_children` drives a cursor, so
+rows the mediator never navigates to are never shipped (or even joined,
+thanks to the pipelined executor underneath).
 """
 
 from __future__ import annotations
 
 from repro import stats as statnames
+from repro.algebra.operators import RQVar
 from repro.errors import SourceError
 from repro.xmltree.tree import Node, OidGenerator
 from repro.sources.base import Source
 
 
-class RelationalWrapper(Source):
-    """Wraps a :class:`repro.relational.Database` as an XML source.
+def assemble(entry, row, oids):
+    """Build one :class:`RQVar` entry's value from a SQL result row.
 
-    Example::
+    Returns ``None`` when a ``field``/``leaf`` entry's column is SQL
+    NULL: the corresponding ``getD`` binding would not exist, so the
+    whole tuple must be dropped (the caller's responsibility).  SQL NULLs
+    have no XML value in the paper's model, so the NULL columns of an
+    ``element`` entry become *absent* fields (conditions on them are then
+    false, matching SQL's NULL comparison semantics).
 
-        wrapper = RelationalWrapper(db, server_name="s")
-        wrapper.register_document("root1", "customer")
-        wrapper.register_document("root2", "orders")
+    A tuple object's oid is ``&`` plus its key values joined by ``/``,
+    with ``\\`` and ``/`` inside a value escaped by ``\\`` — keys free of
+    both keep the plain form (``&XYZ``, ``&W1/A``).  Keyless rows get a
+    surrogate oid: they cannot be referenced by decontextualized queries,
+    matching the paper's requirement that group-by variables be
+    key-addressable.
+    """
+    kind = entry.kind
+    if kind == "element":
+        children = []
+        for position, field_name in entry.columns:
+            value = row[position]
+            if value is None:
+                continue
+            field = Node(oids.fresh(), field_name)
+            field.append(Node(oids.fresh(), value))
+            children.append(field)
+        keys = entry.key_positions
+        if not keys:
+            return Node(oids.fresh(), entry.label, children)
+        text = "/".join([str(row[p]) for p in keys])
+        if "\\" in text or text.count("/") >= len(keys):
+            text = "/".join([
+                str(row[p]).replace("\\", "\\\\").replace("/", "\\/")
+                for p in keys
+            ])
+        return Node("&" + text, entry.label, children)
+    ((position, field_name),) = entry.columns
+    value = row[position]
+    if value is None:
+        return None
+    if kind == "leaf":
+        return Node(oids.fresh(), value)
+    field = Node(oids.fresh(), field_name)
+    field.append(Node(oids.fresh(), value))
+    return field
+
+
+def key_values(oid):
+    """The key-value texts a tuple-object oid encodes (``&`` stripped),
+    split on unescaped ``/`` — the inverse of :func:`assemble`'s oid."""
+    text = str(oid)[1:]
+    if "\\" not in text:
+        return text.split("/")
+    parts, current, chars = [], [], iter(text)
+    for char in chars:
+        if char == "\\":
+            current.append(next(chars, ""))
+        elif char == "/":
+            parts.append("".join(current))
+            current = []
+        else:
+            current.append(char)
+    parts.append("".join(current))
+    return parts
+
+
+class TableSource(Source):
+    """The Fig.-2 export over any SQL back end.
+
+    Owns the document registry, block batching, the cursor-driven
+    document scan and the oid decoder.  A back end supplies
+    ``execute_sql``, ``describe_table``, a ``stats`` instrument (shipped
+    rows and source navigations are counted on it), and — when its
+    dialect needs it — :meth:`_scan_sql`.
     """
 
-    def __init__(self, database, server_name="s"):
-        self.database = database
+    def __init__(self, server_name, oid_prefix):
         self.server_name = server_name
         self._documents = {}  # doc_id -> (table name, element label)
-        self._oids = OidGenerator("w")
-        self._sql_cache = None
+        self._oids = OidGenerator(oid_prefix)
         self._block_size = 1
-
-    # -- block execution ----------------------------------------------------------
 
     def set_block_size(self, size):
         """Batch document-iteration row fetches to ``size`` rows.
@@ -56,6 +129,136 @@ class RelationalWrapper(Source):
         self._block_size = size if size > 1 else 1
         return self
 
+    # -- configuration -----------------------------------------------------------
+
+    def register_document(self, doc_id, table_name, element_label=None):
+        """Export ``table_name`` as the document ``doc_id``.
+
+        ``element_label`` names the exported tuple objects; it defaults
+        to the table name but may differ (the paper's ``orders`` table
+        exports ``order`` elements in Fig. 2).
+        """
+        self.describe_table(table_name)  # validate early
+        self._documents[doc_id] = (table_name, element_label or table_name)
+        return self
+
+    def table_for_document(self, doc_id):
+        return self._doc_entry(doc_id)[0]
+
+    def label_for_document(self, doc_id):
+        return self._doc_entry(doc_id)[1]
+
+    def _doc_entry(self, doc_id):
+        try:
+            return self._documents[doc_id]
+        except KeyError:
+            raise SourceError(
+                "wrapper {!r} exports no document {!r}".format(
+                    self.server_name, doc_id
+                ),
+                doc_id=doc_id,
+                source=self.server_name,
+            )
+
+    # -- Source interface -----------------------------------------------------------
+
+    def document_ids(self):
+        return sorted(self._documents)
+
+    def iter_document_children(self, doc_id):
+        """Cursor-driven tuple objects, one per pull, fetched
+        ``set_block_size`` rows at a time (width 1 is a one-row fetch).
+
+        A scan is the ``rQ`` format with one ``element`` entry over every
+        column, so it builds exactly the tuple objects a pushed ``rQ``
+        builds."""
+        table_name, label = self._doc_entry(doc_id)
+        schema = self.describe_table(table_name)
+        entry = RQVar(
+            None, label, enumerate(schema.column_names),
+            schema.key_indexes(),
+        )
+        stats = self.stats
+        oids = self._oids
+        span_name = "wrap({})".format(doc_id)
+        span_key = "wrap:{}:{}".format(self.server_name, doc_id)
+        with self._span(stats, span_name, span_key, table_name):
+            # Through execute_sql so document iteration shares the SQL
+            # result cache with pushed rQ statements.
+            cursor = self.execute_sql(self._scan_sql(table_name))
+        while True:
+            # One span covers the whole batch: rows cross the cursor
+            # boundary block-at-a-time, but each is still one source
+            # navigation and one shipped tuple.
+            with self._span(stats, span_name, span_key, table_name):
+                rows = cursor.fetch_block(self._block_size)
+                if not rows:
+                    return
+                stats.incr(statnames.SOURCE_NAVIGATIONS, len(rows))
+                elements = [assemble(entry, row, oids) for row in rows]
+            for element in elements:
+                yield element
+
+    def _scan_sql(self, table_name):
+        return "SELECT * FROM {}".format(table_name)
+
+    @staticmethod
+    def _span(stats, name, key, table_name):
+        return stats.operator_span(
+            name, key=key, kind="source", table=table_name
+        )
+
+    def supports_sql(self):
+        return True
+
+    def oid_to_key(self, table_name, oid):
+        """Decode a tuple-object oid back to its key values."""
+        schema = self.describe_table(table_name)
+        if not str(oid).startswith("&"):
+            raise SourceError(
+                "not a wrapper oid: {!r}".format(oid),
+                source=self.server_name,
+            )
+        parts = key_values(oid)
+        key_idx = schema.key_indexes()
+        if len(parts) != len(key_idx):
+            raise SourceError(
+                "oid {!r} does not match the key of {!r}".format(
+                    oid, table_name
+                ),
+                source=self.server_name,
+            )
+        return [
+            schema.columns[i].type.accept(part)
+            for i, part in zip(key_idx, parts)
+        ]
+
+    def __repr__(self):
+        return "{}({}, docs={})".format(
+            type(self).__name__, self.server_name, self._documents
+        )
+
+
+class RelationalWrapper(TableSource):
+    """Wraps a :class:`repro.relational.Database` as an XML source.
+
+    Example::
+
+        wrapper = RelationalWrapper(db, server_name="s")
+        wrapper.register_document("root1", "customer")
+        wrapper.register_document("root2", "orders")
+    """
+
+    def __init__(self, database, server_name="s"):
+        super().__init__(server_name, "w")
+        self.database = database
+        self._sql_cache = None
+
+    @property
+    def stats(self):
+        """The database's instrument (shipped rows are counted there)."""
+        return self.database.stats
+
     # -- result caching ----------------------------------------------------------
 
     def enable_sql_cache(self, maxsize=128, obs=None):
@@ -68,15 +271,9 @@ class RelationalWrapper(Source):
         from repro.cache.sqlcache import SqlResultCache
 
         if maxsize:
-            self._sql_cache = SqlResultCache(
-                maxsize, obs=obs or self.database.stats
-            )
+            self._sql_cache = SqlResultCache(maxsize, obs=obs or self.stats)
         else:
             self._sql_cache = None
-        return self
-
-    def disable_sql_cache(self):
-        self._sql_cache = None
         return self
 
     @property
@@ -91,9 +288,10 @@ class RelationalWrapper(Source):
             return None
         health = {"source": self.server_name}
         health.update(self._sql_cache.stats())
-        stats = self.database.stats
-        health["tuples_shipped"] = stats.get(statnames.TUPLES_SHIPPED)
-        health["tuples_from_cache"] = stats.get(statnames.TUPLES_FROM_CACHE)
+        health["tuples_shipped"] = self.stats.get(statnames.TUPLES_SHIPPED)
+        health["tuples_from_cache"] = self.stats.get(
+            statnames.TUPLES_FROM_CACHE
+        )
         return health
 
     def data_version(self):
@@ -144,87 +342,7 @@ class RelationalWrapper(Source):
                 return None
         return self.database.estimate(sql)
 
-    # -- configuration -----------------------------------------------------------
-
-    def register_document(self, doc_id, table_name, element_label=None):
-        """Export ``table_name`` as the document ``doc_id``.
-
-        ``element_label`` names the exported tuple objects; it defaults
-        to the table name but may differ (the paper's ``orders`` table
-        exports ``order`` elements in Fig. 2).
-        """
-        self.database.table(table_name)  # validate early
-        self._documents[doc_id] = (table_name, element_label or table_name)
-        return self
-
-    def table_for_document(self, doc_id):
-        return self._doc_entry(doc_id)[0]
-
-    def label_for_document(self, doc_id):
-        return self._doc_entry(doc_id)[1]
-
-    def _doc_entry(self, doc_id):
-        try:
-            return self._documents[doc_id]
-        except KeyError:
-            raise SourceError(
-                "wrapper {!r} exports no document {!r}".format(
-                    self.server_name, doc_id
-                ),
-                doc_id=doc_id,
-                source=self.server_name,
-            )
-
-    # -- Source interface -----------------------------------------------------------
-
-    def document_ids(self):
-        return sorted(self._documents)
-
-    def iter_document_children(self, doc_id):
-        """Cursor-driven tuple objects, one per pull, fetched
-        ``set_block_size`` rows at a time (width 1 is a one-row fetch)."""
-        table_name, label = self._doc_entry(doc_id)
-        schema = self.database.table(table_name).schema
-        stats = self.database.stats
-        span_name = "wrap({})".format(doc_id)
-        span_key = "wrap:{}:{}".format(self.server_name, doc_id)
-        with self._span(stats, span_name, span_key, table_name):
-            # Through execute_sql so document iteration shares the SQL
-            # result cache with pushed rQ statements.
-            cursor = self.execute_sql(
-                "SELECT * FROM {}".format(table_name)
-            )
-        while True:
-            # One span covers the whole batch: rows cross the cursor
-            # boundary block-at-a-time, but each is still one source
-            # navigation and one shipped tuple.
-            with self._span(stats, span_name, span_key, table_name):
-                rows = cursor.fetch_block(self._block_size)
-                if not rows:
-                    return
-                stats.incr(statnames.SOURCE_NAVIGATIONS, len(rows))
-                elements = [
-                    self.row_to_element(schema, row, label=label)
-                    for row in rows
-                ]
-            for element in elements:
-                yield element
-
-    @staticmethod
-    def _span(stats, name, key, table_name):
-        return stats.operator_span(
-            name, key=key, kind="source", table=table_name
-        )
-
-    def materialize_document(self, doc_id):
-        """The whole document at once (eager baseline)."""
-        root = Node("&{}".format(doc_id), "list")
-        for child in self.iter_document_children(doc_id):
-            root.append(child)
-        return root
-
-    def supports_sql(self):
-        return True
+    # -- SQL -----------------------------------------------------------------------
 
     def execute_sql(self, sql):
         if self._sql_cache is not None:
@@ -233,63 +351,3 @@ class RelationalWrapper(Source):
 
     def describe_table(self, table_name):
         return self.database.table(table_name).schema
-
-    # -- element assembly ------------------------------------------------------------
-
-    def row_to_element(self, schema, row, label=None):
-        """Build the tuple object for one row (Fig. 2 layout).
-
-        SQL NULLs have no XML value representation in the paper's
-        model; a NULL field is exported as an *absent* element, the
-        idiomatic XML encoding (conditions on it are then false, which
-        matches SQL's NULL comparison semantics).
-        """
-        element = Node(
-            self.oid_for_row(schema, row), label or schema.name
-        )
-        for col, value in zip(schema.columns, row):
-            if value is None:
-                continue
-            field = Node(self._oids.fresh(), col.name)
-            field.append(Node(self._oids.fresh(), value))
-            element.append(field)
-        return element
-
-    def oid_for_row(self, schema, row):
-        """The key-derived oid of a row's tuple object (``&XYZ`` style).
-
-        Keyless tables get surrogate oids — their tuple objects cannot be
-        referenced by decontextualized queries, matching the paper's
-        requirement that group-by variables be key-addressable.
-        """
-        key_idx = schema.key_indexes()
-        if not key_idx:
-            return self._oids.fresh()
-        return "&" + "/".join(str(row[i]) for i in key_idx)
-
-    def oid_to_key(self, table_name, oid):
-        """Decode a tuple-object oid back to its key values."""
-        schema = self.database.table(table_name).schema
-        if not str(oid).startswith("&"):
-            raise SourceError(
-                "not a wrapper oid: {!r}".format(oid),
-                source=self.server_name,
-            )
-        parts = str(oid)[1:].split("/")
-        key_idx = schema.key_indexes()
-        if len(parts) != len(key_idx):
-            raise SourceError(
-                "oid {!r} does not match the key of {!r}".format(
-                    oid, table_name
-                ),
-                source=self.server_name,
-            )
-        return [
-            schema.columns[i].type.accept(part)
-            for i, part in zip(key_idx, parts)
-        ]
-
-    def __repr__(self):
-        return "RelationalWrapper({}, docs={})".format(
-            self.server_name, self._documents
-        )

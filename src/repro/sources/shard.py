@@ -47,7 +47,6 @@ from repro.relational.cursor import (
 )
 from repro.relational.parser import parse_sql
 from repro.sources.base import Source
-from repro.xmltree.tree import Node
 
 #: Partitioning schemes.
 HASH = "hash"
@@ -109,37 +108,23 @@ class ShardedSource(Source):
         server_name: the catalog server name of the logical source.
         obs: instrument receiving ``shards_scattered`` /
             ``shards_pruned`` / ``shards_failed``.
-        max_workers: cap on the scatter pool (default: one per member).
-        gather: force a gather mode for keyless statements
-            (``"arrival"``/``"ordered"``; an ``ORDER BY`` always wins
-            and uses the exact merge).
-        prefetch_depth: blocks each member stream keeps buffered ahead
-            of the merge.
+
+    The scatter pool runs one worker per member, and each member stream
+    keeps the :class:`~repro.relational.cursor.ShardStream` default of 4
+    blocks buffered ahead of the merge.
     """
 
     def __init__(self, members, partition, replicated=(),
-                 server_name="shards", obs=None, max_workers=None,
-                 gather=None, prefetch_depth=4):
+                 server_name="shards", obs=None):
         members = list(members)
         if not members:
             raise ValueError("a ShardedSource needs at least one member")
-        if gather not in (None, ARRIVAL, ORDERED):
-            raise ValueError(
-                "gather must be 'arrival' or 'ordered', got {!r}".format(
-                    gather
-                )
-            )
         self.members = members
         self.partition = partition
         self.replicated = tuple(replicated)
         self.server_name = server_name
         self._obs = obs
-        self._gather = gather
-        self._depth = max(1, int(prefetch_depth))
         self._block_size = 64
-        self._max_workers = min(
-            len(members), max_workers if max_workers else len(members)
-        )
         self._pool = None
         self._pool_lock = threading.Lock()
         self._health = {"scattered": 0, "pruned": 0, "failed": 0}
@@ -150,7 +135,7 @@ class ShardedSource(Source):
         with self._pool_lock:
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(
-                    max_workers=self._max_workers,
+                    max_workers=len(self.members),
                     thread_name_prefix="shard-{}".format(self.server_name),
                 )
             return self._pool
@@ -178,13 +163,6 @@ class ShardedSource(Source):
             fn = getattr(member, "enable_sql_cache", None)
             if fn is not None:
                 fn(maxsize, obs=obs)
-        return self
-
-    def disable_sql_cache(self):
-        for member in self.members:
-            fn = getattr(member, "disable_sql_cache", None)
-            if fn is not None:
-                fn()
         return self
 
     def set_cost_optimizer(self, enabled):
@@ -296,12 +274,6 @@ class ShardedSource(Source):
             return self.members[0].iter_document_children(doc_id)
         return _ShardedChildIterator(self, doc_id)
 
-    def materialize_document(self, doc_id):
-        root = Node("&{}".format(doc_id), "list")
-        for child in self.iter_document_children(doc_id):
-            root.append(child)
-        return root
-
     # -- scatter-gather ------------------------------------------------------------
 
     def execute_sql(self, sql):
@@ -380,7 +352,7 @@ class ShardedSource(Source):
         elif self.partition.scheme == RANGE:
             gather = ORDERED
         else:
-            gather = self._gather or ARRIVAL
+            gather = ARRIVAL
         pool = self._ensure_pool()
         cond = threading.Condition()
         streams = [
@@ -391,7 +363,6 @@ class ShardedSource(Source):
                 pool,
                 cond,
                 block_size=self._block_size,
-                depth=self._depth,
             )
             for index, member in live
         ]

@@ -3,11 +3,13 @@
 The mediator's relational protocol was designed against the in-process
 :class:`repro.relational.Database`; this wrapper speaks the same
 protocol over a real SQLite database (stdlib ``sqlite3``, no new
-dependency): documents as ``list``-rooted tables of tuple objects with
-key-derived oids (paper Fig. 2), pushed-down SQL through
-:meth:`execute_sql` with every shipped row counted, ``data_version()``
-for the result caches, ``set_block_size`` batching, and ``ANALYZE``
-min/max statistics for shard pruning.
+dependency).  The Fig.-2 export — documents, tuple objects, key-derived
+oids, block batching — is the shared
+:class:`~repro.sources.relational.TableSource`; this module supplies
+only what is SQLite's: pushed-down SQL through :meth:`execute_sql` with
+every shipped row counted, schemas from ``PRAGMA table_info``,
+``data_version()`` for the result caches, and ``ANALYZE`` min/max
+statistics for shard pruning.
 
 It is usable standalone (``Mediator().add_source(SqliteWrapper(...))``)
 or as a member of a :class:`~repro.sources.shard.ShardedSource` — each
@@ -25,15 +27,14 @@ from repro.optimizer.statistics import ColumnStatistics, TableStatistics
 from repro.relational.cursor import Cursor
 from repro.relational.schema import Column, TableSchema
 from repro.relational.types import TEXT, TYPE_NAMES
-from repro.sources.base import Source
+from repro.sources.relational import TableSource
 from repro.stats import StatsRegistry
-from repro.xmltree.tree import Node, OidGenerator
 
 #: Rows crossing the sqlite C boundary per generator step.
 _FETCH_BATCH = 256
 
 
-class SqliteWrapper(Source):
+class SqliteWrapper(TableSource):
     """Wraps a SQLite database as an XML source.
 
     Args:
@@ -55,30 +56,12 @@ class SqliteWrapper(Source):
         # check_same_thread=False: scatter-gather fetches member blocks
         # from pool threads; the sqlite3 module serializes access to
         # the connection itself.
+        super().__init__(server_name, "q")
         self.connection = sqlite3.connect(
             path, check_same_thread=False
         )
-        self.server_name = server_name
         self.stats = stats if stats is not None else StatsRegistry()
-        self._documents = {}   # doc_id -> (table name, element label)
-        self._oids = OidGenerator("q")
-        self._block_size = 1
         self._statistics = {}  # table -> (TableStatistics, version stamp)
-
-    # -- configuration -------------------------------------------------------------
-
-    def register_document(self, doc_id, table_name, element_label=None):
-        """Export ``table_name`` as the document ``doc_id``."""
-        self.describe_table(table_name)  # validate early
-        self._documents[doc_id] = (table_name, element_label or table_name)
-        return self
-
-    def set_block_size(self, size):
-        """Batch document-iteration fetches to ``size`` rows (the same
-        duck protocol as :class:`RelationalWrapper`)."""
-        size = int(size)
-        self._block_size = size if size > 1 else 1
-        return self
 
     def run(self, sql, params=()):
         """Execute DDL/DML (committed immediately); returns rowcount."""
@@ -174,68 +157,7 @@ class SqliteWrapper(Source):
             table_name, row_count, columns, version=self.data_version()
         )
 
-    # -- Source interface ----------------------------------------------------------
-
-    def document_ids(self):
-        return sorted(self._documents)
-
-    def table_for_document(self, doc_id):
-        return self._doc_entry(doc_id)[0]
-
-    def label_for_document(self, doc_id):
-        return self._doc_entry(doc_id)[1]
-
-    def _doc_entry(self, doc_id):
-        try:
-            return self._documents[doc_id]
-        except KeyError:
-            raise SourceError(
-                "wrapper {!r} exports no document {!r}".format(
-                    self.server_name, doc_id
-                ),
-                doc_id=doc_id,
-                source=self.server_name,
-            )
-
-    def iter_document_children(self, doc_id):
-        """Cursor-driven tuple objects, one per pull, fetched
-        ``set_block_size`` rows at a time (width 1 is a one-row fetch)."""
-        table_name, label = self._doc_entry(doc_id)
-        schema = self.describe_table(table_name)
-        stats = self.stats
-        span_name = "wrap({})".format(doc_id)
-        span_key = "wrap:{}:{}".format(self.server_name, doc_id)
-        with self._span(stats, span_name, span_key, table_name):
-            cursor = self.execute_sql(
-                "SELECT * FROM {}".format(_quote(table_name))
-            )
-        while True:
-            with self._span(stats, span_name, span_key, table_name):
-                rows = cursor.fetch_block(self._block_size)
-                if not rows:
-                    return
-                stats.incr(statnames.SOURCE_NAVIGATIONS, len(rows))
-                elements = [
-                    self.row_to_element(schema, row, label=label)
-                    for row in rows
-                ]
-            for element in elements:
-                yield element
-
-    @staticmethod
-    def _span(stats, name, key, table_name):
-        return stats.operator_span(
-            name, key=key, kind="source", table=table_name
-        )
-
-    def materialize_document(self, doc_id):
-        root = Node("&{}".format(doc_id), "list")
-        for child in self.iter_document_children(doc_id):
-            root.append(child)
-        return root
-
-    def supports_sql(self):
-        return True
+    # -- SQL -----------------------------------------------------------------------
 
     def execute_sql(self, sql):
         self.stats.incr(statnames.SQL_QUERIES)
@@ -297,54 +219,11 @@ class SqliteWrapper(Source):
         primary_key = tuple(name for __, name in sorted(key))
         return TableSchema(table_name, columns, primary_key=primary_key)
 
-    # -- element assembly (Fig. 2 layout, as RelationalWrapper) ---------------------
-
-    def row_to_element(self, schema, row, label=None):
-        element = Node(
-            self.oid_for_row(schema, row), label or schema.name
-        )
-        for col, value in zip(schema.columns, row):
-            if value is None:
-                continue
-            field = Node(self._oids.fresh(), col.name)
-            field.append(Node(self._oids.fresh(), value))
-            element.append(field)
-        return element
-
-    def oid_for_row(self, schema, row):
-        key_idx = schema.key_indexes()
-        if not key_idx:
-            return self._oids.fresh()
-        return "&" + "/".join(str(row[i]) for i in key_idx)
-
-    def oid_to_key(self, table_name, oid):
-        schema = self.describe_table(table_name)
-        if not str(oid).startswith("&"):
-            raise SourceError(
-                "not a wrapper oid: {!r}".format(oid),
-                source=self.server_name,
-            )
-        parts = str(oid)[1:].split("/")
-        key_idx = schema.key_indexes()
-        if len(parts) != len(key_idx):
-            raise SourceError(
-                "oid {!r} does not match the key of {!r}".format(
-                    oid, table_name
-                ),
-                source=self.server_name,
-            )
-        return [
-            schema.columns[i].type.accept(part)
-            for i, part in zip(key_idx, parts)
-        ]
+    def _scan_sql(self, table_name):
+        return "SELECT * FROM {}".format(_quote(table_name))
 
     def close(self):
         self.connection.close()
-
-    def __repr__(self):
-        return "SqliteWrapper({}, docs={})".format(
-            self.server_name, self._documents
-        )
 
 
 def _quote(identifier):

@@ -112,8 +112,34 @@ def build_customers_orders(spec=None, stats=None, **spec_kwargs):
     elif spec_kwargs:
         raise MixError("pass either a spec or keyword knobs, not both")
     stats = stats or Instrument()
-    rng = random.Random(spec.seed)
     db = Database("customers_orders", stats=stats)
+    wrapper = load_database(RelationalWrapper(db), *generate_rows(spec))
+    return BuiltWorkload(spec, db, wrapper, stats)
+
+
+def generate_rows(spec):
+    """The workload's logical rows, ``(customers, orders)``.
+
+    Every builder — unsharded or sharded, any back end — loads these
+    rows, which is what makes the same spec give the same answers over
+    every layout.
+    """
+    rng = random.Random(spec.seed)
+    customers, orders = [], []
+    for i in range(spec.n_customers):
+        cid = "C{:06d}".format(i)
+        customers.append(
+            (cid, "Name{}".format(i), "City{}".format(spec.city(i)))
+        )
+        for j in range(spec.orders_per_customer):
+            orders.append((len(orders), cid, spec.order_value(i, j, rng)))
+    return customers, orders
+
+
+def load_database(wrapper, customers, orders):
+    """Create, fill (one ``INSERT`` per row) and export the two
+    tables of an in-process :class:`RelationalWrapper`."""
+    db = wrapper.database
     db.run(
         "CREATE TABLE customer (id TEXT, name TEXT, addr TEXT,"
         " PRIMARY KEY (id))"
@@ -122,22 +148,12 @@ def build_customers_orders(spec=None, stats=None, **spec_kwargs):
         "CREATE TABLE orders (orid INT, cid TEXT, value INT,"
         " PRIMARY KEY (orid))"
     )
-    order_id = 0
-    for i in range(spec.n_customers):
-        db.run(
-            "INSERT INTO customer VALUES ('C{:06d}', 'Name{}',"
-            " 'City{}')".format(i, i, spec.city(i))
-        )
-        for j in range(spec.orders_per_customer):
-            db.run(
-                "INSERT INTO orders VALUES ({}, 'C{:06d}', {})".format(
-                    order_id, i, spec.order_value(i, j, rng)
-                )
-            )
-            order_id += 1
-    wrapper = (
-        RelationalWrapper(db)
+    for row in customers:
+        db.run("INSERT INTO customer VALUES ('{}', '{}', '{}')".format(*row))
+    for row in orders:
+        db.run("INSERT INTO orders VALUES ({}, '{}', {})".format(*row))
+    return (
+        wrapper
         .register_document("root1", "customer")
         .register_document("root2", "orders", element_label="order")
     )
-    return BuiltWorkload(spec, db, wrapper, stats)

@@ -25,8 +25,6 @@ Partition keys:
 
 from __future__ import annotations
 
-import random
-
 from repro.errors import MixError
 from repro.obs import Instrument
 from repro.relational import Database
@@ -38,7 +36,11 @@ from repro.sources import (
     hash_shard,
 )
 from repro.sources.shard import HASH, RANGE
-from repro.workloads.customers import CustomersOrdersSpec
+from repro.workloads.customers import (
+    CustomersOrdersSpec,
+    generate_rows,
+    load_database,
+)
 
 _ORDER_COLUMNS = ("orid", "cid", "value")
 
@@ -73,7 +75,6 @@ class ShardedWorkload:
 def build_sharded_customers_orders(shards=4, spec=None, stats=None,
                                    scheme=HASH, partition_key="cid",
                                    backend="memory", member_wrapper=None,
-                                   gather=None, max_workers=None,
                                    **spec_kwargs):
     """Generate a k-sharded customers/orders instance.
 
@@ -88,7 +89,6 @@ def build_sharded_customers_orders(shards=4, spec=None, stats=None,
         member_wrapper: optional callable applied to the raw member
             list before the sharded source is built — e.g.
             ``lambda ms: shard_resilience(ms, on_error="degrade")``.
-        gather/max_workers: forwarded to :class:`ShardedSource`.
     """
     if spec is None:
         spec = CustomersOrdersSpec(**spec_kwargs)
@@ -102,7 +102,7 @@ def build_sharded_customers_orders(shards=4, spec=None, stats=None,
         )
     stats = stats or Instrument()
 
-    customers, orders = _generate_rows(spec)
+    customers, orders = generate_rows(spec)
     placements = _place(orders, shards, scheme, partition_key)
 
     members = []
@@ -130,29 +130,8 @@ def build_sharded_customers_orders(shards=4, spec=None, stats=None,
         replicated=("customer",),
         server_name="s",
         obs=stats,
-        gather=gather,
-        max_workers=max_workers,
     )
     return ShardedWorkload(spec, sharded, members, stats)
-
-
-def _generate_rows(spec):
-    """The workload's logical rows, in the unsharded builder's order."""
-    rng = random.Random(spec.seed)
-    customers, orders = [], []
-    order_id = 0
-    for i in range(spec.n_customers):
-        customers.append(
-            ("C{:06d}".format(i), "Name{}".format(i),
-             "City{}".format(spec.city(i)))
-        )
-        for j in range(spec.orders_per_customer):
-            orders.append(
-                (order_id, "C{:06d}".format(i),
-                 spec.order_value(i, j, rng))
-            )
-            order_id += 1
-    return customers, orders
 
 
 def _place(orders, shards, scheme, partition_key):
@@ -180,31 +159,8 @@ def _place(orders, shards, scheme, partition_key):
 
 def _memory_member(index, customers, member_orders, stats):
     db = Database("shard{}".format(index), stats=stats)
-    db.run(
-        "CREATE TABLE customer (id TEXT, name TEXT, addr TEXT,"
-        " PRIMARY KEY (id))"
-    )
-    db.run(
-        "CREATE TABLE orders (orid INT, cid TEXT, value INT,"
-        " PRIMARY KEY (orid))"
-    )
-    for cid, name, addr in customers:
-        db.run(
-            "INSERT INTO customer VALUES ('{}', '{}', '{}')".format(
-                cid, name, addr
-            )
-        )
-    for orid, cid, value in member_orders:
-        db.run(
-            "INSERT INTO orders VALUES ({}, '{}', {})".format(
-                orid, cid, value
-            )
-        )
-    return (
-        RelationalWrapper(db, server_name="s{}".format(index))
-        .register_document("root1", "customer")
-        .register_document("root2", "orders", element_label="order")
-    )
+    wrapper = RelationalWrapper(db, server_name="s{}".format(index))
+    return load_database(wrapper, customers, member_orders)
 
 
 def _sqlite_member(index, customers, member_orders, stats):

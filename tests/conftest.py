@@ -32,30 +32,30 @@ RETURN $O
 """
 
 
+#: The Fig. 2 database (plus a third customer to exercise joins), as
+#: SQL both the in-process engine and SQLite accept.
+FIG2_SQL = (
+    "CREATE TABLE customer (id TEXT, name TEXT, addr TEXT,"
+    " PRIMARY KEY (id))",
+    "CREATE TABLE orders (orid INT, cid TEXT, value INT,"
+    " PRIMARY KEY (orid))",
+    "INSERT INTO customer VALUES"
+    " ('XYZ', 'XYZInc.', 'LosAngeles'),"
+    " ('DEF', 'DEFCorp.', 'NewYork'),"
+    " ('ABC', 'ABCInc.', 'SanDiego')",
+    "INSERT INTO orders VALUES"
+    " (28904, 'XYZ', 2400),"
+    " (87456, 'ABC', 200000),"
+    " (111, 'XYZ', 100),"
+    " (222, 'DEF', 30000)",
+)
+
+
 def make_paper_db(stats=None):
     """The Fig. 2 database (plus a third customer to exercise joins)."""
     db = Database("paper", stats=stats)
-    db.run(
-        "CREATE TABLE customer (id TEXT, name TEXT, addr TEXT,"
-        " PRIMARY KEY (id))"
-    )
-    db.run(
-        "CREATE TABLE orders (orid INT, cid TEXT, value INT,"
-        " PRIMARY KEY (orid))"
-    )
-    db.run(
-        "INSERT INTO customer VALUES"
-        " ('XYZ', 'XYZInc.', 'LosAngeles'),"
-        " ('DEF', 'DEFCorp.', 'NewYork'),"
-        " ('ABC', 'ABCInc.', 'SanDiego')"
-    )
-    db.run(
-        "INSERT INTO orders VALUES"
-        " (28904, 'XYZ', 2400),"
-        " (87456, 'ABC', 200000),"
-        " (111, 'XYZ', 100),"
-        " (222, 'DEF', 30000)"
-    )
+    for sql in FIG2_SQL:
+        db.run(sql)
     return db
 
 

@@ -72,3 +72,57 @@ class TestCompositeInPlaceQueries:
         )
         quantities = [c.d().d().fv() for c in result.children()]
         assert len(quantities) == 1
+
+
+class TestSeparatorInKeyValues:
+    """A ``/`` (or ``\\``) inside a key value is escaped in the oid, so
+    ``('a/b', 'c')`` and ``('a', 'b/c')`` stay two addressable rows."""
+
+    @pytest.fixture
+    def slashed(self):
+        db = Database("inv")
+        db.run(
+            "CREATE TABLE stock (warehouse TEXT, sku TEXT, qty INT,"
+            " PRIMARY KEY (warehouse, sku))"
+        )
+        db.run(
+            "INSERT INTO stock VALUES ('a/b', 'c', 1), ('a', 'b/c', 2),"
+            " ('x', 'y', 3)"
+        )
+        return RelationalWrapper(db).register_document("stock", "stock")
+
+    def test_oids_are_distinct_and_round_trip(self, slashed):
+        oids = [c.oid for c in slashed.materialize_document("stock").children]
+        assert len(set(oids)) == 3
+        assert [slashed.oid_to_key("stock", oid) for oid in oids] == [
+            ["a/b", "c"], ["a", "b/c"], ["x", "y"]
+        ]
+
+    def test_oid_select_pins_both_key_columns(self, slashed):
+        first = slashed.materialize_document("stock").children[0].oid
+        catalog = SourceCatalog().register(slashed)
+        plan = TD(
+            "$S",
+            Select(
+                Condition.oid_equals("$S", first),
+                GetD("$K", Path.of("stock"), "$S", MkSrc("stock", "$K")),
+            ),
+        )
+        (rq,) = find_operators(push_to_sources(plan, catalog), RelQuery)
+        assert "s1.warehouse = 'a/b'" in rq.sql
+        assert "s1.sku = 'c'" in rq.sql
+
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_in_place_query_returns_only_its_own_row(self, slashed, cache):
+        mediator = Mediator(cache=cache).add_source(slashed)
+        root = mediator.query(
+            "FOR $S IN document(stock)/stock"
+            " RETURN <Item> $S </Item> {$S}"
+        )
+        quantities = []
+        for item in root.children():
+            result = item.q(
+                "FOR $Q IN document(root)/stock/qty RETURN <Q> $Q </Q>"
+            )
+            quantities.append([c.d().d().fv() for c in result.children()])
+        assert quantities == [[1], [2], [3]]

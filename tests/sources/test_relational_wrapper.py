@@ -1,11 +1,39 @@
-"""Unit tests for the relational-to-XML wrapper (Fig. 2)."""
+"""Unit tests for the relational-to-XML export (Fig. 2).
+
+Every test runs on both SQL back ends, loaded with the same rows: the
+in-process database (the ``Test*`` classes) and SQLite (their
+``TestSqlite*`` subclasses) — the export is one shared implementation,
+so both must produce the same documents, oids and traffic.
+"""
 
 import pytest
 
-from repro.errors import SourceError
-from repro.stats import StatsRegistry
+from repro import Database, Mediator, RelationalWrapper
 from repro import stats as statnames
-from tests.conftest import make_paper_wrapper
+from repro.algebra import RQVar
+from repro.errors import SourceError
+from repro.sources import SqliteWrapper
+from repro.sources.relational import assemble
+from repro.stats import StatsRegistry
+from repro.xmltree.tree import OidGenerator, deep_equals
+from tests.conftest import FIG2_SQL
+
+
+def memory_wrapper(statements, stats):
+    db = Database("t", stats=stats)
+    for sql in statements:
+        db.run(sql)
+    return RelationalWrapper(db)
+
+
+def sqlite_wrapper(statements, stats):
+    wrapper = SqliteWrapper(server_name="s", stats=stats)
+    for sql in statements:
+        wrapper.run(sql)
+    return wrapper
+
+
+BACKENDS = {"memory": memory_wrapper, "sqlite": sqlite_wrapper}
 
 
 @pytest.fixture
@@ -14,8 +42,14 @@ def stats():
 
 
 @pytest.fixture
-def wrapper(stats):
-    return make_paper_wrapper(stats=stats)
+def wrapper(request, stats):
+    """The Fig. 2 database behind the test class's ``backend``."""
+    build = BACKENDS[getattr(request.cls, "backend", "memory")]
+    return (
+        build(FIG2_SQL, stats)
+        .register_document("root1", "customer")
+        .register_document("root2", "orders", element_label="order")
+    )
 
 
 class TestDocumentExport:
@@ -69,6 +103,12 @@ class TestLazyIteration:
         assert stats.get(statnames.SOURCE_NAVIGATIONS) == 4
         assert stats.get(statnames.BLOCKS_SHIPPED) == 4
 
+    def test_block_mode_matches_tuple_mode(self, wrapper):
+        tuple_oids = [c.oid for c in wrapper.iter_document_children("root2")]
+        wrapper.set_block_size(3)
+        block_oids = [c.oid for c in wrapper.iter_document_children("root2")]
+        assert block_oids == tuple_oids
+
 
 class TestOidCodec:
     def test_roundtrip(self, wrapper):
@@ -86,6 +126,12 @@ class TestOidCodec:
         with pytest.raises(SourceError):
             wrapper.oid_to_key("customer", "&a/b")
 
+    def test_escaped_roundtrip(self, wrapper):
+        entry = RQVar("$C", "customer", [(0, "id")], [0])
+        element = assemble(entry, ("A/B\\C",), OidGenerator())
+        assert element.oid == "&A\\/B\\\\C"
+        assert wrapper.oid_to_key("customer", element.oid) == ["A/B\\C"]
+
 
 class TestSql:
     def test_supports_sql(self, wrapper):
@@ -98,3 +144,52 @@ class TestSql:
     def test_describe_table(self, wrapper):
         schema = wrapper.describe_table("orders")
         assert schema.primary_key == ("orid",)
+
+
+class TestSqliteDocumentExport(TestDocumentExport):
+    backend = "sqlite"
+
+
+class TestSqliteLazyIteration(TestLazyIteration):
+    backend = "sqlite"
+
+
+class TestSqliteOidCodec(TestOidCodec):
+    backend = "sqlite"
+
+
+class TestSqliteSql(TestSql):
+    backend = "sqlite"
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@pytest.mark.parametrize(
+    "doc,label,widths",
+    [("parts", "part", [3, 2]), ("notes", "note", [2, 1])],
+    ids=["null-field", "keyless"],
+)
+def test_scan_and_pushed_rq_build_the_same_tuple_objects(backend, doc, label,
+                                                         widths):
+    stats = StatsRegistry()
+    wrapper = BACKENDS[backend]((
+        "CREATE TABLE part (pno TEXT, color TEXT, weight INT,"
+        " PRIMARY KEY (pno))",
+        "INSERT INTO part VALUES ('P1', 'red', 12), ('P2', NULL, 7)",
+        "CREATE TABLE note (body TEXT, n INT)",
+        "INSERT INTO note VALUES ('x', 1), ('y', NULL)",
+    ), stats)
+    wrapper.register_document("parts", "part")
+    wrapper.register_document("notes", "note")
+    scanned = wrapper.materialize_document(doc).children
+    mediator = Mediator(stats=stats).add_source(wrapper)
+    pushed = mediator.query(
+        "FOR $T IN document({})/{} RETURN $T".format(doc, label)
+    ).to_tree().children
+    assert stats.get(statnames.RQ_STATEMENTS) == 1
+    assert len(pushed) == len(scanned) == 2
+    assert all(deep_equals(a, b) for a, b in zip(scanned, pushed))
+    # A NULL field is an absent element on both paths.
+    assert [len(c.children) for c in scanned] == widths
+    if doc == "parts":
+        assert [c.oid for c in pushed] == [c.oid for c in scanned]
+        assert [c.oid for c in scanned] == ["&P1", "&P2"]

@@ -351,16 +351,10 @@ class TestCatalogSurface:
         assert "_ShardedChildIterator" in repr(iterator)
         sw.sharded.close()
 
-    def test_bad_gather_rejected(self):
-        members = sharded(shards=2).members
-        with pytest.raises(ValueError, match="gather"):
-            ShardedSource(members, Partition("orders", "cid"),
-                          gather="bogus")
-
     def test_sql_cache_forwarding(self):
         sw = sharded(shards=2)
         sw.sharded.enable_sql_cache(maxsize=8)
-        sw.sharded.disable_sql_cache()
+        sw.sharded.enable_sql_cache(0)
         rows = sw.sharded.execute_sql("SELECT orid FROM orders").fetchall()
         assert len(rows) == 18
         sw.sharded.close()

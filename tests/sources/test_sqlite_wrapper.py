@@ -1,4 +1,9 @@
-"""Unit tests for the stdlib-``sqlite3`` relational wrapper."""
+"""Unit tests for the stdlib-``sqlite3`` relational wrapper.
+
+Only what is SQLite's own is tested here; the shared Fig.-2 export
+(documents, oids, block batching) runs on both back ends in
+``test_relational_wrapper.py``.
+"""
 
 import pytest
 
@@ -80,31 +85,6 @@ class TestSql:
         ).fetchall()
         assert rows[0] == ("XYZInc.", 100)
         assert len(rows) == 4
-
-
-class TestNavigation:
-    def test_document_children_fig2_layout(self, wrapper):
-        root = wrapper.materialize_document("root1")
-        assert root.label == "list"
-        oids = {child.oid for child in root.children}
-        assert oids == {"&XYZ", "&DEF", "&ABC"}
-        customer = root.children[0]
-        assert [c.label for c in customer.children] == ["id", "name", "addr"]
-
-    def test_element_label_override(self, wrapper):
-        root = wrapper.materialize_document("root2")
-        assert {c.label for c in root.children} == {"order"}
-
-    def test_block_mode_matches_tuple_mode(self, wrapper, stats):
-        tuple_oids = [c.oid for c in wrapper.iter_document_children("root2")]
-        wrapper.set_block_size(3)
-        block_oids = [c.oid for c in wrapper.iter_document_children("root2")]
-        assert block_oids == tuple_oids
-
-    def test_oid_roundtrip(self, wrapper):
-        assert wrapper.oid_to_key("orders", "&28904") == [28904]
-        with pytest.raises(SourceError):
-            wrapper.oid_to_key("orders", "not-an-oid")
 
 
 class TestStatistics:
