@@ -73,7 +73,6 @@ from repro.obs import (
     trace_to_dict,
     trace_to_json,
 )
-from repro.stats import StatsRegistry
 from repro.relational import Database
 from repro.sources import RelationalWrapper, SourceCatalog, XmlFileSource
 from repro.xquery import parse_xquery
@@ -125,7 +124,6 @@ __all__ = [
     "Span",
     "SqlError",
     "SqlResultCache",
-    "StatsRegistry",
     "Timeout",
     "TransientSourceError",
     "TranslationError",

@@ -5,9 +5,10 @@ Three passes:
 * the **plan verifier** (:func:`verify_plan`, :func:`assert_plan_verifies`)
   infers the binding-list schema flowing through all 14 XMAS operators
   and checks the dataflow invariants of Section 5;
-* the **pipeline verifier** (:func:`verify_query_pipeline`) re-runs the
-  plan verifier after every compilation stage — translate, each Table-2
-  rewrite step, SQL split — naming the stage that broke schema flow;
+* the **pipeline verifier** (:func:`verify_query_pipeline`) runs the
+  plan verifier on every stage the mediator's own compile recorded —
+  translate, each Table-2 rewrite step, SQL split — naming the stage
+  that broke schema flow;
 * the **XQuery linter** (:func:`lint_query`) checks query text against
   the schemas the relational wrapper catalog exports: dead paths,
   unsatisfiable predicates, unused variables, each finding carrying
@@ -16,8 +17,8 @@ Three passes:
 All passes report through the shared :class:`Diagnostic` framework with
 stable codes (``MIX-E001``..., ``MIX-W001``...), rendered as compiler-style
 text or JSON.  The CLI surfaces them as ``python -m repro lint`` and
-``python -m repro check-plan``; ``Mediator(strict=True)`` runs the
-pipeline verifier on every compiled plan.
+``python -m repro check-plan``; ``Mediator(strict=True)`` raises from
+the pipeline verifier's report on every compiled plan.
 """
 
 from repro.analysis.diagnostics import (

@@ -1,13 +1,13 @@
 """Per-stage pipeline verification: translate → rewrites → SQL split.
 
-:func:`verify_query_pipeline` recompiles a query through a mediator's
-own pipeline — outside the plan cache, leaving the mediator's state
-untouched — and runs the plan verifier on the output of *every* stage:
+The mediator's one compile path (``Mediator._compile``) records the
+output of every stage and hands the list to :func:`verify_stages`, which
+runs the plan verifier on each:
 
-* ``translate`` — the composed plan after translation and view
-  expansion,
+* ``translate`` — the plan after translation, view expansion and (for
+  an in-place query) composition,
 * one stage per Table-2 rewrite step, named after the rule that fired
-  (so a rewrite that breaks schema flow fails fast with the offending
+  (so a rewrite that breaks schema flow is reported with the offending
   rule named),
 * ``sql-split`` — the executable plan after relational push-down
   (cost-based SQL refinements included when the mediator's cost
@@ -15,8 +15,10 @@ untouched — and runs the plan verifier on the output of *every* stage:
 
 The result is a :class:`PipelineReport`; ``report.ok`` / ``raise_if_failed``
 give the pass/fail view and ``report.stage_count`` feeds the EXPLAIN
-``verified: <n> stages`` footer.  ``Mediator(strict=True)`` performs the
-same checks inline while compiling (see :meth:`repro.qdom.Mediator.prepare`).
+``verified: <n> stages`` footer.  ``Mediator(strict=True)`` raises from
+the report of every compile; :func:`verify_query_pipeline` (and
+``Mediator.verify_query``) returns it for a compile outside the plan
+cache.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from typing import List, Optional
 from repro.analysis.diagnostics import Diagnostic, has_errors
 from repro.analysis.verifier import verify_plan
 from repro.errors import PlanVerificationError
-from repro.rewriter import push_to_sources
 
 
 class StageReport:
@@ -108,54 +109,20 @@ class PipelineReport:
         )
 
 
-def verify_query_pipeline(mediator, query_text, source=None):
-    """Compile ``query_text`` through ``mediator``'s pipeline, verifying
-    after every stage; returns a :class:`PipelineReport`.
-
-    The compilation happens outside the mediator's plan cache and does
-    not consume a view id, so calling this never perturbs the mediator
-    (EXPLAIN relies on that to keep its golden output stable).
-    """
-    plan = mediator.translate(query_text, assign_root=False)
-    plan = mediator._expand_views(plan)
-    catalog = mediator.catalog
-    stages = [
+def verify_stages(query, stages, catalog):
+    """Verify the ``(name, plan, rule)`` stages a compile recorded;
+    returns a :class:`PipelineReport`."""
+    return PipelineReport(query, [
         StageReport(
-            "translate",
-            plan,
-            verify_plan(
-                plan, catalog=catalog, stage="translate", source=source
-            ),
+            name, plan, verify_plan(plan, catalog=catalog, stage=name), rule
         )
-    ]
-    if mediator.optimize:
-        trace = []
-        plan = mediator._rewriter.rewrite(plan, trace=trace)
-        for step in trace:
-            stage_name = "rewrite[{}]".format(step.rule_name)
-            stages.append(
-                StageReport(
-                    stage_name,
-                    step.plan,
-                    verify_plan(
-                        step.plan, catalog=catalog, stage=stage_name,
-                        source=source,
-                    ),
-                    rule=step.rule_name,
-                )
-            )
-    if mediator.push_sql:
-        plan = push_to_sources(
-            plan, catalog, cost=mediator.cost_optimizer
-        )
-        stages.append(
-            StageReport(
-                "sql-split",
-                plan,
-                verify_plan(
-                    plan, catalog=catalog, stage="sql-split",
-                    source=source,
-                ),
-            )
-        )
-    return PipelineReport(query_text, stages)
+        for name, plan, rule in stages
+    ])
+
+
+def verify_query_pipeline(mediator, query_text):
+    """``mediator.verify_query(query_text)``: the report of a compile
+    through the mediator's own path, outside its plan cache and without
+    consuming a view id (EXPLAIN relies on that to keep its golden
+    output stable)."""
+    return mediator.verify_query(query_text)

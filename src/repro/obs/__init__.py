@@ -3,8 +3,7 @@
 One :class:`Instrument` is the single bus every layer reports to:
 
 * the relational engine and the wrappers bump **counters** (SQL issued,
-  tuples shipped, rows scanned) exactly as they did against the old
-  ``StatsRegistry`` — the interface is unchanged;
+  tuples shipped, rows scanned), named in :mod:`repro.stats`;
 * the engines record **node metrics** (tuples + wall time per plan
   operator, keyed on stable :func:`node_token`\\ s) — the
   ``EXPLAIN ANALYZE`` numbers;

@@ -92,45 +92,35 @@ def explain_analyze_with_trace(mediator, query_text, mask_times=False):
     totals is also a trace event on the root span with the same kind,
     body and ``source`` attribute.
     """
-    from repro.engine.eager import EagerEngine
-    from repro.engine.lazy import LazyEngine
     from repro.engine.vtree import VNode, walk_fully
 
     instrument = Instrument()
-    # Through the mediator's prepare() stage, so the plan cache is
+    # Through the mediator's own prepare stage, so the plan cache is
     # consulted exactly as a client query would (and the footer can
-    # say whether compilation was skipped).
-    exec_plan, __, plan_status = mediator.prepare(query_text)
-    rewrite_rules = tuple(
-        getattr(mediator, "last_rewrite_rules", ()) or ()
-    )
-    verify_report = _verify_report(mediator, query_text)
-    policy = getattr(mediator, "on_source_error", "raise")
+    # say whether compilation was skipped); the fired rules are read
+    # from the plan it returned, whatever other sessions compile.
+    view, plan_status, __ = mediator._prepare(query_text)
+    exec_plan = view.exec_plan()
+    verify_report = mediator.verify_query(query_text)
     before = {
         (kind, name): health
         for kind, __, name, health in _source_health(mediator.catalog)
     }
-    block_size = getattr(mediator, "block_size", 1)
+    block_size = mediator.block_size
     # Sources count shipped blocks on the mediator's instrument.
-    sources_obs = getattr(mediator, "obs", instrument)
-    blocks_before = sources_obs.get("blocks_shipped")
+    blocks_before = mediator.obs.get("blocks_shipped")
     with instrument.command_span(
         "explain", kind="explain", query=_clip(query_text)
     ):
+        # Full width (no demand): the counts are those of a client
+        # walking the whole result, not of earlier sessions' habits.
+        root = mediator._evaluate(
+            exec_plan, mediator.on_source_error, stats=instrument
+        )
         if mediator.lazy:
-            engine = LazyEngine(
-                mediator.catalog, stats=instrument, on_source_error=policy,
-                block_size=block_size,
-            )
-            root = engine.evaluate_tree(exec_plan)
             walk_fully(
                 VNode.root(root, obs=instrument, prefetch=block_size)
             )
-        else:
-            engine = EagerEngine(
-                mediator.catalog, stats=instrument, on_source_error=policy
-            )
-            engine.evaluate_tree(exec_plan)
         record = [("totals", "tuples={} rq_statements={}".format(
             instrument.get("operator_tuples"),
             instrument.get("rq_statements"),
@@ -140,19 +130,16 @@ def explain_analyze_with_trace(mediator, query_text, mask_times=False):
             record.append(("block", "size={} blocks_shipped={} "
                            "prefetch_hits={}".format(
                                block_size,
-                               sources_obs.get("blocks_shipped")
+                               mediator.obs.get("blocks_shipped")
                                - blocks_before,
                                instrument.get("prefetch_hits"),
                            ), None))
-        for name, count in _rule_steps(rewrite_rules):
+        for name, count in _rule_steps(view.prepared.rewrite_rules):
             record.append(
                 ("rewrite", "rule={} steps={}".format(name, count), None)
             )
         record.append(("plan_cache", plan_status, None))
-        if verify_report is not None:
-            record.append(
-                ("verified", _verify_summary(verify_report), None)
-            )
+        record.append(("verified", _verify_summary(verify_report), None))
         for kind, fields, name, health in _source_health(mediator.catalog):
             pre = before.get((kind, name), {})
             record.append((kind, " ".join(
@@ -162,7 +149,7 @@ def explain_analyze_with_trace(mediator, query_text, mask_times=False):
         for kind, body, source in record[1:]:
             instrument.event(kind, body, source=source)
     estimates = {}
-    if getattr(mediator, "cost_optimizer", False):
+    if mediator.cost_optimizer:
         from repro.optimizer.planview import estimate_plan
 
         estimates = estimate_plan(exec_plan, mediator.catalog)
@@ -187,15 +174,6 @@ def _rule_steps(rewrite_rules):
     for name in rewrite_rules:
         counts[name] = counts.get(name, 0) + 1
     return list(counts.items())
-
-
-def _verify_report(mediator, query_text):
-    """The static per-stage verification report, or ``None`` for hosts
-    without the analysis subsystem (plain engine drivers in tests)."""
-    verify = getattr(mediator, "verify_query", None)
-    if not callable(verify):
-        return None
-    return verify(query_text)
 
 
 def _verify_summary(report):
@@ -224,10 +202,9 @@ _SOURCE_FOOTERS = (
 def _source_health(catalog):
     """``(kind, fields, source name, health)`` for every footer hook
     that reports, in :data:`_SOURCE_FOOTERS` order."""
-    sources = getattr(catalog, "sources", None)
     out = []
     for kind, hook, fields in _SOURCE_FOOTERS:
-        for source in sources() if sources is not None else ():
+        for source in catalog.sources():
             health_fn = getattr(source, hook, None)
             health = health_fn() if callable(health_fn) else None
             if health is not None:

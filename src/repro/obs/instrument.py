@@ -18,8 +18,7 @@ Counter increments made while a span is active are additionally
 attributed to that span, which is what lets a trace answer "which
 navigation command caused which source work".
 
-The registry surface is a strict superset of the seed ``StatsRegistry``,
-so ``repro.stats.StatsRegistry`` is now simply an alias of this class.
+The counter names live in :mod:`repro.stats`.
 
 **Thread model.**  One instrument may be shared by many server threads
 (:mod:`repro.server` multiplexes hundreds of sessions over one
@@ -64,7 +63,7 @@ class Instrument:
             stack = self._local.stack = []
         return stack
 
-    # -- counters and timers (the StatsRegistry interface) ----------------------------
+    # -- counters and timers ----------------------------------------------------------
 
     def incr(self, name, amount=1):
         """Increase counter ``name`` by ``amount`` (default 1).

@@ -34,6 +34,12 @@ from repro.rewriter import Rewriter, push_to_sources
 from repro.sources.catalog import SourceCatalog
 from repro.xquery.parser import parse_xquery
 
+#: The :class:`Mediator` keywords that are read-only after ``__init__``.
+_SWITCHES = frozenset((
+    "optimize", "push_sql", "lazy", "on_source_error", "cost_optimizer",
+    "strict", "block_size", "cache_size",
+))
+
 
 class Mediator:
     """A MIX mediator over a catalog of wrapped sources.
@@ -67,12 +73,13 @@ class Mediator:
             the push-down, and the ``est=`` column of EXPLAIN ANALYZE.
             ``False`` (CLI ``--no-optimizer``) reproduces the seed's
             syntactic plans byte for byte.
-        strict: run the static plan verifier on every compiled plan, at
-            every pipeline stage (translate, each rewrite step, SQL
-            split).  A transformation that breaks binding-schema flow
-            raises :class:`~repro.errors.PlanVerificationError` naming
-            the offending stage.  Verification results are cached with
-            the plan, so warm plan-cache hits never re-verify.
+        strict: run the static plan verifier on every compiled plan —
+            a ``query`` or an in-place ``q`` — at every pipeline stage
+            (translate, each rewrite step, SQL split).  A transformation
+            that breaks binding-schema flow raises
+            :class:`~repro.errors.PlanVerificationError` naming the
+            offending stage.  Verification results are cached with the
+            plan, so warm plan-cache hits never re-verify.
         block_size: tuples per dataflow vector / children per
             navigation prefetch (block-at-a-time execution, on by
             default at :data:`~repro.engine.block.DEFAULT_BLOCK_SIZE`).
@@ -102,7 +109,19 @@ class Mediator:
             construct; a refused rule raises
             :class:`~repro.errors.RuleCertificationError` naming the
             findings.
+
+    The switches (all of the above but ``catalog``, ``stats``, ``cache``
+    and ``extension_rules``) are fixed at construction: assigning one
+    raises :class:`AttributeError`, since cached plans and configured
+    sources were built under the old value.
     """
+
+    def __setattr__(self, name, value):
+        if name in _SWITCHES and name in self.__dict__:
+            raise AttributeError(
+                "Mediator.{} is fixed at construction".format(name)
+            )
+        object.__setattr__(self, name, value)
 
     def __init__(self, catalog=None, stats=None, optimize=True,
                  push_sql=True, lazy=True, on_source_error="raise",
@@ -146,9 +165,8 @@ class Mediator:
         self._translator = Translator()
         self._rewriter = Rewriter()
         #: Rule-name sequence fired while compiling the most recent
-        #: plan (restored from the plan cache on a warm hit, so
-        #: EXPLAIN's ``-- rewrite:`` provenance survives skipped
-        #: compilation); ``()`` when nothing fired.
+        #: plan (restored from the plan cache on a warm hit); ``()``
+        #: when nothing fired.
         self.last_rewrite_rules = ()
         if extension_rules:
             self._register_extension_rules(tuple(extension_rules))
@@ -314,7 +332,9 @@ class Mediator:
                 entry = self.cache.lookup_result(memo_key, self.catalog)
                 if entry is not None:
                     return self._handle(entry.root, entry.view)
-            root = self._evaluate(view, policy)
+            root = self._evaluate(
+                view.exec_plan(), policy, demand=view.prepared.demand
+            )
             if memo_key is not None:
                 self.cache.store_result(memo_key, root, view, self.catalog)
             return self._handle(root, view)
@@ -345,7 +365,10 @@ class Mediator:
             composed, _status, _ = self._prepare(
                 query_text, view, provenance
             )
-            root = self._evaluate(composed, self.on_source_error)
+            root = self._evaluate(
+                composed.exec_plan(), self.on_source_error,
+                demand=composed.prepared.demand,
+            )
             return self._handle(root, composed)
 
     def _handle(self, root, view):
@@ -367,7 +390,9 @@ class Mediator:
         query's shape, which of its literals are equal (to each other
         and to the view's) and their types, the prepared view and
         start-node context of an in-place query, the catalog's exported
-        documents, the view epoch, and the pipeline switches.
+        documents and the view epoch.  The pipeline switches are fixed
+        at construction and the cache is this mediator's, so no switch
+        is in it.
         ``values`` are the literals the plan is bound to — the view's
         first.  The parsed query is ``None`` for an exact repeat of a
         text, which does not pay a parse.
@@ -403,9 +428,6 @@ class Mediator:
             context,
             catalog_shape(self.catalog),
             self._views_epoch,
-            self.optimize,
-            self.push_sql,
-            self.cost_optimizer,
         )
         return key, values, query
 
@@ -420,7 +442,9 @@ class Mediator:
     def prepare(self, query_text):
         """Compile ``query_text`` to ``(exec_plan, compose_plan, status)``.
 
-        ``status`` is ``"hit"``/``"miss"`` when the plan cache was
+        ``compose_plan`` is the rewritten plan before the SQL split
+        (in-place queries compose against it: ``rQ`` leaves cannot take
+        new conditions).  ``status`` is ``"hit"``/``"miss"`` when the plan cache was
         consulted, ``"off"`` when it was bypassed.  A hit skips
         parse → translate → rewrite → SQL-split entirely: the text's
         literals are bound into the plan compiled for its shape.
@@ -441,7 +465,7 @@ class Mediator:
         """
         request = self._plan_key(query_text, view, provenance)
         if request is None:
-            prepared = self._compile(query_text, view, provenance)
+            prepared, __ = self._compile(query_text, view, provenance)
             status, memo_key, values = "off", None, ()
         else:
             key, values, query = request
@@ -452,31 +476,39 @@ class Mediator:
                     query = parse_xquery(query_text)
                 __, slots, __ = key[0]  # the request's shape
                 try:
-                    prepared = self._compile(
+                    prepared, __ = self._compile(
                         parametrise(query, slots), view, provenance,
                         templated=True,
                     )
                 except ParameterValueDemanded:
-                    prepared = self._compile(query, view, provenance)
+                    prepared, __ = self._compile(query, view, provenance)
                 self.cache.store_plan(key, prepared, values)
         # Verification and rewrite provenance are cached with the plan:
-        # a hit reuses the stored stage count and fired-rule names, and
-        # a miss reads its own compile's — another session may have
-        # moved this mediator's on since.
+        # a hit reuses the stored stage count and fired-rule names.
+        # These two attributes are the latest prepare's, whichever
+        # session ran it; EXPLAIN reads its own PreparedPlan instead.
         self.last_verified_stages = prepared.verified_stages
         self.last_rewrite_rules = prepared.rewrite_rules
         if not prepared.templated:
             values = ()  # its literals are in the plan
         return BoundPlan(prepared, values), status, memo_key
 
-    def _compile(self, query, view=None, provenance=None, templated=False):
-        """translate → expand views → compose → rewrite → SQL split.
+    def _compile(self, query, view=None, provenance=None, templated=False,
+                 verify=False):
+        """translate → expand views → compose → rewrite → SQL split:
+        the mediator's one compile path; returns ``(PreparedPlan,
+        PipelineReport or None)``.
 
         ``templated`` says ``query``'s literals are parameters; the
         view is then composed unbound, so its parameters and the
-        query's end up in one plan.
+        query's end up in one plan.  Under strict mode the verifier
+        checks every stage — ``translate``, one ``rewrite[<rule>]`` per
+        rewrite step, ``sql-split`` — and the first bad one raises
+        :class:`~repro.errors.PlanVerificationError`.  ``verify=True``
+        is :meth:`verify_query`'s compile: it consumes no view id, and
+        the report is returned rather than raised.
         """
-        plan = self.translate(query, assign_root=view is None)
+        plan = self.translate(query, assign_root=view is None and not verify)
         plan = self._expand_views(plan)
         if view is not None:
             view_plan = (
@@ -487,49 +519,39 @@ class Mediator:
                 plan = compose_at_root(view_plan, plan)
             else:
                 plan = decontextualize(view_plan, provenance, plan)
-        verified_stages = None
-        if self.strict and view is None:
-            exec_plan, compose_plan, fired, verified_stages = (
-                self._compile_verified(plan)
-            )
-        else:
-            exec_plan, compose_plan, fired = self._optimize(plan)
-        return PreparedPlan(
-            exec_plan, compose_plan, verified_stages, fired, templated
-        )
-
-    def _compile_verified(self, plan):
-        """Rewrite/push ``plan`` with the static verifier run after
-        every stage; returns ``(exec_plan, compose_plan, fired rule
-        names, stages)``.
-
-        Raises :class:`~repro.errors.PlanVerificationError` (naming the
-        stage, and for rewrites the rule) as soon as a stage's output
-        breaks binding-schema flow.
-        """
-        from repro.analysis import assert_plan_verifies
-
-        with self.obs.timer("verify"):
-            assert_plan_verifies(
-                plan, catalog=self.catalog, stage="translate"
-            )
-        stages = 1
         trace = []
-        exec_plan, compose_plan, fired = self._optimize(plan, trace)
-        with self.obs.timer("verify"):
-            for step in trace:
-                assert_plan_verifies(
-                    step.plan, catalog=self.catalog,
-                    stage="rewrite[{}]".format(step.rule_name),
-                    rule=step.rule_name,
+        compose_plan = exec_plan = plan
+        if self.optimize:
+            with self.obs.timer("rewrite"):
+                compose_plan = exec_plan = self._rewriter.rewrite(
+                    plan, trace=trace
                 )
-                stages += 1
+        if self.push_sql:
+            with self.obs.timer("push_sql"):
+                exec_plan = push_to_sources(
+                    compose_plan, self.catalog, cost=self.cost_optimizer
+                )
+        report = None
+        if self.strict or verify:
+            from repro.analysis.pipeline import verify_stages
+
+            stages = [("translate", plan, None)] + [
+                ("rewrite[{}]".format(s.rule_name), s.plan, s.rule_name)
+                for s in trace
+            ]
             if self.push_sql:
-                assert_plan_verifies(
-                    exec_plan, catalog=self.catalog, stage="sql-split"
-                )
-                stages += 1
-        return exec_plan, compose_plan, fired, stages
+                stages.append(("sql-split", exec_plan, None))
+            with self.obs.timer("verify"):
+                report = verify_stages(query, stages, self.catalog)
+            if not verify:
+                report.raise_if_failed()
+        # Fired rules come from this call's own trace: the rewriter and
+        # this mediator are shared between sessions.
+        return PreparedPlan(
+            exec_plan, compose_plan,
+            report.stage_count if report is not None else None,
+            tuple(step.rule_name for step in trace), templated,
+        ), report
 
     def translate(self, query_text, assign_root=True):
         """XQuery text (or parsed AST) to a validated XMAS plan."""
@@ -546,51 +568,22 @@ class Mediator:
         validate_plan(plan)
         return plan
 
-    def optimize_plan(self, plan, trace=None):
-        """Rewrite and (optionally) push SQL.
-
-        Returns ``(executable_plan, compose_plan)``: the second is the
-        rewritten plan *before* SQL splitting — in-place queries compose
-        against it, because a plan with ``rQ`` leaves cannot be further
-        combined with new conditions and re-pushed.
-        """
-        exec_plan, compose_plan, fired = self._optimize(plan, trace)
-        self.last_rewrite_rules = fired
-        return exec_plan, compose_plan
-
-    def _optimize(self, plan, trace=None):
-        """:meth:`optimize_plan`, also returning the names of the rules
-        this call fired — read from the call's own trace, since the
-        rewriter and this mediator are shared between sessions."""
-        if trace is None:
-            trace = []
-        first = len(trace)
-        if self.optimize:
-            with self.obs.timer("rewrite"):
-                plan = self._rewriter.rewrite(plan, trace=trace)
-        fired = tuple(step.rule_name for step in trace[first:])
-        compose_plan = plan
-        if self.push_sql:
-            with self.obs.timer("push_sql"):
-                plan = push_to_sources(
-                    plan, self.catalog, cost=self.cost_optimizer
-                )
-        return plan, compose_plan, fired
-
-    def _evaluate(self, view, policy):
-        """Evaluate a :class:`~repro.cache.shapes.BoundPlan` to its
-        answer root Node, the first pull sized by the plan's demand."""
-        exec_plan = view.exec_plan()
+    def _evaluate(self, exec_plan, policy, stats=None, demand=None):
+        """Evaluate a bound executable plan to its answer root Node,
+        counting on ``stats`` (default: the mediator's instrument); the
+        root pipeline's first pull is ``demand`` wide (``None``: the
+        full block size)."""
+        stats = self.stats if stats is None else stats
         if self.lazy:
             engine = LazyEngine(
-                self.catalog, stats=self.stats, on_source_error=policy,
-                block_size=self.block_size, demand=view.prepared.demand,
+                self.catalog, stats=stats, on_source_error=policy,
+                block_size=self.block_size, demand=demand,
             )
         else:
             # The eager engine materializes everything up front; block
             # vectors would change nothing it measures.
             engine = EagerEngine(
-                self.catalog, stats=self.stats, on_source_error=policy
+                self.catalog, stats=stats, on_source_error=policy
             )
         return engine.evaluate_tree(exec_plan)
 
@@ -599,14 +592,14 @@ class Mediator:
     def verify_query(self, query_text):
         """Per-stage static verification of ``query_text``'s pipeline.
 
-        Recompiles outside the plan cache (without consuming a view id,
-        so repeated calls never perturb plan naming) and runs the plan
-        verifier after translate, after every rewrite step, and after
-        the SQL split.  Returns a :class:`~repro.analysis.PipelineReport`.
+        Compiles through :meth:`_compile` — the path every query takes
+        — outside the plan cache and without consuming a view id, so
+        repeated calls never perturb plan naming, and returns the
+        verifier's :class:`~repro.analysis.PipelineReport` over the
+        stages that compile recorded: translate, every rewrite step,
+        the SQL split.
         """
-        from repro.analysis import verify_query_pipeline
-
-        return verify_query_pipeline(self, query_text)
+        return self._compile(query_text, verify=True)[1]
 
     def lint(self, query_text):
         """Schema-aware lint of ``query_text`` against this mediator's

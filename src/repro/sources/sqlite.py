@@ -23,12 +23,12 @@ import sqlite3
 
 from repro import stats as statnames
 from repro.errors import SourceError
+from repro.obs.instrument import Instrument
 from repro.optimizer.statistics import ColumnStatistics, TableStatistics
 from repro.relational.cursor import Cursor
 from repro.relational.schema import Column, TableSchema
 from repro.relational.types import TEXT, TYPE_NAMES
 from repro.sources.relational import TableSource
-from repro.stats import StatsRegistry
 
 #: Rows crossing the sqlite C boundary per generator step.
 _FETCH_BATCH = 256
@@ -60,7 +60,7 @@ class SqliteWrapper(TableSource):
         self.connection = sqlite3.connect(
             path, check_same_thread=False
         )
-        self.stats = stats if stats is not None else StatsRegistry()
+        self.stats = stats if stats is not None else Instrument()
         self._statistics = {}  # table -> (TableStatistics, version stamp)
 
     def run(self, sql, params=()):

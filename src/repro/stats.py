@@ -1,32 +1,15 @@
-"""Instrumentation counters shared by the sources and the engine.
+"""Names of the instrumentation counters shared by the sources and the engine.
 
 The paper's claims are about *how much work reaches the sources*: how many
 SQL queries are issued, how many tuples cross the wrapper boundary, and how
 much the mediator materializes.  Every experiment in ``benchmarks/`` reads
-these counters.
+these counters off a :class:`repro.obs.Instrument`::
 
-Since the observability refactor the registry is
-:class:`repro.obs.Instrument` — a strict superset of the old
-``StatsRegistry`` that additionally records per-operator node metrics and
-span-based navigation traces.  ``StatsRegistry`` remains as a
-backwards-compatible alias; new code should import
-:class:`~repro.obs.Instrument` directly.
-
-Usage::
-
-    stats = StatsRegistry()          # == repro.obs.Instrument()
-    stats.incr("sql_queries")
-    stats.incr("tuples_shipped", 42)
-    with stats.timer("rewrite"):
-        ...
+    stats = Instrument()
+    stats.incr(SQL_QUERIES)
+    stats.incr(TUPLES_SHIPPED, 42)
     snapshot = stats.snapshot()
 """
-
-from __future__ import annotations
-
-from repro.obs.instrument import Instrument as StatsRegistry
-
-__all__ = ["StatsRegistry"]
 
 #: Counter names used across the library, centralised so experiments and
 #: sources agree on spelling.

@@ -8,12 +8,19 @@ optimizer both on and off.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from tests.conftest import Q1, Q12, make_paper_wrapper
 
 from repro import Mediator
-from repro.analysis import PipelineReport, StageReport, Diagnostic
+from repro.analysis import (
+    Diagnostic,
+    PipelineReport,
+    StageReport,
+    verify_query_pipeline,
+)
 from repro.errors import PlanVerificationError
 
 VIEW_QUERY = Q1
@@ -64,6 +71,7 @@ class TestVerifyQueryPipeline:
         # view1: verification must not consume view ids or cache slots.
         mediator = mediator_with()
         mediator.verify_query(Q1)
+        verify_query_pipeline(mediator, Q1)
         plan = mediator.translate(Q1)
         assert "view1" in repr(plan)
 
@@ -145,6 +153,76 @@ class TestStrictMediator:
         mediator.define_view("rootv", VIEW_QUERY)
         mediator.prepare(Q12)
         assert mediator.last_verified_stages > 2
+
+    @pytest.mark.parametrize("cache", [False, True])
+    def test_strict_root_and_node_q_are_verified(self, cache):
+        # Example 2.1: p4 composes Q2 at the root of Q1's answer, p9
+        # decontextualizes Q3 at a CustRec of p4's.
+        mediator = mediator_with(strict=True, cache=cache)
+        p0 = mediator.query(Q1)
+        p4 = p0.q(EXAMPLE_Q2)
+        root_stages = mediator.last_verified_stages
+        p5 = p4.d()
+        p9 = p5.q(EXAMPLE_Q3)
+        node_stages = mediator.last_verified_stages
+        assert (root_stages or 0) > 2 and (node_stages or 0) > 2
+        assert p5.fl() == "CustRec" and p9.children() == []
+        if cache:
+            # A plan-cache hit carries the recorded verification over.
+            for start, query, stages in ((p0, EXAMPLE_Q2, root_stages),
+                                         (p5, EXAMPLE_Q3, node_stages)):
+                hits = mediator.cache.plan_cache.stats()["hits"]
+                mediator.last_verified_stages = None
+                start.q(query)
+                assert mediator.cache.plan_cache.stats()["hits"] == hits + 1
+                assert mediator.last_verified_stages == stages
+
+
+#: Example 2.1's in-place queries: Q2 from the root of Q1's answer, Q3
+#: from a CustRec of Q2's.
+EXAMPLE_Q2 = (
+    'FOR $P IN document(root)/CustRec'
+    ' WHERE $P/customer/name/data() < "B" RETURN $P'
+)
+EXAMPLE_Q3 = (
+    "FOR $O IN document(root)/OrderInfo"
+    " WHERE $O/order/value/data() < 500 RETURN $O"
+)
+
+EXAMPLES = sorted(
+    (Path(__file__).parent / ".." / ".." / "examples" / "queries")
+    .glob("*.xq")
+)
+CORPUS = [("Q1", Q1, False), ("Q12-over-rootv", Q12, True)] + [
+    (path.name, path.read_text(), False) for path in EXAMPLES
+]
+
+
+@pytest.mark.parametrize("cost", [True, False], ids=["cost", "no-cost"])
+@pytest.mark.parametrize(
+    "text, over_view", [c[1:] for c in CORPUS], ids=[c[0] for c in CORPUS]
+)
+def test_strict_verify_query_and_explain_count_the_same_stages(
+    text, over_view, cost
+):
+    # One compile path: strict mode, verify_query and EXPLAIN's footer
+    # all verify the stages that path recorded, so they count alike.
+    def build(**kwargs):
+        mediator = mediator_with(cost_optimizer=cost, **kwargs)
+        if over_view:
+            mediator.define_view("rootv", VIEW_QUERY)
+        return mediator
+
+    strict = build(strict=True)
+    strict.prepare(text)
+    stages = strict.last_verified_stages
+    assert stages >= 2
+    assert build().verify_query(text).stage_count == stages
+    footer = [
+        line for line in build().explain(text, mask_times=True).splitlines()
+        if line.startswith("-- verified:")
+    ]
+    assert footer == ["-- verified: {} stages".format(stages)]
 
 
 class TestExplainFooter:

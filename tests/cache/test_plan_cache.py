@@ -3,17 +3,21 @@
 A plan-cache hit must skip the whole parse → translate → rewrite →
 SQL-split pipeline yet be observationally identical to a cold
 compilation; the key must move whenever anything the compilation read
-moves (catalog shape, view definitions, pipeline switches).
+moves (catalog shape, view definitions).  The pipeline switches are
+fixed at construction instead of being keyed.
 """
 
 from __future__ import annotations
 
+import pytest
+
 from repro import Mediator, XmlFileSource
+from repro.algebra.printer import render_plan
 from repro.obs import Instrument
 from repro import stats as sn
 from repro.xmltree import serialize
 
-from tests.conftest import Q1, make_paper_wrapper
+from tests.conftest import Q1, Q12, make_paper_wrapper
 
 
 def caching_mediator(**kwargs):
@@ -107,17 +111,35 @@ def test_new_source_changes_the_key():
     assert len(mediator.cache.plan_cache) == 2
 
 
-def test_pipeline_switches_are_part_of_the_key():
-    stats = Instrument()
-    wrapper = make_paper_wrapper(stats=stats)
-    lazy_opt = Mediator(stats=stats, cache=True).add_source(wrapper)
-    lazy_opt.query(Q1)
-    key_opt = lazy_opt._plan_key(Q1)
-    lazy_opt.push_sql = False
-    assert lazy_opt._plan_key(Q1) != key_opt
-    lazy_opt.push_sql = True
-    lazy_opt.optimize = False
-    assert lazy_opt._plan_key(Q1) != key_opt
+@pytest.mark.parametrize("switch, value", [
+    ("optimize", False), ("push_sql", False), ("lazy", False),
+    ("on_source_error", "degrade"), ("cost_optimizer", False),
+    ("strict", True), ("block_size", 1), ("cache_size", 4),
+])
+def test_switches_are_fixed_at_construction(switch, value):
+    # A switch flipped after a compile would serve plans cached (and
+    # sources configured) under the old value, so none can be flipped.
+    mediator = caching_mediator()
+    mediator.query(Q1)
+    before = getattr(mediator, switch)
+    with pytest.raises(AttributeError, match=switch):
+        setattr(mediator, switch, value)
+    assert getattr(mediator, switch) == before
+
+
+@pytest.mark.parametrize("switch", ["optimize", "push_sql",
+                                    "cost_optimizer"])
+def test_mediators_differing_in_a_switch_compile_different_plans(switch):
+    # No switch is in the plan key: each mediator owns its caches, so a
+    # different configuration is a different mediator with its own plans.
+    def plan_text(**kwargs):
+        mediator = caching_mediator(**kwargs)
+        mediator.define_view("rootv", Q1)
+        mediator.analyze_sources()  # cost refinements need statistics
+        return render_plan(mediator.prepare(Q12)[0])
+
+    assert plan_text() != plan_text(**{switch: False})
+    assert plan_text() == plan_text()
 
 
 def test_eviction_bound_holds_for_plans():

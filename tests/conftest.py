@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Database, Mediator, RelationalWrapper, StatsRegistry
+from repro import Database, Instrument, Mediator, RelationalWrapper
 from repro.sources import SourceCatalog
 
 
@@ -102,7 +102,7 @@ def make_scaled_wrapper(n_customers, orders_per_customer, stats=None):
 
 @pytest.fixture
 def paper_stats():
-    return StatsRegistry()
+    return Instrument()
 
 
 @pytest.fixture

@@ -1,6 +1,6 @@
 """Unit tests for LazyList streams and the Table-1 group-by."""
 
-from repro.stats import StatsRegistry
+from repro.obs import Instrument
 from repro import stats as statnames
 from repro.xmltree import leaf
 from repro.algebra import BindingTuple
@@ -111,7 +111,7 @@ class TestStatefulGby:
         assert [len(g.get("$X")) for g in groups] == [2, 2, 1]
 
     def test_buffering_counted(self):
-        stats = StatsRegistry()
+        stats = Instrument()
         source = LazyList(iter(tuples_for(["a", "b", "a"])))
         list(stateful_gby_stream(source, ("$G",), "$X", stats=stats))
         assert stats.get(statnames.BUFFERED_TUPLES) == 3

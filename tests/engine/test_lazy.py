@@ -3,7 +3,7 @@
 import pytest
 
 from repro import stats as statnames
-from repro.stats import StatsRegistry
+from repro.obs import Instrument
 from repro.xmltree import deep_equals
 from repro.xmltree.paths import Path
 from repro.algebra import GroupBy, MkSrc, GetD, OrderBy, TD
@@ -60,7 +60,7 @@ class TestEquivalence:
 
 class TestLaziness:
     def test_no_work_before_navigation(self):
-        stats = StatsRegistry()
+        stats = Instrument()
         catalog = SourceCatalog().register(make_paper_wrapper(stats=stats))
         plan = translate_query(
             "FOR $C IN document(root1)/customer RETURN $C", root_oid="res"
@@ -69,7 +69,7 @@ class TestLaziness:
         assert stats.get(statnames.TUPLES_SHIPPED) == 0
 
     def test_one_navigation_one_tuple(self):
-        stats = StatsRegistry()
+        stats = Instrument()
         catalog = SourceCatalog().register(
             make_scaled_wrapper(100, 0, stats=stats)
         )
@@ -81,7 +81,7 @@ class TestLaziness:
         assert stats.get(statnames.TUPLES_SHIPPED) == 1
 
     def test_selection_pulls_through_nonmatching(self):
-        stats = StatsRegistry()
+        stats = Instrument()
         catalog = SourceCatalog().register(
             make_scaled_wrapper(50, 1, stats=stats)
         )
@@ -97,7 +97,7 @@ class TestLaziness:
         assert stats.get(statnames.TUPLES_SHIPPED) == 50
 
     def test_empty_left_join_side_skips_right(self):
-        stats = StatsRegistry()
+        stats = Instrument()
         catalog = SourceCatalog().register(
             make_scaled_wrapper(0, 0, stats=stats)
         )

@@ -4,7 +4,7 @@ import pytest
 
 from repro import stats as statnames
 from repro.errors import NavigationError
-from repro.stats import StatsRegistry
+from repro.obs import Instrument
 from repro.xmltree.paths import Path
 from repro.algebra import GetD, GroupBy, MkSrc
 from repro.algebra.translator import translate_query
@@ -90,7 +90,7 @@ class TestGroupNavigation:
 
 class TestLaziness:
     def test_get_root_pulls_nothing(self):
-        stats = StatsRegistry()
+        stats = Instrument()
         catalog = SourceCatalog().register(
             make_scaled_wrapper(100, 0, stats=stats)
         )
@@ -99,7 +99,7 @@ class TestLaziness:
         assert stats.get(statnames.TUPLES_SHIPPED) == 0
 
     def test_navigation_pulls_per_tuple(self):
-        stats = StatsRegistry()
+        stats = Instrument()
         catalog = SourceCatalog().register(
             make_scaled_wrapper(100, 0, stats=stats)
         )

@@ -8,7 +8,7 @@ and a join across the two source kinds must work in both engines.
 
 import pytest
 
-from repro import Mediator, StatsRegistry
+from repro import Instrument, Mediator
 from repro.algebra import MkSrc, RelQuery
 from repro.algebra.plan import find_operators
 from repro.algebra.translator import translate_query
@@ -35,7 +35,7 @@ RETURN <Located> $C $R </Located> {$C, $R}
 
 @pytest.fixture
 def stats():
-    return StatsRegistry()
+    return Instrument()
 
 
 @pytest.fixture

@@ -89,13 +89,3 @@ def test_plan_lines_identical_with_and_without_estimates():
         ]
 
     assert ops(plain) == ops(analyzed)
-
-
-def test_plan_cache_keyed_on_cost_optimizer():
-    """Toggling the optimizer must not serve a plan cached under the
-    other mode: the flag is part of the plan key."""
-    mediator = Mediator(cache=True).add_source(make_paper_wrapper())
-    on_key = mediator._plan_key(Q1)
-    mediator.cost_optimizer = False
-    off_key = mediator._plan_key(Q1)
-    assert on_key != off_key

@@ -55,6 +55,26 @@ def test_first_fired_order_matches_rewriter_trace():
     assert reported == seen
 
 
+def test_footer_lists_the_rules_of_explains_own_compile(monkeypatch):
+    # A served mediator compiles other sessions' queries while EXPLAIN
+    # runs: a Q12 compile landing between EXPLAIN's prepare and its
+    # footer must not lend Q12's fired rules to Q1's footer.
+    mediator = view_mediator()
+    prepare = mediator._prepare
+
+    def racing_prepare(query_text, *args):
+        prepared = prepare(query_text, *args)
+        if query_text is not Q12:
+            prepare(Q12)
+        return prepared
+
+    monkeypatch.setattr(mediator, "_prepare", racing_prepare)
+    text = mediator.explain(Q1, mask_times=True)
+    assert mediator.last_rewrite_rules  # Q12's compile did fire rules
+    assert not rewrite_lines(text)
+    assert text == view_mediator().explain(Q1, mask_times=True)
+
+
 def test_normal_form_query_has_no_rewrite_footer():
     mediator = Mediator(block_size=1).add_source(make_paper_wrapper())
     text = mediator.explain(Q1, mask_times=True)

@@ -18,7 +18,7 @@ class _FakeOp:
     opname = "fakeOp"
 
 
-# -- counters: the StatsRegistry contract is preserved -----------------------------
+# -- counters: the counter/timer contract --------------------------------------------
 
 
 def test_counter_interface_matches_registry():

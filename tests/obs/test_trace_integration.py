@@ -32,9 +32,7 @@ def test_single_navigation_trace_links_command_to_operators_and_sql():
     root = mediator.query(Q1)
 
     # The plan actually executed (rQ leaves carry the pushed SQL).
-    exec_plan, __ = mediator.optimize_plan(
-        mediator._expand_views(mediator.translate(Q1, assign_root=False))
-    )
+    exec_plan, __, __ = mediator.prepare(Q1)
     rq_nodes = [
         n for n in _walk_plan(exec_plan) if isinstance(n, ops.RelQuery)
     ]

@@ -116,9 +116,9 @@ class TestViewEfficiency:
     def test_view_conditions_reach_the_source(self):
         """Combined view+query conditions are pushed as one SQL query."""
         stats = None
-        from repro import StatsRegistry
+        from repro import Instrument
 
-        stats = StatsRegistry()
+        stats = Instrument()
         wrapper = make_scaled_wrapper(100, 5, stats=stats)
         mediator = (
             Mediator(stats=stats)

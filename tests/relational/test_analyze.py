@@ -5,13 +5,13 @@ import pytest
 from repro.errors import SchemaError, SqlError
 from repro.optimizer.statistics import fresh_statistics
 from repro.relational import Database
-from repro.stats import StatsRegistry
+from repro.obs import Instrument
 from repro import stats as statnames
 
 
 @pytest.fixture
 def db():
-    database = Database("ana", stats=StatsRegistry())
+    database = Database("ana", stats=Instrument())
     database.run("CREATE TABLE a (x INT, PRIMARY KEY (x))")
     database.run("CREATE TABLE b (y INT, PRIMARY KEY (y))")
     for i in range(5):

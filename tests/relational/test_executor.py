@@ -6,13 +6,13 @@ from repro.errors import SchemaError, SqlError
 from repro.relational import Database
 from repro.relational.cursor import Cursor
 from repro.relational.executor import compare
-from repro.stats import StatsRegistry
+from repro.obs import Instrument
 from repro import stats as statnames
 
 
 @pytest.fixture
 def db():
-    database = Database("test", stats=StatsRegistry())
+    database = Database("test", stats=Instrument())
     database.run(
         "CREATE TABLE customer (id TEXT, name TEXT, addr TEXT,"
         " PRIMARY KEY (id))"
@@ -413,7 +413,7 @@ def test_streaming_readers_race_a_writer():
     import threading
     import time
 
-    database = Database("race", stats=StatsRegistry())
+    database = Database("race", stats=Instrument())
     database.run("CREATE TABLE c (id INT, PRIMARY KEY (id))")
     database.run("CREATE TABLE o (orid INT, cid INT, value INT,"
                  " PRIMARY KEY (orid))")

@@ -4,13 +4,13 @@ import pytest
 
 from repro.errors import SchemaError
 from repro.relational import Database
-from repro.stats import StatsRegistry
+from repro.obs import Instrument
 from repro import stats as statnames
 
 
 @pytest.fixture
 def db():
-    database = Database("idx", stats=StatsRegistry())
+    database = Database("idx", stats=Instrument())
     database.run(
         "CREATE TABLE orders (orid INT, cid TEXT, value INT,"
         " PRIMARY KEY (orid))"

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import IntegrityError, SchemaError
 from repro.relational import Column, INTEGER, TEXT, Table, TableSchema
-from repro.stats import StatsRegistry
+from repro.obs import Instrument
 from repro import stats as statnames
 
 
@@ -46,14 +46,14 @@ class TestInsert:
 
 class TestScan:
     def test_scan_counts_rows(self):
-        stats = StatsRegistry()
+        stats = Instrument()
         table = make_table(stats=stats)
         table.insert_many([[1, "a"], [2, "b"], [3, "c"]])
         list(table.scan())
         assert stats.get(statnames.ROWS_SCANNED) == 3
 
     def test_scan_is_lazy(self):
-        stats = StatsRegistry()
+        stats = Instrument()
         table = make_table(stats=stats)
         table.insert_many([[i, "x"] for i in range(100)])
         it = table.scan()
@@ -62,7 +62,7 @@ class TestScan:
         assert stats.get(statnames.ROWS_SCANNED) == 2
 
     def test_snapshot_not_counted(self):
-        stats = StatsRegistry()
+        stats = Instrument()
         table = make_table(stats=stats)
         table.insert([1, "a"])
         assert table.rows_snapshot() == [(1, "a")]
@@ -176,7 +176,7 @@ class TestAccessPaths:
             table.access_paths().key_order()
 
     def test_join_index_is_one_counted_scan_per_version(self):
-        stats = StatsRegistry()
+        stats = Instrument()
         table = make_table(stats=stats)
         table.insert_many([[1, "a"], [2, "b"], [3, "a"]])
         paths = table.access_paths()
@@ -188,7 +188,7 @@ class TestAccessPaths:
         assert table.indexes() == [] and table.version == 3
 
     def test_ddl_index_is_probed_in_place(self):
-        stats = StatsRegistry()
+        stats = Instrument()
         table = make_table(stats=stats)
         table.insert_many([[1, "a"], [2, "b"], [3, "a"]])
         table.create_index(("name",))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Mediator, StatsRegistry
+from repro import Instrument, Mediator
 from repro import stats as statnames
 from repro.errors import SourceError
 from repro.sources import MediatorSource, SourceCatalog
@@ -33,7 +33,7 @@ class TestMediatorSource:
         assert first.children[0].label == "customer"
 
     def test_navigations_counted(self, lower_mediator):
-        stats = StatsRegistry()
+        stats = Instrument()
         source = MediatorSource(lower_mediator, stats=stats)
         source.register_view("v", Q1)
         iterator = source.iter_document_children("v")
@@ -66,7 +66,7 @@ class TestFederatedQuerying:
     def test_federated_navigation_is_lazy(self):
         # Tuple mode on both levels: the bound below is the seed's
         # minimal-shipping invariant; block mode trades it for batching.
-        stats = StatsRegistry()
+        stats = Instrument()
         lower = Mediator(stats=stats, block_size=1).add_source(
             make_scaled_wrapper(200, 2, stats=stats)
         )

@@ -14,7 +14,7 @@ from repro.algebra import RQVar
 from repro.errors import SourceError
 from repro.sources import SqliteWrapper
 from repro.sources.relational import assemble
-from repro.stats import StatsRegistry
+from repro.obs import Instrument
 from repro.xmltree.tree import OidGenerator, deep_equals
 from tests.conftest import FIG2_SQL
 
@@ -38,7 +38,7 @@ BACKENDS = {"memory": memory_wrapper, "sqlite": sqlite_wrapper}
 
 @pytest.fixture
 def stats():
-    return StatsRegistry()
+    return Instrument()
 
 
 @pytest.fixture
@@ -170,7 +170,7 @@ class TestSqliteSql(TestSql):
 )
 def test_scan_and_pushed_rq_build_the_same_tuple_objects(backend, doc, label,
                                                          widths):
-    stats = StatsRegistry()
+    stats = Instrument()
     wrapper = BACKENDS[backend]((
         "CREATE TABLE part (pno TEXT, color TEXT, weight INT,"
         " PRIMARY KEY (pno))",

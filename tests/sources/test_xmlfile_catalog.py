@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SourceError, UnknownSourceError
-from repro.stats import StatsRegistry
+from repro.obs import Instrument
 from repro.sources import SourceCatalog, XmlFileSource
 from repro.sources.xmlfile import DOC_FETCHES
 from repro.xmltree import elem
@@ -22,7 +22,7 @@ class TestXmlFileSource:
         assert source.materialize_document("d").children[0].label == "a"
 
     def test_one_step_fetch_counted_once(self):
-        stats = StatsRegistry()
+        stats = Instrument()
         source = XmlFileSource(stats=stats).add_text("d", "<l><a>1</a></l>")
         source.materialize_document("d")
         source.materialize_document("d")

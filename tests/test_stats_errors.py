@@ -1,4 +1,4 @@
-"""Unit tests for the stats registry and the exception hierarchy."""
+"""Unit tests for the counter registry and the exception hierarchy."""
 
 import time
 
@@ -24,25 +24,25 @@ from repro.errors import (
     XQueryParseError,
     XmlParseError,
 )
-from repro.stats import StatsRegistry
+from repro.obs import Instrument
 
 
 class TestStatsRegistry:
     def test_incr_and_get(self):
-        stats = StatsRegistry()
+        stats = Instrument()
         stats.incr("x")
         stats.incr("x", 4)
         assert stats.get("x") == 5
         assert stats.get("missing") == 0
 
     def test_reset(self):
-        stats = StatsRegistry()
+        stats = Instrument()
         stats.incr("x")
         stats.reset()
         assert stats.get("x") == 0
 
     def test_snapshot_is_a_copy(self):
-        stats = StatsRegistry()
+        stats = Instrument()
         stats.incr("x")
         snap = stats.snapshot()
         stats.incr("x")
@@ -50,7 +50,7 @@ class TestStatsRegistry:
         assert stats.get("x") == 2
 
     def test_diff(self):
-        stats = StatsRegistry()
+        stats = Instrument()
         stats.incr("x", 2)
         before = stats.snapshot()
         stats.incr("x", 3)
@@ -60,14 +60,14 @@ class TestStatsRegistry:
         assert delta["y"] == 1
 
     def test_timer(self):
-        stats = StatsRegistry()
+        stats = Instrument()
         with stats.timer("t"):
             time.sleep(0.01)
         assert stats.elapsed("t") >= 0.005
         assert "time:t" in stats.snapshot()
 
     def test_repr(self):
-        stats = StatsRegistry()
+        stats = Instrument()
         stats.incr("abc")
         assert "abc=1" in repr(stats)
 
