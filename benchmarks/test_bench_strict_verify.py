@@ -91,8 +91,8 @@ def test_cached_verification_is_not_repeated():
     ).add_source(wrapper)
     mediator.prepare(VIEW_QUERY)
     assert mediator.last_verified_stages >= 2
-    cold = mediator.obs.elapsed("verify")
+    cold = mediator.stats.elapsed("verify")
     assert cold > 0.0
     __, __, status = mediator.prepare(VIEW_QUERY)
     assert status == "hit"
-    assert mediator.obs.elapsed("verify") == cold
+    assert mediator.stats.elapsed("verify") == cold

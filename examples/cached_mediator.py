@@ -29,7 +29,7 @@ built = build_customers_orders(
     value_step=100, tiers=10,
 )
 mediator = built.mediator(cache=True, cache_size=64)
-obs = mediator.obs
+obs = mediator.stats
 
 
 def run_once(label):

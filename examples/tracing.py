@@ -31,7 +31,7 @@ built = build_customers_orders(
     value_step=100, tiers=10,
 )
 mediator = built.mediator()
-obs = mediator.obs
+obs = mediator.stats
 
 # -- 1: EXPLAIN ANALYZE ------------------------------------------------------------
 

@@ -30,13 +30,6 @@ def _int(low=None):
     return parse
 
 
-def _float(flag, text):
-    try:
-        return float(text)
-    except ValueError:
-        raise SystemExit("{} expects a number, got {!r}".format(flag, text))
-
-
 def _fault_profile(flag, text):
     if text not in FAULT_PROFILES:
         raise SystemExit("unknown fault profile {!r} (choose from {})".format(
@@ -70,18 +63,7 @@ _OPTIONS = {
     "--port": ("N", _int(), 4617),
     "--max-sessions": ("N", _int(), 512),
     "--max-inflight": ("N", _int(), 64),
-    "--clients": ("N", _int(), 120),
-    "--interactions": ("N", _int(), 8),
-    "--seed": ("N", _int(), 0),
-    "--customers": ("N", _int(), 40),
-    "--orders": ("N", _int(), 3),
-    "--think": ("SECONDS", _float, 0.0),
-    "--zipf": ("S", _float, 1.1),
-    "--bench-json": ("DIR", _text, None),
 }
-
-#: Valued options that may also be given bare, and their value then.
-_BARE = {"--bench-json": "."}
 
 _MEDIATOR = ("--no-cache", "--cache-size", "--no-optimizer", "--block-size")
 _DEPLOYMENT = ("--shards", "--fault-profile", "--fault-seed")
@@ -98,9 +80,6 @@ _ACCEPTS = {
     "check-rules": ("--json", "--rules"),
     "serve": _MEDIATOR + (
         "--host", "--port", "--max-sessions", "--max-inflight"),
-    "bench-serve": _MEDIATOR + (
-        "--clients", "--interactions", "--seed", "--customers", "--orders",
-        "--think", "--zipf", "--bench-json"),
 }
 
 
@@ -137,8 +116,6 @@ def _parse(command, args):
             value = True
         elif has_value:
             value = parse(flag, text)
-        elif flag in _BARE:
-            value = _BARE[flag]
         else:
             raise _UsageError("option {} needs a value ({}={})".format(
                 flag, flag, metavar))
@@ -159,8 +136,6 @@ def _usage():
         for flag in flags:
             metavar = _OPTIONS[flag][0]
             value = "" if metavar is None else "=" + metavar
-            if flag in _BARE:
-                value = "[{}]".format(value)
             words.append("[{}{}]".format(flag, value))
         lines.append(" ".join(words))
         lines.append("      " + _command(command).__doc__.splitlines()[0])
@@ -216,16 +191,6 @@ def _paper_wrapper(stats, member=None, shards=1):
     )
 
 
-def _mediator_settings(options):
-    """The ``Mediator`` keywords the shared mediator options set."""
-    return {
-        "cache": not options["no_cache"],
-        "cache_size": options["cache_size"],
-        "cost_optimizer": not options["no_optimizer"],
-        "block_size": options["block_size"],
-    }
-
-
 def _paper_mediator(options):
     """A mediator over the Fig. 2 deployment the options describe: one
     wrapper, a ``--shards`` fleet, or a ``--fault-profile`` source."""
@@ -239,8 +204,14 @@ def _paper_mediator(options):
             "profiles script a single source's pull schedule (wrap shard "
             "members with repro.resilience.shard_resilience instead)"
         )
-    settings = _mediator_settings(options)
-    stats = settings["stats"] = Instrument()
+    stats = Instrument()
+    settings = {
+        "stats": stats,
+        "cache": not options["no_cache"],
+        "cache_size": options["cache_size"],
+        "cost_optimizer": not options["no_optimizer"],
+        "block_size": options["block_size"],
+    }
     if shards is not None:
         fleet = ShardedSource(
             [_paper_wrapper(stats, index, shards) for index in range(shards)],
@@ -257,11 +228,13 @@ def _paper_mediator(options):
     # so the injected pull faults (and their recovery) actually fire.
     # The cache stays on when asked: the degrade policy automatically
     # keeps poisoned answers out of the navigation memo.
-    # Fault profiles default to tuple mode: their schedules fire by pull
-    # position, and block prefetching reorders pulls — the profile
-    # narratives (which fault fires where, when the breaker trips) are
-    # written against the seed's demand order.  An explicit
-    # ``--block-size`` still wins.
+    # Fault profiles default to width 1.  Their pull faults are keyed on
+    # a child's position and SQL faults on the statement count, so the
+    # width moves neither; but the outage breaker is shared by every
+    # document of the source, so the width moves *when* it opens.  At
+    # width >= 4 all customers are fetched before root2's failures open
+    # it, and the join drops every order stub: an empty answer instead
+    # of one CustRec with four stubs.  An explicit --block-size wins.
     if settings["block_size"] is None:
         settings["block_size"] = 1
     source = _faulty_source(wrapper, profile, options["fault_seed"], stats)
@@ -648,57 +621,6 @@ def cmd_serve(options, args):
                   stats.get("serve_requests"),
                   stats.get("serve_rejected"),
                   stats.get("serve_sessions_opened")))
-    return 0
-
-
-def cmd_bench_serve(options, args):
-    """E-SERVE: closed-loop load against an in-process server.
-
-    N concurrent client sessions (default 120 — the acceptance floor
-    is 100) issue zipf-distributed queries plus navigation walks over a
-    scaled customers/orders workload through the full wire path, and
-    the measured throughput and latency percentiles are printed (and,
-    with ``--bench-json``, recorded as ``BENCH_SERVE.json``).
-    """
-    from repro.server import (
-        MediatorService, ServerLimits, run_load, write_bench_json,
-    )
-    from repro.workloads import build_customers_orders
-
-    clients = options["clients"]
-    interactions = options["interactions"]
-    built = build_customers_orders(
-        n_customers=options["customers"],
-        orders_per_customer=options["orders"],
-    )
-    service = MediatorService(
-        built.mediator(**_mediator_settings(options)),
-        limits=ServerLimits(max_sessions=clients + 8,
-                            max_inflight=clients + 8),
-        database=built.database,
-    )
-    report = run_load(
-        service, clients=clients, interactions=interactions,
-        think_time=options["think"], zipf_s=options["zipf"],
-        seed=options["seed"],
-    )
-    counters = report.counters()
-    print("== E-SERVE: {} concurrent sessions, {} interactions each "
-          "==".format(clients, interactions))
-    print("  requests={requests} errors={errors} rejected={rejected}"
-          .format(**counters))
-    print("  throughput={throughput_rps} req/s  p50={p50_ms}ms  "
-          "p95={p95_ms}ms  p99={p99_ms}ms".format(**counters))
-    print("  plan_cache={} nav_memo={}".format(
-        built.stats.get("plan_cache_hits"),
-        built.stats.get("nav_memo_hits")))
-    if report.errors:
-        print("bench-serve: {} requests failed".format(report.errors),
-              file=sys.stderr)
-        return 1
-    if options["bench_json"] is not None:
-        path = write_bench_json(options["bench_json"], [("serve", report)])
-        print("  wrote {}".format(path))
     return 0
 
 

@@ -6,9 +6,8 @@ walks per the E-SERVE/E-OPT profiles.  Block execution amortizes that
 bookkeeping: operators exchange blocks (plain lists) of up to
 ``block_size`` tuples and pay the per-pull overhead once per block.
 
-Design invariants (the differential battery in
-``tests/test_block_differential.py`` enforces them against the eager
-oracle, at widths 1 through 1024):
+Design invariants (the lattice differential in ``tests/test_lattice.py``
+enforces them against the eager oracle, at widths 1 through 1024):
 
 * **Same tuples, same order.**  A block stream flattens to exactly the
   seed's tuple stream — byte-identical serialized answers.

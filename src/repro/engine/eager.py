@@ -46,14 +46,13 @@ class EagerEngine:
             )
         self.catalog = catalog
         self.stats = stats or Instrument()
-        self.obs = self.stats
         self.oids = oids or OidGenerator("e")
         self.on_source_error = on_source_error
 
     def _degraded_stub(self, exc, source=None):
         """Record and build the stub standing in for a failed subtree."""
-        self.obs.incr(statnames.DEGRADED_RESULTS)
-        self.obs.event(
+        self.stats.incr(statnames.DEGRADED_RESULTS)
+        self.stats.event(
             "degraded", str(exc),
             source=str(source or getattr(exc, "source", None)
                        or getattr(exc, "doc_id", None)),
@@ -94,10 +93,10 @@ class EagerEngine:
             if isinstance(plan, ops.RelQuery)
             else {}
         )
-        with self.obs.operator_span(name, key=token, **attrs):
+        with self.stats.operator_span(name, key=token, **attrs):
             result = handler(self, plan, nested_env)
             if isinstance(result, BindingSet):
-                self.obs.record_node(token, len(result))
+                self.stats.record_node(token, len(result))
         return result
 
     def _tuples(self, plan, nested_env):
@@ -169,8 +168,8 @@ class EagerEngine:
     def _eval_relquery(self, plan, nested_env):
         try:
             server = self.catalog.server(plan.server)
-            self.obs.incr(statnames.RQ_STATEMENTS)
-            self.obs.event("sql", plan.sql, server=plan.server)
+            self.stats.incr(statnames.RQ_STATEMENTS)
+            self.stats.event("sql", plan.sql, server=plan.server)
             cursor = server.execute_sql(plan.sql)
         except SourceError as exc:
             if self.on_source_error != DEGRADE:

@@ -28,7 +28,7 @@ paid once per block, pushed-SQL rows are fetched
 per Python call.  There is one handler per operator and one path for
 every width: ``block_size=1`` is simply a one-tuple block, whose
 flattened stream, source traffic and per-hop navigation transcripts are
-the seed's (the EXPLAIN goldens and the block-differential battery pin
+the seed's (the EXPLAIN goldens and the lattice differential pin
 that).
 """
 
@@ -99,7 +99,6 @@ class LazyEngine:
         self.block_size = block_size
         self.catalog = catalog
         self.stats = stats or Instrument()
-        self.obs = self.stats
         self.oids = oids or OidGenerator("L")
         self.force_stateful_gby = force_stateful_gby
         self.on_source_error = on_source_error
@@ -112,8 +111,8 @@ class LazyEngine:
 
     def _degraded_stub(self, exc, source=None):
         """Record and build the stub standing in for a failed subtree."""
-        self.obs.incr(statnames.DEGRADED_RESULTS)
-        self.obs.event(
+        self.stats.incr(statnames.DEGRADED_RESULTS)
+        self.stats.event(
             "degraded", str(exc),
             source=str(source or getattr(exc, "source", None)
                        or getattr(exc, "doc_id", None)),
@@ -130,7 +129,7 @@ class LazyEngine:
         """
         if isinstance(plan, ops.TD):
             if self._ramp is not self._full:
-                self.obs.incr(statnames.DEMAND_SIZED)
+                self.stats.incr(statnames.DEMAND_SIZED)
             return self._td_root(plan, self._root_env)
         return self.stream(plan, {})
 
@@ -175,7 +174,7 @@ class LazyEngine:
         pull.  Each pull runs inside the operator's span, so the work is
         attributed to whichever navigation command caused it (this
         amortization is what E-BLOCK measures)."""
-        obs = self.obs
+        obs = self.stats
         block_iter = iter(block_iter)
         token = node_token(plan)
         name = getattr(plan, "opname", type(plan).__name__)
@@ -218,7 +217,7 @@ class LazyEngine:
         own) becomes one stub child and ends the export, instead of
         unwinding the client's navigation.  Each pull grows the ramp.
         """
-        obs = self.obs
+        obs = self.stats
         token = node_token(plan)
         var = plan.var
         width = self._width(env)
@@ -324,8 +323,8 @@ class LazyEngine:
     def _blk_relquery(self, plan, env):
         try:
             server = self.catalog.server(plan.server)
-            self.obs.incr(statnames.RQ_STATEMENTS)
-            self.obs.event("sql", plan.sql, server=plan.server)
+            self.stats.incr(statnames.RQ_STATEMENTS)
+            self.stats.event("sql", plan.sql, server=plan.server)
             cursor = server.execute_sql(plan.sql)
         except SourceError as exc:
             if self.on_source_error != DEGRADE:

@@ -213,7 +213,7 @@ class OperatorTable:
         operators that are the input" — here the stream graph below is
         built, but no tuple is pulled yet.
         """
-        obs = getattr(self._engine, "obs", None)
+        obs = getattr(self._engine, "stats", None)
         if obs is not None:
             with obs.command_span("getRoot", kind="navigation"):
                 if self._stream is None:

@@ -108,7 +108,7 @@ def explain_analyze_with_trace(mediator, query_text, mask_times=False):
     }
     block_size = mediator.block_size
     # Sources count shipped blocks on the mediator's instrument.
-    blocks_before = mediator.obs.get("blocks_shipped")
+    blocks_before = mediator.stats.get("blocks_shipped")
     with instrument.command_span(
         "explain", kind="explain", query=_clip(query_text)
     ):
@@ -130,7 +130,7 @@ def explain_analyze_with_trace(mediator, query_text, mask_times=False):
             record.append(("block", "size={} blocks_shipped={} "
                            "prefetch_hits={}".format(
                                block_size,
-                               mediator.obs.get("blocks_shipped")
+                               mediator.stats.get("blocks_shipped")
                                - blocks_before,
                                instrument.get("prefetch_hits"),
                            ), None))

@@ -196,7 +196,7 @@ class QdomNode:
         Each navigation command (``d``/``r``/``fl``/``fv``) completes one
         trace; the returned :class:`~repro.obs.Span` links the command to
         the lazy-operator work (and SQL) it caused."""
-        return self._mediator.obs.last_trace()
+        return self._mediator.stats.last_trace()
 
     @property
     def vnode(self):

@@ -145,7 +145,6 @@ class Mediator:
         self.block_size = block_size
         self.catalog = catalog or SourceCatalog()
         self.stats = stats or Instrument()
-        self.obs = self.stats
         self.optimize = optimize
         self.push_sql = push_sql
         self.lazy = lazy
@@ -159,7 +158,7 @@ class Mediator:
         if cache and cache_size:
             from repro.cache import CacheManager
 
-            self.cache = CacheManager(cache_size, obs=self.obs)
+            self.cache = CacheManager(cache_size, obs=self.stats)
         else:
             self.cache = None
         self._translator = Translator()
@@ -222,7 +221,7 @@ class Mediator:
         if self.cache is not None:
             enable = getattr(source, "enable_sql_cache", None)
             if callable(enable):
-                enable(self.cache_size, obs=self.obs)
+                enable(self.cache_size, obs=self.stats)
         set_cost = getattr(source, "set_cost_optimizer", None)
         if callable(set_cost):
             set_cost(self.cost_optimizer)
@@ -322,7 +321,7 @@ class Mediator:
         served from cache.
         """
         policy = on_source_error or self.on_source_error
-        with self.obs.command_span(
+        with self.stats.command_span(
             "query", kind="query", query=_clip_query(query_text)
         ):
             view, _status, memo_key = self._prepare(query_text)
@@ -353,7 +352,7 @@ class Mediator:
             raise CompositionError(
                 "this node does not belong to a mediator view"
             )
-        with self.obs.command_span(
+        with self.stats.command_span(
             "q", kind="query",
             query=_clip_query(query_text),
             oid=str(qdom_node.oid),
@@ -375,7 +374,7 @@ class Mediator:
         """The client handle on an answer root (recording demand)."""
         return QdomNode(
             self,
-            VNode.root(root, obs=self.obs, prefetch=self.block_size,
+            VNode.root(root, obs=self.stats, prefetch=self.block_size,
                        plan=view.prepared),
             view,
         )
@@ -522,12 +521,12 @@ class Mediator:
         trace = []
         compose_plan = exec_plan = plan
         if self.optimize:
-            with self.obs.timer("rewrite"):
+            with self.stats.timer("rewrite"):
                 compose_plan = exec_plan = self._rewriter.rewrite(
                     plan, trace=trace
                 )
         if self.push_sql:
-            with self.obs.timer("push_sql"):
+            with self.stats.timer("push_sql"):
                 exec_plan = push_to_sources(
                     compose_plan, self.catalog, cost=self.cost_optimizer
                 )
@@ -541,7 +540,7 @@ class Mediator:
             ]
             if self.push_sql:
                 stages.append(("sql-split", exec_plan, None))
-            with self.obs.timer("verify"):
+            with self.stats.timer("verify"):
                 report = verify_stages(query, stages, self.catalog)
             if not verify:
                 report.raise_if_failed()
@@ -563,7 +562,7 @@ class Mediator:
         root_oid = (
             "view{}".format(next(self._view_ids)) if assign_root else None
         )
-        with self.obs.timer("translate"):
+        with self.stats.timer("translate"):
             plan = self._translator.translate(query, root_oid=root_oid)
         validate_plan(plan)
         return plan
@@ -626,7 +625,7 @@ class Mediator:
 
     def last_trace(self):
         """The most recent completed trace on this mediator's bus."""
-        return self.obs.last_trace()
+        return self.stats.last_trace()
 
     def cache_stats(self):
         """Counter snapshots of every cache level, or ``None`` when

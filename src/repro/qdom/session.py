@@ -158,12 +158,12 @@ class Session:
 
     def _record(self, command, detail):
         self._log.append((command, str(detail)[:120]))
-        self._mediator.obs.incr("session_commands")
+        self._mediator.stats.incr("session_commands")
 
     def last_trace(self):
         """The trace of the most recent command on this session's
         mediator bus (see :meth:`repro.obs.Instrument.last_trace`)."""
-        return self._mediator.obs.last_trace()
+        return self._mediator.stats.last_trace()
 
     def __repr__(self):
         try:

@@ -307,6 +307,12 @@ def _projector(positions):
     return itemgetter(*positions)
 
 
+def _has_null(key):
+    """Whether a join key — one value, or a tuple of several — holds a
+    NULL, which no equality matches."""
+    return key is None or type(key) is tuple and None in key
+
+
 def _sorter(positions):
     if len(positions) == 1:
         (pos,) = positions
@@ -543,9 +549,13 @@ def _hash_join(stream, scan, stream_key, scan_key, test, build_new, counts):
         every = list(build)
         matches = lambda row: every
     else:
+        # A NULL key equals nothing, so it gets no bucket — and a NULL
+        # probe key then finds none.
         buckets = {}
         for row in build:
-            buckets.setdefault(build_key(row), []).append(row)
+            key = build_key(row)
+            if not _has_null(key):
+                buckets.setdefault(key, []).append(row)
         matches = lambda row: buckets.get(probe_key(row), ())
     for probe_row in probe:
         for build_row in matches(probe_row):
@@ -655,13 +665,12 @@ def _ordered_select(binding, predicates, plan, columns, order_by, distinct,
 
 def _join_test(predicate, layout):
     """A join predicate over a merged row.  Equality between columns
-    is plain ``==`` here — the hash join's key semantics, under which
-    NULL joins NULL — so both plans give the same answer."""
+    is the hash join's key test: equal and not NULL."""
     if (predicate.op == "=" and predicate.left.alias is not None
             and predicate.right.alias is not None):
         lpos = predicate.left.position(layout)
         rpos = predicate.right.position(layout)
-        return lambda row: row[lpos] == row[rpos]
+        return lambda row: row[lpos] == row[rpos] and row[lpos] is not None
     return predicate.compile(layout)
 
 
@@ -691,12 +700,15 @@ def _fetcher(step, paths, layout, inner, counts):
     outer = _getter([
         p.side_of(step.alias)[1].position(layout) for p in step.lookups
     ])
+    # A NULL in the outer key matches no row, whatever the index holds.
     if step.access == "key":
         lookup = paths.lookup
         single = len(step.lookups) == 1
 
         def fetch_key(row):
             key = outer(row)
+            if _has_null(key):
+                return ()
             found = lookup((key,) if single else key)
             return () if found is None else (found,)
 
@@ -704,8 +716,11 @@ def _fetcher(step, paths, layout, inner, counts):
     probe = paths.probe(step.columns)
 
     def fetch_bucket(row):
+        key = outer(row)
+        if _has_null(key):
+            return ()
         counts[_LOOKUPS] += 1
-        return probe(outer(row)) or ()
+        return probe(key) or ()
 
     return fetch_bucket
 

@@ -15,9 +15,10 @@ package is that server layer:
 * :mod:`~repro.server.tcp` — the threading TCP endpoint plus a small
   client (``python -m repro serve``);
 * :mod:`~repro.server.loopback` — an in-process client speaking the
-  real byte protocol (what the differential/fuzz suites drive);
-* :mod:`~repro.server.loadgen` — the closed-loop zipf load driver
-  behind ``python -m repro bench-serve`` (``BENCH_SERVE.json``).
+  real byte protocol (what the lattice differential and fuzz suites
+  drive).
+
+``python -m mixbench run`` drives this server end to end.
 
 Quickstart::
 
@@ -34,7 +35,6 @@ Quickstart::
         print(first["label"])
 """
 
-from repro.server.loadgen import LoadReport, run_load, write_bench_json
 from repro.server.loopback import LoopbackClient
 from repro.server.protocol import ServerReplyError
 from repro.server.service import MediatorService
@@ -42,7 +42,6 @@ from repro.server.sessions import ServerLimits, SessionManager
 from repro.server.tcp import MixServer, TcpClient, serve
 
 __all__ = [
-    "LoadReport",
     "LoopbackClient",
     "MediatorService",
     "MixServer",
@@ -50,7 +49,5 @@ __all__ = [
     "ServerReplyError",
     "SessionManager",
     "TcpClient",
-    "run_load",
     "serve",
-    "write_bench_json",
 ]

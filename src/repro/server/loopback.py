@@ -1,6 +1,6 @@
 """An in-process client that speaks the real wire protocol.
 
-:class:`LoopbackClient` is what the differential and fuzz suites drive:
+:class:`LoopbackClient` is what the lattice and fuzz suites drive:
 every call is encoded to JSON-lines bytes, pushed through
 :meth:`MediatorService.handle_line`, and decoded back — the identical
 byte path a TCP connection takes, minus the socket.  A bug that only a

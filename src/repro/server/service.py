@@ -65,7 +65,7 @@ class MediatorService:
 
     def __init__(self, mediator, limits=None, database=None):
         self.mediator = mediator
-        self.obs = mediator.obs
+        self.obs = mediator.stats
         self.limits = limits or ServerLimits()
         self.sessions = SessionManager(self.limits, obs=self.obs)
         self.database = database
@@ -246,8 +246,8 @@ class MediatorService:
         return {"xml": serialize(node.to_tree())}
 
     def _op_explain(self, request):
-        # Times are masked: replies must be byte-stable so clients (and
-        # the differential suite) can compare plans, not timings.
+        # Times are masked: replies must be byte-stable so clients can
+        # compare plans, not timings.
         return {"text": self.mediator.explain(
             self._query_text(request), mask_times=True
         )}

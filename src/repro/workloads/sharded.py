@@ -9,7 +9,7 @@ members sit behind one :class:`~repro.sources.shard.ShardedSource`
 under the same server name (``s``) and documents (``root1``/``root2``)
 as the unsharded builder, so any query, view, or mediator configuration
 runs unchanged over either layout — which is exactly what the
-sharded-vs-unsharded differential suite leans on.
+lattice differential's shard deployments lean on.
 
 Partition keys:
 

@@ -145,8 +145,8 @@ class TestStrictMediator:
         # their cost shows up in snapshots next to translate/rewrite.
         mediator = mediator_with(strict=True)
         mediator.prepare(Q1)
-        assert mediator.obs.elapsed("verify") > 0.0
-        assert mediator_with().obs.elapsed("verify") == 0.0
+        assert mediator.stats.elapsed("verify") > 0.0
+        assert mediator_with().stats.elapsed("verify") == 0.0
 
     def test_strict_view_composition_verifies_all_rewrites(self):
         mediator = mediator_with(strict=True)

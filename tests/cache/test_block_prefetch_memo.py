@@ -62,24 +62,24 @@ def faulty_block_mediator(position, block_size=64, n_orders=20):
 def test_clean_prefetched_prefix_is_memo_shareable():
     mediator = caching_block_mediator()
     cold = serialize(mediator.query(Q1).to_tree())
-    shipped = mediator.obs.get(sn.TUPLES_SHIPPED)
+    shipped = mediator.stats.get(sn.TUPLES_SHIPPED)
     warm = serialize(mediator.query(Q1).to_tree())
     assert warm == cold
-    assert mediator.obs.get(sn.TUPLES_SHIPPED) == shipped
-    assert mediator.obs.get(sn.NAV_MEMO_HITS) == 1
+    assert mediator.stats.get(sn.TUPLES_SHIPPED) == shipped
+    assert mediator.stats.get(sn.NAV_MEMO_HITS) == 1
 
 
 def test_partial_bulk_prefix_is_shared_without_reshipping():
     mediator = caching_block_mediator()
     first = mediator.query(ORDERS)
     first.d()            # one command; prefetch materializes the prefix
-    shipped = mediator.obs.get(sn.TUPLES_SHIPPED)
+    shipped = mediator.stats.get(sn.TUPLES_SHIPPED)
     second = mediator.query(ORDERS)          # memo hit: same root Node
     children = second.d_many(3)
     assert len(children) == 3
     # All three landed on the prefix the first session prefetched.
-    assert mediator.obs.get(sn.TUPLES_SHIPPED) == shipped
-    assert mediator.obs.get(sn.PREFETCH_HITS) > 0
+    assert mediator.stats.get(sn.TUPLES_SHIPPED) == shipped
+    assert mediator.stats.get(sn.PREFETCH_HITS) > 0
 
 
 def test_stub_materialized_mid_prefetch_is_never_served():

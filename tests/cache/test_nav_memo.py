@@ -45,24 +45,24 @@ def caching_mediator(**kwargs):
 def test_memo_hit_ships_nothing():
     mediator = caching_mediator()
     cold = serialize(mediator.query(Q1).to_tree())
-    shipped = mediator.obs.get(sn.TUPLES_SHIPPED)
-    navigations = mediator.obs.get(sn.SOURCE_NAVIGATIONS)
+    shipped = mediator.stats.get(sn.TUPLES_SHIPPED)
+    navigations = mediator.stats.get(sn.SOURCE_NAVIGATIONS)
     warm = serialize(mediator.query(Q1).to_tree())
     assert warm == cold
-    assert mediator.obs.get(sn.TUPLES_SHIPPED) == shipped
-    assert mediator.obs.get(sn.SOURCE_NAVIGATIONS) == navigations
-    assert mediator.obs.get(sn.NAV_MEMO_HITS) == 1
+    assert mediator.stats.get(sn.TUPLES_SHIPPED) == shipped
+    assert mediator.stats.get(sn.SOURCE_NAVIGATIONS) == navigations
+    assert mediator.stats.get(sn.NAV_MEMO_HITS) == 1
 
 
 def test_partial_prefix_is_shared_across_sessions():
     mediator = caching_mediator()
     first = mediator.query(ORDERS)
     first.d()                            # force just the first child
-    shipped = mediator.obs.get(sn.TUPLES_SHIPPED)
+    shipped = mediator.stats.get(sn.TUPLES_SHIPPED)
     second = mediator.query(ORDERS)      # memo hit: same root Node
     assert second.d() is not None
     # The first child was already materialized by the first session.
-    assert mediator.obs.get(sn.TUPLES_SHIPPED) == shipped
+    assert mediator.stats.get(sn.TUPLES_SHIPPED) == shipped
     # Walking further *does* pull — the memo never fakes completeness.
     second.d().r()
 
@@ -83,10 +83,10 @@ def test_dml_invalidates_memo():
     after = serialize(mediator.query(ORDERS).to_tree())
     assert after != before
     assert "555" in after or "42" in after
-    assert mediator.obs.get(sn.NAV_MEMO_INVALIDATIONS) == 1
+    assert mediator.stats.get(sn.NAV_MEMO_INVALIDATIONS) == 1
     # Re-warmed at the new version: a third run hits again.
     assert serialize(mediator.query(ORDERS).to_tree()) == after
-    assert mediator.obs.get(sn.NAV_MEMO_HITS) == 1
+    assert mediator.stats.get(sn.NAV_MEMO_HITS) == 1
 
 
 def test_unversioned_source_disables_result_reuse():
@@ -100,9 +100,9 @@ def test_unversioned_source_disables_result_reuse():
     second = serialize(mediator.query(ORDERS).to_tree())
     assert first == second
     assert len(mediator.cache.nav_memo) == 0
-    assert mediator.obs.get(sn.NAV_MEMO_HITS) == 0
+    assert mediator.stats.get(sn.NAV_MEMO_HITS) == 0
     # The plan cache is data-free and keeps working.
-    assert mediator.obs.get(sn.PLAN_CACHE_HITS) == 1
+    assert mediator.stats.get(sn.PLAN_CACHE_HITS) == 1
 
 
 def test_degrade_policy_bypasses_memo_entirely():
@@ -110,8 +110,8 @@ def test_degrade_policy_bypasses_memo_entirely():
     mediator.query(ORDERS).to_tree()
     mediator.query(ORDERS).to_tree()
     assert len(mediator.cache.nav_memo) == 0
-    assert mediator.obs.get(sn.NAV_MEMO_HITS) == 0
-    assert mediator.obs.get(sn.NAV_MEMO_MISSES) == 0
+    assert mediator.stats.get(sn.NAV_MEMO_HITS) == 0
+    assert mediator.stats.get(sn.NAV_MEMO_MISSES) == 0
 
 
 def test_per_query_degrade_override_bypasses_memo():
@@ -152,10 +152,10 @@ def test_fail_epoch_movement_invalidates_stored_entries():
     assert len(mediator.cache.nav_memo) == 1
     # Any degradation observed on this mediator after the store makes
     # the entry unprovable (conservative fence): it must not be served.
-    mediator.obs.incr(sn.DEGRADED_RESULTS)
+    mediator.stats.incr(sn.DEGRADED_RESULTS)
     mediator.query(ORDERS).to_tree()
-    assert mediator.obs.get(sn.NAV_MEMO_HITS) == 0
-    assert mediator.obs.get(sn.NAV_MEMO_INVALIDATIONS) == 1
+    assert mediator.stats.get(sn.NAV_MEMO_HITS) == 0
+    assert mediator.stats.get(sn.NAV_MEMO_INVALIDATIONS) == 1
 
 
 def test_broken_lazy_tail_is_never_served():
@@ -177,7 +177,7 @@ def test_broken_lazy_tail_is_never_served():
         first.d().r()
     # A fresh session must not be handed the broken tree.
     second = mediator.query(ORDERS)
-    assert mediator.obs.get(sn.NAV_MEMO_INVALIDATIONS) >= 1
+    assert mediator.stats.get(sn.NAV_MEMO_INVALIDATIONS) >= 1
     assert second.d() is not None
 
 
@@ -215,4 +215,4 @@ def test_memo_respects_cache_bound():
         "FOR $C IN document(root1)/customer RETURN $C"
     ).to_tree()
     assert len(mediator.cache.nav_memo) == 1
-    assert mediator.obs.get(sn.NAV_MEMO_EVICTIONS) == 1
+    assert mediator.stats.get(sn.NAV_MEMO_EVICTIONS) == 1

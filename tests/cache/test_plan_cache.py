@@ -32,7 +32,7 @@ def test_repeat_query_hits_plan_cache():
     second = serialize(mediator.query(Q1).to_tree())
     assert first == second
     assert mediator.cache.plan_cache.stats()["hits"] == 1
-    assert mediator.obs.get(sn.PLAN_CACHE_HITS) == 1
+    assert mediator.stats.get(sn.PLAN_CACHE_HITS) == 1
 
 
 def test_hit_skips_translation():

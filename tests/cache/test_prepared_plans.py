@@ -37,7 +37,10 @@ from repro.xquery.parser import parse_xquery
 from repro.xquery.printer import render_query
 
 from tests.conftest import Q1, Q12, make_paper_wrapper
-from tests.properties.test_prop_cache import QUERIES, VIEW_DEFS
+from tests.test_lattice import SHAPES, VIEWS, literals
+
+#: The lattice differential's queries and views.
+CORPUS = [shape.text.format(**literals(0)) for shape in SHAPES] + VIEWS
 
 EXAMPLES = sorted(glob.glob(os.path.join(
     os.path.dirname(__file__), "..", "..", "examples", "queries", "*.xq"
@@ -85,7 +88,7 @@ def mediator_pair(**kwargs):
     for mediator in (cached, cold):
         mediator.add_source(make_paper_wrapper())
         mediator.define_view("rootv", Q1)
-        mediator.define_view("vw", VIEW_DEFS[0])
+        mediator.define_view("vw", VIEWS[0])
     return cached, cold
 
 
@@ -124,7 +127,7 @@ def plan_counts(mediator):
 
 @pytest.mark.parametrize(
     "text",
-    [open(path).read() for path in EXAMPLES] + QUERIES + VIEW_DEFS + [Q12],
+    [open(path).read() for path in EXAMPLES] + CORPUS + [Q12],
 )
 def test_bound_plan_is_the_inline_compile(text):
     cached, cold = mediator_pair()

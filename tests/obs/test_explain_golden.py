@@ -10,6 +10,8 @@ to the rewriter, the pushdown, or the engines' tuple flow breaks it.
 
 from __future__ import annotations
 
+import pytest
+
 from tests.conftest import Q1, make_paper_wrapper
 
 from repro import Mediator
@@ -38,22 +40,28 @@ GOLDEN_Q1_EXPLAIN_WARM_FOOTER = """\
 tuples_shipped=0 tuples_from_cache=4"""
 
 
-def fresh_mediator():
+def fresh_mediator(block_size=1):
     # A fresh mediator pins the view counter (view1) and the
     # translator's variable/skolem numbering, making output exact.
     # block_size=1 is the seed's tuple-at-a-time mode the goldens were
     # captured in (block mode adds a "-- block:" footer line).
-    return Mediator(block_size=1).add_source(make_paper_wrapper())
+    return Mediator(block_size=block_size).add_source(make_paper_wrapper())
 
 
 def test_explain_analyze_matches_golden():
     assert fresh_mediator().explain(Q1, mask_times=True) == GOLDEN_Q1_EXPLAIN
 
 
-def test_explain_analyze_is_stable_across_runs():
-    first = fresh_mediator().explain(Q1, mask_times=True)
-    second = fresh_mediator().explain(Q1, mask_times=True)
+@pytest.mark.parametrize("block_size", [1, 2, 7, 64, 1024])
+def test_explain_analyze_is_stable_across_runs(block_size):
+    first = fresh_mediator(block_size).explain(Q1, mask_times=True)
+    second = fresh_mediator(block_size).explain(Q1, mask_times=True)
     assert first == second
+    # The block footer appears exactly when blocks are wider than one.
+    if block_size == 1:
+        assert "-- block:" not in first
+    else:
+        assert "-- block: size={} ".format(block_size) in first
 
 
 def test_explain_unmasked_carries_times():
@@ -114,8 +122,8 @@ def test_golden_trace_json_is_stable():
     def one_trace():
         mediator = fresh_mediator()
         root = mediator.query(Q1)
-        mediator.obs.clear_traces()
+        mediator.stats.clear_traces()
         root.d()
-        return trace_to_json(mediator.obs.last_trace(), mask_times=True)
+        return trace_to_json(mediator.stats.last_trace(), mask_times=True)
 
     assert one_trace() == one_trace()

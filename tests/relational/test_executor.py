@@ -106,6 +106,38 @@ class TestSelect:
         ).fetchall()
         assert rows == [("ABC", 3), ("DEF", 4)]
 
+    @pytest.mark.parametrize("optimizer", [True, False])
+    @pytest.mark.parametrize("order_by", ["", " ORDER BY a.id"])
+    @pytest.mark.parametrize("layout", [
+        ("CREATE TABLE b (x TEXT, w TEXT, z INT)",),
+        ("CREATE TABLE b (x TEXT, w TEXT, z INT)",
+         "CREATE INDEX bx ON b (x)"),
+        ("CREATE TABLE b (x TEXT, w TEXT, z INT, PRIMARY KEY (x, w))",),
+    ], ids=["join-index", "ddl-index", "key"])
+    def test_null_join_key_matches_nothing(self, optimizer, order_by,
+                                           layout):
+        # As in SQLite: NULL = NULL is not true, so neither the hash
+        # join nor the ordered plan's key/index/join-index lookups and
+        # residual equality may pair the NULL rows.
+        db = Database("nulls", optimizer=optimizer)
+        db.run("CREATE TABLE a (id INT, x TEXT, w TEXT, y INT,"
+               " PRIMARY KEY (id))")
+        for sql in layout:
+            db.run(sql)
+        db.run("INSERT INTO a VALUES (1, 'k', NULL, 1), (2, NULL, 'w', 2),"
+               " (3, 'k', 'w', 3)")
+        db.run("INSERT INTO b VALUES ('k', NULL, 10), (NULL, 'w', 20),"
+               " ('k', 'w', 30)")
+        rows = db.execute(
+            "SELECT a.y, b.z FROM a, b WHERE a.x = b.x AND a.w = b.w"
+            + order_by
+        ).fetchall()
+        assert rows == [(3, 30)]
+        rows = db.execute(
+            "SELECT a.y, b.z FROM a, b WHERE a.x = b.x" + order_by
+        ).fetchall()
+        assert sorted(rows) == [(1, 10), (1, 30), (3, 10), (3, 30)]
+
     def test_distinct(self, db):
         rows = db.execute(
             "SELECT DISTINCT cid FROM orders ORDER BY cid"

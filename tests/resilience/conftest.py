@@ -1,28 +1,14 @@
 """Shared helpers for the resilience suite.
 
-``MIX_FAULT_SEED`` (the CI fault-injection matrix variable) selects the
-seed the probabilistic fault schedules run under; every test must pass
-for any seed.  All timing in this suite runs on
-:class:`~repro.resilience.ManualClock` — no real sleeps anywhere.
+All timing in this suite runs on :class:`~repro.resilience.ManualClock`
+— no real sleeps anywhere.
 """
 
 from __future__ import annotations
 
-import os
-
-import pytest
-
 from repro.errors import TransientSourceError
 from repro.sources.base import Source
 from repro.xmltree.tree import Node, OidGenerator
-
-#: The CI matrix seed (three fixed seeds in .github/workflows/ci.yml).
-FAULT_SEED = int(os.environ.get("MIX_FAULT_SEED", "0"))
-
-
-@pytest.fixture
-def fault_seed():
-    return FAULT_SEED
 
 
 class FlakyListSource(Source):

@@ -4,14 +4,13 @@ Every fuzz case asserts the same contract: the reply is one valid
 JSON-lines frame, ``ok`` is false with a stable ``MIX-E-*`` code (or
 true, if the random frame happened to be valid), no stack trace ever
 reaches the wire, no in-flight slot leaks, and the server still answers
-a clean ``hello`` afterwards.  ``MIX_SERVE_SEED`` rotates the random
-corpus in CI.
+a clean ``hello`` afterwards.  ``MIX_SEED`` rotates the random corpus
+in CI.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import random
 import socket
 
@@ -20,9 +19,8 @@ from hypothesis import given, settings, strategies as st
 from repro.server import LoopbackClient, MixServer
 from repro.server import protocol
 
+from tests.conftest import MIX_SEED
 from tests.server.conftest import make_service
-
-SERVE_SEED = int(os.environ.get("MIX_SERVE_SEED", "0"))
 
 #: Hand-picked hostile frames (each regression-tested shape stays).
 HOSTILE_FRAMES = [
@@ -79,7 +77,7 @@ class TestHostileFrames:
     def test_seeded_random_mutations(self):
         """Random corruptions of a valid frame — truncation, byte
         flips, splices — never wedge the service or leak a slot."""
-        rng = random.Random(20260808 + SERVE_SEED)
+        rng = random.Random(20260808 + MIX_SEED)
         service = make_service()
         base = protocol.encode_frame(
             {"id": 1, "op": "query", "session": 1,
@@ -106,7 +104,7 @@ class TestHostileFrames:
     def test_random_json_shaped_requests(self):
         """Structurally valid JSON with random op/session/node values:
         typed errors only, and valid ops still work mid-storm."""
-        rng = random.Random(97 + SERVE_SEED)
+        rng = random.Random(97 + MIX_SEED)
         service = make_service()
         ops = ["open", "close", "d", "r", "fl", "fv", "query", "q",
                "walk", "tree", "find", "sql", "stats", "zzz", ""]
@@ -155,7 +153,7 @@ class TestTcpFuzz:
     def test_garbage_then_valid_frames_on_one_connection(self):
         mix = MixServer(make_service(), ("127.0.0.1", 0))
         mix.start_in_thread()
-        rng = random.Random(31337 + SERVE_SEED)
+        rng = random.Random(31337 + MIX_SEED)
         try:
             sock = socket.create_connection(mix.address, timeout=5)
             reader = sock.makefile("rb")

@@ -156,13 +156,14 @@ class TestNavigation:
 class TestQueriesAndSql:
     def test_explain_is_masked_and_deterministic(self):
         # Two fresh servers in the same state produce byte-identical
-        # masked EXPLAIN output (times masked, ids deterministic) —
-        # what the differential suite relies on.
+        # masked EXPLAIN output (times masked, ids deterministic), and
+        # it is the in-process mediator's: the wire adds nothing.
         texts = []
         for _ in range(2):
             with LoopbackClient(make_service(cache=False)) as client:
                 texts.append(client.call("explain", query=JOIN_QUERY)["text"])
-        assert texts[0] == texts[1]
+        assert texts[0] == texts[1] == make_service(
+            cache=False).mediator.explain(JOIN_QUERY, mask_times=True)
         assert "crElt(CustRec" in texts[0]   # it really is the plan
         assert "sql:" in texts[0]            # with the pushed-down join
 
@@ -239,6 +240,17 @@ class TestLimitsAndErrors:
             with pytest.raises(ServerReplyError) as info:
                 client.call("open")
             assert info.value.code == "MIX-E-LIMIT"
+
+    def test_full_inflight_cap_rejects_instead_of_queueing(self):
+        service = make_service(limits=ServerLimits(max_inflight=1))
+        with LoopbackClient(service) as client:
+            with service.sessions.admit():  # the one slot, taken
+                with pytest.raises(ServerReplyError) as info:
+                    client.call("hello")
+            assert info.value.code == "MIX-E-BUSY"
+            assert client.call("hello")["server"] == "repro.server"
+        assert service.obs.get("serve_rejected") == 1
+        assert service.sessions.inflight() == 0
 
     def test_handle_cap_is_a_typed_reply(self):
         service = make_service(limits=ServerLimits(max_handles=1))

@@ -16,7 +16,6 @@ What must hold afterwards:
 
 from __future__ import annotations
 
-import os
 import random
 import threading
 
@@ -25,7 +24,7 @@ from repro.resilience import ERROR_LABEL
 from repro.server import LoopbackClient, MediatorService, ServerLimits
 from repro.xmltree import serialize
 
-SERVE_SEED = int(os.environ.get("MIX_SERVE_SEED", "0"))
+from tests.conftest import MIX_SEED
 
 THREADS = 32
 ITERATIONS = 12
@@ -90,7 +89,7 @@ def test_threads_race_queries_navigation_and_dml():
     next_orid = [1000]
 
     def worker(index):
-        rng = random.Random(SERVE_SEED * 7919 + index)
+        rng = random.Random(MIX_SEED * 7919 + index)
         client = LoopbackClient(service)
         queries_run = 0
         try:
@@ -183,7 +182,7 @@ def test_threads_race_queries_navigation_and_dml():
         assert ERROR_LABEL not in xml
 
     # -- serve counters sum ----------------------------------------------
-    obs = service.mediator.obs
+    obs = service.mediator.stats
     snapshot = obs.snapshot()
     assert snapshot.get("serve_rejected", 0) == 0
     assert snapshot["serve_requests"] == snapshot["serve_accepted"]

@@ -156,7 +156,7 @@ class TestDisconnectTeardown:
             client.call("close", session=session)
         assert wait_until(lambda: service.sessions.session_count() == 0)
         # a close raced by teardown must not go negative
-        snapshot = service.mediator.obs.snapshot()
+        snapshot = service.mediator.stats.snapshot()
         assert snapshot.get("serve_active_sessions", 0) == 0
 
 

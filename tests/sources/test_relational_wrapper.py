@@ -15,6 +15,7 @@ from repro.errors import SourceError
 from repro.sources import SqliteWrapper
 from repro.sources.relational import assemble
 from repro.obs import Instrument
+from repro.xmltree import serialize
 from repro.xmltree.tree import OidGenerator, deep_equals
 from tests.conftest import FIG2_SQL
 
@@ -193,3 +194,29 @@ def test_scan_and_pushed_rq_build_the_same_tuple_objects(backend, doc, label,
     if doc == "parts":
         assert [c.oid for c in pushed] == [c.oid for c in scanned]
         assert [c.oid for c in scanned] == ["&P1", "&P2"]
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@pytest.mark.parametrize("push_sql", [True, False])
+def test_null_keys_join_nothing_through_the_mediator(backend, push_sql):
+    # The pushed join must agree with navigation and with SQLite: a
+    # customer and an order that both lack the key do not match.
+    stats = Instrument()
+    wrapper = BACKENDS[backend]((
+        "CREATE TABLE customer (id TEXT, name TEXT)",
+        "CREATE TABLE orders (cid TEXT, value INT)",
+        "INSERT INTO customer VALUES (NULL, 'Anon'), ('k', 'Kay')",
+        "INSERT INTO orders VALUES (NULL, 10), ('k', 20)",
+    ), stats)
+    wrapper.register_document("root1", "customer")
+    wrapper.register_document("root2", "orders", element_label="order")
+    mediator = Mediator(stats=stats, push_sql=push_sql).add_source(wrapper)
+    answer = mediator.query(
+        "FOR $C IN document(root1)/customer $O IN document(root2)/order"
+        " WHERE $C/id/data() = $O/cid/data() RETURN <R> $C $O </R>"
+    ).to_tree()
+    assert [serialize(c) for c in answer.children] == [
+        "<R><customer><id>k</id><name>Kay</name></customer>"
+        "<order><cid>k</cid><value>20</value></order></R>"
+    ]
+    assert stats.get(statnames.RQ_STATEMENTS) == (1 if push_sql else 0)

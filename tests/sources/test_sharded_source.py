@@ -10,12 +10,16 @@ import pytest
 from repro import Database, Instrument, RelationalWrapper
 from repro import stats as statnames
 from repro.errors import ShardError, SourceError
+from repro.resilience import ERROR_LABEL, shard_resilience
 from repro.sources import Partition, ShardedSource, hash_shard
 from repro.sources.shard import HASH, RANGE
 from repro.workloads import (
     build_customers_orders,
     build_sharded_customers_orders,
 )
+from repro.xmltree import serialize
+
+LAYOUTS = [(HASH, "cid"), (HASH, "orid"), (RANGE, "orid"), (RANGE, "value")]
 
 
 def sharded(shards=3, scheme=HASH, key="cid", **kwargs):
@@ -123,13 +127,16 @@ class TestGather:
             "SELECT orid FROM orders").fetchall()]
         assert got == sorted(got)
 
-    def test_order_by_forces_exact_merge_under_hash(self):
-        sw = sharded(shards=4, scheme=HASH, key="cid")
+    @pytest.mark.parametrize("shards", [1, 2, 4, 7])
+    @pytest.mark.parametrize("scheme,key", LAYOUTS)
+    def test_order_by_forces_an_exact_merge(self, shards, scheme, key):
+        sw = sharded(shards=shards, scheme=scheme, key=key)
         rows = sw.sharded.execute_sql(
             "SELECT orid, value FROM orders ORDER BY value, orid"
         ).fetchall()
         keys = [(value, orid) for orid, value in rows]
-        assert keys == sorted(keys)
+        assert keys == sorted(keys) and len(keys) == 18
+        sw.sharded.close()
 
     def test_order_by_column_outside_projection_is_trimmed(self):
         sw = sharded(shards=3, scheme=HASH, key="cid")
@@ -223,12 +230,14 @@ class TestPruning:
 
 
 class TestNavigation:
-    def test_partitioned_document_concatenates_members(self):
-        sw = sharded(shards=3, scheme=RANGE, key="orid")
+    @pytest.mark.parametrize("shards", [1, 2, 3, 4, 7])
+    def test_partitioned_document_concatenates_members(self, shards):
+        # Range members in key order: the unsharded document order.
+        sw = sharded(shards=shards, scheme=RANGE, key="orid")
         root = sw.sharded.materialize_document("root2")
         oids = [child.oid for child in root.children]
-        assert len(oids) == 18
-        assert oids == sorted(oids, key=lambda o: int(o[1:]))
+        assert oids == ["&{}".format(i) for i in range(18)]
+        sw.sharded.close()
 
     def test_replicated_document_reads_one_member(self):
         sw = sharded(shards=3)
@@ -290,6 +299,26 @@ class TestFailure:
         assert len(seen) == 12
         assert sw.stats.get(statnames.SHARDS_FAILED) == 1
 
+    @pytest.mark.parametrize("victim", range(4))
+    def test_killing_one_member_degrades_not_fails(self, victim):
+        sw = sharded(shards=4, member_wrapper=lambda members: (
+            shard_resilience(members, on_error="degrade")))
+        member = sw.members[victim].inner
+        dead = len(member.execute_sql("SELECT orid FROM orders").fetchall())
+
+        def boom(sql):
+            raise SourceError("member down", sql=sql)
+        member.execute_sql = boom
+        mediator = sw.mediator(on_source_error="degrade")
+        text = serialize(mediator.query(
+            "FOR $O IN document(root2)/order RETURN $O").to_tree())
+        assert text.count("<order>") == 18 - dead
+        # The dead member fails its stream even when its slice was
+        # empty: exactly one failure, exactly one stub.
+        assert text.count("<" + ERROR_LABEL + ">") == 1
+        assert sw.stats.get(statnames.SHARDS_FAILED) == 1
+        sw.sharded.close()
+
     def test_shard_health_reports_the_fleet(self):
         sw = sharded(shards=3)
         sw.sharded.execute_sql("SELECT orid FROM orders").fetchall()
@@ -309,8 +338,6 @@ class TestMediatorIntegration:
     """
 
     def test_query_answers_match_unsharded(self):
-        from repro.xmltree import serialize
-
         base = unsharded()
         want = serialize(base.mediator().query(self.QUERY).to_tree())
         sw = sharded(shards=4)

@@ -17,14 +17,6 @@ SAMPLES = {
     "--port": ("0", 0),
     "--max-sessions": ("9", 9),
     "--max-inflight": ("3", 3),
-    "--clients": ("5", 5),
-    "--interactions": ("2", 2),
-    "--seed": ("11", 11),
-    "--customers": ("20", 20),
-    "--orders": ("4", 4),
-    "--think": ("0.5", 0.5),
-    "--zipf": ("1.3", 1.3),
-    "--bench-json": ("out", "out"),
 }
 
 
@@ -68,7 +60,7 @@ class TestOptionTable:
         ["serve", "--bogus"],
         ["explain", "--no-cahce"],
         ["explain", "--json=yes"],
-        ["bench-serve", "--clients"],
+        ["serve", "--port"],
     ])
     def test_usage_errors_exit_2(self, argv, capsys):
         assert main(argv) == 2
@@ -78,10 +70,6 @@ class TestOptionTable:
         with pytest.raises(SystemExit) as exc:
             main(["demo", "--block-size=x"])
         assert str(exc.value) == "--block-size expects an integer, got 'x'"
-
-    def test_bench_json_may_be_bare(self):
-        options, __ = _parse("bench-serve", ["--bench-json"])
-        assert options["bench_json"] == "."
 
     def test_sql_comment_is_not_an_option(self, capsys):
         assert main(["sql", "-- note", "SELECT id FROM customer"]) == 0
