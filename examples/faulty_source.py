@@ -9,8 +9,10 @@ through the two halves of :mod:`repro.resilience`:
 1. ``FaultInjectingSource`` — a proxy that injects *deterministic,
    seeded* faults (no wall-clock randomness, so every run replays);
 2. ``ResilientSource`` — retry with capped exponential backoff, a
-   latency budget, a circuit breaker, and ``<mix:error>`` degradation
-   stubs, composed as one decorator over any wrapper.
+   latency budget and a circuit breaker, composed as one decorator over
+   any wrapper.  It raises once its budget is spent; a mediator built
+   with ``on_source_error="degrade"`` turns what it raises into
+   ``<mix:error>`` stubs.
 
 Everything runs on a ``ManualClock``: the "slow" pull, the backoff
 sleeps, and the breaker cooldown are all simulated time.
@@ -63,7 +65,7 @@ clock2 = ManualClock()
 faulty2 = FaultInjectingSource(built.wrapper, clock=clock2, seed=42)
 faulty2.fail_pulls_randomly("root1", rate=0.5)
 
-degrading = ResilientSource(faulty2, on_error="degrade")
+degrading = ResilientSource(faulty2)
 partial = Mediator(
     push_sql=False, on_source_error="degrade"
 ).add_source(degrading).query(QUERY).to_tree()
@@ -86,7 +88,6 @@ faulty3.fail_pull("root1", 1, kind="permanent")
 broken = ResilientSource(
     faulty3,
     breaker=CircuitBreaker(failure_threshold=2, cooldown=5.0, clock=clock3),
-    on_error="degrade",
 )
 down = Mediator(
     push_sql=False, on_source_error="degrade"

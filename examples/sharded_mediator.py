@@ -40,7 +40,7 @@ sharded = build_sharded_customers_orders(
     n_customers=8,
     orders_per_customer=3,
     value_mode="tiered",
-    member_wrapper=lambda ms: shard_resilience(ms, on_error="degrade"),
+    member_wrapper=shard_resilience,
 )
 mediator = sharded.mediator(on_source_error="degrade")
 

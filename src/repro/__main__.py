@@ -260,15 +260,13 @@ def _faulty_source(wrapper, profile, seed, stats):
         faulty.fail_pulls_randomly("root1", 0.4)
         faulty.fail_pulls_randomly("root2", 0.4)
         faulty.fail_sql(times=1)
-        return ResilientSource(
-            faulty, retry=retry, on_error="degrade", obs=stats
-        )
+        return ResilientSource(faulty, retry=retry, obs=stats)
     if profile == "slow":
         faulty.slow_pull("root1", 0, delay=0.5, times=1)
         faulty.slow_pull("root2", 1, delay=0.5, times=1)
         return ResilientSource(
             faulty, retry=retry, timeout=Timeout(0.25, clock=clock),
-            on_error="degrade", obs=stats,
+            obs=stats,
         )
     # "outage": two consecutive permanent failures trip the breaker
     # (threshold 2): the rest of root2 is circuit-rejected and the
@@ -279,10 +277,7 @@ def _faulty_source(wrapper, profile, seed, stats):
     breaker = CircuitBreaker(
         failure_threshold=2, cooldown=5.0, clock=clock
     )
-    return ResilientSource(
-        faulty, retry=retry, breaker=breaker,
-        on_error="degrade", obs=stats,
-    )
+    return ResilientSource(faulty, retry=retry, breaker=breaker, obs=stats)
 
 
 def _read(command, path):

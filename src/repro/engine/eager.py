@@ -9,16 +9,16 @@ benchmarks compare the lazy engine's source traffic against it.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro import stats as statnames
-from repro.errors import (
-    CircuitOpenError,
-    EvaluationError,
-    PlanError,
-    SourceError,
-    TransientSourceError,
+from repro.errors import EvaluationError, PlanError, SourceError
+from repro.resilience.stub import (
+    RAISE,
+    degrade_children,
+    degraded_stub,
+    degrades,
 )
-from repro.resilience.resilient import DEGRADE, RAISE
-from repro.resilience.stub import stub_for_error
 from repro.xmltree.tree import Node, OidGenerator
 from repro.algebra import operators as ops
 from repro.algebra.bindings import BindingSet, BindingTuple
@@ -34,30 +34,16 @@ class EagerEngine:
     """Evaluates XMAS plans by full materialization.
 
     ``on_source_error="degrade"`` substitutes ``<mix:error>`` stubs for
-    failed source reads (mirroring the lazy engine), instead of raising.
+    failed source reads (by the lazy engine's rule,
+    :func:`~repro.resilience.stub.degrade_children`), instead of raising.
     """
 
     def __init__(self, catalog, stats=None, oids=None,
                  on_source_error=RAISE):
-        if on_source_error not in (RAISE, DEGRADE):
-            raise ValueError(
-                "on_source_error must be 'raise' or 'degrade', "
-                "got {!r}".format(on_source_error)
-            )
+        self._degrade = degrades(on_source_error)
         self.catalog = catalog
         self.stats = stats or Instrument()
         self.oids = oids or OidGenerator("e")
-        self.on_source_error = on_source_error
-
-    def _degraded_stub(self, exc, source=None):
-        """Record and build the stub standing in for a failed subtree."""
-        self.stats.incr(statnames.DEGRADED_RESULTS)
-        self.stats.event(
-            "degraded", str(exc),
-            source=str(source or getattr(exc, "source", None)
-                       or getattr(exc, "doc_id", None)),
-        )
-        return stub_for_error(exc, source=source, oids=self.oids)
 
     # -- entry points ---------------------------------------------------------
 
@@ -122,48 +108,18 @@ class EagerEngine:
                 raise EvaluationError(
                     "mksrc over a sub-plan requires a tree-producing plan"
                 )
-        elif self.on_source_error == DEGRADE:
-            # Per-pull degradation, mirroring the lazy engine: transient
-            # faults insert a stub before the re-attempted element,
-            # permanent faults replace the poisoned position.
-            return self._count(
-                BindingSet(
-                    BindingTuple({plan.var: child})
-                    for child in self._degraded_children(plan.source)
-                )
+            children = root.children
+        elif self._degrade:
+            # Pulled, not materialized: the degradation rule is per child.
+            children = degrade_children(
+                partial(self.catalog.iter_children, plan.source),
+                self.stats, self.oids, plan.source,
             )
         else:
-            root = self.catalog.materialize(plan.source)
-        out = BindingSet(
-            BindingTuple({plan.var: child}) for child in root.children
+            children = self.catalog.materialize(plan.source).children
+        return self._count(
+            BindingSet(BindingTuple({plan.var: child}) for child in children)
         )
-        return self._count(out)
-
-    def _degraded_children(self, source):
-        """Pull a document's children, substituting stubs for failures."""
-        try:
-            children = iter(self.catalog.iter_children(source))
-        except SourceError as exc:
-            yield self._degraded_stub(exc, source=source)
-            return
-        while True:
-            try:
-                child = next(children)
-            except StopIteration:
-                return
-            except SourceError as exc:
-                yield self._degraded_stub(exc, source=source)
-                if isinstance(exc, CircuitOpenError):
-                    return  # the source is out of service
-                if isinstance(exc, TransientSourceError):
-                    continue  # re-attempt the position (insertion)
-                skip = getattr(children, "skip", None)
-                if skip is None:
-                    return
-                skip()
-                continue
-            else:
-                yield child
 
     def _eval_relquery(self, plan, nested_env):
         try:
@@ -172,9 +128,9 @@ class EagerEngine:
             self.stats.event("sql", plan.sql, server=plan.server)
             cursor = server.execute_sql(plan.sql)
         except SourceError as exc:
-            if self.on_source_error != DEGRADE:
+            if not self._degrade:
                 raise
-            stub = self._degraded_stub(exc, source=plan.server)
+            stub = degraded_stub(exc, self.stats, self.oids, plan.server)
             return self._count(
                 BindingSet(
                     [BindingTuple({e.var: stub for e in plan.varmap})]
@@ -187,9 +143,9 @@ class EagerEngine:
             except SourceError as exc:
                 # Mid-stream failure (a dead shard member, say): stub
                 # the lost slice and keep fetching the survivors.
-                if self.on_source_error != DEGRADE:
+                if not self._degrade:
                     raise
-                stub = self._degraded_stub(exc, source=plan.server)
+                stub = degraded_stub(exc, self.stats, self.oids, plan.server)
                 out.append(
                     BindingTuple({e.var: stub for e in plan.varmap})
                 )
@@ -343,9 +299,9 @@ class EagerEngine:
                     )
         except SourceError as exc:
             # The outermost degradation net, mirroring the lazy tD.
-            if self.on_source_error != DEGRADE:
+            if not self._degrade:
                 raise
-            root.append(self._degraded_stub(exc))
+            root.append(degraded_stub(exc, self.stats, self.oids))
         return root
 
     def _eval_groupby(self, plan, nested_env):

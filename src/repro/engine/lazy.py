@@ -34,16 +34,16 @@ that).
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro import stats as statnames
-from repro.errors import (
-    CircuitOpenError,
-    EvaluationError,
-    PlanError,
-    SourceError,
-    TransientSourceError,
+from repro.errors import EvaluationError, PlanError, SourceError
+from repro.resilience.stub import (
+    RAISE,
+    degrade_children,
+    degraded_stub,
+    degrades,
 )
-from repro.resilience.resilient import DEGRADE, RAISE
-from repro.resilience.stub import stub_for_error
 from repro.xmltree.tree import Node, OidGenerator, atomize
 from repro.algebra import operators as ops
 from repro.algebra.bindings import BindingSet, BindingTuple
@@ -87,11 +87,7 @@ class LazyEngine:
     def __init__(self, catalog, stats=None, oids=None,
                  force_stateful_gby=False, on_source_error=RAISE,
                  block_size=1, demand=None):
-        if on_source_error not in (RAISE, DEGRADE):
-            raise ValueError(
-                "on_source_error must be 'raise' or 'degrade', "
-                "got {!r}".format(on_source_error)
-            )
+        self._degrade = degrades(on_source_error)
         if not isinstance(block_size, int) or block_size < 1:
             raise ValueError(
                 "block_size must be an int >= 1, got {!r}".format(block_size)
@@ -101,23 +97,12 @@ class LazyEngine:
         self.stats = stats or Instrument()
         self.oids = oids or OidGenerator("L")
         self.force_stateful_gby = force_stateful_gby
-        self.on_source_error = on_source_error
         self._full = Width(block_size, block_size)
         self._ramp = self._full
         if demand and demand < block_size:
             self._ramp = Width(demand, block_size)
         #: The env of the root export pipeline: the only one on the ramp.
         self._root_env = {}
-
-    def _degraded_stub(self, exc, source=None):
-        """Record and build the stub standing in for a failed subtree."""
-        self.stats.incr(statnames.DEGRADED_RESULTS)
-        self.stats.event(
-            "degraded", str(exc),
-            source=str(source or getattr(exc, "source", None)
-                       or getattr(exc, "doc_id", None)),
-        )
-        return stub_for_error(exc, source=source, oids=self.oids)
 
     # -- entry points -----------------------------------------------------------
 
@@ -230,9 +215,9 @@ class LazyEngine:
                 except StopIteration:
                     return
                 except SourceError as exc:
-                    if self.on_source_error != DEGRADE:
+                    if not self._degrade:
                         raise
-                    stub = self._degraded_stub(exc)
+                    stub = degraded_stub(exc, obs, self.oids)
                 else:
                     values = []
                     direct = 0
@@ -274,7 +259,7 @@ class LazyEngine:
     # keep their tuple positions.
 
     def _blk_mksrc(self, plan, env):
-        # Vectors of one: the degrade/retry/skip net is per child, and
+        # Vectors of one: the degradation rule is per child, and
         # source-side span batching happens inside the wrapper
         # (``set_block_size``).
         if plan.input is not None:
@@ -282,43 +267,18 @@ class LazyEngine:
                 raise EvaluationError(
                     "mksrc over a sub-plan requires a tD-rooted plan"
                 )
-            children = iter(self._td_children(plan.input, env))
+            open_children = partial(self._td_children, plan.input, env)
         else:
-            try:
-                children = iter(self.catalog.iter_children(plan.source))
-            except SourceError as exc:
-                if self.on_source_error != DEGRADE:
-                    raise
-                stub = self._degraded_stub(exc, source=plan.source)
-                yield [BindingTuple({plan.var: stub})]
-                return
-        while True:
-            try:
-                child = next(children)
-            except StopIteration:
-                return
-            except SourceError as exc:
-                if self.on_source_error != DEGRADE:
-                    raise
-                stub = self._degraded_stub(exc, source=plan.source)
-                yield [BindingTuple({plan.var: stub})]
-                if isinstance(exc, CircuitOpenError):
-                    return  # the source is out of service
-                if isinstance(exc, TransientSourceError):
-                    # Re-attempt the position: a retry-safe iterator
-                    # retries in place (insertion semantics — the real
-                    # element follows its stub); a dead generator just
-                    # stops at the next pull.
-                    continue
-                # Permanent: move past the poisoned position if the
-                # iterator can, otherwise end the leaf — looping on a
-                # dead stream would emit stubs forever.
-                skip = getattr(children, "skip", None)
-                if skip is None:
-                    return
-                skip()
-                continue
-            yield [BindingTuple({plan.var: child})]
+            open_children = partial(self.catalog.iter_children, plan.source)
+        if self._degrade:
+            children = degrade_children(
+                open_children, self.stats, self.oids, plan.source
+            )
+        else:
+            children = open_children()
+        var = plan.var
+        for child in children:
+            yield [BindingTuple({var: child})]
 
     def _blk_relquery(self, plan, env):
         try:
@@ -327,9 +287,9 @@ class LazyEngine:
             self.stats.event("sql", plan.sql, server=plan.server)
             cursor = server.execute_sql(plan.sql)
         except SourceError as exc:
-            if self.on_source_error != DEGRADE:
+            if not self._degrade:
                 raise
-            stub = self._degraded_stub(exc, source=plan.server)
+            stub = degraded_stub(exc, self.stats, self.oids, plan.server)
             yield [BindingTuple(
                 {entry.var: stub for entry in plan.varmap}
             )]
@@ -346,9 +306,9 @@ class LazyEngine:
                 # A parked mid-batch failure (shard death included):
                 # degrade to one stub vector and keep draining the
                 # surviving streams.
-                if self.on_source_error != DEGRADE:
+                if not self._degrade:
                     raise
-                stub = self._degraded_stub(exc, source=plan.server)
+                stub = degraded_stub(exc, self.stats, self.oids, plan.server)
                 yield [BindingTuple(
                     {entry.var: stub for entry in varmap}
                 )]

@@ -114,9 +114,7 @@ def explain_analyze_with_trace(mediator, query_text, mask_times=False):
     ):
         # Full width (no demand): the counts are those of a client
         # walking the whole result, not of earlier sessions' habits.
-        root = mediator._evaluate(
-            exec_plan, mediator.on_source_error, stats=instrument
-        )
+        root = mediator._evaluate(exec_plan, stats=instrument)
         if mediator.lazy:
             walk_fully(
                 VNode.root(root, obs=instrument, prefetch=block_size)
@@ -193,8 +191,8 @@ _SOURCE_FOOTERS = (
     )),
     ("shard", "shard_health", ("shards", "scattered", "pruned", "failed")),
     ("resilience", "resilience_health", (
-        "retries", "timeouts", "failures", "degraded",
-        "circuit_rejections", "breaker", "transitions",
+        "retries", "timeouts", "failures", "circuit_rejections",
+        "breaker", "transitions",
     )),
 )
 

@@ -29,6 +29,7 @@ from repro.engine.lazy import LazyEngine
 from repro.engine.eager import EagerEngine
 from repro.engine.vtree import VNode
 from repro.qdom.api import QdomNode
+from repro.resilience.stub import RAISE, degrades
 from repro.obs import Instrument, explain_analyze, explain_analyze_with_trace
 from repro.rewriter import Rewriter, push_to_sources
 from repro.sources.catalog import SourceCatalog
@@ -58,7 +59,8 @@ class Mediator:
         on_source_error: ``"raise"`` (default) propagates source
             failures to the client; ``"degrade"`` substitutes
             ``<mix:error>`` stubs for failed subtrees so the rest of the
-            answer stays navigable (partial results).
+            answer stays navigable (partial results).  It is the one
+            policy of every ``query`` and in-place ``q``.
         cache: enable the multi-level cache (plan cache + navigation
             memo on the mediator, pushed-SQL result cache on every
             relational source added afterwards).  Off by default; the
@@ -124,14 +126,10 @@ class Mediator:
         object.__setattr__(self, name, value)
 
     def __init__(self, catalog=None, stats=None, optimize=True,
-                 push_sql=True, lazy=True, on_source_error="raise",
+                 push_sql=True, lazy=True, on_source_error=RAISE,
                  cache=False, cache_size=128, cost_optimizer=True,
                  strict=False, block_size=None, extension_rules=None):
-        if on_source_error not in ("raise", "degrade"):
-            raise ValueError(
-                "on_source_error must be 'raise' or 'degrade', "
-                "got {!r}".format(on_source_error)
-            )
+        degrades(on_source_error)
         if block_size is None:
             from repro.engine.block import DEFAULT_BLOCK_SIZE
 
@@ -304,35 +302,32 @@ class Mediator:
 
     # -- the client interface --------------------------------------------------------
 
-    def query(self, query_text, on_source_error=None):
+    def query(self, query_text):
         """Run an XQuery against the registered sources and views.
 
         Returns the root :class:`QdomNode` of the (virtual) answer.
-        ``on_source_error`` overrides the mediator-wide failure policy
-        for this one query (``"raise"`` or ``"degrade"``).
 
         With caching enabled, the compiled plan is reused across
         queries of one *shape* (:mod:`repro.cache.shapes` — the text up
         to its literals), and — under the strict ``"raise"`` policy
         only — the answer's root is shared between repeats of the shape
         with the same literals through the navigation memo, so child
-        lists one session materialized are free for the next.  Degraded
-        runs never touch the memo: a ``<mix:error>`` stub must never be
-        served from cache.
+        lists one session materialized are free for the next.  A
+        degrading mediator never touches the memo: a ``<mix:error>``
+        stub must never be served from cache.
         """
-        policy = on_source_error or self.on_source_error
         with self.stats.command_span(
             "query", kind="query", query=_clip_query(query_text)
         ):
             view, _status, memo_key = self._prepare(query_text)
-            if policy != "raise":
+            if self.on_source_error != RAISE:
                 memo_key = None
             if memo_key is not None:
                 entry = self.cache.lookup_result(memo_key, self.catalog)
                 if entry is not None:
                     return self._handle(entry.root, entry.view)
             root = self._evaluate(
-                view.exec_plan(), policy, demand=view.prepared.demand
+                view.exec_plan(), demand=view.prepared.demand
             )
             if memo_key is not None:
                 self.cache.store_result(memo_key, root, view, self.catalog)
@@ -365,8 +360,7 @@ class Mediator:
                 query_text, view, provenance
             )
             root = self._evaluate(
-                composed.exec_plan(), self.on_source_error,
-                demand=composed.prepared.demand,
+                composed.exec_plan(), demand=composed.prepared.demand
             )
             return self._handle(root, composed)
 
@@ -567,22 +561,24 @@ class Mediator:
         validate_plan(plan)
         return plan
 
-    def _evaluate(self, exec_plan, policy, stats=None, demand=None):
-        """Evaluate a bound executable plan to its answer root Node,
-        counting on ``stats`` (default: the mediator's instrument); the
-        root pipeline's first pull is ``demand`` wide (``None``: the
-        full block size)."""
+    def _evaluate(self, exec_plan, stats=None, demand=None):
+        """Evaluate a bound executable plan to its answer root Node under
+        the mediator's failure policy, counting on ``stats`` (default:
+        the mediator's instrument); the root pipeline's first pull is
+        ``demand`` wide (``None``: the full block size)."""
         stats = self.stats if stats is None else stats
         if self.lazy:
             engine = LazyEngine(
-                self.catalog, stats=stats, on_source_error=policy,
+                self.catalog, stats=stats,
+                on_source_error=self.on_source_error,
                 block_size=self.block_size, demand=demand,
             )
         else:
             # The eager engine materializes everything up front; block
             # vectors would change nothing it measures.
             engine = EagerEngine(
-                self.catalog, stats=stats, on_source_error=policy
+                self.catalog, stats=stats,
+                on_source_error=self.on_source_error,
             )
         return engine.evaluate_tree(exec_plan)
 

@@ -64,16 +64,14 @@ class Session:
 
     # -- opening and refining -------------------------------------------------------
 
-    def open(self, query_text, on_source_error=None):
+    def open(self, query_text):
         """Run a query against the sources and move to its result root.
 
-        ``on_source_error`` overrides the mediator's failure policy for
-        this view: ``"degrade"`` keeps browsing over partial results
-        (``<mix:error>`` stubs mark the gaps), ``"raise"`` propagates.
+        Source failures follow the mediator's ``on_source_error``: a
+        degrading mediator keeps browsing over partial results
+        (``<mix:error>`` stubs mark the gaps).
         """
-        self._current = self._mediator.query(
-            query_text, on_source_error=on_source_error
-        )
+        self._current = self._mediator.query(query_text)
         self._view_stack = [self._current]
         self._record("open", query_text)
         return self

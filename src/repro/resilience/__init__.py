@@ -10,8 +10,9 @@ from unwinding the whole lazy-mediator stack:
 * :class:`RetryPolicy` / :class:`Timeout` / :class:`CircuitBreaker` —
   the policy layer, all with injectable clocks (no real sleeps);
 * :class:`ResilientSource` — the decorator applying those policies
-  uniformly to every wrapper, with optional ``<mix:error>``-stub
-  degradation (see :mod:`repro.resilience.stub`);
+  uniformly to every wrapper; it raises once its budget is spent;
+* :mod:`repro.resilience.stub` — the ``<mix:error>`` stub and the one
+  degradation rule the engines apply under ``on_source_error="degrade"``;
 * :class:`ManualClock` — the deterministic clock the whole layer (and
   its test suite) runs on.
 
@@ -28,20 +29,17 @@ from repro.resilience.policy import (
     RetryPolicy,
     Timeout,
 )
-from repro.resilience.resilient import (
-    DEGRADE,
-    RAISE,
-    ResilientSource,
-    shard_resilience,
-)
+from repro.resilience.resilient import ResilientSource, shard_resilience
 from repro.resilience.stub import (
+    DEGRADE,
     ERROR_LABEL,
+    RAISE,
+    degraded_stub,
     find_error_stubs,
     is_error_stub,
     make_error_stub,
     prefix_has_error_stub,
     strip_error_stubs,
-    stub_for_error,
 )
 
 __all__ = [
@@ -58,11 +56,11 @@ __all__ = [
     "ResilientSource",
     "RetryPolicy",
     "Timeout",
+    "degraded_stub",
     "find_error_stubs",
     "is_error_stub",
     "make_error_stub",
     "prefix_has_error_stub",
     "shard_resilience",
     "strip_error_stubs",
-    "stub_for_error",
 ]

@@ -4,41 +4,43 @@ wrapper.
 Because all wrappers (relational, XML file, mediator-as-source — and the
 fault injector itself) speak the same :class:`~repro.sources.base.Source`
 interface, a single decorator gives the whole source layer retry with
-backoff, latency budgets, circuit breaking, and optional partial-result
-degradation::
+backoff, latency budgets and circuit breaking::
 
     resilient = ResilientSource(
         wrapper,
         retry=RetryPolicy(attempts=4, sleep=clock.sleep),
         breaker=CircuitBreaker(failure_threshold=3, cooldown=5, clock=clock),
         timeout=Timeout(0.25, clock=clock),
-        on_error="degrade",
         obs=stats,
     )
     mediator = Mediator(stats=stats).add_source(resilient)
 
-Pull streams get special care, because a pull is *not* an idempotent
-call:
+Once the budget is spent the failure is raised, named after this
+source.  Whether it then becomes a ``<mix:error>`` stub is the
+mediator's ``on_source_error`` policy, applied by the engine alone
+(:mod:`repro.resilience.stub`).
 
-* an injected/transient failure is retried **in place** when the inner
-  iterator declares ``retry_safe`` (its raise consumed nothing);
-* otherwise the stream is **reopened and fast-forwarded** past the
+Pull streams get special care, because a pull is *not* an idempotent
+call.  They speak the pull protocol the engine relies on:
+
+* a raised pull consumes nothing: an injected/transient failure is
+  retried **in place** when the inner iterator declares ``retry_safe``;
+  otherwise the dead stream is **reopened and fast-forwarded** past the
   elements already delivered (sources iterate deterministically, e.g. a
-  re-executed cursor), so a mid-stream failure of a plain generator does
-  not silently truncate the stream;
+  re-executed cursor) before the error goes anywhere;
 * a pull that exceeds the latency budget raises
   :class:`SourceTimeoutError` but keeps the late value buffered — the
-  retry delivers it, so no element is ever lost to a timeout;
-* with ``on_error="degrade"``, a pull whose retry budget is exhausted
-  yields a ``<mix:error>`` stub (see :mod:`repro.resilience.stub`) and
-  the stream continues past the poisoned position.
+  retry (or the next pull) delivers it, so no element is ever lost to a
+  timeout;
+* ``skip()`` abandons exactly one position, and a stream that cannot be
+  fast-forwarded back to where it was ends instead of looping.
 
 Everything the decorator does is reported: counters
 (``source_retries``, ``source_timeouts``, ``source_failures``,
-``breaker_transitions``, ``degraded_results``) and span events
-(``retry``, ``breaker``, ``degraded``) land on the instrument passed as
-``obs``, and :meth:`ResilientSource.resilience_health` exposes the
-cumulative tallies that ``Mediator.explain`` renders per source.
+``breaker_transitions``) and span events (``retry``, ``breaker``) land
+on the instrument passed as ``obs``, and
+:meth:`ResilientSource.resilience_health` exposes the cumulative tallies
+that ``Mediator.explain`` renders per source.
 """
 
 from __future__ import annotations
@@ -50,11 +52,7 @@ from repro.errors import (
     SourceTimeoutError,
     TransientSourceError,
 )
-from repro.resilience.stub import stub_for_error
 from repro.sources.base import Source
-
-RAISE = "raise"
-DEGRADE = "degrade"
 
 _NO_VALUE = object()
 
@@ -70,27 +68,17 @@ class ResilientSource(Source):
             guarding every call and pull (``None`` = no breaker).
         timeout: a :class:`~repro.resilience.policy.Timeout` budget
             applied per call/pull (``None`` = unbounded).
-        on_error: ``"raise"`` propagates exhausted failures;
-            ``"degrade"`` substitutes ``<mix:error>`` stubs in pull
-            streams and keeps going.
         obs: the :class:`~repro.obs.Instrument` to report to.
         name: printable name used in errors, stubs, and health reports
             (defaults to the inner wrapper's server name or class).
     """
 
     def __init__(self, inner, retry=None, breaker=None, timeout=None,
-                 on_error=RAISE, obs=None, name=None):
-        if on_error not in (RAISE, DEGRADE):
-            raise ValueError(
-                "on_error must be 'raise' or 'degrade', got {!r}".format(
-                    on_error
-                )
-            )
+                 obs=None, name=None):
         self.inner = inner
         self.retry = retry
         self.breaker = breaker
         self.timeout = timeout
-        self.on_error = on_error
         self.name = name or (
             getattr(inner, "server_name", None) or type(inner).__name__
         )
@@ -99,7 +87,6 @@ class ResilientSource(Source):
             "retries": 0,
             "failures": 0,
             "timeouts": 0,
-            "degraded": 0,
             "circuit_rejections": 0,
         }
         if breaker is not None:
@@ -151,7 +138,12 @@ class ResilientSource(Source):
                 attempt=attempt,
             )
 
-    def _note_failure(self, exc, doc_id):
+    def _note_failure(self, exc):
+        """Count a failed attempt against the health tallies and the
+        breaker (a rejection by the open breaker is not one more
+        failure of the source); the error now names this source, the
+        one a caller sees give up."""
+        exc.source = self.name
         self._health["failures"] += 1
         if isinstance(exc, SourceTimeoutError):
             self._health["timeouts"] += 1
@@ -159,16 +151,10 @@ class ResilientSource(Source):
                 self._obs.incr(statnames.SOURCE_TIMEOUTS)
         if isinstance(exc, CircuitOpenError):
             self._health["circuit_rejections"] += 1
+        elif self.breaker is not None:
+            self.breaker.record_failure()
         if self._obs is not None:
             self._obs.incr(statnames.SOURCE_FAILURES)
-
-    def _note_degraded(self, exc, doc_id):
-        self._health["degraded"] += 1
-        if self._obs is not None:
-            self._obs.incr(statnames.DEGRADED_RESULTS)
-            self._obs.event(
-                "degraded", str(exc), source=self.name, doc=str(doc_id)
-            )
 
     def resilience_health(self):
         """Cumulative health of this source, for explain and dashboards.
@@ -214,7 +200,7 @@ class ResilientSource(Source):
                 try:
                     self.breaker.allow(doc_id)
                 except CircuitOpenError as exc:
-                    self._note_failure(exc, doc_id)
+                    self._note_failure(exc)
                     raise
             try:
                 if self.timeout is not None:
@@ -223,21 +209,14 @@ class ResilientSource(Source):
                     )
                 else:
                     result = fn()
-            except retryable as exc:
-                self._note_failure(exc, doc_id)
-                if self.breaker is not None:
-                    self.breaker.record_failure()
-                if attempt >= attempts - 1:
+            except retryable + (SourceError,) as exc:
+                self._note_failure(exc)
+                if attempt >= attempts - 1 or not isinstance(exc, retryable):
                     raise
                 attempt += 1
                 self._note_retry(attempt, exc, doc_id)
                 if self.retry is not None:
                     self.retry.backoff(attempt - 1)
-            except SourceError as exc:
-                self._note_failure(exc, doc_id)
-                if self.breaker is not None:
-                    self.breaker.record_failure()
-                raise
             else:
                 if record_success and self.breaker is not None:
                     self.breaker.record_success()
@@ -252,10 +231,6 @@ class ResilientSource(Source):
         return _ResilientIterator(self, doc_id)
 
     def materialize_document(self, doc_id):
-        if self.on_error == DEGRADE:
-            # Build over our own pull stream so per-pull retry and stub
-            # substitution apply uniformly to the eager path.
-            return super().materialize_document(doc_id)
         return self._call(
             lambda: self.inner.materialize_document(doc_id), doc_id=doc_id
         )
@@ -276,13 +251,13 @@ class ResilientSource(Source):
         return getattr(self.inner, attr)
 
     def __repr__(self):
-        return "ResilientSource({!r}, retry={}, breaker={}, on_error={})".format(
-            self.name, self.retry, self.breaker, self.on_error
+        return "ResilientSource({!r}, retry={}, breaker={})".format(
+            self.name, self.retry, self.breaker
         )
 
 
 def shard_resilience(members, retry=None, breaker=None, timeout=None,
-                     on_error=DEGRADE, obs=None, name=None):
+                     obs=None, name=None):
     """Wrap each shard member in its own :class:`ResilientSource`.
 
     ``retry``/``breaker``/``timeout`` act as *templates*: every member
@@ -314,7 +289,6 @@ def shard_resilience(members, retry=None, breaker=None, timeout=None,
                     if breaker is not None else None
                 ),
                 timeout=timeout.clone() if timeout is not None else None,
-                on_error=on_error,
                 obs=obs,
                 name=member_name,
             )
@@ -323,7 +297,12 @@ def shard_resilience(members, retry=None, breaker=None, timeout=None,
 
 
 class _ResilientIterator:
-    """The policy-protected pull stream over one document."""
+    """The policy-protected pull stream over one document.
+
+    It speaks the engine's pull protocol, as ``_InjectedIterator`` and
+    ``_ShardedChildIterator`` do: a raised pull consumes nothing, and
+    :meth:`skip` abandons the position the last pull failed at.
+    """
 
     retry_safe = True
 
@@ -333,25 +312,17 @@ class _ResilientIterator:
         self._consumed = 0      # elements pulled from the wrapped stream
         self._pending = _NO_VALUE   # late value from a timed-out pull
         self._done = False
-        self._failed_open = None    # opening error held for degradation
         # Hoisted off the per-pull hot path.
         self._attempts = source._attempts()
         self._retryable = source._retryable()
-        try:
-            self._inner = iter(
-                source._call(
-                    lambda: source.inner.iter_document_children(doc_id),
-                    doc_id=doc_id,
-                    record_success=False,
-                )
+        self._caught = self._retryable + (SourceError,)
+        self._inner = iter(
+            source._call(
+                lambda: source.inner.iter_document_children(doc_id),
+                doc_id=doc_id,
+                record_success=False,
             )
-        except SourceError as exc:
-            if source.on_error != DEGRADE:
-                raise
-            # The stream could not even open (e.g. the breaker is
-            # already open): the first pull degrades to a single stub.
-            self._failed_open = exc
-            self._inner = iter(())
+        )
 
     def __iter__(self):
         return self
@@ -360,12 +331,8 @@ class _ResilientIterator:
         rs = self._rs
         if self._done:
             raise StopIteration
-        if self._failed_open is not None:
-            exc, self._failed_open = self._failed_open, None
-            return self._give_up(exc, terminal=True)
         attempt = 0
         attempts = self._attempts
-        retryable = self._retryable
         while True:
             if self._pending is not _NO_VALUE:
                 item = self._pending
@@ -373,37 +340,32 @@ class _ResilientIterator:
                 if rs.breaker is not None:
                     rs.breaker.record_success()
                 return item
-            try:
-                if rs.breaker is not None:
+            if rs.breaker is not None:
+                try:
                     rs.breaker.allow(self._doc)
-            except CircuitOpenError as exc:
-                rs._note_failure(exc, self._doc)
-                # An open breaker means the source is out of service:
-                # degrade marks the remainder of the stream with one
-                # stub; raising is the default.
-                return self._give_up(exc, terminal=True)
+                except CircuitOpenError as exc:
+                    rs._note_failure(exc)
+                    raise
             try:
                 item = self._pull()
             except StopIteration:
                 self._done = True
                 raise
-            except retryable as exc:
-                rs._note_failure(exc, self._doc)
-                if rs.breaker is not None:
-                    rs.breaker.record_failure()
-                if attempt < attempts - 1:
-                    attempt += 1
-                    rs._note_retry(attempt, exc, self._doc)
-                    if rs.retry is not None:
-                        rs.retry.backoff(attempt - 1)
-                    self._recover()
-                    continue
-                return self._give_up(exc)
-            except SourceError as exc:
-                rs._note_failure(exc, self._doc)
-                if rs.breaker is not None:
-                    rs.breaker.record_failure()
-                return self._give_up(exc)
+            except self._caught as exc:
+                rs._note_failure(exc)
+                if self._pending is _NO_VALUE and not getattr(
+                    self._inner, "retry_safe", False
+                ):
+                    # The raise may have killed the stream: reopen it
+                    # where it was (a timed-out value is buffered).
+                    self._reopen(self._consumed)
+                if self._done or attempt >= attempts - 1 \
+                        or not isinstance(exc, self._retryable):
+                    raise
+                attempt += 1
+                rs._note_retry(attempt, exc, self._doc)
+                if rs.retry is not None:
+                    rs.retry.backoff(attempt - 1)
             else:
                 if rs.breaker is not None:
                     rs.breaker.record_success()
@@ -424,78 +386,39 @@ class _ResilientIterator:
         self._consumed += 1
         if elapsed > timeout.limit:
             # The value arrived late; keep it so the retry (or the next
-            # pull, under degradation) delivers it instead of losing it.
+            # pull) delivers it instead of losing it.
             self._pending = item
             timeout.check(elapsed, doc_id=self._doc, source=rs.name)
         return item
 
-    def _recover(self):
-        """Prepare the stream for another attempt at the failed pull."""
-        if getattr(self._inner, "retry_safe", False):
-            return  # the raise consumed nothing; just pull again
-        self._reopen(skip=self._consumed)
+    def skip(self):
+        """Abandon the position the last pull failed at: drop its late
+        value, or skip it in the wrapped stream, or reopen past it."""
+        if self._done:
+            return
+        if self._pending is not _NO_VALUE:
+            self._pending = _NO_VALUE
+            return
+        skip = getattr(self._inner, "skip", None)
+        if skip is None:
+            self._reopen(self._consumed + 1)
+            return
+        skip()
+        self._consumed += 1
 
-    def _reopen(self, skip):
-        """Restart the wrapped stream and fast-forward ``skip`` items."""
-        rs = self._rs
-        self._inner = iter(
-            rs.inner.iter_document_children(self._doc)
-        )
-        self._consumed = 0
-        for __ in range(skip):
-            try:
-                next(self._inner)
-            except StopIteration:
-                self._done = True
-                return
-            self._consumed += 1
-
-    def _give_up(self, exc, terminal=False):
-        """Retry budget exhausted: degrade to a stub or propagate.
-
-        Transient failures get *insertion* semantics: the poisoned
-        position is left to be re-attempted by the next pull, so the
-        real element follows its stub and stripping stubs recovers the
-        fault-free stream exactly.  Permanent failures *abandon* the
-        position — re-attempting would fail forever.
-        """
-        rs = self._rs
-        if rs.on_error != DEGRADE:
-            raise exc
-        rs._note_degraded(exc, self._doc)
-        transient = isinstance(exc, TransientSourceError)
-        if terminal:
-            # Breaker open (or equally terminal): one stub marks the
-            # unavailable remainder, then the stream ends.
-            self._done = True
-        elif self._pending is not _NO_VALUE:
-            # A timed-out pull already consumed the position; its late
-            # value is buffered and will follow the stub.
-            pass
-        elif getattr(self._inner, "retry_safe", False):
-            if not transient:
-                skip = getattr(self._inner, "skip", None)
-                if skip is not None:
-                    skip()  # abandon the poisoned position
-                else:
-                    # No way to move past the position: end the stream
-                    # after the stub rather than looping on it.
-                    self._done = True
-        elif transient:
-            # A dead generator: restart it and re-attempt the position.
-            self._safe_reopen(skip=self._consumed)
-        else:
-            self._safe_reopen(skip=self._consumed + 1)
-        return stub_for_error(exc, source=rs.name)
-
-    def _safe_reopen(self, skip):
-        """Reopen for degradation; a stream that cannot be fast-forwarded
-        past the poisoned position (the fault re-fires during replay)
-        ends after the stub instead of leaking the error."""
+    def _reopen(self, count):
+        """Restart the wrapped stream past its first ``count`` elements.
+        A stream that ends or fails before it gets there (the fault
+        re-fires during the replay) is done, rather than looping."""
         try:
-            self._reopen(skip=skip)
-        except SourceError:
+            inner = iter(self._rs.inner.iter_document_children(self._doc))
+            for __ in range(count):
+                next(inner)
+        except (StopIteration, SourceError):
             self._done = True
+            return
+        self._inner = inner
+        self._consumed = count
 
     def __repr__(self):
         return "_ResilientIterator({!r}, consumed={})".format(

@@ -1,15 +1,20 @@
 """The ``<mix:error>`` degradation stub and its contract.
 
-When a mediator runs with ``on_source_error="degrade"`` (or a
-:class:`~repro.resilience.resilient.ResilientSource` is built with
-``on_error="degrade"``), a source failure that survives the retry budget
-does not unwind the navigation stack.  Instead a *stub element* marks the
-spot where data is missing::
+When a mediator runs with ``on_source_error="degrade"``, a source
+failure that reaches the engine (a
+:class:`~repro.resilience.resilient.ResilientSource` raises once its
+retry budget is spent) does not unwind the navigation stack.  Instead
+the engine puts a *stub element* where data is missing::
 
     <mix:error>
-      <source>root2</source>
-      <reason>injected transient fault</reason>
+      <source>s</source>
+      <reason>injected transient fault on pull of 'root2' (position 1)</reason>
     </mix:error>
+
+The engines are the only place a failure becomes a stub:
+:func:`degraded_stub` records and builds one, and
+:func:`degrade_children` is the one rule for a document scan's failed
+pulls.
 
 The stub contract (see docs/API.md, "Fault tolerance"):
 
@@ -29,12 +34,29 @@ The stub contract (see docs/API.md, "Fault tolerance"):
 
 from __future__ import annotations
 
+from repro import stats as statnames
+from repro.errors import CircuitOpenError, SourceError, TransientSourceError
 from repro.xmltree.tree import Node, OidGenerator
 
 #: Label of the degradation stub element.
 ERROR_LABEL = "mix:error"
 
+#: The ``on_source_error`` policies: propagate failures, or stub them.
+RAISE = "raise"
+DEGRADE = "degrade"
+
 _STUB_OIDS = OidGenerator("err")
+
+
+def degrades(policy):
+    """Whether ``on_source_error=policy`` stubs failures; anything but
+    ``"raise"``/``"degrade"`` is a :class:`ValueError`."""
+    if policy not in (RAISE, DEGRADE):
+        raise ValueError(
+            "on_source_error must be 'raise' or 'degrade', "
+            "got {!r}".format(policy)
+        )
+    return policy == DEGRADE
 
 
 def make_error_stub(source=None, reason=None, oids=None):
@@ -61,12 +83,57 @@ def make_error_stub(source=None, reason=None, oids=None):
     return stub
 
 
-def stub_for_error(exc, source=None, oids=None):
-    """A stub describing ``exc`` (uses the error's own source when set)."""
-    name = source
-    if name is None:
-        name = getattr(exc, "source", None) or getattr(exc, "doc_id", None)
+def degraded_stub(exc, stats, oids=None, source=None):
+    """Count, trace and build the stub standing in for what ``exc`` lost.
+
+    The stub names the source that raised (``exc.source``), else the
+    failed document, else ``source`` — what the failed operator read.
+    ``stats`` gets one :data:`~repro.stats.DEGRADED_RESULTS` and one
+    ``degraded`` event naming the same source.
+    """
+    name = getattr(exc, "source", None) or getattr(exc, "doc_id", None) \
+        or source
+    stats.incr(statnames.DEGRADED_RESULTS)
+    stats.event("degraded", str(exc), source=str(name))
     return make_error_stub(source=name, reason=str(exc), oids=oids)
+
+
+def degrade_children(open_children, stats, oids=None, source=None):
+    """A document scan's children with a stub for every failed pull.
+
+    ``open_children()`` opens the child iterator.  A pull that raises
+    :class:`~repro.errors.SourceError` yields a stub, then:
+
+    * a transient failure re-attempts the position — the element
+      follows its stub, so stripping stubs gives the fault-free scan
+      (the iterator's raise consumed nothing; a dead generator just
+      ends at the next pull);
+    * an open breaker ends the scan: the source is out of service;
+    * any other failure abandons the position through the iterator's
+      ``skip()``, or ends the scan when it has none.
+
+    A scan that cannot even open is one stub.
+    """
+    try:
+        children = iter(open_children())
+    except SourceError as exc:
+        yield degraded_stub(exc, stats, oids, source)
+        return
+    while True:
+        try:
+            child = next(children)
+        except StopIteration:
+            return
+        except SourceError as exc:
+            yield degraded_stub(exc, stats, oids, source)
+            if isinstance(exc, TransientSourceError):
+                continue
+            skip = getattr(children, "skip", None)
+            if skip is None or isinstance(exc, CircuitOpenError):
+                return
+            skip()
+            continue
+        yield child
 
 
 def is_error_stub(node):

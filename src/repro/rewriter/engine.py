@@ -210,7 +210,7 @@ class Rewriter:
                     s for i, s in enumerate(recent)
                     if first_kept + i > previous
                 ] or list(recent)
-                raise self._termination_error(
+                raise self._nontermination(
                     "rule cycle: plan fingerprint {} recurred at step {} "
                     "(first seen at step {})".format(
                         fingerprint, steps, previous
@@ -219,7 +219,7 @@ class Rewriter:
                 )
             seen[fingerprint] = steps
             if steps > self.max_steps:
-                raise self._termination_error(
+                raise self._nontermination(
                     "rewriting did not converge within {} steps".format(
                         self.max_steps
                     ),
@@ -231,7 +231,7 @@ class Rewriter:
         self.last_probes = probes
         return plan
 
-    def _termination_error(self, reason, recent, kind):
+    def _nontermination(self, reason, recent, kind):
         return RewriteError(
             "MIX-E013 {} [last {} steps: {}]".format(
                 reason,

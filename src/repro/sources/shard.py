@@ -20,8 +20,9 @@ optimizer never learn the table is sharded:
   statement carries an ``ORDER BY``;
 * **degrade** — wrap the members with
   :func:`repro.resilience.shard_resilience` (each gets its *own*
-  breaker) and a dead member costs one ``<mix:error>`` stub plus the
-  surviving members' rows, never the whole query.
+  breaker), and under a degrading mediator a dead member costs one
+  ``<mix:error>`` stub plus the surviving members' rows, never the
+  whole query.
 
 Replicated-only statements route to the first member; navigation over
 the partitioned document concatenates the members' child streams in
@@ -35,7 +36,12 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 
 from repro import stats as statnames
-from repro.errors import ShardError, SourceError
+from repro.errors import (
+    CircuitOpenError,
+    ShardError,
+    SourceError,
+    TransientSourceError,
+)
 from repro.relational import ast
 from repro.relational.cursor import (
     ARRIVAL,
@@ -492,8 +498,7 @@ class ShardedSource(Source):
         if not reports:
             return None
         health = {"source": self.server_name}
-        for key in ("retries", "failures", "timeouts", "degraded",
-                    "circuit_rejections"):
+        for key in ("retries", "failures", "timeouts", "circuit_rejections"):
             health[key] = sum(r.get(key, 0) for r in reports)
         states = [r.get("breaker") for r in reports]
         health["breaker"] = (
@@ -529,10 +534,14 @@ def _opener(member, shard_sql):
 class _ShardedChildIterator:
     """Member-order concatenation of the partitioned document's children.
 
-    ``retry_safe``/``skip`` speak the resilience iterator protocol: a
-    raise consumes nothing (the failed member is remembered), and
-    ``skip()`` abandons the failed member so a degrading engine can
-    stub it and continue with the next member's children.
+    It speaks the engine's pull protocol: a raise consumes nothing, and
+    ``skip()`` abandons what the raise lost.  A member's position-level
+    failure passes through unchanged — a transient one stays transient
+    (the member's ``retry_safe`` iterator re-attempts it), a permanent
+    one is skipped through the member's own ``skip()``.  A member that
+    failed to open, whose breaker is open, or that cannot re-attempt or
+    skip, fails as a whole: the raise is a :class:`ShardError` and
+    ``skip()`` moves on to the next member's children.
     """
 
     retry_safe = True
@@ -566,7 +575,21 @@ class _ShardedChildIterator:
             except StopIteration:
                 self._advance()
             except SourceError as exc:
+                if self._member_recovers(exc):
+                    raise
                 raise self._member_error(exc)
+
+    def _member_recovers(self, exc):
+        """Whether the member's iterator can take ``exc`` back itself:
+        re-attempt it (transient) or skip past it (permanent)."""
+        inner = self._inner
+        if isinstance(exc, (CircuitOpenError, ShardError)) or not getattr(
+            inner, "retry_safe", False
+        ):
+            return False
+        return isinstance(exc, TransientSourceError) or hasattr(
+            inner, "skip"
+        )
 
     def _member_error(self, exc):
         self._failed = True
@@ -588,9 +611,12 @@ class _ShardedChildIterator:
         return shard_exc
 
     def skip(self):
-        """Abandon the failing member; the next pull continues with the
-        next member's children."""
-        self._advance()
+        """Abandon what the last raise lost: the failed member, or the
+        failed position of a member that can skip it."""
+        if self._failed:
+            self._advance()
+        else:
+            self._inner.skip()
 
     def _advance(self):
         self._index += 1

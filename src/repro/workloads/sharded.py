@@ -88,7 +88,7 @@ def build_sharded_customers_orders(shards=4, spec=None, stats=None,
             ``"sqlite"`` (one ``sqlite3`` connection per member).
         member_wrapper: optional callable applied to the raw member
             list before the sharded source is built — e.g.
-            ``lambda ms: shard_resilience(ms, on_error="degrade")``.
+            ``lambda ms: shard_resilience(ms, retry=RetryPolicy())``.
     """
     if spec is None:
         spec = CustomersOrdersSpec(**spec_kwargs)

@@ -8,9 +8,10 @@ view.  Being the only cache that holds *data*, it is fenced hard:
   ``source_navigations`` for the shared prefix);
 * any write to any registered source kills the entry (data
   fingerprint), as does an unversioned source (no fingerprint at all);
-* degraded runs bypass the memo entirely, and a fault observed since
-  an entry was stored (the failure epoch) or a poisoned prefix —
-  ``<mix:error>`` stub or a broken lazy tail — disqualifies it.
+* a degrading mediator bypasses the memo entirely, and a fault
+  observed since an entry was stored (the failure epoch) or a poisoned
+  prefix — ``<mix:error>`` stub or a broken lazy tail — disqualifies
+  it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Mediator
-from repro.errors import MixError
+from repro.errors import MixError, TransientSourceError
 from repro.obs import Instrument
 from repro import stats as sn
 from repro.resilience import (
@@ -114,13 +115,32 @@ def test_degrade_policy_bypasses_memo_entirely():
     assert mediator.stats.get(sn.NAV_MEMO_MISSES) == 0
 
 
-def test_per_query_degrade_override_bypasses_memo():
-    mediator = caching_mediator()
-    mediator.query(ORDERS, on_source_error="degrade").to_tree()
-    assert len(mediator.cache.nav_memo) == 0
-    # The strict default still uses the memo afterwards.
-    mediator.query(ORDERS).to_tree()
-    assert len(mediator.cache.nav_memo) == 1
+def test_exhausted_fault_raises_and_never_leaks_through_the_memo():
+    # A raise-policy mediator over a resilient source that gives up on
+    # a one-shot transient fault.  (When the source could stub it
+    # itself, the second session's memo hit held that stub.)
+    stats = Instrument()
+    faulty = FaultInjectingSource(
+        make_paper_wrapper(stats=stats), clock=ManualClock(), obs=stats,
+    ).fail_pull("root2", 1)
+    mediator = Mediator(stats=stats, cache=True, push_sql=False).add_source(
+        ResilientSource(faulty, retry=RetryPolicy(attempts=1), obs=stats)
+    )
+    first = mediator.query(ORDERS)
+    second = mediator.query(ORDERS)      # memo hit: the same root Node
+    assert mediator.stats.get(sn.NAV_MEMO_HITS) == 1
+    with pytest.raises(TransientSourceError):
+        first.to_tree()                  # the session that pulled it
+    # The shared tree is broken, not degraded: it re-raises.
+    with pytest.raises(TransientSourceError):
+        second.to_tree()
+    third = mediator.query(ORDERS).to_tree()
+    assert mediator.stats.get(sn.NAV_MEMO_HITS) == 1
+    assert mediator.stats.get(sn.NAV_MEMO_INVALIDATIONS) == 1
+    assert [c.label for c in third.children] == ["order"] * 4
+    assert find_error_stubs(third) == []
+    assert mediator.stats.get(sn.SOURCE_FAILURES) == 1
+    assert mediator.stats.get(sn.DEGRADED_RESULTS) == 0
 
 
 def test_degraded_fault_run_leaves_no_poisoned_entries():
@@ -134,10 +154,7 @@ def test_degraded_fault_run_leaves_no_poisoned_entries():
         stats=stats, cache=True, push_sql=False,
         on_source_error="degrade",
     ).add_source(
-        ResilientSource(
-            faulty, retry=RetryPolicy(attempts=1), on_error="degrade",
-            obs=stats,
-        )
+        ResilientSource(faulty, retry=RetryPolicy(attempts=1), obs=stats)
     )
     tree = mediator.query(ORDERS).to_tree()
     assert find_error_stubs(tree)        # the run really degraded

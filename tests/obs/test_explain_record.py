@@ -56,7 +56,6 @@ def test_resilient_source():
         faulty,
         retry=RetryPolicy(attempts=2, sleep=clock.sleep),
         breaker=CircuitBreaker(failure_threshold=2, clock=clock),
-        on_error="degrade",
         name="s",
     )
     mediator = Mediator(

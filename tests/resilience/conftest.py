@@ -6,9 +6,23 @@ All timing in this suite runs on :class:`~repro.resilience.ManualClock`
 
 from __future__ import annotations
 
+from repro.algebra import operators as ops
+from repro.engine import EagerEngine, LazyEngine
 from repro.errors import TransientSourceError
+from repro.sources import SourceCatalog
 from repro.sources.base import Source
 from repro.xmltree.tree import Node, OidGenerator
+
+
+def degraded_scan(source, doc_id, lazy=True, stats=None):
+    """The children of ``doc_id`` as a degrading engine's document scan
+    binds them: ``source`` raises, the engine puts in the stubs."""
+    engine = (LazyEngine if lazy else EagerEngine)(
+        SourceCatalog().register_document(doc_id, source), stats=stats,
+        on_source_error="degrade",
+    )
+    plan = ops.TD("$X", ops.MkSrc(doc_id, "$X"), root_oid="scan")
+    return engine.evaluate_tree(plan).children
 
 
 class FlakyListSource(Source):

@@ -37,6 +37,7 @@ from tests.conftest import make_paper_wrapper
 
 Q_CUSTOMERS = "FOR $C IN document(root1)/customer RETURN $C"
 Q_ORDERS = "FOR $O IN document(root2)/order RETURN $O"
+Q_BIG = "FOR $O IN document(root2)/order RETURN <Big> $O </Big>"
 Q_FILTERED = (
     "FOR $O IN document(root2)/order"
     " WHERE $O/value/data() > 0 RETURN $O"
@@ -167,14 +168,24 @@ class TestMediatorPolicy:
         with pytest.raises(SourceError):
             mediator.query(Q_CUSTOMERS).to_tree()
 
-    def test_per_query_override_degrades(self):
+    def test_query_and_in_place_q_degrade_alike(self):
+        # One policy per mediator: the in-place q from a degraded view's
+        # root degrades too.  (When a per-query override could degrade
+        # the view alone, this q raised SourceError.)
         faulty, catalog = faulty_catalog()
-        faulty.fail_pull("root1", 0, kind=PERMANENT)
-        mediator = Mediator(catalog=catalog, push_sql=False)  # raise default
-        tree = mediator.query(
-            Q_CUSTOMERS, on_source_error="degrade"
+        faulty.fail_pull("root2", 1, kind=PERMANENT)
+        mediator = Mediator(
+            catalog=catalog, push_sql=False, on_source_error="degrade"
+        )
+        root = mediator.query(Q_BIG)
+        assert [c.label for c in root.to_tree().children] == [
+            "Big", "Big", "Big", "Big",
+        ]
+        refined = root.q(
+            "FOR $B IN document(root)/Big RETURN $B"
         ).to_tree()
-        assert len(find_error_stubs(tree)) == 1
+        assert len(find_error_stubs(refined)) == 1
+        assert [c.label for c in refined.children] == ["Big"] * 4
 
     def test_eager_mediator_degrades_too(self):
         faulty, catalog = faulty_catalog()
@@ -186,11 +197,13 @@ class TestMediatorPolicy:
         tree = mediator.query(Q_CUSTOMERS).to_tree()
         assert len(find_error_stubs(tree)) == 1
 
-    def test_session_open_override(self):
+    def test_session_browses_a_degrading_mediator(self):
         faulty, catalog = faulty_catalog()
         faulty.fail_pull("root1", 0, kind=PERMANENT)
-        session = Session(Mediator(catalog=catalog, push_sql=False))
-        session.open(Q_CUSTOMERS, on_source_error="degrade")
+        session = Session(Mediator(
+            catalog=catalog, push_sql=False, on_source_error="degrade"
+        ))
+        session.open(Q_CUSTOMERS)
         assert session.current.d().fl() == ERROR_LABEL
 
     def test_bad_policy_rejected(self):
@@ -207,7 +220,6 @@ class TestExplainResilience:
         resilient = ResilientSource(
             faulty,
             retry=RetryPolicy(attempts=3, sleep=clock.sleep),
-            on_error="degrade",
             name="s",
         )
         return SourceCatalog().register(resilient)
@@ -229,7 +241,10 @@ class TestExplainResilience:
             catalog=catalog, push_sql=False, on_source_error="degrade"
         )
         text = mediator.explain(Q_CUSTOMERS)
-        assert "degraded=1" in text
+        # The source reports the failure; the stub is the engine's.
+        (footer,) = [line for line in text.splitlines()
+                     if line.startswith("-- resilience[s]:")]
+        assert "failures=1" in footer and "degraded" not in footer
 
     def test_trace_export_carries_resilience_event(self):
         catalog = self.resilient_catalog(fail_pull=("root1", 1))

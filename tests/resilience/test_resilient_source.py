@@ -1,9 +1,13 @@
-"""``ResilientSource``: retry, timeout buffering, circuit breaking, and
-degradation — all timing on ``ManualClock``, no real sleeps anywhere."""
+"""``ResilientSource``: retry, timeout buffering and circuit breaking —
+all timing on ``ManualClock``, no real sleeps anywhere.  The source
+raises once its budget is spent; the degradation cases scan it with an
+engine built with ``on_source_error="degrade"``, the one place a
+failure becomes a ``<mix:error>`` stub."""
 
 import pytest
 
 from repro import Instrument
+from repro import stats as statnames
 from repro.errors import (
     CircuitOpenError,
     SourceError,
@@ -25,7 +29,7 @@ from repro.resilience import (
 from repro.resilience.faults import PERMANENT
 
 from tests.conftest import make_paper_wrapper
-from tests.resilience.conftest import FlakyListSource
+from tests.resilience.conftest import FlakyListSource, degraded_scan
 
 
 def make_faulty(clock=None, seed=0):
@@ -128,9 +132,9 @@ class TestTimeout:
         clock = ManualClock()
         faulty = make_faulty(clock=clock).slow_pull("root1", 1, delay=0.5)
         resilient = ResilientSource(
-            faulty, timeout=Timeout(0.25, clock=clock), on_error="degrade"
+            faulty, timeout=Timeout(0.25, clock=clock)
         )
-        nodes = list(resilient.iter_document_children("root1"))
+        nodes = degraded_scan(resilient, "root1")
         assert [is_error_stub(n) for n in nodes] == [
             False, True, False, False,
         ]
@@ -141,11 +145,11 @@ class TestTimeout:
 
 
 class TestBreaker:
-    def make_resilient(self, faulty, clock, on_error="raise", threshold=2):
+    def make_resilient(self, faulty, clock, threshold=2):
         breaker = CircuitBreaker(
             failure_threshold=threshold, cooldown=5.0, clock=clock
         )
-        return ResilientSource(faulty, breaker=breaker, on_error=on_error)
+        return ResilientSource(faulty, breaker=breaker)
 
     def test_all_three_transitions_with_injected_clock(self):
         clock = ManualClock()
@@ -209,44 +213,45 @@ class TestBreaker:
         faulty = make_faulty(clock=clock).fail_pull(
             "root1", 0, kind=PERMANENT
         )
-        resilient = self.make_resilient(
-            faulty, clock, on_error="degrade", threshold=1
-        )
-        # First stream: the permanent fault trips the breaker, yields a
-        # stub for the position, then the open breaker terminates the
-        # stream with one more stub.
-        first = list(resilient.iter_document_children("root1"))
+        resilient = self.make_resilient(faulty, clock, threshold=1)
+        # First scan: the permanent fault trips the breaker and is
+        # stubbed and skipped, then the open breaker ends the scan with
+        # one more stub.
+        first = degraded_scan(resilient, "root1")
         assert [is_error_stub(n) for n in first] == [True, True]
-        # A stream opened while the breaker is open degrades to exactly
-        # one stub instead of raising at construction.
-        second = list(resilient.iter_document_children("root1"))
+        # A scan opened while the breaker is open degrades to exactly
+        # one stub: the open itself raised.
+        second = degraded_scan(resilient, "root1")
         assert len(second) == 1 and is_error_stub(second[0])
         assert resilient.breaker.state == OPEN
 
 
 class TestDegrade:
     def test_transient_stub_is_inserted_before_the_real_element(self):
+        stats = Instrument()
         faulty = make_faulty().fail_pull("root1", 1)
-        resilient = ResilientSource(faulty, on_error="degrade")
-        nodes = list(resilient.iter_document_children("root1"))
+        resilient = ResilientSource(faulty)
+        nodes = degraded_scan(resilient, "root1", stats=stats)
         # Insertion semantics: the stub marks the failed attempt, the
         # re-pulled real element follows it.
         assert [is_error_stub(n) for n in nodes] == [
             False, True, False, False,
         ]
-        assert resilient.resilience_health()["degraded"] == 1
+        # The source counts the failure, the engine the stub.
+        assert resilient.resilience_health()["failures"] == 1
+        assert stats.get(statnames.DEGRADED_RESULTS) == 1
 
     def test_permanent_stub_replaces_the_element(self):
         faulty = make_faulty().fail_pull("root1", 1, kind=PERMANENT)
-        resilient = ResilientSource(faulty, on_error="degrade")
-        nodes = list(resilient.iter_document_children("root1"))
+        resilient = ResilientSource(faulty)
+        nodes = degraded_scan(resilient, "root1")
         # Replacement semantics: the poisoned position is abandoned.
         assert [is_error_stub(n) for n in nodes] == [False, True, False]
 
     def test_dead_generator_degrades_without_truncation(self):
         flaky = FlakyListSource("d", ["a", "b", "c"], fail_at=1)
-        resilient = ResilientSource(flaky, on_error="degrade")
-        nodes = list(resilient.iter_document_children("d"))
+        resilient = ResilientSource(flaky)
+        nodes = degraded_scan(resilient, "d")
         assert [is_error_stub(n) for n in nodes] == [
             False, True, False, False,
         ]
@@ -262,34 +267,35 @@ class TestDegrade:
             "d", ["a", "b", "c"], fail_at=1, fail_times=99,
             exc_factory=permanent,
         )
-        resilient = ResilientSource(flaky, on_error="degrade")
-        nodes = list(resilient.iter_document_children("d"))
+        resilient = ResilientSource(flaky)
+        nodes = degraded_scan(resilient, "d")
         # The replay cannot get past the poisoned position: the stream
         # ends after the stub instead of leaking the error.
         assert [n.label for n in nodes] == ["a", "mix:error"]
 
     def test_degraded_materialize_carries_stubs(self):
         faulty = make_faulty().fail_pull("root1", 0, kind=PERMANENT)
-        resilient = ResilientSource(faulty, on_error="degrade")
-        tree = resilient.materialize_document("root1")
-        flags = [is_error_stub(c) for c in tree.children]
+        resilient = ResilientSource(faulty)
+        # Materializing raises; the degrading eager engine pulls instead.
+        with pytest.raises(SourceError):
+            resilient.materialize_document("root1")
+        nodes = degraded_scan(resilient, "root1", lazy=False)
+        flags = [is_error_stub(c) for c in nodes]
         assert flags == [True, False, False]
 
     def test_stub_records_source_and_reason(self):
         faulty = make_faulty().fail_pull("root1", 0)
-        resilient = ResilientSource(faulty, on_error="degrade", name="s1")
-        stub = next(iter(resilient.iter_document_children("root1")))
+        resilient = ResilientSource(faulty, name="s1")
+        stub = degraded_scan(resilient, "root1")[0]
         assert is_error_stub(stub)
         texts = [
             grandchild.label
             for child in stub.children
             for grandchild in child.children
         ]
-        assert any("s1" in t for t in texts)
-
-    def test_on_error_is_validated(self):
-        with pytest.raises(ValueError):
-            ResilientSource(make_paper_wrapper(), on_error="explode")
+        # The stub names the source that gave up, and why.
+        assert texts == ["s1", "injected transient fault on pull of "
+                               "'root1' (position 0)"]
 
 
 class TestIdempotentCalls:

@@ -83,8 +83,7 @@ class TestShardResilienceFactory:
         template = CircuitBreaker(failure_threshold=1, cooldown=60.0,
                                   clock=ManualClock())
         wrapped = shard_resilience(
-            [FlakySource(), SteadySource()], breaker=template,
-            on_error="raise",
+            [FlakySource(), SteadySource()], breaker=template
         )
         breakers = {id(w.breaker) for w in wrapped}
         assert len(breakers) == 2
@@ -111,7 +110,7 @@ class TestBlastRadius:
                                   clock=clock)
         members = [FlakySource(), SteadySource(), SteadySource()]
         wrapped = shard_resilience(
-            members, breaker=template, on_error="raise", obs=stats
+            members, breaker=template, obs=stats
         )
         return stats, wrapped
 
@@ -141,7 +140,7 @@ class TestBlastRadius:
         sw = build_sharded_customers_orders(
             shards=3, n_customers=6, orders_per_customer=3,
             member_wrapper=lambda ms: shard_resilience(
-                ms, breaker=template, on_error="raise"),
+                ms, breaker=template),
         )
         dead_rows = len(sw.members[1].inner.execute_sql(
             "SELECT orid FROM orders").fetchall())
@@ -178,7 +177,7 @@ class TestBlastRadius:
         sw = build_sharded_customers_orders(
             shards=2, n_customers=4, orders_per_customer=2,
             member_wrapper=lambda ms: shard_resilience(
-                ms, breaker=template, on_error="raise"),
+                ms, breaker=template),
         )
 
         def boom(sql):

@@ -301,8 +301,7 @@ class TestFailure:
 
     @pytest.mark.parametrize("victim", range(4))
     def test_killing_one_member_degrades_not_fails(self, victim):
-        sw = sharded(shards=4, member_wrapper=lambda members: (
-            shard_resilience(members, on_error="degrade")))
+        sw = sharded(shards=4, member_wrapper=shard_resilience)
         member = sw.members[victim].inner
         dead = len(member.execute_sql("SELECT orid FROM orders").fetchall())
 

@@ -32,8 +32,12 @@ every point:
 Fault schedules are breaker-free.  Pull faults are keyed on a child's
 position in its document and SQL faults on the statement count, so
 neither depends on the width; a circuit breaker's timing would (it is
-shared by every document of a source).  ``MIX_SEED`` seeds the example
-search, the workload's order values and the fault schedules.
+shared by every document of a source).  Half of the ``degrade`` draws
+(odd fault seeds) take the resilient path: the injected source sits
+behind a single-attempt ``ResilientSource`` — on a fleet every member is
+injected and wrapped by ``shard_resilience`` — so the source raises and
+only the engine stubs.  ``MIX_SEED`` seeds the example search, the
+workload's order values and the fault schedules.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from repro.resilience import (
     ManualClock,
     ResilientSource,
     RetryPolicy,
+    shard_resilience,
 )
 from repro.server import LoopbackClient, MediatorService
 from repro.sources import hash_shard
@@ -74,7 +79,8 @@ Point = namedtuple(
 #: between (the repeat sized by the demand the first recorded).
 #: ``faults``: ``retry`` injects transient pull and SQL faults that a
 #: ``RetryPolicy`` absorbs; ``degrade`` injects pull faults into a
-#: ``push_sql=False`` mediator that answers with stubs.
+#: ``push_sql=False`` mediator that answers with stubs (see
+#: :func:`with_faults` for its resilient half).
 AXES = Point(
     engine=("lazy", "eager"),
     width=(1, 2, 7, 64, 1024),
@@ -188,7 +194,7 @@ class Deployment:
     replicate ``customer``; a new order goes to its hash member, or to
     the last range member, which holds the highest ``orid``\\ s."""
 
-    def __init__(self, name, spec, stats):
+    def __init__(self, name, spec, stats, member_wrapper=None):
         scheme, __, k = name.partition(" ")
         self.scheme = scheme
         if scheme == "memory":
@@ -203,7 +209,7 @@ class Deployment:
         else:
             built = build_sharded_customers_orders(
                 int(k), spec, stats=stats, scheme=scheme,
-                partition_key="orid",
+                partition_key="orid", member_wrapper=member_wrapper,
             )
             self.source, self.members = built.sharded, built.members
 
@@ -240,24 +246,45 @@ class Deployment:
             close()
 
 
-def with_faults(source, faults, schedule):
-    """``source`` under the point's (breaker-free) fault schedule."""
-    if faults == "none":
-        return source
-    fault_seed, rate, sql_faults = schedule
-    clock = ManualClock()
+def inject(source, schedule):
+    """``source`` under the schedule's pull faults (each rate-chosen
+    position fails once)."""
+    fault_seed, rate, __ = schedule
     injected = FaultInjectingSource(
-        source, clock=clock, seed=fault_seed ^ (MIX_SEED * 7919)
+        source, clock=ManualClock(), seed=fault_seed ^ (MIX_SEED * 7919)
     )
     injected.fail_pulls_randomly("root1", rate)
     injected.fail_pulls_randomly("root2", rate)
-    if faults == "degrade":
-        return injected
-    # Each rate-chosen position fails once and the SQL faults fail one
-    # statement's first attempts: three attempts absorb every fault.
-    injected.fail_sql(times=sql_faults)
-    return ResilientSource(
-        injected, retry=RetryPolicy(attempts=3, sleep=clock.sleep)
+    return injected
+
+
+def with_faults(point, spec, stats, schedule):
+    """``(deployment, the source the mediator registers)`` under the
+    point's (breaker-free) fault schedule.  Half of the ``degrade``
+    draws put a single-attempt ``ResilientSource`` between the faults
+    and the engine — one per member on a fleet."""
+    resilient = point.faults == "degrade" and schedule[0] % 2
+    if resilient and point.deployment[-1].isdigit():
+        deployment = Deployment(
+            point.deployment, spec, stats,
+            member_wrapper=lambda members: shard_resilience(
+                [inject(member, schedule) for member in members]),
+        )
+        return deployment, deployment.source
+    deployment = Deployment(point.deployment, spec, stats)
+    if point.faults == "none":
+        return deployment, deployment.source
+    injected = inject(deployment.source, schedule)
+    if point.faults == "degrade":
+        if resilient:
+            return deployment, ResilientSource(
+                injected, retry=RetryPolicy(attempts=1))
+        return deployment, injected
+    # The SQL faults fail one statement's first attempts: three attempts
+    # absorb every fault.
+    injected.fail_sql(times=schedule[2])
+    return deployment, ResilientSource(
+        injected, retry=RetryPolicy(attempts=3, sleep=injected.clock.sleep)
     )
 
 
@@ -553,10 +580,10 @@ def test_every_lattice_point_agrees_with_the_oracle(point, shape, schedule,
     oracle = InProcess(Mediator(
         stats=oracle_stats, lazy=False, cache=False, block_size=1
     ).add_source(reference.source))
-    deployment = Deployment(point.deployment, spec, stats)
+    deployment, source = with_faults(point, spec, stats, schedule)
     mediator = Mediator(
         stats=stats, cache=point.cache != "off", **switches(point)
-    ).add_source(with_faults(deployment.source, point.faults, schedule))
+    ).add_source(source)
     # The cache-off compile of every request, over the same sources
     # (lazy: the engine does not enter the compile, and it reads less).
     twin = None
