@@ -8,8 +8,9 @@ workload:
   plus the navigation memo: the whole compile pipeline is skipped and
   zero tuples cross the source boundary.  The guards assert
   ``tuples_shipped == 0`` and one plan-cache and one nav-memo hit per
-  warm repeat (read from ``Mediator.cache_stats()``); the Fig. 22 guard
-  also asserts >= 5x wall-clock on the repeat;
+  warm repeat (read from ``Mediator.cache_stats()``); wall clock is
+  printed and recorded, not asserted (``mixbench`` measures it end to
+  end);
 * **a write repays once** — DML makes exactly the next run cold, and
   later repeats re-warm.
 
@@ -36,7 +37,6 @@ N_CUSTOMERS = 150
 ORDERS_PER = 5
 WARM_REPEATS = 5
 COLD_REPEATS = 7
-SPEEDUP_FLOOR = 5.0
 
 AUCTION_QUERY = """
 FOR $C IN document(cameras)/camera
@@ -133,19 +133,18 @@ def warm_cold_series(build, query, label, **mediator_kwargs):
     return cold, warm_best, shipped_cold, shipped_warm, warm_hits
 
 
-def test_warm_fig22_query_is_5x_faster_and_ships_nothing():
-    cold, warm, shipped_cold, shipped_warm, __ = warm_cold_series(
+def test_warm_fig22_query_hits_both_caches_and_ships_nothing():
+    __, __, shipped_cold, shipped_warm, warm_hits = warm_cold_series(
         lambda: build_workload(N_CUSTOMERS, ORDERS_PER),
         VIEW_QUERY,
         "Fig. 22 view ({}x{})".format(N_CUSTOMERS, ORDERS_PER),
     )
     assert shipped_cold > 0
     assert shipped_warm == 0, "a warm repeat must ship zero tuples"
-    speedup = cold / warm
-    assert speedup >= SPEEDUP_FLOOR, (
-        "warm repeat only {:.1f}x faster than cold "
-        "(floor {}x)".format(speedup, SPEEDUP_FLOOR)
-    )
+    assert warm_hits == {
+        "plan_cache": (WARM_REPEATS, 0),
+        "nav_memo": (WARM_REPEATS, 0),
+    }
 
 
 def test_warm_auction_query_hits_both_caches_and_ships_nothing():
@@ -154,8 +153,8 @@ def test_warm_auction_query_hits_both_caches_and_ships_nothing():
     shared materialized child lists save the most.
 
     Counts, not a wall-clock ratio: a floor on cold/warm punishes every
-    speedup of the *cold* side (PR 18's cheaper compile took it from
-    >= 5x to 4.6x).  Both times are still printed and recorded."""
+    speedup of the *cold* side.  Both times are still printed and
+    recorded."""
 
     def build():
         built = build_auction(n_cameras=120)

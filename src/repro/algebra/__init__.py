@@ -16,7 +16,8 @@ Submodules:
   join.
 * :mod:`repro.algebra.operators` — the 14 operators as plan nodes.
 * :mod:`repro.algebra.plan` — plan traversal, cloning, renaming,
-  validation, structural equality.
+  structural equality (well-formedness is the verifier's,
+  :mod:`repro.analysis.verifier`).
 * :mod:`repro.algebra.translator` — XQuery (Fig. 4 subset) to XMAS plans.
 * :mod:`repro.algebra.printer` — renders plans in the paper's figure style.
 """
@@ -49,7 +50,6 @@ from repro.algebra.plan import (
     rename_vars,
     iter_operators,
     defined_vars,
-    validate_plan,
 )
 from repro.algebra.printer import render_plan
 
@@ -85,6 +85,5 @@ __all__ = [
     "plan_equal",
     "render_plan",
     "rename_vars",
-    "validate_plan",
     "value_kind",
 ]

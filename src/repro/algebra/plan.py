@@ -1,11 +1,10 @@
-"""Plan-level utilities: traversal, schemas, renaming, equality, validation."""
+"""Plan-level utilities: traversal, schemas, renaming, equality."""
 
 from __future__ import annotations
 
 import hashlib
 import itertools
 
-from repro.errors import PlanError
 from repro.algebra import operators as ops
 from repro.algebra.conditions import Condition, ParamOperand, VarOperand
 from repro.xmltree.paths import Path
@@ -129,58 +128,6 @@ def plan_equal(a, b):
         if not plan_equal(a.plan, b.plan):
             return False
     return all(plan_equal(x, y) for x, y in zip(a.children, b.children))
-
-
-def validate_plan(plan, available_sources=None):
-    """Check static well-formedness; raises :class:`PlanError`.
-
-    Verifies that every operator's used variables are defined by its
-    input(s) and that join inputs have disjoint variable sets.  Plans
-    involving ``nestedSrc`` are checked as far as statically possible.
-    """
-    _validate(plan, available_sources)
-
-
-def _validate(plan, sources):
-    for child in plan.children:
-        _validate(child, sources)
-    if isinstance(plan, ops.Apply):
-        _validate(plan.plan, sources)
-    if isinstance(plan, ops.MkSrc) and sources is not None:
-        if plan.source not in sources:
-            raise PlanError("unknown source {!r}".format(plan.source))
-
-    if isinstance(plan, ops.Join):
-        left = defined_vars(plan.left)
-        right = defined_vars(plan.right)
-        if left is not None and right is not None and (left & right):
-            raise PlanError(
-                "join inputs share variables {}".format(sorted(left & right))
-            )
-        _check_used(plan, None if left is None or right is None
-                    else left | right)
-        return
-    if isinstance(plan, ops.SemiJoin):
-        left = defined_vars(plan.left)
-        right = defined_vars(plan.right)
-        if left is None or right is None:
-            return
-        _check_used(plan, left | right)
-        return
-    if plan.children:
-        _check_used(plan, defined_vars(plan.children[0]))
-
-
-def _check_used(plan, available):
-    if available is None:
-        return
-    missing = plan.used_vars() - available
-    if missing:
-        raise PlanError(
-            "{} uses unbound variables {} (available: {})".format(
-                type(plan).__name__, sorted(missing), sorted(available)
-            )
-        )
 
 
 def find_operators(plan, op_type, include_nested=True):

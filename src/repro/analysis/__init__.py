@@ -5,8 +5,8 @@ Three passes:
 * the **plan verifier** (:func:`verify_plan`, :func:`assert_plan_verifies`)
   infers the binding-list schema flowing through all 14 XMAS operators
   and checks the dataflow invariants of Section 5;
-* the **pipeline verifier** (:func:`verify_query_pipeline`) runs the
-  plan verifier on every stage the mediator's own compile recorded —
+* the **pipeline verifier** (``Mediator.verify_query``) runs the plan
+  verifier on every stage the mediator's own compile recorded —
   translate, each Table-2 rewrite step, SQL split — naming the stage
   that broke schema flow;
 * the **XQuery linter** (:func:`lint_query`) checks query text against
@@ -17,8 +17,9 @@ Three passes:
 All passes report through the shared :class:`Diagnostic` framework with
 stable codes (``MIX-E001``..., ``MIX-W001``...), rendered as compiler-style
 text or JSON.  The CLI surfaces them as ``python -m repro lint`` and
-``python -m repro check-plan``; ``Mediator(strict=True)`` raises from
-the pipeline verifier's report on every compiled plan.
+``python -m repro check-plan``; every mediator raises from the
+verifier's report on the translate stage of each compile, and
+``Mediator(strict=True)`` on every stage.
 """
 
 from repro.analysis.diagnostics import (
@@ -41,13 +42,6 @@ from repro.analysis.linter import (
 from repro.analysis.pipeline import (
     PipelineReport,
     StageReport,
-    verify_query_pipeline,
-)
-from repro.analysis.rulecheck import (
-    RuleCheckReport,
-    RuleReport,
-    certify_rules,
-    generate_corpus,
 )
 from repro.analysis.verifier import (
     assert_plan_verifies,
@@ -78,5 +72,16 @@ __all__ = [
     "render_text",
     "sort_diagnostics",
     "verify_plan",
-    "verify_query_pipeline",
 ]
+
+
+def __getattr__(name):
+    # The certifier loads on first use: every mediator imports this
+    # package for the verifier, and only check-rules and strict
+    # mediators with extension rules need the certifier's memory.
+    if name in ("RuleCheckReport", "RuleReport", "certify_rules",
+                "generate_corpus"):
+        from repro.analysis import rulecheck
+
+        return getattr(rulecheck, name)
+    raise AttributeError("no attribute {!r} in repro.analysis".format(name))

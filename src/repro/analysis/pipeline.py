@@ -15,10 +15,10 @@ runs the plan verifier on each:
 
 The result is a :class:`PipelineReport`; ``report.ok`` / ``raise_if_failed``
 give the pass/fail view and ``report.stage_count`` feeds the EXPLAIN
-``verified: <n> stages`` footer.  ``Mediator(strict=True)`` raises from
-the report of every compile; :func:`verify_query_pipeline` (and
-``Mediator.verify_query``) returns it for a compile outside the plan
-cache.
+``verified: <n> stages`` footer.  Every mediator raises from the
+``translate`` stage of each compile and ``Mediator(strict=True)`` from
+all of them; ``Mediator.verify_query`` returns the report of a compile
+outside the plan cache.
 """
 
 from __future__ import annotations
@@ -119,10 +119,3 @@ def verify_stages(query, stages, catalog):
         for name, plan, rule in stages
     ])
 
-
-def verify_query_pipeline(mediator, query_text):
-    """``mediator.verify_query(query_text)``: the report of a compile
-    through the mediator's own path, outside its plan cache and without
-    consuming a view id (EXPLAIN relies on that to keep its golden
-    output stable)."""
-    return mediator.verify_query(query_text)

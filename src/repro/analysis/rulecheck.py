@@ -30,11 +30,14 @@ diagnostics framework:
     every match site is also matched by an earlier (higher-priority)
     rule can never fire first and is shadowed.
 
-**Differential answer preservation** — any rule not provably
-schema-safe is run on miniature customers/orders workloads
-(:mod:`repro.workloads.customers`): the same queries are compiled with
-and without the rule and the serialized answers must be identical; a
-divergence is reported as ``MIX-E012``.
+**Differential answer preservation** — any extension rule not provably
+schema-safe is run on a miniature customers/orders workload
+(:mod:`repro.workloads.customers`): two eager oracle mediators, one
+with the rule registered and one without, answer the same queries
+through the mediator's own compile path, and the serialized answers
+must be identical; a divergence is reported as ``MIX-E012``.  Phase 1
+applies each match with the rewriter's own step
+(:func:`repro.rewriter.engine.apply_result`).
 
 Surfaces: ``python -m repro check-rules`` (``--json``,
 ``--rules=module:attr``), and ``Mediator(extension_rules=...,
@@ -50,15 +53,15 @@ yardstick it is measured against.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from typing import Any, Dict, List, Optional
 
 from repro.algebra import operators as ops
 from repro.algebra.conditions import Condition
-from repro.algebra.plan import rename_vars, replace_operator
 from repro.analysis.diagnostics import Diagnostic, sort_diagnostics
 from repro.analysis.verifier import infer_schema, verify_plan
 from repro.errors import MixError, RewriteError
-from repro.rewriter.engine import Rewriter
+from repro.rewriter.engine import Rewriter, apply_result
 from repro.rewriter.context import RewriteContext
 from repro.rewriter.rule import (
     declared_contract,
@@ -68,7 +71,6 @@ from repro.rewriter.rule import (
     validate_rule,
 )
 from repro.rewriter.rules import DEFAULT_RULES
-from repro.rewriter.sql_split import push_to_sources
 from repro.xmltree.paths import Path
 
 #: Step bound for the certification fixpoint runs — far above anything a
@@ -82,7 +84,8 @@ MAX_DIAGNOSTICS_PER_CODE = 3
 
 #: Fig. 3 view (Q1) phrased against the wrapper documents, and Fig. 12
 #: composed against it — the worked example whose rewrite trace seeds
-#: the corpus, and (with the threshold below) the differential queries.
+#: the corpus, and (the view defined as ``rootv``) the last differential
+#: query.
 VIEW_QUERY = """
 FOR $C IN source(root1)/customer
     $O IN document(root2)/order
@@ -97,7 +100,7 @@ WHERE $S/order/value/data() > 150
 RETURN $R
 """
 
-#: Stand-alone differential queries (run next to the composed pair).
+#: Stand-alone differential queries (run before the composed one).
 DIFFERENTIAL_QUERIES = (
     """
     FOR $O IN document(root2)/order
@@ -113,33 +116,23 @@ DIFFERENTIAL_QUERIES = (
 )
 
 
-class CorpusPlan:
-    """One named certification plan."""
-
-    __slots__ = ("name", "plan")
-
-    def __init__(self, name, plan):
-        self.name = name
-        self.plan = plan
-
-
-def _label_path(*labels):
-    return Path.of(*labels)
+#: One named certification plan.
+CorpusPlan = namedtuple("CorpusPlan", "name plan")
 
 
 def _crelt_fixture():
     """``crElt`` building CustRec elements from a wrapped list — the
     target shape of Table-2 rows 1-4."""
     inner = ops.GetD(
-        "$K", _label_path("customer"), "$W",
+        "$K", Path.of("customer"), "$W",
         ops.MkSrc("root1", "$K"),
     )
     return ops.CrElt("CustRec", "f", ("$W",), "$W", False, "$V", inner)
 
 
 def _join_fixture():
-    left = ops.GetD("$K", _label_path("a"), "$A", ops.MkSrc("root1", "$K"))
-    right = ops.GetD("$L", _label_path("b"), "$B", ops.MkSrc("root2", "$L"))
+    left = ops.GetD("$K", Path.of("a"), "$A", ops.MkSrc("root1", "$K"))
+    right = ops.GetD("$L", Path.of("b"), "$B", ops.MkSrc("root2", "$L"))
     return ops.Join((Condition.var_var("$A", "=", "$B"),), left, right)
 
 
@@ -151,12 +144,12 @@ def _hand_shapes():
     # empty-propagation: a getD over a provably empty input.
     shapes.append(CorpusPlan(
         "hand: getD over Empty",
-        ops.GetD("$X", _label_path("a"), "$Y", ops.Empty(("$X",))),
+        ops.GetD("$X", Path.of("a"), "$Y", ops.Empty(("$X",))),
     ))
 
     # rule 11: mksrc of a composed view over the view body's tD.
     body = ops.GetD(
-        "$K", _label_path("customer"), "$1", ops.MkSrc("root1", "$K")
+        "$K", Path.of("customer"), "$1", ops.MkSrc("root1", "$K")
     )
     shapes.append(CorpusPlan(
         "hand: mksrc over tD (rule 11)",
@@ -166,28 +159,28 @@ def _hand_shapes():
     # rules 1-4: getD paths against the crElt fixture.
     shapes.append(CorpusPlan(
         "hand: getD through crElt (row 1)",
-        ops.GetD("$V", _label_path("CustRec", "name"), "$S",
+        ops.GetD("$V", Path.of("CustRec", "name"), "$S",
                  _crelt_fixture()),
     ))
     shapes.append(CorpusPlan(
         "hand: getD identifies crElt (row 2)",
-        ops.GetD("$V", _label_path("CustRec"), "$R", _crelt_fixture()),
+        ops.GetD("$V", Path.of("CustRec"), "$R", _crelt_fixture()),
     ))
     shapes.append(CorpusPlan(
         "hand: getD misses crElt label (row 4)",
-        ops.GetD("$V", _label_path("Mismatch", "name"), "$S",
+        ops.GetD("$V", Path.of("Mismatch", "name"), "$S",
                  _crelt_fixture()),
     ))
 
     # rules 5-8: getD over cat with statically resolvable operands.
     cat_input = ops.GetD(
-        "$K", _label_path("b"), "$B",
-        ops.GetD("$K", _label_path("a"), "$A", ops.MkSrc("root1", "$K")),
+        "$K", Path.of("b"), "$B",
+        ops.GetD("$K", Path.of("a"), "$A", ops.MkSrc("root1", "$K")),
     )
     cat = ops.Cat("$A", True, "$B", True, "$Z", cat_input)
     shapes.append(CorpusPlan(
         "hand: getD through cat (rows 5-8)",
-        ops.GetD("$Z", _label_path("list", "a", "val"), "$G", cat),
+        ops.GetD("$Z", Path.of("list", "a", "val"), "$G", cat),
     ))
 
     # select-pushdown over a join + join→semijoin (dead right side).
@@ -201,7 +194,7 @@ def _hand_shapes():
 
     # dead-operator-elimination: crElt whose output feeds nothing.
     dead_input = ops.GetD(
-        "$K", _label_path("a"), "$A", ops.MkSrc("root1", "$K")
+        "$K", Path.of("a"), "$A", ops.MkSrc("root1", "$K")
     )
     shapes.append(CorpusPlan(
         "hand: dead crElt",
@@ -218,7 +211,7 @@ def _hand_shapes():
         "hand: select pinned above getD",
         ops.Select(
             Condition.var_const("$A", ">", 1),
-            ops.GetD("$K", _label_path("a"), "$A",
+            ops.GetD("$K", Path.of("a"), "$A",
                      ops.MkSrc("root1", "$K")),
         ),
     ))
@@ -231,7 +224,7 @@ def _hand_shapes():
             ("$A",),
             ops.OrderBy(
                 ("$A",),
-                ops.GetD("$K", _label_path("a"), "$A",
+                ops.GetD("$K", Path.of("a"), "$A",
                          ops.MkSrc("root1", "$K")),
             ),
         ),
@@ -321,10 +314,6 @@ class RuleReport:
     def certified(self):
         return not any(d.is_error for d in self.diagnostics)
 
-    @property
-    def warnings(self):
-        return [d for d in self.diagnostics if not d.is_error]
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "name": self.name,
@@ -412,29 +401,23 @@ class RuleCheckReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def certify_rules(rules=None, extension_rules=(), differential=True,
-                  focus=None, corpus=None):
-    """Certify a rule set; returns a :class:`RuleCheckReport`.
+def certify_rules(extension_rules=(), focus=None):
+    """Certify :data:`DEFAULT_RULES` plus ``extension_rules``; returns a
+    :class:`RuleCheckReport`.
 
     Args:
-        rules: the base priority-ordered rule set (default: the full
-            Table-2 :data:`DEFAULT_RULES`).
-        extension_rules: extra rules appended after the base set (the
+        extension_rules: extra rules appended after the Table-2 set (the
             ``Mediator(extension_rules=...)`` position).
-        differential: run the answer-preservation workload check for
-            rules that are not provably schema-safe (contract
-            ``"none"``, or firings at statically-unknown-schema sites).
         focus: iterable of rule *names* to certify (others still
             participate as shadowing candidates and termination
             partners); default: every rule.
-        corpus: override the generated corpus (tests).
 
     Raises:
         RewriteError: a rule fails the registration contract itself
             (no name, unknown contract, duplicate name).
     """
-    base = tuple(DEFAULT_RULES if rules is None else rules)
-    all_rules = base + tuple(extension_rules)
+    extension_rules = tuple(extension_rules)
+    all_rules = tuple(DEFAULT_RULES) + extension_rules
     for r in all_rules:
         validate_rule(r)
     names = [rule_name(r) for r in all_rules]
@@ -444,7 +427,7 @@ def certify_rules(rules=None, extension_rules=(), differential=True,
                 "duplicate rule name {!r}: already registered".format(n)
             )
     focus_names = set(names if focus is None else focus)
-    plans = generate_corpus() if corpus is None else list(corpus)
+    plans = generate_corpus()
 
     reports = {
         n: RuleReport(n, declared_contract(r), is_set_semantics(r))
@@ -584,30 +567,51 @@ def certify_rules(rules=None, extension_rules=(), differential=True,
     run_termination(all_rules, "termination")
 
     # -- phase 4: differential answer preservation ---------------------
-    if differential:
-        for name, rule in zip(names, all_rules):
-            if name not in focus_names:
-                continue
-            report = reports[name]
-            if not report.certified:
-                continue  # already broken; don't pile on
-            if (declared_contract(rule) != "none"
-                    and report.unknown_sites == 0):
-                continue
-            _differential_check(name, rule, base, all_rules, emit, reports)
+    # Every DEFAULT rule has a static contract and no unknown site
+    # (tests/analysis/test_rulecheck.py), so only extension rules can
+    # need the workloads.
+    baseline = None
+    for rule in extension_rules:
+        name = rule_name(rule)
+        report = reports[name]
+        if name not in focus_names or not report.certified:
+            continue  # unfocused, or already broken: don't pile on
+        if report.contract != "none" and report.unknown_sites == 0:
+            continue
+        try:
+            if baseline is None:
+                baseline, __ = _oracle_answers(())
+            candidate, fired = _oracle_answers((rule,))
+        except RewriteError:
+            continue  # non-termination is phase 3's finding
+        except MixError as exc:
+            emit(
+                name, "MIX-E012",
+                "rule {!r} broke the differential workload pipeline:"
+                " {}".format(name, exc),
+                "differential",
+            )
+            continue
+        report.differential_fired = name in fired
+        diverged = [
+            i for i, (a, b) in enumerate(zip(baseline, candidate)) if a != b
+        ]
+        if diverged:
+            emit(
+                name, "MIX-E012",
+                "answers diverge on differential workload query {}"
+                " when rule {!r} is enabled".format(diverged[0], name),
+                "differential",
+            )
 
-    return RuleCheckReport(
-        [reports[n] for n in names], len(plans)
-    )
+    return RuleCheckReport([reports[n] for n in names], len(plans))
 
 
 def _check_site(report, emit, entry, node, result):
     """Apply one match result and check the declared schema contract."""
     name = report.name
     try:
-        new_plan = replace_operator(entry.plan, node, result.replacement)
-        if result.rename:
-            new_plan = rename_vars(new_plan, result.rename)
+        new_plan = apply_result(entry.plan, node, result)
     except Exception as exc:  # noqa: BLE001 - third-party rules
         emit(
             name, "MIX-E012",
@@ -648,108 +652,38 @@ def _check_site(report, emit, entry, node, result):
             "schema",
         )
         return
-    new_errors = sum(1 for d in verify_plan(new_plan) if d.is_error)
-    base_errors = sum(1 for d in verify_plan(entry.plan) if d.is_error)
-    if new_errors > base_errors:
-        first = next(d for d in verify_plan(new_plan) if d.is_error)
+    new_errors = [d for d in verify_plan(new_plan) if d.is_error]
+    base_errors = [d for d in verify_plan(entry.plan) if d.is_error]
+    if len(new_errors) > len(base_errors):
         emit(
             name, "MIX-E012",
             "rewritten plan fails verification at {!r}: {} {}".format(
-                entry.name, first.code, first.message
+                entry.name, new_errors[0].code, new_errors[0].message
             ),
             "schema",
         )
 
 
-_DIFFERENTIAL_CATALOG = None
-_DIFFERENTIAL_PLANS = None
-
-
-def _differential_setup():
-    """The miniature workload catalog + query plans (built once)."""
-    global _DIFFERENTIAL_CATALOG, _DIFFERENTIAL_PLANS
-    if _DIFFERENTIAL_CATALOG is None:
-        from repro.algebra.translator import Translator
-        from repro.composer.compose import compose_at_root
-        from repro.sources import SourceCatalog
-        from repro.workloads.customers import build_customers_orders
-        from repro.xquery.parser import parse_xquery
-
-        built = build_customers_orders(
-            n_customers=4, orders_per_customer=2,
-            value_mode="ladder", value_step=100,
-        )
-        catalog = SourceCatalog()
-        catalog.register(built.wrapper)
-        plans = []
-        for text in DIFFERENTIAL_QUERIES:
-            plans.append(
-                Translator().translate(parse_xquery(text))
-            )
-        view = Translator().translate(
-            parse_xquery(VIEW_QUERY), root_oid="rootv"
-        )
-        query = Translator().translate(parse_xquery(COMPOSE_QUERY))
-        plans.append(compose_at_root(view, query, "rootv"))
-        _DIFFERENTIAL_CATALOG = catalog
-        _DIFFERENTIAL_PLANS = plans
-    return _DIFFERENTIAL_CATALOG, _DIFFERENTIAL_PLANS
-
-
-def _differential_answers(ruleset, catalog, plans):
-    """Serialized answers of the workload queries under ``ruleset``.
-
-    Returns ``(answers, fired_rule_names)``.
-    """
-    from repro.engine.eager import EagerEngine
+def _oracle_answers(extension_rules):
+    """``(answers, fired rule names)`` of the differential queries on an
+    eager, uncached, one-tuple-block mediator over the miniature
+    customers/orders workload, with ``extension_rules`` after the
+    Table-2 set and :data:`VIEW_QUERY` defined as ``rootv``."""
+    from repro.qdom.mediator import Mediator
+    from repro.workloads.customers import build_customers_orders
     from repro.xmltree.serializer import serialize
 
-    answers = []
-    fired = set()
-    engine = Rewriter(rules=ruleset, max_steps=MAX_TERMINATION_STEPS)
-    for plan in plans:
-        rewritten = engine.rewrite(plan)
-        fired.update(engine.last_rule_names)
-        exec_plan = push_to_sources(rewritten, catalog)
-        root = EagerEngine(catalog).evaluate_tree(exec_plan)
-        answers.append(serialize(root))
-    return answers, fired
-
-
-def _differential_check(name, rule, base, all_rules, emit, reports):
-    """Compile+run the workloads with and without ``rule``; answers must
-    be byte-identical."""
-    catalog, plans = _differential_setup()
-    with_rule = tuple(
-        r for r in all_rules
-        if rule_name(r) == name or rule_name(r) in {
-            rule_name(b) for b in base
-        }
+    built = build_customers_orders(
+        n_customers=4, orders_per_customer=2,
+        value_mode="ladder", value_step=100,
     )
-    without_rule = tuple(r for r in with_rule if rule_name(r) != name)
-    try:
-        baseline, __ = _differential_answers(without_rule, catalog, plans)
-        candidate, fired = _differential_answers(
-            with_rule, catalog, plans
-        )
-    except RewriteError:
-        # Non-termination is phase 3's finding; nothing to add here.
-        return
-    except MixError as exc:
-        emit(
-            name, "MIX-E012",
-            "rule {!r} broke the differential workload pipeline:"
-            " {}".format(name, exc),
-            "differential",
-        )
-        return
-    reports[name].differential_fired = name in fired
-    for i, (a, b) in enumerate(zip(baseline, candidate)):
-        if a != b:
-            emit(
-                name, "MIX-E012",
-                "answers diverge on differential workload query {}"
-                " when rule {!r} is enabled".format(i, name),
-                "differential",
-            )
-            return
+    mediator = Mediator(
+        lazy=False, cache=False, block_size=1,
+        extension_rules=extension_rules,
+    ).add_source(built.wrapper)
+    mediator.define_view("rootv", VIEW_QUERY)
+    answers, fired = [], set()
+    for text in DIFFERENTIAL_QUERIES + (COMPOSE_QUERY,):
+        answers.append(serialize(mediator.query(text).to_tree()))
+        fired.update(mediator.last_rewrite_rules)
+    return answers, fired

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 
 from repro.errors import CompositionError, ParameterValueDemanded
-from repro.algebra.plan import validate_plan
 from repro.cache.keys import catalog_shape
 from repro.cache.shapes import (
     BoundPlan,
@@ -24,6 +23,8 @@ from repro.cache.shapes import (
     request_shape,
 )
 from repro.algebra.translator import Translator
+from repro.analysis.pipeline import verify_stages
+from repro.analysis.verifier import assert_plan_verifies
 from repro.composer import compose_at_root, decontextualize
 from repro.engine.lazy import LazyEngine
 from repro.engine.eager import EagerEngine
@@ -77,7 +78,8 @@ class Mediator:
             syntactic plans byte for byte.
         strict: run the static plan verifier on every compiled plan —
             a ``query`` or an in-place ``q`` — at every pipeline stage
-            (translate, each rewrite step, SQL split).  A transformation
+            (each rewrite step and the SQL split, beside the translate
+            stage every mediator verifies).  A transformation
             that breaks binding-schema flow raises
             :class:`~repro.errors.PlanVerificationError` naming the
             offending stage.  Verification results are cached with the
@@ -265,7 +267,7 @@ class Mediator:
             else query_text,
             root_oid=name,
         )
-        validate_plan(plan)
+        assert_plan_verifies(plan, stage="translate")
         self._views[name] = plan
         # A (re)definition changes what every query over the view means:
         # the epoch moves (old plan keys can never hit again) and live
@@ -490,16 +492,19 @@ class Mediator:
                  verify=False):
         """translate → expand views → compose → rewrite → SQL split:
         the mediator's one compile path; returns ``(PreparedPlan,
-        PipelineReport or None)``.
+        PipelineReport)``.
 
         ``templated`` says ``query``'s literals are parameters; the
         view is then composed unbound, so its parameters and the
-        query's end up in one plan.  Under strict mode the verifier
-        checks every stage — ``translate``, one ``rewrite[<rule>]`` per
-        rewrite step, ``sql-split`` — and the first bad one raises
-        :class:`~repro.errors.PlanVerificationError`.  ``verify=True``
-        is :meth:`verify_query`'s compile: it consumes no view id, and
-        the report is returned rather than raised.
+        query's end up in one plan.  The verifier always checks the
+        ``translate`` stage (the plan after translation, view expansion
+        and composition); strict mode adds source resolution
+        (MIX-E009), one ``rewrite[<rule>]`` stage per rewrite step and
+        ``sql-split``.  The first bad stage raises
+        :class:`~repro.errors.PlanVerificationError`.
+        ``verify=True`` is :meth:`verify_query`'s compile: it checks
+        every stage, consumes no view id, and returns the report rather
+        than raising it.
         """
         plan = self.translate(query, assign_root=view is None and not verify)
         plan = self._expand_views(plan)
@@ -512,6 +517,16 @@ class Mediator:
                 plan = compose_at_root(view_plan, plan)
             else:
                 plan = decontextualize(view_plan, provenance, plan)
+        every_stage = self.strict or verify
+        # Outside strict mode an unknown document is left to the engine
+        # (UnknownSourceError on the pull that reaches it).
+        with self.stats.timer("verify"):
+            report = verify_stages(
+                query, [("translate", plan, None)],
+                self.catalog if every_stage else None,
+            )
+        if not verify:
+            report.raise_if_failed()
         trace = []
         compose_plan = exec_plan = plan
         if self.optimize:
@@ -524,30 +539,30 @@ class Mediator:
                 exec_plan = push_to_sources(
                     compose_plan, self.catalog, cost=self.cost_optimizer
                 )
-        report = None
-        if self.strict or verify:
-            from repro.analysis.pipeline import verify_stages
-
-            stages = [("translate", plan, None)] + [
+        if every_stage:
+            stages = [
                 ("rewrite[{}]".format(s.rule_name), s.plan, s.rule_name)
                 for s in trace
             ]
             if self.push_sql:
                 stages.append(("sql-split", exec_plan, None))
             with self.stats.timer("verify"):
-                report = verify_stages(query, stages, self.catalog)
+                report.stages += verify_stages(
+                    query, stages, self.catalog
+                ).stages
             if not verify:
                 report.raise_if_failed()
         # Fired rules come from this call's own trace: the rewriter and
         # this mediator are shared between sessions.
         return PreparedPlan(
             exec_plan, compose_plan,
-            report.stage_count if report is not None else None,
+            report.stage_count if every_stage else None,
             tuple(step.rule_name for step in trace), templated,
         ), report
 
     def translate(self, query_text, assign_root=True):
-        """XQuery text (or parsed AST) to a validated XMAS plan."""
+        """XQuery text (or parsed AST) to an XMAS plan (unverified:
+        :meth:`_compile` verifies it after view expansion)."""
         query = (
             parse_xquery(query_text)
             if isinstance(query_text, str)
@@ -557,9 +572,7 @@ class Mediator:
             "view{}".format(next(self._view_ids)) if assign_root else None
         )
         with self.stats.timer("translate"):
-            plan = self._translator.translate(query, root_oid=root_oid)
-        validate_plan(plan)
-        return plan
+            return self._translator.translate(query, root_oid=root_oid)
 
     def _evaluate(self, exec_plan, stats=None, demand=None):
         """Evaluate a bound executable plan to its answer root Node under

@@ -269,13 +269,20 @@ class Rewriter:
                 result = rule.apply(node, ctx)
                 if result is None:
                     continue
-                new_plan = replace_operator(
-                    ctx.root, node, result.replacement
-                )
-                if result.rename:
-                    new_plan = rename_shared(new_plan, result.rename)
+                new_plan = apply_result(ctx.root, node, result)
                 return (new_plan, rule_name(rule), index), probes
         return None, probes
+
+
+def apply_result(plan, node, result):
+    """One rewrite step: ``plan`` with the subtree ``node`` replaced by
+    ``result.replacement``, then ``result.rename`` applied plan-wide —
+    the paper's local replacement plus global renaming, and the step the
+    rule certifier checks."""
+    new_plan = replace_operator(plan, node, result.replacement)
+    if result.rename:
+        new_plan = rename_shared(new_plan, result.rename)
+    return new_plan
 
 
 def rewrite_plan(plan, set_semantics=True, trace=None):

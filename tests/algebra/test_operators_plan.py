@@ -27,7 +27,6 @@ from repro.algebra import (
     iter_operators,
     plan_equal,
     rename_vars,
-    validate_plan,
 )
 from repro.algebra.plan import (
     VarFactory,
@@ -37,6 +36,9 @@ from repro.algebra.plan import (
     rename_shared,
     replace_operator,
 )
+from repro.analysis import verify_plan
+from repro.sources import SourceCatalog
+from tests.conftest import make_paper_wrapper
 
 
 def small_plan():
@@ -205,25 +207,31 @@ class TestRenameClone:
         assert isinstance(plan.input, GetD)  # original untouched
 
 
+def codes(plan, catalog=None):
+    return [d.code for d in verify_plan(plan, catalog=catalog)]
+
+
 class TestValidation:
+    # Well-formedness is the verifier's; malformed operator arguments
+    # are refused at construction.
     def test_valid_plan(self):
-        validate_plan(fig6_style_plan())
+        assert codes(fig6_style_plan()) == []
 
     def test_unbound_variable_rejected(self):
         plan = Select(
             Condition.var_const("$MISSING", "=", 1), MkSrc("d", "$X")
         )
-        with pytest.raises(PlanError):
-            validate_plan(plan)
+        assert codes(plan) == ["MIX-E001"]
 
     def test_join_shared_vars_rejected(self):
         plan = Join((), MkSrc("a", "$A"), MkSrc("b", "$A"))
-        with pytest.raises(PlanError):
-            validate_plan(plan)
+        assert codes(plan) == ["MIX-E002"]
 
     def test_unknown_source_rejected(self):
-        with pytest.raises(PlanError):
-            validate_plan(MkSrc("nope", "$X"), available_sources={"root1"})
+        catalog = SourceCatalog()
+        catalog.register(make_paper_wrapper())
+        assert codes(MkSrc("root1", "$X"), catalog) == []
+        assert codes(MkSrc("nope", "$X"), catalog) == ["MIX-E009"]
 
     def test_semijoin_keep_validated(self):
         with pytest.raises(PlanError):

@@ -15,10 +15,10 @@ from repro.algebra import (
     NestedSrc,
     Select,
     TD,
-    validate_plan,
 )
 from repro.algebra.plan import find_operators
 from repro.algebra.translator import translate_query
+from repro.analysis import verify_plan
 from tests.conftest import Q1, Q12
 
 
@@ -169,14 +169,22 @@ class TestReturnClause:
         assert plan.var == "$R"
         assert len(find_operators(plan, Select)) == 1
 
-    def test_translated_plans_validate(self):
+    def test_translated_plans_verify(self):
         for text in (
             Q1,
             Q12,
             "FOR $A IN document(d)/x RETURN $A",
             "FOR $A IN document(d)/x RETURN <R> $A </R> {$A}",
         ):
-            validate_plan(translate_query(text))
+            assert verify_plan(translate_query(text)) == []
+
+    def test_rebound_variable_fails_verification(self):
+        # The translator builds what the text says; the verifier is
+        # what rejects a FOR that rebinds a variable (MIX-E002).
+        plan = translate_query(
+            "FOR $C IN document(root1)/customer $C IN $C/id RETURN $C"
+        )
+        assert [d.code for d in verify_plan(plan)] == ["MIX-E002"]
 
 
 class TestEndToEndText:

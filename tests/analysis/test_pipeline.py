@@ -19,9 +19,10 @@ from repro.analysis import (
     Diagnostic,
     PipelineReport,
     StageReport,
-    verify_query_pipeline,
 )
 from repro.errors import PlanVerificationError
+from repro.server import LoopbackClient, ServerReplyError
+from tests.server.conftest import make_service
 
 VIEW_QUERY = Q1
 
@@ -71,9 +72,47 @@ class TestVerifyQueryPipeline:
         # view1: verification must not consume view ids or cache slots.
         mediator = mediator_with()
         mediator.verify_query(Q1)
-        verify_query_pipeline(mediator, Q1)
+        mediator.verify_query(Q1)
         plan = mediator.translate(Q1)
         assert "view1" in repr(plan)
+
+
+#: A FOR clause that rebinds ``$C``: its ``getD`` introduces a variable
+#: its input already binds (MIX-E002).
+REBINDING_QUERY = "FOR $C IN document(root1)/customer $C IN $C/id RETURN $C"
+
+
+class TestTranslateStageAlwaysVerified:
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("cache", [False, True])
+    def test_rebinding_query_is_refused_at_query(self, strict, cache):
+        mediator = mediator_with(strict=strict, cache=cache)
+        with pytest.raises(PlanVerificationError) as err:
+            mediator.query(REBINDING_QUERY)
+        assert err.value.stage == "translate"
+        assert [d.code for d in err.value.diagnostics] == ["MIX-E002"]
+
+    def test_in_place_q_is_verified_after_composition(self):
+        root = mediator_with().query(Q1)
+        with pytest.raises(PlanVerificationError) as err:
+            root.q(
+                "FOR $P IN document(root)/CustRec $P IN $P/customer"
+                " RETURN $P"
+            )
+        assert err.value.stage == "translate"
+
+    def test_served_session_gets_a_plan_error(self):
+        with LoopbackClient(make_service()) as client:
+            session = client.call("open")["session"]
+            with pytest.raises(ServerReplyError) as err:
+                client.call("query", session=session, query=REBINDING_QUERY)
+            assert err.value.code == "MIX-E-PLAN"
+            assert "MIX-E002" in str(err.value)
+
+    def test_define_view_verifies_the_view(self):
+        with pytest.raises(PlanVerificationError) as err:
+            mediator_with().define_view("rootv", REBINDING_QUERY)
+        assert err.value.stage == "translate"
 
 
 class TestReportObjects:
@@ -140,13 +179,14 @@ class TestStrictMediator:
         assert status == "hit"
         assert mediator.last_verified_stages == first
 
-    def test_strict_verification_is_timed(self):
-        # The strict-mode checks run under their own obs timer, so
-        # their cost shows up in snapshots next to translate/rewrite.
-        mediator = mediator_with(strict=True)
-        mediator.prepare(Q1)
-        assert mediator.stats.elapsed("verify") > 0.0
-        assert mediator_with().stats.elapsed("verify") == 0.0
+    def test_verification_is_timed(self):
+        # The checks run under their own obs timer, so their cost shows
+        # up in snapshots next to translate/rewrite.
+        for strict in (True, False):
+            mediator = mediator_with(strict=strict)
+            assert mediator.stats.elapsed("verify") == 0.0
+            mediator.prepare(Q1)
+            assert mediator.stats.elapsed("verify") > 0.0
 
     def test_strict_view_composition_verifies_all_rewrites(self):
         mediator = mediator_with(strict=True)

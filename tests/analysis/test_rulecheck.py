@@ -10,7 +10,7 @@ from repro.analysis import certify_rules, generate_corpus
 from repro.analysis.defect_rules import DEFECT_RULES
 from repro.analysis.rulecheck import MAX_DIAGNOSTICS_PER_CODE
 from repro.errors import RewriteError
-from repro.rewriter.rule import Rule, RuleResult, rule_name
+from repro.rewriter.rule import Rule, rule_name
 from repro.rewriter.rules import DEFAULT_RULES
 
 #: Which stable code each seeded defect must trip (and nothing worse).
@@ -168,50 +168,43 @@ class TestCertifierApi:
             for d in findings
         )
 
-    def test_differential_can_be_disabled(self):
+    def test_sites_are_rewritten_with_the_rewriters_own_step(
+        self, monkeypatch
+    ):
+        from repro.analysis import rulecheck
+        from repro.rewriter import engine
+
+        assert rulecheck.apply_result is engine.apply_result
+        calls = []
+
+        def spy(plan, node, result):
+            calls.append(node)
+            return engine.apply_result(plan, node, result)
+
+        monkeypatch.setattr(rulecheck, "apply_result", spy)
+        report = certify_rules(focus=["select-pushdown"])
+        assert len(calls) == report.rule("select-pushdown").sites > 0
+
+    def test_drop_select_trips_only_the_differential(self):
         from repro.analysis.defect_rules import DropSelectRule
 
         report = certify_rules(
             extension_rules=[DropSelectRule()],
             focus=["defect-drop-select"],
-            differential=False,
         )
         rule = report.rule("defect-drop-select")
-        assert rule.certified  # statically invisible without workloads
-        assert rule.differential_fired is None
+        stages = {d.stage for d in rule.diagnostics if d.code == "MIX-E012"}
+        # Statically invisible: the oracle mediators' answers catch it.
+        assert stages == {"differential"}
+        assert rule.differential_fired is True
 
-    def test_custom_corpus_is_respected(self):
-        from repro.algebra.conditions import Condition
-        from repro.analysis.rulecheck import CorpusPlan
-        from repro.xmltree.paths import Path
-
-        tiny = [CorpusPlan(
-            "tiny",
-            ops.Select(
-                Condition.var_const("$A", ">", 1),
-                ops.GetD(
-                    "$K", Path.of("a"), "$A", ops.MkSrc("root1", "$K")
-                ),
-            ),
-        )]
-
-        class SelectCounter(Rule):
-            name = "ext-select-counter"
-            schema_contract = "preserve"
-
-            def apply(self, node, ctx):
-                return None
-
-        report = certify_rules(
-            extension_rules=[SelectCounter()],
-            focus=["ext-select-counter"],
-            corpus=tiny,
-        )
-        assert report.corpus_size == 1
-        assert any(
-            d.code == "MIX-W007"
-            for d in report.rule("ext-select-counter").diagnostics
-        )
+    def test_default_rules_need_no_differential(self, default_report):
+        # Why phase 4 covers extension rules only: every Table-2 rule
+        # makes a static schema promise the corpus can check everywhere.
+        for report in default_report.rules:
+            assert report.contract != "none", report.name
+            assert report.unknown_sites == 0, report.name
+            assert report.differential_fired is None, report.name
 
     def test_report_json_round_trips(self, defect_report):
         payload = json.loads(defect_report.render_json())
