@@ -79,10 +79,10 @@ class EagerEngine:
             if isinstance(plan, ops.RelQuery)
             else {}
         )
-        with self.stats.operator_span(name, key=token, **attrs):
+        with self.stats.operator_span(name, key=token, **attrs) as span:
             result = handler(self, plan, nested_env)
-            if isinstance(result, BindingSet):
-                self.stats.record_node(token, len(result))
+            if span is not None and isinstance(result, BindingSet):
+                span.rows += len(result)
         return result
 
     def _tuples(self, plan, nested_env):

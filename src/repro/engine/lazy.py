@@ -155,7 +155,7 @@ class LazyEngine:
 
     def _counted_blocks(self, block_iter, plan):
         """Per-*block* accounting: one merged operator span, one
-        ``operator_tuples``/``node_count`` bump of ``len(block)`` per
+        ``operator_tuples`` and span ``rows`` bump of ``len(block)`` per
         pull.  Each pull runs inside the operator's span, so the work is
         attributed to whichever navigation command caused it (this
         amortization is what E-BLOCK measures)."""
@@ -169,13 +169,14 @@ class LazyEngine:
             else {}
         )
         while True:
-            with obs.operator_span(name, key=token, **attrs):
+            with obs.operator_span(name, key=token, **attrs) as span:
                 try:
                     block = next(block_iter)
                 except StopIteration:
                     return
                 obs.incr(statnames.OPERATOR_TUPLES, len(block))
-                obs.record_node(token, len(block))
+                if span is not None:
+                    span.rows += len(block)
             yield block
 
     # -- tD and the virtual tree ---------------------------------------------------
@@ -197,7 +198,8 @@ class LazyEngine:
         Node-valued exports are unpacked (and counted) a whole block at
         a time; set-valued exports (``VList``) stay lazy per item so the
         export never forces more of a nested stream than navigation
-        demanded.  The outermost degradation net: a source failure that
+        demanded; each item is pulled (and counted) in the ``tD``'s own
+        span.  The outermost degradation net: a source failure that
         escapes the operators below (the leaf-level nets catch their
         own) becomes one stub child and ends the export, instead of
         unwinding the client's navigation.  Each pull grows the ramp.
@@ -209,7 +211,7 @@ class LazyEngine:
         blocks = iter(self.blocks(plan.input, env))
         while True:
             stub = None
-            with obs.operator_span("tD", key=token):
+            with obs.operator_span("tD", key=token) as span:
                 try:
                     block = next(blocks)
                 except StopIteration:
@@ -233,7 +235,8 @@ class LazyEngine:
                                 "tD variable {} bound to a nested "
                                 "set".format(var)
                             )
-                    obs.record_node(token, direct)
+                    if span is not None:
+                        span.rows += direct
             width.grow()
             if stub is not None:
                 yield stub
@@ -242,12 +245,19 @@ class LazyEngine:
                 if isinstance(value, Node):
                     yield value
                     continue
-                for item in value:
-                    if not isinstance(item, Node):
-                        raise EvaluationError(
-                            "tD cannot export nested sets"
-                        )
-                    obs.record_node(token)
+                items = iter(value)
+                while True:
+                    with obs.operator_span("tD", key=token) as span:
+                        try:
+                            item = next(items)
+                        except StopIteration:
+                            break
+                        if not isinstance(item, Node):
+                            raise EvaluationError(
+                                "tD cannot export nested sets"
+                            )
+                        if span is not None:
+                            span.rows += 1
                     yield item
 
     # -- operators -------------------------------------------------------------------

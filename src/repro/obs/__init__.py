@@ -4,13 +4,12 @@ One :class:`Instrument` is the single bus every layer reports to:
 
 * the relational engine and the wrappers bump **counters** (SQL issued,
   tuples shipped, rows scanned), named in :mod:`repro.stats`;
-* the engines record **node metrics** (tuples + wall time per plan
-  operator, keyed on stable :func:`node_token`\\ s) — the
-  ``EXPLAIN ANALYZE`` numbers;
-* QDOM navigation commands open **spans**, lazy operators nest merged
-  child spans under them, and SQL text lands as events — so a single
-  ``d`` at the client yields a causal trace down to the exact SQL the
-  relational source received.
+* QDOM navigation commands open **spans**, operators nest merged child
+  spans under them (keyed on stable :func:`node_token`\\ s, carrying
+  the tuples each plan node produced), and SQL text lands as events —
+  so a single ``d`` at the client yields a causal trace down to the
+  exact SQL the relational source received, and ``EXPLAIN ANALYZE``
+  reads its per-node numbers off that one trace.
 
 Quick tour::
 
@@ -28,7 +27,7 @@ Quick tour::
 
 from repro.obs.instrument import Instrument, TRACE_CAPACITY
 from repro.obs.span import Span
-from repro.obs.tokens import node_token, peek_token
+from repro.obs.tokens import node_token
 from repro.obs.explain import (
     explain_analyze,
     explain_analyze_with_trace,
@@ -43,7 +42,6 @@ __all__ = [
     "explain_analyze",
     "explain_analyze_with_trace",
     "node_token",
-    "peek_token",
     "render_explain",
     "trace_to_dict",
     "trace_to_json",

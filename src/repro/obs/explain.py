@@ -1,11 +1,12 @@
 """``EXPLAIN ANALYZE`` for XMAS plans, over the instrumentation bus.
 
 :func:`render_explain` prints a plan in the paper's figure style with the
-per-node metrics an :class:`~repro.obs.instrument.Instrument` collected —
-tuples produced, cumulative wall time, and the exact SQL an ``rQ`` node
-ships.  :func:`explain_analyze` is the one-call version: translate,
-optimize, evaluate (driving the lazy engine with a full navigation walk),
-and render.
+per-node numbers of one evaluation's trace — tuples produced and
+cumulative wall time, summed over the operator spans keyed on each
+node's token — and the exact SQL an ``rQ`` node ships.
+:func:`explain_analyze` is the one-call version: translate, optimize,
+evaluate (driving the lazy engine with a full navigation walk), and
+render.
 
 Times are wall-clock and therefore unstable; ``mask_times=True`` omits
 them so the output is byte-identical across runs — that is what the
@@ -18,61 +19,66 @@ from repro.obs.instrument import Instrument
 from repro.obs.tokens import node_token
 
 
-def render_explain(plan, instrument=None, mask_times=False, estimates=None):
+def render_explain(plan, trace=None, mask_times=False, estimates=None):
     """The plan rendered with per-node tuple counts (and times).
 
-    Nodes that never ran under ``instrument`` show ``tuples=0``; with no
-    instrument at all the annotation is omitted entirely (plain
-    ``EXPLAIN`` without ``ANALYZE``).  ``estimates`` — the optimizer's
-    ``{node_token: rows}`` map (:func:`repro.optimizer.planview
-    .estimate_plan`) — switches an estimated node's annotation to
-    ``est=… act=…`` so misestimates sit next to their actuals; nodes
-    without an estimate (and every node when the map is empty, e.g. on
-    a never-analyzed source) keep the plain ``tuples=`` form.
+    ``trace`` is the root :class:`~repro.obs.span.Span` the evaluation
+    ran under; each node's numbers are the ``rows`` and ``elapsed`` of
+    the operator spans keyed on its token, summed over the trace.
+    Nodes that never ran show ``tuples=0``; with no trace at all the
+    annotation is omitted entirely (plain ``EXPLAIN`` without
+    ``ANALYZE``).  ``estimates`` — the optimizer's ``{node_token:
+    rows}`` map (:func:`repro.optimizer.planview.estimate_plan`) —
+    switches an estimated node's annotation to ``est=… act=…`` so
+    misestimates sit next to their actuals; nodes without an estimate
+    (and every node when the map is empty, e.g. on a never-analyzed
+    source) keep the plain ``tuples=`` form.
     """
+    totals = None
+    if trace is not None:
+        totals = {}
+        for span in trace.iter_spans():
+            rows, secs = totals.get(span.key, (0, 0.0))
+            totals[span.key] = (rows + span.rows, secs + span.elapsed)
     lines = []
-    _render(plan, 0, lines, instrument, mask_times, estimates or {})
+    _render(plan, 0, lines, totals, mask_times, estimates or {})
     return "\n".join(lines)
 
 
-def _render(node, depth, lines, instrument, mask_times, estimates):
+def _render(node, depth, lines, totals, mask_times, estimates):
     from repro.algebra import operators as ops
     from repro.algebra.printer import render_operator
 
     pad = "  " * depth
     line = pad + render_operator(node)
-    if instrument is not None:
+    if totals is not None:
         token = node_token(node)
+        rows, secs = totals.get(token, (0, 0.0))
         if token in estimates:
-            line += "   [est={} act={}".format(
-                estimates[token], instrument.node_count(token)
-            )
+            line += "   [est={} act={}".format(estimates[token], rows)
         else:
-            line += "   [tuples={}".format(instrument.node_count(token))
+            line += "   [tuples={}".format(rows)
         if not mask_times:
-            line += " time={:.3f}ms".format(
-                instrument.node_elapsed(token) * 1e3
-            )
+            line += " time={:.3f}ms".format(secs * 1e3)
         line += "]"
     lines.append(line)
     if isinstance(node, ops.RelQuery):
         lines.append("{}    sql: {}".format(pad, node.sql))
     if isinstance(node, ops.Apply):
         lines.append(pad + "  p:")
-        _render(node.plan, depth + 2, lines, instrument, mask_times,
-                estimates)
+        _render(node.plan, depth + 2, lines, totals, mask_times, estimates)
     for child in node.children:
-        _render(child, depth + 1, lines, instrument, mask_times, estimates)
+        _render(child, depth + 1, lines, totals, mask_times, estimates)
 
 
 def explain_analyze(mediator, query_text, mask_times=False):
     """Run ``query_text`` through the mediator pipeline and explain it.
 
     The plan goes through the mediator's own translate/optimize/push
-    stages, then is evaluated on a dedicated :class:`Instrument` (so the
-    numbers reflect exactly this query).  The lazy engine is driven by a
-    full navigation walk — the counts therefore show what a client
-    walking the whole result would cost.  Returns the rendered text.
+    stages, then is evaluated under one ``explain`` span on a dedicated
+    :class:`Instrument` (so the numbers reflect exactly this query).
+    The lazy engine is driven by a full navigation walk — the counts
+    therefore show what a client walking the whole result would cost.  Returns the rendered text.
     """
     text, __, __ = explain_analyze_with_trace(
         mediator, query_text, mask_times=mask_times
@@ -111,7 +117,7 @@ def explain_analyze_with_trace(mediator, query_text, mask_times=False):
     blocks_before = mediator.stats.get("blocks_shipped")
     with instrument.command_span(
         "explain", kind="explain", query=_clip(query_text)
-    ):
+    ) as trace:
         # Full width (no demand): the counts are those of a client
         # walking the whole result, not of earlier sessions' habits.
         root = mediator._evaluate(exec_plan, stats=instrument)
@@ -152,10 +158,10 @@ def explain_analyze_with_trace(mediator, query_text, mask_times=False):
 
         estimates = estimate_plan(exec_plan, mediator.catalog)
     text = render_explain(
-        exec_plan, instrument, mask_times=mask_times, estimates=estimates
+        exec_plan, trace, mask_times=mask_times, estimates=estimates
     )
     footer = "\n".join(_footer_line(*entry) for entry in record)
-    return text + "\n" + footer, instrument.last_trace(), exec_plan
+    return text + "\n" + footer, trace, exec_plan
 
 
 def _footer_line(kind, body, source):

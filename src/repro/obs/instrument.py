@@ -1,4 +1,4 @@
-"""The instrumentation bus: counters, timers, node metrics, and spans.
+"""The instrumentation bus: counters, timers, and spans.
 
 One :class:`Instrument` replaces the seed's ``StatsRegistry``/``Profiler``
 pair.  Everything the stack wants to report goes through it:
@@ -6,13 +6,12 @@ pair.  Everything the stack wants to report goes through it:
 * **counters/timers** — the registry interface the sources, the
   relational engine, and the benchmarks already speak (``incr``,
   ``get``, ``snapshot``, ``diff``, ``timer``, ``elapsed``);
-* **node metrics** — per-plan-operator tuple counts and cumulative wall
-  time, keyed on stable :func:`~repro.obs.tokens.node_token`\\ s (the
-  ``EXPLAIN ANALYZE`` numbers);
 * **spans** — the causal trace: a *command span* (one per QDOM
   navigation or query) is the root; *operator spans* (merged per plan
-  node) nest under whatever was running when the operator pulled; SQL
-  events land on the span that caused them.
+  node) nest under whatever was running when the operator pulled and
+  carry the tuples their node produced; SQL events land on the span
+  that caused them.  The trace is the only record of operator work:
+  ``EXPLAIN ANALYZE`` sums its per-node numbers from it.
 
 Counter increments made while a span is active are additionally
 attributed to that span, which is what lets a trace answer "which
@@ -22,10 +21,10 @@ The counter names live in :mod:`repro.stats`.
 
 **Thread model.**  One instrument may be shared by many server threads
 (:mod:`repro.server` multiplexes hundreds of sessions over one
-mediator), so counters, timers, and node metrics are updated under a
-lock — concurrent increments never lose counts.  The span *stack* is
-thread-local: each thread nests its own command/operator spans, and
-completed root traces from every thread land on the shared trace ring.
+mediator), so counters and timers are updated under a lock — concurrent
+increments never lose counts.  The span *stack* is thread-local: each
+thread nests its own command/operator spans, and completed root traces
+from every thread land on the shared (bounded) trace ring.
 """
 
 from __future__ import annotations
@@ -48,8 +47,6 @@ class Instrument:
     def __init__(self, trace_capacity=TRACE_CAPACITY):
         self._counters = {}
         self._timers = {}
-        self._node_counts = {}
-        self._node_times = {}
         self._lock = threading.Lock()
         self._local = threading.local()
         self._traces = deque(maxlen=trace_capacity)
@@ -82,7 +79,7 @@ class Instrument:
         return self._counters.get(name, 0)
 
     def reset(self):
-        """Zero every counter, timer, node metric, and recorded trace.
+        """Zero every counter and timer, and drop every recorded trace.
 
         Only the calling thread's span stack is cleared; other threads'
         in-flight spans keep nesting correctly.
@@ -90,8 +87,6 @@ class Instrument:
         with self._lock:
             self._counters.clear()
             self._timers.clear()
-            self._node_counts.clear()
-            self._node_times.clear()
         del self._stack[:]
         self._traces.clear()
 
@@ -123,28 +118,6 @@ class Instrument:
         now = self.snapshot()
         keys = set(now) | set(before)
         return {k: now.get(k, 0) - before.get(k, 0) for k in keys}
-
-    # -- node metrics (the EXPLAIN ANALYZE numbers) -----------------------------------
-
-    def record_node(self, token, amount=1):
-        """Count ``amount`` tuples produced by the plan node ``token``."""
-        with self._lock:
-            self._node_counts[token] = (
-                self._node_counts.get(token, 0) + amount
-            )
-
-    def node_count(self, token):
-        """Tuples the node produced so far (0 when it never ran)."""
-        return self._node_counts.get(token, 0)
-
-    def node_elapsed(self, token):
-        """Cumulative wall-clock seconds spent pulling from the node."""
-        return self._node_times.get(token, 0.0)
-
-    def node_counts(self):
-        """A copy of the full ``token -> tuples`` mapping."""
-        with self._lock:
-            return dict(self._node_counts)
 
     # -- spans ------------------------------------------------------------------------
 
@@ -182,35 +155,30 @@ class Instrument:
 
     @contextmanager
     def operator_span(self, name, key=None, kind="operator", **attrs):
-        """A merged child span under the current span.
+        """A merged child span under the current span (``None`` outside
+        a trace, where nothing is recorded).
 
         Repeated entries with the same ``key`` (under the same parent)
         accumulate into a single span — a lazy operator pulled 40 times
-        by one navigation is one span with ``calls=40``.  Node wall time
-        is accumulated under ``key`` whether or not a trace is active;
-        span bookkeeping happens only inside an active trace.
+        by one navigation is one span with ``calls=40``.  The engines
+        key on the plan node's token and add the tuples the node
+        produced to the span's ``rows``.
         """
-        parent = self._stack[-1] if self._stack else None
-        span = None
-        if parent is not None:
-            span = parent.merged_child(
-                key or name, lambda: self._fresh_span(name, kind, attrs)
-            )
-            self._stack.append(span)
-            span.calls += 1
+        stack = self._stack
+        if not stack:
+            yield None
+            return
+        span = stack[-1].merged_child(
+            key or name, lambda: self._fresh_span(name, kind, attrs)
+        )
+        stack.append(span)
+        span.calls += 1
         start = time.perf_counter()
         try:
             yield span
         finally:
-            elapsed = time.perf_counter() - start
-            if key is not None:
-                with self._lock:
-                    self._node_times[key] = (
-                        self._node_times.get(key, 0.0) + elapsed
-                    )
-            if span is not None:
-                span.elapsed += elapsed
-                self._stack.pop()
+            span.elapsed += time.perf_counter() - start
+            stack.pop()
 
     def event(self, name, detail=None, **attrs):
         """Record a point event on the active span (no-op outside one)."""
@@ -228,7 +196,7 @@ class Instrument:
         return self._traces[-1] if self._traces else None
 
     def clear_traces(self):
-        """Drop recorded traces, keeping counters and node metrics."""
+        """Drop recorded traces, keeping counters and timers."""
         self._traces.clear()
 
     def __repr__(self):

@@ -38,6 +38,11 @@ class Span:
         calls: how many times this span was entered (merged spans > 1).
         elapsed: cumulative wall-clock seconds spent inside this span
             (children included, as in ``EXPLAIN ANALYZE`` actual time).
+        key: the key a merged child was created under (an engine
+            operator span's is its plan node's
+            :func:`~repro.obs.tokens.node_token`); ``None`` otherwise.
+        rows: tuples the operator's plan node produced while this span
+            was current (``EXPLAIN ANALYZE`` sums them per ``key``).
     """
 
     __slots__ = (
@@ -50,6 +55,8 @@ class Span:
         "children",
         "calls",
         "elapsed",
+        "key",
+        "rows",
         "_merged",
     )
 
@@ -63,6 +70,8 @@ class Span:
         self.children = []
         self.calls = 0
         self.elapsed = 0.0
+        self.key = None
+        self.rows = 0
         self._merged = {}
 
     # -- building ---------------------------------------------------------------
@@ -77,6 +86,7 @@ class Span:
         span = self._merged.get(key)
         if span is None:
             span = make_span()
+            span.key = key
             self._merged[key] = span
             self.children.append(span)
         return span

@@ -5,12 +5,8 @@ reuses ids after garbage collection, so two plans profiled in one process
 could silently alias each other's counts.  A *token* is a process-unique
 string stamped onto the node itself the first time it is observed
 (``"join#17"``), so the key lives exactly as long as the node and can
-never be recycled onto a different operator.
-
-Objects that cannot carry attributes (``__slots__``-only classes, bare
-``object()``) are handled through a caller-owned ``fallback`` dict that
-keeps a strong reference to the node — the reference pins the id, which
-makes the derived token equally stable.
+never be recycled onto a different operator.  Engine operator spans are
+keyed on it, and the optimizer's estimates are too.
 """
 
 from __future__ import annotations
@@ -21,40 +17,13 @@ _TOKEN_ATTR = "_obs_token"
 _counter = itertools.count(1)
 
 
-def node_token(node, fallback=None):
-    """The stable token of ``node``, minting one on first sight.
-
-    Args:
-        node: any object, typically an XMAS plan operator.
-        fallback: optional dict used for nodes that reject attribute
-            assignment; it maps ``id(node) -> (node, token)`` and must be
-            owned (and eventually cleared) by the caller.
-    """
+def node_token(node):
+    """The stable token of ``node`` (typically an XMAS plan operator),
+    minting one on first sight."""
     token = getattr(node, _TOKEN_ATTR, None)
-    if token is not None:
-        return token
-    token = "{}#{}".format(
-        getattr(node, "opname", type(node).__name__), next(_counter)
-    )
-    try:
+    if token is None:
+        token = "{}#{}".format(
+            getattr(node, "opname", type(node).__name__), next(_counter)
+        )
         setattr(node, _TOKEN_ATTR, token)
-    except (AttributeError, TypeError):
-        if fallback is None:
-            raise
-        entry = fallback.get(id(node))
-        if entry is not None and entry[0] is node:
-            return entry[1]
-        fallback[id(node)] = (node, token)
     return token
-
-
-def peek_token(node, fallback=None):
-    """The node's token if one was already minted, else ``None``."""
-    token = getattr(node, _TOKEN_ATTR, None)
-    if token is not None:
-        return token
-    if fallback is not None:
-        entry = fallback.get(id(node))
-        if entry is not None and entry[0] is node:
-            return entry[1]
-    return None

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import threading
 
 from repro.server import protocol
 
@@ -28,16 +27,14 @@ class LoopbackClient:
             root = client.call("query", session=session, query=Q1)
             first = client.call("d", session=session, node=root["node"])
 
-    Sessions opened through the client are closed on :meth:`close`
-    (mirroring a TCP disconnect's teardown).
+    The client owns the sessions it opens, as a TCP connection does:
+    another client cannot use them, and :meth:`close` closes them
+    (mirroring a disconnect's teardown).
     """
 
     def __init__(self, service):
         self.service = service
         self._ids = itertools.count(1)
-        self._lock = threading.Lock()
-        self._opened = set()
-        self._closed = False
 
     # -- the raw wire --------------------------------------------------------------
 
@@ -45,43 +42,26 @@ class LoopbackClient:
         """Push raw bytes/str through the wire path; returns the decoded
         reply dict.  This is the fuzzing entry point: ``data`` need not
         be a valid frame."""
-        reply_bytes = self.service.handle_line(data)
+        reply_bytes = self.service.handle_line(data, owner=self)
         return json.loads(reply_bytes.decode("utf-8"))
 
     def request(self, op, **params):
         """One request/reply round trip; returns the reply dict."""
         frame = {"id": next(self._ids), "op": op}
         frame.update(params)
-        reply = self.send_raw(protocol.encode_frame(frame))
-        self._track(op, params, reply)
-        return reply
+        return self.send_raw(protocol.encode_frame(frame))
 
     def call(self, op, **params):
         """Like :meth:`request` but unwraps ``result`` and raises
         :class:`~repro.server.protocol.ServerReplyError` on errors."""
         return protocol.raise_for_reply(self.request(op, **params))
 
-    def _track(self, op, params, reply):
-        if not reply.get("ok"):
-            return
-        result = reply.get("result") or {}
-        if op == "open":
-            with self._lock:
-                self._opened.add(result.get("session"))
-        elif op == "close":
-            with self._lock:
-                self._opened.discard(params.get("session"))
-
     # -- lifecycle -----------------------------------------------------------------
 
     def close(self):
-        """Tear down every session this client opened (idempotent)."""
-        if self._closed:
-            return 0
-        self._closed = True
-        with self._lock:
-            opened, self._opened = self._opened, set()
-        return self.service.release(opened)
+        """Tear down every session this client holds (idempotent: a
+        second call finds none); returns how many were closed."""
+        return self.service.release(self)
 
     def __enter__(self):
         return self
@@ -91,4 +71,4 @@ class LoopbackClient:
         return False
 
     def __repr__(self):
-        return "LoopbackClient(sessions={})".format(sorted(self._opened))
+        return "LoopbackClient({!r})".format(self.service)

@@ -27,9 +27,13 @@ Exported operations (the wire ``op`` field):
 =============  ====================================================
 
 Navigation handles are per-session integers; ``null`` plays the
-paper's ``⊥``.  Every request runs inside a ``serve:<op>`` command
-span on the shared instrument, so admission latency and the per-op
-request mix are visible in traces exactly like QDOM commands are.
+paper's ``⊥``.  A session belongs to the owner that opened it — the
+transport passes its connection (TCP) or client (loopback) as
+``owner`` — and a request naming another owner's session gets the
+``MIX-E-SESSION`` reply an unknown id gets.  Every request runs inside
+a ``serve:<op>`` command span on the shared instrument, so admission
+latency and the per-op request mix are visible in traces exactly like
+QDOM commands are.
 """
 
 from __future__ import annotations
@@ -42,12 +46,16 @@ from repro.xmltree import serialize
 
 
 def _descriptor(session, qdom_node):
-    """The wire form of one navigable node (``None`` stays ``None``)."""
+    """The wire form of one navigable node (``None`` stays ``None``).
+
+    The label is read off the node: the client issued no ``fl``, so
+    the reply must not cost one.
+    """
     if qdom_node is None:
         return {"node": None}
     return {
         "node": session.put(qdom_node),
-        "label": qdom_node.fl(),
+        "label": qdom_node.vnode.node.label,
         "oid": str(qdom_node.oid),
     }
 
@@ -90,8 +98,9 @@ class MediatorService:
 
     # -- the wire boundary ---------------------------------------------------------
 
-    def handle_line(self, data):
-        """One request line (bytes/str) to one reply line (bytes).
+    def handle_line(self, data, owner=None):
+        """One request line (bytes/str) from ``owner`` to one reply line
+        (bytes).
 
         This is the path every transport funnels through: frame
         decoding, admission, dispatch, reply encoding, and the
@@ -107,7 +116,7 @@ class MediatorService:
             self.obs.incr(statnames.SERVE_REJECTED)
             reply = protocol.error_reply(protocol.recover_id(data), exc)
             return protocol.encode_frame(reply)
-        reply = self.handle(request)
+        reply = self.handle(request, owner)
         encoded = protocol.encode_frame(reply)
         if (reply.get("ok")
                 and self.limits.max_result_bytes is not None
@@ -124,7 +133,7 @@ class MediatorService:
             return protocol.encode_frame(oversize)
         return encoded
 
-    def handle(self, request):
+    def handle(self, request, owner=None):
         """One decoded request dict to one reply dict (never raises)."""
         request_id = request.get("id")
         op = request.get("op")
@@ -145,7 +154,9 @@ class MediatorService:
                 "serve:{}".format(op), kind="serve", request=str(request_id)
             ):
                 try:
-                    return protocol.ok_reply(request_id, handler(request))
+                    return protocol.ok_reply(
+                        request_id, handler(request, owner)
+                    )
                 except MixError as exc:
                     self.obs.incr(statnames.SERVE_ERRORS)
                     return protocol.error_reply(request_id, exc)
@@ -153,14 +164,15 @@ class MediatorService:
                     self.obs.incr(statnames.SERVE_ERRORS)
                     return protocol.error_reply(request_id, exc)
 
-    def release(self, session_ids):
-        """Teardown hook for transports: close the given sessions (a
-        disconnected client must not leak its handle tables)."""
-        return self.sessions.close_all(session_ids)
+    def release(self, owner):
+        """Teardown hook for transports: close every session ``owner``
+        opened (a disconnected client must not leak its handle
+        tables)."""
+        return self.sessions.close_all(owner)
 
     # -- op handlers -----------------------------------------------------------------
 
-    def _op_hello(self, request):
+    def _op_hello(self, request, owner):
         return {
             "server": "repro.server",
             "protocol": "jsonl/1",
@@ -168,16 +180,16 @@ class MediatorService:
             "limits": self.limits.as_dict(),
         }
 
-    def _op_open(self, request):
-        session = self.sessions.open()
+    def _op_open(self, request, owner):
+        session = self.sessions.open(owner)
         return {"session": session.id}
 
-    def _op_close(self, request):
+    def _op_close(self, request, owner):
         session_id = request.get("session")
-        return {"closed": self.sessions.close(session_id)}
+        return {"closed": self.sessions.close(session_id, owner)}
 
-    def _session(self, request):
-        return self.sessions.get(request.get("session"))
+    def _session(self, request, owner):
+        return self.sessions.get(request.get("session"), owner)
 
     def _node(self, request, session):
         return session.get(request.get("node"))
@@ -190,34 +202,34 @@ class MediatorService:
             raise ProtocolError("'query' must be a non-empty string")
         return query
 
-    def _op_query(self, request):
-        session = self._session(request)
+    def _op_query(self, request, owner):
+        session = self._session(request, owner)
         root = self.mediator.query(self._query_text(request))
         return _descriptor(session, root)
 
-    def _op_q(self, request):
-        session = self._session(request)
+    def _op_q(self, request, owner):
+        session = self._session(request, owner)
         node = self._node(request, session)
         return _descriptor(session, node.q(self._query_text(request)))
 
-    def _op_d(self, request):
-        session = self._session(request)
+    def _op_d(self, request, owner):
+        session = self._session(request, owner)
         return _descriptor(session, self._node(request, session).d())
 
-    def _op_r(self, request):
-        session = self._session(request)
+    def _op_r(self, request, owner):
+        session = self._session(request, owner)
         return _descriptor(session, self._node(request, session).r())
 
-    def _op_fl(self, request):
-        session = self._session(request)
+    def _op_fl(self, request, owner):
+        session = self._session(request, owner)
         return {"label": self._node(request, session).fl()}
 
-    def _op_fv(self, request):
-        session = self._session(request)
+    def _op_fv(self, request, owner):
+        session = self._session(request, owner)
         return {"value": self._node(request, session).fv()}
 
-    def _op_children(self, request):
-        session = self._session(request)
+    def _op_children(self, request, owner):
+        session = self._session(request, owner)
         node = self._node(request, session)
         return {
             "children": [
@@ -225,34 +237,34 @@ class MediatorService:
             ]
         }
 
-    def _op_find(self, request):
-        session = self._session(request)
+    def _op_find(self, request, owner):
+        session = self._session(request, owner)
         node = self._node(request, session)
         return _descriptor(session, node.find(request.get("label")))
 
-    def _op_walk(self, request):
+    def _op_walk(self, request, owner):
         # Delegates to QdomNode.walk: under a block-mode mediator the
         # transcript is produced with bulk d_many commands riding the
         # prefetch path; at block_size=1 it replays the seed's per-hop
         # loop.  The reply is identical either way.
-        session = self._session(request)
+        session = self._session(request, owner)
         node = self._node(request, session)
         steps, truncated = node.walk(request.get("budget"))
         return {"steps": steps, "truncated": truncated}
 
-    def _op_tree(self, request):
-        session = self._session(request)
+    def _op_tree(self, request, owner):
+        session = self._session(request, owner)
         node = self._node(request, session)
         return {"xml": serialize(node.to_tree())}
 
-    def _op_explain(self, request):
+    def _op_explain(self, request, owner):
         # Times are masked: replies must be byte-stable so clients can
         # compare plans, not timings.
         return {"text": self.mediator.explain(
             self._query_text(request), mask_times=True
         )}
 
-    def _op_sql(self, request):
+    def _op_sql(self, request, owner):
         if self.database is None:
             raise SqlError("this server exports no SQL shell database")
         statements = request.get("statements")
@@ -281,7 +293,7 @@ class MediatorService:
                 results.append({"affected": self.database.run(sql)})
         return {"results": results}
 
-    def _op_stats(self, request):
+    def _op_stats(self, request, owner):
         counters = {
             name: value
             for name, value in self.obs.snapshot().items()

@@ -73,10 +73,12 @@ class ServerLimits:
 
 
 class ServerSession:
-    """One client's handle table over the shared mediator."""
+    """One client's handle table over the shared mediator, belonging to
+    the ``owner`` (a connection or client object) that opened it."""
 
-    def __init__(self, session_id, max_handles):
+    def __init__(self, session_id, max_handles, owner=None):
         self.id = session_id
+        self.owner = owner
         self._max_handles = max_handles
         self._handles = {}
         self._ids = itertools.count(1)
@@ -145,8 +147,9 @@ class SessionManager:
 
     # -- session lifecycle ---------------------------------------------------------
 
-    def open(self):
-        """A fresh :class:`ServerSession` (or ``MIX-E-LIMIT``)."""
+    def open(self, owner=None):
+        """A fresh :class:`ServerSession` of ``owner`` (or
+        ``MIX-E-LIMIT``)."""
         with self._lock:
             if len(self._sessions) >= self.limits.max_sessions:
                 self._incr(statnames.SERVE_REJECTED)
@@ -156,15 +159,16 @@ class SessionManager:
                     )
                 )
             session = ServerSession(
-                next(self._ids), self.limits.max_handles
+                next(self._ids), self.limits.max_handles, owner
             )
             self._sessions[session.id] = session
         self._incr(statnames.SERVE_SESSIONS_OPENED)
         self._incr(statnames.SERVE_ACTIVE_SESSIONS)
         return session
 
-    def get(self, session_id):
-        """The open session with that id (or ``MIX-E-SESSION``)."""
+    def get(self, session_id, owner=None):
+        """The open session of ``owner`` with that id (or
+        ``MIX-E-SESSION``: another owner's session reads as unknown)."""
         if not isinstance(session_id, int) or isinstance(session_id, bool):
             raise SessionError(
                 "'session' must be an integer id, got {!r}".format(
@@ -173,33 +177,34 @@ class SessionManager:
             )
         with self._lock:
             session = self._sessions.get(session_id)
-        if session is None:
+        if session is None or session.owner is not owner:
             raise SessionError(
                 "no open session {}".format(session_id)
             )
         return session
 
-    def close(self, session_id):
-        """Close a session; returns whether it was open.
+    def close(self, session_id, owner=None):
+        """Close a session of ``owner``; returns whether it was open.
 
         Closing is idempotent by design: a connection teardown may race
         an explicit ``close`` and both must succeed cleanly.
         """
         with self._lock:
-            session = self._sessions.pop(session_id, None)
-        if session is None:
-            return False
+            session = self._sessions.get(session_id)
+            if session is None or session.owner is not owner:
+                return False
+            del self._sessions[session_id]
         session.release()
         self._incr(statnames.SERVE_SESSIONS_CLOSED)
         self._incr(statnames.SERVE_ACTIVE_SESSIONS, -1)
         return True
 
-    def close_all(self, session_ids=None):
-        """Close the given sessions (default: all); returns the count."""
-        if session_ids is None:
-            with self._lock:
-                session_ids = list(self._sessions)
-        return sum(1 for sid in list(session_ids) if self.close(sid))
+    def close_all(self, owner=None):
+        """Close every session ``owner`` opened; returns the count."""
+        with self._lock:
+            owned = [sid for sid, session in self._sessions.items()
+                     if session.owner is owner]
+        return sum(1 for sid in owned if self.close(sid, owner))
 
     def session_count(self):
         with self._lock:

@@ -3,9 +3,9 @@
 One thread per connection (the paper's mediator is one long-lived
 process serving many BBQ clients); requests on a connection are handled
 in arrival order, connections are handled concurrently.  All protocol
-work is delegated to :meth:`MediatorService.handle_line`, so the socket
-layer only does framing, connection-scoped session tracking, and
-teardown:
+work is delegated to :meth:`MediatorService.handle_line`, with the
+connection as the owner of the sessions it opens, so the socket layer
+only does framing and teardown:
 
 * a frame longer than the limit is answered with ``MIX-E-FRAME``
   (and the oversized line is drained without buffering it);
@@ -28,10 +28,6 @@ from repro.server import protocol
 class _ConnectionHandler(socketserver.StreamRequestHandler):
     """One client connection: read frames, reply, tear down on exit."""
 
-    def setup(self):
-        super().setup()
-        self.opened_sessions = set()
-
     def handle(self):
         service = self.server.service
         limit = service.limits.max_frame_bytes
@@ -52,8 +48,9 @@ class _ConnectionHandler(socketserver.StreamRequestHandler):
                 if not self._send(protocol.encode_frame(reply)):
                     return
                 continue
-            reply_bytes = service.handle_line(line.rstrip(b"\r\n"))
-            self._track(line, reply_bytes)
+            reply_bytes = service.handle_line(
+                line.rstrip(b"\r\n"), owner=self
+            )
             if not self._send(reply_bytes):
                 return
 
@@ -78,26 +75,11 @@ class _ConnectionHandler(socketserver.StreamRequestHandler):
             if not chunk or chunk.endswith(b"\n"):
                 return
 
-    def _track(self, line, reply_bytes):
-        """Remember sessions this connection opened / closed."""
-        try:
-            request = json.loads(line.decode("utf-8"))
-            reply = json.loads(reply_bytes.decode("utf-8"))
-        except ValueError:
-            return
-        if not isinstance(request, dict) or not reply.get("ok"):
-            return
-        result = reply.get("result") or {}
-        if request.get("op") == "open":
-            self.opened_sessions.add(result.get("session"))
-        elif request.get("op") == "close":
-            self.opened_sessions.discard(request.get("session"))
-
     def finish(self):
         # Clean teardown on *any* exit — EOF, mid-request disconnect,
         # or handler error: the connection's sessions die with it.
         try:
-            self.server.service.release(self.opened_sessions)
+            self.server.service.release(self)
         finally:
             super().finish()
 

@@ -1,9 +1,10 @@
-"""Per-operator tuple counts: ``Instrument.node_count(node_token(op))``
-on the engine's instrument, rendered by ``render_explain`` (what
-``Mediator.explain`` prints)."""
+"""Per-operator tuple counts: the ``rows`` of the operator spans keyed on
+``node_token(op)``, summed over the trace the evaluation ran under, and
+rendered by ``render_explain`` (what ``Mediator.explain`` prints)."""
 
 import pytest
 
+from repro.algebra import TD, Apply, GetD, MkSrc
 from repro.algebra.translator import translate_query
 from repro.composer import compose_at_root
 from repro.engine import EagerEngine, LazyEngine
@@ -12,6 +13,7 @@ from repro.obs import Instrument, node_token
 from repro.obs.explain import render_explain
 from repro.rewriter import Rewriter
 from repro.sources import SourceCatalog
+from repro.xmltree.paths import Path
 from tests.conftest import Q1, Q12, make_paper_wrapper
 
 
@@ -20,25 +22,32 @@ def catalog():
     return SourceCatalog().register(make_paper_wrapper())
 
 
-def count(inst, op):
-    return inst.node_count(node_token(op))
+def count(trace, op):
+    token = node_token(op)
+    return sum(span.rows for span in trace.iter_spans() if span.key == token)
 
 
-def total(inst):
-    return sum(inst.node_counts().values())
+def total(trace):
+    return sum(span.rows for span in trace.iter_spans())
+
+
+def traced_eager(catalog, plan):
+    inst = Instrument()
+    with inst.command_span("explain", kind="explain") as trace:
+        EagerEngine(catalog, stats=inst).evaluate_tree(plan)
+    return inst, trace
 
 
 class TestProfiler:
     def test_eager_counts_per_operator(self, catalog):
-        inst = Instrument()
         plan = translate_query(Q1, root_oid="v")
-        EagerEngine(catalog, stats=inst).evaluate_tree(plan)
+        __, trace = traced_eager(catalog, plan)
         # The join produced 4 tuples (matched customer/order pairs).
         join = plan.input.input.input.input.input  # down to the join
-        assert count(inst, join) == 4
+        assert count(trace, join) == 4
         # The gBy produced 3 groups.
         gby = plan.input.input.input.input
-        assert count(inst, gby) == 3
+        assert count(trace, gby) == 3
 
     def test_lazy_counts_track_navigation(self, catalog):
         inst = Instrument()
@@ -46,22 +55,24 @@ class TestProfiler:
             "FOR $C IN document(root1)/customer RETURN $C", root_oid="v"
         )
         engine = LazyEngine(catalog, stats=inst)
-        root = VNode.root(engine.evaluate_tree(plan))
         getd = plan.input
-        assert count(inst, getd) == 0  # nothing ran yet
-        root.down()
-        assert count(inst, getd) == 1
-        walk_fully(root)
-        assert count(inst, getd) == 3
+        # One session span, so every navigation nests in one trace.
+        with inst.command_span("session") as trace:
+            root = VNode.root(engine.evaluate_tree(plan), obs=inst)
+            assert count(trace, getd) == 0  # nothing ran yet
+            root.down()
+            assert count(trace, getd) == 1
+            walk_fully(root)
+            assert count(trace, getd) == 3
 
     def test_render_profile(self, catalog):
-        inst = Instrument()
         plan = translate_query(Q1, root_oid="v")
-        EagerEngine(catalog, stats=inst).evaluate_tree(plan)
-        text = render_explain(plan, inst, mask_times=True)
+        __, trace = traced_eager(catalog, plan)
+        text = render_explain(plan, trace, mask_times=True)
         assert "[tuples=4]" in text      # the join
         assert "[tuples=3]" in text      # the group-by
         assert "tD(" in text
+        assert "[tuples" not in render_explain(plan)  # plain EXPLAIN
 
     def test_profile_shows_rewrite_win(self):
         # The rule-9 copy branch costs a little extra on a toy database;
@@ -79,14 +90,45 @@ class TestProfiler:
                 translate_query(Q12),
             )
         )
-        i_naive, i_opt = Instrument(), Instrument()
-        EagerEngine(scaled_catalog(), stats=i_naive).evaluate_tree(naive)
-        EagerEngine(scaled_catalog(), stats=i_opt).evaluate_tree(optimized)
-        assert total(i_opt) < total(i_naive)
+        __, t_naive = traced_eager(scaled_catalog(), naive)
+        __, t_opt = traced_eager(scaled_catalog(), optimized)
+        assert total(t_opt) < total(t_naive)
 
-    def test_reset(self):
-        inst = Instrument()
-        inst.record_node(node_token(object(), {}), 5)
-        assert total(inst) == 5
+    def test_reset(self, catalog):
+        inst, trace = traced_eager(catalog, translate_query(Q1, root_oid="v"))
+        assert total(trace) > 0
+        assert inst.last_trace() is trace
         inst.reset()
-        assert total(inst) == 0
+        assert inst.last_trace() is None  # the per-node record goes too
+        assert inst.get("operator_tuples") == 0
+
+    @pytest.mark.parametrize("width", [1, 3, 64])
+    def test_set_valued_root_td_exports_count_on_its_span(
+        self, catalog, width
+    ):
+        # Every customer carries the set of all orders; the root tD
+        # exports the 3 x 4 items of those sets, one span entry each.
+        orders = GetD("$J", Path.of("order"), "$O", MkSrc("root2", "$J"))
+        customers = GetD(
+            "$K", Path.of("customer"), "$C", MkSrc("root1", "$K")
+        )
+        plan = TD("$L", Apply(TD("$O", orders), None, "$L", customers))
+        inst = Instrument()
+        engine = LazyEngine(catalog, stats=inst, block_size=width)
+        with inst.command_span("explain", kind="explain") as trace:
+            walk_fully(VNode.root(
+                engine.evaluate_tree(plan), obs=inst, prefetch=width
+            ))
+        token = node_token(plan)
+        assert all(span.name == "tD" for span in trace.iter_spans()
+                   if span.key == token)
+        assert render_explain(plan, trace, mask_times=True) == "\n".join([
+            "tD($L)   [tuples=12]",
+            "  apply(p, null, $L)   [tuples=3]",
+            "    p:",
+            "      tD($O)   [tuples=12]",
+            "        getD($J.order, $O)   [tuples=12]",
+            "          mksrc(root2, $J)   [tuples=12]",
+            "    getD($K.customer, $C)   [tuples=3]",
+            "      mksrc(root1, $K)   [tuples=3]",
+        ])

@@ -5,10 +5,12 @@ from __future__ import annotations
 import gc
 import json
 
+import pytest
+
 from repro.obs import (
     Instrument,
     node_token,
-    peek_token,
+    render_explain,
     trace_to_dict,
     trace_to_json,
 )
@@ -96,12 +98,12 @@ def test_operator_spans_merge_by_key():
     assert joined.counters == {"operator_tuples": 5}
 
 
-def test_operator_span_outside_trace_still_accumulates_node_time():
+def test_operator_span_outside_trace_records_nothing():
     inst = Instrument()
     with inst.operator_span("join", key="join#1") as span:
-        assert span is None  # no active trace -> no span bookkeeping
+        assert span is None  # no active trace -> no bookkeeping at all
     assert inst.last_trace() is None
-    assert inst.node_elapsed("join#1") >= 0.0
+    assert inst.snapshot() == {}
 
 
 def test_events_collect_on_the_active_span():
@@ -140,16 +142,49 @@ def test_trace_export_round_trips_through_json():
     assert masked["elapsed_ms"] is None
 
 
-# -- node metrics and stable tokens -------------------------------------------------
+# -- per-node numbers on operator spans, and stable tokens ---------------------------
 
 
-def test_record_node_accumulates_per_token():
+def _rows(trace, token):
+    return sum(s.rows for s in trace.iter_spans() if s.key == token)
+
+
+def test_operator_span_rows_accumulate_per_key():
     inst = Instrument()
-    inst.record_node("join#1")
-    inst.record_node("join#1", 4)
-    assert inst.node_count("join#1") == 5
-    assert inst.node_count("other") == 0
-    assert inst.node_counts() == {"join#1": 5}
+    with inst.command_span("d") as trace:
+        with inst.operator_span("join", key="join#1") as span:
+            span.rows += 1
+        with inst.command_span("r"):  # a second parent: a second span
+            with inst.operator_span("join", key="join#1") as span:
+                span.rows += 4
+    assert [s.key for s in trace.find_all(name="join")] == ["join#1"] * 2
+    assert _rows(trace, "join#1") == 5
+    assert _rows(trace, "other") == 0
+    assert trace.find(name="d").key is None  # command spans carry no key
+    # The rows stay out of the exported trace: it is unchanged.
+    assert "rows" not in json.dumps(trace_to_dict(trace))
+
+
+def test_render_explain_sums_rows_and_time_per_token():
+    from repro.algebra import MkSrc
+
+    op = MkSrc("root1", "$K")
+    inst = Instrument()
+    with inst.command_span("explain", kind="explain") as trace:
+        for name in ("d", "r"):
+            with inst.command_span(name):
+                with inst.operator_span("mksrc", key=node_token(op)) as s:
+                    s.rows += 2
+    spans = trace.find_all(name="mksrc")
+    assert len(spans) == 2
+    ms = sum(s.elapsed for s in spans) * 1e3
+    assert render_explain(op, trace) == (
+        "mksrc(root1, $K)   [tuples=4 time={:.3f}ms]".format(ms)
+    )
+    assert render_explain(op, trace, mask_times=True) == (
+        "mksrc(root1, $K)   [tuples=4]"
+    )
+    assert render_explain(op) == "mksrc(root1, $K)"
 
 
 def test_node_token_is_stamped_and_stable():
@@ -157,8 +192,12 @@ def test_node_token_is_stamped_and_stable():
     token = node_token(op)
     assert token.startswith("fakeOp#")
     assert node_token(op) == token
-    assert peek_token(op) == token
-    assert peek_token(_FakeOp()) is None
+    assert node_token(_FakeOp()) != token
+
+
+def test_node_token_needs_a_node_that_can_carry_it():
+    with pytest.raises(AttributeError):
+        node_token(object())  # no __dict__: nowhere to stamp the token
 
 
 def test_tokens_survive_id_reuse_after_gc():
@@ -175,24 +214,17 @@ def test_tokens_survive_id_reuse_after_gc():
     assert len(seen) == 100
 
 
-def test_profiler_counts_do_not_alias_across_gc():
+def test_trace_totals_do_not_alias_across_gc():
     inst = Instrument()
-    for __ in range(50):
-        op = _FakeOp()
-        inst.record_node(node_token(op), 1)
-        del op
-        gc.collect()
+    with inst.command_span("d") as trace:
+        for __ in range(50):
+            op = _FakeOp()
+            with inst.operator_span("fakeOp", key=node_token(op)) as span:
+                span.rows += 1
+            del op
+            gc.collect()
     fresh = _FakeOp()
     # never aliased onto a dead op
-    assert inst.node_count(node_token(fresh)) == 0
-    assert sum(inst.node_counts().values()) == 50
-
-
-def test_profiler_fallback_handles_slotted_objects():
-    inst = Instrument()
-    fallback = {}
-    anon = object()  # no __dict__: attribute stamping impossible
-    inst.record_node(node_token(anon, fallback), 5)
-    assert inst.node_count(node_token(anon, fallback)) == 5
-    other = object()
-    assert inst.node_count(node_token(other, fallback)) == 0
+    assert _rows(trace, node_token(fresh)) == 0
+    assert len(trace.children) == 50
+    assert sum(s.rows for s in trace.iter_spans()) == 50

@@ -1,0 +1,79 @@
+"""The shared mediator tier holds steady under served traffic.
+
+A long-lived mediator serves session after session; what the
+observability layer keeps must not grow with them.  Its only lasting
+record is the bounded trace ring, so once warm-up has filled the ring,
+200 more sessions must leave the memory held by allocations made in
+``repro/obs`` where it was.
+"""
+
+from __future__ import annotations
+
+import gc
+import tracemalloc
+
+from repro.server import LoopbackClient
+
+from tests.server.conftest import make_service
+
+JOIN_QUERY = """
+FOR $C IN document(root1)/customer
+    $O IN document(root2)/order
+WHERE $C/id/data() = $O/cid/data()
+RETURN <CustRec> $C <OrderInfo> $O </OrderInfo> </CustRec>
+"""
+
+IN_PLACE = """
+FOR $X IN document(root)/OrderInfo
+WHERE $X/order/value/data() > 500
+RETURN $X
+"""
+
+#: Sessions run before the first measurement: at 8 requests (traces) a
+#: session, three times what the 256-trace ring holds.
+WARMUP = 100
+SESSIONS = 200
+#: Allowed drift, in bytes, of what ``repro/obs`` holds: a few traces'
+#: worth of size difference between ring contents, not 200 sessions'.
+SLACK = 16 * 1024
+
+
+def run_session(client):
+    session = client.call("open")["session"]
+    root = client.call("query", session=session, query=JOIN_QUERY)
+    first = client.call("d", session=session, node=root["node"])
+    client.call("r", session=session, node=first["node"])
+    client.call("children", session=session, node=root["node"])
+    sub = client.call("q", session=session, node=first["node"],
+                      query=IN_PLACE)
+    client.call("walk", session=session, node=sub["node"])
+    client.call("close", session=session)
+
+
+def obs_bytes():
+    gc.collect()
+    snapshot = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.Filter(True, "*/repro/obs/*")]
+    )
+    return sum(stat.size for stat in snapshot.statistics("filename"))
+
+
+def test_obs_memory_stays_flat_over_served_sessions():
+    service = make_service()
+    tracemalloc.start()
+    try:
+        with LoopbackClient(service) as client:
+            for _ in range(WARMUP):
+                run_session(client)
+            before = obs_bytes()
+            for _ in range(SESSIONS):
+                run_session(client)
+            after = obs_bytes()
+    finally:
+        tracemalloc.stop()
+    assert len(service.obs.traces()) == 256  # the ring is full
+    assert after - before < SLACK, (
+        "repro/obs kept {} more bytes after {} sessions".format(
+            after - before, SESSIONS
+        )
+    )

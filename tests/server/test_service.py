@@ -153,6 +153,54 @@ class TestNavigation:
         assert info.value.code == "MIX-E-HANDLE"
 
 
+class TestOwnership:
+    def test_another_clients_session_is_unknown(self, service, client):
+        session = client.call("open")["session"]
+        root = client.call("query", session=session, query=CUSTOMERS_QUERY)
+        with LoopbackClient(service) as other:
+            reply = other.request("d", session=session, node=root["node"])
+            assert reply["error"]["code"] == "MIX-E-SESSION"
+            assert other.call("close", session=session)["closed"] is False
+        # the other client's teardown left this client's session open
+        assert client.call("d", session=session, node=root["node"])[
+            "label"] == "customer"
+
+
+class TestCommandAccounting:
+    """A served navigation costs the QDOM commands the in-process call
+    costs: node descriptors read their label without an ``fl``."""
+
+    @staticmethod
+    def commands(service, call):
+        before = service.obs.get("qdom_commands")
+        call()
+        return service.obs.get("qdom_commands") - before
+
+    def test_served_d_r_and_children_count_one_command_each(
+        self, service, client
+    ):
+        assert service.mediator.block_size == 64
+        session = client.call("open")["session"]
+        root = client.call("query", session=session, query=CUSTOMERS_QUERY)
+        first = {}
+
+        def down():
+            first.update(client.call("d", session=session, node=root["node"]))
+
+        assert self.commands(service, down) == 1
+        assert self.commands(service, lambda: client.call(
+            "r", session=session, node=first["node"])) == 1
+        children = []
+        assert self.commands(service, lambda: children.extend(client.call(
+            "children", session=session, node=root["node"])["children"])) == 1
+        assert [c["label"] for c in children] == ["customer"] * 3
+        # ... exactly as the in-process calls do.
+        direct = service.mediator.query(CUSTOMERS_QUERY)
+        assert self.commands(service, direct.d) == 1
+        assert self.commands(service, direct.d().r) == 1
+        assert self.commands(service, direct.children) == 1
+
+
 class TestQueriesAndSql:
     def test_explain_is_masked_and_deterministic(self):
         # Two fresh servers in the same state produce byte-identical

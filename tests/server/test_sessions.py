@@ -95,13 +95,29 @@ class TestSessionManager:
         with pytest.raises(SessionError):
             SessionManager().get(bad)
 
-    def test_close_all_selected_and_everything(self):
+    def test_close_all_closes_only_the_owners_sessions(self):
         manager = SessionManager()
-        ids = [manager.open().id for _ in range(4)]
-        assert manager.close_all(ids[:2]) == 2
+        one, two = object(), object()
+        for owner in (one, one, two, None):
+            manager.open(owner)
+        assert manager.close_all(one) == 2
         assert manager.session_count() == 2
-        assert manager.close_all() == 2
+        assert manager.close_all(one) == 0
+        assert manager.close_all(two) == 1
+        assert manager.close_all() == 1  # the sessions opened unowned
         assert manager.session_count() == 0
+
+    def test_another_owners_session_reads_as_unknown(self):
+        manager = SessionManager()
+        owner, intruder = object(), object()
+        session = manager.open(owner)
+        assert manager.get(session.id, owner) is session
+        for who in (intruder, None):
+            with pytest.raises(SessionError) as info:
+                manager.get(session.id, who)
+            assert str(info.value) == "no open session {}".format(session.id)
+            assert manager.close(session.id, who) is False
+        assert manager.close(session.id, owner) is True
 
     def test_admission_meters_inflight(self):
         manager = SessionManager(ServerLimits(max_inflight=2))

@@ -78,13 +78,20 @@ class TestRoundTrips:
             assert session_one != session_two
             root = one.call("query", session=session_one,
                             query=CUSTOMERS_QUERY)
-            # session ids are global, handles are per-session: client
-            # two cannot dereference client one's handle
+            # A session belongs to the connection that opened it: to
+            # connection two, session one is as unknown as any bad id,
+            # for navigation and for close alike.
             reply = two.request("d", session=session_one,
                                 node=root["node"])
-            assert reply["ok"] is True or (
-                reply["error"]["code"] in ("MIX-E-HANDLE", "MIX-E-SESSION")
+            assert reply["ok"] is False
+            assert reply["error"]["code"] == "MIX-E-SESSION"
+            assert reply["error"]["message"] == (
+                "no open session {}".format(session_one)
             )
+            assert two.call("close", session=session_one)["closed"] is False
+            # ... and it is still open for its owner.
+            assert one.call("d", session=session_one,
+                            node=root["node"])["label"] == "customer"
 
     def test_pipelining_preserves_request_ids(self, server):
         with TcpClient(server.address) as client:
