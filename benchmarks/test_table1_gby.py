@@ -17,20 +17,29 @@ import pytest
 from repro import stats as statnames
 from repro.obs import Instrument
 from repro.xmltree import leaf
-from repro.algebra import BindingTuple
-from repro.engine.gby import presorted_gby_stream, stateful_gby_stream
-from repro.engine.streams import LazyList
+from repro.engine.block import Block, rows as row_views
+from repro.engine.gby import presorted_gby_blocks, stateful_gby_blocks
 from benchmarks.conftest import print_series
 
 
 def sorted_tuples(n_groups, per_group, counter=None):
+    """One-row column blocks sorted on ``$G`` (the width-1 input)."""
     for g in range(n_groups):
         for i in range(per_group):
             if counter is not None:
                 counter[0] += 1
-            yield BindingTuple(
-                {"$G": leaf("g{:06d}".format(g)), "$P": leaf(i)}
+            yield Block(
+                {"$G": [leaf("g{:06d}".format(g))], "$P": [leaf(i)]}, 1
             )
+
+
+def presorted_groups(blocks, group_vars, out_var, stats=None):
+    """The presorted gBy's group rows (it buffers nothing to count)."""
+    return row_views(presorted_gby_blocks(blocks, group_vars, out_var, 1))
+
+
+def stateful_groups(blocks, group_vars, out_var, stats=None):
+    return row_views(stateful_gby_blocks(blocks, group_vars, out_var, stats))
 
 
 def test_first_group_latency():
@@ -38,15 +47,15 @@ def test_first_group_latency():
     for n_groups in (10, 100, 1000):
         per_group = 10
         pulled_presorted = [0]
-        stream = presorted_gby_stream(
-            LazyList(sorted_tuples(n_groups, per_group, pulled_presorted)),
+        stream = presorted_groups(
+            sorted_tuples(n_groups, per_group, pulled_presorted),
             ("$G",),
             "$X",
         )
         next(stream)
         pulled_stateful = [0]
-        stream2 = stateful_gby_stream(
-            LazyList(sorted_tuples(n_groups, per_group, pulled_stateful)),
+        stream2 = stateful_groups(
+            sorted_tuples(n_groups, per_group, pulled_stateful),
             ("$G",),
             "$X",
         )
@@ -69,8 +78,8 @@ def test_buffering_sweep():
         per_group = 10
         stats_presorted = Instrument()
         list(
-            presorted_gby_stream(
-                LazyList(sorted_tuples(n_groups, per_group)),
+            presorted_groups(
+                sorted_tuples(n_groups, per_group),
                 ("$G",),
                 "$X",
                 stats=stats_presorted,
@@ -78,8 +87,8 @@ def test_buffering_sweep():
         )
         stats_stateful = Instrument()
         list(
-            stateful_gby_stream(
-                LazyList(sorted_tuples(n_groups, per_group)),
+            stateful_groups(
+                sorted_tuples(n_groups, per_group),
                 ("$G",),
                 "$X",
                 stats=stats_stateful,
@@ -108,13 +117,13 @@ def test_buffering_sweep():
 def test_results_agree_on_sorted_input():
     for n_groups, per_group in ((5, 3), (50, 1), (1, 40)):
         a = list(
-            presorted_gby_stream(
-                LazyList(sorted_tuples(n_groups, per_group)), ("$G",), "$X"
+            presorted_groups(
+                sorted_tuples(n_groups, per_group), ("$G",), "$X"
             )
         )
         b = list(
-            stateful_gby_stream(
-                LazyList(sorted_tuples(n_groups, per_group)), ("$G",), "$X"
+            stateful_groups(
+                sorted_tuples(n_groups, per_group), ("$G",), "$X"
             )
         )
         assert len(a) == len(b) == n_groups
@@ -127,13 +136,13 @@ def test_results_agree_on_sorted_input():
 def test_bench_gby_full_consumption(benchmark, variant):
     n_groups, per_group = 200, 10
     fn = (
-        presorted_gby_stream if variant == "presorted"
-        else stateful_gby_stream
+        presorted_groups if variant == "presorted"
+        else stateful_groups
     )
 
     def run():
         groups = list(
-            fn(LazyList(sorted_tuples(n_groups, per_group)), ("$G",), "$X")
+            fn(sorted_tuples(n_groups, per_group), ("$G",), "$X")
         )
         # Touch every partition so both variants do the same total work.
         return sum(len(g.get("$X")) for g in groups)
@@ -145,13 +154,13 @@ def test_bench_gby_full_consumption(benchmark, variant):
 def test_bench_gby_first_group_only(benchmark, variant):
     n_groups, per_group = 200, 10
     fn = (
-        presorted_gby_stream if variant == "presorted"
-        else stateful_gby_stream
+        presorted_groups if variant == "presorted"
+        else stateful_groups
     )
 
     def run():
         stream = fn(
-            LazyList(sorted_tuples(n_groups, per_group)), ("$G",), "$X"
+            sorted_tuples(n_groups, per_group), ("$G",), "$X"
         )
         return len(next(stream).get("$X"))
 

@@ -11,7 +11,8 @@ one implementation, so their counters mean the same thing everywhere:
   respect ``maxsize`` (a capacity event, not a correctness event);
 * **invalidation** — a lookup found an entry whose ``validate`` check
   failed (stale versions, poisoned content) and dropped it, or an
-  explicit :meth:`invalidate`/:meth:`clear` removed live entries.
+  explicit :meth:`invalidate`/:meth:`discard_if`/:meth:`clear` removed
+  live entries.
 
 When an :class:`~repro.obs.Instrument` is attached the four counts are
 mirrored onto it as ``<prefix>_hits`` / ``_misses`` / ``_evictions`` /
@@ -121,6 +122,17 @@ class LRUCache:
                 self._count("invalidations")
                 return True
             return False
+
+    def discard_if(self, dead):
+        """Drop every entry whose value ``dead`` accepts; each counts as
+        one invalidation.  Returns how many went."""
+        with self._lock:
+            keys = [k for k, v in self._data.items() if dead(v)]
+            for k in keys:
+                del self._data[k]
+            if keys:
+                self._count("invalidations", len(keys))
+            return len(keys)
 
     def clear(self):
         """Drop every entry; each counts as one invalidation."""

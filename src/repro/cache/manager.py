@@ -25,7 +25,10 @@ The memo is the correctness-critical one, so it is fenced three ways:
   — degraded runs can substitute ``<mix:error>`` stubs lazily, and a
   stub must never be served from cache (the resilience contract);
 * entries die when the data fingerprint moves (any write to any
-  registered source) or cannot be computed (an unversioned source);
+  registered source) or cannot be computed (an unversioned source).
+  The first lookup or store that sees the move drops *every* entry
+  stamped with an older value, so no dead answer's suspended pipeline
+  keeps a superseded table version alive until its key comes back;
 * entries die when the mediator has observed *any* source failure,
   timeout, or degradation since the entry was stored (the failure
   epoch), and as a final belt a hit re-scans the already-materialized
@@ -90,6 +93,8 @@ class CacheManager:
         #: Plan hits that bound at least one literal into a shape.
         self.bound_hits = 0
         self._bound_lock = threading.Lock()
+        #: ``(data fingerprint, failure epoch)`` the memo last saw.
+        self._stamp = None
 
     # -- plan cache --------------------------------------------------------------------
 
@@ -130,10 +135,22 @@ class CacheManager:
             + self.obs.get(statnames.DEGRADED_RESULTS)
         )
 
+    def _sweep(self, fingerprint, epoch):
+        """On a new fingerprint or epoch, drop every entry stamped with
+        another one (each counts as an invalidation): none can be served
+        again."""
+        stamp = (fingerprint, epoch)
+        if stamp != self._stamp:
+            self._stamp = stamp
+            self.nav_memo.discard_if(
+                lambda e: (e.fingerprint, e.fail_epoch) != stamp
+            )
+
     def lookup_result(self, key, catalog):
         """A still-valid :class:`_MemoEntry` for ``key``, or ``None``."""
         fingerprint = data_fingerprint(catalog)
         epoch = self._fail_epoch()
+        self._sweep(fingerprint, epoch)
 
         def validate(entry):
             return (
@@ -151,10 +168,12 @@ class CacheManager:
         :class:`~repro.cache.shapes.BoundPlan` it is a view of;
         silently refused when the catalog cannot fingerprint its data."""
         fingerprint = data_fingerprint(catalog)
+        epoch = self._fail_epoch()
+        self._sweep(fingerprint, epoch)
         if fingerprint is None:
             return False
         self.nav_memo.store(
-            key, _MemoEntry(root, view, fingerprint, self._fail_epoch())
+            key, _MemoEntry(root, view, fingerprint, epoch)
         )
         return True
 

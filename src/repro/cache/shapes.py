@@ -62,23 +62,27 @@ def lift_literals(query, replace):
             return ast.Literal(replace(item.value), span=item.span)
         return item
 
-    def content(item):
-        if isinstance(item, ast.QueryExpr):
-            return lift_literals(item, replace)
-        if isinstance(item, ast.ElemExpr):
-            return ast.ElemExpr(
-                item.label, [content(c) for c in item.contents],
-                item.group_by, span=item.span,
-            )
-        return item
-
     conditions = [
         ast.Comparison(operand(c.left), c.op, operand(c.right), span=c.span)
         for c in query.conditions
     ]
     return ast.QueryExpr(
-        query.for_bindings, conditions, content(query.ret), span=query.span
+        query.for_bindings, conditions, _lift_content(query.ret, replace),
+        span=query.span,
     )
+
+
+def _lift_content(item, replace):
+    """:func:`lift_literals` over a RETURN item.  A module function, not
+    a self-recursive closure, so a compile leaves no reference cycle."""
+    if isinstance(item, ast.QueryExpr):
+        return lift_literals(item, replace)
+    if isinstance(item, ast.ElemExpr):
+        return ast.ElemExpr(
+            item.label, [_lift_content(c, replace) for c in item.contents],
+            item.group_by, span=item.span,
+        )
+    return item
 
 
 def query_shape(query):

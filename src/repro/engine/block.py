@@ -1,35 +1,191 @@
-"""Block-at-a-time dataflow: vectors of binding tuples.
+"""Block-at-a-time dataflow: column blocks of binding tuples.
 
 A per-tuple pull pays one merged operator span, one counter bump, and
 one Python frame per tuple per operator — the dominant cost on deep lazy
 walks per the E-SERVE/E-OPT profiles.  Block execution amortizes that
-bookkeeping: operators exchange blocks (plain lists) of up to
-``block_size`` tuples and pay the per-pull overhead once per block.
+bookkeeping: operators exchange blocks of up to ``block_size`` rows and
+pay the per-pull overhead once per block.
+
+A :class:`Block` is a table — the binding list as a relation: one list
+per plan variable (``cols``) plus a row count (``n``).  It is the only
+block kind.  Consumers that think in tuples (``stream()``, conditions,
+table navigation, nested sets) read rows through one view,
+:class:`Row`; a nested binding set is a :class:`BlockSet`, a memoized
+lazy stream of blocks.
 
 Design invariants (the lattice differential in ``tests/test_lattice.py``
 enforces them against the eager oracle, at widths 1 through 1024):
 
-* **Same tuples, same order.**  A block stream flattens to exactly the
-  seed's tuple stream — byte-identical serialized answers.
+* **Same tuples, same order.**  A block stream read row by row is
+  exactly the seed's tuple stream — byte-identical serialized answers.
 * **Same source traffic.**  ``tuples_shipped`` counts rows, never
   blocks, so the wrapper-boundary counters match at every width;
   blocks add their own :data:`repro.stats.BLOCKS_SHIPPED` tally.
 * **Same failures, same positions.**  A lazy stream that raises after
-  producing *k* tuples still delivers those *k* tuples first: the
-  chunker parks the exception and re-raises it on the next pull.
+  producing *k* rows still delivers those *k* rows first: the chunker
+  parks the exception and re-raises it on the next pull.
+* **Columns are shared, never mutated.**  An operator adds a variable
+  as one new column (:meth:`Block.with_column` checks its name once per
+  column, not per row), filters and fans out by row indices
+  (:meth:`Block.take`), and passes every other column on as is.  Every
+  block of one operator binds the same variables.
+* **Equal values may be one object.**  ``rQ`` binds a keyed tuple
+  object once per run of rows whose columns for it repeat, so a
+  presorted gBy compares a run's key once (:mod:`repro.engine.gby`).
 
 There is no separate tuple-at-a-time engine: ``block_size=1`` is a
-one-tuple block, which pulls, counts and fails exactly where the seed
+one-row block, which pulls, counts and fails exactly where the seed
 did (the EXPLAIN goldens and per-hop transcripts rely on it).
 """
 
 from __future__ import annotations
+
+from repro.errors import MixError, PlanError
+from repro.algebra.bindings import BindingSet
 
 #: The default, and largest, vector width of Mediator block execution.
 #: Chosen from the E-BLOCK sweep: past ~64 the span amortization is
 #: saturated while the prefetch overshoot on partial walks keeps growing.
 #: A cached shape's answers start at its demand (:mod:`repro.engine.lazy`).
 DEFAULT_BLOCK_SIZE = 64
+
+
+def check_var(var):
+    """A plan variable must look like ``$X`` (checked once per column)."""
+    if not isinstance(var, str) or not var.startswith("$"):
+        raise MixError("variables must look like '$X', got {!r}".format(var))
+    return var
+
+
+class Block:
+    """``n`` binding tuples stored as columns: ``cols`` maps each
+    variable to a list of ``n`` values."""
+
+    __slots__ = ("cols", "n")
+
+    def __init__(self, cols, n):
+        self.cols = cols
+        self.n = n
+
+    def column(self, var):
+        try:
+            return self.cols[var]
+        except KeyError:
+            raise PlanError("no binding for {} in tuple over {}".format(
+                var, sorted(self.cols)))
+
+    def take(self, indices):
+        """The rows at ``indices`` (in that order, repeats allowed)."""
+        return Block(
+            {v: [col[i] for i in indices] for v, col in self.cols.items()},
+            len(indices),
+        )
+
+    def slice(self, lo, hi):
+        if lo == 0 and hi == self.n:
+            return self
+        return Block({v: col[lo:hi] for v, col in self.cols.items()}, hi - lo)
+
+    def with_column(self, var, values):
+        """The paper's ``b + ($v = w)`` for every row: ``var`` is new."""
+        if check_var(var) in self.cols:
+            raise PlanError("variable {} already bound".format(var))
+        cols = dict(self.cols)
+        cols[var] = values
+        return Block(cols, self.n)
+
+
+def concat(pieces):
+    """One block holding the rows of ``pieces`` (same variables) in order."""
+    if len(pieces) == 1:
+        return pieces[0]
+    cols = {var: [] for var in pieces[0].cols}
+    for piece in pieces:
+        for var, col in cols.items():
+            col += piece.cols[var]
+    return Block(cols, sum(piece.n for piece in pieces))
+
+
+class Row:
+    """One row of a block, read like a binding tuple: ``get``, ``has``,
+    ``variables`` and ``items``."""
+
+    __slots__ = ("_cols", "_i")
+
+    def __init__(self, cols, index):
+        self._cols = cols
+        self._i = index
+
+    def get(self, var):
+        try:
+            return self._cols[var][self._i]
+        except KeyError:
+            raise PlanError("no binding for {} in tuple over {}".format(
+                var, sorted(self._cols)))
+
+    def has(self, var):
+        return var in self._cols
+
+    def variables(self):
+        return frozenset(self._cols)
+
+    def items(self):
+        i = self._i
+        return [(var, col[i]) for var, col in self._cols.items()]
+
+
+def rows(blocks):
+    """The row stream of a block stream (generator)."""
+    for block in blocks:
+        cols = block.cols
+        for i in range(block.n):
+            yield Row(cols, i)
+
+
+class BlockSet(BindingSet):
+    """A nested binding set held as a lazy, memoized stream of blocks.
+
+    ``nestedSrc`` replays it block by block (:meth:`blocks`); tuple
+    consumers get :class:`Row` views through the :class:`BindingSet`
+    interface, forced only as far as they read.
+    """
+
+    __slots__ = ("_source", "_blocks", "_count", "_rowed")
+
+    def __init__(self, blocks):
+        BindingSet.__init__(self)
+        self._source = iter(blocks)
+        self._blocks = []
+        self._count = 0
+        self._rowed = 0  # blocks already turned into rows
+
+    def _pull(self):
+        if self._source is None:
+            return False
+        try:
+            block = next(self._source)
+        except StopIteration:
+            self._source = None
+            return False
+        self._blocks.append(block)
+        self._count += block.n
+        return True
+
+    def _force(self, count):
+        while (count is None or self._count < count) and self._pull():
+            pass
+        self._tuples.extend(rows(self._blocks[self._rowed:]))
+        self._rowed = len(self._blocks)
+
+    def blocks(self):
+        index = 0
+        while index < len(self._blocks) or self._pull():
+            yield self._blocks[index]
+            index += 1
+
+    def __repr__(self):
+        lazy = "+" if self._source is not None else ""
+        return "BlockSet({}{} tuples)".format(self._count, lazy)
 
 
 class Width:
@@ -49,23 +205,26 @@ class Width:
 
 
 class VectorBlocks:
-    """Chunk a *vector-yielding* generator (lists of tuples, any length
-    including empty) into blocks of exactly ``size`` (an int or a shared
-    :class:`Width`; the final block may be partial).
+    """Chunk a generator of blocks (any row count, including none) into
+    blocks of exactly ``size`` rows (an int or a shared :class:`Width`;
+    the final block may be partial).
 
-    This is the engine-side chunker: operators emit one list per input
+    This is the engine-side chunker: operators emit one block per input
     block, and this layer repacks them so downstream operators always
     see full blocks regardless of filter selectivity or join fan-out.
-    Mid-stream exceptions are *parked*: buffered tuples are delivered
+    A piece that already has the width passes through uncopied.
+    Mid-stream exceptions are *parked*: buffered rows are delivered
     first, the exception re-raises on the next pull.
     """
 
-    __slots__ = ("_inner", "_width", "_buf", "_pending", "_done")
+    __slots__ = ("_inner", "_width", "_pieces", "_buffered", "_pending",
+                 "_done")
 
     def __init__(self, vectors, size):
         self._inner = iter(vectors)
         self._width = size if isinstance(size, Width) else Width(size, size)
-        self._buf = []
+        self._pieces = []
+        self._buffered = 0
         self._pending = None
         self._done = False
 
@@ -74,39 +233,37 @@ class VectorBlocks:
 
     def __next__(self):
         size = self._width.size
-        while (len(self._buf) < size and not self._done
+        pieces = self._pieces
+        while (self._buffered < size and not self._done
                and self._pending is None):
             try:
                 chunk = next(self._inner)
             except StopIteration:
                 self._done = True
             except Exception as exc:
-                if self._buf:
+                if self._buffered:
                     self._pending = exc
                 else:
                     raise
             else:
-                self._buf.extend(chunk)
-        if len(self._buf) > size:
-            out = self._buf[:size]
-            self._buf = self._buf[size:]
-            return out
-        if self._buf:
-            out, self._buf = self._buf, []
-            return out
-        if self._pending is not None:
-            exc, self._pending = self._pending, None
-            raise exc
-        raise StopIteration
+                if chunk.n:
+                    pieces.append(chunk)
+                    self._buffered += chunk.n
+        if not self._buffered:
+            if self._pending is not None:
+                exc, self._pending = self._pending, None
+                raise exc
+            raise StopIteration
+        block = concat(pieces)
+        if block.n > size:
+            self._pieces = [block.slice(size, block.n)]
+            block = block.slice(0, size)
+        else:
+            self._pieces = []
+        self._buffered -= block.n
+        return block
 
     def __repr__(self):
         return "VectorBlocks(size={}, buffered={})".format(
-            self._width.size, len(self._buf)
+            self._width.size, self._buffered
         )
-
-
-def flatten(block_iterator):
-    """The tuple stream of a block stream (generator)."""
-    for block in block_iterator:
-        for t in block:
-            yield t

@@ -4,8 +4,10 @@ The paper's Table 1 gives the *presorted stateless* gBy: because the
 input arrives sorted on the group-by variables, a group's tuples are the
 contiguous run starting at the group's first input tuple, and all the
 state the operator needs — the input position ``bs`` and the current
-group key — fits in the exported node id.  Our :class:`LazyList` indexes
-play the role of the input node ids.
+group key — fits in the exported node id.  Here the input is a
+:class:`ColumnRun`, the memoized key-sorted columns of the input blocks;
+its row indexes play the role of the input node ids, and a partition is
+an index range that ``nestedSrc`` passes on as column slices.
 
 The *stateful* gBy makes no sortedness assumption: it buffers the entire
 input stream on first pull (counted under ``buffered_tuples``) and then
@@ -16,65 +18,133 @@ buffers to store the input stream").
 from __future__ import annotations
 
 from repro import stats as statnames
-from repro.algebra.bindings import BindingSet, BindingTuple
+from repro.algebra.values import value_key
+from repro.engine.block import Block, BlockSet, check_var, concat
 
 
-def presorted_gby_stream(input_list, group_vars, out_var, stats=None):
-    """Table 1's presorted stateless gBy as a generator of group tuples.
+class ColumnRun:
+    """The input of a presorted gBy: the rows pulled so far, as columns,
+    and ``heads`` — the index of each group's first row.
 
-    ``input_list`` is a :class:`~repro.engine.streams.LazyList` of
-    binding tuples sorted (clustered) on ``group_vars``.  Each yielded
-    tuple binds the group variables plus ``out_var`` to a *lazy* nested
-    set: the partition's tuples are pulled from below only when
-    navigation enters the group — the ``d(<group, bs, [g...]>)`` row of
-    Table 1.
+    Each row's key is computed once, when its block arrives; a row whose
+    group values are the very objects of the row before (``rQ`` reuses a
+    tuple object within a key run) skips even that.
     """
-    position = 0
-    while True:
-        first = input_list.get(position)
-        if first is None:
-            return
-        group_key = first.key(group_vars)
 
-        def partition_tail(start=position, key=group_key):
-            index = start
-            while True:
-                t = input_list.get(index)
-                if t is None or t.key(group_vars) != key:
-                    return
-                yield t
-                index += 1
+    __slots__ = ("cols", "n", "heads", "_blocks", "_group_vars", "_last")
 
-        bindings = {v: first.get(v) for v in group_vars}
-        bindings[out_var] = BindingSet(lazy_tail=partition_tail())
-        yield BindingTuple(bindings)
-        # Advance past this group: the Table-1 `r(<binding, ...>)` loop —
-        # "repeat b's = r(bs) ... until g != g'".
-        position += 1
-        while True:
-            t = input_list.get(position)
-            if t is None or t.key(group_vars) != group_key:
+    def __init__(self, blocks, group_vars):
+        self._blocks = iter(blocks)
+        self._group_vars = tuple(group_vars)
+        self.cols, self.n, self.heads = None, 0, []
+        self._last = (None, None)  # the last row's group values and key
+
+    def _pull(self):
+        if self._blocks is None:
+            return False
+        try:
+            block = next(self._blocks)
+        except StopIteration:
+            self._blocks = None
+            return False
+        group_cols = [block.column(v) for v in self._group_vars]
+        if self.cols is None:
+            self.cols = {v: [] for v in block.cols}
+        for var, col in self.cols.items():
+            col += block.cols[var]
+        last, last_key = self._last
+        for i in range(block.n):
+            values = [col[i] for col in group_cols]
+            if last is not None and all(
+                    a is b for a, b in zip(values, last)):
+                continue
+            key = tuple(value_key(value) for value in values)
+            if key != last_key:
+                self.heads.append(self.n + i)
+                last_key = key
+            last = values
+        self._last = (last, last_key)
+        self.n += block.n
+        return True
+
+    def head(self, group):
+        """The first row of ``group``, or ``None`` past the last group."""
+        while len(self.heads) <= group:
+            if not self._pull():
+                return None
+        return self.heads[group]
+
+    def end(self, group, cap):
+        """The end of ``group``'s rows, capped at ``cap``: pulls only
+        until row ``cap - 1`` or the next group's head is known."""
+        while len(self.heads) <= group + 1 and self.n < cap:
+            if not self._pull():
                 break
-            position += 1
+        if len(self.heads) > group + 1:
+            return min(self.heads[group + 1], cap)
+        return min(self.n, cap)
 
 
-def stateful_gby_stream(input_list, group_vars, out_var, stats=None):
+def _partition_blocks(run, group, size):
+    """A group's rows as column slices of at most ``size`` rows: the
+    ``d(<group, bs, [g...]>)`` row of Table 1.  Slices are copies (the
+    run's columns grow), and it holds the run, never the
+    :class:`BlockSet` it feeds, so no group makes a reference cycle."""
+    lo = run.heads[group]
+    while True:
+        hi = run.end(group, lo + size)
+        if hi <= lo:
+            return
+        yield Block({v: col[lo:hi] for v, col in run.cols.items()}, hi - lo)
+        lo = hi
+
+
+def presorted_gby_blocks(blocks, group_vars, out_var, size):
+    """Table 1's presorted stateless gBy over a key-sorted block stream.
+
+    Yields blocks of group tuples: the group variables plus ``out_var``
+    bound to a *lazy* :class:`BlockSet` whose rows are pulled from below
+    only when navigation enters the group.  A block holds the groups
+    whose first rows are known; the next group needs the input only up
+    to its first row — the Table-1 ``r(<binding, ...>)`` loop, "repeat
+    b's = r(bs) ... until g != g'".
+    """
+    check_var(out_var)
+    run = ColumnRun(blocks, group_vars)
+    group = 0
+    while run.head(group) is not None:
+        stop = len(run.heads)
+        heads = run.heads[group:stop]
+        cols = {v: [run.cols[v][h] for h in heads] for v in group_vars}
+        cols[out_var] = [
+            BlockSet(_partition_blocks(run, g, size))
+            for g in range(group, stop)
+        ]
+        yield Block(cols, stop - group)
+        group = stop
+
+
+def stateful_gby_blocks(blocks, group_vars, out_var, stats=None):
     """Stateful gBy: buffer everything, then emit one tuple per group."""
-    buffered = input_list.materialize()
+    check_var(out_var)
+    buffered = [block for block in blocks if block.n]
     if stats is not None:
-        stats.incr(statnames.BUFFERED_TUPLES, len(buffered))
-    partitions = []
-    index = {}
-    for t in buffered:
-        key = t.key(group_vars)
-        if key not in index:
-            index[key] = len(partitions)
-            partitions.append((t, []))
-        partitions[index[key]][1].append(t)
-    for first, tuples in partitions:
-        bindings = {v: first.get(v) for v in group_vars}
-        bindings[out_var] = BindingSet(tuples)
-        yield BindingTuple(bindings)
+        stats.incr(statnames.BUFFERED_TUPLES, sum(b.n for b in buffered))
+    if not buffered:
+        return
+    block = concat(buffered)
+    group_cols = [block.column(v) for v in group_vars]
+    partitions = {}
+    for i in range(block.n):
+        key = tuple(value_key(col[i]) for col in group_cols)
+        partitions.setdefault(key, []).append(i)
+    firsts = [indices[0] for indices in partitions.values()]
+    cols = {v: [col[i] for i in firsts]
+            for v, col in zip(group_vars, group_cols)}
+    cols[out_var] = [
+        BlockSet([block.take(indices)]) for indices in partitions.values()
+    ]
+    yield Block(cols, len(firsts))
 
 
 def input_is_sorted_for(sorted_vars, group_vars):

@@ -4,8 +4,8 @@
 query.  The virtual document is not materialized into the client memory
 until the client starts navigating into it."  Here:
 
-* every operator's output is a memoized pull stream
-  (:class:`~repro.engine.streams.LazyList` of binding tuples);
+* every operator's output is a pull stream of column blocks
+  (:class:`~repro.engine.block.Block`);
 * values inside tuples are lazy too — constructed elements
   (:class:`~repro.xmltree.tree.Node` with a lazy tail), lists
   (:class:`~repro.algebra.values.VList`), and group partitions
@@ -21,20 +21,21 @@ the input's inferred sort order clusters the group variables (e.g. below
 an ``orderBy`` or an ``rQ`` whose SQL carries a matching ORDER BY), and
 the buffering stateful one otherwise.
 
-**Block execution**: operators exchange vectors of binding tuples (see
-:mod:`repro.engine.block`) — the per-pull span/counter bookkeeping is
-paid once per block, pushed-SQL rows are fetched
-``fetch_block``-at-a-time, and every handler processes a whole block
-per Python call.  There is one handler per operator and one path for
-every width: ``block_size=1`` is simply a one-tuple block, whose
-flattened stream, source traffic and per-hop navigation transcripts are
-the seed's (the EXPLAIN goldens and the lattice differential pin
-that).
+**Block execution**: operators exchange column blocks — one list per
+variable (see :mod:`repro.engine.block`) — the per-pull span/counter
+bookkeeping is paid once per block, pushed-SQL rows are fetched
+``fetch_block``-at-a-time straight into columns, and every handler
+processes a whole block per Python call.  There is one handler per
+operator and one path for every width: ``block_size=1`` is simply a
+one-row block, whose row stream, source traffic and per-hop navigation
+transcripts are the seed's (the EXPLAIN goldens and the lattice
+differential pin that).
 """
 
 from __future__ import annotations
 
 from functools import partial
+from operator import itemgetter
 
 from repro import stats as statnames
 from repro.errors import EvaluationError, PlanError, SourceError
@@ -46,17 +47,24 @@ from repro.resilience.stub import (
 )
 from repro.xmltree.tree import Node, OidGenerator, atomize
 from repro.algebra import operators as ops
-from repro.algebra.bindings import BindingSet, BindingTuple
 from repro.algebra.conditions import skolem_arg_of, KEY, VALUE
 from repro.algebra.values import Skolem, VList, value_key
-from repro.engine.block import VectorBlocks, Width, flatten
+from repro.engine.block import (
+    Block,
+    BlockSet,
+    Row,
+    VectorBlocks,
+    Width,
+    check_var,
+    concat,
+    rows,
+)
 from repro.engine.gby import (
     input_is_sorted_for,
-    presorted_gby_stream,
-    stateful_gby_stream,
+    presorted_gby_blocks,
+    stateful_gby_blocks,
 )
 from repro.engine.pathvals import eval_path_on_value
-from repro.engine.streams import LazyList
 from repro.obs.instrument import Instrument
 from repro.obs.tokens import node_token
 from repro.sources.relational import assemble
@@ -125,16 +133,17 @@ class LazyEngine:
         return root
 
     def stream(self, plan, env):
-        """The lazy tuple stream of a (non-``tD``) plan: the flattened
-        block stream, for consumers that think in tuples (``gBy``
-        partition replay, the nested-set values of ``apply``)."""
-        return LazyList(flatten(self.blocks(plan, env)))
+        """The lazy tuple stream of a (non-``tD``) plan: a memoized
+        :class:`~repro.engine.block.BlockSet` over its blocks, for
+        consumers that think in tuples (table navigation, semijoin
+        probes)."""
+        return BlockSet(self.blocks(plan, env))
 
     def blocks(self, plan, env):
         """The lazy block stream of a plan.
 
-        Every operator has one ``_blk_*`` handler yielding tuple
-        vectors; :class:`~repro.engine.block.VectorBlocks` repacks them
+        Every operator has one ``_blk_*`` handler yielding column
+        blocks; :class:`~repro.engine.block.VectorBlocks` repacks them
         to ``block_size``.  Counting happens here, once per block.
         """
         handler = self._HANDLERS.get(type(plan))
@@ -155,7 +164,7 @@ class LazyEngine:
 
     def _counted_blocks(self, block_iter, plan):
         """Per-*block* accounting: one merged operator span, one
-        ``operator_tuples`` and span ``rows`` bump of ``len(block)`` per
+        ``operator_tuples`` and span ``rows`` bump of ``block.n`` per
         pull.  Each pull runs inside the operator's span, so the work is
         attributed to whichever navigation command caused it (this
         amortization is what E-BLOCK measures)."""
@@ -174,9 +183,9 @@ class LazyEngine:
                     block = next(block_iter)
                 except StopIteration:
                     return
-                obs.incr(statnames.OPERATOR_TUPLES, len(block))
+                obs.incr(statnames.OPERATOR_TUPLES, block.n)
                 if span is not None:
-                    span.rows += len(block)
+                    span.rows += block.n
             yield block
 
     # -- tD and the virtual tree ---------------------------------------------------
@@ -221,16 +230,12 @@ class LazyEngine:
                         raise
                     stub = degraded_stub(exc, obs, self.oids)
                 else:
-                    values = []
+                    values = block.column(var)
                     direct = 0
-                    for t in block:
-                        value = t.get(var)
+                    for value in values:
                         if isinstance(value, Node):
-                            values.append(value)
                             direct += 1
-                        elif isinstance(value, VList):
-                            values.append(value)
-                        else:
+                        elif not isinstance(value, VList):
                             raise EvaluationError(
                                 "tD variable {} bound to a nested "
                                 "set".format(var)
@@ -263,13 +268,15 @@ class LazyEngine:
     # -- operators -------------------------------------------------------------------
     #
     # Each ``_blk_*`` handler consumes its input via :meth:`blocks` and
-    # yields *vectors* (plain lists of tuples, typically one per input
-    # block); :class:`~repro.engine.block.VectorBlocks` repacks them into
-    # ``block_size`` blocks and parks mid-vector exceptions so failures
+    # yields column blocks (typically one per input block): a new
+    # variable is one new column, a filter or fan-out is one ``take`` of
+    # row indices, and untouched columns are shared.
+    # :class:`~repro.engine.block.VectorBlocks` repacks them into
+    # ``block_size`` blocks and parks mid-stream exceptions so failures
     # keep their tuple positions.
 
     def _blk_mksrc(self, plan, env):
-        # Vectors of one: the degradation rule is per child, and
+        # Blocks of one: the degradation rule is per child, and
         # source-side span batching happens inside the wrapper
         # (``set_block_size``).
         if plan.input is not None:
@@ -286,11 +293,13 @@ class LazyEngine:
             )
         else:
             children = open_children()
-        var = plan.var
+        var = check_var(plan.var)
         for child in children:
-            yield [BindingTuple({var: child})]
+            yield Block({var: [child]}, 1)
 
     def _blk_relquery(self, plan, env):
+        varmap = plan.varmap
+        names = [check_var(entry.var) for entry in varmap]
         try:
             server = self.catalog.server(plan.server)
             self.stats.incr(statnames.RQ_STATEMENTS)
@@ -300,107 +309,102 @@ class LazyEngine:
             if not self._degrade:
                 raise
             stub = degraded_stub(exc, self.stats, self.oids, plan.server)
-            yield [BindingTuple(
-                {entry.var: stub for entry in plan.varmap}
-            )]
+            yield Block({name: [stub] for name in names}, 1)
             return
         width = self._width(env)
         fetch = getattr(cursor, "fetch_block", None)
         if fetch is None:
             fetch = cursor.fetchmany
-        varmap = plan.varmap
+        builders = [_entry_builder(entry, self.oids) for entry in varmap]
         while True:
             try:
-                rows = fetch(width.size)
+                fetched = fetch(width.size)
             except SourceError as exc:
                 # A parked mid-batch failure (shard death included):
-                # degrade to one stub vector and keep draining the
+                # degrade to one stub row and keep draining the
                 # surviving streams.
                 if not self._degrade:
                     raise
                 stub = degraded_stub(exc, self.stats, self.oids, plan.server)
-                yield [BindingTuple(
-                    {entry.var: stub for entry in varmap}
-                )]
+                yield Block({name: [stub] for name in names}, 1)
                 continue
-            if not rows:
+            if not fetched:
                 return
-            out = []
-            for row in rows:
-                bindings = {}
-                for entry in varmap:
-                    value = assemble(entry, row, self.oids)
+            cols = [[] for __ in names]
+            count = 0
+            for row in fetched:
+                values = []
+                for build in builders:
+                    value = build(row)
                     if value is None:  # NULL field: drop the row
-                        bindings = None
                         break
-                    bindings[entry.var] = value
-                if bindings is not None:
-                    out.append(BindingTuple(bindings))
-            yield out
+                    values.append(value)
+                else:
+                    for col, value in zip(cols, values):
+                        col.append(value)
+                    count += 1
+            yield Block(dict(zip(names, cols)), count)
 
     def _blk_getd(self, plan, env):
         path, in_var, out_var = plan.path, plan.in_var, plan.out_var
         for block in self.blocks(plan.input, env):
-            out = []
-            for t in block:
-                for match in eval_path_on_value(t.get(in_var), path):
-                    out.append(t.extend(out_var, match))
-            yield out
+            index, out, fanned = [], [], False
+            for i, value in enumerate(block.column(in_var)):
+                matches = eval_path_on_value(value, path)
+                if len(matches) != 1:
+                    fanned = True
+                index += [i] * len(matches)
+                out += matches
+            if out:
+                base = block.take(index) if fanned else block
+                yield base.with_column(out_var, out)
 
     def _blk_select(self, plan, env):
         condition = plan.condition
         for block in self.blocks(plan.input, env):
-            yield [t for t in block if condition.evaluate(t)]
+            cols = block.cols
+            keep = [
+                i for i in range(block.n) if condition.evaluate(Row(cols, i))
+            ]
+            if keep:
+                yield block if len(keep) == block.n else block.take(keep)
 
     def _blk_project(self, plan, env):
         variables = plan.variables
         seen = set()
         for block in self.blocks(plan.input, env):
-            out = []
-            for t in block:
-                projected = t.project(variables)
-                key = projected.key(variables)
+            cols = [block.column(v) for v in variables]
+            keep = []
+            for i in range(block.n):
+                key = tuple(value_key(col[i]) for col in cols)
                 if key not in seen:
                     seen.add(key)
-                    out.append(projected)
-            yield out
+                    keep.append(i)
+            if keep:
+                yield Block(dict(zip(variables, cols)), block.n).take(keep)
 
     def _blk_join(self, plan, env):
+        # A hash join on the var-var equalities; with none, every right
+        # row is in the one bucket ``()`` — the nested-loop join.
         hash_conds, loop_conds = _split_join_conditions(plan.conditions)
-        if hash_conds:
-            left_defined, right_defined = self._join_sides(plan)
-            index = None
-            for lblock in self.blocks(plan.left, env):
-                if index is None:
-                    # Build on first probe block: an empty left input
-                    # never touches the right source at all.
-                    index = _build_join_index(
-                        flatten(self.blocks(plan.right, dict(env))),
-                        hash_conds, left_defined, right_defined,
-                    )
-                out = []
-                for lt in lblock:
-                    probe_key = _probe_key(
-                        lt, hash_conds, left_defined, right_defined
-                    )
-                    for rt in index.get(probe_key, ()):
-                        if all(
-                            c.evaluate(lt, extra=rt) for c in loop_conds
-                        ):
-                            out.append(lt.merge(rt))
-                yield out
-        else:
-            right = self.stream(plan.right, dict(env))
-            for lblock in self.blocks(plan.left, env):
-                out = []
-                for lt in lblock:
-                    for rt in right:
-                        if all(
-                            c.evaluate(lt, extra=rt)
-                            for c in plan.conditions
-                        ):
-                            out.append(lt.merge(rt))
-                yield out
+        index = None
+        for lblock in self.blocks(plan.left, env):
+            if index is None:
+                # Build on first probe block: an empty left input
+                # never touches the right source at all.
+                sides = _hash_sides(hash_conds, *self._join_sides(plan))
+                index = {}
+                for rt in rows(self.blocks(plan.right, dict(env))):
+                    index.setdefault(_hash_key(rt, sides, 1), []).append(rt)
+            lidx, matched = [], []
+            for i in range(lblock.n):
+                lt = Row(lblock.cols, i)
+                for rt in index.get(_hash_key(lt, sides, 0), ()):
+                    if all(c.evaluate(lt, extra=rt) for c in loop_conds):
+                        lidx.append(i)
+                        matched.append(rt)
+            if lidx:
+                yield _joined(lblock, lidx, matched)
 
     def _join_sides(self, plan):
         from repro.algebra.plan import defined_vars
@@ -410,49 +414,49 @@ class LazyEngine:
         return left, right
 
     def _blk_semijoin(self, plan, env):
-        if plan.keep == "left":
-            keep_plan, probe_plan = plan.left, plan.right
-        else:
-            keep_plan, probe_plan = plan.right, plan.left
+        keep_left = plan.keep == "left"
+        keep_plan, probe_plan = (
+            (plan.left, plan.right) if keep_left else (plan.right, plan.left)
+        )
         probe = self.stream(probe_plan, dict(env))
-        probe_materialized = None
+        probe_rows = None
         seen = set()
         for kblock in self.blocks(keep_plan, env):
-            out = []
-            for kt in kblock:
-                if probe_materialized is None:
-                    probe_materialized = probe.materialize()
-                matched = False
-                for pt in probe_materialized:
-                    first, second = (
-                        (kt, pt) if plan.keep == "left" else (pt, kt)
-                    )
+            if probe_rows is None:
+                probe_rows = probe.tuples
+            cols = [kblock.cols[v] for v in sorted(kblock.cols)]
+            keep = []
+            for i in range(kblock.n):
+                kt = Row(kblock.cols, i)
+                for pt in probe_rows:
+                    first, second = (kt, pt) if keep_left else (pt, kt)
                     if all(
                         c.evaluate(first, extra=second)
                         for c in plan.conditions
                     ):
-                        matched = True
+                        key = tuple(value_key(col[i]) for col in cols)
+                        if key not in seen:
+                            seen.add(key)
+                            keep.append(i)
                         break
-                if matched:
-                    key = kt.key()
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(kt)
-            yield out
+            if keep:
+                yield kblock if len(keep) == kblock.n else kblock.take(keep)
 
     def _blk_crelt(self, plan, env):
-        out_var = plan.out_var
         for block in self.blocks(plan.input, env):
-            yield [
-                t.extend(out_var, self._build_element(plan, t))
-                for t in block
+            children = block.column(plan.ch_var)
+            arg_cols = [block.column(v) for v in plan.skolem_args]
+            elements = [
+                self._build_element(
+                    plan, child, [skolem_arg_of(col[i]) for col in arg_cols]
+                )
+                for i, child in enumerate(children)
             ]
+            self.stats.incr(statnames.ELEMENTS_BUILT, block.n)
+            yield block.with_column(plan.out_var, elements)
 
-    def _build_element(self, plan, t):
-        ch_value = t.get(plan.ch_var)
-        args = [skolem_arg_of(t.get(v)) for v in plan.skolem_args]
+    def _build_element(self, plan, ch_value, args):
         oid = Skolem(plan.out_var, plan.fn, args, arg_vars=plan.skolem_args)
-        self.stats.incr(statnames.ELEMENTS_BUILT)
         if plan.ch_is_list or isinstance(ch_value, Node):
             return Node(oid, plan.label, [ch_value])
         if isinstance(ch_value, VList):
@@ -474,72 +478,74 @@ class LazyEngine:
 
     def _blk_cat(self, plan, env):
         for block in self.blocks(plan.input, env):
-            out = []
-            for t in block:
-                x = _lazy_as_list(t.get(plan.x_var), plan.x_single)
-                y = _lazy_as_list(t.get(plan.y_var), plan.y_single)
-                out.append(t.extend(plan.out_var, x.lazy_concat(y)))
-            yield out
+            xs = block.column(plan.x_var)
+            ys = block.column(plan.y_var)
+            yield block.with_column(plan.out_var, [
+                _lazy_as_list(x, plan.x_single).lazy_concat(
+                    _lazy_as_list(y, plan.y_single)
+                )
+                for x, y in zip(xs, ys)
+            ])
 
     def _blk_groupby(self, plan, env):
-        # gBy runs the Table-1 streams over the (block-fed, memoized)
-        # input stream; output groups are few, so per-group vectors of
-        # one cost nothing.
+        # gBy runs the Table-1 streams over the input's block stream; a
+        # presorted partition is a row range of the memoized column run.
         sorted_vars = infer_sorted_vars(plan.input)
-        use_presorted = not self.force_stateful_gby and input_is_sorted_for(
+        if not self.force_stateful_gby and input_is_sorted_for(
             sorted_vars, plan.group_vars
-        )
-        gby_stream = (
-            presorted_gby_stream if use_presorted else stateful_gby_stream
-        )
-        input_list = self.stream(
-            plan.input, env if use_presorted else dict(env)
-        )
-        for t in gby_stream(
-            input_list, plan.group_vars, plan.out_var, self.stats
         ):
-            yield [t]
+            groups = presorted_gby_blocks(
+                self.blocks(plan.input, env), plan.group_vars,
+                plan.out_var, self.block_size,
+            )
+        else:
+            groups = stateful_gby_blocks(
+                self.blocks(plan.input, dict(env)), plan.group_vars,
+                plan.out_var, self.stats,
+            )
+        yield from groups
 
     def _blk_apply(self, plan, env):
+        inp_var, nested = plan.inp_var, plan.plan
         for block in self.blocks(plan.input, env):
+            inputs = (
+                block.column(inp_var) if inp_var is not None
+                else [None] * block.n
+            )
             out = []
-            for t in block:
+            for value in inputs:
                 inner_env = dict(env)
-                if plan.inp_var is not None:
-                    inner_env[plan.inp_var] = t.get(plan.inp_var)
-                if isinstance(plan.plan, ops.TD):
-                    value = VList(
-                        lazy_tail=self._td_children(plan.plan, inner_env)
-                    )
+                if inp_var is not None:
+                    inner_env[inp_var] = value
+                if isinstance(nested, ops.TD):
+                    out.append(VList(
+                        lazy_tail=self._td_children(nested, inner_env)
+                    ))
                 else:
-                    inner_stream = self.stream(plan.plan, inner_env)
-                    value = BindingSet(lazy_tail=iter(inner_stream))
-                out.append(t.extend(plan.out_var, value))
-            yield out
+                    out.append(BlockSet(self.blocks(nested, inner_env)))
+            yield block.with_column(plan.out_var, out)
 
     def _blk_nestedsrc(self, plan, env):
         if plan.var not in env:
             raise EvaluationError(
                 "nestedSrc({}) evaluated outside an apply".format(plan.var)
             )
-        size = self.block_size
-        buf = []
-        for t in env[plan.var]:
-            buf.append(t)
-            if len(buf) >= size:
-                yield buf
-                buf = []
-        if buf:
-            yield buf
+        nested = env[plan.var]
+        if not isinstance(nested, BlockSet):
+            raise EvaluationError("nestedSrc({}) bound to {!r}".format(
+                plan.var, nested))
+        yield from nested.blocks()
 
     def _blk_orderby(self, plan, env):
-        tuples = self.stream(plan.input, dict(env)).materialize()
-        tuples.sort(
-            key=lambda t: tuple(
-                repr(value_key(t.get(v))) for v in plan.variables
-            )
-        )
-        yield tuples
+        buffered = [b for b in self.blocks(plan.input, dict(env)) if b.n]
+        if not buffered:
+            return
+        block = concat(buffered)
+        cols = [block.column(v) for v in plan.variables]
+        yield block.take(sorted(
+            range(block.n),
+            key=lambda i: tuple(repr(value_key(col[i])) for col in cols),
+        ))
 
     def _blk_empty(self, plan, env):
         return iter(())
@@ -566,6 +572,26 @@ LazyEngine._HANDLERS = {
 
 
 # -- helpers ------------------------------------------------------------------------
+
+
+def _entry_builder(entry, oids):
+    """``assemble`` for one ``rQ`` entry.  A keyed ``element`` entry
+    binds the previous row's tuple object while all of its columns,
+    key included, repeat — a key run of the ORDER BY — so a join view
+    builds each customer once, not once per order."""
+    if entry.kind != "element" or not entry.key_positions:
+        return partial(assemble, entry, oids=oids)
+    signature = itemgetter(*[p for p, __ in entry.columns],
+                           *entry.key_positions)
+    last = [object(), None]  # no row matches yet
+
+    def build(row):
+        sig = signature(row)
+        if sig != last[0]:
+            last[0], last[1] = sig, assemble(entry, row, oids)
+        return last[1]
+
+    return build
 
 
 def _lazy_as_list(value, single):
@@ -602,35 +628,40 @@ def _cond_sides(cond, left_defined, right_defined):
     )
 
 
-def _hash_key_component(t, var, mode):
-    value = t.get(var)
-    if mode == KEY:
-        return value_key(value)
-    if isinstance(value, Node):
-        return atomize(value)
-    return None
-
-
-def _build_join_index(right_stream, hash_conds, left_defined, right_defined):
-    index = {}
-    for rt in right_stream:
-        key = tuple(
-            _hash_key_component(
-                rt, _cond_sides(c, left_defined, right_defined)[1], c.mode
-            )
-            for c in hash_conds
-        )
-        index.setdefault(key, []).append(rt)
-    return index
-
-
-def _probe_key(lt, hash_conds, left_defined, right_defined):
-    return tuple(
-        _hash_key_component(
-            lt, _cond_sides(c, left_defined, right_defined)[0], c.mode
-        )
+def _hash_sides(hash_conds, left_defined, right_defined):
+    """Each hash condition as (left input's var, right input's var, mode)."""
+    return [
+        _cond_sides(c, left_defined, right_defined) + (c.mode,)
         for c in hash_conds
-    )
+    ]
+
+
+def _hash_key(t, sides, side):
+    """A row's hash-join key on ``side`` (0: left input, 1: right)."""
+    key = []
+    for cond in sides:
+        value = t.get(cond[side])
+        if cond[2] == KEY:
+            key.append(value_key(value))
+        else:
+            key.append(atomize(value) if isinstance(value, Node) else None)
+    return tuple(key)
+
+
+def _joined(lblock, lidx, matched):
+    """The paper's ``b1 + b2`` for each left row ``lidx[k]`` and right row
+    ``matched[k]``; the two variable sets must be disjoint."""
+    left = lblock.take(lidx)
+    right_vars = matched[0].variables()
+    overlap = right_vars & set(left.cols)
+    if overlap:
+        raise PlanError(
+            "cannot merge tuples sharing variables {}".format(sorted(overlap))
+        )
+    cols = dict(left.cols)
+    for var in right_vars:
+        cols[var] = [rt.get(var) for rt in matched]
+    return Block(cols, left.n)
 
 
 def infer_sorted_vars(plan):

@@ -105,10 +105,10 @@ class TableNode:
     def _child_source(self):
         """A function index -> TableNode|None producing our children."""
         if self.kind == "root":
-            stream = self._payload  # a LazyList/BindingSet of tuples
+            stream = self._payload  # the operator's BindingSet
 
             def binding_at(i, parent=self):
-                t = _tuple_at(stream, i)
+                t = stream.tuple_at(i)
                 if t is None:
                     return None
                 return TableNode("binding", t, parent, i)
@@ -181,12 +181,6 @@ def _value_label(value):
     if isinstance(value, BindingSet):
         return "set"
     return "?"
-
-
-def _tuple_at(stream, index):
-    if isinstance(stream, BindingSet):
-        return stream.tuple_at(index)
-    return stream.get(index)
 
 
 class OperatorTable:

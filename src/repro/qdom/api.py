@@ -186,6 +186,14 @@ class QdomNode:
 
         return vnode_to_tree(self._vnode)
 
+    def export_node(self):
+        """The subtree's own lazy node, for a bulk export that forces it
+        in place: ``serialize(node.export_node())`` is
+        ``serialize(node.to_tree())`` without the copy.  Records full
+        demand, as :meth:`to_tree` does."""
+        self._vnode.note_demand(self._vnode.prefetch)
+        return self._vnode.node
+
     def provenance(self):
         """The decoded Section-5 payload of this node's id."""
         return self._vnode.provenance()

@@ -745,26 +745,30 @@ def _lookup_join(outer, lookup, counts):
 def _semi_join(outer, group, counts):
     """Keep the outer rows for which the aliases of ``group`` have at
     least one joint match; the search stops at the first."""
-    last = len(group) - 1
-
-    def exists(row, depth):
-        lookup = group[depth]
-        for inner in lookup.fetch(row):
-            if lookup.scans:
-                counts[_SCANNED] += 1
-            if lookup.inner is not None and not lookup.inner(inner):
-                continue
-            merged = row + inner
-            if lookup.merged is not None and not lookup.merged(merged):
-                continue
-            counts[_JOINED] += 1
-            if depth == last or exists(merged, depth + 1):
-                return True
-        return False
-
     for row in outer:
-        if exists(row, 0):
+        if _joint_match(row, group, 0, counts):
             yield row
+
+
+def _joint_match(row, group, depth, counts):
+    """Whether ``row`` has a joint match in ``group[depth:]``.  A module
+    function, not a self-recursive closure: that closure made a
+    reference cycle per statement, keeping its lookups alive until the
+    cyclic collector ran."""
+    lookup = group[depth]
+    for inner in lookup.fetch(row):
+        if lookup.scans:
+            counts[_SCANNED] += 1
+        if lookup.inner is not None and not lookup.inner(inner):
+            continue
+        merged = row + inner
+        if lookup.merged is not None and not lookup.merged(merged):
+            continue
+        counts[_JOINED] += 1
+        if depth == len(group) - 1 or _joint_match(
+                merged, group, depth + 1, counts):
+            return True
+    return False
 
 
 def _run_output(rows, run_key, rest_key, project, distinct, forget):

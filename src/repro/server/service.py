@@ -255,7 +255,7 @@ class MediatorService:
     def _op_tree(self, request, owner):
         session = self._session(request, owner)
         node = self._node(request, session)
-        return {"xml": serialize(node.to_tree())}
+        return {"xml": serialize(node.export_node())}
 
     def _op_explain(self, request, owner):
         # Times are masked: replies must be byte-stable so clients can

@@ -19,6 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Mediator
+from repro.cache import data_fingerprint
 from repro.errors import MixError, TransientSourceError
 from repro.obs import Instrument
 from repro import stats as sn
@@ -88,6 +89,27 @@ def test_dml_invalidates_memo():
     # Re-warmed at the new version: a third run hits again.
     assert serialize(mediator.query(ORDERS).to_tree()) == after
     assert mediator.stats.get(sn.NAV_MEMO_HITS) == 1
+
+
+def test_dml_sweeps_every_dead_entry_on_the_next_query():
+    """A write kills every stored answer, not only the one whose key
+    comes back: the first query after it drops all older entries, so no
+    dead answer keeps a superseded table version alive."""
+    mediator = caching_mediator()
+    db = mediator.catalog.server("s").database
+    texts = [
+        ORDERS,
+        Q1,
+        "FOR $C IN document(root1)/customer RETURN $C",
+    ]
+    for text in texts:
+        mediator.query(text).to_tree()
+    assert len(mediator.cache.nav_memo) == 3
+    db.run("INSERT INTO orders VALUES (556, 'ABC', 43)")
+    mediator.query(ORDERS).to_tree()
+    (entry,) = mediator.cache.nav_memo.values()
+    assert entry.fingerprint == data_fingerprint(mediator.catalog)
+    assert mediator.stats.get(sn.NAV_MEMO_INVALIDATIONS) == 3
 
 
 def test_unversioned_source_disables_result_reuse():

@@ -33,7 +33,7 @@ class TestEngineErrors:
     def test_mksrc_over_non_td_input_lazy(self, catalog):
         bad = MkSrc("v", "$X", MkSrc("root1", "$K"))
         with pytest.raises(EvaluationError):
-            LazyEngine(catalog).stream(bad, {}).materialize()
+            LazyEngine(catalog).stream(bad, {}).tuples
 
     def test_td_over_nested_set_rejected(self, catalog):
         plan = TD(
@@ -68,7 +68,7 @@ class TestEngineErrors:
         right = MkSrc("root2", "$J")
         plan = Join((Condition.var_var("$A", "=", "$K"),), left, right)
         with pytest.raises(EvaluationError):
-            LazyEngine(catalog).stream(plan, {}).materialize()
+            LazyEngine(catalog).stream(plan, {}).tuples
 
 
 class TestDecontextFallbacks:

@@ -1,78 +1,99 @@
-"""Unit tests for LazyList streams and the Table-1 group-by."""
+"""Unit tests for BlockSet tuple streams and the Table-1 group-by over
+column runs."""
 
 from repro.obs import Instrument
 from repro import stats as statnames
 from repro.xmltree import leaf
-from repro.algebra import BindingTuple
+from repro.engine.block import Block, BlockSet, rows
 from repro.engine.gby import (
     input_is_sorted_for,
-    presorted_gby_stream,
-    stateful_gby_stream,
+    presorted_gby_blocks,
+    stateful_gby_blocks,
 )
-from repro.engine.streams import LazyList
 
 
-def tuples_for(keys):
-    """One binding tuple per key, with a distinct payload per position."""
-    return [
-        BindingTuple({"$G": leaf(k), "$P": leaf(i)})
-        for i, k in enumerate(keys)
-    ]
+def blocks_for(keys, per_block=1):
+    """Column blocks of one row per key, with a distinct payload per
+    position, ``per_block`` rows to a block."""
+    out = []
+    for lo in range(0, len(keys), per_block):
+        chunk = keys[lo:lo + per_block]
+        out.append(Block({
+            "$G": [leaf(k) for k in chunk],
+            "$P": [leaf(i) for i in range(lo, lo + len(chunk))],
+        }, len(chunk)))
+    return out
 
 
-class TestLazyList:
+def one_row_blocks(values):
+    return [Block({"$x": [v]}, 1) for v in values]
+
+
+def xs(tuples):
+    return [t.get("$x") for t in tuples]
+
+
+class TestBlockSet:
+    """The memoized, index-addressable tuple stream of an operator."""
+
     def test_get_pulls_prefix(self):
         pulled = []
 
         def source():
             for i in range(10):
                 pulled.append(i)
-                yield i
+                yield Block({"$x": [i]}, 1)
 
-        lst = LazyList(source())
-        assert lst.get(2) == 2
+        stream = BlockSet(source())
+        assert stream.tuple_at(2).get("$x") == 2
         assert pulled == [0, 1, 2]
-        assert lst.pulled_count == 3
 
     def test_get_past_end(self):
-        lst = LazyList(iter([1, 2]))
-        assert lst.get(5) is None
-        assert lst.exhausted
+        stream = BlockSet(one_row_blocks([1, 2]))
+        assert stream.tuple_at(5) is None
+        assert len(stream) == 2
 
     def test_memoization(self):
         calls = []
 
         def source():
             calls.append(1)
-            yield 1
+            yield Block({"$x": [1]}, 1)
 
-        lst = LazyList(source())
-        assert lst.get(0) == 1
-        assert lst.get(0) == 1
+        stream = BlockSet(source())
+        assert stream.tuple_at(0).get("$x") == 1
+        assert stream.tuple_at(0).get("$x") == 1
         assert calls == [1]
 
     def test_iteration(self):
-        lst = LazyList(iter([1, 2, 3]))
-        assert list(lst) == [1, 2, 3]
-        assert list(lst) == [1, 2, 3]  # re-iterable thanks to the memo
+        stream = BlockSet(one_row_blocks([1, 2, 3]))
+        assert xs(stream) == [1, 2, 3]
+        assert xs(stream) == [1, 2, 3]  # re-iterable thanks to the memo
 
     def test_materialize(self):
-        assert LazyList(iter("ab")).materialize() == ["a", "b"]
+        assert xs(BlockSet(one_row_blocks("ab")).tuples) == ["a", "b"]
 
     def test_negative_index(self):
-        assert LazyList(iter([1])).get(-1) is None
+        assert BlockSet(one_row_blocks([1])).tuple_at(-1) is None
+
+
+def presorted(blocks, size=1):
+    """The group rows of the column-run presorted gBy over ``blocks``."""
+    return list(rows(presorted_gby_blocks(iter(blocks), ("$G",), "$X", size)))
+
+
+def stateful(blocks, stats=None):
+    return list(rows(stateful_gby_blocks(iter(blocks), ("$G",), "$X", stats)))
 
 
 class TestPresortedGby:
     def test_groups_sorted_input(self):
-        source = LazyList(iter(tuples_for(["a", "a", "b", "c", "c", "c"])))
-        groups = list(presorted_gby_stream(source, ("$G",), "$X"))
+        groups = presorted(blocks_for(["a", "a", "b", "c", "c", "c"]))
         assert [g.get("$G").label for g in groups] == ["a", "b", "c"]
         assert [len(g.get("$X")) for g in groups] == [2, 1, 3]
 
     def test_partition_tuples_preserved(self):
-        source = LazyList(iter(tuples_for(["a", "a", "b"])))
-        groups = list(presorted_gby_stream(source, ("$G",), "$X"))
+        groups = presorted(blocks_for(["a", "a", "b"]))
         first_partition = groups[0].get("$X")
         assert [t.get("$P").label for t in first_partition] == [0, 1]
 
@@ -82,9 +103,9 @@ class TestPresortedGby:
         def source():
             for i, k in enumerate(["a"] * 5 + ["b"]):
                 pulled.append(i)
-                yield BindingTuple({"$G": leaf(k), "$P": leaf(i)})
+                yield Block({"$G": [leaf(k)], "$P": [leaf(i)]}, 1)
 
-        stream = presorted_gby_stream(LazyList(source()), ("$G",), "$X")
+        stream = rows(presorted_gby_blocks(source(), ("$G",), "$X", 1))
         group = next(stream)
         # Producing the group tuple needs only the first input tuple.
         assert pulled == [0]
@@ -95,35 +116,57 @@ class TestPresortedGby:
         # Presorted gBy on unsorted input groups *runs*, not keys —
         # exactly Table 1's behaviour; the engine guards against this
         # by only selecting it for clustered inputs.
-        source = LazyList(iter(tuples_for(["a", "b", "a"])))
-        groups = list(presorted_gby_stream(source, ("$G",), "$X"))
+        groups = presorted(blocks_for(["a", "b", "a"]))
         assert [g.get("$G").label for g in groups] == ["a", "b", "a"]
 
     def test_empty_input(self):
-        assert list(presorted_gby_stream(LazyList(iter(())), ("$G",), "$X")) == []
+        assert presorted([]) == []
+
+    def test_partitions_are_column_slices_at_every_width(self):
+        keys = ["a"] * 5 + ["b"] * 2 + ["c"]
+        for size in (1, 2, 3, 64):
+            groups = presorted(blocks_for(keys, per_block=3), size)
+            partition = groups[0].get("$X")
+            assert [b.n for b in partition.blocks()] == (
+                [min(size, 5 - lo) for lo in range(0, 5, size)]
+            )
+            assert [[t.get("$P").label for t in g.get("$X")]
+                    for g in groups] == [[0, 1, 2, 3, 4], [5, 6], [7]]
+
+    def test_replayed_partition_blocks_do_not_grow_with_the_run(self):
+        keys = ["a"] * 3 + ["b"] * 3
+        stream = rows(presorted_gby_blocks(
+            iter(blocks_for(keys, per_block=3)), ("$G",), "$X", 3))
+        first = next(stream).get("$X")
+        (block,) = first.blocks()  # the whole run pulled so far
+        assert list(stream)        # pulls the rest of the run
+        (replayed,) = first.blocks()
+        assert replayed is block
+        assert all(len(col) == block.n == 3 for col in block.cols.values())
+
+    def test_a_reused_tuple_object_is_one_key(self):
+        shared = leaf("a")
+        block = Block({"$G": [shared, shared, leaf("a"), leaf("b")],
+                       "$P": [leaf(i) for i in range(4)]}, 4)
+        groups = presorted([block])
+        assert [len(g.get("$X")) for g in groups] == [3, 1]
 
 
 class TestStatefulGby:
     def test_groups_unsorted_input(self):
-        source = LazyList(iter(tuples_for(["a", "b", "a", "c", "b"])))
-        groups = list(stateful_gby_stream(source, ("$G",), "$X"))
+        groups = stateful(blocks_for(["a", "b", "a", "c", "b"]))
         assert [g.get("$G").label for g in groups] == ["a", "b", "c"]
         assert [len(g.get("$X")) for g in groups] == [2, 2, 1]
 
     def test_buffering_counted(self):
         stats = Instrument()
-        source = LazyList(iter(tuples_for(["a", "b", "a"])))
-        list(stateful_gby_stream(source, ("$G",), "$X", stats=stats))
+        stateful(blocks_for(["a", "b", "a"]), stats=stats)
         assert stats.get(statnames.BUFFERED_TUPLES) == 3
 
     def test_agreement_with_presorted_on_sorted_input(self):
         keys = ["a", "a", "b", "b", "b", "c"]
-        lazy_groups = list(
-            presorted_gby_stream(LazyList(iter(tuples_for(keys))), ("$G",), "$X")
-        )
-        stateful_groups = list(
-            stateful_gby_stream(LazyList(iter(tuples_for(keys))), ("$G",), "$X")
-        )
+        lazy_groups = presorted(blocks_for(keys))
+        stateful_groups = stateful(blocks_for(keys))
         assert len(lazy_groups) == len(stateful_groups)
         for a, b in zip(lazy_groups, stateful_groups):
             assert a.get("$G").label == b.get("$G").label

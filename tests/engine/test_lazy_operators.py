@@ -40,7 +40,7 @@ def customers(catalog_var="$K"):
 
 
 def run_lazy(catalog, plan):
-    return LazyEngine(catalog).stream(plan, {}).materialize()
+    return LazyEngine(catalog).stream(plan, {}).tuples
 
 
 class TestProjectLazy:
@@ -72,7 +72,7 @@ class TestProjectLazy:
                 MkSrc("doc", "$I"),
             ),
         )
-        out = LazyEngine(cat).stream(plan, {}).materialize()
+        out = LazyEngine(cat).stream(plan, {}).tuples
         assert len(out) == 2
 
 

@@ -127,7 +127,7 @@ def test_gby_below_a_semijoin_is_not_presorted(catalog):
     expected = len(EagerEngine(catalog).evaluate(plan))
     for width in WIDTHS:
         engine = LazyEngine(catalog, block_size=width)
-        assert len(engine.stream(plan, {}).materialize()) == expected == 3
+        assert len(engine.stream(plan, {}).tuples) == expected == 3
 
 
 def test_empty_and_rooted_td(catalog):
@@ -140,7 +140,7 @@ def test_empty_and_rooted_td(catalog):
 def test_non_td_root_is_a_stream_not_a_tree(catalog):
     for width in WIDTHS:
         engine = LazyEngine(catalog, block_size=width)
-        assert len(engine.evaluate(customers()).materialize()) == 3
+        assert len(engine.evaluate(customers()).tuples) == 3
         with pytest.raises(EvaluationError):
             engine.evaluate_tree(customers())
 
@@ -155,7 +155,7 @@ def test_plan_errors_surface_at_every_width(catalog):
         with pytest.raises(PlanError):
             engine.stream(object(), {})
         with pytest.raises(EvaluationError):
-            engine.stream(NestedSrc("$N"), {}).materialize()
+            engine.stream(NestedSrc("$N"), {}).tuples
         with pytest.raises(EvaluationError):
             engine.evaluate_tree(bad_child).child(0)
 

@@ -4,9 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.xmltree import Path, leaf
 from repro.xmltree.paths import Step
-from repro.algebra import BindingTuple
-from repro.engine.gby import presorted_gby_stream, stateful_gby_stream
-from repro.engine.streams import LazyList
+from repro.engine.block import Block, rows
+from repro.engine.gby import presorted_gby_blocks, stateful_gby_blocks
 
 
 # -- group-by -------------------------------------------------------------------
@@ -16,24 +15,38 @@ group_keys = st.lists(
 ).map(sorted)  # sorted input, arbitrary group sizes
 
 
-def to_tuples(keys):
+widths = st.integers(1, 8)
+
+
+def to_blocks(keys, per_block=1):
+    """Column blocks of ``per_block`` rows, one row per key."""
     return [
-        BindingTuple({"$G": leaf("k{}".format(k)), "$P": leaf(i)})
-        for i, k in enumerate(keys)
+        Block({
+            "$G": [leaf("k{}".format(k)) for k in keys[lo:lo + per_block]],
+            "$P": [leaf(i) for i in range(lo, min(lo + per_block,
+                                                  len(keys)))],
+        }, len(keys[lo:lo + per_block]))
+        for lo in range(0, len(keys), per_block)
     ]
 
 
-@given(group_keys)
+def presorted(keys, per_block=1, size=1):
+    return list(rows(presorted_gby_blocks(
+        iter(to_blocks(keys, per_block)), ("$G",), "$X", size)))
+
+
+def stateful(keys, per_block=1):
+    return list(rows(stateful_gby_blocks(
+        iter(to_blocks(keys, per_block)), ("$G",), "$X")))
+
+
+@given(group_keys, widths, widths)
 @settings(max_examples=100, deadline=None)
-def test_presorted_equals_stateful_on_sorted_input(keys):
-    presorted = list(
-        presorted_gby_stream(LazyList(iter(to_tuples(keys))), ("$G",), "$X")
-    )
-    stateful = list(
-        stateful_gby_stream(LazyList(iter(to_tuples(keys))), ("$G",), "$X")
-    )
-    assert len(presorted) == len(stateful)
-    for a, b in zip(presorted, stateful):
+def test_presorted_equals_stateful_on_sorted_input(keys, per_block, size):
+    by_run = presorted(keys, per_block, size)
+    by_key = stateful(keys, per_block)
+    assert len(by_run) == len(by_key)
+    for a, b in zip(by_run, by_key):
         assert a.get("$G").label == b.get("$G").label
         assert [t.get("$P").label for t in a.get("$X")] == [
             t.get("$P").label for t in b.get("$X")
@@ -43,9 +56,7 @@ def test_presorted_equals_stateful_on_sorted_input(keys):
 @given(group_keys)
 @settings(max_examples=100, deadline=None)
 def test_groups_partition_the_input(keys):
-    groups = list(
-        stateful_gby_stream(LazyList(iter(to_tuples(keys))), ("$G",), "$X")
-    )
+    groups = stateful(keys)
     # Every input tuple appears in exactly one partition.
     recovered = sorted(
         t.get("$P").label for g in groups for t in g.get("$X")
@@ -59,9 +70,7 @@ def test_groups_partition_the_input(keys):
 @given(st.lists(st.integers(0, 6), min_size=0, max_size=30))
 @settings(max_examples=100, deadline=None)
 def test_stateful_handles_unsorted_input(keys):
-    groups = list(
-        stateful_gby_stream(LazyList(iter(to_tuples(keys))), ("$G",), "$X")
-    )
+    groups = stateful(keys)
     assert len(groups) == len(set(keys))
 
 

@@ -23,6 +23,19 @@ class TestQdomNodeApi:
         assert tree.label == "list"
         assert len(tree.children) == 3
 
+    @pytest.mark.parametrize("block_size", [1, 64])
+    def test_export_node_serializes_in_place(self, paper_wrapper,
+                                             block_size):
+        mediator = Mediator(block_size=block_size).add_source(paper_wrapper)
+        view = mediator.query(Q1)
+        first = view.d()
+        refined = first.q(
+            "FOR $X IN document(root)/OrderInfo "
+            "WHERE $X/order/value/data() > 500 RETURN $X"
+        )
+        for node in (first.d().r(), first, refined, view):
+            assert serialize(node.export_node()) == serialize(node.to_tree())
+
     def test_view_plan_attached(self, root):
         from repro.algebra import TD
 

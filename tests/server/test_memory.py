@@ -4,7 +4,9 @@ A long-lived mediator serves session after session; what the
 observability layer keeps must not grow with them.  Its only lasting
 record is the bounded trace ring, so once warm-up has filled the ring,
 200 more sessions must leave the memory held by allocations made in
-``repro/obs`` where it was.
+``repro/obs`` where it was.  And a served request leaves no cyclic
+garbage: everything it built is freed by reference counting, so peak
+memory does not hang on when the cyclic collector happens to run.
 """
 
 from __future__ import annotations
@@ -22,6 +24,20 @@ FOR $C IN document(root1)/customer
 WHERE $C/id/data() = $O/cid/data()
 RETURN <CustRec> $C <OrderInfo> $O </OrderInfo> </CustRec>
 """
+
+#: Refinements of the join view; every session uses a new threshold, so
+#: its text, shape lookup and pushed SQL are new to the caches.
+REFINE = """
+FOR $R IN document(root)/CustRec $S IN $R/OrderInfo
+WHERE $S/order/value/data() > {}
+RETURN $R
+"""
+
+DML = [
+    "INSERT INTO orders VALUES (900, 'ABC', 42)",
+    "UPDATE orders SET value = 43 WHERE orid = 900",
+    "DELETE FROM orders WHERE orid = 900",
+]
 
 IN_PLACE = """
 FOR $X IN document(root)/OrderInfo
@@ -77,3 +93,32 @@ def test_obs_memory_stays_flat_over_served_sessions():
             after - before, SESSIONS
         )
     )
+
+
+def cyclic_session(client, threshold):
+    """The join view, a root ``q`` refinement, ``walk``, ``tree`` and a
+    DML batch."""
+    session = client.call("open")["session"]
+    root = client.call("query", session=session, query=JOIN_QUERY)
+    client.call("d", session=session, node=root["node"])
+    refined = client.call("q", session=session, node=root["node"],
+                          query=REFINE.format(threshold))
+    client.call("walk", session=session, node=root["node"])
+    client.call("tree", session=session, node=refined["node"])
+    client.call("sql", session=session, statements=DML)
+    client.call("close", session=session)
+
+
+def test_served_sessions_leave_no_cyclic_garbage():
+    service = make_service()
+    with LoopbackClient(service) as client:
+        for threshold in range(3):
+            cyclic_session(client, threshold)
+        gc.collect()
+        gc.disable()
+        try:
+            for threshold in range(100, 105):
+                cyclic_session(client, threshold)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
