@@ -11,7 +11,7 @@ Fig. 5 rendering.
 from __future__ import annotations
 
 from repro.errors import MixError, PlanError
-from repro.xmltree.tree import Node, OidGenerator
+from repro.xmltree.tree import LazyPrefix, Node, OidGenerator
 from repro.algebra.values import VList, value_key, values_equal
 
 
@@ -112,69 +112,35 @@ class BindingTuple:
         return "[{}]".format(inner)
 
 
-class BindingSet:
+class BindingSet(LazyPrefix):
     """An ordered collection of binding tuples.
 
     The paper calls it a set; order still matters because QDOM navigation
     walks it left to right, so we keep insertion order and do duplicate
     elimination only where an operator (``project``) requires it.
 
-    A BindingSet may carry a ``lazy_tail`` iterator: the lazy engine binds
-    group-by partitions this way, so a partition's tuples are pulled from
-    the source only when navigation enters the group.  ``tuple_at`` forces
-    only the requested prefix; ``tuples``/``len``/full iteration force
-    everything.
+    A BindingSet is the eager engine's plain list: it is built whole
+    (or by :meth:`append`).  The lazy engine's sets are its subclass
+    :class:`~repro.engine.block.BlockSet`, whose tuples are pulled only
+    as far as they are read.
     """
 
-    __slots__ = ("_tuples", "_tail")
+    __slots__ = ()
 
-    def __init__(self, tuples=(), lazy_tail=None):
-        self._tuples = list(tuples)
-        self._tail = lazy_tail
+    def __init__(self, tuples=()):
+        LazyPrefix.__init__(self, tuples)
 
-    def _force(self, count):
-        while self._tail is not None and (
-            count is None or len(self._tuples) < count
-        ):
-            try:
-                self._tuples.append(next(self._tail))
-            except StopIteration:
-                self._tail = None
-
-    @property
-    def tuples(self):
-        self._force(None)
-        return self._tuples
-
-    def tuple_at(self, index):
-        """The ``index``-th tuple or ``None`` — forces only that prefix."""
-        if index < 0:
-            return None
-        self._force(index + 1)
-        if index < len(self._tuples):
-            return self._tuples[index]
-        return None
+    tuples = property(LazyPrefix._forced)
+    tuple_at = LazyPrefix.item
 
     def __len__(self):
-        self._force(None)
-        return len(self._tuples)
-
-    def __iter__(self):
-        index = 0
-        while True:
-            t = self.tuple_at(index)
-            if t is None:
-                return
-            yield t
-            index += 1
+        return len(self.tuples)
 
     def __getitem__(self, index):
         return self.tuples[index]
 
     def append(self, binding_tuple):
-        if self._tail is not None:
-            raise MixError("cannot append to a lazy BindingSet")
-        self._tuples.append(binding_tuple)
+        self._items.append(binding_tuple)
 
     def variables(self):
         """Variables common to the tuples (empty set when no tuples)."""
@@ -184,9 +150,7 @@ class BindingSet:
         return first.variables()
 
     def __repr__(self):
-        if self._tail is not None:
-            return "BindingSet({}+ tuples, lazy)".format(len(self._tuples))
-        return "BindingSet({} tuples)".format(len(self._tuples))
+        return "BindingSet({} tuples)".format(len(self._items))
 
 
 def _check_var(var):

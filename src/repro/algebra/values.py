@@ -14,62 +14,28 @@ decontextualization (Section 5) decodes.
 from __future__ import annotations
 
 from repro.errors import MixError
-from repro.xmltree.tree import Node
+from repro.xmltree.tree import LazyPrefix, Node
 
 
-class VList:
+class VList(LazyPrefix):
     """An ordered list of values (elements or nested sets).
 
     ``cat`` produces these; ``crElt`` consumes one as its child list; a
     ``tD`` plan nested under ``apply`` binds one.
 
-    Like :class:`~repro.xmltree.tree.Node`, a VList may carry a
-    ``lazy_tail`` iterator so the lazy engine can bind list values whose
-    items are produced only as navigation demands; :meth:`item` forces
-    only the requested prefix, ``items`` forces everything.
+    Like a :class:`~repro.xmltree.tree.Node`'s children, a VList is a
+    :class:`~repro.xmltree.tree.LazyPrefix`: the lazy engine binds list
+    values whose items are produced only as navigation demands;
+    :meth:`item` forces only the requested prefix, ``items`` forces
+    everything.
     """
 
-    __slots__ = ("_items", "_tail")
+    __slots__ = ()
 
-    def __init__(self, items=(), lazy_tail=None):
-        self._items = list(items)
-        self._tail = lazy_tail
-
-    def _force(self, count):
-        while self._tail is not None and (
-            count is None or len(self._items) < count
-        ):
-            try:
-                self._items.append(next(self._tail))
-            except StopIteration:
-                self._tail = None
-
-    @property
-    def items(self):
-        self._force(None)
-        return self._items
-
-    def item(self, index):
-        """The ``index``-th item or ``None`` — forces only that prefix."""
-        if index < 0:
-            return None
-        self._force(index + 1)
-        if index < len(self._items):
-            return self._items[index]
-        return None
+    items = property(LazyPrefix._forced)
 
     def __len__(self):
-        self._force(None)
-        return len(self._items)
-
-    def __iter__(self):
-        index = 0
-        while True:
-            value = self.item(index)
-            if value is None:
-                return
-            yield value
-            index += 1
+        return len(self.items)
 
     def __getitem__(self, index):
         return self.items[index]

@@ -41,6 +41,7 @@ did (the EXPLAIN goldens and per-hop transcripts rely on it).
 from __future__ import annotations
 
 from repro.errors import MixError, PlanError
+from repro.xmltree.tree import LazyPrefix
 from repro.algebra.bindings import BindingSet
 
 #: The default, and largest, vector width of Mediator block execution.
@@ -145,47 +146,40 @@ def rows(blocks):
 class BlockSet(BindingSet):
     """A nested binding set held as a lazy, memoized stream of blocks.
 
-    ``nestedSrc`` replays it block by block (:meth:`blocks`); tuple
-    consumers get :class:`Row` views through the :class:`BindingSet`
-    interface, forced only as far as they read.
+    A :class:`~repro.xmltree.tree.LazyPrefix` over the block stream
+    that stores each pulled block as its :class:`Row` views, so tuple
+    consumers read it through the :class:`BindingSet` interface, forced
+    only as far as they read; ``nestedSrc`` replays it block by block
+    (:meth:`blocks`).  A stream that raised stays raised.
     """
 
-    __slots__ = ("_source", "_blocks", "_count", "_rowed")
+    __slots__ = ()
 
     def __init__(self, blocks):
-        BindingSet.__init__(self)
-        self._source = iter(blocks)
-        self._blocks = []
-        self._count = 0
-        self._rowed = 0  # blocks already turned into rows
+        LazyPrefix.__init__(self, lazy_tail=iter(blocks))
 
-    def _pull(self):
-        if self._source is None:
-            return False
-        try:
-            block = next(self._source)
-        except StopIteration:
-            self._source = None
-            return False
-        self._blocks.append(block)
-        self._count += block.n
-        return True
+    def _store(self, block):
+        cols = block.cols
+        self._items.extend([Row(cols, i) for i in range(block.n)])
 
-    def _force(self, count):
-        while (count is None or self._count < count) and self._pull():
-            pass
-        self._tuples.extend(rows(self._blocks[self._rowed:]))
-        self._rowed = len(self._blocks)
+    def append(self, binding_tuple):
+        raise MixError("cannot append to a lazy BlockSet")
 
     def blocks(self):
-        index = 0
-        while index < len(self._blocks) or self._pull():
-            yield self._blocks[index]
-            index += 1
+        """The stored blocks again, then the rest of the stream: a block
+        is the run of rows from one whose index is 0."""
+        stored = self._items
+        start = 0
+        while start < len(stored) or self.item(start) is not None:
+            end = start + 1
+            while end < len(stored) and stored[end]._i:
+                end += 1
+            yield Block(stored[start]._cols, end - start)
+            start = end
 
     def __repr__(self):
-        lazy = "+" if self._source is not None else ""
-        return "BlockSet({}{} tuples)".format(self._count, lazy)
+        lazy = "+" if self._tail is not None else ""
+        return "BlockSet({}{} tuples)".format(len(self._items), lazy)
 
 
 class Width:

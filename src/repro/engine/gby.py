@@ -18,35 +18,35 @@ buffers to store the input stream").
 from __future__ import annotations
 
 from repro import stats as statnames
+from repro.xmltree.tree import _FORCE_LOCK, LazyPrefix
 from repro.algebra.values import value_key
 from repro.engine.block import Block, BlockSet, check_var, concat
 
 
-class ColumnRun:
-    """The input of a presorted gBy: the rows pulled so far, as columns,
-    and ``heads`` — the index of each group's first row.
+class ColumnRun(LazyPrefix):
+    """The input of a presorted gBy: a
+    :class:`~repro.xmltree.tree.LazyPrefix` over the input blocks whose
+    items are ``heads`` — the index of each group's first row — and
+    which stores the rows pulled so far as columns.
 
     Each row's key is computed once, when its block arrives; a row whose
     group values are the very objects of the row before (``rQ`` reuses a
     tuple object within a key run) skips even that.
     """
 
-    __slots__ = ("cols", "n", "heads", "_blocks", "_group_vars", "_last")
+    __slots__ = ("cols", "n", "_group_vars", "_last")
 
     def __init__(self, blocks, group_vars):
-        self._blocks = iter(blocks)
+        LazyPrefix.__init__(self, lazy_tail=iter(blocks))
         self._group_vars = tuple(group_vars)
-        self.cols, self.n, self.heads = None, 0, []
+        self.cols, self.n = None, 0
         self._last = (None, None)  # the last row's group values and key
 
-    def _pull(self):
-        if self._blocks is None:
-            return False
-        try:
-            block = next(self._blocks)
-        except StopIteration:
-            self._blocks = None
-            return False
+    @property
+    def heads(self):
+        return self._items
+
+    def _store(self, block):
         group_cols = [block.column(v) for v in self._group_vars]
         if self.cols is None:
             self.cols = {v: [] for v in block.cols}
@@ -60,29 +60,23 @@ class ColumnRun:
                 continue
             key = tuple(value_key(value) for value in values)
             if key != last_key:
-                self.heads.append(self.n + i)
+                self._items.append(self.n + i)
                 last_key = key
             last = values
         self._last = (last, last_key)
         self.n += block.n
-        return True
-
-    def head(self, group):
-        """The first row of ``group``, or ``None`` past the last group."""
-        while len(self.heads) <= group:
-            if not self._pull():
-                return None
-        return self.heads[group]
 
     def end(self, group, cap):
         """The end of ``group``'s rows, capped at ``cap``: pulls only
         until row ``cap - 1`` or the next group's head is known."""
-        while len(self.heads) <= group + 1 and self.n < cap:
-            if not self._pull():
-                break
-        if len(self.heads) > group + 1:
-            return min(self.heads[group + 1], cap)
-        return min(self.n, cap)
+        heads = self._items
+        with _FORCE_LOCK:
+            while (len(heads) <= group + 1 and self.n < cap
+                   and self._pull()):
+                pass
+            if len(heads) > group + 1:
+                return min(heads[group + 1], cap)
+            return min(self.n, cap)
 
 
 def _partition_blocks(run, group, size):
@@ -112,7 +106,7 @@ def presorted_gby_blocks(blocks, group_vars, out_var, size):
     check_var(out_var)
     run = ColumnRun(blocks, group_vars)
     group = 0
-    while run.head(group) is not None:
+    while run.item(group) is not None:  # the group's first row
         stop = len(run.heads)
         heads = run.heads[group:stop]
         cols = {v: [run.cols[v][h] for h in heads] for v in group_vars}

@@ -9,8 +9,10 @@ until the client starts navigating into it."  Here:
 * values inside tuples are lazy too — constructed elements
   (:class:`~repro.xmltree.tree.Node` with a lazy tail), lists
   (:class:`~repro.algebra.values.VList`), and group partitions
-  (:class:`~repro.algebra.bindings.BindingSet`) all materialize their
-  contents only when navigation reaches them;
+  (:class:`~repro.engine.block.BlockSet`) are one memoized prefix,
+  :class:`~repro.xmltree.tree.LazyPrefix`: each materializes its
+  contents only when navigation reaches them, and one whose source
+  failed re-raises that failure wherever navigation needs more;
 * the leaves pull from source cursors, so a ``d``/``r`` command at the
   client propagates down the plan and ends as "either queries or moves
   of the cursors" at the relational source — exactly the paper's

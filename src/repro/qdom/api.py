@@ -138,7 +138,7 @@ class QdomNode:
             # more children than the budget left can land on.
             if remaining[0] <= 0:
                 return
-            if not node.fully_materialized or node.is_broken:
+            if not node.fully_materialized:
                 VNode(node, obs=vnode.obs, prefetch=vnode.prefetch).down_many(
                     None if budget is None else remaining[0]
                 )

@@ -20,15 +20,142 @@ import threading
 
 from repro.errors import MixError
 
-#: One process-wide re-entrant lock serializes lazy-tail forcing.  The
-#: navigation memo shares materialized answer prefixes across concurrent
-#: server sessions, and two threads resuming one generator would race
-#: (``ValueError: generator already executing``) or tear the child list.
-#: Forcing one node's tail may pull the engine pipeline, which forces
-#: *source* nodes' tails in turn — hence re-entrant, and global rather
-#: than per-node (per-node locks could deadlock on that nesting).
-#: Already-materialized prefixes are read without the lock.
+#: One process-wide re-entrant lock serializes the forcing of every lazy
+#: prefix (:class:`LazyPrefix`): a node's children, a list value, a
+#: nested binding set and a presorted gBy's column run.  The navigation
+#: memo shares materialized answer prefixes across concurrent server
+#: sessions, and two threads resuming one generator would race
+#: (``ValueError: generator already executing``) or tear the prefix.
+#: Forcing one prefix may pull the engine pipeline, which forces other
+#: prefixes in turn (partitions, lists, *source* nodes' tails) — hence
+#: re-entrant, and global rather than per-prefix (per-prefix locks could
+#: deadlock on that nesting).  Already-materialized prefixes are read
+#: without the lock.
 _FORCE_LOCK = threading.RLock()
+
+
+class LazyPrefix:
+    """The memoized prefix of a lazy stream: what the paper's virtual
+    answer materializes as navigation demands it (Section 4).
+
+    ``_items`` holds what the ``_tail`` iterator produced so far; it is
+    append-only, so reads of the prefix never take the lock, and the
+    tail is resumed only under :data:`_FORCE_LOCK`.  A tail that raises
+    is *dead* (a generator never resumes after an exception): the
+    exception is latched in ``_broken`` and every later force that
+    needs an item past the prefix re-raises that same exception — a
+    partial stream is never presented as a complete one.  The dead
+    tail stays in ``_tail``, so ``_tail is None`` alone means the
+    prefix is complete.
+
+    Subclasses keep a pulled item in their own form by overriding
+    :meth:`_store` (a block as rows, or as columns and group heads).
+    """
+
+    __slots__ = ("_items", "_tail", "_broken")
+
+    def __init__(self, items=(), lazy_tail=None):
+        self._items = list(items)
+        self._tail = lazy_tail
+        self._broken = None
+
+    def _store(self, item):
+        self._items.append(item)
+
+    def _pull(self):
+        """Store the tail's next item; ``False`` at its end.  Re-raises a
+        latched failure.  The caller holds :data:`_FORCE_LOCK`."""
+        if self._broken is not None:
+            raise self._broken
+        if self._tail is None:
+            return False
+        try:
+            item = next(self._tail)
+        except StopIteration:
+            self._tail = None
+            return False
+        except Exception as exc:
+            self._broken = exc
+            raise
+        self._store(item)
+        return True
+
+    def _force(self, count):
+        """Materialize the prefix up to ``count`` items (``None`` = all)."""
+        if self._tail is None:
+            return
+        # acquire/release: half the cost of ``with`` on the hottest path
+        _FORCE_LOCK.acquire()
+        try:
+            items = self._items
+            while (count is None or len(items) < count) and self._pull():
+                pass
+        finally:
+            _FORCE_LOCK.release()
+
+    def _forced(self):
+        """Every item (forces the whole tail)."""
+        self._force(None)
+        return self._items
+
+    def prefetch(self, count, extra=0):
+        """Force ``count`` items strictly, then up to ``extra`` more
+        best-effort (block navigation's prefetch-k).
+
+        The strict part raises like :meth:`item`.  The *extra* part must
+        not — prefetching past the demanded position may run into a
+        failure the client would only have met several commands later,
+        and surfacing it early would change observable behavior.  The
+        exception stays latched and re-raises exactly when navigation
+        first asks past the materialized prefix.
+        """
+        self._force(count)
+        if extra > 0 and self._tail is not None:
+            try:
+                self._force(count + extra)
+            except Exception:
+                pass  # latched in _broken; re-raised on genuine demand
+
+    def item(self, index):
+        """The ``index``-th item or ``None`` — forces only that prefix."""
+        if index < 0:
+            return None
+        items = self._items
+        if index >= len(items):
+            self._force(index + 1)
+            if index >= len(items):
+                return None
+        return items[index]
+
+    def __iter__(self):
+        items = self._items
+        index = 0
+        while True:
+            if index >= len(items):
+                self._force(index + 1)
+                if index >= len(items):
+                    return
+            yield items[index]
+            index += 1
+
+    @property
+    def materialized_count(self):
+        """How many items have been produced so far (no forcing)."""
+        return len(self._items)
+
+    def materialized(self):
+        """The items produced so far, as a list copy (no forcing)."""
+        return list(self._items)
+
+    @property
+    def fully_materialized(self):
+        return self._tail is None
+
+    @property
+    def is_broken(self):
+        """Whether the tail raised: items past the prefix are lost."""
+        return self._broken is not None
+
 
 #: Types a leaf label (value) may have.  ``D`` in the paper is
 #: "string-like"; we additionally admit numbers so that relational values
@@ -37,21 +164,22 @@ _FORCE_LOCK = threading.RLock()
 VALUE_TYPES = (str, int, float)
 
 
-class Node:
+class Node(LazyPrefix):
     """One vertex of a labeled ordered tree.
 
     Nodes are mutable only through :meth:`append`; most code builds them
     once via :func:`elem` / :func:`leaf` and treats them as frozen.
 
     **Lazy children.**  A node may be constructed with ``lazy_tail``, an
-    iterator producing further children on demand.  This is how the lazy
-    engine exports virtual results: accessing ``children`` (or iterating)
-    forces everything, but :meth:`child` — the navigation primitive —
-    forces only the prefix up to the requested index, which is exactly
-    the paper's navigation-driven evaluation contract.
+    iterator producing further children on demand: its children are a
+    :class:`LazyPrefix`.  This is how the lazy engine exports virtual
+    results: accessing ``children`` forces everything, but :meth:`child`
+    — the navigation primitive — forces only the prefix up to the
+    requested index, which is exactly the paper's navigation-driven
+    evaluation contract.
     """
 
-    __slots__ = ("oid", "label", "_children", "_tail", "_broken")
+    __slots__ = ("oid", "label")
 
     def __init__(self, oid, label, children=(), lazy_tail=None):
         if not isinstance(label, VALUE_TYPES):
@@ -60,66 +188,18 @@ class Node:
             )
         self.oid = oid
         self.label = label
-        self._children = list(children)
+        self._items = list(children)
         self._tail = lazy_tail
         self._broken = None
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def children(self):
-        """All children (forces any lazy tail)."""
-        self._force(None)
-        return self._children
-
-    def _force(self, count):
-        """Materialize children up to ``count`` (``None`` = all).
-
-        A lazy tail that raises is *dead* (a generator never resumes
-        after an exception), so the failure is remembered and re-raised
-        on any later forcing — silently truncating the child list would
-        present a partial answer as a complete one.
-
-        Thread-safe: the materialized prefix is append-only (reads of
-        already-forced children skip the lock), and tail resumption is
-        serialized under the process-wide forcing lock.
-        """
-        if self._tail is None and self._broken is None:
-            return
-        with _FORCE_LOCK:
-            while (self._tail is not None or self._broken is not None) and (
-                count is None or len(self._children) < count
-            ):
-                if self._broken is not None:
-                    raise self._broken
-                try:
-                    self._children.append(next(self._tail))
-                except StopIteration:
-                    self._tail = None
-                except Exception as exc:
-                    self._broken = exc
-                    raise
-
-    def prefetch_children(self, count, extra=0):
-        """Force ``count`` children strictly, then up to ``extra`` more
-        best-effort (block navigation's prefetch-k).
-
-        The strict part behaves exactly like :meth:`child`: a broken
-        tail inside the demanded prefix raises here.  The *extra* part
-        must not — prefetching past the demanded position may run into a
-        failure the client would only have met several commands later,
-        and surfacing it early would change observable behavior.  The
-        exception stays parked in ``_broken`` (the tail is dead anyway)
-        and re-raises exactly when navigation first asks past the
-        materialized prefix, the same position tuple mode raises at.
-        """
-        self._force(count)
-        if extra <= 0 or (self._tail is None and self._broken is None):
-            return
-        try:
-            self._force(count + extra)
-        except Exception:
-            pass  # parked in _broken; re-raised on genuine demand
+    children = property(LazyPrefix._forced, doc="All children (forces any "
+                        "lazy tail).")
+    child = LazyPrefix.item
+    prefetch_children = LazyPrefix.prefetch
+    materialized_child_count = LazyPrefix.materialized_count
+    materialized_children = LazyPrefix.materialized
 
     def copy_subtree(self):
         """A fully materialized deep copy of this subtree (forces it).
@@ -132,37 +212,18 @@ class Node:
         clone = Node.__new__(Node)
         clone.oid = self.oid
         clone.label = self.label
-        clone._children = [c.copy_subtree() for c in self._children]
+        clone._items = [c.copy_subtree() for c in self._items]
         clone._tail = None
         clone._broken = None
         return clone
 
     @property
-    def is_broken(self):
-        """Whether this node's lazy tail raised; its child list beyond
-        the materialized prefix is unrecoverable."""
-        return self._broken is not None
-
-    @property
     def is_leaf(self):
         """True when the node has no children (its label is its value)."""
-        if self._children:
+        if self._items:
             return False
         self._force(1)
-        return not self._children
-
-    @property
-    def materialized_child_count(self):
-        """How many children have been produced so far (no forcing)."""
-        return len(self._children)
-
-    def materialized_children(self):
-        """The children produced so far, as a list copy (no forcing)."""
-        return list(self._children)
-
-    @property
-    def fully_materialized(self):
-        return self._tail is None
+        return not self._items
 
     def append(self, child):
         """Append ``child`` as the new last child and return it.
@@ -171,17 +232,8 @@ class Node:
         """
         if self._tail is not None:
             raise MixError("cannot append to a node with a lazy tail")
-        self._children.append(child)
+        self._items.append(child)
         return child
-
-    def child(self, index):
-        """The ``index``-th child or ``None`` — forces only that prefix."""
-        if index < 0:
-            return None
-        self._force(index + 1)
-        if index < len(self._children):
-            return self._children[index]
-        return None
 
     def first_child(self):
         """The paper's ``d`` on a materialized node (``None`` on a leaf)."""
@@ -221,12 +273,12 @@ class Node:
     def __repr__(self):
         if self._tail is not None:
             return "Node({}:{}, {}+ children, lazy)".format(
-                self.oid, self.label, len(self._children)
+                self.oid, self.label, len(self._items)
             )
         if self.is_leaf:
             return "Node({}={!r})".format(self.oid, self.label)
         return "Node({}:{}, {} children)".format(
-            self.oid, self.label, len(self._children)
+            self.oid, self.label, len(self._items)
         )
 
     def pretty(self, indent=0):

@@ -13,6 +13,7 @@ from repro.algebra import (
     value_kind,
 )
 from repro.algebra.values import value_key, values_equal
+from repro.engine.block import Block, BlockSet
 
 
 class TestBindingTuple:
@@ -82,21 +83,6 @@ class TestBindingSet:
         assert len(s) == 2
         assert [t.get("$A").label for t in s] == [1, 2]
 
-    def test_lazy_tail(self):
-        def tail():
-            for i in range(5):
-                yield BindingTuple({"$A": leaf(i)})
-
-        s = BindingSet(lazy_tail=tail())
-        assert s.tuple_at(1).get("$A").label == 1
-        assert len(s._tuples) == 2  # only the prefix was forced
-        assert len(s) == 5
-
-    def test_append_to_lazy_rejected(self):
-        s = BindingSet(lazy_tail=iter(()))
-        with pytest.raises(MixError):
-            s.append(BindingTuple({}))
-
     def test_variables(self):
         s = BindingSet([BindingTuple({"$A": leaf(1)})])
         assert s.variables() == {"$A"}
@@ -133,6 +119,49 @@ class TestVList:
     def test_equality(self):
         assert VList([leaf(1)]) == VList([leaf(1)])
         assert VList([leaf(1)]) != VList([leaf(2)])
+
+
+class TestSetValues:
+    """Set values key and compare by their tuples, whether the set is
+    the eager engine's list or a lazy block stream."""
+
+    @staticmethod
+    def rows(*labels):
+        return Block({"$A": [leaf(x) for x in labels]}, len(labels))
+
+    def test_a_lazy_set_keys_like_the_eager_one(self):
+        eager = BindingSet([BindingTuple({"$A": leaf(1)}),
+                            BindingTuple({"$A": leaf(2)})])
+        lazy = BlockSet(iter([self.rows(1), self.rows(2)]))
+        assert value_key(lazy) == value_key(eager)
+        assert value_key(VList([lazy])) == value_key(VList([eager]))
+
+    def test_a_set_whose_stream_raised_never_keys_short(self):
+        exc = ValueError("source lost")
+
+        def dying():
+            yield self.rows(1)
+            raise exc
+
+        lazy = BlockSet(dying())
+        for __ in range(2):
+            with pytest.raises(ValueError) as info:
+                value_key(lazy)
+            assert info.value is exc
+        assert lazy.tuple_at(0).get("$A").label == 1
+
+    def test_sets_compare_tuple_by_tuple(self):
+        one = BindingSet([BindingTuple({"$A": leaf(1)})])
+        assert values_equal(one, BindingSet([BindingTuple({"$A": leaf(1)})]))
+        assert not values_equal(one, BindingSet([BindingTuple({"$A": leaf(2)})]))
+        assert not values_equal(one, BindingSet())
+        assert not values_equal(VList([leaf(1)]), VList())
+
+    def test_reprs(self):
+        t = BindingTuple({"$A": leaf(1)})
+        assert repr(BindingSet([t])) == "BindingSet(1 tuples)"
+        assert repr(t).startswith("[$A=")
+        assert "lazy" in repr(VList(lazy_tail=iter(())))
 
 
 class TestValueKinds:

@@ -20,7 +20,7 @@ import pytest
 
 from repro import Mediator
 from repro.cache import data_fingerprint
-from repro.errors import MixError, TransientSourceError
+from repro.errors import MixError, SourceError, TransientSourceError
 from repro.obs import Instrument
 from repro import stats as sn
 from repro.resilience import (
@@ -33,7 +33,12 @@ from repro.resilience import (
 )
 from repro.xmltree import serialize
 
-from tests.conftest import Q1, make_paper_wrapper
+from tests.conftest import (
+    DyingCursorSource,
+    Q1,
+    make_paper_wrapper,
+    make_scaled_wrapper,
+)
 
 ORDERS = "FOR $O IN document(root2)/order RETURN $O"
 
@@ -218,6 +223,23 @@ def test_broken_lazy_tail_is_never_served():
     second = mediator.query(ORDERS)
     assert mediator.stats.get(sn.NAV_MEMO_INVALIDATIONS) >= 1
     assert second.d() is not None
+
+    # The pushed Fig.-3 view: the cursor dies inside the second
+    # customer's gBy partition.  Once that partition latched, a second
+    # session gets a fresh evaluation that raises there again — never
+    # the memoized answer, and never a short record.
+    for width in (1, 64):
+        stats = Instrument()
+        mediator = Mediator(stats=stats, cache=True, block_size=width)
+        mediator.add_source(DyingCursorSource(
+            make_scaled_wrapper(4, 3, stats=stats), 4, obs=stats))
+        for __ in range(2):
+            record = mediator.query(Q1).d().r()
+            with pytest.raises(SourceError):
+                record.to_tree()
+            with pytest.raises(SourceError):
+                record.r()
+        assert mediator.stats.get(sn.NAV_MEMO_HITS) == 0
 
 
 def test_define_view_clears_memo():

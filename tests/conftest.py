@@ -7,6 +7,8 @@ import os
 import pytest
 
 from repro import Database, Instrument, Mediator, RelationalWrapper
+from repro.errors import SourceError
+from repro.resilience import FaultInjectingSource
 from repro.sources import SourceCatalog
 
 #: The one seed of every seeded test (CI runs 0, 1 and 2): the lattice
@@ -104,6 +106,45 @@ def make_scaled_wrapper(n_customers, orders_per_customer, stats=None):
         .register_document("root1", "customer")
         .register_document("root2", "orders", element_label="order")
     )
+
+
+class DyingCursor:
+    """A pushed cursor that delivers ``rows`` rows, then raises a
+    permanent :class:`~repro.errors.SourceError` on every later fetch —
+    a source connection lost mid-stream."""
+
+    def __init__(self, inner, rows):
+        self._inner = inner
+        self._fetch = getattr(inner, "fetch_block", None) or inner.fetchmany
+        self._left = rows
+
+    def fetch_block(self, size):
+        if self._left <= 0:
+            raise SourceError("pushed cursor died mid-stream", source="dying")
+        out = self._fetch(min(size, self._left))
+        self._left -= len(out)
+        return out
+
+    fetchmany = fetch_block
+
+    def fetchone(self):
+        out = self.fetch_block(1)
+        return out[0] if out else None
+
+    def __getattr__(self, attr):
+        return getattr(self._inner, attr)
+
+
+class DyingCursorSource(FaultInjectingSource):
+    """A fault-injecting source whose every pushed cursor dies after
+    ``rows`` rows (pull faults are scheduled as on its base class)."""
+
+    def __init__(self, inner, rows, **kwargs):
+        super().__init__(inner, **kwargs)
+        self.rows = rows
+
+    def execute_sql(self, sql):
+        return DyingCursor(super().execute_sql(sql), self.rows)
 
 
 @pytest.fixture

@@ -1,10 +1,13 @@
 """Unit tests for BlockSet tuple streams and the Table-1 group-by over
 column runs."""
 
+import pytest
+
+from repro.errors import MixError
 from repro.obs import Instrument
 from repro import stats as statnames
 from repro.xmltree import leaf
-from repro.engine.block import Block, BlockSet, rows
+from repro.engine.block import Block, BlockSet, Row, rows
 from repro.engine.gby import (
     input_is_sorted_for,
     presorted_gby_blocks,
@@ -76,6 +79,21 @@ class TestBlockSet:
     def test_negative_index(self):
         assert BlockSet(one_row_blocks([1])).tuple_at(-1) is None
 
+    def test_lazy_tail(self):
+        def source():
+            for i in range(5):
+                yield Block({"$A": [leaf(i)]}, 1)
+
+        s = BlockSet(source())
+        assert s.tuple_at(1).get("$A").label == 1
+        assert s.materialized_count == 2  # only the prefix was forced
+        assert len(s) == 5
+
+    def test_append_to_lazy_rejected(self):
+        s = BlockSet(iter(()))
+        with pytest.raises(MixError):
+            s.append(Row({}, 0))
+
 
 def presorted(blocks, size=1):
     """The group rows of the column-run presorted gBy over ``blocks``."""
@@ -141,7 +159,7 @@ class TestPresortedGby:
         (block,) = first.blocks()  # the whole run pulled so far
         assert list(stream)        # pulls the rest of the run
         (replayed,) = first.blocks()
-        assert replayed is block
+        assert replayed.cols is block.cols  # replayed from the stored rows
         assert all(len(col) == block.n == 3 for col in block.cols.values())
 
     def test_a_reused_tuple_object_is_one_key(self):

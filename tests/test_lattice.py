@@ -27,7 +27,12 @@ every point:
 * with the cache on, the plan bound for a request renders as the
   ``cache=False`` compile of the same text, rewrite rules included;
 * no ``<mix:error>`` stub appears unless the point degrades, and under
-  ``degrade`` the records without a stub are the fault-free answer.
+  ``degrade`` the records without a stub are the fault-free answer;
+* under ``escape`` (permanent faults, default ``raise`` policy) a read
+  either raises the source's failure or equals the oracle's — nothing
+  is cut short and presented as complete — and a stepwise walk that
+  meets a raise moves on to the next record, whose every step again
+  raises or equals the oracle's.
 
 Fault schedules are breaker-free.  Pull faults are keyed on a child's
 position in its document and SQL faults on the statement count, so
@@ -50,6 +55,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from repro import Instrument, Mediator, render_plan
 from repro import stats as statnames
+from repro.errors import MixError, SourceError
 from repro.resilience import (
     ERROR_LABEL,
     FaultInjectingSource,
@@ -58,7 +64,7 @@ from repro.resilience import (
     RetryPolicy,
     shard_resilience,
 )
-from repro.server import LoopbackClient, MediatorService
+from repro.server import LoopbackClient, MediatorService, ServerReplyError
 from repro.sources import hash_shard
 from repro.workloads import (
     CustomersOrdersSpec,
@@ -67,7 +73,7 @@ from repro.workloads import (
 )
 from repro.xmltree import Node, parse_xml, serialize
 
-from tests.conftest import MIX_SEED
+from tests.conftest import MIX_SEED, DyingCursorSource
 
 Point = namedtuple(
     "Point", "engine width cache deployment cost transport faults"
@@ -80,7 +86,8 @@ Point = namedtuple(
 #: ``faults``: ``retry`` injects transient pull and SQL faults that a
 #: ``RetryPolicy`` absorbs; ``degrade`` injects pull faults into a
 #: ``push_sql=False`` mediator that answers with stubs (see
-#: :func:`with_faults` for its resilient half).
+#: :func:`with_faults` for its resilient half); ``escape`` injects
+#: permanent faults that the default ``raise`` policy lets through.
 AXES = Point(
     engine=("lazy", "eager"),
     width=(1, 2, 7, 64, 1024),
@@ -89,7 +96,7 @@ AXES = Point(
                 "range 2", "range 4", "range 7"),
     cost=(True, False),
     transport=("in-process", "served"),
-    faults=("none", "retry", "degrade"),
+    faults=("none", "retry", "degrade", "escape"),
 )
 
 #: A query, its refinement from the answer's root and (for answers of
@@ -274,6 +281,14 @@ def with_faults(point, spec, stats, schedule):
     deployment = Deployment(point.deployment, spec, stats)
     if point.faults == "none":
         return deployment, deployment.source
+    if point.faults == "escape":
+        # Every pushed cursor dies after two to four rows, and one
+        # position of each document fails every pull.
+        fault_seed = schedule[0]
+        escaping = DyingCursorSource(deployment.source, 2 + fault_seed % 3)
+        escaping.fail_pull("root1", fault_seed % 4, kind="permanent")
+        escaping.fail_pull("root2", fault_seed % 5, kind="permanent")
+        return deployment, escaping
     injected = inject(deployment.source, schedule)
     if point.faults == "degrade":
         if resilient:
@@ -288,11 +303,15 @@ def with_faults(point, spec, stats, schedule):
     )
 
 
-def switches(point):
+def switches(point, schedule):
+    """The mediator's switches at ``point``: ``degrade`` navigates the
+    sources, and so does a third of the ``escape`` draws (the others
+    push SQL, whose cursors die)."""
     degrade = point.faults == "degrade"
+    pulls = degrade or point.faults == "escape" and schedule[2] == 0
     return dict(
         lazy=point.engine == "lazy", block_size=point.width,
-        cost_optimizer=point.cost, strict=True, push_sql=not degrade,
+        cost_optimizer=point.cost, strict=True, push_sql=not pulls,
         on_source_error="degrade" if degrade else "raise",
     )
 
@@ -401,13 +420,13 @@ def stepwise(transport, root, budget):
 def texts(point, query, refine, from_child):
     """``(query, refinement, from the first child?)`` of a visit at
     ``point``.  A first-child refinement falls back to the root one when
-    the shape has none, when a stub may come first (``degrade``) and
+    the shape has none, when a stub or a raise may come first and
     when a hash fleet gathers an unordered answer (which record comes
     first is not fixed); a fleet refuses the Fig. 12 refinement's
     self-join, so there is none."""
     shape, a = query
     if from_child and (
-        shape.node_q is None or point.faults == "degrade"
+        shape.node_q is None or point.faults in ("degrade", "escape")
         or point.deployment.startswith("hash") and not shape.ordered
     ):
         from_child = False
@@ -442,6 +461,109 @@ def visit(transport, request, budget, fresh=True):
             transport.q(start[0], refinement))
     seen["tree after"] = transport.tree(root)
     return seen
+
+
+#: What a read that met an escaping source failure observed.
+RAISED = "raised"
+
+
+def attempt(read):
+    """``read()``, or :data:`RAISED` when a source failure escapes it —
+    raised in-process, or an error reply over the wire."""
+    try:
+        return read()
+    except MixError as exc:
+        if isinstance(exc, ServerReplyError):
+            if exc.code != "MIX-E-SOURCE":
+                raise
+        elif not isinstance(exc, SourceError):
+            raise
+        return RAISED
+
+
+def descend(transport, node, out, depth=1):
+    """Append ``[depth, label]`` for every landing below ``node``."""
+    landing = transport.down(node)
+    while landing is not None:
+        child, label = landing
+        out.append([depth, label])
+        descend(transport, child, out, depth + 1)
+        landing = transport.right(child)
+
+
+def stepwise_past_raises(transport, root):
+    """The unbudgeted :func:`stepwise` walk, one root child at a time:
+    ``(per child (its landings, whether a step raised), whether the
+    walk ended cleanly)``.  A raise below a root child moves on to the
+    next one; a raise at the root ends the walk."""
+    children = []
+    landing = attempt(lambda: transport.down(root))
+    while landing not in (None, RAISED):
+        node, label = landing
+        steps = [[0, label]]
+        raised = attempt(lambda: descend(transport, node, steps)) == RAISED
+        children.append((steps, raised))
+        landing = attempt(lambda: transport.right(node))
+    return children, landing is None
+
+
+def escaping_visit(transport, request, budget):
+    """:func:`visit` under escaping faults, each read on a fresh answer
+    and :data:`RAISED` where a failure escaped it; the stepwise walk is
+    :func:`stepwise_past_raises`, and ``tree after`` reads its root."""
+    query, refinement, __ = request
+
+    def walk():
+        steps, truncated = transport.walk(transport.query(query), budget)
+        return [list(step) for step in steps], truncated
+
+    def stepped():
+        root = transport.query(query)
+        return (stepwise_past_raises(transport, root),
+                attempt(lambda: transport.tree(root)))
+
+    seen = {"walk": attempt(walk),
+            "tree": attempt(lambda: transport.tree(transport.query(query)))}
+    walked = attempt(stepped)
+    seen["steps"], seen["tree after"] = (
+        (RAISED, RAISED) if walked == RAISED else walked)
+    if refinement is not None:
+        seen["q"] = attempt(lambda: transport.tree(
+            transport.q(transport.query(query), refinement)))
+    return seen
+
+
+def agree_past_raises(point, budget, got, want, steps, label):
+    """Assert every read of an escaping visit raised or equals the
+    oracle's (``steps``: the oracle's unbudgeted stepwise walk)."""
+    completed = {read: value for read, value in got.items()
+                 if value != RAISED and read != "steps"}
+    agree(point._replace(faults="none"), budget, completed,
+          {read: want[read] for read in completed}, label)
+    if got["steps"] == RAISED:
+        return
+    children, clean = got["steps"]
+    expected = []
+    for depth, name in steps:
+        if depth == 0:
+            expected.append([])
+        expected[-1].append([depth, name])
+    where = "steps: " + label
+    assert len(children) <= len(expected), where
+    if point.deployment.startswith("hash"):
+        # Arrival order: match each record to some oracle record.
+        unmatched = list(expected)
+        for mine, raised in children:
+            if raised:
+                assert any(e[:len(mine)] == mine for e in expected), where
+            else:
+                assert mine in unmatched, where
+                unmatched.remove(mine)
+    else:
+        for (mine, raised), theirs in zip(children, expected):
+            assert mine == (theirs[:len(mine)] if raised else theirs), where
+    if clean:
+        assert len(children) == len(expected), where
 
 
 def compiled(mediator, request):
@@ -582,14 +704,14 @@ def test_every_lattice_point_agrees_with_the_oracle(point, shape, schedule,
     ).add_source(reference.source))
     deployment, source = with_faults(point, spec, stats, schedule)
     mediator = Mediator(
-        stats=stats, cache=point.cache != "off", **switches(point)
+        stats=stats, cache=point.cache != "off", **switches(point, schedule)
     ).add_source(source)
     # The cache-off compile of every request, over the same sources
     # (lazy: the engine does not enter the compile, and it reads less).
     twin = None
     if point.cache != "off":
         twin = Mediator(catalog=mediator.catalog, stats=Instrument(),
-                        **dict(switches(point), lazy=True))
+                        **dict(switches(point, schedule), lazy=True))
     mediators = [m for m in (oracle.mediator, mediator, twin)
                  if m is not None]
     views = 0
@@ -601,12 +723,14 @@ def test_every_lattice_point_agrees_with_the_oracle(point, shape, schedule,
     bound = set()  # (request, views) whose binding was checked
     # Only a lazy answer can be half read: an eager one is built whole.
     fresh = point.engine == "lazy"
+    escape = point.faults == "escape"
     next_key = 100000
     try:
         if point.cache == "warm":
             for shape, a in pool:
                 other = (a + 1) % len(VALUES)
-                visit(transport, texts(point, (shape, other), other, True), 3)
+                (escaping_visit if escape else visit)(
+                    transport, texts(point, (shape, other), other, True), 3)
         for step, (change, visited) in enumerate(script):
             index, refine, from_child, budget = visited
             label = "step {} at {}".format(step, point)
@@ -620,16 +744,33 @@ def test_every_lattice_point_agrees_with_the_oracle(point, shape, schedule,
             request = texts(point, pool[index % len(pool)], refine,
                             from_child)
             want = visit(oracle, request, budget, fresh=False)
-            agree(point, budget, visit(transport, request, budget, fresh),
-                  want, label)
+            if escape:
+                steps = stepwise(oracle, oracle.query(request[0]), None)
+
+            def check():
+                if escape:
+                    agree_past_raises(
+                        point, budget,
+                        escaping_visit(transport, request, budget), want,
+                        steps, label)
+                else:
+                    agree(point, budget,
+                          visit(transport, request, budget, fresh), want,
+                          label)
+
+            check()
             if point.cache == "demand":
                 mediator.cache.nav_memo.clear()
-                agree(point, budget, visit(transport, request, budget, fresh),
-                      want, label)
+                check()
             if twin is not None and (request, views) not in bound:
+                try:
+                    mine = compiled(mediator, request)
+                except SourceError:
+                    if not escape:
+                        raise
+                    continue  # an eager answer fails while it is built
                 bound.add((request, views))
-                assert compiled(mediator, request) == \
-                    compiled(twin, request), label
+                assert mine == compiled(twin, request), label
     finally:
         transport.close()
         deployment.close()

@@ -1,5 +1,9 @@
 """Unit tests for the labeled ordered tree model."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.errors import MixError
@@ -12,6 +16,7 @@ from repro.xmltree import (
     leaf,
     tree_size,
 )
+from repro.xmltree.tree import LazyPrefix
 
 
 class TestNodeBasics:
@@ -74,6 +79,12 @@ class TestNodeBasics:
         node = elem("a", elem("b", "1"), elem("c"))
         assert tree_size(node) == 4
 
+    def test_pretty_and_repr(self):
+        node = elem("a", elem("b", "1", oid="&b"), oid="&a")
+        assert node.pretty().splitlines()[:2] == ["&a a", "  &b b"]
+        assert repr(node) == "Node(&a:a, 1 children)"
+        assert repr(node.child(0).child(0)).endswith("='1')")
+
 
 class TestLazyChildren:
     def _lazy_node(self, count):
@@ -113,6 +124,77 @@ class TestLazyChildren:
     def test_repr_marks_laziness(self):
         node = self._lazy_node(3)
         assert "lazy" in repr(node)
+
+
+class TestLazyPrefix:
+    """The one memoized prefix under nodes, lists and binding sets."""
+
+    @staticmethod
+    def dying(count, exc):
+        def tail():
+            yield from range(count)
+            raise exc
+
+        return LazyPrefix(lazy_tail=tail())
+
+    def test_latch_reraises_the_same_exception(self):
+        exc = ValueError("source lost")
+        prefix = self.dying(2, exc)
+        assert prefix.item(1) == 1
+        caught = []
+        for __ in range(3):
+            with pytest.raises(ValueError) as info:
+                prefix.item(2)
+            caught.append(info.value)
+        assert all(e is exc for e in caught)
+        assert prefix.is_broken and not prefix.fully_materialized
+        assert prefix.item(0) == 0  # the prefix itself stays readable
+        with pytest.raises(ValueError):
+            list(prefix)
+        assert prefix.materialized() == [0, 1]
+
+    def test_prefetch_parks_an_error_past_the_strict_part(self):
+        exc = ValueError("source lost")
+        prefix = self.dying(2, exc)
+        prefix.prefetch(1, extra=5)  # the failure is past the demand
+        assert prefix.materialized_count == 2
+        assert prefix.is_broken
+        assert prefix.item(1) == 1
+        with pytest.raises(ValueError) as info:
+            prefix.prefetch(3)
+        assert info.value is exc
+
+    def test_two_threads_get_each_item_exactly_once(self):
+        produced = []
+
+        def tail():
+            for i in range(2000):
+                time.sleep(0)  # let the other reader in mid-resume
+                produced.append(i)
+                yield i
+
+        prefix = LazyPrefix(lazy_tail=tail())
+        seen = [[], []]
+        start = threading.Barrier(2)
+
+        def reader(out):
+            start.wait()
+            out.extend(prefix)
+
+        threads = [threading.Thread(target=reader, args=(out,))
+                   for out in seen]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert produced == list(range(2000))
+        assert seen[0] == seen[1] == list(range(2000))
 
 
 class TestDeepEquals:
