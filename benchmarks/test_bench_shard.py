@@ -84,10 +84,6 @@ class _LatencyCursor:
         self._pay()
         return self._inner.fetch_block(size)
 
-    def fetchmany(self, size):
-        self._pay()
-        return self._inner.fetchmany(size)
-
     def fetchone(self):
         return self._inner.fetchone()
 

@@ -314,9 +314,7 @@ class LazyEngine:
             yield Block({name: [stub] for name in names}, 1)
             return
         width = self._width(env)
-        fetch = getattr(cursor, "fetch_block", None)
-        if fetch is None:
-            fetch = cursor.fetchmany
+        fetch = cursor.fetch_block
         builders = [_entry_builder(entry, self.oids) for entry in varmap]
         while True:
             try:

@@ -222,11 +222,12 @@ class SourceTimeoutError(TransientSourceError):
 class ShardError(SourceError):
     """One member of a sharded table failed during scatter-gather.
 
-    Raised by the merge cursor at the stream position where the failed
-    member's rows would have appeared; the surviving members keep
-    streaming, so an engine that degrades substitutes a single
-    ``<mix:error>`` stub for the lost shard and the answer stays
-    partial instead of dead.
+    Raised by a scattered statement's cursor at the stream position
+    where the failed member's rows would have appeared, or by the
+    partitioned document's navigation when a member's child stream
+    fails as a whole; the surviving members keep streaming, so an
+    engine that degrades substitutes a single ``<mix:error>`` stub for
+    the lost shard and the answer stays partial instead of dead.
 
     Attributes:
         shard: printable name of the failing member.

@@ -282,9 +282,6 @@ class Table:
         """The column tuples of all secondary indexes."""
         return sorted(self._secondary)
 
-    def has_index(self, columns):
-        return tuple(columns) in self._secondary
-
     def usable_indexes(self, bound):
         """``[(columns, prefix_len)]`` for every index with a leading
         prefix of its columns among the ``bound`` column names (an index
@@ -309,23 +306,6 @@ class Table:
     def _index_key(self, columns, row):
         return tuple(row[self.schema.column_index(c)] for c in columns)
 
-    def index_scan(self, columns, values):
-        """Rows whose ``columns`` equal ``values``, via the hash index.
-
-        ``values`` may bind only a *leading prefix* of the index
-        columns — an index on ``(a, b)`` answers ``a = 1`` by walking
-        its buckets and keeping those whose key starts with ``(1,)``.
-        Each returned row counts as scanned; the probe itself counts one
-        ``index_lookups`` whether full or partial.
-        """
-        rows = self.access_paths().index_rows(columns, values)
-        if self._stats is not None:
-            self._stats.incr(statnames.INDEX_LOOKUPS)
-        for row in rows:
-            if self._stats is not None:
-                self._stats.incr(statnames.ROWS_SCANNED)
-            yield row
-
     # -- access --------------------------------------------------------------
 
     def access_paths(self):
@@ -339,26 +319,6 @@ class Table:
                 if paths is None or paths.version != self.version:
                     paths = self._paths = AccessPaths(self)
         return paths
-
-    def scan(self):
-        """Generator over all rows; each yielded row counts as scanned."""
-        for row in self._rows:
-            if self._stats is not None:
-                self._stats.incr(statnames.ROWS_SCANNED)
-            yield row
-
-    def lookup_key(self, key):
-        """Point lookup by primary key tuple; ``None`` when absent."""
-        if self._key_index is None:
-            raise SchemaError(
-                "table {!r} has no primary key".format(self.schema.name)
-            )
-        pos = self._key_index.get(tuple(key))
-        if pos is None:
-            return None
-        if self._stats is not None:
-            self._stats.incr(statnames.ROWS_SCANNED)
-        return self._rows[pos]
 
     def rows_snapshot(self):
         """A copy of all rows, *not* counted as scanned (test helper)."""

@@ -12,17 +12,22 @@ optimizer never learn the table is sharded:
   is sent to every member whose per-shard ``ANALYZE`` statistics cannot
   rule it out (:mod:`repro.optimizer.shardstats`); member statements
   run concurrently on a bounded ``concurrent.futures`` pool, each
-  member stream prefetched block-at-a-time;
-* **gather** — a :class:`~repro.relational.cursor.ShardMergeCursor`
-  merges the member streams back into one cursor: member order for
-  range partitioning (preserving the partition-key order), arrival
-  order for hash partitioning, and an exact k-way merge whenever the
-  statement carries an ``ORDER BY``;
+  member stream (:class:`ShardStream`) prefetched block-at-a-time;
+* **gather** — a row iterator (:class:`_Gather`) merges the member
+  streams back into one: member order for range partitioning
+  (preserving the partition-key order), arrival order for hash
+  partitioning, and an exact k-way merge whenever the statement
+  carries an ``ORDER BY``.  The source decides the mode and wraps the
+  gather in the one :class:`~repro.relational.cursor.Cursor`, so a
+  scattered statement fetches, parks a failure and closes like any
+  other;
 * **degrade** — wrap the members with
   :func:`repro.resilience.shard_resilience` (each gets its *own*
   breaker), and under a degrading mediator a dead member costs one
   ``<mix:error>`` stub plus the surviving members' rows, never the
-  whole query.
+  whole query.  One method, :meth:`ShardedSource._member_failure`,
+  turns a member's failure into a counted :class:`ShardError`, for the
+  scatter and for navigation alike.
 
 Replicated-only statements route to the first member; navigation over
 the partitioned document concatenates the members' child streams in
@@ -31,9 +36,12 @@ member order.
 
 from __future__ import annotations
 
+import heapq
 import threading
 import zlib
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 from repro import stats as statnames
 from repro.errors import (
@@ -43,15 +51,9 @@ from repro.errors import (
     TransientSourceError,
 )
 from repro.relational import ast
-from repro.relational.cursor import (
-    ARRIVAL,
-    MERGE,
-    ORDERED,
-    Cursor,
-    ShardMergeCursor,
-    ShardStream,
-)
+from repro.relational.cursor import Cursor
 from repro.relational.parser import parse_sql
+from repro.relational.types import sort_key
 from repro.sources.base import Source
 
 #: Partitioning schemes.
@@ -116,8 +118,8 @@ class ShardedSource(Source):
             ``shards_pruned`` / ``shards_failed``.
 
     The scatter pool runs one worker per member, and each member stream
-    keeps the :class:`~repro.relational.cursor.ShardStream` default of 4
-    blocks buffered ahead of the merge.
+    keeps the :class:`ShardStream` default of 4 blocks buffered ahead
+    of the gather.
     """
 
     def __init__(self, members, partition, replicated=(),
@@ -132,13 +134,13 @@ class ShardedSource(Source):
         self._obs = obs
         self._block_size = 64
         self._pool = None
-        self._pool_lock = threading.Lock()
+        self._lock = threading.Lock()   # the pool and the tallies
         self._health = {"scattered": 0, "pruned": 0, "failed": 0}
 
     # -- the scatter pool ---------------------------------------------------------
 
     def _ensure_pool(self):
-        with self._pool_lock:
+        with self._lock:
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(
                     max_workers=len(self.members),
@@ -148,7 +150,7 @@ class ShardedSource(Source):
 
     def close(self):
         """Shut the scatter pool down (idle shards keep no threads)."""
-        with self._pool_lock:
+        with self._lock:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=False)
@@ -349,42 +351,65 @@ class ShardedSource(Source):
                 self._obs.incr(statnames.SHARDS_PRUNED, pruned)
             if live:
                 self._obs.incr(statnames.SHARDS_SCATTERED, len(live))
-        self._health["pruned"] += pruned
-        self._health["scattered"] += len(live)
+        with self._lock:
+            self._health["pruned"] += pruned
+            self._health["scattered"] += len(live)
         if not live:
             return Cursor(names, [])
         if sort_positions:
-            gather = MERGE
+            mode = MERGE
         elif self.partition.scheme == RANGE:
-            gather = ORDERED
+            mode = ORDERED
         else:
-            gather = ARRIVAL
+            mode = ARRIVAL
         pool = self._ensure_pool()
         cond = threading.Condition()
         streams = [
             ShardStream(
                 index,
-                _member_name(member, index),
-                _opener(member, shard_sql),
+                partial(member.execute_sql, shard_sql),
+                partial(self._member_failure, index),
                 pool,
                 cond,
                 block_size=self._block_size,
             )
             for index, member in live
         ]
-        return ShardMergeCursor(
+        return Cursor(
             names,
-            streams,
-            gather=gather,
-            sort_positions=sort_positions,
-            project_width=project_width,
-            distinct=stmt.distinct,
-            obs=self._obs,
-            on_failure=self._note_stream_failure,
+            _Gather(streams, cond, mode, sort_positions, project_width,
+                    stmt.distinct),
         )
 
-    def _note_stream_failure(self, exc):
-        self._health["failed"] += 1
+    def _member_failure(self, index, exc, doc_id=None):
+        """The :class:`ShardError` standing for member ``index``'s
+        failure (``exc`` itself when it already is one), counted once
+        in ``shards_failed`` and the ``-- shard:`` footer's ``failed``.
+
+        The scatter calls it when a member stream delivers its failure,
+        navigation (``doc_id`` given) when a member's child stream
+        fails as a whole."""
+        with self._lock:
+            self._health["failed"] += 1
+        if self._obs is not None:
+            self._obs.incr(statnames.SHARDS_FAILED)
+        if isinstance(exc, ShardError):
+            return exc
+        name = _member_name(self.members[index], index)
+        shard_exc = ShardError(
+            "shard {!r} failed {}: {}".format(
+                name,
+                "mid-gather" if doc_id is None else "during navigation",
+                exc,
+            ),
+            doc_id=doc_id,
+            sql=getattr(exc, "sql", None),
+            source=name,
+            shard=name,
+            index=index,
+        )
+        shard_exc.__cause__ = exc
+        return shard_exc
 
     def _prune(self, stmt):
         """``(live [(index, member)], pruned count)`` for a statement."""
@@ -479,7 +504,8 @@ class ShardedSource(Source):
         """Cumulative scatter tallies, rendered by ``Mediator.explain``
         as the ``-- shard:`` footer."""
         health = {"source": self.server_name, "shards": len(self.members)}
-        health.update(self._health)
+        with self._lock:
+            health.update(self._health)
         return health
 
     def resilience_health(self):
@@ -518,17 +544,245 @@ class ShardedSource(Source):
 
 
 def _member_name(member, index):
-    inner = getattr(member, "name", None) or getattr(
-        member, "server_name", None
-    ) or type(member).__name__
-    return "{}[{}]".format(inner, index)
+    """How a member's failures read: its own ``name`` when it has one
+    (:func:`~repro.resilience.shard_resilience` already names members
+    ``<base>[<index>]``), else ``<server name>[<index>]``."""
+    name = getattr(member, "name", None)
+    if name:
+        return name
+    base = getattr(member, "server_name", None) or type(member).__name__
+    return "{}[{}]".format(base, index)
 
 
-def _opener(member, shard_sql):
-    def open_cursor():
-        return member.execute_sql(shard_sql)
+class ShardStream:
+    """One shard member's block feed, pumped on a shared thread pool.
 
-    return open_cursor
+    The stream keeps up to ``depth`` blocks buffered ahead of the
+    consumer.  Exactly one fetch task is in flight per stream at any
+    moment (the member cursor is touched by one thread at a time); a
+    completing task re-submits itself while the buffer has room, so all
+    members of a scatter keep fetching while the gather consumes.  The
+    member cursor itself is *opened* (``opener()``) inside the first
+    task, which is what parallelizes the per-shard SQL execution, not
+    just the row transfer.
+
+    All consumer-side state is guarded by the gather's condition
+    variable (shared so an arrival-order gather can wait on "any stream
+    has data" with a single wait).  ``fail(exc)`` turns the member's
+    failure into the :class:`ShardError` the consumer sees.
+    """
+
+    def __init__(self, index, opener, fail, pool, cond, block_size=64,
+                 depth=4):
+        self.index = index
+        self._opener = opener
+        self._fail = fail
+        self._pool = pool
+        self._cond = cond
+        self._block = max(1, int(block_size))
+        self._depth = max(1, int(depth))
+        self._cursor = None
+        self._buffer = deque()     # blocks (lists of rows), oldest first
+        self._inflight = False
+        self._exhausted = False
+        self._error = None         # member failure, delivered once
+        self._closed = False
+        with cond:
+            self._pump()
+
+    # -- producer side (pool threads) ---------------------------------------------
+
+    def _pump(self):
+        """Schedule one fetch task (caller holds the condition)."""
+        self._inflight = True
+        try:
+            self._pool.submit(self._fetch_task)
+        except RuntimeError:  # pool already shut down
+            self._inflight = False
+
+    def _fetch_task(self):
+        try:
+            if self._cursor is None:
+                self._cursor = self._opener()
+            rows = self._cursor.fetch_block(self._block)
+        except Exception as exc:  # held for the consumer, incl. SourceError
+            with self._cond:
+                self._error = exc
+                self._inflight = False
+                self._cond.notify_all()
+            return
+        with self._cond:
+            if rows:
+                self._buffer.append(rows)
+            else:
+                self._exhausted = True
+            if (not self._closed and not self._exhausted
+                    and len(self._buffer) < self._depth):
+                self._pump()
+            else:
+                self._inflight = False
+            self._cond.notify_all()
+
+    # -- consumer side (call holding the condition) --------------------------------
+
+    def has_block(self):
+        return bool(self._buffer)
+
+    def finished(self):
+        """No data buffered and none coming (failure counts as done
+        only after :meth:`take_block` has surfaced it)."""
+        return (not self._buffer and not self._inflight
+                and self._exhausted and self._error is None)
+
+    def take_block(self, wait=True):
+        """The next buffered block; ``[]`` when the stream is over,
+        ``None`` when ``wait=False`` and nothing is ready yet.
+
+        A member failure is raised exactly once, through ``fail``,
+        after every block fetched before it has been delivered;
+        afterwards the stream reads as exhausted, so the gather
+        continues on the surviving members.
+        """
+        while True:
+            if self._buffer:
+                rows = self._buffer.popleft()
+                if (not self._inflight and not self._exhausted
+                        and self._error is None and not self._closed):
+                    self._pump()
+                return rows
+            if self._error is not None:
+                exc, self._error = self._error, None
+                self._exhausted = True
+                raise self._fail(exc)
+            if self._exhausted or not self._inflight:
+                self._exhausted = True
+                return []
+            if not wait:
+                return None
+            self._cond.wait()
+
+    def close(self):
+        with self._cond:
+            self._closed = True
+
+
+#: Gather modes, decided by :meth:`ShardedSource._scatter`.
+ARRIVAL = "arrival"    # whichever member has a block ready first
+ORDERED = "ordered"    # member index order (range partitioning)
+MERGE = "merge"        # k-way merge on ORDER BY key positions
+
+
+class _Gather:
+    """A scatter's member streams as one row iterator.
+
+    * ``arrival`` interleaves blocks as members produce them (hash
+      partitioning; no order to preserve);
+    * ``ordered`` concatenates members in index order while later
+      members prefetch in the background (range partitioning keeps the
+      partition-key order);
+    * ``merge`` heap-merges member streams already sorted by the pushed
+      ``ORDER BY`` (``sort_positions`` are the key's column positions in
+      the shard rows), preserving the global sort exactly.
+
+    ``project_width`` trims rows that were widened with auxiliary
+    ORDER-BY columns back to the statement's true projection;
+    ``distinct`` re-applies DISTINCT globally (per-shard DISTINCT
+    cannot see cross-shard duplicates).
+
+    A member failure raises its :class:`ShardError` from ``next()`` at
+    the position where that member's rows stopped — once — and the
+    iterator goes on with the surviving members afterwards, which is
+    what lets a degrading engine turn a dead shard into one
+    ``<mix:error>`` stub plus a partial answer.  Rows are accounted in
+    the member cursors (they ship from the members exactly once).
+    """
+
+    def __init__(self, streams, cond, mode, sort_positions=None,
+                 project_width=None, distinct=False):
+        self._streams = streams
+        self._cond = cond
+        self._fill = {
+            ARRIVAL: self._fill_arrival,
+            ORDERED: self._fill_ordered,
+            MERGE: self._fill_merge,
+        }[mode]
+        self._sort_positions = sort_positions
+        self._project_width = project_width
+        self._seen = set() if distinct else None
+        self._rows = deque()        # gathered rows, not yet delivered
+        self._next_ordered = 0      # ordered: the member being read
+        self._heap = []             # merge: one head row per member
+        # merge: (stream, rest of its block) whose next row is not on
+        # the heap — every member at first, then the one last popped.
+        self._refill = deque((stream, iter(())) for stream in streams)
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        while True:
+            if not self._rows:
+                with self._cond:
+                    self._fill()
+                if not self._rows:
+                    raise StopIteration
+            row = self._rows.popleft()
+            if self._project_width is not None:
+                row = tuple(row[:self._project_width])
+            if self._seen is not None:
+                if row in self._seen:
+                    continue
+                self._seen.add(row)
+            return row
+
+    def close(self):
+        for stream in self._streams:
+            stream.close()
+
+    # -- fills: buffer at least one row, or none when every stream is done ---------
+
+    def _fill_arrival(self):
+        while not self._rows:
+            live = [s for s in self._streams if not s.finished()]
+            if not live:
+                return
+            # Prefer a stream with a block already buffered; only wait
+            # when every live stream is still fetching.
+            ready = next((s for s in live if s.has_block()), None)
+            target = ready if ready is not None else live[0]
+            rows = target.take_block(wait=ready is not None)
+            if rows is None:
+                self._cond.wait()
+            else:
+                self._rows.extend(rows)
+
+    def _fill_ordered(self):
+        # A member that raised reads as exhausted: the next call moves on.
+        while not self._rows and self._next_ordered < len(self._streams):
+            rows = self._streams[self._next_ordered].take_block()
+            if rows:
+                self._rows.extend(rows)
+            else:
+                self._next_ordered += 1
+
+    def _fill_merge(self):
+        # A popped member's next row is pushed on the *next* fill, so
+        # its failure surfaces after the row it last delivered.
+        while self._refill:
+            stream, rest = self._refill.popleft()
+            row = next(rest, None)
+            if row is None:
+                block = stream.take_block()
+                if not block:
+                    continue
+                rest = iter(block)
+                row = next(rest)
+            key = tuple(sort_key(row[p]) for p in self._sort_positions)
+            heapq.heappush(self._heap, (key, stream.index, row, stream, rest))
+        if self._heap:
+            __, __, row, stream, rest = heapq.heappop(self._heap)
+            self._rows.append(row)
+            self._refill.append((stream, rest))
 
 
 class _ShardedChildIterator:
@@ -593,22 +847,7 @@ class _ShardedChildIterator:
 
     def _member_error(self, exc):
         self._failed = True
-        sharded = self._sharded
-        name = _member_name(sharded.members[self._index], self._index)
-        sharded._health["failed"] += 1
-        if sharded._obs is not None:
-            sharded._obs.incr(statnames.SHARDS_FAILED)
-        if isinstance(exc, ShardError):
-            return exc
-        shard_exc = ShardError(
-            "shard {!r} failed during navigation: {}".format(name, exc),
-            doc_id=self._doc,
-            source=name,
-            shard=name,
-            index=self._index,
-        )
-        shard_exc.__cause__ = exc
-        return shard_exc
+        return self._sharded._member_failure(self._index, exc, self._doc)
 
     def skip(self):
         """Abandon what the last raise lost: the failed member, or the

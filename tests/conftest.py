@@ -115,17 +115,14 @@ class DyingCursor:
 
     def __init__(self, inner, rows):
         self._inner = inner
-        self._fetch = getattr(inner, "fetch_block", None) or inner.fetchmany
         self._left = rows
 
     def fetch_block(self, size):
         if self._left <= 0:
             raise SourceError("pushed cursor died mid-stream", source="dying")
-        out = self._fetch(min(size, self._left))
+        out = self._inner.fetch_block(min(size, self._left))
         self._left -= len(out)
         return out
-
-    fetchmany = fetch_block
 
     def fetchone(self):
         out = self.fetch_block(1)

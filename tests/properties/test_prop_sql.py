@@ -114,5 +114,5 @@ def test_cursor_prefix_is_prefix_of_full(data, k):
     db = build_db(data, [])
     full = db.execute("SELECT a, b FROM r ORDER BY a, b").fetchall()
     cursor = db.execute("SELECT a, b FROM r ORDER BY a, b")
-    prefix = cursor.fetchmany(k)
+    prefix = cursor.fetch_block(k)
     assert prefix == full[:k]

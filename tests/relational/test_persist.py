@@ -28,7 +28,7 @@ class TestRoundTrip:
         db = make_paper_db()
         db.run("CREATE INDEX by_cid ON orders (cid)")
         reloaded = load_database(dump_database(db))
-        assert reloaded.table("orders").has_index(("cid",))
+        assert ("cid",) in reloaded.table("orders").indexes()
 
     def test_file_roundtrip(self, tmp_path):
         path = str(tmp_path / "db.json")

@@ -3,7 +3,14 @@
 import pytest
 
 from repro.errors import IntegrityError, SchemaError
-from repro.relational import Column, INTEGER, TEXT, Table, TableSchema
+from repro.relational import (
+    Column,
+    Database,
+    INTEGER,
+    TEXT,
+    Table,
+    TableSchema,
+)
 from repro.obs import Instrument
 from repro import stats as statnames
 
@@ -45,21 +52,24 @@ class TestInsert:
 
 
 class TestScan:
-    def test_scan_counts_rows(self):
+    def test_scan_reads_the_version_uncounted(self):
         stats = Instrument()
         table = make_table(stats=stats)
         table.insert_many([[1, "a"], [2, "b"], [3, "c"]])
-        list(table.scan())
-        assert stats.get(statnames.ROWS_SCANNED) == 3
+        assert list(table.access_paths().scan()) == [
+            (1, "a"), (2, "b"), (3, "c")
+        ]
+        assert stats.get(statnames.ROWS_SCANNED) == 0
 
     def test_scan_is_lazy(self):
-        stats = Instrument()
-        table = make_table(stats=stats)
-        table.insert_many([[i, "x"] for i in range(100)])
-        it = table.scan()
-        next(it)
-        next(it)
-        assert stats.get(statnames.ROWS_SCANNED) == 2
+        """A statement's scan counts only the rows its fetches pulled."""
+        db = Database("lazy", stats=Instrument())
+        db.run("CREATE TABLE t (id INT, name TEXT, PRIMARY KEY (id))")
+        db.table("t").insert_many([[i, "x"] for i in range(100)])
+        cursor = db.execute("SELECT * FROM t")
+        cursor.fetchone()
+        cursor.fetchone()
+        assert db.stats.get(statnames.ROWS_SCANNED) == 2
 
     def test_snapshot_not_counted(self):
         stats = Instrument()
@@ -73,14 +83,9 @@ class TestKeyLookup:
     def test_lookup(self):
         table = make_table()
         table.insert([1, "a"])
-        assert table.lookup_key([1]) == (1, "a")
-        assert table.lookup_key([9]) is None
-
-    def test_lookup_without_key(self):
-        table = make_table(key=())
-        table.insert([1, "a"])
-        with pytest.raises(SchemaError):
-            table.lookup_key([1])
+        paths = table.access_paths()
+        assert paths.lookup((1,)) == (1, "a")
+        assert paths.lookup((9,)) is None
 
 
 class TestMutation:
@@ -105,7 +110,7 @@ class TestMutation:
             lambda row: row[0] == 2, lambda row: (row[0], "B")
         )
         assert changed == 1
-        assert table.lookup_key([2]) == (2, "B")
+        assert table.access_paths().lookup((2,)) == (2, "B")
 
     def test_update_key_collision_rejected(self):
         table = make_table()
@@ -207,8 +212,9 @@ class TestAccessPaths:
             table.update_where(lambda row: row[0] == 2,
                                lambda row: (1, "x"))
         assert table.rows_snapshot() == [(1, "a"), (2, "b")]
-        assert table.lookup_key([2]) == (2, "b")
-        assert list(table.index_scan(("name",), ["b"])) == [(2, "b")]
+        paths = table.access_paths()
+        assert paths.lookup((2,)) == (2, "b")
+        assert paths.index_rows(("name",), ["b"]) == [(2, "b")]
 
     def test_usable_indexes(self):
         table = make_table()

@@ -5,12 +5,15 @@ source: same catalog surface, same answers, same ``tuples_shipped`` —
 only the EXPLAIN footer and the shard counters betray the fleet.
 """
 
+import threading
+import time
+
 import pytest
 
 from repro import Database, Instrument, RelationalWrapper
 from repro import stats as statnames
 from repro.errors import ShardError, SourceError
-from repro.resilience import ERROR_LABEL, shard_resilience
+from repro.resilience import ERROR_LABEL, find_error_stubs, shard_resilience
 from repro.sources import Partition, ShardedSource, hash_shard
 from repro.sources.shard import HASH, RANGE
 from repro.workloads import (
@@ -18,6 +21,7 @@ from repro.workloads import (
     build_sharded_customers_orders,
 )
 from repro.xmltree import serialize
+from tests.conftest import DyingCursor
 
 LAYOUTS = [(HASH, "cid"), (HASH, "orid"), (RANGE, "orid"), (RANGE, "value")]
 
@@ -375,6 +379,10 @@ class TestCatalogSurface:
         assert "3 members" in repr(sw.sharded)
         iterator = sw.sharded.iter_document_children("root2")
         assert "_ShardedChildIterator" in repr(iterator)
+        cursor = sw.sharded.execute_sql("SELECT orid FROM orders")
+        assert repr(cursor) == "Cursor(['orid'], 0 fetched, open)"
+        cursor.fetchall()
+        assert repr(cursor) == "Cursor(['orid'], 18 fetched, closed)"
         sw.sharded.close()
 
     def test_sql_cache_forwarding(self):
@@ -488,3 +496,181 @@ class TestNavigationFailureMidStream:
             pass
 
         assert _member_name(Opaque(), 2) == "Opaque[2]"
+
+
+class TestMemberNames:
+    """A member is named once: the name its ``ResilientSource`` and
+    breaker carry is the one its ``ShardError`` and its stub show."""
+
+    QUERY = "FOR $O IN document(root2)/order RETURN $O"
+
+    def resilient_fleet_with_dead_member(self, victim):
+        sw = sharded(shards=3, member_wrapper=shard_resilience)
+
+        def boom(*args):
+            raise SourceError("member down")
+
+        sw.members[victim].inner.execute_sql = boom
+        sw.members[victim].inner.iter_document_children = boom
+        return sw
+
+    @pytest.mark.parametrize("victim", range(3))
+    @pytest.mark.parametrize("push_sql", [True, False],
+                             ids=["scatter", "navigation"])
+    def test_stub_source_is_the_member_name(self, push_sql, victim):
+        sw = self.resilient_fleet_with_dead_member(victim)
+        mediator = sw.mediator(on_source_error="degrade", push_sql=push_sql)
+        stubs = find_error_stubs(mediator.query(self.QUERY).to_tree())
+        assert len(stubs) == 1
+        source = stubs[0].children[0]
+        assert source.label == "source"
+        assert source.children[0].label == sw.members[victim].name
+        sw.sharded.close()
+
+    @pytest.mark.parametrize("victim", range(3))
+    def test_shard_error_names_the_member_on_scatter(self, victim):
+        sw = self.resilient_fleet_with_dead_member(victim)
+        cursor = sw.sharded.execute_sql("SELECT orid FROM orders")
+        with pytest.raises(ShardError) as caught:
+            cursor.fetchall()
+        name = sw.members[victim].name
+        assert (caught.value.shard, caught.value.source) == (name, name)
+        assert caught.value.index == victim
+        sw.sharded.close()
+
+    @pytest.mark.parametrize("victim", range(3))
+    def test_shard_error_names_the_member_on_navigation(self, victim):
+        sw = self.resilient_fleet_with_dead_member(victim)
+        with pytest.raises(ShardError) as caught:
+            list(sw.sharded.iter_document_children("root2"))
+        name = sw.members[victim].name
+        assert (caught.value.shard, caught.value.source) == (name, name)
+        assert caught.value.index == victim
+
+    def test_plain_members_are_indexed(self):
+        sw = sharded(shards=3)
+
+        def boom(doc_id):
+            raise SourceError("member down")
+
+        sw.members[2].iter_document_children = boom
+        with pytest.raises(ShardError) as caught:
+            list(sw.sharded.iter_document_children("root2"))
+        assert caught.value.shard == "s2[2]"
+
+
+class TestCursorContract:
+    """One cursor contract, whether a cursor reads one statement or
+    gathers a scatter: when its rows fail mid-fetch, ``fetch_block``
+    returns the partial block, the next call raises once, and the call
+    after goes on with whatever survives — the other members' rows, or
+    nothing on a single statement.  ``rows_fetched`` counts the rows
+    delivered."""
+
+    VICTIM = 1
+    KEEP = 2      # rows the victim member ships before its cursor dies
+    BIG = 100     # more rows than any case holds
+    #: gather -> (scheme, key, pushed SQL, SQL of one member's stream
+    #: as the gather sees it, in shipping order)
+    GATHERS = {
+        "arrival": (HASH, "orid", "SELECT orid, value FROM orders", None),
+        "ordered": (RANGE, "orid", "SELECT orid, value FROM orders", None),
+        "merge": (HASH, "orid",
+                  "SELECT orid, value FROM orders ORDER BY value, orid",
+                  None),
+        "distinct": (HASH, "orid",
+                     "SELECT DISTINCT cid FROM orders ORDER BY orid",
+                     "SELECT cid FROM orders ORDER BY orid"),
+    }
+
+    def drain(self, cursor, error):
+        first = cursor.fetch_block(self.BIG)
+        assert 0 < len(first) < self.BIG      # the partial block
+        with pytest.raises(error):
+            cursor.fetch_block(self.BIG)
+        rest = []
+        while True:
+            block = cursor.fetch_block(self.BIG)
+            if not block:
+                break
+            rest.extend(block)
+        assert cursor.rows_fetched == len(first) + len(rest)
+        return first, rest
+
+    def test_plain_cursor(self):
+        base = unsharded()
+        sql = self.GATHERS["arrival"][2]
+        cursor = base.wrapper.database.execute(sql)
+        rows = cursor._rows
+
+        def dying():
+            for __ in range(self.KEEP):
+                yield next(rows)
+            raise SourceError("statement died mid-stream")
+
+        cursor._rows = dying()
+        first, rest = self.drain(cursor, SourceError)
+        assert first == base.wrapper.execute_sql(sql).fetchall()[:self.KEEP]
+        assert rest == []
+        assert base.stats.get(statnames.TUPLES_SHIPPED) == self.KEEP + 18
+
+    @pytest.mark.parametrize("gather", sorted(GATHERS))
+    def test_scattered_cursor(self, gather):
+        scheme, key, sql, member_sql = self.GATHERS[gather]
+        sw = sharded(shards=3, scheme=scheme, key=key)
+        expected = []
+        for index, member in enumerate(sw.members):
+            rows = member.execute_sql(member_sql or sql).fetchall()
+            expected.extend(rows[:self.KEEP] if index == self.VICTIM
+                            else rows)
+        member = sw.members[self.VICTIM]
+        real = member.execute_sql
+        member.execute_sql = lambda sql: DyingCursor(real(sql), self.KEEP)
+
+        first, rest = self.drain(sw.sharded.execute_sql(sql), ShardError)
+        got = first + rest
+        if gather == "ordered":
+            assert got == expected
+        elif gather == "merge":
+            assert got == sorted(expected, key=lambda r: (r[1], r[0]))
+        elif gather == "distinct":
+            assert sorted(got) == sorted(set(expected))
+        else:
+            assert sorted(got) == sorted(expected)
+        assert sw.stats.get(statnames.SHARDS_FAILED) == 1
+        assert sw.sharded.shard_health()["failed"] == 1
+        sw.sharded.close()
+
+    @pytest.mark.parametrize("gather", sorted(GATHERS))
+    def test_close_stops_member_pumping(self, gather):
+        scheme, key, sql, __ = self.GATHERS[gather]
+        sw = sharded(shards=3, scheme=scheme, key=key)
+        sw.sharded.set_block_size(1)   # 6 blocks a member, 4 read ahead
+        gate = threading.Event()
+        fetches = [[] for __ in sw.members]
+
+        class Gated:
+            def __init__(self, inner, log):
+                self._inner, self._log = inner, log
+
+            def fetch_block(self, size):
+                gate.wait(5)
+                self._log.append(size)
+                return self._inner.fetch_block(size)
+
+        for member, log in zip(sw.members, fetches):
+            member.execute_sql = (
+                lambda sql, real=member.execute_sql, log=log:
+                Gated(real(sql), log)
+            )
+        cursor = sw.sharded.execute_sql(sql)
+        cursor.close()
+        gate.set()    # each member's first fetch was in flight
+        deadline = time.monotonic() + 5
+        while (any(not log for log in fetches)
+               and time.monotonic() < deadline):
+            time.sleep(0.005)
+        time.sleep(0.05)
+        assert fetches == [[1], [1], [1]]
+        assert cursor.fetch_block(self.BIG) == []
+        sw.sharded.close()
