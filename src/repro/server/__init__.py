@@ -5,13 +5,15 @@ and the mediator is a long-lived process serving many of them.  This
 package is that server layer:
 
 * :mod:`~repro.server.protocol` — the JSON-lines wire protocol (typed
-  ``MIX-E-*`` error replies, never stack traces);
+  ``MIX-E-*`` error replies, never stack traces) and the request/reply
+  ``Client`` both clients share;
 * :mod:`~repro.server.sessions` — the session manager: hundreds of
   concurrent QDOM sessions multiplexed over one mediator's shared
-  plan/pushed-SQL/navigation caches, with per-session resource limits
-  and reject-not-queue backpressure;
+  plan/pushed-SQL/navigation caches under one lock, with per-session
+  resource limits and reject-not-queue backpressure;
 * :mod:`~repro.server.service` — the transport-independent dispatcher
-  (navigation, bulk ops, query-in-place, SQL shell, EXPLAIN, stats);
+  (navigation, bulk ops, query-in-place, SQL shell, EXPLAIN, stats),
+  one path per request;
 * :mod:`~repro.server.tcp` — the threading TCP endpoint plus a small
   client (``python -m repro serve``);
 * :mod:`~repro.server.loopback` — an in-process client speaking the

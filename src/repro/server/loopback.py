@@ -10,13 +10,12 @@ without binding a port.
 
 from __future__ import annotations
 
-import itertools
 import json
 
-from repro.server import protocol
+from repro.server.protocol import Client
 
 
-class LoopbackClient:
+class LoopbackClient(Client):
     """A synchronous wire-faithful client over an in-process service.
 
     Example::
@@ -33,42 +32,19 @@ class LoopbackClient:
     """
 
     def __init__(self, service):
+        super().__init__()
         self.service = service
-        self._ids = itertools.count(1)
-
-    # -- the raw wire --------------------------------------------------------------
 
     def send_raw(self, data):
         """Push raw bytes/str through the wire path; returns the decoded
-        reply dict.  This is the fuzzing entry point: ``data`` need not
-        be a valid frame."""
+        reply dict.  ``data`` need not be a valid frame."""
         reply_bytes = self.service.handle_line(data, owner=self)
         return json.loads(reply_bytes.decode("utf-8"))
-
-    def request(self, op, **params):
-        """One request/reply round trip; returns the reply dict."""
-        frame = {"id": next(self._ids), "op": op}
-        frame.update(params)
-        return self.send_raw(protocol.encode_frame(frame))
-
-    def call(self, op, **params):
-        """Like :meth:`request` but unwraps ``result`` and raises
-        :class:`~repro.server.protocol.ServerReplyError` on errors."""
-        return protocol.raise_for_reply(self.request(op, **params))
-
-    # -- lifecycle -----------------------------------------------------------------
 
     def close(self):
         """Tear down every session this client holds (idempotent: a
         second call finds none); returns how many were closed."""
         return self.service.release(self)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
 
     def __repr__(self):
         return "LoopbackClient({!r})".format(self.service)

@@ -20,11 +20,13 @@ broken that no ``id`` could be recovered is answered with ``id: null``.
 This module is transport-agnostic: :mod:`repro.server.tcp` and the
 in-process loopback both funnel bytes through :func:`decode_frame` /
 :func:`encode_frame`, so fuzzing the loopback exercises the same code
-that guards the socket.
+that guards the socket.  Their clients share one request/reply
+implementation, :class:`Client`.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 
 from repro.errors import (
@@ -76,6 +78,11 @@ def wire_code(exc):
     return INTERNAL_CODE
 
 
+def is_int(value):
+    """Whether ``value`` is a JSON integer (a bool is not one here)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def encode_frame(obj):
     """One reply/request dict to its wire bytes (JSON + newline)."""
     return (json.dumps(obj, separators=(", ", ": "),
@@ -103,14 +110,15 @@ def decode_frame(data, max_bytes=MAX_FRAME_BYTES):
         raise ProtocolError("frame is not valid UTF-8")
     except ValueError:
         raise ProtocolError("frame is not valid JSON")
+    except RecursionError:
+        raise ProtocolError("frame nests too deeply")
     if not isinstance(obj, dict):
         raise ProtocolError(
             "frame must be a JSON object, got {}".format(
                 type(obj).__name__
             )
         )
-    request_id = obj.get("id")
-    if not isinstance(request_id, int) or isinstance(request_id, bool):
+    if not is_int(obj.get("id")):
         raise ProtocolError("frame 'id' must be an integer")
     op = obj.get("op")
     if not isinstance(op, str) or not op:
@@ -126,9 +134,9 @@ def recover_id(data):
             data = data.decode("utf-8", "replace")
         obj = json.loads(data)
         request_id = obj.get("id") if isinstance(obj, dict) else None
-        if isinstance(request_id, int) and not isinstance(request_id, bool):
+        if is_int(request_id):
             return request_id
-    except ValueError:
+    except (ValueError, RecursionError):
         pass
     return None
 
@@ -180,3 +188,35 @@ def raise_for_reply(reply):
         error.get("type", "Exception"),
         error.get("message", "malformed error reply"),
     )
+
+
+class Client:
+    """The request/reply half every client shares.
+
+    :meth:`request` returns the raw reply dict, :meth:`call` unwraps
+    ``result`` or raises :class:`ServerReplyError`, and leaving a
+    ``with`` block closes the client.  A transport subclass defines
+    only ``send_raw(data)`` (arbitrary bytes out, the decoded reply
+    back; the fuzzing entry point) and ``close()``.
+    """
+
+    def __init__(self):
+        self._ids = itertools.count(1)
+
+    def request(self, op, **params):
+        """One request/reply round trip; returns the reply dict."""
+        frame = {"id": next(self._ids), "op": op}
+        frame.update(params)
+        return self.send_raw(encode_frame(frame))
+
+    def call(self, op, **params):
+        """Like :meth:`request` but returns ``result``, raising
+        :class:`ServerReplyError` on an error reply."""
+        return raise_for_reply(self.request(op, **params))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+        return False

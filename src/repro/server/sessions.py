@@ -8,9 +8,15 @@ one plan cache, one navigation memo, and one pushed-SQL result cache —
 which is exactly the paper's Fig. 1 deployment: BBQ clients are thin,
 the mediator is long-lived and shared.
 
+The :class:`SessionManager` holds the server's one lock.  It guards the
+session table, every session's handle table and the in-flight count; a
+:class:`ServerSession` is a plain record with no lock of its own.  A
+request's session and, when it names one, its node are resolved by one
+:meth:`SessionManager.get` call, in one locked section.
+
 Admission control is limit-based, never queue-based:
 
-* ``max_sessions`` — an ``open`` beyond the cap is rejected with
+* ``max_sessions`` — an ``open`` beyond the cap is answered
   ``MIX-E-LIMIT`` (a typed reply, not a hung connect);
 * ``max_inflight`` — a request that would push the server past its
   in-flight cap is rejected with ``MIX-E-BUSY`` *immediately*
@@ -21,9 +27,10 @@ Admission control is limit-based, never queue-based:
 * ``max_result_bytes`` — a single reply larger than the cap becomes
   ``MIX-E-SIZE`` instead of an arbitrarily large frame.
 
-Admission outcomes flow into the shared instrument under the
-``serve_*`` counters (:mod:`repro.stats`), so ``stats`` requests and
-the load driver see accepted/rejected/active totals that sum.
+The manager counts session lifecycles (``serve_sessions_*``,
+``serve_active_sessions``); a request's outcome is counted once, by
+:meth:`MediatorService.handle_line <repro.server.service.MediatorService
+.handle_line>`.
 """
 
 from __future__ import annotations
@@ -38,6 +45,10 @@ from repro.errors import (
     SessionLimitError,
     StaleHandleError,
 )
+from repro.server.protocol import MAX_FRAME_BYTES, is_int
+
+#: :meth:`SessionManager.get`'s ``handle`` when a request names no node.
+NO_NODE = object()
 
 
 class ServerLimits:
@@ -46,8 +57,6 @@ class ServerLimits:
     def __init__(self, max_sessions=512, max_inflight=64,
                  max_handles=100000, max_result_bytes=4 * 1024 * 1024,
                  max_frame_bytes=None):
-        from repro.server.protocol import MAX_FRAME_BYTES
-
         self.max_sessions = max_sessions
         self.max_inflight = max_inflight
         self.max_handles = max_handles
@@ -74,62 +83,28 @@ class ServerLimits:
 
 class ServerSession:
     """One client's handle table over the shared mediator, belonging to
-    the ``owner`` (a connection or client object) that opened it."""
+    the ``owner`` (a connection or client object) that opened it.
 
-    def __init__(self, session_id, max_handles, owner=None):
+    A plain record: ``handles`` maps wire handles to
+    :class:`QdomNode` objects, ``last_handle`` is the last one issued,
+    and the :class:`SessionManager`'s lock guards both.
+    """
+
+    __slots__ = ("id", "owner", "handles", "last_handle")
+
+    def __init__(self, session_id, owner=None):
         self.id = session_id
         self.owner = owner
-        self._max_handles = max_handles
-        self._handles = {}
-        self._ids = itertools.count(1)
-        self._lock = threading.Lock()
-
-    def put(self, qdom_node):
-        """Register a :class:`QdomNode`; returns its wire handle."""
-        with self._lock:
-            if len(self._handles) >= self._max_handles:
-                raise SessionLimitError(
-                    "session {} is at its {}-handle cap; close it or "
-                    "navigate in bulk".format(self.id, self._max_handles)
-                )
-            handle = next(self._ids)
-            self._handles[handle] = qdom_node
-            return handle
-
-    def get(self, handle):
-        """The :class:`QdomNode` behind a wire handle."""
-        if not isinstance(handle, int) or isinstance(handle, bool):
-            raise StaleHandleError(
-                "node handle must be an integer, got {!r}".format(handle)
-            )
-        with self._lock:
-            node = self._handles.get(handle)
-        if node is None:
-            raise StaleHandleError(
-                "session {} holds no node handle {}".format(self.id, handle)
-            )
-        return node
-
-    def handle_count(self):
-        with self._lock:
-            return len(self._handles)
-
-    def release(self):
-        """Drop every handle (session close)."""
-        with self._lock:
-            self._handles.clear()
-
-    def __repr__(self):
-        return "ServerSession(id={}, handles={})".format(
-            self.id, self.handle_count()
-        )
+        self.handles = {}
+        self.last_handle = 0
 
 
 class SessionManager:
     """Opens, resolves, and closes sessions; meters in-flight requests.
 
-    All state is guarded by one lock; the in-flight gate is a counter
-    rather than a semaphore because admission must *fail fast* — a full
+    All state — the session table, every handle table, the in-flight
+    count — is guarded by one lock.  The in-flight gate is a counter
+    rather than a semaphore because admission must *fail fast*: a full
     server replies ``MIX-E-BUSY`` instead of parking the thread.
     """
 
@@ -141,9 +116,10 @@ class SessionManager:
         self._inflight = 0
         self._lock = threading.Lock()
 
-    def _incr(self, name, amount=1):
-        if self.obs is not None:
-            self.obs.incr(name, amount)
+    def _count_closed(self, count):
+        if self.obs is not None and count:
+            self.obs.incr(statnames.SERVE_SESSIONS_CLOSED, count)
+            self.obs.incr(statnames.SERVE_ACTIVE_SESSIONS, -count)
 
     # -- session lifecycle ---------------------------------------------------------
 
@@ -152,24 +128,30 @@ class SessionManager:
         ``MIX-E-LIMIT``)."""
         with self._lock:
             if len(self._sessions) >= self.limits.max_sessions:
-                self._incr(statnames.SERVE_REJECTED)
                 raise SessionLimitError(
                     "server is at its {}-session cap".format(
                         self.limits.max_sessions
                     )
                 )
-            session = ServerSession(
-                next(self._ids), self.limits.max_handles, owner
-            )
+            session = ServerSession(next(self._ids), owner)
             self._sessions[session.id] = session
-        self._incr(statnames.SERVE_SESSIONS_OPENED)
-        self._incr(statnames.SERVE_ACTIVE_SESSIONS)
+        if self.obs is not None:
+            self.obs.incr(statnames.SERVE_SESSIONS_OPENED)
+            self.obs.incr(statnames.SERVE_ACTIVE_SESSIONS)
         return session
 
-    def get(self, session_id, owner=None):
-        """The open session of ``owner`` with that id (or
-        ``MIX-E-SESSION``: another owner's session reads as unknown)."""
-        if not isinstance(session_id, int) or isinstance(session_id, bool):
+    def get(self, session_id, owner=None, handle=NO_NODE, missing_ok=False):
+        """``(session, node)`` of one request, resolved in one locked
+        section.
+
+        ``session_id`` must name an open session of ``owner``
+        (``MIX-E-SESSION`` otherwise: another owner's session reads as
+        unknown; with ``missing_ok`` an unknown id resolves to
+        ``(None, None)``, which keeps ``close`` idempotent).  ``handle``
+        names one of the session's nodes (``MIX-E-HANDLE`` when it
+        holds none); without one the node is ``None``.
+        """
+        if not is_int(session_id):
             raise SessionError(
                 "'session' must be an integer id, got {!r}".format(
                     session_id
@@ -177,34 +159,63 @@ class SessionManager:
             )
         with self._lock:
             session = self._sessions.get(session_id)
-        if session is None or session.owner is not owner:
-            raise SessionError(
-                "no open session {}".format(session_id)
+            if session is None or session.owner is not owner:
+                if missing_ok:
+                    return None, None
+                raise SessionError("no open session {}".format(session_id))
+            if handle is NO_NODE:
+                return session, None
+            if not is_int(handle):
+                raise StaleHandleError(
+                    "node handle must be an integer, got {!r}".format(handle)
+                )
+            node = session.handles.get(handle)
+        if node is None:
+            raise StaleHandleError(
+                "session {} holds no node handle {}".format(session_id, handle)
             )
-        return session
+        return session, node
 
-    def close(self, session_id, owner=None):
-        """Close a session of ``owner``; returns whether it was open.
+    def put(self, session, qdom_node):
+        """Register a :class:`QdomNode` in ``session``'s handle table;
+        returns its wire handle (``MIX-E-LIMIT`` at the handle cap)."""
+        with self._lock:
+            if len(session.handles) >= self.limits.max_handles:
+                raise SessionLimitError(
+                    "session {} is at its {}-handle cap; close it or "
+                    "navigate in bulk".format(
+                        session.id, self.limits.max_handles
+                    )
+                )
+            session.last_handle += 1
+            session.handles[session.last_handle] = qdom_node
+            return session.last_handle
+
+    def close(self, session):
+        """Close a session :meth:`get` resolved; returns whether it was
+        still open.
 
         Closing is idempotent by design: a connection teardown may race
         an explicit ``close`` and both must succeed cleanly.
         """
         with self._lock:
-            session = self._sessions.get(session_id)
-            if session is None or session.owner is not owner:
+            if self._sessions.get(session.id) is not session:
                 return False
-            del self._sessions[session_id]
-        session.release()
-        self._incr(statnames.SERVE_SESSIONS_CLOSED)
-        self._incr(statnames.SERVE_ACTIVE_SESSIONS, -1)
+            del self._sessions[session.id]
+            session.handles.clear()
+        self._count_closed(1)
         return True
 
     def close_all(self, owner=None):
         """Close every session ``owner`` opened; returns the count."""
         with self._lock:
-            owned = [sid for sid, session in self._sessions.items()
+            owned = [session for session in self._sessions.values()
                      if session.owner is owner]
-        return sum(1 for sid in owned if self.close(sid, owner))
+            for session in owned:
+                del self._sessions[session.id]
+                session.handles.clear()
+        self._count_closed(len(owned))
+        return len(owned)
 
     def session_count(self):
         with self._lock:
@@ -213,25 +224,17 @@ class SessionManager:
     # -- admission ------------------------------------------------------------------
 
     def admit(self):
-        """Claim one in-flight slot (``MIX-E-BUSY`` when full).
-
-        Use as a context manager::
-
-            with manager.admit():
-                ... handle the request ...
-        """
+        """Claim one in-flight slot (``MIX-E-BUSY`` when full); the
+        caller gives it back with :meth:`release_slot`."""
         with self._lock:
             if self._inflight >= self.limits.max_inflight:
-                self._incr(statnames.SERVE_REJECTED)
                 raise BackpressureError(
                     "server is at its {}-request in-flight limit; "
                     "retry later".format(self.limits.max_inflight)
                 )
             self._inflight += 1
-        self._incr(statnames.SERVE_ACCEPTED)
-        return _Admission(self)
 
-    def _release_slot(self):
+    def release_slot(self):
         with self._lock:
             self._inflight -= 1
 
@@ -243,19 +246,3 @@ class SessionManager:
         return "SessionManager(sessions={}, inflight={})".format(
             self.session_count(), self.inflight()
         )
-
-
-class _Admission:
-    """Context manager releasing one claimed in-flight slot."""
-
-    __slots__ = ("_manager",)
-
-    def __init__(self, manager):
-        self._manager = manager
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._manager._release_slot()
-        return False

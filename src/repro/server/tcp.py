@@ -7,8 +7,9 @@ work is delegated to :meth:`MediatorService.handle_line`, with the
 connection as the owner of the sessions it opens, so the socket layer
 only does framing and teardown:
 
-* a frame longer than the limit is answered with ``MIX-E-FRAME``
-  (and the oversized line is drained without buffering it);
+* a frame longer than the limit is drained without buffering it, and
+  the part read goes to the service, which answers ``MIX-E-FRAME``
+  and counts it like any other rejected request;
 * a disconnect — graceful or mid-request — closes every session the
   connection opened, so a dead client can never leak handle tables or
   hold a session-cap slot.
@@ -21,8 +22,7 @@ import socket
 import socketserver
 import threading
 
-from repro.errors import FrameTooLargeError
-from repro.server import protocol
+from repro.server.protocol import Client
 
 
 class _ConnectionHandler(socketserver.StreamRequestHandler):
@@ -42,12 +42,6 @@ class _ConnectionHandler(socketserver.StreamRequestHandler):
                 return  # EOF: client closed cleanly
             if len(line) > limit and not line.endswith(b"\n"):
                 self._drain_oversized_line()
-                reply = protocol.error_reply(None, FrameTooLargeError(
-                    "frame exceeds the {}-byte limit".format(limit)
-                ))
-                if not self._send(protocol.encode_frame(reply)):
-                    return
-                continue
             reply_bytes = service.handle_line(
                 line.rstrip(b"\r\n"), owner=self
             )
@@ -126,20 +120,20 @@ class MixServer(socketserver.ThreadingTCPServer):
             self._thread = None
 
 
-class TcpClient:
+class TcpClient(Client):
     """A small synchronous JSON-lines client (tests, examples, bench).
 
-    The API mirrors :class:`~repro.server.loopback.LoopbackClient`:
-    :meth:`request` returns the raw reply dict, :meth:`call` unwraps
-    ``result`` or raises :class:`~repro.server.protocol
-    .ServerReplyError`, and :meth:`send_raw` ships arbitrary bytes for
-    fuzzing (a trailing newline is appended when missing).
+    It shares :class:`~repro.server.protocol.Client`'s ``request``,
+    ``call`` and context manager with
+    :class:`~repro.server.loopback.LoopbackClient`; :meth:`send_raw`
+    ships arbitrary bytes over the socket (a trailing newline is
+    appended when missing).
     """
 
     def __init__(self, address, timeout=10.0):
+        super().__init__()
         self._sock = socket.create_connection(address, timeout=timeout)
         self._rfile = self._sock.makefile("rb")
-        self._next_id = 1
 
     def send_raw(self, data):
         if isinstance(data, str):
@@ -152,27 +146,11 @@ class TcpClient:
             raise ConnectionError("server closed the connection")
         return json.loads(line.decode("utf-8"))
 
-    def request(self, op, **params):
-        frame = {"id": self._next_id, "op": op}
-        self._next_id += 1
-        frame.update(params)
-        return self.send_raw(protocol.encode_frame(frame))
-
-    def call(self, op, **params):
-        return protocol.raise_for_reply(self.request(op, **params))
-
     def close(self):
         try:
             self._rfile.close()
         finally:
             self._sock.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
 
 
 def serve(mediator, host="127.0.0.1", port=0, limits=None, database=None):

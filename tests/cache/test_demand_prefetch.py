@@ -338,15 +338,15 @@ def test_stub_past_the_demanded_prefix_is_never_served():
 
 
 def test_demand_sized_reaches_the_stats_op():
-    from repro.server import MediatorService
+    from repro.server import LoopbackClient, MediatorService
 
     stats, mediator = deployment()
-    service = MediatorService(mediator)
     view = mediator.query(VIEW)
     browse(view.q(REFINE.format(250)), 3)
     browse(view.q(REFINE.format(260)), 3)
-    reply = service.handle({"id": 1, "op": "stats"})
-    assert reply["result"]["counters"][sn.DEMAND_SIZED] == 1
+    with LoopbackClient(MediatorService(mediator)) as client:
+        result = client.call("stats")
+    assert result["counters"][sn.DEMAND_SIZED] == 1
     # The refinement's shape has one; the never-navigated view has none.
-    plans = reply["result"]["cache"]["plan_cache"]
+    plans = result["cache"]["plan_cache"]
     assert (plans["shapes"], plans["demand_recorded"]) == (2, 1)

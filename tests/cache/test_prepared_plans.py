@@ -31,7 +31,7 @@ from repro.errors import ParameterValueDemanded
 from repro.obs import Instrument
 from repro.rewriter.rule import Rule
 from repro.rewriter.sql_split import bind_sql
-from repro.server import MediatorService
+from repro.server import LoopbackClient, MediatorService
 from repro.xmltree import serialize
 from repro.xquery.parser import parse_xquery
 from repro.xquery.printer import render_query
@@ -391,7 +391,7 @@ def test_stats_report_shapes_and_bound_hits():
     cached.query(Q1)  # a hit, but nothing to bind
     for report in (
         cached.cache_stats(),
-        service.handle({"id": 1, "op": "stats"})["result"]["cache"],
+        LoopbackClient(service).call("stats")["cache"],
     ):
         plans = report["plan_cache"]
         assert plans["shapes"] == 2 and plans["bound_hits"] == 2

@@ -1,9 +1,10 @@
 """Protocol fuzzing: hostile bytes in, typed error replies out.
 
 Every fuzz case asserts the same contract: the reply is one valid
-JSON-lines frame, ``ok`` is false with a stable ``MIX-E-*`` code (or
-true, if the random frame happened to be valid), no stack trace ever
-reaches the wire, no in-flight slot leaks, and the server still answers
+JSON-lines frame, ``ok`` is false with a stable ``MIX-E-*`` code that
+names the client's mistake — never ``MIX-E-INTERNAL`` — (or true, if
+the random frame happened to be valid), no stack trace ever reaches
+the wire, no in-flight slot leaks, and the server still answers
 a clean ``hello`` afterwards.  ``MIX_SEED`` rotates the random corpus
 in CI.
 """
@@ -44,6 +45,11 @@ HOSTILE_FRAMES = [
     b'{"id": 1, "op": "query", "session": {}, "query": []}',
     b'{"id": 1, "op": "sql", "statements": {"x": 1}}',
     b'{"id": 1, "op": "close", "session": [1]}',
+    b'{"id": 1, "op": "open"}',                  # valid: session 1 ...
+    b'{"id": 1, "op": "query", "session": 1, "query": '
+    b'"FOR $C IN document(root1)/customer RETURN $C"}',  # ... node 1
+    b'{"id": 1, "op": "walk", "session": 1, "node": 1, "budget": "x"}',
+    b'{"id": 1, "op": "walk", "session": 1, "node": 1, "budget": 2.5}',
     b'{"id": 1, "op"',                            # truncated mid-key
     b'{"id": 1, "op": "hello"',                   # truncated mid-object
     b'{"id": 1, "op": "hello"}{"id": 2}',         # two objects, one line
@@ -51,6 +57,8 @@ HOSTILE_FRAMES = [
     b"\xff\xfe garbage \xff",
     "{'id': 1, 'op': 'hello'}".encode(),          # python-ish, not JSON
     b'{"id": 1e309, "op": "hello"}',              # float overflow -> inf
+    b"[" * 100000,                                # nests past the stack
+    b'{"id": 1, "op": "hello", "x": ' + b"[" * 100000,
 ]
 
 
@@ -60,6 +68,7 @@ def assert_sane_reply(reply, service):
     assert reply.get("ok") in (True, False)
     if not reply["ok"]:
         assert reply["error"]["code"].startswith("MIX-E-")
+        assert reply["error"]["code"] != protocol.INTERNAL_CODE, reply
         assert reply["error"]["message"]
     assert service.sessions.inflight() == 0
 

@@ -9,6 +9,7 @@ import pytest
 
 from repro import Instrument
 from repro.server import LoopbackClient, ServerLimits, ServerReplyError
+from repro.server.protocol import encode_frame
 from repro.xmltree import serialize
 
 from tests.server.conftest import make_service
@@ -292,9 +293,10 @@ class TestLimitsAndErrors:
     def test_full_inflight_cap_rejects_instead_of_queueing(self):
         service = make_service(limits=ServerLimits(max_inflight=1))
         with LoopbackClient(service) as client:
-            with service.sessions.admit():  # the one slot, taken
-                with pytest.raises(ServerReplyError) as info:
-                    client.call("hello")
+            service.sessions.admit()  # the one slot, taken
+            with pytest.raises(ServerReplyError) as info:
+                client.call("hello")
+            service.sessions.release_slot()
             assert info.value.code == "MIX-E-BUSY"
             assert client.call("hello")["server"] == "repro.server"
         assert service.obs.get("serve_rejected") == 1
@@ -329,6 +331,41 @@ class TestLimitsAndErrors:
         assert client.call("hello")["server"] == "repro.server"
         assert client.service.sessions.inflight() == 0
 
+    @pytest.mark.parametrize("budget", ["x", "3", 2.5, -1, True, [3], {}])
+    def test_walk_budget_must_be_null_or_a_natural(self, client, budget):
+        session = client.call("open")["session"]
+        root = client.call("query", session=session, query=CUSTOMERS_QUERY)
+        reply = client.request(
+            "walk", session=session, node=root["node"], budget=budget
+        )
+        assert reply["error"]["code"] == "MIX-E-PROTO"
+        assert client.call(
+            "walk", session=session, node=root["node"], budget=0
+        ) == {"steps": [], "truncated": True}
+
+    @pytest.mark.parametrize("session", [[1], {}, "1", 1.5, True, None])
+    def test_a_malformed_session_id_is_mix_e_session(self, client, session):
+        client.call("open")  # session 1 exists
+        for op in ("close", "query", "d"):
+            reply = client.request(op, session=session, node=1,
+                                   query=CUSTOMERS_QUERY)
+            assert reply["error"]["code"] == "MIX-E-SESSION"
+
+    def test_admission_slot_released_on_error(self, service, client):
+        def blow_up(text):
+            raise RuntimeError("handler blew up")
+
+        session = client.call("open")["session"]
+        service.mediator.query = blow_up
+        reply = client.request("query", session=session, query="x")
+        assert reply["error"] == {
+            "code": "MIX-E-INTERNAL", "type": "RuntimeError",
+            "message": "internal server error",
+        }
+        assert service.sessions.inflight() == 0
+        assert service.obs.get("serve_errors") == 1
+        assert client.call("hello")["server"] == "repro.server"
+
     def test_oversized_request_frame_is_rejected(self, client):
         big = {"id": 1, "op": "query", "session": 1,
                "query": "x" * (client.service.limits.max_frame_bytes + 1)}
@@ -362,3 +399,99 @@ class TestStats:
         assert service.sessions.session_count() == 2
         client.close()
         assert service.sessions.session_count() == 0
+
+
+def _open_at_the_cap(client):
+    client.call("open")
+    return encode_frame({"id": 9, "op": "open"})
+
+
+def _tree_past_the_size_cap(client):
+    session = client.call("open")["session"]
+    root = client.call("query", session=session, query=JOIN_QUERY)
+    return encode_frame(
+        {"id": 9, "op": "tree", "session": session, "node": root["node"]}
+    )
+
+
+class TestRequestPath:
+    """One path per request: one outcome counted, one root trace."""
+
+    @pytest.mark.parametrize("limits, frame, outcome, code", [
+        ({}, lambda client: encode_frame({"id": 9, "op": "hello"}),
+         "accepted", None),
+        ({}, lambda client: b'{"id": 9, "op"', "rejected", "MIX-E-PROTO"),
+        ({}, lambda client: encode_frame({"id": 9, "op": "frobnicate"}),
+         "rejected", "MIX-E-OP"),
+        ({"max_inflight": 0},
+         lambda client: encode_frame({"id": 9, "op": "hello"}),
+         "rejected", "MIX-E-BUSY"),
+        ({}, lambda client: encode_frame(
+            {"id": 9, "op": "d", "session": 404, "node": 1}),
+         "error", "MIX-E-SESSION"),
+        ({"max_sessions": 1}, _open_at_the_cap, "error", "MIX-E-LIMIT"),
+        ({"max_result_bytes": 120}, _tree_past_the_size_cap,
+         "error", "MIX-E-SIZE"),
+    ], ids=["ok", "bad-frame", "unknown-op", "busy", "failed",
+            "session-cap", "result-size"])
+    def test_each_request_counts_exactly_one_outcome(
+        self, limits, frame, outcome, code
+    ):
+        service = make_service(limits=ServerLimits(**limits))
+        with LoopbackClient(service) as client:
+            data = frame(client)
+            before = service.obs.snapshot()
+            reply = client.send_raw(data)
+            delta = service.obs.diff(before)
+        assert reply["ok"] is (code is None)
+        if code is not None:
+            assert reply["error"]["code"] == code
+        counted = {
+            name: delta.get("serve_" + name, 0)
+            for name in ("requests", "accepted", "rejected", "errors")
+        }
+        assert counted == {
+            "requests": 1,
+            "accepted": int(outcome != "rejected"),
+            "rejected": int(outcome == "rejected"),
+            "errors": int(outcome == "error"),
+        }
+
+    def test_each_served_request_is_one_root_trace(self):
+        service = make_service(
+            cache=False, limits=ServerLimits(max_inflight=1)
+        )
+        obs = service.obs
+        with LoopbackClient(service) as client:
+            session = client.call("open")["session"]
+
+            def served(op):
+                root = client.call("query", session=session,
+                                   query=JOIN_QUERY)
+                seen, commands = len(obs.traces()), obs.get("qdom_commands")
+                client.call(op, session=session, node=root["node"])
+                new = obs.traces()[seen:]
+                assert [trace.name for trace in new] == ["serve:" + op]
+                return new[0], obs.get("qdom_commands") - commands
+
+            trace, commands = served("d")
+            assert [(span.name, span.kind) for span in trace.children] == [
+                ("d", "navigation")]
+            assert commands == 1
+
+            trace, commands = served("walk")
+            assert {span.name for span in trace.children} == {"d_many"}
+            assert len(trace.children) == commands > 1
+
+            trace, commands = served("tree")
+            assert trace.children
+            assert {span.kind for span in trace.children} == {"operator"}
+
+            seen = len(obs.traces())
+            client.send_raw(b"not a frame")
+            client.request("frobnicate")
+            service.sessions.admit()  # the server is full
+            busy = client.request("hello")
+            service.sessions.release_slot()
+            assert busy["error"]["code"] == "MIX-E-BUSY"
+            assert len(obs.traces()) == seen

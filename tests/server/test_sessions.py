@@ -35,41 +35,54 @@ class TestServerLimits:
 
 
 class TestServerSession:
+    """A session is a record; its handle table is read and written
+    through the manager, under the manager's lock."""
+
     def test_put_get_release(self):
-        session = ServerSession(1, max_handles=10)
-        handle = session.put("a-node")
-        assert session.get(handle) == "a-node"
-        assert session.handle_count() == 1
-        session.release()
-        assert session.handle_count() == 0
-        with pytest.raises(StaleHandleError):
-            session.get(handle)
+        manager = SessionManager()
+        session = manager.open()
+        handle = manager.put(session, "a-node")
+        assert manager.get(session.id, handle=handle) == (session, "a-node")
+        assert len(session.handles) == 1
+        assert manager.close(session) is True
+        assert session.handles == {}
+        with pytest.raises(SessionError):
+            manager.get(session.id, handle=handle)
 
     def test_handles_are_distinct(self):
-        session = ServerSession(1, max_handles=10)
-        assert session.put("a") != session.put("b")
+        manager = SessionManager()
+        session = manager.open()
+        assert manager.put(session, "a") != manager.put(session, "b")
 
     @pytest.mark.parametrize("bad", ["3", None, 3.0, True, [3]])
     def test_non_integer_handles_are_stale(self, bad):
-        session = ServerSession(1, max_handles=10)
+        manager = SessionManager()
+        session = manager.open()
+        manager.put(session, "a-node")  # handle 1 == 1.0 == True
         with pytest.raises(StaleHandleError):
-            session.get(bad)
+            manager.get(session.id, handle=bad)
 
     def test_handle_cap(self):
-        session = ServerSession(1, max_handles=2)
-        session.put("a")
-        session.put("b")
+        manager = SessionManager(ServerLimits(max_handles=2))
+        session = manager.open()
+        manager.put(session, "a")
+        manager.put(session, "b")
         with pytest.raises(SessionLimitError):
-            session.put("c")
+            manager.put(session, "c")
+
+    def test_a_session_is_a_record_without_a_lock(self):
+        assert set(ServerSession.__slots__) == {
+            "id", "owner", "handles", "last_handle"
+        }
 
 
 class TestSessionManager:
     def test_open_get_close(self):
         manager = SessionManager()
         session = manager.open()
-        assert manager.get(session.id) is session
+        assert manager.get(session.id) == (session, None)
         assert manager.session_count() == 1
-        assert manager.close(session.id) is True
+        assert manager.close(session) is True
         assert manager.session_count() == 0
         with pytest.raises(SessionError):
             manager.get(session.id)
@@ -77,9 +90,9 @@ class TestSessionManager:
     def test_close_is_idempotent(self):
         manager = SessionManager()
         session = manager.open()
-        assert manager.close(session.id) is True
-        assert manager.close(session.id) is False
-        assert manager.close(99999) is False
+        assert manager.close(session) is True
+        assert manager.close(session) is False
+        assert manager.get(99999, missing_ok=True) == (None, None)
 
     def test_session_cap_rejects_then_recovers(self):
         manager = SessionManager(ServerLimits(max_sessions=2))
@@ -87,13 +100,16 @@ class TestSessionManager:
         manager.open()
         with pytest.raises(SessionLimitError):
             manager.open()
-        manager.close(first.id)
+        manager.close(first)
         assert manager.open() is not None  # a slot freed up
 
-    @pytest.mark.parametrize("bad", ["1", None, 1.5, True])
+    @pytest.mark.parametrize("bad", ["1", None, 1.5, True, [1]])
     def test_session_ids_must_be_integers(self, bad):
-        with pytest.raises(SessionError):
-            SessionManager().get(bad)
+        manager = SessionManager()
+        manager.open()  # session 1 == 1.0 == True
+        for missing_ok in (False, True):
+            with pytest.raises(SessionError):
+                manager.get(bad, missing_ok=missing_ok)
 
     def test_close_all_closes_only_the_owners_sessions(self):
         manager = SessionManager()
@@ -111,38 +127,32 @@ class TestSessionManager:
         manager = SessionManager()
         owner, intruder = object(), object()
         session = manager.open(owner)
-        assert manager.get(session.id, owner) is session
+        assert manager.get(session.id, owner) == (session, None)
         for who in (intruder, None):
             with pytest.raises(SessionError) as info:
                 manager.get(session.id, who)
             assert str(info.value) == "no open session {}".format(session.id)
-            assert manager.close(session.id, who) is False
-        assert manager.close(session.id, owner) is True
+            assert manager.get(session.id, who, missing_ok=True) == (
+                None, None)
+        assert manager.close(session) is True
 
     def test_admission_meters_inflight(self):
         manager = SessionManager(ServerLimits(max_inflight=2))
-        a = manager.admit()
-        b = manager.admit()
+        manager.admit()
+        manager.admit()
         assert manager.inflight() == 2
         with pytest.raises(BackpressureError):
             manager.admit()  # reject, don't queue
-        with a:
-            pass
+        manager.release_slot()
         assert manager.inflight() == 1
         manager.admit()  # the released slot is reusable
-        with b:
-            pass
-
-    def test_admission_slot_released_on_error(self):
-        manager = SessionManager(ServerLimits(max_inflight=1))
-        with pytest.raises(RuntimeError):
-            with manager.admit():
-                raise RuntimeError("handler blew up")
+        manager.release_slot()
+        manager.release_slot()
         assert manager.inflight() == 0
-        with manager.admit():
-            pass
 
     def test_counters_sum_consistently(self):
+        # The manager counts session lifecycles only; a request's
+        # outcome (accepted/rejected) is counted once, by the service.
         obs = Instrument()
         manager = SessionManager(
             ServerLimits(max_sessions=2, max_inflight=1), obs=obs
@@ -150,15 +160,15 @@ class TestSessionManager:
         sessions = [manager.open(), manager.open()]
         with pytest.raises(SessionLimitError):
             manager.open()
-        manager.close(sessions[0].id)
-        with manager.admit():
-            with pytest.raises(BackpressureError):
-                manager.admit()
+        manager.close(sessions[0])
+        manager.admit()
+        with pytest.raises(BackpressureError):
+            manager.admit()
         assert obs.get("serve_sessions_opened") == 2
         assert obs.get("serve_sessions_closed") == 1
         assert obs.get("serve_active_sessions") == manager.session_count() == 1
-        assert obs.get("serve_accepted") == 1
-        assert obs.get("serve_rejected") == 2  # session cap + busy
+        assert obs.get("serve_accepted") == 0
+        assert obs.get("serve_rejected") == 0
 
     def test_concurrent_opens_never_exceed_the_cap(self):
         manager = SessionManager(ServerLimits(max_sessions=16))

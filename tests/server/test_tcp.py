@@ -124,6 +124,10 @@ class TestFramingLimits:
                 assert reply["error"]["code"] == "MIX-E-FRAME"
                 # the oversized line was drained: framing still works
                 assert client.call("hello")["server"] == "repro.server"
+            # ... and it was one rejected request, like any bad frame
+            counters = mix.service.obs.snapshot()
+            assert (counters["serve_requests"], counters["serve_rejected"],
+                    counters["serve_accepted"]) == (2, 1, 1)
         finally:
             mix.stop()
 
