@@ -101,7 +101,7 @@ def test_resilient_walk_is_fault_free_and_counted_free():
         stats=Instrument(), push_sql=False
     ).add_source(source)
     mediator.query(VIEW_QUERY).to_tree()
-    health = source.resilience_health()
+    health = source.health()["resilience"]
     assert health["retries"] == 0
     assert health["failures"] == 0
     assert health["breaker"] == "closed"

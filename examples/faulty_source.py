@@ -56,7 +56,7 @@ mediator = Mediator(stats=stats, push_sql=False).add_source(resilient)
 
 answer = mediator.query(QUERY).to_tree()
 print("with retry: {} customers, 0 stubs".format(len(answer.children)))
-print("health:", resilient.resilience_health())
+print("health:", resilient.health()["resilience"])
 print("simulated sleeps:", clock.sleeps)
 
 # -- 2. the same faults, degraded instead of retried -------------------------------
@@ -92,7 +92,7 @@ broken = ResilientSource(
 down = Mediator(
     push_sql=False, on_source_error="degrade"
 ).add_source(broken).query(QUERY).to_tree()
-health = broken.resilience_health()
+health = broken.health()["resilience"]
 print("\noutage: breaker={} transitions={}".format(
     health["breaker"], health["breaker_transitions"]
 ))

@@ -377,9 +377,9 @@ def _demo_faulty(mediator, profile, seed):
               stats.get("source_timeouts"), stats.get("degraded_results"),
               stats.get("breaker_transitions")))
     for source in mediator.catalog.sources():
-        health = getattr(source, "resilience_health", None)
-        if callable(health):
-            print("  health: {}".format(health()))
+        health = source.health().get("resilience")
+        if health is not None:
+            print("  health: {}".format(health))
     return 0
 
 
@@ -508,7 +508,8 @@ def cmd_check_rules(options, args):
     Runs :func:`repro.analysis.certify_rules` over the Table-2
     ``DEFAULT_RULES`` plus any ``--rules=module:attr`` extension set
     (the attribute must be an iterable of rule objects, e.g.
-    ``--rules=repro.analysis.defect_rules:DEFECT_RULES``).  Prints the
+    ``--rules=tests.analysis.defect_rules:DEFECT_RULES`` from the
+    repository root).  Prints the
     per-rule verdicts (``--json`` for the machine-readable report) and
     exits 1 when any rule fails certification, 2 on unusable arguments.
     """

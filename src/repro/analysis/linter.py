@@ -50,10 +50,7 @@ class DocumentSchema:
         """Fresh :class:`ColumnStatistics` for ``column``, or ``None``."""
         if self.wrapper is None or self.table is None:
             return None
-        getter = getattr(self.wrapper, "table_statistics", None)
-        if not callable(getter):
-            return None
-        stats = getter(self.table)
+        stats = self.wrapper.table_statistics(self.table)
         if stats is None:
             return None
         return stats.column(column)
@@ -70,14 +67,10 @@ def catalog_schemas(catalog):
         return schemas
     for doc_id in catalog.document_ids():
         source = catalog.source_for(doc_id)
-        table_for = getattr(source, "table_for_document", None)
-        describe = getattr(source, "describe_table", None)
-        label_for = getattr(source, "label_for_document", None)
-        if not (callable(table_for) and callable(describe)
-                and callable(label_for)):
+        table = source.table_for_document(doc_id)
+        if table is None:
             continue
-        table = table_for(doc_id)
-        schema = describe(table)
+        schema = source.describe_table(table)
         columns = {}
         for column in schema.columns:
             type_name = getattr(
@@ -85,7 +78,7 @@ def catalog_schemas(catalog):
             )
             columns[column.name] = type_name
         schemas[doc_id] = DocumentSchema(
-            doc_id, label_for(doc_id), columns,
+            doc_id, source.label_for_document(doc_id), columns,
             wrapper=source, table=table,
         )
     return schemas

@@ -49,15 +49,6 @@ def catalog_shape(catalog):
     return tuple(catalog.document_ids())
 
 
-def source_data_version(source):
-    """``source.data_version()`` when the source provides one, else
-    ``None`` (unversioned)."""
-    fn = getattr(source, "data_version", None)
-    if not callable(fn):
-        return None
-    return fn()
-
-
 def data_fingerprint(catalog):
     """Combined write-version of every source, or ``None``.
 
@@ -67,7 +58,7 @@ def data_fingerprint(catalog):
     """
     versions = []
     for source in catalog.sources():
-        version = source_data_version(source)
+        version = source.data_version()
         if version is None:
             return None
         versions.append(version)

@@ -57,8 +57,8 @@ def decontextualize(view_plan, provenance, query_plan, view_id=None):
     if not isinstance(view_plan, ops.TD):
         raise CompositionError("the view plan must be tD-rooted")
 
+    view_plan, defining_body = _view_defining(view_plan, provenance.var)
     context_label = _context_label(view_plan, provenance.var)
-    defining_body = _body_defining(view_plan.input, provenance.var)
     body, mapping = freshen_against(defining_body, query_plan)
     ctx_var = mapping.get(provenance.var, provenance.var)
     pinned = body
@@ -136,6 +136,27 @@ def _binds_somewhere(plan, var):
     if out_vars is not None and var in out_vars:
         return True
     return any(_binds_somewhere(child, var) for child in plan.children)
+
+
+def _view_defining(view_plan, var):
+    """``(view plan, body)``: the tD-rooted plan whose body binds
+    ``var``, and that body (see :func:`_body_defining`).
+
+    It is ``view_plan`` itself unless ``var`` was created by a named
+    view the plan reads: on a plan the rewriter has not run over, that
+    view's plan is still the input of a ``mksrc`` (rule 11 folds the
+    pair away), and a node it built keeps that view's provenance.
+    """
+    try:
+        return view_plan, _body_defining(view_plan.input, var)
+    except CompositionError:
+        for node in iter_operators(view_plan.input):
+            if isinstance(node, ops.MkSrc) and isinstance(node.input, ops.TD):
+                try:
+                    return node.input, _body_defining(node.input.input, var)
+                except CompositionError:
+                    continue
+        raise
 
 
 def _body_defining(view_body, var):

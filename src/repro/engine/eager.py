@@ -110,13 +110,13 @@ class EagerEngine:
                 )
             children = root.children
         elif self._degrade:
-            # Pulled, not materialized: the degradation rule is per child.
+            # The degradation rule is per pulled child.
             children = degrade_children(
                 partial(self.catalog.iter_children, plan.source),
                 self.stats, self.oids, plan.source,
             )
         else:
-            children = self.catalog.materialize(plan.source).children
+            children = self.catalog.iter_children(plan.source)
         return self._count(
             BindingSet(BindingTuple({plan.var: child}) for child in children)
         )

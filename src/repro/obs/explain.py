@@ -188,15 +188,15 @@ def _verify_summary(report):
     return "FAILED at {} ({})".format(report.failed_stage, first.code)
 
 
-#: One footer line per source whose health hook reports:
-#: ``(kind, hook, fields)``, in footer order.
+#: One footer line per source whose ``health()`` reports the kind:
+#: ``(kind, fields)``, in footer order.
 _SOURCE_FOOTERS = (
-    ("cache", "sql_cache_health", (
+    ("cache", (
         "hits", "misses", "evictions", "invalidations",
         "tuples_shipped", "tuples_from_cache",
     )),
-    ("shard", "shard_health", ("shards", "scattered", "pruned", "failed")),
-    ("resilience", "resilience_health", (
+    ("shard", ("shards", "scattered", "pruned", "failed")),
+    ("resilience", (
         "retries", "timeouts", "failures", "circuit_rejections",
         "breaker", "transitions",
     )),
@@ -204,16 +204,16 @@ _SOURCE_FOOTERS = (
 
 
 def _source_health(catalog):
-    """``(kind, fields, source name, health)`` for every footer hook
-    that reports, in :data:`_SOURCE_FOOTERS` order."""
-    out = []
-    for kind, hook, fields in _SOURCE_FOOTERS:
-        for source in catalog.sources():
-            health_fn = getattr(source, hook, None)
-            health = health_fn() if callable(health_fn) else None
-            if health is not None:
-                out.append((kind, fields, health["source"], health))
-    return out
+    """``(kind, fields, source name, health)`` for every kind a source's
+    ``health()`` reports, kind by kind in :data:`_SOURCE_FOOTERS` order,
+    then source by source."""
+    reports = [source.health() for source in catalog.sources()]
+    return [
+        (kind, fields, report[kind]["source"], report[kind])
+        for kind, fields in _SOURCE_FOOTERS
+        for report in reports
+        if kind in report
+    ]
 
 
 def _field(field, pre, post):

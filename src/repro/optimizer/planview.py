@@ -98,7 +98,4 @@ def _relquery_estimate(node, catalog):
         source = catalog.server(node.server)
     except Exception:
         return None
-    estimator = getattr(source, "estimate_sql", None)
-    if not callable(estimator):
-        return None
-    return estimator(node.sql)
+    return source.estimate_sql(node.sql)

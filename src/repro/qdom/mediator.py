@@ -93,9 +93,9 @@ class Mediator:
             commands (see E-BLOCK).  ``1`` is a one-tuple block: it
             reproduces the seed's pull order and per-hop command
             transcripts exactly (strict shipping-minimality and golden-trace tests
-            pin this).  Sources added through :meth:`add_source` that
-            support ``set_block_size`` batch their row fetches to the
-            same width.  It is the *largest* width: with the cache on,
+            pin this).  Sources added through :meth:`add_source` get
+            ``set_block_size``; those that batch fetch rows at the same
+            width.  It is the *largest* width: with the cache on,
             a shape whose answers were navigated to ``k`` root children
             starts its next answer at ``k`` (:mod:`repro.engine.lazy`).
         extension_rules: extra rewrite rules registered *after* the
@@ -219,15 +219,9 @@ class Mediator:
         """
         self.catalog.register(source)
         if self.cache is not None:
-            enable = getattr(source, "enable_sql_cache", None)
-            if callable(enable):
-                enable(self.cache_size, obs=self.stats)
-        set_cost = getattr(source, "set_cost_optimizer", None)
-        if callable(set_cost):
-            set_cost(self.cost_optimizer)
-        set_block = getattr(source, "set_block_size", None)
-        if callable(set_block):
-            set_block(self.block_size)
+            source.enable_sql_cache(self.cache_size, obs=self.stats)
+        source.set_cost_optimizer(self.cost_optimizer)
+        source.set_block_size(self.block_size)
         return self
 
     def analyze_sources(self):
@@ -239,9 +233,9 @@ class Mediator:
         """
         analyzed = {}
         for source in self.catalog.sources():
-            analyze = getattr(source, "analyze", None)
-            if callable(analyze):
-                analyzed[source.server_name] = analyze()
+            count = source.analyze()
+            if count is not None:
+                analyzed[source.server_name] = count
         return analyzed
 
     def define_view(self, name, query_text):
@@ -641,19 +635,14 @@ class Mediator:
         caching is off.
 
         ``plan_cache`` and ``nav_memo`` are this mediator's; ``sql``
-        lists one health dict per relational source with a result cache
-        (see :meth:`RelationalWrapper.sql_cache_health`).
+        lists the ``health()["cache"]`` fields of every source with a
+        SQL result cache.
         """
         if self.cache is None:
             return None
         snapshot = self.cache.stats()
-        snapshot["sql"] = []
-        for source in self.catalog.sources():
-            health = getattr(source, "sql_cache_health", None)
-            if callable(health):
-                report = health()
-                if report is not None:
-                    snapshot["sql"].append(report)
+        healths = [source.health() for source in self.catalog.sources()]
+        snapshot["sql"] = [h["cache"] for h in healths if "cache" in h]
         return snapshot
 
     def __repr__(self):

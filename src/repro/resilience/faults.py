@@ -30,7 +30,7 @@ import zlib
 
 from repro.errors import SourceError, TransientSourceError
 from repro.resilience.clock import ManualClock
-from repro.sources.base import Source
+from repro.sources.base import SourceProxy
 
 TRANSIENT = "transient"
 PERMANENT = "permanent"
@@ -61,7 +61,7 @@ class _Fault:
         return True
 
 
-class FaultInjectingSource(Source):
+class FaultInjectingSource(SourceProxy):
     """A proxy source that injects failures into a wrapped source.
 
     Example::
@@ -74,21 +74,20 @@ class FaultInjectingSource(Source):
         )
 
     The consumption state of every fault lives on the *source* (not on
-    an iterator), so retries, re-opened iterations, and the eager
-    engine's materialization all observe one consistent schedule.
+    an iterator), so retries, re-opened iterations, and both engines'
+    reads observe one consistent schedule.
     """
 
     def __init__(self, inner, clock=None, seed=0, obs=None, name=None):
-        self.inner = inner
+        super().__init__(inner)
         self.clock = clock or ManualClock()
         self.seed = seed
         self.name = name or "faulty({})".format(
-            getattr(inner, "server_name", None) or type(inner).__name__
+            inner.server_name or type(inner).__name__
         )
         self._obs = obs
         self._pull_faults = {}   # (doc_id, position) -> _Fault
         self._sql_faults = []    # list of (match, _Fault)
-        self._mat_faults = {}    # doc_id -> _Fault
         self._pull_rates = {}    # doc_id -> (rate, kind)
         self._rate_decisions = {}  # (doc_id, position) -> bool, memoized
         self.injected = []       # (op, doc_id, position, kind) log
@@ -135,13 +134,6 @@ class FaultInjectingSource(Source):
         self._sql_faults.append((match, _Fault(kind, times=times)))
         return self
 
-    def fail_materialize(self, doc_id, kind=TRANSIENT, times=1):
-        """Fail ``materialize_document(doc_id)`` for ``times`` attempts."""
-        if kind == PERMANENT:
-            times = _UNLIMITED
-        self._mat_faults[doc_id] = _Fault(kind, times=times)
-        return self
-
     # -- fault dispatch ----------------------------------------------------------------
 
     def _record(self, op, doc_id, position, kind):
@@ -152,10 +144,10 @@ class FaultInjectingSource(Source):
                 "fault", kind, op=op, doc=str(doc_id), position=position
             )
 
-    def _raise(self, kind, op, doc_id, position=None):
-        detail = "injected {} fault on {} of {!r}".format(kind, op, doc_id)
-        if position is not None:
-            detail += " (position {})".format(position)
+    def _raise(self, kind, doc_id, position):
+        detail = "injected {} fault on pull of {!r} (position {})".format(
+            kind, doc_id, position
+        )
         if kind == TRANSIENT:
             raise TransientSourceError(
                 detail, doc_id=doc_id, source=self.name
@@ -193,32 +185,17 @@ class FaultInjectingSource(Source):
                 self.clock.sleep(fault.delay)
                 return
             self._record("pull", doc_id, position, fault.kind)
-            self._raise(fault.kind, "pull", doc_id, position)
+            self._raise(fault.kind, doc_id, position)
             return
         rate_kind = self._rate_fires(doc_id, position)
         if rate_kind is not None:
             self._record("pull", doc_id, position, rate_kind)
-            self._raise(rate_kind, "pull", doc_id, position)
+            self._raise(rate_kind, doc_id, position)
 
     # -- Source interface --------------------------------------------------------------
 
-    def document_ids(self):
-        return self.inner.document_ids()
-
     def iter_document_children(self, doc_id):
         return _InjectedIterator(self, doc_id)
-
-    def materialize_document(self, doc_id):
-        fault = self._mat_faults.get(doc_id)
-        if fault is not None and fault.take():
-            self._record("materialize", doc_id, None, fault.kind)
-            self._raise(fault.kind, "materialize", doc_id)
-        # Built over our own iterator, so pull faults also fire on the
-        # eager path.
-        return super().materialize_document(doc_id)
-
-    def supports_sql(self):
-        return self.inner.supports_sql()
 
     def execute_sql(self, sql):
         for match, fault in self._sql_faults:
@@ -235,14 +212,6 @@ class FaultInjectingSource(Source):
                     )
                 raise SourceError(detail, sql=sql, source=self.name)
         return self.inner.execute_sql(sql)
-
-    def describe_table(self, table_name):
-        return self.inner.describe_table(table_name)
-
-    def __getattr__(self, attr):
-        # Delegate wrapper-specific surface (server_name,
-        # table_for_document, oid_to_key, ...) to the wrapped source.
-        return getattr(self.inner, attr)
 
     def __repr__(self):
         return "FaultInjectingSource({!r}, faults={})".format(

@@ -32,9 +32,10 @@ class RetryPolicy:
             tests); defaults to a real monotonic clock.
 
     ``delays()`` exposes the deterministic schedule so tests can assert
-    it; :meth:`call` is the convenience loop for one-shot idempotent
-    calls (pull streams implement their own loop because a failed pull
-    must not restart the stream).
+    it; the retry loops themselves live in
+    :class:`~repro.resilience.ResilientSource` (a failed pull must not
+    restart its stream).  The policy is stateless, so one instance may
+    serve any number of sources.
     """
 
     def __init__(self, attempts=3, base_delay=0.05, multiplier=2.0,
@@ -58,9 +59,6 @@ class RetryPolicy:
             delay *= self.multiplier
         return out
 
-    def is_retryable(self, exc):
-        return isinstance(exc, self.retry_on)
-
     def backoff(self, retry_index):
         """Sleep for the ``retry_index``-th (0-based) delay."""
         delay = min(
@@ -69,35 +67,6 @@ class RetryPolicy:
         )
         self._sleep(delay)
         return delay
-
-    def call(self, fn, on_retry=None):
-        """Run ``fn()`` with retries; returns its result.
-
-        ``on_retry(attempt, exc, delay)`` is invoked after each failed
-        attempt that will be retried (for observability hooks).
-        """
-        for attempt in range(self.attempts):
-            try:
-                return fn()
-            except self.retry_on as exc:
-                if attempt == self.attempts - 1:
-                    raise
-                delay = self.backoff(attempt)
-                if on_retry is not None:
-                    on_retry(attempt + 1, exc, delay)
-
-    def clone(self):
-        """An independent policy with the same schedule (stateless, so
-        this is configuration copying — provided for symmetry with
-        :meth:`CircuitBreaker.clone` in per-shard composition)."""
-        return RetryPolicy(
-            attempts=self.attempts,
-            base_delay=self.base_delay,
-            multiplier=self.multiplier,
-            max_delay=self.max_delay,
-            retry_on=self.retry_on,
-            sleep=self._sleep,
-        )
 
     def __repr__(self):
         return "RetryPolicy(attempts={}, base={}, x{}, cap={})".format(
@@ -113,7 +82,8 @@ class Timeout:
     clock, and a :class:`SourceTimeoutError` is raised when the budget
     was exceeded.  Results of timed-out idempotent calls are discarded;
     timed-out *pulls* keep their late value buffered (see
-    ``ResilientSource``) so no stream element is lost.
+    ``ResilientSource``) so no stream element is lost.  The budget
+    holds no state, so one instance may serve any number of sources.
     """
 
     def __init__(self, limit, clock=None):
@@ -121,12 +91,6 @@ class Timeout:
             raise ValueError("timeout limit must be positive")
         self.limit = float(limit)
         self.clock = clock or MonotonicClock()
-
-    def measure(self, fn):
-        """``(result, elapsed)`` of ``fn()`` on this timeout's clock."""
-        start = self.clock.time()
-        result = fn()
-        return result, self.clock.time() - start
 
     def check(self, elapsed, doc_id=None, source=None):
         """Raise :class:`SourceTimeoutError` when ``elapsed`` > limit."""
@@ -142,13 +106,10 @@ class Timeout:
 
     def guard(self, fn, doc_id=None, source=None):
         """Run ``fn`` and enforce the budget (idempotent calls only)."""
-        result, elapsed = self.measure(fn)
-        self.check(elapsed, doc_id=doc_id, source=source)
+        start = self.clock.time()
+        result = fn()
+        self.check(self.clock.time() - start, doc_id=doc_id, source=source)
         return result
-
-    def clone(self):
-        """An independent budget with the same limit and clock."""
-        return Timeout(self.limit, clock=self.clock)
 
     def __repr__(self):
         return "Timeout({}s)".format(self.limit)

@@ -38,9 +38,9 @@ call.  They speak the pull protocol the engine relies on:
 Everything the decorator does is reported: counters
 (``source_retries``, ``source_timeouts``, ``source_failures``,
 ``breaker_transitions``) and span events (``retry``, ``breaker``) land
-on the instrument passed as ``obs``, and
-:meth:`ResilientSource.resilience_health` exposes the cumulative tallies
-that ``Mediator.explain`` renders per source.
+on the instrument passed as ``obs``, and the ``resilience`` kind of
+:meth:`ResilientSource.health` exposes the cumulative tallies that
+``Mediator.explain`` renders per source.
 """
 
 from __future__ import annotations
@@ -52,12 +52,12 @@ from repro.errors import (
     SourceTimeoutError,
     TransientSourceError,
 )
-from repro.sources.base import Source
+from repro.sources.base import SourceProxy
 
 _NO_VALUE = object()
 
 
-class ResilientSource(Source):
+class ResilientSource(SourceProxy):
     """Wrap ``inner`` with retry/timeout/breaker policies.
 
     Args:
@@ -75,13 +75,11 @@ class ResilientSource(Source):
 
     def __init__(self, inner, retry=None, breaker=None, timeout=None,
                  obs=None, name=None):
-        self.inner = inner
+        super().__init__(inner)
         self.retry = retry
         self.breaker = breaker
         self.timeout = timeout
-        self.name = name or (
-            getattr(inner, "server_name", None) or type(inner).__name__
-        )
+        self.name = name or inner.server_name or type(inner).__name__
         self._obs = obs
         self._health = {
             "retries": 0,
@@ -156,23 +154,21 @@ class ResilientSource(Source):
         if self._obs is not None:
             self._obs.incr(statnames.SOURCE_FAILURES)
 
-    def resilience_health(self):
-        """Cumulative health of this source, for explain and dashboards.
-
-        Returns a dict of the counters above plus the breaker's current
-        state and its transition history as ``"closed->open"`` strings.
-        """
-        health = dict(self._health)
-        health["source"] = self.name
+    def health(self):
+        """The inner source's health plus ``resilience``: the counters
+        above, the breaker's current state and its transition history
+        as ``"closed->open"`` strings."""
+        resilience = dict(self._health)
+        resilience["source"] = self.name
         if self.breaker is not None:
-            health["breaker"] = self.breaker.state
-            health["breaker_transitions"] = [
+            resilience["breaker"] = self.breaker.state
+            resilience["breaker_transitions"] = [
                 "{}->{}".format(a, b) for a, b in self.breaker.transitions
             ]
         else:
-            health["breaker"] = None
-            health["breaker_transitions"] = []
-        return health
+            resilience["breaker"] = None
+            resilience["breaker_transitions"] = []
+        return dict(self.inner.health(), resilience=resilience)
 
     # -- protected idempotent calls -----------------------------------------------------
 
@@ -230,25 +226,11 @@ class ResilientSource(Source):
     def iter_document_children(self, doc_id):
         return _ResilientIterator(self, doc_id)
 
-    def materialize_document(self, doc_id):
-        return self._call(
-            lambda: self.inner.materialize_document(doc_id), doc_id=doc_id
-        )
-
-    def supports_sql(self):
-        return self.inner.supports_sql()
-
     def execute_sql(self, sql):
         return self._call(lambda: self.inner.execute_sql(sql), sql=sql)
 
     def describe_table(self, table_name):
         return self._call(lambda: self.inner.describe_table(table_name))
-
-    def __getattr__(self, attr):
-        # Wrapper-specific planning surface (server_name,
-        # table_for_document, label_for_document, oid_to_key,
-        # invalidate, ...) passes through untouched.
-        return getattr(self.inner, attr)
 
     def __repr__(self):
         return "ResilientSource({!r}, retry={}, breaker={})".format(
@@ -260,12 +242,12 @@ def shard_resilience(members, retry=None, breaker=None, timeout=None,
                      obs=None, name=None):
     """Wrap each shard member in its own :class:`ResilientSource`.
 
-    ``retry``/``breaker``/``timeout`` act as *templates*: every member
-    receives an independent :meth:`clone` — most importantly its own
-    :class:`~repro.resilience.policy.CircuitBreaker`, so one flapping
-    member trips only its own circuit while its siblings keep serving
-    (``ResilientSource`` enforces this by rejecting an already-attached
-    breaker outright).
+    ``retry`` and ``timeout`` are stateless, so every member shares
+    them; ``breaker`` is a *template*: every member receives its own
+    :meth:`~repro.resilience.policy.CircuitBreaker.clone`, so one
+    flapping member trips only its own circuit while its siblings keep
+    serving (``ResilientSource`` enforces this by rejecting an
+    already-attached breaker outright).
 
     Members are named ``<name>[<index>]`` (``name`` defaults to each
     member's own server name), which is how their failures read in
@@ -276,19 +258,17 @@ def shard_resilience(members, retry=None, breaker=None, timeout=None,
     """
     wrapped = []
     for index, member in enumerate(members):
-        base = name or (
-            getattr(member, "server_name", None) or type(member).__name__
-        )
+        base = name or member.server_name or type(member).__name__
         member_name = "{}[{}]".format(base, index)
         wrapped.append(
             ResilientSource(
                 member,
-                retry=retry.clone() if retry is not None else None,
+                retry=retry,
                 breaker=(
                     breaker.clone(name=member_name)
                     if breaker is not None else None
                 ),
-                timeout=timeout.clone() if timeout is not None else None,
+                timeout=timeout,
                 obs=obs,
                 name=member_name,
             )

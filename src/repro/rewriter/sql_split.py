@@ -527,12 +527,9 @@ def _fresh_row_counts(model, catalog):
         source = catalog.server(model.server)
     except Exception:
         return None
-    getter = getattr(source, "table_statistics", None)
-    if not callable(getter):
-        return None
     counts = {}
     for table_name, alias, __, __ in model.tables:
-        stats = getter(table_name)
+        stats = source.table_statistics(table_name)
         if stats is None:
             return None
         counts[alias] = stats.row_count

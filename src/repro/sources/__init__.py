@@ -25,11 +25,15 @@ Two federation-oriented wrappers extend the set:
   parallel and gathered through a block-aware merge (see
   :mod:`repro.sources.shard`).
 
-The :class:`~repro.sources.catalog.SourceCatalog` maps document ids
+Every wrapper speaks one protocol, :class:`~repro.sources.base.Source`,
+whose optional capabilities have do-nothing defaults; decorating
+wrappers (the resilience proxies) build on
+:class:`~repro.sources.base.SourceProxy`, which forwards it.  The
+:class:`~repro.sources.catalog.SourceCatalog` maps document ids
 (``root1``) and server names to wrappers and is what the engines consult.
 """
 
-from repro.sources.base import Source
+from repro.sources.base import Source, SourceProxy
 from repro.sources.catalog import SourceCatalog
 from repro.sources.mediator_source import MediatorSource
 from repro.sources.relational import RelationalWrapper
@@ -44,6 +48,7 @@ __all__ = [
     "ShardedSource",
     "Source",
     "SourceCatalog",
+    "SourceProxy",
     "SqliteWrapper",
     "XmlFileSource",
     "hash_shard",

@@ -27,9 +27,8 @@ class SourceCatalog:
             )
         for doc_id in source.document_ids():
             self._documents[doc_id] = source
-        server = getattr(source, "server_name", None)
-        if server is not None and source.supports_sql():
-            self._servers[server] = source
+        if source.server_name is not None and source.supports_sql():
+            self._servers[source.server_name] = source
         return self
 
     def register_document(self, doc_id, source):
@@ -91,14 +90,9 @@ class SourceCatalog:
     # -- engine conveniences ------------------------------------------------------------
 
     def iter_children(self, doc_id):
-        """Lazy child iterator of a document (navigation-driven path)."""
+        """Lazy child iterator of a document: the one read path of both
+        engines."""
         return self.source_for(doc_id).iter_document_children(
-            _normalize(doc_id)
-        )
-
-    def materialize(self, doc_id):
-        """Full document tree (eager path)."""
-        return self.source_for(doc_id).materialize_document(
             _normalize(doc_id)
         )
 

@@ -31,6 +31,11 @@ class MediatorSource(Source):
         federated.register_view("custview", Q1_TEXT)
         upper = Mediator().add_source(federated)
         upper.query("FOR $R IN document(custview)/CustRec RETURN $R")
+
+    It is deliberately unversioned (the default ``data_version()`` of
+    ``None``): the lower mediator's sources can change without this
+    wrapper noticing, so result caches above must treat its data as
+    always-possibly-stale.
     """
 
     def __init__(self, mediator, stats=None):
@@ -104,12 +109,6 @@ class MediatorSource(Source):
             self._roots.clear()
         else:
             self._roots.pop(doc_id, None)
-
-    def data_version(self):
-        """Deliberately unversioned (``None``): the lower mediator's
-        sources can change without this wrapper noticing, so result
-        caches above must treat its data as always-possibly-stale."""
-        return None
 
 
 def _qdom_to_node(qdom_node):

@@ -281,18 +281,18 @@ class RelationalWrapper(TableSource):
         """The attached :class:`SqlResultCache`, or ``None``."""
         return self._sql_cache
 
-    def sql_cache_health(self):
-        """Cumulative cache counters plus the wrapper's traffic tallies
-        (rendered per source by ``Mediator.explain``)."""
+    def health(self):
+        """``cache``: the result cache's cumulative counters plus the
+        wrapper's traffic tallies (none without a cache)."""
         if self._sql_cache is None:
-            return None
-        health = {"source": self.server_name}
-        health.update(self._sql_cache.stats())
-        health["tuples_shipped"] = self.stats.get(statnames.TUPLES_SHIPPED)
-        health["tuples_from_cache"] = self.stats.get(
+            return {}
+        cache = {"source": self.server_name}
+        cache.update(self._sql_cache.stats())
+        cache["tuples_shipped"] = self.stats.get(statnames.TUPLES_SHIPPED)
+        cache["tuples_from_cache"] = self.stats.get(
             statnames.TUPLES_FROM_CACHE
         )
-        return health
+        return {"cache": cache}
 
     def data_version(self):
         """The wrapper's write-version fingerprint (navigation memo)."""

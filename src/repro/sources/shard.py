@@ -161,23 +161,17 @@ class ShardedSource(Source):
         size = int(size)
         self._block_size = size if size > 1 else 1
         for member in self.members:
-            fn = getattr(member, "set_block_size", None)
-            if fn is not None:
-                fn(size)
+            member.set_block_size(size)
         return self
 
     def enable_sql_cache(self, maxsize=128, obs=None):
         for member in self.members:
-            fn = getattr(member, "enable_sql_cache", None)
-            if fn is not None:
-                fn(maxsize, obs=obs)
+            member.enable_sql_cache(maxsize, obs=obs)
         return self
 
     def set_cost_optimizer(self, enabled):
         for member in self.members:
-            fn = getattr(member, "set_cost_optimizer", None)
-            if fn is not None:
-                fn(enabled)
+            member.set_cost_optimizer(enabled)
         return self
 
     # -- versioning / statistics ---------------------------------------------------
@@ -187,8 +181,7 @@ class ShardedSource(Source):
         any member cannot report one."""
         versions = []
         for member in self.members:
-            fn = getattr(member, "data_version", None)
-            version = fn() if callable(fn) else None
+            version = member.data_version()
             if version is None:
                 return None
             versions.append(version)
@@ -199,11 +192,7 @@ class ShardedSource(Source):
 
         Per-member statistics are what shard pruning runs on — call
         this (or ``Mediator.analyze_sources()``) after loading."""
-        return sum(
-            fn() for fn in (
-                getattr(member, "analyze", None) for member in self.members
-            ) if fn is not None
-        )
+        return sum(member.analyze() or 0 for member in self.members)
 
     def table_statistics(self, table_name):
         """Merged logical-table statistics (``None`` unless every
@@ -211,8 +200,7 @@ class ShardedSource(Source):
         from repro.optimizer.shardstats import merge_table_statistics
 
         if table_name in self.replicated:
-            fn = getattr(self.members[0], "table_statistics", None)
-            return fn(table_name) if fn is not None else None
+            return self.members[0].table_statistics(table_name)
         return merge_table_statistics(
             self._member_statistics(member, table_name)
             for member in self.members
@@ -220,11 +208,8 @@ class ShardedSource(Source):
 
     @staticmethod
     def _member_statistics(member, table_name):
-        fn = getattr(member, "table_statistics", None)
-        if fn is None:
-            return None
         try:
-            return fn(table_name)
+            return member.table_statistics(table_name)
         except SourceError:
             return None
 
@@ -239,8 +224,7 @@ class ShardedSource(Source):
         members = self.members if route == "scatter" else self.members[:1]
         total = 0
         for member in members:
-            fn = getattr(member, "estimate_sql", None)
-            estimate = fn(sql) if fn is not None else None
+            estimate = member.estimate_sql(sql)
             if estimate is None:
                 return None
             total += estimate
@@ -500,41 +484,35 @@ class ShardedSource(Source):
 
     # -- health --------------------------------------------------------------------
 
-    def shard_health(self):
-        """Cumulative scatter tallies, rendered by ``Mediator.explain``
-        as the ``-- shard:`` footer."""
-        health = {"source": self.server_name, "shards": len(self.members)}
+    def health(self):
+        """``shard``: the cumulative scatter tallies; ``resilience``
+        (when any member is resilient): the members' health, counters
+        summed and breaker states joined in member order, so one
+        flapping member is visible without hiding its siblings."""
+        shard = {"source": self.server_name, "shards": len(self.members)}
         with self._lock:
-            health.update(self._health)
-        return health
-
-    def resilience_health(self):
-        """Aggregated member resilience health, or ``None`` when no
-        member is resilient.  Counters sum; the breaker column joins
-        the members' states in member order, so one flapping member is
-        visible without hiding its siblings' health."""
-        reports = []
-        for member in self.members:
-            fn = getattr(member, "resilience_health", None)
-            if fn is None:
-                continue
-            report = fn()
-            if report is not None:
-                reports.append(report)
-        if not reports:
-            return None
-        health = {"source": self.server_name}
-        for key in ("retries", "failures", "timeouts", "circuit_rejections"):
-            health[key] = sum(r.get(key, 0) for r in reports)
-        states = [r.get("breaker") for r in reports]
-        health["breaker"] = (
-            "/".join(str(s) for s in states) if any(states) else None
-        )
-        health["breaker_transitions"] = [
-            transition
-            for r in reports
-            for transition in r.get("breaker_transitions", ())
+            shard.update(self._health)
+        health = {"shard": shard}
+        reports = [
+            report["resilience"]
+            for report in (member.health() for member in self.members)
+            if "resilience" in report
         ]
+        if reports:
+            resilience = {"source": self.server_name}
+            for key in ("retries", "failures", "timeouts",
+                        "circuit_rejections"):
+                resilience[key] = sum(r[key] for r in reports)
+            states = [r["breaker"] for r in reports]
+            resilience["breaker"] = (
+                "/".join(str(s) for s in states) if any(states) else None
+            )
+            resilience["breaker_transitions"] = [
+                transition
+                for r in reports
+                for transition in r["breaker_transitions"]
+            ]
+            health["resilience"] = resilience
         return health
 
     def __repr__(self):
@@ -550,7 +528,7 @@ def _member_name(member, index):
     name = getattr(member, "name", None)
     if name:
         return name
-    base = getattr(member, "server_name", None) or type(member).__name__
+    base = member.server_name or type(member).__name__
     return "{}[{}]".format(base, index)
 
 

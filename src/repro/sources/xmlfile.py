@@ -55,7 +55,12 @@ class XmlFileSource(Source):
     def document_ids(self):
         return sorted(set(self._texts) | set(self._trees))
 
-    def materialize_document(self, doc_id):
+    def iter_document_children(self, doc_id):
+        # No navigation support: fetch everything, then iterate.
+        return iter(self._fetch(doc_id).children)
+
+    def _fetch(self, doc_id):
+        """The whole document, fetched in one step on first access."""
         if doc_id in self._trees:
             return self._trees[doc_id]
         if doc_id not in self._texts:
@@ -72,8 +77,3 @@ class XmlFileSource(Source):
         tree = parse_xml(self._texts[doc_id])
         self._trees[doc_id] = tree  # one-step fetch, then cached
         return tree
-
-    def iter_document_children(self, doc_id):
-        # No navigation support: fetch everything, then iterate.
-        root = self.materialize_document(doc_id)
-        return iter(root.children)

@@ -9,7 +9,7 @@ from tests.conftest import Q1, Q12, make_paper_wrapper
 
 from repro import Mediator
 from repro.analysis import DocumentSchema, catalog_schemas, lint_query
-from repro.sources import SourceCatalog, XmlFileSource
+from repro.sources import Source, SourceCatalog, XmlFileSource
 
 
 @pytest.fixture
@@ -360,7 +360,7 @@ class TestSchemaObjects:
 
     def test_column_stats_without_statistics_api_is_none(self):
         schema = DocumentSchema(
-            "d", "t", {"c": "INTEGER"}, wrapper=object(), table="t"
+            "d", "t", {"c": "INTEGER"}, wrapper=Source(), table="t"
         )
         assert schema.column_stats("c") is None
 

@@ -7,7 +7,7 @@ import pytest
 from repro.algebra import operators as ops
 from repro.algebra.plan import iter_operators
 from repro.analysis import certify_rules, generate_corpus
-from repro.analysis.defect_rules import DEFECT_RULES
+from tests.analysis.defect_rules import DEFECT_RULES
 from repro.analysis.rulecheck import MAX_DIAGNOSTICS_PER_CODE
 from repro.errors import RewriteError
 from repro.rewriter.rule import Rule, rule_name
@@ -186,7 +186,7 @@ class TestCertifierApi:
         assert len(calls) == report.rule("select-pushdown").sites > 0
 
     def test_drop_select_trips_only_the_differential(self):
-        from repro.analysis.defect_rules import DropSelectRule
+        from tests.analysis.defect_rules import DropSelectRule
 
         report = certify_rules(
             extension_rules=[DropSelectRule()],

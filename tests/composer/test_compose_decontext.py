@@ -10,7 +10,10 @@ from repro.composer import compose_at_root, decontextualize, freshen_against
 from repro.engine.eager import EagerEngine
 from repro.engine.lazy import LazyEngine
 from repro.engine.vtree import Provenance, VNode
+from repro.qdom import Mediator
 from repro.sources import SourceCatalog
+from repro.workloads import build_customers_orders
+from repro.xmltree import serialize
 from tests.conftest import Q1, Q8, Q12, make_paper_wrapper
 
 
@@ -184,3 +187,38 @@ class TestDecontextualize:
                 Provenance(None, {"$C": "&XYZ"}),
                 translate_query(Q8),
             )
+
+
+class TestQueryFromNamedView:
+    """A ``q`` from a node a named view built: the naive plan still
+    reads the view through its ``mksrc``/``tD`` pair, which only the
+    rewriter folds, and decontextualization must look inside it."""
+
+    VIEW = "FOR $O IN document(root2)/order RETURN <Rec> $O </Rec>"
+    QUERY = (
+        "FOR $X IN document(root)/order WHERE $X/value/data() > 0 "
+        "RETURN $X"
+    )
+
+    def answers(self, optimize, push_sql):
+        built = build_customers_orders(n_customers=1, orders_per_customer=2)
+        mediator = Mediator(
+            optimize=optimize, push_sql=push_sql
+        ).add_source(built.wrapper)
+        mediator.define_view("vw", self.VIEW)
+        rec = mediator.query("FOR $R IN document(vw)/Rec RETURN $R").d()
+        answers = []
+        while rec is not None:
+            answer = rec.q(self.QUERY).to_tree()
+            # The tuple object's key oid, and its content (the field
+            # nodes' surrogate oids differ run to run).
+            answers.append([(c.oid, serialize(c)) for c in answer.children])
+            rec = rec.r()
+        return answers
+
+    @pytest.mark.parametrize("push_sql", [True, False])
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_answers_equal_the_optimized_ones(self, optimize, push_sql):
+        expected = self.answers(optimize=True, push_sql=True)
+        assert [len(a) for a in expected] == [1, 1]
+        assert self.answers(optimize, push_sql) == expected

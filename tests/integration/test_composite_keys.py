@@ -32,8 +32,7 @@ def wrapper():
 
 class TestCompositeOids:
     def test_oid_encodes_both_key_parts(self, wrapper):
-        root = wrapper.materialize_document("stock")
-        oids = {c.oid for c in root.children}
+        oids = {c.oid for c in wrapper.iter_document_children("stock")}
         assert "&W1/A" in oids
         assert "&W2/C" in oids
 
@@ -92,14 +91,14 @@ class TestSeparatorInKeyValues:
         return RelationalWrapper(db).register_document("stock", "stock")
 
     def test_oids_are_distinct_and_round_trip(self, slashed):
-        oids = [c.oid for c in slashed.materialize_document("stock").children]
+        oids = [c.oid for c in slashed.iter_document_children("stock")]
         assert len(set(oids)) == 3
         assert [slashed.oid_to_key("stock", oid) for oid in oids] == [
             ["a/b", "c"], ["a", "b/c"], ["x", "y"]
         ]
 
     def test_oid_select_pins_both_key_columns(self, slashed):
-        first = slashed.materialize_document("stock").children[0].oid
+        first = next(slashed.iter_document_children("stock")).oid
         catalog = SourceCatalog().register(slashed)
         plan = TD(
             "$S",

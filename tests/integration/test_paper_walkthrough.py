@@ -39,10 +39,8 @@ def catalog():
 
 class TestFig2Database:
     def test_xml_view_of_relational_db(self, catalog):
-        root1 = catalog.materialize("root1")
-        assert root1.oid == "&root1"
         customer = next(
-            c for c in root1.children if c.oid == "&XYZ"
+            c for c in catalog.iter_children("root1") if c.oid == "&XYZ"
         )
         assert customer.label == "customer"
         fields = {
@@ -51,8 +49,9 @@ class TestFig2Database:
         assert fields == {
             "id": "XYZ", "name": "XYZInc.", "addr": "LosAngeles"
         }
-        root2 = catalog.materialize("root2")
-        order = next(c for c in root2.children if c.oid == "&28904")
+        order = next(
+            c for c in catalog.iter_children("root2") if c.oid == "&28904"
+        )
         assert order.label == "order"
         assert order.find("value").children[0].label == 2400
 

@@ -11,17 +11,21 @@ import re
 
 from tests.conftest import Q1, make_paper_wrapper
 
-from repro import Mediator
+from repro import Instrument, Mediator, RelationalWrapper
 from repro.resilience import (
     CircuitBreaker,
     FaultInjectingSource,
     ManualClock,
     ResilientSource,
     RetryPolicy,
+    shard_resilience,
 )
 from repro.resilience.faults import PERMANENT
 from repro.sources import SourceCatalog
-from repro.workloads import build_sharded_customers_orders
+from repro.workloads import (
+    build_customers_orders,
+    build_sharded_customers_orders,
+)
 
 FOOTER_LINE = re.compile(r"-- (\w+)(?:\[([^\]]+)\])?: (.*)")
 
@@ -92,3 +96,63 @@ def test_warm_cache():
         "plan_cache", "verified", "cache"
     ]
     assert entries[-1][1] == "s"
+
+
+CROSS_SOURCE = """
+FOR $C IN document(cust)/customer
+    $O IN document(root2)/order
+WHERE $C/id/data() = $O/cid/data()
+RETURN <CustRec> $C $O </CustRec>
+"""
+
+#: Recorded before health was one ``Source.health()`` hook.
+CROSS_SOURCE_EXPLAIN = """\
+tD($V6, view1)   [tuples=4]
+  crElt(CustRec, f($C, $O), $W5, $V6)   [tuples=4]
+    cat(list($C), list($O), $W5)   [tuples=4]
+      join($3 = $4)   [tuples=4]
+        rQ(one, <sql>, {$3={1}; $C={2,3,4}})   [tuples=2]
+            sql: SELECT c1.id, c1.id, c1.name, c1.addr FROM customer c1
+        rQ(s, <sql>, {$4={1}; $O={2,3,4}})   [tuples=4]
+            sql: SELECT o1.cid, o1.orid, o1.cid, o1.value FROM orders o1
+-- tuples=18 rq_statements=2
+-- plan_cache: miss
+-- verified: 2 stages
+-- cache[one]: hits=0 misses=1 evictions=0 invalidations=0 tuples_shipped=2 tuples_from_cache=0
+-- shard[s]: shards=2 scattered=2 pruned=0 failed=0
+-- resilience[one]: retries=0 timeouts=0 failures=0 circuit_rejections=0 breaker=None transitions=-
+-- resilience[s]: retries=1 timeouts=0 failures=1 circuit_rejections=0 breaker=closed/closed transitions=-"""
+
+
+def test_cache_shard_and_resilience_together():
+    """A SQL-cached wrapper behind ``ResilientSource`` next to a
+    resilient two-member fleet: every footer kind, kind by kind, then
+    source by source."""
+    stats = Instrument()
+    clock = ManualClock()
+    retry = RetryPolicy(attempts=2, sleep=clock.sleep)
+    single = build_customers_orders(n_customers=2, orders_per_customer=2)
+    wrapper = RelationalWrapper(single.database, server_name="one")
+    wrapper.register_document("cust", "customer")
+    fleet = build_sharded_customers_orders(
+        shards=2, n_customers=2, orders_per_customer=2, stats=stats,
+        member_wrapper=lambda members: shard_resilience(
+            [FaultInjectingSource(members[0]).fail_sql(times=1),
+             members[1]],
+            retry=retry,
+            breaker=CircuitBreaker(failure_threshold=2, clock=clock),
+        ),
+    )
+    mediator = Mediator(stats=stats, cache=True, block_size=1)
+    mediator.add_source(ResilientSource(wrapper, retry=retry, obs=stats))
+    mediator.add_source(fleet.sharded)
+    try:
+        assert mediator.explain(CROSS_SOURCE, mask_times=True) \
+            == CROSS_SOURCE_EXPLAIN
+        entries = assert_events_match_footer(mediator, CROSS_SOURCE)
+    finally:
+        fleet.sharded.close()
+    assert [(kind, source) for kind, source, __ in entries][-4:] == [
+        ("cache", "one"), ("shard", "s"),
+        ("resilience", "one"), ("resilience", "s"),
+    ]

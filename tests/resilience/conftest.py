@@ -67,9 +67,3 @@ class FlakyListSource(Source):
                 self.fail_times -= 1
                 raise self._exc_factory(position)
             yield self._element(label)
-
-    def materialize_document(self, doc_id):
-        root = Node("&{}".format(doc_id), "list")
-        for child in self.iter_document_children(doc_id):
-            root.append(child)
-        return root

@@ -3,9 +3,12 @@
 import pytest
 
 from repro import Instrument
+from repro.algebra import operators as ops
+from repro.engine import EagerEngine
 from repro.errors import SourceError, TransientSourceError
 from repro.resilience import FaultInjectingSource, ManualClock
 from repro.resilience.faults import ANY_DOC, PERMANENT
+from repro.sources import SourceCatalog
 
 from tests.conftest import make_paper_wrapper
 
@@ -85,16 +88,13 @@ class TestScheduledFaults:
         faulty.fail_sql(times=1, match="orders")
         assert len(list(faulty.execute_sql("SELECT * FROM customer"))) == 3
 
-    def test_fail_materialize(self):
-        faulty = make_faulty().fail_materialize("root1")
-        with pytest.raises(TransientSourceError):
-            faulty.materialize_document("root1")
-        assert len(faulty.materialize_document("root1").children) == 3
-
     def test_pull_faults_fire_on_the_eager_path_too(self):
         faulty = make_faulty().fail_pull("root1", 1)
+        engine = EagerEngine(SourceCatalog().register(faulty))
+        plan = ops.TD("$X", ops.MkSrc("root1", "$X"), root_oid="scan")
         with pytest.raises(TransientSourceError):
-            faulty.materialize_document("root1")
+            engine.evaluate_tree(plan)
+        assert faulty.injected == [("pull", "root1", 1, "transient")]
 
 
 class TestSeededRandomFaults:

@@ -9,7 +9,6 @@ import pytest
 
 from repro.errors import (
     CircuitOpenError,
-    SourceError,
     SourceTimeoutError,
     TransientSourceError,
 )
@@ -45,48 +44,6 @@ class TestRetryPolicy:
             attempts=5, base_delay=0.1, multiplier=2.0, max_delay=0.35
         )
         assert policy.delays() == pytest.approx([0.1, 0.2, 0.35, 0.35])
-
-    def test_call_retries_transient_and_sleeps_backoff(self):
-        clock = ManualClock()
-        policy = RetryPolicy(
-            attempts=3, base_delay=0.1, multiplier=2.0, sleep=clock.sleep
-        )
-        calls = []
-
-        def flaky():
-            calls.append(1)
-            if len(calls) < 3:
-                raise TransientSourceError("boom")
-            return "ok"
-
-        assert policy.call(flaky) == "ok"
-        assert len(calls) == 3
-        assert clock.sleeps == pytest.approx([0.1, 0.2])
-
-    def test_call_exhausts_budget_and_reraises(self):
-        clock = ManualClock()
-        policy = RetryPolicy(attempts=2, sleep=clock.sleep)
-
-        def always():
-            raise TransientSourceError("never works")
-
-        with pytest.raises(TransientSourceError):
-            policy.call(always)
-        assert len(clock.sleeps) == 1  # one retry between two attempts
-
-    def test_permanent_errors_are_not_retried(self):
-        clock = ManualClock()
-        policy = RetryPolicy(attempts=5, sleep=clock.sleep)
-        calls = []
-
-        def broken():
-            calls.append(1)
-            raise SourceError("permanent")
-
-        with pytest.raises(SourceError):
-            policy.call(broken)
-        assert len(calls) == 1
-        assert clock.sleeps == []
 
     def test_attempts_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -51,7 +51,7 @@ class TestRetry:
                                       sleep=clock.sleep)
         )
         assert stream_labels(resilient, "root1") == ["customer"] * 3
-        health = resilient.resilience_health()
+        health = resilient.health()["resilience"]
         assert health["retries"] == 1
         assert health["failures"] == 1
         assert clock.sleeps == pytest.approx([0.1])  # one backoff
@@ -77,7 +77,7 @@ class TestRetry:
         )
         with pytest.raises(TransientSourceError):
             list(resilient.iter_document_children("root1"))
-        health = resilient.resilience_health()
+        health = resilient.health()["resilience"]
         assert health["retries"] == 1
         assert health["failures"] == 2
         assert len(clock.sleeps) == 1
@@ -98,7 +98,7 @@ class TestRetry:
         )
         assert stream_labels(resilient, "d") == ["a", "b", "c", "e"]
         assert flaky.opens == 2  # original open + one recovery reopen
-        assert resilient.resilience_health()["retries"] == 1
+        assert resilient.health()["resilience"]["retries"] == 1
 
 
 class TestTimeout:
@@ -114,7 +114,7 @@ class TestTimeout:
         # The slow pull times out, but its late value is delivered by
         # the retry: the stream is complete, nothing lost or duplicated.
         assert stream_labels(resilient, "root1") == ["customer"] * 3
-        health = resilient.resilience_health()
+        health = resilient.health()["resilience"]
         assert health["timeouts"] == 1
         assert health["retries"] == 1
         # The injected delay and the backoff both ran on the manual clock.
@@ -165,7 +165,7 @@ class TestBreaker:
         with pytest.raises(CircuitOpenError) as info:
             resilient.iter_document_children("root1")
         assert info.value.retry_after == pytest.approx(5.0)
-        assert resilient.resilience_health()["circuit_rejections"] == 1
+        assert resilient.health()["resilience"]["circuit_rejections"] == 1
 
         clock.advance(5.0)
         assert resilient.breaker.state == HALF_OPEN
@@ -176,7 +176,7 @@ class TestBreaker:
         assert resilient.breaker.transitions == [
             (CLOSED, OPEN), (OPEN, HALF_OPEN), (HALF_OPEN, CLOSED),
         ]
-        assert resilient.resilience_health()["breaker_transitions"] == [
+        assert resilient.health()["resilience"]["breaker_transitions"] == [
             "closed->open", "open->half_open", "half_open->closed",
         ]
 
@@ -238,7 +238,7 @@ class TestDegrade:
             False, True, False, False,
         ]
         # The source counts the failure, the engine the stub.
-        assert resilient.resilience_health()["failures"] == 1
+        assert resilient.health()["resilience"]["failures"] == 1
         assert stats.get(statnames.DEGRADED_RESULTS) == 1
 
     def test_permanent_stub_replaces_the_element(self):
@@ -276,9 +276,9 @@ class TestDegrade:
     def test_degraded_materialize_carries_stubs(self):
         faulty = make_faulty().fail_pull("root1", 0, kind=PERMANENT)
         resilient = ResilientSource(faulty)
-        # Materializing raises; the degrading eager engine pulls instead.
+        # A plain read raises; the degrading eager engine stubs instead.
         with pytest.raises(SourceError):
-            resilient.materialize_document("root1")
+            list(resilient.iter_document_children("root1"))
         nodes = degraded_scan(resilient, "root1", lazy=False)
         flags = [is_error_stub(c) for c in nodes]
         assert flags == [True, False, False]
@@ -307,7 +307,7 @@ class TestIdempotentCalls:
         )
         rows = list(resilient.execute_sql("SELECT * FROM orders"))
         assert len(rows) == 4
-        assert resilient.resilience_health()["retries"] == 1
+        assert resilient.health()["resilience"]["retries"] == 1
 
     def test_execute_sql_budget_exhaustion_raises_with_sql(self):
         faulty = make_faulty().fail_sql(times=9)
@@ -317,6 +317,17 @@ class TestIdempotentCalls:
         with pytest.raises(TransientSourceError) as info:
             resilient.execute_sql("SELECT * FROM orders")
         assert info.value.sql == "SELECT * FROM orders"
+
+    def test_permanent_sql_error_is_not_retried(self):
+        clock = ManualClock()
+        faulty = make_faulty().fail_sql(kind=PERMANENT)
+        resilient = ResilientSource(
+            faulty, retry=RetryPolicy(attempts=5, sleep=clock.sleep)
+        )
+        with pytest.raises(SourceError):
+            resilient.execute_sql("SELECT * FROM orders")
+        assert len(faulty.injected) == 1
+        assert clock.sleeps == []
 
     def test_planning_surface_passes_through(self):
         resilient = ResilientSource(make_faulty())

@@ -69,13 +69,16 @@ class TestBreakerOwnership:
         ResilientSource(SteadySource(), breaker=breaker.clone())
         ResilientSource(FlakySource(), breaker=clone)
 
-    def test_retry_and_timeout_clone_configuration(self):
+    def test_retry_and_timeout_are_shared(self):
         clock = ManualClock()
         retry = RetryPolicy(attempts=4, base_delay=0.5, sleep=clock.sleep)
         timeout = Timeout(1.5, clock=clock)
-        assert retry.clone().attempts == 4
-        assert retry.clone() is not retry
-        assert timeout.clone().limit == 1.5
+        wrapped = shard_resilience(
+            [SteadySource(), SteadySource()], retry=retry, timeout=timeout
+        )
+        # Stateless policies: every member runs the one instance.
+        assert [m.retry for m in wrapped] == [retry, retry]
+        assert [m.timeout for m in wrapped] == [timeout, timeout]
 
 
 class TestShardResilienceFactory:
@@ -187,7 +190,7 @@ class TestBlastRadius:
             sw.sharded.execute_sql("SELECT orid FROM orders").fetchall()
         except SourceError:
             pass
-        health = sw.sharded.resilience_health()
+        health = sw.sharded.health()["resilience"]
         assert health["source"] == "s"
         assert health["failures"] == 1
         assert health["breaker"].count("/") == 1  # one state per member

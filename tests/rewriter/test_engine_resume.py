@@ -85,7 +85,7 @@ class TestResumeScan:
 
 class TestTerminationDiagnostics:
     def test_cycle_error_attaches_steps_with_provenance(self):
-        from repro.analysis.defect_rules import FlipFlopRule
+        from tests.analysis.defect_rules import FlipFlopRule
 
         def join_plan():
             left = ops.GetD(
@@ -123,7 +123,7 @@ class TestTerminationDiagnostics:
         # select-pushdown legitimately fires once before the ping/pong
         # pair closes its loop; the attached cycle segment must not
         # blame it.
-        from repro.analysis.defect_rules import PingRule, PongRule
+        from tests.analysis.defect_rules import PingRule, PongRule
 
         plan = ops.Select(
             Condition.var_const("$A", ">", 1),

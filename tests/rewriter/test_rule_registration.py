@@ -254,7 +254,7 @@ class TestMediatorExtensionRules:
             self._mediator(strict=True, extension_rules=[Sloppy()])
 
     def test_strict_mediator_refuses_defective_rule(self):
-        from repro.analysis.defect_rules import DropBindingRule
+        from tests.analysis.defect_rules import DropBindingRule
 
         with pytest.raises(RuleCertificationError) as info:
             self._mediator(strict=True, extension_rules=[DropBindingRule()])

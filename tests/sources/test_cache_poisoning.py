@@ -23,18 +23,19 @@ class TestXmlFileSourceCache:
     def test_failed_parse_leaves_no_cache_entry(self):
         source = XmlFileSource().add_text("d", BAD_XML)
         with pytest.raises(ParseError):
-            source.materialize_document("d")
+            source.iter_document_children("d")
         assert "d" not in source._trees  # nothing poisoned
 
     def test_reregistering_good_text_recovers(self):
         source = XmlFileSource().add_text("d", BAD_XML)
         with pytest.raises(ParseError):
-            source.materialize_document("d")
+            source.iter_document_children("d")
         source.add_text("d", GOOD_XML)
-        tree = source.materialize_document("d")
-        assert [c.label for c in tree.children] == ["a", "b"]
+        children = list(source.iter_document_children("d"))
+        assert [c.label for c in children] == ["a", "b"]
         # And the successful parse *is* cached now.
-        assert source.materialize_document("d") is tree
+        assert list(source.iter_document_children("d")) == children
+        assert next(source.iter_document_children("d")) is children[0]
 
 
 class TestMediatorSourceCache:

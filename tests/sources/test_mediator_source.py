@@ -21,15 +21,14 @@ class TestMediatorSource:
 
     def test_unknown_view(self, lower_mediator):
         with pytest.raises(SourceError):
-            MediatorSource(lower_mediator).materialize_document("nope")
+            list(MediatorSource(lower_mediator).iter_document_children("nope"))
 
     def test_materialize_matches_lower_result(self, lower_mediator):
         source = MediatorSource(lower_mediator).register_view("v", Q1)
-        root = source.materialize_document("v")
-        assert root.label == "list"
-        assert len(root.children) == 3
-        assert all(c.label == "CustRec" for c in root.children)
-        first = root.children[0]
+        children = list(source.iter_document_children("v"))
+        assert len(children) == 3
+        assert all(c.label == "CustRec" for c in children)
+        first = children[0]
         assert first.children[0].label == "customer"
 
     def test_navigations_counted(self, lower_mediator):
@@ -42,10 +41,10 @@ class TestMediatorSource:
 
     def test_invalidate_reruns_query(self, lower_mediator):
         source = MediatorSource(lower_mediator).register_view("v", Q1)
-        first = source.materialize_document("v")
+        first = list(source.iter_document_children("v"))
         source.invalidate("v")
-        second = source.materialize_document("v")
-        assert len(first.children) == len(second.children)
+        second = list(source.iter_document_children("v"))
+        assert len(first) == len(second)
 
 
 class TestFederatedQuerying:

@@ -62,27 +62,22 @@ class TestDocumentExport:
             wrapper.table_for_document("nope")
 
     def test_materialize_fig2_layout(self, wrapper):
-        root = wrapper.materialize_document("root1")
-        assert root.label == "list"
-        assert root.oid == "&root1"
-        customer = root.children[0]
+        customer = next(wrapper.iter_document_children("root1"))
         assert customer.label == "customer"
         assert [c.label for c in customer.children] == ["id", "name", "addr"]
         # field children carry value leaves
         assert customer.children[0].children[0].is_leaf
 
     def test_element_label_override(self, wrapper):
-        root = wrapper.materialize_document("root2")
-        assert root.children[0].label == "order"
+        assert next(wrapper.iter_document_children("root2")).label == "order"
 
     def test_key_derived_oids(self, wrapper):
-        root = wrapper.materialize_document("root1")
-        oids = {c.oid for c in root.children}
+        oids = {c.oid for c in wrapper.iter_document_children("root1")}
         assert oids == {"&XYZ", "&DEF", "&ABC"}
 
     def test_numeric_key_oid(self, wrapper):
-        root = wrapper.materialize_document("root2")
-        assert "&28904" in {c.oid for c in root.children}
+        children = wrapper.iter_document_children("root2")
+        assert "&28904" in {c.oid for c in children}
 
 
 class TestLazyIteration:
@@ -181,7 +176,7 @@ def test_scan_and_pushed_rq_build_the_same_tuple_objects(backend, doc, label,
     ), stats)
     wrapper.register_document("parts", "part")
     wrapper.register_document("notes", "note")
-    scanned = wrapper.materialize_document(doc).children
+    scanned = list(wrapper.iter_document_children(doc))
     mediator = Mediator(stats=stats).add_source(wrapper)
     pushed = mediator.query(
         "FOR $T IN document({})/{} RETURN $T".format(doc, label)

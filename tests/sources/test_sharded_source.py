@@ -14,7 +14,7 @@ from repro import Database, Instrument, RelationalWrapper
 from repro import stats as statnames
 from repro.errors import ShardError, SourceError
 from repro.resilience import ERROR_LABEL, find_error_stubs, shard_resilience
-from repro.sources import Partition, ShardedSource, hash_shard
+from repro.sources import Partition, ShardedSource, Source, hash_shard
 from repro.sources.shard import HASH, RANGE
 from repro.workloads import (
     build_customers_orders,
@@ -238,15 +238,14 @@ class TestNavigation:
     def test_partitioned_document_concatenates_members(self, shards):
         # Range members in key order: the unsharded document order.
         sw = sharded(shards=shards, scheme=RANGE, key="orid")
-        root = sw.sharded.materialize_document("root2")
-        oids = [child.oid for child in root.children]
+        oids = [child.oid
+                for child in sw.sharded.iter_document_children("root2")]
         assert oids == ["&{}".format(i) for i in range(18)]
         sw.sharded.close()
 
     def test_replicated_document_reads_one_member(self):
         sw = sharded(shards=3)
-        root = sw.sharded.materialize_document("root1")
-        assert len(root.children) == 6
+        assert len(list(sw.sharded.iter_document_children("root1"))) == 6
         assert sw.stats.get(statnames.TUPLES_SHIPPED) == 6
 
     def test_document_catalog_is_delegated(self):
@@ -325,7 +324,7 @@ class TestFailure:
     def test_shard_health_reports_the_fleet(self):
         sw = sharded(shards=3)
         sw.sharded.execute_sql("SELECT orid FROM orders").fetchall()
-        health = sw.sharded.shard_health()
+        health = sw.sharded.health()["shard"]
         assert health["source"] == "s"
         assert health["shards"] == 3
         assert health["scattered"] == 3
@@ -454,7 +453,7 @@ class TestCatalogSurface:
         sw.members[0].table_statistics = gone
         assert sw.sharded.table_statistics("orders") is None
         del sw.members[0].table_statistics
-        sw.members[1].table_statistics = None
+        sw.members[1].table_statistics = lambda table_name: None
         assert sw.sharded.table_statistics("orders") is None
 
 
@@ -492,7 +491,7 @@ class TestNavigationFailureMidStream:
     def test_member_name_falls_back_to_type_name(self):
         from repro.sources.shard import _member_name
 
-        class Opaque:
+        class Opaque(Source):
             pass
 
         assert _member_name(Opaque(), 2) == "Opaque[2]"
@@ -638,7 +637,7 @@ class TestCursorContract:
         else:
             assert sorted(got) == sorted(expected)
         assert sw.stats.get(statnames.SHARDS_FAILED) == 1
-        assert sw.sharded.shard_health()["failed"] == 1
+        assert sw.sharded.health()["shard"]["failed"] == 1
         sw.sharded.close()
 
     @pytest.mark.parametrize("gather", sorted(GATHERS))

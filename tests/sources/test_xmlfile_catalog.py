@@ -13,19 +13,18 @@ from tests.conftest import make_paper_wrapper
 class TestXmlFileSource:
     def test_text_document(self):
         source = XmlFileSource().add_text("d", "<list><a>1</a></list>")
-        root = source.materialize_document("d")
-        assert root.label == "list"
-        assert root.children[0].label == "a"
+        children = list(source.iter_document_children("d"))
+        assert [c.label for c in children] == ["a"]
+        assert children[0].children[0].label == 1
 
     def test_tree_document(self):
         source = XmlFileSource().add_tree("d", elem("list", elem("a", "1")))
-        assert source.materialize_document("d").children[0].label == "a"
+        assert next(source.iter_document_children("d")).label == "a"
 
     def test_one_step_fetch_counted_once(self):
         stats = Instrument()
         source = XmlFileSource(stats=stats).add_text("d", "<l><a>1</a></l>")
-        source.materialize_document("d")
-        source.materialize_document("d")
+        list(source.iter_document_children("d"))
         list(source.iter_document_children("d"))
         assert stats.get(DOC_FETCHES) == 1  # cached after the first fetch
 
@@ -33,11 +32,11 @@ class TestXmlFileSource:
         path = tmp_path / "doc.xml"
         path.write_text("<l><b>2</b></l>")
         source = XmlFileSource().add_file("d", str(path))
-        assert source.materialize_document("d").children[0].label == "b"
+        assert next(source.iter_document_children("d")).label == "b"
 
     def test_unknown_document(self):
         with pytest.raises(SourceError):
-            XmlFileSource().materialize_document("missing")
+            XmlFileSource().iter_document_children("missing")
 
     def test_no_sql(self):
         source = XmlFileSource()
@@ -79,5 +78,6 @@ class TestSourceCatalog:
 
     def test_materialize_and_iter(self):
         catalog = SourceCatalog().register(make_paper_wrapper())
-        assert catalog.materialize("root1").label == "list"
+        children = list(catalog.iter_children("&root1"))
+        assert [c.label for c in children] == ["customer"] * 3
         assert next(catalog.iter_children("root1")).label == "customer"

@@ -245,7 +245,7 @@ class TestCheckRulesCli:
     def test_defect_rules_fail_with_expected_codes(self, capsys):
         assert main(
             ["check-rules",
-             "--rules=repro.analysis.defect_rules:DEFECT_RULES"]
+             "--rules=tests.analysis.defect_rules:DEFECT_RULES"]
         ) == 1
         out = capsys.readouterr().out
         for code in ("MIX-E012", "MIX-E013", "MIX-W007", "MIX-W008"):
@@ -257,7 +257,7 @@ class TestCheckRulesCli:
 
         assert main(
             ["check-rules", "--json",
-             "--rules=repro.analysis.defect_rules:DEFECT_RULES"]
+             "--rules=tests.analysis.defect_rules:DEFECT_RULES"]
         ) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
