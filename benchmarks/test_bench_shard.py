@@ -63,8 +63,8 @@ class LatencyMember:
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
-    def execute_sql(self, sql):
-        return _LatencyCursor(self.inner.execute_sql(sql), self)
+    def execute_sql(self, sql, params=()):
+        return _LatencyCursor(self.inner.execute_sql(sql, params), self)
 
 
 class _LatencyCursor:

@@ -79,7 +79,7 @@ print("== killing member 2 ==")
 victim = sharded.members[2].inner
 
 
-def outage(sql):
+def outage(sql, params=()):
     raise SourceError("shard 2 is unreachable", sql=sql, source="s2")
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from repro.errors import PlanError
 from repro.xmltree.paths import Path
 from repro.algebra.conditions import Condition
+from repro.relational.ast import bind_sql
 
 
 class Operator:
@@ -628,11 +629,19 @@ class RelQuery(Operator):
     tuples assembled per the map ``varmap`` (a list of :class:`RQVar`).
     "The relational query operator is also responsible for creating the
     nodes corresponding to the tuple objects."
+
+    A plan-cache template's ``sql`` has ``?0, ?1, ...`` placeholders;
+    ``slots`` names the request slot each stands for, and :meth:`bound`
+    gives one request's copy, whose ``params`` are the values the
+    engines send along with the unchanged text.  :attr:`display_sql` is
+    the statement with those values spelled in.
     """
 
     opname = "rQ"
+    _display = None
 
-    def __init__(self, server, sql, varmap, order_vars=()):
+    def __init__(self, server, sql, varmap, order_vars=(), slots=(),
+                 params=()):
         self.server = server
         self.sql = sql
         self.varmap = tuple(varmap)
@@ -640,6 +649,27 @@ class RelQuery(Operator):
         #: matching ORDER BY, as in Fig. 22) — lets the engine pick the
         #: presorted stateless gBy of Table 1.
         self.order_vars = tuple(order_vars)
+        self.slots = tuple(slots)
+        self.params = tuple(params)
+
+    def bound(self, values):
+        """This rQ with ``params`` taken from one request's ``values``;
+        ``self`` when the statement has no placeholder."""
+        if not self.slots:
+            return self
+        return RelQuery(
+            self.server, self.sql, self.varmap, self.order_vars, self.slots,
+            [values[slot] for slot in self.slots],
+        )
+
+    @property
+    def display_sql(self):
+        """``sql`` with ``params`` spelled in: what EXPLAIN, traces and
+        errors show (computed once per node)."""
+        text = self._display
+        if text is None:
+            text = self._display = bind_sql(self.sql, self.params)
+        return text
 
     def local_defined_vars(self):
         return frozenset(entry.var for entry in self.varmap)
@@ -656,15 +686,20 @@ class RelQuery(Operator):
             self.sql,
             renamed,
             tuple(mapping.get(v, v) for v in self.order_vars),
+            self.slots,
+            self.params,
         )
 
     def signature(self):
-        return (
+        signature = (
             self.opname,
             self.server,
             self.sql,
             tuple(e.signature() for e in self.varmap),
         )
+        if self.slots:
+            signature += (self.slots, self.params)
+        return signature
 
 
 class Empty(Operator):

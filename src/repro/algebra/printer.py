@@ -81,7 +81,7 @@ def _render(node, depth, lines, show_sql):
         lines.append(pad + "  p:")
         _render(node.plan, depth + 2, lines, show_sql)
     if isinstance(node, ops.RelQuery) and show_sql:
-        for sql_line in node.sql.splitlines():
+        for sql_line in node.display_sql.splitlines():
             lines.append(pad + "  | " + sql_line.strip())
     for child in node.children:
         _render(child, depth + 1, lines, show_sql)

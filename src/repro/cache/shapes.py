@@ -16,8 +16,10 @@ clauses taken out:
   travel through translate → compose → rewrite → SQL split as opaque
   operands (a pushed statement carries them as ``?<slot>``);
 * :func:`bind_plan` puts one request's values into a copy of the few
-  nodes that mention a slot — ``select``/``join`` conditions and the
-  ``rQ`` SQL text — and shares every other node with the template.
+  nodes that mention a slot — ``select``/``join`` conditions, and the
+  ``rQ``, which keeps its slotted SQL and carries the values it names
+  as ``params`` to the source — and shares every other node with the
+  template.
 
 A :class:`PreparedPlan` is what the plan cache stores; a
 :class:`BoundPlan` is one request's view of it and what a
@@ -37,7 +39,6 @@ from __future__ import annotations
 
 from repro.algebra import operators as ops
 from repro.algebra.conditions import Condition, ConstOperand, ParamOperand
-from repro.rewriter.sql_split import bind_sql
 from repro.xquery import ast
 from repro.xquery.printer import render_query
 
@@ -170,11 +171,7 @@ def bind_plan(plan, values):
                     conditions, node.left, node.right, plan.keep
                 )
     elif isinstance(plan, ops.RelQuery):
-        sql = bind_sql(plan.sql, values)
-        if sql is not plan.sql:
-            node = ops.RelQuery(
-                plan.server, sql, plan.varmap, plan.order_vars
-            )
+        node = plan.bound(values)
     return node
 
 

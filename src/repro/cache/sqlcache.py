@@ -1,4 +1,5 @@
-"""The pushed-SQL result cache (keyed by SQL text + table write versions).
+"""The pushed-SQL result cache (keyed by SQL text and values + table
+write versions).
 
 The mediator's hottest source interaction is re-executing the same
 pushed ``rQ`` statement (Fig. 22) for a query it has answered before.
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 from repro import stats as statnames
 from repro.relational import ast
+from repro.relational.ast import bind_sql
 from repro.relational.cursor import Cursor
 from repro.relational.parser import parse_sql
 from repro.cache.keys import normalize_sql
@@ -76,14 +78,18 @@ class SqlResultCache:
 
     # -- the wrapper-facing call ------------------------------------------------------
 
-    def execute(self, database, sql):
-        """Serve ``sql`` from cache or execute-and-record through
-        ``database``; always returns a :class:`Cursor`.
+    def execute(self, database, sql, params=()):
+        """Serve ``sql`` run with ``params`` (its ``?N`` values) from
+        cache, or execute-and-record through ``database``; always
+        returns a :class:`Cursor`.
 
-        A hit parses nothing (the entry knows its tables); a miss
-        parses the statement once and hands it down to the database.
+        The key is the statement's layout-free text and the values, so
+        one template serves every request that binds it alike.  A hit
+        reads no statement (the entry knows its tables); a miss takes
+        the statement from the parse memo, which parses a text only the
+        first time it is seen, and hands it down to the database.
         """
-        key = normalize_sql(sql)
+        key = (normalize_sql(sql), tuple(params))
         versions = database.table_versions()
         hit, entry = self._lru.lookup(
             key,
@@ -92,14 +98,18 @@ class SqlResultCache:
             ),
         )
         if hit:
-            database.stats.event("sql_cache_hit", key, database=database.name)
+            database.stats.event(
+                "sql_cache_hit", normalize_sql(bind_sql(sql, params)),
+                database=database.name,
+            )
             return self._replay(database, entry)
         stmt = parse_sql(sql)
         if not isinstance(stmt, ast.SelectStmt):
-            return database.execute(sql, stmt)  # only SELECTs are cacheable
+            # only SELECTs are cacheable
+            return database.execute(sql, params, stmt)
         tables = tuple(sorted({ref.table for ref in stmt.tables}))
         return self._record(
-            database, sql, stmt, key, tables,
+            database, sql, params, stmt, key, tables,
             self._fingerprint(versions, tables),
         )
 
@@ -113,9 +123,9 @@ class SqlResultCache:
         # do not cross the source boundary.
         return Cursor(entry.column_names, rows(), stats=None)
 
-    def _record(self, database, sql, stmt, key, tables, fingerprint):
+    def _record(self, database, sql, params, stmt, key, tables, fingerprint):
         # The caller gets the database's cursor: one fetch, counted once.
-        cursor = database.execute(sql, stmt)
+        cursor = database.execute(sql, params, stmt)
 
         def commit(rows):
             # Exhausted: commit only if no referenced table moved while
@@ -135,13 +145,6 @@ class SqlResultCache:
 
     def stats(self):
         return self._lru.stats()
-
-    def entries(self):
-        """Live entries as ``(sql, rows)`` pairs (test inspection)."""
-        return [
-            (key, entry.rows)
-            for key, entry in zip(self._lru.keys(), self._lru.values())
-        ]
 
     def __len__(self):
         return len(self._lru)

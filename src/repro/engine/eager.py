@@ -75,7 +75,7 @@ class EagerEngine:
         token = node_token(plan)
         name = getattr(plan, "opname", type(plan).__name__)
         attrs = (
-            {"server": plan.server, "sql": plan.sql}
+            {"server": plan.server, "sql": plan.display_sql}
             if isinstance(plan, ops.RelQuery)
             else {}
         )
@@ -125,8 +125,8 @@ class EagerEngine:
         try:
             server = self.catalog.server(plan.server)
             self.stats.incr(statnames.RQ_STATEMENTS)
-            self.stats.event("sql", plan.sql, server=plan.server)
-            cursor = server.execute_sql(plan.sql)
+            self.stats.event("sql", plan.display_sql, server=plan.server)
+            cursor = server.execute_sql(plan.sql, plan.params)
         except SourceError as exc:
             if not self._degrade:
                 raise

@@ -63,7 +63,7 @@ def _render(node, depth, lines, totals, mask_times, estimates):
         line += "]"
     lines.append(line)
     if isinstance(node, ops.RelQuery):
-        lines.append("{}    sql: {}".format(pad, node.sql))
+        lines.append("{}    sql: {}".format(pad, node.display_sql))
     if isinstance(node, ops.Apply):
         lines.append(pad + "  p:")
         _render(node.plan, depth + 2, lines, totals, mask_times, estimates)

@@ -98,4 +98,4 @@ def _relquery_estimate(node, catalog):
         source = catalog.server(node.server)
     except Exception:
         return None
-    return source.estimate_sql(node.sql)
+    return source.estimate_sql(node.display_sql)

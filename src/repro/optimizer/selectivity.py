@@ -73,7 +73,7 @@ def _epsilon(stats):
 
 def _range_fraction(stats, col, op, literal):
     histogram = col.histogram
-    if histogram is not None:
+    if histogram is not None and isinstance(literal, (int, float)):
         below = histogram.fraction_below(literal)
         # ``<=`` / ``>`` need the mass *at* the literal too; approximate
         # one value's worth by 1/NDV of the non-NULL mass.
@@ -85,8 +85,9 @@ def _range_fraction(stats, col, op, literal):
         if op == ">":
             return max(0.0, 1.0 - below - at_value)
         return max(0.0, 1.0 - below)
-    # No histogram (non-numeric column): interpolate on the min/max
-    # span when the ordering is comparable, else default.
+    # No histogram (non-numeric column) or a literal it cannot place:
+    # interpolate on the min/max span when the ordering is comparable,
+    # else default.
     try:
         if literal < col.min:
             below = 0.0

@@ -10,12 +10,23 @@ Statements::
     UPDATE name SET col = lit, ... [WHERE ...]
     ANALYZE [name]
 
-Predicates are conjunctions of ``operand op operand`` where operands are
-column references or literals; this matches exactly what the mediator's
-SQL generator emits (Fig. 22) and what the paper's WHERE grammar allows.
+Predicates are conjunctions of ``operand op operand``; an operand is
+
+    [alias.]column | literal | NULL | ?N
+
+which matches exactly what the mediator's SQL generator emits (Fig. 22)
+and what the paper's WHERE grammar allows.  ``?N`` is a
+:class:`Param`: slot ``N`` (0-based) of the values a statement is
+executed with (``Database.execute(sql, params)``).  A parsed statement
+keeps its slots; :meth:`SelectStmt.bind` puts one request's values in a
+copy, and :func:`bind_sql` spells them into the text for display.
 """
 
 from __future__ import annotations
+
+import re
+
+from repro.errors import SqlError
 
 #: Comparison operators, shared with the XMAS algebra conditions.
 COMPARISON_OPS = ("=", "!=", "<>", "<", "<=", ">", ">=")
@@ -55,15 +66,75 @@ class Literal:
         self.value = value
 
     def __repr__(self):
-        if isinstance(self.value, str):
-            return "'{}'".format(self.value.replace("'", "''"))
-        return repr(self.value)
+        return sql_literal(self.value)
 
     def __eq__(self, other):
         return isinstance(other, Literal) and self.value == other.value
 
     def __hash__(self):
         return hash(("lit", self.value))
+
+
+class Param:
+    """``?N``: the value of slot ``index`` of the statement's parameters."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, index):
+        self.index = index
+
+    def __repr__(self):
+        return "?{}".format(self.index)
+
+    def __eq__(self, other):
+        return isinstance(other, Param) and self.index == other.index
+
+    def __hash__(self):
+        return hash(("param", self.index))
+
+
+def sql_literal(value):
+    """``value`` as a SQL literal."""
+    if isinstance(value, str):
+        return "'{}'".format(value.replace("'", "''"))
+    return repr(value)
+
+
+#: A string literal (skipped: a ``?`` inside one is data) or a
+#: parameter.  Outside its string literals a statement is names,
+#: numbers and operators, so any other ``?`` is a parameter.
+_PARAM_TEXT = re.compile(r"'(?:[^']|'')*'|\?(\d+)")
+
+
+def replace_params(sql, replace):
+    """``sql`` with every ``?N`` outside its string literals replaced
+    by ``replace(N)``."""
+    if "?" not in sql:
+        return sql
+
+    def fill(match):
+        slot = match.group(1)
+        return match.group(0) if slot is None else replace(int(slot))
+
+    return _PARAM_TEXT.sub(fill, sql)
+
+
+def bind_sql(sql, params):
+    """``sql`` with every ``?N`` replaced by the SQL literal of
+    ``params[N]``: the text a parametrised statement is shown as (in
+    EXPLAIN, traces and errors).  Execution never needs it."""
+    if not params:
+        return sql
+    return replace_params(sql, lambda slot: sql_literal(params[slot]))
+
+
+def _bind_operand(operand, params):
+    if type(operand) is not Param:
+        return operand
+    try:
+        return Literal(params[operand.index])
+    except IndexError:
+        raise SqlError("no value for parameter {!r}".format(operand))
 
 
 class Predicate:
@@ -78,6 +149,17 @@ class Predicate:
 
     def __repr__(self):
         return "{!r} {} {!r}".format(self.left, self.op, self.right)
+
+    @property
+    def slotted(self):
+        return type(self.left) is Param or type(self.right) is Param
+
+    def bind(self, params):
+        """This predicate with its parameters replaced by ``params``."""
+        return Predicate(
+            _bind_operand(self.left, params), self.op,
+            _bind_operand(self.right, params),
+        )
 
 
 class SelectItem:
@@ -125,6 +207,21 @@ class SelectStmt:
         self.predicates = list(predicates)
         self.order_by = list(order_by)  # ColRefs
         self.distinct = distinct
+        #: Whether a predicate names a :class:`Param`.
+        self.slotted = any(p.slotted for p in self.predicates)
+
+    def bind(self, params):
+        """A copy with ``params`` in place of its parameters; the
+        statement itself when it has none.  Only the predicate list is
+        new: the statement may be the parse memo's, shared by every
+        request of its text."""
+        if not self.slotted:
+            return self
+        return SelectStmt(
+            self.items, self.tables,
+            [p.bind(params) if p.slotted else p for p in self.predicates],
+            self.order_by, self.distinct,
+        )
 
     def __repr__(self):
         parts = [

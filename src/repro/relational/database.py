@@ -143,19 +143,26 @@ class Database:
 
     # -- statement execution ----------------------------------------------------
 
-    def execute(self, sql, stmt=None):
+    def execute(self, sql, params=(), stmt=None):
         """Execute a SELECT; returns a :class:`Cursor`.
 
+        ``params`` are the values of the statement's ``?N`` slots
+        (0-based): the text is parsed once (the parse memo of
+        :func:`~repro.relational.parser.parse_sql`) and every execute
+        binds its values into a copy of the predicates, then plans the
+        bound statement.  ``stmt`` is ``parse_sql(sql)`` when the caller
+        already has it.
+
         Issuing the statement counts one :data:`repro.stats.SQL_QUERIES`;
-        rows are counted as shipped only when fetched.  ``stmt`` is
-        ``parse_sql(sql)`` when the caller already has it.
+        rows are counted as shipped only when fetched.
         """
         if stmt is None:
             stmt = parse_sql(sql)
         if not isinstance(stmt, ast.SelectStmt):
             raise SqlError("execute() is for SELECT; use run() for DDL/DML")
+        stmt = stmt.bind(params)
         self.stats.incr(statnames.SQL_QUERIES)
-        self.stats.event("sql", sql, database=self.name)
+        self.stats.event("sql", ast.bind_sql(sql, params), database=self.name)
         names, rows, after_fetch = execute_select(self, stmt)
         return Cursor(names, rows, stats=self.stats, after_fetch=after_fetch)
 
@@ -222,6 +229,8 @@ class Database:
 
     @staticmethod
     def _dml_operand(table, operand):
+        if isinstance(operand, ast.Param):
+            raise SqlError("DML takes no parameters ({!r})".format(operand))
         if isinstance(operand, ast.Literal):
             value = operand.value
             return lambda row: value

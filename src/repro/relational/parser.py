@@ -1,6 +1,18 @@
-"""Recursive-descent parser for the SQL subset."""
+"""Recursive-descent parser for the SQL subset, behind a parse memo.
+
+:func:`parse_sql` keeps the SELECT statements it parsed in a bounded
+LRU keyed on the statement text.  A parse reads neither schema nor
+data, so an entry is never stale and nothing invalidates it; a
+parametrised statement (``?N`` slots) is parsed once per text however
+many values it runs with.  Memoized statements are shared: callers
+never modify them (:meth:`~repro.relational.ast.SelectStmt.bind` binds
+into a copy).  DDL and DML are parsed every time.
+"""
 
 from __future__ import annotations
+
+import threading
+from collections import OrderedDict
 
 from repro.errors import SqlParseError
 from repro.relational import ast
@@ -9,6 +21,7 @@ from repro.relational.lexer import (
     IDENT,
     KEYWORD,
     NUMBER,
+    PARAM,
     STRING,
     SYMBOL,
     tokenize,
@@ -59,8 +72,33 @@ class _TokenStream:
         return SqlParseError(message, self.sql, tok.pos)
 
 
+#: SELECT texts the parse memo holds.
+MEMO_SIZE = 256
+
+_memo = OrderedDict()
+_memo_lock = threading.Lock()
+
+
 def parse_sql(sql):
-    """Parse one SQL statement; returns an AST node from :mod:`ast`."""
+    """Parse one SQL statement; returns an AST node from :mod:`ast`.
+
+    A SELECT is memoized on its text (see the module docstring)."""
+    with _memo_lock:
+        stmt = _memo.get(sql)
+        if stmt is not None:
+            _memo.move_to_end(sql)
+            return stmt
+    stmt = parse_statement(sql)
+    if isinstance(stmt, ast.SelectStmt):
+        with _memo_lock:
+            _memo[sql] = stmt
+            if len(_memo) > MEMO_SIZE:
+                _memo.popitem(last=False)
+    return stmt
+
+
+def parse_statement(sql):
+    """Parse one SQL statement, bypassing the memo."""
     stream = _TokenStream(sql)
     tok = stream.peek()
     if tok.kind != KEYWORD:
@@ -142,9 +180,12 @@ def _parse_operand(stream):
     if tok.kind == KEYWORD and tok.text == "NULL":
         stream.next()
         return ast.Literal(None)
+    if tok.kind == PARAM:
+        stream.next()
+        return ast.Param(tok.value)
     if tok.kind == IDENT:
         return _parse_colref(stream)
-    raise stream.error("expected a column or literal")
+    raise stream.error("expected a column, literal or parameter")
 
 
 def _parse_predicate(stream):

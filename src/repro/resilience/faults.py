@@ -29,6 +29,7 @@ import random
 import zlib
 
 from repro.errors import SourceError, TransientSourceError
+from repro.relational.ast import bind_sql
 from repro.resilience.clock import ManualClock
 from repro.sources.base import SourceProxy
 
@@ -126,8 +127,9 @@ class FaultInjectingSource(SourceProxy):
     def fail_sql(self, kind=TRANSIENT, times=1, match=None):
         """Fail the next ``times`` ``execute_sql`` calls.
 
-        ``match`` restricts the fault to statements containing the
-        substring.  ``kind="permanent"`` fails without a budget.
+        ``match`` restricts the fault to statements whose text, with
+        the values of its slots spelled in, contains the substring.
+        ``kind="permanent"`` fails without a budget.
         """
         if kind == PERMANENT:
             times = _UNLIMITED
@@ -197,9 +199,10 @@ class FaultInjectingSource(SourceProxy):
     def iter_document_children(self, doc_id):
         return _InjectedIterator(self, doc_id)
 
-    def execute_sql(self, sql):
+    def execute_sql(self, sql, params=()):
+        text = bind_sql(sql, params) if self._sql_faults else sql
         for match, fault in self._sql_faults:
-            if match is not None and match not in sql:
+            if match is not None and match not in text:
                 continue
             if fault.take():
                 self._record("sql", None, None, fault.kind)
@@ -208,10 +211,10 @@ class FaultInjectingSource(SourceProxy):
                 )
                 if fault.kind == TRANSIENT:
                     raise TransientSourceError(
-                        detail, sql=sql, source=self.name
+                        detail, sql=text, source=self.name
                     )
-                raise SourceError(detail, sql=sql, source=self.name)
-        return self.inner.execute_sql(sql)
+                raise SourceError(detail, sql=text, source=self.name)
+        return self.inner.execute_sql(sql, params)
 
     def __repr__(self):
         return "FaultInjectingSource({!r}, faults={})".format(

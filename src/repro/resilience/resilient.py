@@ -180,7 +180,7 @@ class ResilientSource(SourceProxy):
             return self.retry.retry_on
         return (TransientSourceError,)
 
-    def _call(self, fn, doc_id=None, sql=None, record_success=True):
+    def _call(self, fn, doc_id=None, record_success=True):
         """Run an idempotent source call under all three policies.
 
         ``record_success=False`` is used when merely *opening* a pull
@@ -226,8 +226,8 @@ class ResilientSource(SourceProxy):
     def iter_document_children(self, doc_id):
         return _ResilientIterator(self, doc_id)
 
-    def execute_sql(self, sql):
-        return self._call(lambda: self.inner.execute_sql(sql), sql=sql)
+    def execute_sql(self, sql, params=()):
+        return self._call(lambda: self.inner.execute_sql(sql, params))
 
     def describe_table(self, table_name):
         return self._call(lambda: self.inner.describe_table(table_name))

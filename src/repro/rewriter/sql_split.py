@@ -26,9 +26,13 @@ the algebra (recorded in EXPERIMENTS.md).
 
 Parameters: a condition whose constant is a
 :class:`~repro.algebra.conditions.ParamOperand` (a literal left open by
-the plan cache, see :mod:`repro.cache.shapes`) compiles to a ``?<slot>``
-placeholder in the statement; :func:`bind_sql` fills the placeholders of
-one request in.  The split itself never looks at a literal's value.
+the plan cache, see :mod:`repro.cache.shapes`) compiles to a ``?N``
+placeholder in the statement.  Each statement numbers its placeholders
+from ``?0`` and its ``rQ`` records the request slot of each
+(``RelQuery.slots``), so a bound ``rQ`` hands its source the slotted
+text and just the values it names;
+:func:`~repro.relational.ast.bind_sql` spells them in for display.
+The split itself never looks at a literal's value.
 
 Cost-based refinements (``cost=True`` plus fresh ``ANALYZE`` statistics
 on every referenced table — without both, the emitted SQL is
@@ -44,12 +48,11 @@ byte-identical to the seed's):
 
 from __future__ import annotations
 
-import re
-
 from repro.errors import SourceError, UnknownSourceError
 from repro.xmltree.paths import Step
 from repro.algebra import operators as ops
 from repro.algebra.conditions import KEY, OID, VALUE, ParamOperand
+from repro.relational.ast import replace_params, sql_literal
 from repro.rewriter.context import RewriteContext
 
 
@@ -390,7 +393,7 @@ def _condition_sql(condition, model, catalog):
         except SourceError:
             return None
         return [
-            "{}.{} = {}".format(alias, col, _sql_literal(value))
+            "{}.{} = {}".format(alias, col, sql_literal(value))
             for col, value in zip(schema.primary_key, key_values)
         ]
 
@@ -402,38 +405,26 @@ def _sql_op(op):
 
 
 def _sql_operand(operand):
-    """A constant as SQL text; a parameter as the ``?<slot>`` placeholder
-    :func:`bind_sql` fills in."""
+    """A constant as SQL text; a parameter as its ``?<slot>``
+    placeholder (renumbered per statement by :func:`_local_slots`)."""
     if isinstance(operand, ParamOperand):
         return "?{}".format(operand.index)
-    return _sql_literal(operand.value)
+    return sql_literal(operand.value)
 
 
-def _sql_literal(value):
-    if isinstance(value, str):
-        return "'{}'".format(value.replace("'", "''"))
-    return str(value)
+def _local_slots(sql):
+    """``(sql, slots)``: ``sql`` with its placeholders renumbered
+    ``?0, ?1, ...`` in order of first appearance, and the request slot
+    each stands for.  A pushed statement then takes exactly the values
+    it names (see :meth:`~repro.algebra.operators.RelQuery.bound`)."""
+    slots = []
 
+    def renumber(slot):
+        if slot not in slots:
+            slots.append(slot)
+        return "?{}".format(slots.index(slot))
 
-#: A string literal (skipped: a ``?`` inside one is data) or a
-#: placeholder.  Outside its string literals pushed SQL is names,
-#: numbers and operators, so any other ``?`` is a placeholder.
-_PLACEHOLDER = re.compile(r"'(?:[^']|'')*'|\?(\d+)")
-
-
-def bind_sql(sql, values):
-    """``sql`` with every ``?<slot>`` placeholder replaced by the SQL
-    literal of ``values[slot]``."""
-    if "?" not in sql:
-        return sql
-
-    def fill(match):
-        slot = match.group(1)
-        if slot is None:
-            return match.group(0)
-        return _sql_literal(values[int(slot)])
-
-    return _PLACEHOLDER.sub(fill, sql)
+    return replace_params(sql, renumber), tuple(slots)
 
 
 # -- rQ construction --------------------------------------------------------------
@@ -515,8 +506,12 @@ def _build_relquery(root, node, model, ctx, pending_groups, catalog, cost):
         order_refs = list(model.order)
 
     row_counts = _fresh_row_counts(model, catalog) if cost else None
-    sql = _render_sql(model, select_items, order_refs, row_counts)
-    return ops.RelQuery(model.server, sql, varmap, order_vars=order_vars)
+    sql, slots = _local_slots(
+        _render_sql(model, select_items, order_refs, row_counts)
+    )
+    return ops.RelQuery(
+        model.server, sql, varmap, order_vars=order_vars, slots=slots
+    )
 
 
 def _fresh_row_counts(model, catalog):

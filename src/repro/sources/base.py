@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.errors import SourceError
+from repro.relational.ast import bind_sql
 
 
 class Source:
@@ -15,8 +16,9 @@ class Source:
     paper's footnote 2, :class:`~repro.sources.xmlfile.XmlFileSource`)
     fetches the whole document in one step behind that iterator.
     Relational wrappers additionally accept pushed-down SQL via
-    :meth:`execute_sql`; the SQL back ends share their Fig.-2 export
-    through :class:`~repro.sources.relational.TableSource`.
+    :meth:`execute_sql` (a text and the values of its ``?N`` slots);
+    the SQL back ends share their Fig.-2 export through
+    :class:`~repro.sources.relational.TableSource`.
 
     Every other capability a caller may use is a method here whose
     default does nothing, so callers call it instead of probing for it:
@@ -44,8 +46,15 @@ class Source:
         """Whether :meth:`execute_sql` is available (relational sources)."""
         return False
 
-    def execute_sql(self, sql):
-        """Run pushed-down SQL; returns a cursor.  Relational only."""
+    def execute_sql(self, sql, params=()):
+        """Run pushed-down SQL with ``params`` as the values of its
+        ``?N`` slots (0-based); returns a cursor.  Relational only.
+
+        The mediator sends the slotted text its plan cache compiled and
+        one request's values, so a source can parse a statement once
+        per text; :func:`~repro.relational.ast.bind_sql` spells the
+        values in for display (errors carry that text)."""
+        sql = bind_sql(sql, params)
         raise SourceError(
             "{} does not accept SQL: {!r}".format(type(self).__name__, sql),
             sql=sql,
@@ -138,8 +147,8 @@ class SourceProxy(Source):
     def supports_sql(self):
         return self.inner.supports_sql()
 
-    def execute_sql(self, sql):
-        return self.inner.execute_sql(sql)
+    def execute_sql(self, sql, params=()):
+        return self.inner.execute_sql(sql, params)
 
     def describe_table(self, table_name):
         return self.inner.describe_table(table_name)

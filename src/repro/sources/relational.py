@@ -262,8 +262,8 @@ class RelationalWrapper(TableSource):
     # -- result caching ----------------------------------------------------------
 
     def enable_sql_cache(self, maxsize=128, obs=None):
-        """Cache fully fetched SQL results, keyed by statement text +
-        per-table write versions (see :mod:`repro.cache.sqlcache`).
+        """Cache fully fetched SQL results, keyed by statement text and
+        values + per-table write versions (see :mod:`repro.cache.sqlcache`).
 
         Counters land on ``obs`` (default: the database's instrument).
         ``maxsize=0`` leaves the wrapper uncached.
@@ -344,10 +344,10 @@ class RelationalWrapper(TableSource):
 
     # -- SQL -----------------------------------------------------------------------
 
-    def execute_sql(self, sql):
+    def execute_sql(self, sql, params=()):
         if self._sql_cache is not None:
-            return self._sql_cache.execute(self.database, sql)
-        return self.database.execute(sql)
+            return self._sql_cache.execute(self.database, sql, params)
+        return self.database.execute(sql, params)
 
     def describe_table(self, table_name):
         return self.database.table(table_name).schema

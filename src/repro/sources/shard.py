@@ -51,6 +51,7 @@ from repro.errors import (
     TransientSourceError,
 )
 from repro.relational import ast
+from repro.relational.ast import bind_sql
 from repro.relational.cursor import Cursor
 from repro.relational.parser import parse_sql
 from repro.relational.types import sort_key
@@ -268,28 +269,32 @@ class ShardedSource(Source):
 
     # -- scatter-gather ------------------------------------------------------------
 
-    def execute_sql(self, sql):
-        stmt = self._parse_select(sql)
+    def execute_sql(self, sql, params=()):
+        """Route and prune on the statement bound to ``params``; the
+        members get the slotted text (widened for the merge when it
+        must be) and the same ``params``."""
+        stmt = self._parse_select(sql, params)
         if self._route(stmt) == "first":
-            return self.members[0].execute_sql(sql)
-        return self._scatter(stmt, sql)
+            return self.members[0].execute_sql(sql, params)
+        return self._scatter(stmt, sql, params)
 
-    def _parse_select(self, sql):
+    def _parse_select(self, sql, params=()):
+        """The parse memo's statement for ``sql``, bound to ``params``."""
         try:
             stmt = parse_sql(sql)
+            if isinstance(stmt, ast.SelectStmt):
+                return stmt.bind(params)
         except Exception as exc:
             raise SourceError(
                 "sharded source could not parse pushed SQL: {}".format(exc),
-                sql=sql,
+                sql=bind_sql(sql, params),
                 source=self.server_name,
             )
-        if not isinstance(stmt, ast.SelectStmt):
-            raise SourceError(
-                "sharded source accepts SELECT statements only",
-                sql=sql,
-                source=self.server_name,
-            )
-        return stmt
+        raise SourceError(
+            "sharded source accepts SELECT statements only",
+            sql=bind_sql(sql, params),
+            source=self.server_name,
+        )
 
     def _route(self, stmt):
         """``"scatter"`` or ``"first"`` — or raise for unscatterable SQL.
@@ -325,7 +330,7 @@ class ShardedSource(Source):
             )
         return "scatter" if part_refs else "first"
 
-    def _scatter(self, stmt, sql):
+    def _scatter(self, stmt, sql, params):
         shard_sql, sort_positions, project_width, names = self._shard_plan(
             stmt, sql
         )
@@ -351,7 +356,7 @@ class ShardedSource(Source):
         streams = [
             ShardStream(
                 index,
-                partial(member.execute_sql, shard_sql),
+                partial(member.execute_sql, shard_sql, params),
                 partial(self._member_failure, index),
                 pool,
                 cond,
@@ -421,7 +426,9 @@ class ShardedSource(Source):
         carries an ``ORDER BY`` over columns the projection does not
         expose — those are appended as auxiliary select items (each
         member then ships them, the merge keys on them, and the cursor
-        trims rows back to the true projection width).
+        trims rows back to the true projection width).  A widened
+        statement keeps the slots of ``sql``: it is built from the
+        parse memo's unbound statement.
         """
         names = self._column_names(stmt)
         if not stmt.order_by:
@@ -436,12 +443,13 @@ class ShardedSource(Source):
             positions.append(position)
         if not extras:
             return sql, positions, None, names
+        template = parse_sql(sql)
         widened = ast.SelectStmt(
-            stmt.items + extras,
-            stmt.tables,
-            stmt.predicates,
-            stmt.order_by,
-            stmt.distinct,
+            template.items + extras,
+            template.tables,
+            template.predicates,
+            template.order_by,
+            template.distinct,
         )
         return repr(widened), positions, width, names
 

@@ -19,12 +19,14 @@ member statements run concurrently.
 
 from __future__ import annotations
 
+import functools
 import sqlite3
 
 from repro import stats as statnames
 from repro.errors import SourceError
 from repro.obs.instrument import Instrument
 from repro.optimizer.statistics import ColumnStatistics, TableStatistics
+from repro.relational.ast import bind_sql, replace_params
 from repro.relational.cursor import Cursor
 from repro.relational.schema import Column, TableSchema
 from repro.relational.types import TEXT, TYPE_NAMES
@@ -159,30 +161,36 @@ class SqliteWrapper(TableSource):
 
     # -- SQL -----------------------------------------------------------------------
 
-    def execute_sql(self, sql):
+    def execute_sql(self, sql, params=()):
+        """Run ``sql``; its ``?N`` slots (0-based) become sqlite's
+        ``?N+1`` parameters, so sqlite prepares a text once however
+        many values it runs with."""
         self.stats.incr(statnames.SQL_QUERIES)
+        text = _sqlite_slots(sql) if params else sql
         try:
-            cursor = self.connection.execute(sql)
+            cursor = self.connection.execute(text, params)
         except sqlite3.Error as exc:
             raise SourceError(
                 "sqlite rejected SQL: {}".format(exc),
-                sql=sql,
+                sql=bind_sql(sql, params),
                 source=self.server_name,
             )
         if cursor.description is None:  # DDL/DML pushed through
             self.connection.commit()
             return Cursor([], (), self.stats)
         names = [d[0] for d in cursor.description]
-        return Cursor(names, self._row_stream(cursor, sql), self.stats)
+        return Cursor(
+            names, self._row_stream(cursor, sql, params), self.stats
+        )
 
-    def _row_stream(self, cursor, sql):
+    def _row_stream(self, cursor, sql, params):
         while True:
             try:
                 batch = cursor.fetchmany(_FETCH_BATCH)
             except sqlite3.Error as exc:
                 raise SourceError(
                     "sqlite failed mid-stream: {}".format(exc),
-                    sql=sql,
+                    sql=bind_sql(sql, params),
                     source=self.server_name,
                 )
             if not batch:
@@ -224,6 +232,13 @@ class SqliteWrapper(TableSource):
 
     def close(self):
         self.connection.close()
+
+
+@functools.lru_cache(maxsize=256)
+def _sqlite_slots(sql):
+    """``sql`` with each 0-based ``?N`` slot renumbered to sqlite's
+    1-based ``?N+1``; once per text."""
+    return replace_params(sql, lambda slot: "?{}".format(slot + 1))
 
 
 def _quote(identifier):

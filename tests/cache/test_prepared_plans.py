@@ -30,7 +30,7 @@ from repro.cache.shapes import (
 from repro.errors import ParameterValueDemanded
 from repro.obs import Instrument
 from repro.rewriter.rule import Rule
-from repro.rewriter.sql_split import bind_sql
+from repro.relational.ast import bind_sql
 from repro.server import LoopbackClient, MediatorService
 from repro.xmltree import serialize
 from repro.xquery.parser import parse_xquery

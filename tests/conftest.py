@@ -140,8 +140,8 @@ class DyingCursorSource(FaultInjectingSource):
         super().__init__(inner, **kwargs)
         self.rows = rows
 
-    def execute_sql(self, sql):
-        return DyingCursor(super().execute_sql(sql), self.rows)
+    def execute_sql(self, sql, params=()):
+        return DyingCursor(super().execute_sql(sql, params), self.rows)
 
 
 @pytest.fixture

@@ -186,7 +186,7 @@ class _RowsServer:
     def server(self, name):
         return self
 
-    def execute_sql(self, sql):
+    def execute_sql(self, sql, params=()):
         return Cursor(["c{}".format(i) for i in range(3)], iter(self._rows))
 
 

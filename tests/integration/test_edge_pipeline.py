@@ -146,3 +146,51 @@ class TestUnusualShapes:
             c.find("value").d().fv() for c in root.children()
         )
         assert values == [2400, 30000]
+
+
+class TestExponentLiterals:
+    """A float whose text form has an exponent (``1e-05``, ``1e+16``)
+    travels through pushed SQL like any other literal."""
+
+    QUERY = (
+        "FOR $O IN document(root2)/order WHERE $O/value/data() < {} "
+        "RETURN $O"
+    )
+
+    @staticmethod
+    def answers(literal, **switches):
+        from repro.workloads import build_customers_orders
+
+        built = build_customers_orders(n_customers=2, orders_per_customer=2)
+        mediator = Mediator(stats=built.stats, **switches)
+        mediator.add_source(built.wrapper)
+        text = TestExponentLiterals.QUERY.format(literal)
+        mediator.explain(text)
+        return [child.oid for child in mediator.query(text).children()]
+
+    @pytest.mark.parametrize("cache", [True, False])
+    @pytest.mark.parametrize(
+        "literal, count", [("0.00001", 0), ("10000000000000000.0", 4)]
+    )
+    def test_answers_equal_the_unpushed_answers(self, literal, count, cache):
+        unpushed = self.answers(literal, cache=cache, push_sql=False)
+        assert len(unpushed) == count
+        assert self.answers(literal, cache=cache) == unpushed
+
+
+def test_string_literal_against_an_analyzed_numeric_column():
+    """The cost model places only numbers in a numeric histogram; a
+    string compared with a number is false for every row."""
+    from repro.workloads import build_customers_orders
+
+    text = (
+        'FOR $O IN document(root2)/order WHERE $O/orid/data() < "abc" '
+        "RETURN $O"
+    )
+    answers = []
+    for push_sql in (True, False):
+        built = build_customers_orders(n_customers=2, orders_per_customer=2)
+        mediator = Mediator(stats=built.stats, push_sql=push_sql)
+        mediator.add_source(built.wrapper).analyze_sources()
+        answers.append(mediator.query(text).children())
+    assert answers == [[], []]

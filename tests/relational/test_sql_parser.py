@@ -4,8 +4,15 @@ import pytest
 
 from repro.errors import SqlParseError
 from repro.relational import ast
-from repro.relational.lexer import tokenize, IDENT, KEYWORD, NUMBER, STRING
-from repro.relational.parser import parse_sql
+from repro.relational.lexer import (
+    IDENT,
+    KEYWORD,
+    NUMBER,
+    PARAM,
+    STRING,
+    tokenize,
+)
+from repro.relational.parser import parse_sql, parse_statement
 from repro.relational.types import INTEGER, TEXT
 
 
@@ -23,6 +30,39 @@ class TestLexer:
     def test_numbers(self):
         tokens = tokenize("42 3.5 -7")
         assert [t.value for t in tokens[:3]] == [42, 3.5, -7]
+
+    def test_numbers_with_exponents(self):
+        tokens = tokenize("1e-05 1e+16 -2.5E3 7e2 1.5e300")
+        assert [t.kind for t in tokens[:5]] == [NUMBER] * 5
+        assert [t.value for t in tokens[:5]] == [
+            1e-05, 1e16, -2500.0, 700.0, 1.5e300
+        ]
+        assert all(isinstance(t.value, float) for t in tokens[:5])
+
+    def test_a_second_dot_ends_a_number(self):
+        tokens = tokenize("1.2.3")
+        assert [(t.kind, t.text) for t in tokens[:3]] == [
+            (NUMBER, "1.2"), ("SYMBOL", "."), (NUMBER, "3")
+        ]
+        with pytest.raises(SqlParseError):
+            parse_sql("SELECT * FROM t WHERE a = 1.2.3")
+
+    def test_a_non_decimal_digit_is_a_parse_error(self):
+        with pytest.raises(SqlParseError):
+            parse_sql("SELECT * FROM t WHERE a = 1\u00b2")
+
+    def test_an_e_without_digits_is_a_name(self):
+        tokens = tokenize("1e x")
+        assert [(t.kind, t.text) for t in tokens[:3]] == [
+            (NUMBER, "1"), (IDENT, "e"), (IDENT, "x")
+        ]
+
+    def test_parameters(self):
+        tokens = tokenize("a < ?0 AND b = ?12")
+        params = [t for t in tokens if t.kind == PARAM]
+        assert [(t.text, t.value) for t in params] == [("?0", 0), ("?12", 12)]
+        with pytest.raises(SqlParseError):
+            tokenize("a = ?")
 
     def test_string_literal_with_escape(self):
         tokens = tokenize("'it''s'")
@@ -48,6 +88,33 @@ class TestLexer:
 
 
 class TestSelectParsing:
+    def test_exponent_literal_in_a_predicate(self):
+        stmt = parse_sql("SELECT * FROM t WHERE v < 1e-05 AND w > -1e+16")
+        assert [p.right for p in stmt.predicates] == [
+            ast.Literal(1e-05), ast.Literal(-1e16)
+        ]
+
+    def test_parameters_bind_into_a_copy(self):
+        sql = "SELECT a FROM t WHERE a < ?1 AND b = ?0 AND c = 'x?0'"
+        stmt = parse_sql(sql)
+        assert [p.right for p in stmt.predicates[:2]] == [
+            ast.Param(1), ast.Param(0)
+        ]
+        bound = stmt.bind(("it's", 5))
+        assert repr(bound) == (
+            "SELECT a FROM t WHERE a < 5 AND b = 'it''s' AND c = 'x?0'"
+        )
+        assert repr(stmt) == repr(parse_statement(sql))
+        assert ast.bind_sql(sql, ("it's", 5)) == repr(bound)
+        assert parse_sql("SELECT a FROM t").bind((1,)).predicates == []
+
+    def test_select_texts_are_memoized_and_dml_is_not(self):
+        sql = "SELECT id FROM memo_probe WHERE id = ?0"
+        assert parse_sql(sql) is parse_sql(sql)
+        assert parse_statement(sql) is not parse_sql(sql)
+        dml = "DELETE FROM memo_probe WHERE id = 1"
+        assert parse_sql(dml) is not parse_sql(dml)
+
     def test_simple(self):
         stmt = parse_sql("SELECT id FROM customer")
         assert isinstance(stmt, ast.SelectStmt)

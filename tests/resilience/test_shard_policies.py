@@ -31,7 +31,7 @@ class FlakySource:
     def supports_sql(self):
         return True
 
-    def execute_sql(self, sql):
+    def execute_sql(self, sql, params=()):
         raise SourceError("down", sql=sql, source=self.server_name)
 
 
@@ -41,7 +41,7 @@ class SteadySource:
     def supports_sql(self):
         return True
 
-    def execute_sql(self, sql):
+    def execute_sql(self, sql, params=()):
         return iter(())
 
 
@@ -148,7 +148,7 @@ class TestBlastRadius:
         dead_rows = len(sw.members[1].inner.execute_sql(
             "SELECT orid FROM orders").fetchall())
 
-        def boom(sql):
+        def boom(sql, params=()):
             raise SourceError("disk gone", sql=sql, source="s1")
         sw.members[1].inner.execute_sql = boom
 
@@ -183,7 +183,7 @@ class TestBlastRadius:
                 ms, breaker=template),
         )
 
-        def boom(sql):
+        def boom(sql, params=()):
             raise SourceError("down", sql=sql, source="s0")
         sw.members[0].inner.execute_sql = boom
         try:

@@ -258,7 +258,7 @@ class TestNavigation:
 
 class TestFailure:
     def kill(self, sw, index):
-        def boom(sql):
+        def boom(sql, params=()):
             raise SourceError("member down", sql=sql, source="dead")
         sw.members[index].execute_sql = boom
 
@@ -308,7 +308,7 @@ class TestFailure:
         member = sw.members[victim].inner
         dead = len(member.execute_sql("SELECT orid FROM orders").fetchall())
 
-        def boom(sql):
+        def boom(sql, params=()):
             raise SourceError("member down", sql=sql)
         member.execute_sql = boom
         mediator = sw.mediator(on_source_error="degrade")
@@ -624,7 +624,9 @@ class TestCursorContract:
                             else rows)
         member = sw.members[self.VICTIM]
         real = member.execute_sql
-        member.execute_sql = lambda sql: DyingCursor(real(sql), self.KEEP)
+        member.execute_sql = lambda sql, params=(): DyingCursor(
+            real(sql, params), self.KEEP
+        )
 
         first, rest = self.drain(sw.sharded.execute_sql(sql), ShardError)
         got = first + rest
@@ -659,8 +661,8 @@ class TestCursorContract:
 
         for member, log in zip(sw.members, fetches):
             member.execute_sql = (
-                lambda sql, real=member.execute_sql, log=log:
-                Gated(real(sql), log)
+                lambda sql, params=(), real=member.execute_sql, log=log:
+                Gated(real(sql, params), log)
             )
         cursor = sw.sharded.execute_sql(sql)
         cursor.close()
