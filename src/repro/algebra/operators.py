@@ -2,18 +2,26 @@
 
 Plan nodes are *descriptions*: evaluation lives in
 :mod:`repro.engine.eager` (full materialization) and
-:mod:`repro.engine.lazy` (navigation-driven).  Every node knows
+:mod:`repro.engine.lazy` (navigation-driven).
 
-* its sub-plans (``children``),
+Each operator class declares its constructor fields once, as annotated
+class attributes, with the :class:`Role` each plays (plain data when
+none is named).  From that declaration every node knows
+
+* its sub-plans (``children``) and ``apply``'s nested plan
+  (``nested_plans``),
 * the variables it introduces (``local_defined_vars``) and consumes
   (``used_vars``),
-* how to copy itself with substituted children (``with_children``) and
-  renamed variables (``rename_local``), and
+* how to copy itself with substituted children (``with_children``),
+  nested plans (``with_nested_plans``), renamed variables
+  (``rename_local``) or any fields (``replace``), and
 * a structural ``signature`` used for plan equality in tests and in the
   rewriter's pattern matcher.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.errors import PlanError
 from repro.xmltree.paths import Path
@@ -21,8 +29,220 @@ from repro.algebra.conditions import Condition
 from repro.relational.ast import bind_sql
 
 
+class Role:
+    """What an operator field holds, as the source the derived methods
+    are compiled from.
+
+    ``variables`` is an expression over the field's value ``{0}`` that,
+    unpacked, lists the variables in it — which the node reads, or
+    introduces when ``defines``; ``rename`` is the value renamed through
+    ``mapping``.  Plans and plain data have neither.  A ``sequence``
+    field is made a tuple by the constructor, so signatures compare and
+    hash.
+    """
+
+    __slots__ = ("variables", "rename", "defines", "sequence")
+
+    def __init__(self, variables=None, rename=None, defines=False,
+                 sequence=False):
+        self.variables = variables
+        self.rename = rename
+        self.defines = defines
+        self.sequence = sequence
+
+
+_RENAME_VAR = "mapping.get({0}, {0})"
+_RENAME_VARS = "tuple([mapping.get(v, v) for v in {0}])"
+_RENAME_ITEMS = "tuple([item.rename(mapping) for item in {0}])"
+
+#: a sub-plan, one of ``children``; the sub-plans of a class are
+#: consecutive fields, and one that is ``None`` is left out
+PLAN = Role()
+#: a nested plan, one of ``nested_plans``: a child in its own scope,
+#: outside ``children`` and the signature
+NESTED = Role()
+#: anything else; part of the signature, untouched by renaming
+DATA = Role()
+#: a tuple of plain data
+SEQUENCE = Role(sequence=True)
+#: one variable the node reads (may be ``None``)
+USE = Role("*(() if {0} is None else ({0},))", _RENAME_VAR)
+#: one variable the node introduces
+DEF = Role("{0}", _RENAME_VAR, defines=True)
+#: a tuple of variables the node reads
+USES = Role("*{0}", _RENAME_VARS, sequence=True)
+#: a tuple of variables the node introduces
+DEFS = Role("*{0}", _RENAME_VARS, defines=True, sequence=True)
+#: one :class:`Condition`
+COND = Role("*{0}.variables()", "{0}.rename(mapping)")
+#: a conjunction of conditions
+CONDS = Role("*[v for c in {0} for v in c.variables()]", _RENAME_ITEMS,
+             sequence=True)
+#: an ``rQ`` map: the :class:`RQVar` entries the node binds
+MAP = Role("*[entry.var for entry in {0}]", _RENAME_ITEMS, defines=True,
+           sequence=True)
+
+
+_NO_DEFAULT = object()
+
+
+class _Field:
+    """The value of a declared field's class attribute: its role and
+    default."""
+
+    __slots__ = ("role", "default")
+
+    def __init__(self, role, default=_NO_DEFAULT):
+        self.role = role
+        self.default = default
+
+
+#: The derived methods, compiled per class by :func:`_derive`.
+_METHODS = """\
+def __init__(self, {params}):
+{init}
+def with_children(self, new_children):
+    if len(new_children) != len(self.children):
+        raise _arity_error(self, new_children)
+    return cls({with_children})
+def with_nested_plans(self, new_plans):
+    return cls({with_nested_plans})
+def rename_local(self, mapping):
+    return cls({rename_local})
+def used_vars(self):
+    return frozenset(({used_vars}))
+def local_defined_vars(self):
+    return frozenset(({local_defined_vars}))
+def signature(self):
+    return (self.opname, {signature})
+"""
+
+
+def _declare(cls):
+    """``(name, role, default)`` of each field of ``cls``: its base's,
+    then those it declares, taken off the class — an annotated
+    attribute, its value a :class:`_Field`, a plain default (plain
+    data) or none."""
+    declared = {name: (name, role, d) for name, role, d in cls._fields}
+    for name in cls.__dict__.get("__annotations__", {}):
+        value = cls.__dict__.get(name, _NO_DEFAULT)
+        if not isinstance(value, _Field):
+            value = _Field(DATA, value)
+        declared[name] = (name, value.role, value.default)
+        if name in cls.__dict__:
+            delattr(cls, name)
+    return tuple(declared.values())
+
+
+def _derive(cls, declared):
+    """Compile the constructor and the derived methods of ``cls`` from
+    its ``declared`` fields.
+
+    As :mod:`dataclasses` compiles ``__init__``, each method is the
+    source one would write by hand for these fields, compiled once per
+    class, so it costs what a hand-written method costs.  A method the
+    class or a base defines by hand is kept.
+    """
+    own = ["self." + name for name, _, _ in declared]
+
+    def spliced(kind, new):
+        """``own`` with the ``kind`` fields, consecutive, as ``*new``."""
+        at = [i for i, (_, role, _) in enumerate(declared) if role is kind]
+        if not at:
+            return own
+        if at[-1] - at[0] + 1 != len(at):
+            raise TypeError(cls.__name__ + ": sub-plan fields apart")
+        return own[:at[0]] + ["*" + new] + own[at[-1] + 1:]
+
+    params, init, defaults = [], [], {}
+    for name, role, default in declared:
+        if default is _NO_DEFAULT:
+            params.append(name)
+        else:
+            params.append("{0}=_default_{0}".format(name))
+            defaults["_default_" + name] = default
+        value = "tuple({})".format(name) if role.sequence else name
+        init.append("self.{} = {}".format(name, value))
+    plans = [(n, d) for n, role, d in declared if role is PLAN]
+    if plans:
+        children = "({})".format(
+            "".join("self.{}, ".format(n) for n, _ in plans)
+        )
+        if any(d is None for _, d in plans):
+            children = "tuple([p for p in {} if p is not None])".format(
+                children
+            )
+        init.append("self.children = " + children)
+    nested = [n for n, role, _ in declared if role is NESTED]
+    if nested:
+        init.append("self.nested_plans = ({},)".format(
+            ", ".join("self." + n for n in nested)
+        ))
+    if hasattr(cls, "_finish"):
+        init.append("self._finish()")
+
+    def variables(defines):
+        return "".join(
+            role.variables.format(value) + ", "
+            for (_, role, _), value in zip(declared, own)
+            if role.variables and role.defines is defines
+        )
+
+    source = _METHODS.format(
+        params=", ".join(params),
+        init="".join("    {}\n".format(line) for line in init or ["pass"]),
+        with_children=", ".join(spliced(PLAN, "new_children")),
+        with_nested_plans=", ".join(spliced(NESTED, "new_plans")),
+        rename_local=", ".join(
+            role.rename.format(value) if role.rename else value
+            for (_, role, _), value in zip(declared, own)
+        ),
+        used_vars=variables(False),
+        local_defined_vars=variables(True),
+        signature="".join(
+            value + ", " for (_, role, _), value in zip(declared, own)
+            if role is not PLAN and role is not NESTED
+        ),
+    )
+    methods = {}
+    code = compile(source, "<{} derived methods>".format(cls.__name__), "exec")
+    exec(code, {"cls": cls, "_arity_error": _arity_error, **defaults}, methods)
+    for name, method in methods.items():
+        current = getattr(cls, name, None)
+        if current in (None, object.__init__) or hasattr(current, "derived"):
+            method.__qualname__ = "{}.{}".format(cls.__qualname__, name)
+            method.derived = True
+            setattr(cls, name, method)
+
+
+def _arity_error(node, new_children):
+    return PlanError("{} has {} sub-plans, got {}".format(
+        type(node).__name__, len(node.children), len(new_children)
+    ))
+
+
+if TYPE_CHECKING:
+    from typing import dataclass_transform
+else:
+    def dataclass_transform(**kwargs):
+        return lambda cls: cls
+
+
+@dataclass_transform(eq_default=False, field_specifiers=(_Field,))
 class Operator:
-    """Base class of all XMAS plan nodes."""
+    """Base class of all XMAS plan nodes.
+
+    A subclass declares its constructor's fields once, as annotated class
+    attributes (see :class:`Role`), and :func:`_derive` compiles from them
+    its constructor, ``with_children``, ``with_nested_plans``,
+    ``rename_local``, ``used_vars``, ``local_defined_vars`` and
+    ``signature``.  The constructor makes sequences tuples, sets
+    ``children`` and ``nested_plans``, and last runs the class's
+    ``_finish``, if it has one, to check or normalise a field.  Nodes
+    compare by identity.  Copies go through the constructor, so a copy
+    never shares a per-node memo — its observation token, ``_shape`` or
+    ``rQ``'s ``_display`` — with the node it came from.
+    """
 
     #: short name used in signatures and the printer, set per subclass
     opname = "?"
@@ -30,39 +250,47 @@ class Operator:
     #: while a rewrite is under way; safe because nodes are never
     #: modified once built
     _shape = None
+    #: sub-plans, left to right (set by the constructor)
+    children = ()
+    #: nested plans, run per input tuple (set by the constructor)
+    nested_plans = ()
+    #: ``(name, role, default)`` of each field, in constructor order
+    _fields = ()
 
-    @property
-    def children(self):
-        """Sub-plans, left to right."""
-        return ()
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = _declare(cls)
+        _derive(cls, cls._fields)
 
-    def with_children(self, new_children):
-        """A shallow copy with ``children`` replaced."""
-        if new_children:
-            raise PlanError(
-                "{} takes no sub-plans".format(type(self).__name__)
-            )
-        return self
+    def replace(self, **changes):
+        """A copy of this node with the named fields changed."""
+        return type(self)(*[
+            changes[name] if name in changes else getattr(self, name)
+            for name, _, _ in self._fields
+        ])
 
-    def local_defined_vars(self):
-        """Variables this node introduces into the output tuples."""
-        return frozenset()
+    if TYPE_CHECKING:
+        # Compiled per class by _derive; declared here for readers and
+        # type checkers.
+        def with_children(self, new_children: Sequence[Operator]) -> Operator:
+            """A copy with ``children`` replaced, one for one."""
 
-    def used_vars(self):
-        """Variables this node reads from its input tuples."""
-        return frozenset()
+        def with_nested_plans(self, new_plans: Sequence[Operator]) -> Operator:
+            """A copy with ``nested_plans`` replaced, one for one."""
 
-    def rename_local(self, mapping):
-        """A copy of *this node only* with its variables renamed.
+        def rename_local(self, mapping: Mapping[str, str]) -> Operator:
+            """A copy of *this node only* with its variables renamed;
+            deep renaming is :func:`repro.algebra.plan.rename_vars`."""
 
-        Children are reattached unchanged; deep renaming is
-        :func:`repro.algebra.plan.rename_vars`.
-        """
-        return self
+        def used_vars(self) -> frozenset:
+            """Variables this node reads from its input tuples."""
 
-    def signature(self):
-        """Hashable structural identity of this node (children excluded)."""
-        return (self.opname,)
+        def local_defined_vars(self) -> frozenset:
+            """Variables this node introduces into the output tuples."""
+
+        def signature(self) -> tuple:
+            """Hashable structural identity of this node (sub-plans
+            excluded)."""
 
     def __repr__(self):
         from repro.algebra.printer import render_operator
@@ -83,32 +311,9 @@ class MkSrc(Operator):
     """
 
     opname = "mksrc"
-
-    def __init__(self, source, var, input_plan=None):
-        self.source = source
-        self.var = var
-        self.input = input_plan
-
-    @property
-    def children(self):
-        return (self.input,) if self.input is not None else ()
-
-    def with_children(self, new_children):
-        if not new_children:
-            return MkSrc(self.source, self.var)
-        (inp,) = new_children
-        return MkSrc(self.source, self.var, inp)
-
-    def local_defined_vars(self):
-        return frozenset([self.var])
-
-    def rename_local(self, mapping):
-        return MkSrc(
-            self.source, mapping.get(self.var, self.var), self.input
-        )
-
-    def signature(self):
-        return (self.opname, self.source, self.var)
+    source: str
+    var: str = _Field(DEF)
+    input: Operator | None = _Field(PLAN, default=None)
 
 
 class GetD(Operator):
@@ -120,68 +325,26 @@ class GetD(Operator):
     """
 
     opname = "getD"
+    in_var: str = _Field(USE)
+    path: Path
+    out_var: str = _Field(DEF)
+    input: Operator = _Field(PLAN)
 
-    def __init__(self, in_var, path, out_var, input_plan):
-        if not isinstance(path, Path):
-            raise PlanError("GetD needs a Path, got {!r}".format(path))
-        self.in_var = in_var
-        self.path = path
-        self.out_var = out_var
-        self.input = input_plan
-
-    @property
-    def children(self):
-        return (self.input,)
-
-    def with_children(self, new_children):
-        (inp,) = new_children
-        return GetD(self.in_var, self.path, self.out_var, inp)
-
-    def local_defined_vars(self):
-        return frozenset([self.out_var])
-
-    def used_vars(self):
-        return frozenset([self.in_var])
-
-    def rename_local(self, mapping):
-        return GetD(
-            mapping.get(self.in_var, self.in_var),
-            self.path,
-            mapping.get(self.out_var, self.out_var),
-            self.input,
-        )
-
-    def signature(self):
-        return (self.opname, self.in_var, self.path, self.out_var)
+    def _finish(self):
+        if not isinstance(self.path, Path):
+            raise PlanError("GetD needs a Path, got {!r}".format(self.path))
 
 
 class Select(Operator):
     """``select_c`` (paper op 3): keep tuples satisfying the condition."""
 
     opname = "select"
+    condition: Condition = _Field(COND)
+    input: Operator = _Field(PLAN)
 
-    def __init__(self, condition, input_plan):
-        if not isinstance(condition, Condition):
+    def _finish(self):
+        if not isinstance(self.condition, Condition):
             raise PlanError("Select needs a Condition")
-        self.condition = condition
-        self.input = input_plan
-
-    @property
-    def children(self):
-        return (self.input,)
-
-    def with_children(self, new_children):
-        (inp,) = new_children
-        return Select(self.condition, inp)
-
-    def used_vars(self):
-        return frozenset(self.condition.variables())
-
-    def rename_local(self, mapping):
-        return Select(self.condition.rename(mapping), self.input)
-
-    def signature(self):
-        return (self.opname, self.condition)
 
 
 class Project(Operator):
@@ -189,29 +352,8 @@ class Project(Operator):
     elimination*."""
 
     opname = "project"
-
-    def __init__(self, variables, input_plan):
-        self.variables = tuple(variables)
-        self.input = input_plan
-
-    @property
-    def children(self):
-        return (self.input,)
-
-    def with_children(self, new_children):
-        (inp,) = new_children
-        return Project(self.variables, inp)
-
-    def used_vars(self):
-        return frozenset(self.variables)
-
-    def rename_local(self, mapping):
-        return Project(
-            tuple(mapping.get(v, v) for v in self.variables), self.input
-        )
-
-    def signature(self):
-        return (self.opname, self.variables)
+    variables: Sequence[str] = _Field(USES)
+    input: Operator = _Field(PLAN)
 
 
 class Join(Operator):
@@ -222,35 +364,9 @@ class Join(Operator):
     """
 
     opname = "join"
-
-    def __init__(self, conditions, left, right):
-        self.conditions = tuple(conditions)
-        self.left = left
-        self.right = right
-
-    @property
-    def children(self):
-        return (self.left, self.right)
-
-    def with_children(self, new_children):
-        left, right = new_children
-        return Join(self.conditions, left, right)
-
-    def used_vars(self):
-        out = set()
-        for c in self.conditions:
-            out |= c.variables()
-        return frozenset(out)
-
-    def rename_local(self, mapping):
-        return Join(
-            tuple(c.rename(mapping) for c in self.conditions),
-            self.left,
-            self.right,
-        )
-
-    def signature(self):
-        return (self.opname, self.conditions)
+    conditions: Sequence[Condition] = _Field(CONDS)
+    left: Operator = _Field(PLAN)
+    right: Operator = _Field(PLAN)
 
 
 class SemiJoin(Operator):
@@ -264,14 +380,14 @@ class SemiJoin(Operator):
     """
 
     opname = "semijoin"
+    conditions: Sequence[Condition] = _Field(CONDS)
+    left: Operator = _Field(PLAN)
+    right: Operator = _Field(PLAN)
+    keep: str
 
-    def __init__(self, conditions, left, right, keep):
-        if keep not in ("left", "right"):
+    def _finish(self):
+        if self.keep not in ("left", "right"):
             raise PlanError("SemiJoin keep must be 'left' or 'right'")
-        self.conditions = tuple(conditions)
-        self.left = left
-        self.right = right
-        self.keep = keep
 
     @classmethod
     def left_semijoin(cls, conditions, left, right):
@@ -282,31 +398,6 @@ class SemiJoin(Operator):
     def right_semijoin(cls, conditions, left, right):
         """The paper's ``rSemijoin`` = ``pi_V1(join)``: keeps the left."""
         return cls(conditions, left, right, keep="left")
-
-    @property
-    def children(self):
-        return (self.left, self.right)
-
-    def with_children(self, new_children):
-        left, right = new_children
-        return SemiJoin(self.conditions, left, right, self.keep)
-
-    def used_vars(self):
-        out = set()
-        for c in self.conditions:
-            out |= c.variables()
-        return frozenset(out)
-
-    def rename_local(self, mapping):
-        return SemiJoin(
-            tuple(c.rename(mapping) for c in self.conditions),
-            self.left,
-            self.right,
-            self.keep,
-        )
-
-    def signature(self):
-        return (self.opname, self.conditions, self.keep)
 
 
 class CrElt(Operator):
@@ -319,61 +410,13 @@ class CrElt(Operator):
     """
 
     opname = "crElt"
-
-    def __init__(
-        self, label, fn, skolem_args, ch_var, ch_is_list, out_var, input_plan
-    ):
-        self.label = label
-        self.fn = fn
-        self.skolem_args = tuple(skolem_args)
-        self.ch_var = ch_var
-        self.ch_is_list = bool(ch_is_list)
-        self.out_var = out_var
-        self.input = input_plan
-
-    @property
-    def children(self):
-        return (self.input,)
-
-    def with_children(self, new_children):
-        (inp,) = new_children
-        return CrElt(
-            self.label,
-            self.fn,
-            self.skolem_args,
-            self.ch_var,
-            self.ch_is_list,
-            self.out_var,
-            inp,
-        )
-
-    def local_defined_vars(self):
-        return frozenset([self.out_var])
-
-    def used_vars(self):
-        return frozenset([self.ch_var]) | frozenset(self.skolem_args)
-
-    def rename_local(self, mapping):
-        return CrElt(
-            self.label,
-            self.fn,
-            tuple(mapping.get(v, v) for v in self.skolem_args),
-            mapping.get(self.ch_var, self.ch_var),
-            self.ch_is_list,
-            mapping.get(self.out_var, self.out_var),
-            self.input,
-        )
-
-    def signature(self):
-        return (
-            self.opname,
-            self.label,
-            self.fn,
-            self.skolem_args,
-            self.ch_var,
-            self.ch_is_list,
-            self.out_var,
-        )
+    label: str
+    fn: str
+    skolem_args: Sequence[str] = _Field(USES)
+    ch_var: str = _Field(USE)
+    ch_is_list: bool
+    out_var: str = _Field(DEF)
+    input: Operator = _Field(PLAN)
 
 
 class Cat(Operator):
@@ -385,51 +428,12 @@ class Cat(Operator):
     """
 
     opname = "cat"
-
-    def __init__(self, x_var, x_single, y_var, y_single, out_var, input_plan):
-        self.x_var = x_var
-        self.x_single = bool(x_single)
-        self.y_var = y_var
-        self.y_single = bool(y_single)
-        self.out_var = out_var
-        self.input = input_plan
-
-    @property
-    def children(self):
-        return (self.input,)
-
-    def with_children(self, new_children):
-        (inp,) = new_children
-        return Cat(
-            self.x_var, self.x_single, self.y_var, self.y_single,
-            self.out_var, inp,
-        )
-
-    def local_defined_vars(self):
-        return frozenset([self.out_var])
-
-    def used_vars(self):
-        return frozenset([self.x_var, self.y_var])
-
-    def rename_local(self, mapping):
-        return Cat(
-            mapping.get(self.x_var, self.x_var),
-            self.x_single,
-            mapping.get(self.y_var, self.y_var),
-            self.y_single,
-            mapping.get(self.out_var, self.out_var),
-            self.input,
-        )
-
-    def signature(self):
-        return (
-            self.opname,
-            self.x_var,
-            self.x_single,
-            self.y_var,
-            self.y_single,
-            self.out_var,
-        )
+    x_var: str = _Field(USE)
+    x_single: bool
+    y_var: str = _Field(USE)
+    y_single: bool
+    out_var: str = _Field(DEF)
+    input: Operator = _Field(PLAN)
 
 
 class TD(Operator):
@@ -441,28 +445,9 @@ class TD(Operator):
     """
 
     opname = "tD"
-
-    def __init__(self, var, input_plan, root_oid=None):
-        self.var = var
-        self.input = input_plan
-        self.root_oid = root_oid
-
-    @property
-    def children(self):
-        return (self.input,)
-
-    def with_children(self, new_children):
-        (inp,) = new_children
-        return TD(self.var, inp, self.root_oid)
-
-    def used_vars(self):
-        return frozenset([self.var])
-
-    def rename_local(self, mapping):
-        return TD(mapping.get(self.var, self.var), self.input, self.root_oid)
-
-    def signature(self):
-        return (self.opname, self.var, self.root_oid)
+    var: str = _Field(USE)
+    input: Operator = _Field(PLAN)
+    root_oid: str | None = None
 
 
 class GroupBy(Operator):
@@ -474,35 +459,9 @@ class GroupBy(Operator):
     """
 
     opname = "gBy"
-
-    def __init__(self, group_vars, out_var, input_plan):
-        self.group_vars = tuple(group_vars)
-        self.out_var = out_var
-        self.input = input_plan
-
-    @property
-    def children(self):
-        return (self.input,)
-
-    def with_children(self, new_children):
-        (inp,) = new_children
-        return GroupBy(self.group_vars, self.out_var, inp)
-
-    def local_defined_vars(self):
-        return frozenset([self.out_var])
-
-    def used_vars(self):
-        return frozenset(self.group_vars)
-
-    def rename_local(self, mapping):
-        return GroupBy(
-            tuple(mapping.get(v, v) for v in self.group_vars),
-            mapping.get(self.out_var, self.out_var),
-            self.input,
-        )
-
-    def signature(self):
-        return (self.opname, self.group_vars, self.out_var)
+    group_vars: Sequence[str] = _Field(USES)
+    out_var: str = _Field(DEF)
+    input: Operator = _Field(PLAN)
 
 
 class Apply(Operator):
@@ -511,55 +470,17 @@ class Apply(Operator):
     For each input tuple, evaluates plan ``p`` on the set bound to
     ``inp_var`` (reaching ``p`` through its ``nestedSrc`` leaf) and binds
     the result to ``out_var``.  ``inp_var`` may be ``None`` for nested
-    plans that do not depend on the current tuple.
+    plans that do not depend on the current tuple.  The nested plan has
+    its own scope *except* for its ``nestedSrc`` variable, which names
+    the outer binding, so :func:`repro.algebra.plan.rename_vars` renames
+    it too.
     """
 
     opname = "apply"
-
-    def __init__(self, plan, inp_var, out_var, input_plan):
-        self.plan = plan
-        self.inp_var = inp_var
-        self.out_var = out_var
-        self.input = input_plan
-
-    @property
-    def children(self):
-        return (self.input,)
-
-    @property
-    def nested_plans(self):
-        return (self.plan,)
-
-    def with_children(self, new_children):
-        (inp,) = new_children
-        return Apply(self.plan, self.inp_var, self.out_var, inp)
-
-    def with_nested_plan(self, new_plan):
-        return Apply(new_plan, self.inp_var, self.out_var, self.input)
-
-    def local_defined_vars(self):
-        return frozenset([self.out_var])
-
-    def used_vars(self):
-        if self.inp_var is None:
-            return frozenset()
-        return frozenset([self.inp_var])
-
-    def rename_local(self, mapping):
-        # The nested plan has its own scope *except* for its nestedSrc
-        # leaf variable, which names the outer binding; deep renaming in
-        # plan.rename_vars handles the recursion.
-        return Apply(
-            self.plan,
-            mapping.get(self.inp_var, self.inp_var)
-            if self.inp_var is not None
-            else None,
-            mapping.get(self.out_var, self.out_var),
-            self.input,
-        )
-
-    def signature(self):
-        return (self.opname, self.inp_var, self.out_var)
+    plan: Operator = _Field(NESTED)
+    inp_var: str | None = _Field(USE)
+    out_var: str = _Field(DEF)
+    input: Operator = _Field(PLAN)
 
 
 class NestedSrc(Operator):
@@ -570,18 +491,7 @@ class NestedSrc(Operator):
     """
 
     opname = "nSrc"
-
-    def __init__(self, var):
-        self.var = var
-
-    def used_vars(self):
-        return frozenset([self.var])
-
-    def rename_local(self, mapping):
-        return NestedSrc(mapping.get(self.var, self.var))
-
-    def signature(self):
-        return (self.opname, self.var)
+    var: str = _Field(USE)
 
 
 class RQVar:
@@ -612,6 +522,13 @@ class RQVar:
         self.key_positions = tuple(key_positions)
         self.kind = kind
 
+    def rename(self, mapping):
+        """This entry with its variable substituted per ``mapping``."""
+        return RQVar(
+            mapping.get(self.var, self.var), self.label, self.columns,
+            self.key_positions, self.kind,
+        )
+
     def signature(self):
         return (
             self.var, self.label, self.columns, self.key_positions, self.kind
@@ -630,6 +547,10 @@ class RelQuery(Operator):
     "The relational query operator is also responsible for creating the
     nodes corresponding to the tuple objects."
 
+    ``order_vars`` are variables whose bound elements arrive sorted (the
+    SQL carries a matching ORDER BY, as in Fig. 22) — they let the engine
+    pick the presorted stateless gBy of Table 1.
+
     A plan-cache template's ``sql`` has ``?0, ?1, ...`` placeholders;
     ``slots`` names the request slot each stands for, and :meth:`bound`
     gives one request's copy, whose ``params`` are the values the
@@ -639,28 +560,19 @@ class RelQuery(Operator):
 
     opname = "rQ"
     _display = None
-
-    def __init__(self, server, sql, varmap, order_vars=(), slots=(),
-                 params=()):
-        self.server = server
-        self.sql = sql
-        self.varmap = tuple(varmap)
-        #: variables whose bound elements arrive sorted (the SQL carries a
-        #: matching ORDER BY, as in Fig. 22) — lets the engine pick the
-        #: presorted stateless gBy of Table 1.
-        self.order_vars = tuple(order_vars)
-        self.slots = tuple(slots)
-        self.params = tuple(params)
+    server: str
+    sql: str
+    varmap: Sequence[RQVar] = _Field(MAP)
+    order_vars: Sequence[str] = _Field(DEFS, default=())
+    slots: Sequence = _Field(SEQUENCE, default=())
+    params: Sequence = _Field(SEQUENCE, default=())
 
     def bound(self, values):
         """This rQ with ``params`` taken from one request's ``values``;
         ``self`` when the statement has no placeholder."""
         if not self.slots:
             return self
-        return RelQuery(
-            self.server, self.sql, self.varmap, self.order_vars, self.slots,
-            [values[slot] for slot in self.slots],
-        )
+        return self.replace(params=[values[slot] for slot in self.slots])
 
     @property
     def display_sql(self):
@@ -671,26 +583,9 @@ class RelQuery(Operator):
             text = self._display = bind_sql(self.sql, self.params)
         return text
 
-    def local_defined_vars(self):
-        return frozenset(entry.var for entry in self.varmap)
-
-    def rename_local(self, mapping):
-        renamed = [
-            RQVar(
-                mapping.get(e.var, e.var), e.label, e.columns, e.key_positions
-            )
-            for e in self.varmap
-        ]
-        return RelQuery(
-            self.server,
-            self.sql,
-            renamed,
-            tuple(mapping.get(v, v) for v in self.order_vars),
-            self.slots,
-            self.params,
-        )
-
     def signature(self):
+        # The map by its entries' signatures; ``order_vars`` follow from
+        # the SQL; slots and params only on a slotted statement.
         signature = (
             self.opname,
             self.server,
@@ -711,18 +606,10 @@ class Empty(Operator):
     """
 
     opname = "empty"
+    variables: Sequence[str] = _Field(DEFS, default=())
 
-    def __init__(self, variables=()):
-        self.variables = tuple(sorted(variables))
-
-    def local_defined_vars(self):
-        return frozenset(self.variables)
-
-    def rename_local(self, mapping):
-        return Empty(mapping.get(v, v) for v in self.variables)
-
-    def signature(self):
-        return (self.opname, self.variables)
+    def _finish(self):
+        self.variables = tuple(sorted(self.variables))
 
 
 class OrderBy(Operator):
@@ -733,26 +620,5 @@ class OrderBy(Operator):
     """
 
     opname = "orderBy"
-
-    def __init__(self, variables, input_plan):
-        self.variables = tuple(variables)
-        self.input = input_plan
-
-    @property
-    def children(self):
-        return (self.input,)
-
-    def with_children(self, new_children):
-        (inp,) = new_children
-        return OrderBy(self.variables, inp)
-
-    def used_vars(self):
-        return frozenset(self.variables)
-
-    def rename_local(self, mapping):
-        return OrderBy(
-            tuple(mapping.get(v, v) for v in self.variables), self.input
-        )
-
-    def signature(self):
-        return (self.opname, self.variables)
+    variables: Sequence[str] = _Field(USES)
+    input: Operator = _Field(PLAN)

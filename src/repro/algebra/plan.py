@@ -21,8 +21,8 @@ def iter_operators(plan, include_nested=True):
         node = stack.pop()
         yield node
         stack.extend(reversed(node.children))
-        if include_nested and isinstance(node, ops.Apply):
-            stack.append(node.plan)
+        if include_nested:
+            stack.extend(node.nested_plans)
 
 
 def defined_vars(plan):
@@ -71,8 +71,6 @@ def all_vars(plan):
     for node in iter_operators(plan):
         seen |= node.local_defined_vars()
         seen |= node.used_vars()
-        if isinstance(node, ops.MkSrc):
-            seen.add(node.var)
     return seen
 
 
@@ -108,8 +106,10 @@ def rename_vars(plan, mapping):
     renamed_children = tuple(rename_vars(c, mapping) for c in plan.children)
     node = plan.with_children(renamed_children) if plan.children else plan
     node = node.rename_local(mapping)
-    if isinstance(node, ops.Apply):
-        node = node.with_nested_plan(rename_vars(plan.plan, mapping))
+    if plan.nested_plans:
+        node = node.with_nested_plans(
+            tuple(rename_vars(p, mapping) for p in plan.nested_plans)
+        )
     return node
 
 
@@ -124,10 +124,11 @@ def plan_equal(a, b):
         return False
     if len(a.children) != len(b.children):
         return False
-    if isinstance(a, ops.Apply):
-        if not plan_equal(a.plan, b.plan):
-            return False
-    return all(plan_equal(x, y) for x, y in zip(a.children, b.children))
+    return all(
+        plan_equal(x, y)
+        for x, y in zip(a.nested_plans + a.children,
+                        b.nested_plans + b.children)
+    )
 
 
 def find_operators(plan, op_type, include_nested=True):
@@ -144,7 +145,7 @@ def replace_operator(plan, target, replacement):
     identity) replaced by ``replacement``."""
     if plan is target:
         return replacement
-    return _with_subplans(plan, replace_operator, target, replacement)
+    return with_subplans(plan, replace_operator, target, replacement)
 
 
 def rename_shared(plan, mapping):
@@ -152,25 +153,26 @@ def rename_shared(plan, mapping):
     :func:`rename_vars`, but sharing with ``plan`` every subtree that
     mentions none of them — what one version of a plan may do with the
     next, and a renaming that costs what it touches."""
-    node = _with_subplans(plan, rename_shared, mapping)
+    node = with_subplans(plan, rename_shared, mapping)
     mentioned = plan.local_defined_vars() | plan.used_vars()
     if not mapping.keys().isdisjoint(mentioned):
         node = node.rename_local(mapping)
     return node
 
 
-def _with_subplans(plan, visit, *args):
-    """``plan`` over ``visit(sub, *args)`` of each of its children and of
-    its nested plan; ``plan`` itself when none of them changed."""
+def with_subplans(plan, visit, *args):
+    """``plan`` over ``visit(sub, *args)`` of each of its children and
+    nested plans; ``plan`` itself when none of them changed."""
     node = plan
     children = plan.children
     new_children = tuple([visit(child, *args) for child in children])
     if any(n is not o for n, o in zip(new_children, children)):
         node = plan.with_children(new_children)
-    if isinstance(plan, ops.Apply):
-        new_nested = visit(plan.plan, *args)
-        if new_nested is not plan.plan:
-            node = node.with_nested_plan(new_nested)
+    nested = plan.nested_plans
+    if nested:
+        new_nested = tuple([visit(sub, *args) for sub in nested])
+        if any(n is not o for n, o in zip(new_nested, nested)):
+            node = node.with_nested_plans(new_nested)
     if node is not plan:
         node._shape = plan._shape  # same arity, same signature
     return node

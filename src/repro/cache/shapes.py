@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from repro.algebra import operators as ops
 from repro.algebra.conditions import Condition, ConstOperand, ParamOperand
+from repro.algebra.plan import with_subplans
 from repro.xquery import ast
 from repro.xquery.printer import render_query
 
@@ -145,31 +146,18 @@ def bind_plan(plan, values):
     """
     if not values:
         return plan
-    children = plan.children
-    bound = tuple([bind_plan(child, values) for child in children])
-    node = plan
-    if any(new is not old for new, old in zip(bound, children)):
-        node = plan.with_children(bound)
-    if isinstance(plan, ops.Apply):
-        nested = bind_plan(plan.plan, values)
-        if nested is not plan.plan:
-            node = node.with_nested_plan(nested)
-    elif isinstance(plan, ops.Select):
+    node = with_subplans(plan, bind_plan, values)
+    if isinstance(plan, ops.Select):
         condition = _bind_condition(plan.condition, values)
         if condition is not plan.condition:
-            node = ops.Select(condition, node.input)
+            node = node.replace(condition=condition)
     elif isinstance(plan, (ops.Join, ops.SemiJoin)):
         conditions = tuple(
             [_bind_condition(c, values) for c in plan.conditions]
         )
         if any(new is not old for new, old in zip(conditions,
                                                   plan.conditions)):
-            if isinstance(plan, ops.Join):
-                node = ops.Join(conditions, node.left, node.right)
-            else:
-                node = ops.SemiJoin(
-                    conditions, node.left, node.right, plan.keep
-                )
+            node = node.replace(conditions=conditions)
     elif isinstance(plan, ops.RelQuery):
         node = plan.bound(values)
     return node

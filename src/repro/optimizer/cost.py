@@ -144,10 +144,6 @@ class SelectPlanner:
     def local_predicates(self, alias):
         return self._local[alias]
 
-    def scan_estimate(self, alias):
-        """Estimated rows surviving the alias's filtered scan."""
-        return self._scan_est[alias]
-
     def _filtered_rows(self, alias):
         table = self.table(alias)
         rows = float(len(table))

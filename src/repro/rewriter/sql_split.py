@@ -52,6 +52,7 @@ from repro.errors import SourceError, UnknownSourceError
 from repro.xmltree.paths import Step
 from repro.algebra import operators as ops
 from repro.algebra.conditions import KEY, OID, VALUE, ParamOperand
+from repro.algebra.plan import with_subplans
 from repro.relational.ast import replace_params, sql_literal
 from repro.rewriter.context import RewriteContext
 
@@ -104,21 +105,18 @@ class _AliasCounter:
         return "{}{}".format(table_name[0], count)
 
 
-def push_to_sources(plan, catalog, group_hint=None, cost=False):
+def push_to_sources(plan, catalog, cost=False):
     """Replace maximal relational subtrees of ``plan`` by ``rQ`` leaves.
 
-    ``group_hint`` optionally forces an ORDER BY on the given variables
-    even without an enclosing ``gBy`` in ``plan``.  ``cost`` enables
-    the statistics-gated SQL refinements (FROM ordering, provably
-    redundant DISTINCT elision); they only engage when every referenced
-    table carries fresh ``ANALYZE`` statistics.
+    ``cost`` enables the statistics-gated SQL refinements (FROM ordering,
+    provably redundant DISTINCT elision); they only engage when every
+    referenced table carries fresh ``ANALYZE`` statistics.
     """
     ctx = RewriteContext(plan)
-    return _transform(plan, plan, ctx, catalog,
-                      tuple(group_hint or ()), cost, top=True)
+    return _transform(plan, plan, ctx, catalog, (), cost)
 
 
-def _transform(root, node, ctx, catalog, pending_groups, cost, top=False):
+def _transform(root, node, ctx, catalog, pending_groups, cost):
     if isinstance(node, ops.GroupBy):
         pending_groups = tuple(node.group_vars)
     compiled = _try_compile(node, catalog, _AliasCounter())
@@ -126,20 +124,10 @@ def _transform(root, node, ctx, catalog, pending_groups, cost, top=False):
         return _build_relquery(
             root, node, compiled, ctx, pending_groups, catalog, cost
         )
-    new_children = tuple(
-        _transform(root, child, ctx, catalog, pending_groups, cost)
-        for child in node.children
+    return with_subplans(
+        node,
+        lambda sub: _transform(root, sub, ctx, catalog, pending_groups, cost),
     )
-    result = node
-    if any(n is not o for n, o in zip(new_children, node.children)):
-        result = node.with_children(new_children)
-    if isinstance(result, ops.Apply):
-        new_nested = _transform(
-            root, node.plan, ctx, catalog, pending_groups, cost
-        )
-        if new_nested is not node.plan:
-            result = result.with_nested_plan(new_nested)
-    return result
 
 
 def _worth_pushing(node):

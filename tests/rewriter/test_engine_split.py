@@ -169,23 +169,3 @@ class TestSqlSplit:
         )
         pushed = push_to_sources(plan, catalog)
         assert find_operators(pushed, RelQuery) == []
-
-    def test_group_hint_forces_order(self, catalog):
-        from repro.algebra import Condition
-        from repro.xmltree.paths import Path
-        from repro.algebra import GetD
-
-        plan = TD(
-            "$C",
-            Select(
-                Condition.var_const("$1", "=", "XYZ"),
-                GetD(
-                    "$C", Path.parse("customer.id.data()"), "$1",
-                    GetD("$K", Path.of("customer"), "$C",
-                         MkSrc("root1", "$K")),
-                ),
-            ),
-        )
-        pushed = push_to_sources(plan, catalog, group_hint=("$C",))
-        (rq,) = find_operators(pushed, RelQuery)
-        assert "ORDER BY c1.id" in rq.sql
