@@ -138,6 +138,17 @@ class QdomNode:
             # more children than the budget left can land on.
             if remaining[0] <= 0:
                 return
+            fields = node.row_fields
+            if fields is not None:
+                # An unread tuple object: its field/value steps come
+                # straight from the row, within the budget.
+                for name, value in fields:
+                    for step in ([depth, name], [depth + 1, value]):
+                        if remaining[0] <= 0:
+                            return
+                        remaining[0] -= 1
+                        steps.append(step)
+                return
             if not node.fully_materialized:
                 VNode(node, obs=vnode.obs, prefetch=vnode.prefetch).down_many(
                     None if budget is None else remaining[0]

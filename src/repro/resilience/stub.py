@@ -151,7 +151,9 @@ def prefix_has_error_stub(root):
     a ``<mix:error>`` stub, or a node whose lazy tail raised (broken).
 
     Walks only children that navigation has forced so far — nothing is
-    pulled, so this is safe on live lazy trees.  The navigation memo
+    pulled, so this is safe on live lazy trees — and never into a tuple
+    object whose fields are unbuilt: no stub and no lazy tail live in
+    one, and reading them would build it.  The navigation memo
     uses it as a poison check: a degraded or failure-truncated prefix
     disqualifies a cached result even if the damage happened after the
     entry was stored.
@@ -161,7 +163,8 @@ def prefix_has_error_stub(root):
         node = stack.pop()
         if is_error_stub(node) or getattr(node, "is_broken", False):
             return True
-        stack.extend(node.materialized_children())
+        if node.row_fields is None:
+            stack.extend(node.materialized_children())
     return False
 
 
@@ -198,6 +201,8 @@ class PrefixPoisonWatch:
                 current, "is_broken", False
             ):
                 return True
+            if current.row_fields is not None:
+                continue  # an unread tuple object: no stub, no tail
             kids = current.materialized_children()
             if not getattr(current, "fully_materialized", True):
                 frontier.append((current, len(kids)))

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from repro import stats as statnames
 from repro.algebra.operators import RQVar
-from repro.errors import SourceError
-from repro.xmltree.tree import Node, OidGenerator
+from repro.errors import MixError, SourceError
+from repro.xmltree.tree import VALUE_TYPES, Node, OidGenerator, TupleObject
 from repro.sources.base import Source
 
 
@@ -40,6 +40,12 @@ def assemble(entry, row, oids):
     ``element`` entry become *absent* fields (conditions on them are then
     false, matching SQL's NULL comparison semantics).
 
+    An ``element`` entry's value is a :class:`TupleObject`: it keeps
+    the non-NULL ``(field, value)`` pairs and reserves the field and
+    leaf oids now, but builds those nodes only when something reads its
+    children.  A value that is not ``str``/``int``/``float`` raises
+    :class:`MixError` here, as building its leaf would.
+
     A tuple object's oid is ``&`` plus its key values joined by ``/``,
     with ``\\`` and ``/`` inside a value escaped by ``\\`` — keys free of
     both keep the plain form (``&XYZ``, ``&W1/A``).  Keyless rows get a
@@ -49,24 +55,33 @@ def assemble(entry, row, oids):
     """
     kind = entry.kind
     if kind == "element":
-        children = []
+        fields = []
         for position, field_name in entry.columns:
             value = row[position]
             if value is None:
                 continue
-            field = Node(oids.fresh(), field_name)
-            field.append(Node(oids.fresh(), value))
-            children.append(field)
+            if not isinstance(value, VALUE_TYPES):
+                raise MixError(
+                    "node label must be str/int/float, got {!r}".format(value)
+                )
+            fields.append((field_name, value))
+        # Field, then its leaf, column by column; a keyless row's own
+        # oid after them.
         keys = entry.key_positions
+        first = oids.reserve(2 * len(fields) + (not keys))
         if not keys:
-            return Node(oids.fresh(), entry.label, children)
-        text = "/".join([str(row[p]) for p in keys])
-        if "\\" in text or text.count("/") >= len(keys):
-            text = "/".join([
-                str(row[p]).replace("\\", "\\\\").replace("/", "\\/")
-                for p in keys
-            ])
-        return Node("&" + text, entry.label, children)
+            oid = oids.oid(first + 2 * len(fields))
+        else:
+            text = "/".join([str(row[p]) for p in keys])
+            if "\\" in text or text.count("/") >= len(keys):
+                text = "/".join([
+                    str(row[p]).replace("\\", "\\\\").replace("/", "\\/")
+                    for p in keys
+                ])
+            oid = "&" + text
+        if not fields:
+            return Node(oid, entry.label)
+        return TupleObject(oid, entry.label, tuple(fields), oids, first)
     ((position, field_name),) = entry.columns
     value = row[position]
     if value is None:

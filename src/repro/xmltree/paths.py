@@ -19,6 +19,7 @@ The rewrite rules of Table 2 need two pieces of path algebra: ``first(p)``
 from __future__ import annotations
 
 from repro.errors import MixError, ParseError
+from repro.xmltree.tree import data_leaf
 
 
 class Step:
@@ -185,7 +186,7 @@ class Path:
     def _walk(self, node, index):
         step = self.steps[index]
         if step.kind == Step.DATA:
-            target = _data_leaf(node)
+            target = data_leaf(node)
             if target is not None:
                 yield target
             return
@@ -196,7 +197,7 @@ class Path:
             return
         next_step = self.steps[index + 1]
         if next_step.kind == Step.DATA:
-            target = _data_leaf(node)
+            target = data_leaf(node)
             if target is not None:
                 yield target
             return
@@ -215,11 +216,3 @@ class Path:
     def __repr__(self):
         return ".".join(repr(s) for s in self.steps) or "<empty-path>"
 
-
-def _data_leaf(node):
-    """The leaf carrying ``node``'s atomized value, or ``None``."""
-    if node.is_leaf:
-        return node
-    if len(node.children) == 1 and node.children[0].is_leaf:
-        return node.children[0]
-    return None

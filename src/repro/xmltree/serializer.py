@@ -37,6 +37,16 @@ def serialize(node, indent=None, show_oids=False):
 
 
 def _render(node, parts, indent, depth, show_oids):
+    fields = node.row_fields
+    if fields is not None and indent is None and not show_oids:
+        # An unread tuple object renders from its row, as its built
+        # field elements would: each is a one-leaf element.
+        tag = str(node.label)
+        parts.append("<{}>{}</{}>".format(tag, "".join([
+            "<{0}>{1}</{0}>".format(name, _escape(value))
+            for name, value in fields
+        ]), tag))
+        return
     pad = " " * (indent * depth) if indent is not None else ""
     oid_note = "<!--{}-->".format(node.oid) if show_oids else ""
     if node.is_leaf:

@@ -15,7 +15,6 @@
 
 from __future__ import annotations
 
-import itertools
 import threading
 
 from repro.errors import MixError
@@ -181,6 +180,10 @@ class Node(LazyPrefix):
 
     __slots__ = ("oid", "label")
 
+    #: The non-NULL ``(field, value)`` pairs of a :class:`TupleObject`
+    #: whose field nodes are not built yet; ``None`` on every other node.
+    row_fields = None
+
     def __init__(self, oid, label, children=(), lazy_tail=None):
         if not isinstance(label, VALUE_TYPES):
             raise MixError(
@@ -278,7 +281,7 @@ class Node(LazyPrefix):
         if self.is_leaf:
             return "Node({}={!r})".format(self.oid, self.label)
         return "Node({}:{}, {} children)".format(
-            self.oid, self.label, len(self._items)
+            self.oid, self.label, self.materialized_child_count
         )
 
     def pretty(self, indent=0):
@@ -290,6 +293,83 @@ class Node(LazyPrefix):
         for c in self.children:
             lines.append(c.pretty(indent + 1))
         return "\n".join(lines)
+
+
+class TupleObject(Node):
+    """A relational tuple object (Fig. 2) that stays one node until
+    something reads its fields.
+
+    It keeps the row's non-NULL ``(field, value)`` pairs in
+    :attr:`row_fields` and the first of the oid numbers reserved for
+    them, and builds the ``field`` elements and their value leaves on
+    the first read of its children — with the oids, in the order, that
+    building them at once would have drawn: field, then its leaf,
+    column by column.  To every reader it is already materialized
+    (``fully_materialized``, ``materialized_child_count`` = its field
+    count, ``is_leaf`` false); only bulk readers that can render a
+    field from its pair (compact serialization, ``walk``, the memo's
+    poison scan) look at :attr:`row_fields` and skip the build.
+
+    The build runs under :data:`_FORCE_LOCK` and publishes the built
+    list once, so concurrent first readers get the same nodes.
+    """
+
+    __slots__ = ("row_fields", "_oids", "_first")
+
+    def __init__(self, oid, label, fields, oids, first):
+        self.oid = oid
+        self.label = label
+        # Extended in place by the build: a reader holding this list
+        # (``LazyPrefix.item``) sees the fields after forcing.
+        self._items = []
+        self._tail = None
+        self._broken = None
+        self.row_fields = fields
+        self._oids = oids
+        self._first = first
+
+    def _build(self):
+        _FORCE_LOCK.acquire()
+        try:
+            fields = self.row_fields
+            if fields is None:
+                return
+            oid = self._oids.oid
+            number = self._first
+            built = []
+            for name, value in fields:
+                value_leaf = Node(oid(number + 1), value)
+                built.append(Node(oid(number), name, (value_leaf,)))
+                number += 2
+            self._items.extend(built)
+            self.row_fields = self._oids = None
+        finally:
+            _FORCE_LOCK.release()
+
+    def _force(self, count):
+        if self.row_fields is not None:
+            self._build()
+
+    @property
+    def materialized_count(self):
+        fields = self.row_fields
+        return len(self._items) if fields is None else len(fields)
+
+    materialized_child_count = materialized_count
+
+    def materialized(self):
+        self._force(None)
+        return list(self._items)
+
+    materialized_children = materialized
+
+    @property
+    def is_leaf(self):
+        return not self.row_fields and not self._items
+
+    def append(self, child):
+        self._force(None)
+        return Node.append(self, child)
 
 
 def deep_equals(a, b, compare_oids=False):
@@ -324,13 +404,24 @@ def atomize(node):
     ``"XYZ"``).  We implement the ``data()`` semantics, which subsumes the
     paper's leaf-only rule.
     """
+    leaf_node = data_leaf(node)
+    return None if leaf_node is None else leaf_node.label
+
+
+def data_leaf(node):
+    """The leaf carrying ``node``'s atomized value, or ``None``.
+
+    Forces at most two children of a lazy element: a second child
+    already rules the value out.
+    """
     if node is None:
         return None
     if node.is_leaf:
-        return node.label
-    if len(node.children) == 1 and node.children[0].is_leaf:
-        return node.children[0].label
-    return None
+        return node
+    if node.materialized_child_count > 1 or node.child(1) is not None:
+        return None
+    only = node.child(0)
+    return only if only.is_leaf else None
 
 
 class OidGenerator:
@@ -342,11 +433,25 @@ class OidGenerator:
 
     def __init__(self, prefix="n"):
         self._prefix = prefix
-        self._counter = itertools.count(1)
+        self._next = 1
+        self._lock = threading.Lock()
 
     def fresh(self):
         """The next unused surrogate oid."""
-        return "&{}{}".format(self._prefix, next(self._counter))
+        return self.oid(self.reserve(1))
+
+    def reserve(self, count):
+        """Reserve ``count`` consecutive numbers at once and return the
+        first; :meth:`oid` spells them.  No :meth:`fresh` of another
+        thread lands inside the block."""
+        with self._lock:
+            first = self._next
+            self._next = first + count
+        return first
+
+    def oid(self, number):
+        """The oid of a number :meth:`reserve` handed out."""
+        return "&{}{}".format(self._prefix, number)
 
 
 _DEFAULT_OIDS = OidGenerator()
