@@ -15,7 +15,7 @@ Submodules:
 * :mod:`repro.algebra.conditions` — the condition language of select and
   join.
 * :mod:`repro.algebra.operators` — the 14 operators as plan nodes.
-* :mod:`repro.algebra.plan` — plan traversal, cloning, renaming,
+* :mod:`repro.algebra.plan` — plan traversal, output schemas, renaming,
   structural equality (well-formedness is the verifier's,
   :mod:`repro.analysis.verifier`).
 * :mod:`repro.algebra.translator` — XQuery (Fig. 4 subset) to XMAS plans.

@@ -12,6 +12,8 @@ none is named).  From that declaration every node knows
   (``nested_plans``),
 * the variables it introduces (``local_defined_vars``) and consumes
   (``used_vars``),
+* the variables its output tuples bind (``output_vars``, from the
+  :class:`Output` rule the class names),
 * how to copy itself with substituted children (``with_children``),
   nested plans (``with_nested_plans``), renamed variables
   (``rename_local``) or any fields (``replace``), and
@@ -83,6 +85,52 @@ MAP = Role("*[entry.var for entry in {0}]", _RENAME_ITEMS, defines=True,
            sequence=True)
 
 
+class Output:
+    """How a node's output schema — the variables its output tuples bind
+    (paper Section 3, Fig. 5) — follows from its sub-plans' schemas.
+
+    ``body`` is method source compiled per class into ``output_vars(env)``
+    and ``output_vars_from(inputs, env)``: ``{0}``/``{1}`` are the first/
+    second sub-plan's schema (``None``: unknown), ``{defined}`` is `` | ``
+    the node's defined variables, ``env`` maps a ``nestedSrc`` variable
+    to its partition schema.  ``inputs(node)`` are the sub-plans whose
+    tuples reach the output.
+    """
+
+    __slots__ = ("body", "inputs")
+
+    def __init__(self, body, inputs=lambda node: ()):
+        self.body, self.inputs = body, inputs
+
+
+#: the input's schema plus the node's DEF fields; the default, so an
+#: undeclared subclass gets its first sub-plan's schema plus its defined
+#: variables, or unknown for a leaf
+EXTEND = Output(
+    "schema = {0}\nreturn schema if schema is None else schema{defined}",
+    lambda node: node.children[:1],
+)
+#: the node's own variable fields
+NARROW = Output("return self.used_vars() | self.local_defined_vars()",
+                EXTEND.inputs)
+#: the node's DEF, DEFS and MAP fields
+OWN = Output("return self.local_defined_vars()")
+#: both inputs' schemas
+UNION = Output(
+    "left, right = {0}, {1}\n"
+    "return None if left is None or right is None else left | right",
+    lambda node: node.children,
+)
+#: the schema of the input named by ``keep``
+KEPT = Output(
+    "return {0} if self.keep == 'left' else {1}",
+    lambda node: (node.left,) if node.keep == "left" else (node.right,),
+)
+#: no variables: the output is a tree
+TREE = Output("return frozenset()")
+#: the enclosing ``apply``'s partition schema, unknown outside one
+CONTEXT = Output("return None if env is None else env.get(self.var)")
+
 _NO_DEFAULT = object()
 
 
@@ -110,11 +158,15 @@ def with_nested_plans(self, new_plans):
 def rename_local(self, mapping):
     return cls({rename_local})
 def used_vars(self):
-    return frozenset(({used_vars}))
+    return frozenset({used_vars})
 def local_defined_vars(self):
-    return frozenset(({local_defined_vars}))
+    return frozenset({local_defined_vars})
 def signature(self):
     return (self.opname, {signature})
+def output_vars(self, env=None):
+    {output_vars}
+def output_vars_from(self, inputs, env=None):
+    {output_vars_from}
 """
 
 
@@ -182,11 +234,29 @@ def _derive(cls, declared):
         init.append("self._finish()")
 
     def variables(defines):
-        return "".join(
-            role.variables.format(value) + ", "
+        return [
+            role.variables.format(value)
             for (_, role, _), value in zip(declared, own)
             if role.variables and role.defines is defines
-        )
+        ]
+
+    def iterable(parts):
+        """``parts`` as one iterable: a lone unpacked field as itself."""
+        if len(parts) == 1 and parts[0].startswith("*"):
+            return parts[0][1:]
+        return "({})".format("".join(part + ", " for part in parts))
+
+    defines = variables(True)
+    if plans:
+        read = ["self.{}.output_vars(env)".format(n) for n, _ in plans]
+        given = ["inputs[{}]".format(i) for i in range(len(plans))]
+        defined = " | {{{}}}".format(", ".join(defines)) if defines else ""
+    else:  # undeclared: its hand-written children and defined variables
+        read = ["(self.children[0].output_vars(env) if self.children"
+                " else None)"]
+        given = ["(inputs[0] if inputs else None)"]
+        defined = " | self.local_defined_vars()"
+    output = cls.output.body.replace("\n", "\n    ")
 
     source = _METHODS.format(
         params=", ".join(params),
@@ -197,11 +267,15 @@ def _derive(cls, declared):
             role.rename.format(value) if role.rename else value
             for (_, role, _), value in zip(declared, own)
         ),
-        used_vars=variables(False),
-        local_defined_vars=variables(True),
+        used_vars=iterable(variables(False)),
+        local_defined_vars=iterable(defines),
         signature="".join(
             value + ", " for (_, role, _), value in zip(declared, own)
             if role is not PLAN and role is not NESTED
+        ),
+        output_vars=output.format(*read, "None", "None", defined=defined),
+        output_vars_from=output.format(
+            *given, "None", "None", defined=defined
         ),
     )
     methods = {}
@@ -236,7 +310,8 @@ class Operator:
     attributes (see :class:`Role`), and :func:`_derive` compiles from them
     its constructor, ``with_children``, ``with_nested_plans``,
     ``rename_local``, ``used_vars``, ``local_defined_vars`` and
-    ``signature``.  The constructor makes sequences tuples, sets
+    ``signature``, and from its ``output`` rule ``output_vars`` and
+    ``output_vars_from``.  The constructor makes sequences tuples, sets
     ``children`` and ``nested_plans``, and last runs the class's
     ``_finish``, if it has one, to check or normalise a field.  Nodes
     compare by identity.  Copies go through the constructor, so a copy
@@ -256,6 +331,8 @@ class Operator:
     nested_plans = ()
     #: ``(name, role, default)`` of each field, in constructor order
     _fields = ()
+    #: how the output schema follows from the inputs' (:class:`Output`)
+    output = EXTEND
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -311,6 +388,7 @@ class MkSrc(Operator):
     """
 
     opname = "mksrc"
+    output = OWN
     source: str
     var: str = _Field(DEF)
     input: Operator | None = _Field(PLAN, default=None)
@@ -325,6 +403,7 @@ class GetD(Operator):
     """
 
     opname = "getD"
+    output = EXTEND
     in_var: str = _Field(USE)
     path: Path
     out_var: str = _Field(DEF)
@@ -339,6 +418,7 @@ class Select(Operator):
     """``select_c`` (paper op 3): keep tuples satisfying the condition."""
 
     opname = "select"
+    output = EXTEND
     condition: Condition = _Field(COND)
     input: Operator = _Field(PLAN)
 
@@ -352,6 +432,7 @@ class Project(Operator):
     elimination*."""
 
     opname = "project"
+    output = NARROW
     variables: Sequence[str] = _Field(USES)
     input: Operator = _Field(PLAN)
 
@@ -364,6 +445,7 @@ class Join(Operator):
     """
 
     opname = "join"
+    output = UNION
     conditions: Sequence[Condition] = _Field(CONDS)
     left: Operator = _Field(PLAN)
     right: Operator = _Field(PLAN)
@@ -380,6 +462,7 @@ class SemiJoin(Operator):
     """
 
     opname = "semijoin"
+    output = KEPT
     conditions: Sequence[Condition] = _Field(CONDS)
     left: Operator = _Field(PLAN)
     right: Operator = _Field(PLAN)
@@ -410,6 +493,7 @@ class CrElt(Operator):
     """
 
     opname = "crElt"
+    output = EXTEND
     label: str
     fn: str
     skolem_args: Sequence[str] = _Field(USES)
@@ -428,6 +512,7 @@ class Cat(Operator):
     """
 
     opname = "cat"
+    output = EXTEND
     x_var: str = _Field(USE)
     x_single: bool
     y_var: str = _Field(USE)
@@ -445,6 +530,7 @@ class TD(Operator):
     """
 
     opname = "tD"
+    output = TREE
     var: str = _Field(USE)
     input: Operator = _Field(PLAN)
     root_oid: str | None = None
@@ -459,6 +545,7 @@ class GroupBy(Operator):
     """
 
     opname = "gBy"
+    output = NARROW
     group_vars: Sequence[str] = _Field(USES)
     out_var: str = _Field(DEF)
     input: Operator = _Field(PLAN)
@@ -477,6 +564,7 @@ class Apply(Operator):
     """
 
     opname = "apply"
+    output = EXTEND
     plan: Operator = _Field(NESTED)
     inp_var: str | None = _Field(USE)
     out_var: str = _Field(DEF)
@@ -491,6 +579,7 @@ class NestedSrc(Operator):
     """
 
     opname = "nSrc"
+    output = CONTEXT
     var: str = _Field(USE)
 
 
@@ -559,6 +648,7 @@ class RelQuery(Operator):
     """
 
     opname = "rQ"
+    output = OWN
     _display = None
     server: str
     sql: str
@@ -606,6 +696,7 @@ class Empty(Operator):
     """
 
     opname = "empty"
+    output = OWN
     variables: Sequence[str] = _Field(DEFS, default=())
 
     def _finish(self):
@@ -620,5 +711,6 @@ class OrderBy(Operator):
     """
 
     opname = "orderBy"
+    output = EXTEND
     variables: Sequence[str] = _Field(USES)
     input: Operator = _Field(PLAN)

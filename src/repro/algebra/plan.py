@@ -25,44 +25,44 @@ def iter_operators(plan, include_nested=True):
             stack.extend(node.nested_plans)
 
 
-def defined_vars(plan):
-    """The variables bound in the plan's output tuples.
+def defined_vars(plan, env=None):
+    """The variables bound in the plan's output tuples, by the
+    :class:`~repro.algebra.operators.Output` rule of each operator.
 
-    Returns ``None`` when the set cannot be determined statically (a plan
-    rooted at ``nestedSrc``, whose schema comes from the enclosing apply
-    at run time).  A plan rooted at ``tD`` defines no variables — its
-    output is a tree.
+    ``env`` maps a ``nestedSrc`` variable to the partition schema of the
+    enclosing ``apply`` (:func:`nested_env`).  ``None`` when the set
+    cannot be determined statically: a ``nestedSrc`` ``env`` does not
+    resolve.  A plan rooted at ``tD`` defines no variables — its output
+    is a tree.
     """
-    if isinstance(plan, ops.MkSrc):
-        return frozenset([plan.var])
-    if isinstance(plan, ops.RelQuery):
-        return plan.local_defined_vars()
-    if isinstance(plan, ops.NestedSrc):
-        return None
-    if isinstance(plan, ops.Empty):
-        return frozenset(plan.variables)
-    if isinstance(plan, ops.TD):
-        return frozenset()
-    if isinstance(plan, ops.Project):
-        return frozenset(plan.variables)
-    if isinstance(plan, ops.Join):
-        left = defined_vars(plan.left)
-        right = defined_vars(plan.right)
-        if left is None or right is None:
+    return plan.output_vars(env)
+
+
+def nested_env(apply, env=None):
+    """The ``env`` of ``apply``'s nested plan: ``env`` with the apply's
+    input variable mapped to the schema of the partitions it holds."""
+    inner = dict(env or ())
+    if apply.inp_var is not None:
+        inner[apply.inp_var] = partition_schema(apply.input, apply.inp_var,
+                                                env)
+    return inner
+
+
+def partition_schema(plan, var, env=None):
+    """The schema of the partitions ``var`` is bound to in ``plan``'s
+    output, ``None`` when it cannot be traced: the *input* schema of the
+    ``groupBy`` binding ``var`` (paper op 10: a partition is a set of the
+    grouped input's binding lists), found down the inputs whose tuples
+    reach each output."""
+    node = plan
+    while not (isinstance(node, ops.GroupBy) and node.out_var == var):
+        sides = node.output.inputs(node)
+        if len(sides) > 1:
+            sides = [s for s in sides if var in (defined_vars(s, env) or ())]
+        if not sides or var in node.local_defined_vars():
             return None
-        return left | right
-    if isinstance(plan, ops.SemiJoin):
-        kept = plan.left if plan.keep == "left" else plan.right
-        return defined_vars(kept)
-    if isinstance(plan, ops.GroupBy):
-        return frozenset(plan.group_vars) | frozenset([plan.out_var])
-    if isinstance(plan, (ops.Select, ops.OrderBy)):
-        return defined_vars(plan.input)
-    # GetD, CrElt, Cat, Apply: input vars plus locally defined ones.
-    base = defined_vars(plan.input)
-    if base is None:
-        return None
-    return base | plan.local_defined_vars()
+        node = sides[0]
+    return defined_vars(node.input, env)
 
 
 def all_vars(plan):
@@ -103,14 +103,7 @@ def rename_vars(plan, mapping):
     they run over (the paper's Fig. 6 nested plan mentions the outer
     ``$O``), so the mapping is applied uniformly everywhere.
     """
-    renamed_children = tuple(rename_vars(c, mapping) for c in plan.children)
-    node = plan.with_children(renamed_children) if plan.children else plan
-    node = node.rename_local(mapping)
-    if plan.nested_plans:
-        node = node.with_nested_plans(
-            tuple(rename_vars(p, mapping) for p in plan.nested_plans)
-        )
-    return node
+    return with_subplans(plan, rename_vars, mapping).rename_local(mapping)
 
 
 def clone_plan(plan):

@@ -3,8 +3,9 @@
 Three passes:
 
 * the **plan verifier** (:func:`verify_plan`, :func:`assert_plan_verifies`)
-  infers the binding-list schema flowing through all 14 XMAS operators
-  and checks the dataflow invariants of Section 5;
+  follows the binding-list schema each XMAS operator declares
+  (:func:`repro.algebra.plan.defined_vars`) through a plan and checks
+  the dataflow invariants of Section 5;
 * the **pipeline verifier** (``Mediator.verify_query``) runs the plan
   verifier on every stage the mediator's own compile recorded —
   translate, each Table-2 rewrite step, SQL split — naming the stage
@@ -45,7 +46,6 @@ from repro.analysis.pipeline import (
 )
 from repro.analysis.verifier import (
     assert_plan_verifies,
-    infer_schema,
     verify_plan,
 )
 
@@ -66,7 +66,6 @@ __all__ = [
     "certify_rules",
     "generate_corpus",
     "has_errors",
-    "infer_schema",
     "lint_query",
     "render_json",
     "render_text",

@@ -10,8 +10,8 @@ diagnostics framework:
 
 ``MIX-E012`` — schema contract
     At every (plan, node) site where the rule matches, the rule is
-    applied and the root binding-list schema of the result (existing
-    :func:`repro.analysis.infer_schema` inference) is compared against
+    applied and the root binding-list schema of the result
+    (:func:`repro.algebra.plan.defined_vars`) is compared against
     the rule's declared ``schema_contract`` (modulo the rename it
     returned); the rewritten plan must also stay verification-clean.
     Rules declaring contract ``"none"``, and firings at sites whose
@@ -58,8 +58,9 @@ from typing import Any, Dict, List, Optional
 
 from repro.algebra import operators as ops
 from repro.algebra.conditions import Condition
+from repro.algebra.plan import defined_vars
 from repro.analysis.diagnostics import Diagnostic, sort_diagnostics
-from repro.analysis.verifier import infer_schema, verify_plan
+from repro.analysis.verifier import verify_plan
 from repro.errors import MixError, RewriteError
 from repro.rewriter.engine import Rewriter, apply_result
 from repro.rewriter.context import RewriteContext
@@ -621,8 +622,8 @@ def _check_site(report, emit, entry, node, result):
             "schema",
         )
         return
-    before = infer_schema(entry.plan)
-    after = infer_schema(new_plan)
+    before = defined_vars(entry.plan)
+    after = defined_vars(new_plan)
     if before is None or after is None:
         report.unknown_sites += 1
         return

@@ -1,25 +1,25 @@
 """The static plan verifier: binding-schema dataflow over XMAS plans.
 
-Every XMAS operator maps a well-defined input binding schema (the set of
-variables bound in each tuple) to an output schema — paper Section 5,
-Fig. 5.  The verifier re-derives that schema bottom-up through all 14
-operators and checks the dataflow invariants along the way:
+Every XMAS operator maps an input binding schema (the set of variables
+bound in each tuple) to an output schema — paper Section 3, Fig. 5 —
+by the :class:`~repro.algebra.operators.Output` rule its class declares,
+which :func:`~repro.algebra.plan.defined_vars` follows too.  The
+verifier walks a plan bottom-up, and from the schemas of each node's
+inputs checks that
 
-* every variable an operator consumes is produced upstream (MIX-E001),
-* no operator (re)introduces an existing binding, and join inputs are
-  disjoint (MIX-E002),
-* ``crElt``/``cat`` arguments are in scope (MIX-E003),
-* ``groupBy`` keys are a subset of the input schema (MIX-E004),
-* nested plans reference no free context variables: a ``nestedSrc``
-  leaf must name the enclosing ``apply``'s input variable, which is how
-  decontextualized plans (Section 7) are proven context-free (MIX-E005),
-* ``tD`` exports a bound variable (MIX-E006),
-* ``project``/``orderBy``/``rQ.order_vars`` stay inside the schema
-  (MIX-E007),
-* ``rQ`` export maps are duplicate-free (MIX-E008),
-* with a catalog, ``mksrc``/``rQ`` leaves resolve (MIX-E009),
-* join/semijoin conditions only mention variables of the two inputs
-  (MIX-E010).
+* every variable the node consumes (``used_vars``) is bound: MIX-E001,
+  or by class MIX-E003 (``crElt``/``cat`` arguments), MIX-E004
+  (``groupBy`` keys), MIX-E006 (the ``tD`` export), MIX-E007
+  (``project``/``orderBy`` lists), MIX-E010 (join/semijoin conditions);
+* a node that extends its input's schema introduces no variable its
+  input already binds, and join inputs are disjoint (MIX-E002).
+
+It keeps the checks that are not schema: ``project``, ``groupBy`` and
+``empty`` list no variable twice (MIX-E002); a ``nestedSrc`` leaf names
+an enclosing ``apply``'s input variable, which is how decontextualized
+plans (Section 7) are proven context-free (MIX-E005); ``rQ`` orders
+only on exported variables (MIX-E007) and exports each once (MIX-E008);
+with a catalog, ``mksrc``/``rQ`` leaves resolve (MIX-E009).
 
 Schemas are ``frozenset`` of variable names, or ``None`` when statically
 unknown (a ``nestedSrc`` whose partition schema cannot be traced);
@@ -29,9 +29,11 @@ knowledge never produces false positives.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import List
 
 from repro.algebra import operators as ops
+from repro.algebra.operators import EXTEND
+from repro.algebra.plan import nested_env
 from repro.analysis.diagnostics import Diagnostic
 from repro.errors import PlanVerificationError
 
@@ -44,9 +46,9 @@ def verify_plan(plan, catalog=None, stage=None, source=None):
     roots — pre-composition views, the query root — verify cleanly.
     ``stage``/``source`` are attached to every finding for reporting.
     """
-    walker = _SchemaWalker(catalog=catalog, stage=stage, source=source)
-    walker.infer(plan, env={})
-    return walker.diagnostics
+    verifier = _Verifier(catalog=catalog, stage=stage, source=source)
+    verifier.visit(plan, {})
+    return verifier.diagnostics
 
 
 def assert_plan_verifies(plan, catalog=None, stage=None, source=None,
@@ -78,20 +80,11 @@ def assert_plan_verifies(plan, catalog=None, stage=None, source=None,
     return diagnostics
 
 
-def infer_schema(plan):
-    """The plan's output binding schema: a ``frozenset`` of variables,
-    or ``None`` when statically unknown.  Diagnostics are discarded —
-    use :func:`verify_plan` to collect them."""
-    return _SchemaWalker().infer(plan, env={})
-
-
-class _SchemaWalker:
-    """Bottom-up schema inference with a diagnostics sink.
-
-    ``env`` maps a ``nestedSrc`` variable to the partition schema of the
-    enclosing ``apply`` (or ``None`` when that schema is unknown); it is
-    threaded down into nested plans only, giving nested scopes exactly
-    the visibility the paper's ``apply`` semantics grants them.
+class _Verifier:
+    """One walk over a plan with a diagnostics sink.  ``env`` maps a
+    ``nestedSrc`` variable to the partition schema of the enclosing
+    ``apply`` (:func:`~repro.algebra.plan.nested_env`), threaded into
+    nested plans only, as the paper's ``apply`` scopes them.
     """
 
     def __init__(self, catalog=None, stage=None, source=None):
@@ -100,316 +93,137 @@ class _SchemaWalker:
         self.source = source
         self.diagnostics: List[Diagnostic] = []
 
-    # -- reporting ---------------------------------------------------------
-
     def report(self, code, message):
         self.diagnostics.append(
-            Diagnostic(
-                code, message, stage=self.stage, source=self.source
-            )
+            Diagnostic(code, message, stage=self.stage, source=self.source)
         )
 
-    def _check_consumed(self, node, needed, schema, code="MIX-E001"):
-        """Report each consumed variable missing from ``schema``."""
-        if schema is None:
-            return
-        missing = sorted(set(needed) - schema)
-        if missing:
-            self.report(
-                code,
-                "{} consumes {} not bound by its input (schema: {})".format(
-                    node.opname,
-                    ", ".join(missing),
-                    _fmt(schema),
-                ),
-            )
-
-    def _check_fresh(self, node, out_var, schema):
-        """Report when ``out_var`` would shadow an existing binding."""
-        if schema is not None and out_var in schema:
-            self.report(
-                "MIX-E002",
-                "{} introduces {} which its input already binds".format(
-                    node.opname, out_var
-                ),
-            )
-
-    # -- inference ---------------------------------------------------------
-
-    def infer(self, plan, env) -> Optional[frozenset]:
-        method = self._DISPATCH.get(type(plan))
-        if method is not None:
-            return method(self, plan, env)
-        # Unknown operator subclass: fall back to the generic contract.
-        schema = None
-        if plan.children:
-            schema = self.infer(plan.children[0], env)
-        self._check_consumed(plan, plan.used_vars(), schema)
-        if schema is None:
-            return None
-        return schema | plan.local_defined_vars()
-
-    def _infer_mksrc(self, plan: ops.MkSrc, env):
-        if plan.input is not None:
-            # Naive-composition configuration (Section 6): the source
-            # operator reads the tree built by a tD-rooted view plan, so
-            # the source id is virtual and never in the catalog.
-            self.infer(plan.input, env)
-        elif self.catalog is not None and not self.catalog.has_document(
-            plan.source
-        ):
-            self.report(
-                "MIX-E009",
-                "mksrc references unknown document {!r} (known: {})".format(
-                    plan.source,
-                    ", ".join(self.catalog.document_ids()) or "none",
-                ),
-            )
-        return frozenset([plan.var])
-
-    def _infer_getd(self, plan: ops.GetD, env):
-        schema = self.infer(plan.input, env)
-        self._check_consumed(plan, [plan.in_var], schema)
-        self._check_fresh(plan, plan.out_var, schema)
-        if schema is None:
-            return None
-        return schema | frozenset([plan.out_var])
-
-    def _infer_select(self, plan: ops.Select, env):
-        schema = self.infer(plan.input, env)
-        self._check_consumed(plan, plan.condition.variables(), schema)
-        return schema
-
-    def _infer_project(self, plan: ops.Project, env):
-        schema = self.infer(plan.input, env)
-        seen = set()
-        for var in plan.variables:
-            if var in seen:
-                self.report(
-                    "MIX-E002",
-                    "project lists {} twice".format(var),
-                )
-            seen.add(var)
-        self._check_consumed(
-            plan, plan.variables, schema, code="MIX-E007"
-        )
-        return frozenset(plan.variables)
-
-    def _infer_join(self, plan: ops.Join, env):
-        left = self.infer(plan.left, env)
-        right = self.infer(plan.right, env)
-        return self._join_like(plan, left, right, combined="union")
-
-    def _infer_semijoin(self, plan: ops.SemiJoin, env):
-        left = self.infer(plan.left, env)
-        right = self.infer(plan.right, env)
-        kept = left if plan.keep == "left" else right
-        self._join_like(plan, left, right, combined=None)
-        return kept
-
-    def _join_like(self, plan, left, right, combined):
-        if left is not None and right is not None:
-            overlap = sorted(left & right)
-            if overlap:
-                self.report(
-                    "MIX-E002",
-                    "{} inputs both bind {}".format(
+    def visit(self, plan, env):
+        """Check ``plan`` after its sub-plans, before its nested plans;
+        returns its output schema."""
+        inputs = []
+        for child in plan.children:
+            inputs.append(self.visit(child, env))
+        cls = type(plan)
+        check = _CHECKS.get(cls)
+        if check is not None:
+            check(self, plan, inputs, env)
+        if inputs and None not in inputs:
+            schema = inputs[0]
+            if len(inputs) > 1:  # a join's inputs are disjoint
+                overlap = sorted(schema & inputs[1])
+                if overlap:
+                    self.report("MIX-E002", "{} inputs both bind {}".format(
                         plan.opname, ", ".join(overlap)
-                    ),
-                )
-            available = left | right
-            missing = sorted(plan.used_vars() - available)
-            if missing:
+                    ))
+                schema = schema | inputs[1]
+            if not plan.used_vars() <= schema:
                 self.report(
-                    "MIX-E010",
-                    "{} condition references {} bound by neither"
-                    " input (schema: {})".format(
-                        plan.opname, ", ".join(missing), _fmt(available)
+                    _CONSUMED.get(cls, "MIX-E001"),
+                    _UNBOUND[len(inputs) > 1].format(
+                        plan.opname,
+                        ", ".join(sorted(plan.used_vars() - schema)),
+                        _fmt(schema),
                     ),
                 )
-        if combined == "union":
-            if left is None or right is None:
-                return None
-            return left | right
-        return None
+            shadowed = cls.output is EXTEND and plan.local_defined_vars()
+            if shadowed and not shadowed.isdisjoint(schema):
+                for var in sorted(shadowed & schema):
+                    self.report("MIX-E002", "{} introduces {} which its"
+                                " input already binds".format(plan.opname,
+                                                              var))
+        if plan.nested_plans:
+            inner = nested_env(plan, env)
+            for nested in plan.nested_plans:
+                self.visit(nested, inner)
+        return plan.output_vars_from(inputs, env)
 
-    def _infer_crelt(self, plan: ops.CrElt, env):
-        schema = self.infer(plan.input, env)
-        self._check_consumed(
-            plan,
-            [plan.ch_var] + list(plan.skolem_args),
-            schema,
-            code="MIX-E003",
-        )
-        self._check_fresh(plan, plan.out_var, schema)
-        if schema is None:
-            return None
-        return schema | frozenset([plan.out_var])
+    # -- the checks that are not schema ----------------------------------
 
-    def _infer_cat(self, plan: ops.Cat, env):
-        schema = self.infer(plan.input, env)
-        self._check_consumed(
-            plan, [plan.x_var, plan.y_var], schema, code="MIX-E003"
-        )
-        self._check_fresh(plan, plan.out_var, schema)
-        if schema is None:
-            return None
-        return schema | frozenset([plan.out_var])
-
-    def _infer_td(self, plan: ops.TD, env):
-        schema = self.infer(plan.input, env)
-        self._check_consumed(plan, [plan.var], schema, code="MIX-E006")
-        # tD destroys the tuple structure: the output is a tree.
-        return frozenset()
-
-    def _infer_groupby(self, plan: ops.GroupBy, env):
-        schema = self.infer(plan.input, env)
+    def _listed_twice(self, variables, message, code="MIX-E002"):
         seen = set()
-        for var in plan.group_vars:
+        for var in variables:
             if var in seen:
-                self.report(
-                    "MIX-E002",
-                    "gBy lists group variable {} twice".format(var),
-                )
+                self.report(code, message.format(var))
             seen.add(var)
-        self._check_consumed(
-            plan, plan.group_vars, schema, code="MIX-E004"
+        return seen
+
+    def _check_project(self, plan, inputs, env):
+        self._listed_twice(plan.variables, "project lists {} twice")
+
+    def _check_groupby(self, plan, inputs, env):
+        keys = self._listed_twice(
+            plan.group_vars, "gBy lists group variable {} twice"
         )
-        if plan.out_var in seen:
-            self.report(
-                "MIX-E002",
-                "gBy output {} collides with a group variable".format(
-                    plan.out_var
-                ),
-            )
-        return frozenset(plan.group_vars) | frozenset([plan.out_var])
+        if plan.out_var in keys:
+            self.report("MIX-E002", "gBy output {} collides with a group"
+                        " variable".format(plan.out_var))
 
-    def _infer_apply(self, plan: ops.Apply, env):
-        schema = self.infer(plan.input, env)
-        if plan.inp_var is not None:
-            self._check_consumed(plan, [plan.inp_var], schema)
-        self._check_fresh(plan, plan.out_var, schema)
-        nested_env = dict(env)
-        if plan.inp_var is not None:
-            nested_env[plan.inp_var] = _partition_schema(
-                plan.input, plan.inp_var
-            )
-        self.infer(plan.plan, nested_env)
-        if schema is None:
-            return None
-        return schema | frozenset([plan.out_var])
+    def _check_empty(self, plan, inputs, env):
+        if len(set(plan.variables)) != len(plan.variables):
+            self.report("MIX-E002", "empty lists a variable twice: {}".format(
+                ", ".join(plan.variables)
+            ))
 
-    def _infer_nestedsrc(self, plan: ops.NestedSrc, env):
+    def _check_nestedsrc(self, plan, inputs, env):
         if plan.var not in env:
-            self.report(
-                "MIX-E005",
-                "nestedSrc references {} which no enclosing apply"
-                " binds (free context variable)".format(plan.var),
-            )
-            return None
-        return env[plan.var]
+            self.report("MIX-E005", "nestedSrc references {} which no"
+                        " enclosing apply binds (free context variable)"
+                        .format(plan.var))
 
-    def _infer_relquery(self, plan: ops.RelQuery, env):
-        exported = set()
-        for entry in plan.varmap:
-            if entry.var in exported:
-                self.report(
-                    "MIX-E008",
-                    "rQ exports {} twice".format(entry.var),
-                )
-            exported.add(entry.var)
+    def _check_mksrc(self, plan, inputs, env):
+        # With an input (naive composition, Section 6) the source
+        # operator reads the tree built by a tD-rooted view plan, so the
+        # source id is virtual and never in the catalog.
+        if (plan.input is None and self.catalog is not None
+                and not self.catalog.has_document(plan.source)):
+            self.report("MIX-E009", "mksrc references unknown document {!r}"
+                        " (known: {})".format(
+                            plan.source,
+                            ", ".join(self.catalog.document_ids()) or "none",
+                        ))
+
+    def _check_relquery(self, plan, inputs, env):
+        exported = self._listed_twice(
+            [entry.var for entry in plan.varmap], "rQ exports {} twice",
+            "MIX-E008",
+        )
         missing = sorted(set(plan.order_vars) - exported)
         if missing:
-            self.report(
-                "MIX-E007",
-                "rQ orders on {} which it does not export".format(
-                    ", ".join(missing)
-                ),
-            )
+            self.report("MIX-E007", "rQ orders on {} which it does not"
+                        " export".format(", ".join(missing)))
         if self.catalog is not None:
             try:
                 self.catalog.server(plan.server)
             except Exception:
-                self.report(
-                    "MIX-E009",
-                    "rQ references unknown server {!r}".format(
-                        plan.server
-                    ),
-                )
-        return frozenset(exported)
-
-    def _infer_empty(self, plan: ops.Empty, env):
-        if len(set(plan.variables)) != len(plan.variables):
-            self.report(
-                "MIX-E002",
-                "empty lists a variable twice: {}".format(
-                    ", ".join(plan.variables)
-                ),
-            )
-        return frozenset(plan.variables)
-
-    def _infer_orderby(self, plan: ops.OrderBy, env):
-        schema = self.infer(plan.input, env)
-        self._check_consumed(
-            plan, plan.variables, schema, code="MIX-E007"
-        )
-        return schema
-
-    _DISPATCH: Dict[type, Any] = {
-        ops.MkSrc: _infer_mksrc,
-        ops.GetD: _infer_getd,
-        ops.Select: _infer_select,
-        ops.Project: _infer_project,
-        ops.Join: _infer_join,
-        ops.SemiJoin: _infer_semijoin,
-        ops.CrElt: _infer_crelt,
-        ops.Cat: _infer_cat,
-        ops.TD: _infer_td,
-        ops.GroupBy: _infer_groupby,
-        ops.Apply: _infer_apply,
-        ops.NestedSrc: _infer_nestedsrc,
-        ops.RelQuery: _infer_relquery,
-        ops.Empty: _infer_empty,
-        ops.OrderBy: _infer_orderby,
-    }
+                self.report("MIX-E009", "rQ references unknown server"
+                            " {!r}".format(plan.server))
 
 
-def _partition_schema(input_plan, inp_var):
-    """The binding schema of the partitions bound to ``inp_var``.
+#: A consumed variable its input does not bind, by the number of inputs.
+_UNBOUND = (
+    "{} consumes {} not bound by its input (schema: {})",
+    "{} condition references {} bound by neither input (schema: {})",
+)
 
-    Walks the apply's input through schema-preserving operators to the
-    ``groupBy`` that bound ``inp_var``; its *input* schema is what the
-    nested plan's ``nestedSrc`` yields per the paper's op-10 semantics
-    (a partition is a set of the grouped input's binding lists).
-    Returns ``None`` when the producer cannot be traced statically.
-    """
-    node = input_plan
-    while True:
-        if isinstance(node, ops.GroupBy) and node.out_var == inp_var:
-            return infer_schema(node.input)
-        if isinstance(node, (ops.Select, ops.OrderBy)):
-            node = node.input
-            continue
-        if isinstance(node, (ops.Join, ops.SemiJoin)):
-            for side in (node.left, node.right):
-                schema = infer_schema(side)
-                if schema is not None and inp_var in schema:
-                    node = side
-                    break
-            else:
-                return None
-            continue
-        if isinstance(node, (ops.GetD, ops.CrElt, ops.Cat, ops.Apply,
-                             ops.GroupBy)):
-            # inp_var may come from below these; they keep input bindings.
-            if inp_var in node.local_defined_vars():
-                return None
-            node = node.input
-            continue
-        return None
+#: The code of a consumed variable its inputs do not bind, where it is
+#: not MIX-E001.
+_CONSUMED = {
+    ops.CrElt: "MIX-E003", ops.Cat: "MIX-E003", ops.GroupBy: "MIX-E004",
+    ops.TD: "MIX-E006", ops.Project: "MIX-E007", ops.OrderBy: "MIX-E007",
+    ops.Join: "MIX-E010", ops.SemiJoin: "MIX-E010",
+}
+
+#: The checks that are not schema, by class.
+_CHECKS = {
+    ops.Project: _Verifier._check_project,
+    ops.GroupBy: _Verifier._check_groupby,
+    ops.Empty: _Verifier._check_empty,
+    ops.NestedSrc: _Verifier._check_nestedsrc,
+    ops.MkSrc: _Verifier._check_mksrc,
+    ops.RelQuery: _Verifier._check_relquery,
+}
 
 
 def _fmt(schema):
-    if not schema:
-        return "<empty>"
-    return ", ".join(sorted(schema))
+    return ", ".join(sorted(schema)) or "<empty>"

@@ -37,6 +37,7 @@ differential pin that).
 from __future__ import annotations
 
 from functools import partial
+from itertools import takewhile
 from operator import itemgetter
 
 from repro import stats as statnames
@@ -50,6 +51,7 @@ from repro.resilience.stub import (
 from repro.xmltree.tree import Node, OidGenerator, atomize
 from repro.algebra import operators as ops
 from repro.algebra.conditions import skolem_arg_of, KEY, VALUE
+from repro.algebra.plan import defined_vars, nested_env
 from repro.algebra.values import Skolem, VList, value_key
 from repro.engine.block import (
     Block,
@@ -392,7 +394,7 @@ class LazyEngine:
             if index is None:
                 # Build on first probe block: an empty left input
                 # never touches the right source at all.
-                sides = _hash_sides(hash_conds, *self._join_sides(plan))
+                sides = _hash_sides(hash_conds, *_join_sides(plan, env))
                 index = {}
                 for rt in rows(self.blocks(plan.right, dict(env))):
                     index.setdefault(_hash_key(rt, sides, 1), []).append(rt)
@@ -405,13 +407,6 @@ class LazyEngine:
                         matched.append(rt)
             if lidx:
                 yield _joined(lblock, lidx, matched)
-
-    def _join_sides(self, plan):
-        from repro.algebra.plan import defined_vars
-
-        left = defined_vars(plan.left) or frozenset()
-        right = defined_vars(plan.right) or frozenset()
-        return left, right
 
     def _blk_semijoin(self, plan, env):
         keep_left = plan.keep == "left"
@@ -507,6 +502,7 @@ class LazyEngine:
 
     def _blk_apply(self, plan, env):
         inp_var, nested = plan.inp_var, plan.plan
+        scope = (plan, env)
         for block in self.blocks(plan.input, env):
             inputs = (
                 block.column(inp_var) if inp_var is not None
@@ -515,6 +511,7 @@ class LazyEngine:
             out = []
             for value in inputs:
                 inner_env = dict(env)
+                inner_env[_SCOPE] = scope
                 if inp_var is not None:
                     inner_env[inp_var] = value
                 if isinstance(nested, ops.TD):
@@ -604,6 +601,31 @@ def _lazy_as_list(value, single):
     raise EvaluationError("cat expects a list value, got {!r}".format(value))
 
 
+#: The key of an ``apply`` body's env that holds ``(apply, outer env)``,
+#: from which the body's partition schemas follow (:func:`_schemas`).
+_SCOPE = object()
+
+
+def _schemas(env):
+    """The static env (:func:`~repro.algebra.plan.nested_env`) of the
+    nested plan evaluated under the run-time ``env``: each enclosing
+    apply's input variable mapped to its partition schema."""
+    scope = env.get(_SCOPE)
+    if scope is None:
+        return None
+    apply, outer = scope
+    return nested_env(apply, _schemas(outer))
+
+
+def _join_sides(plan, env):
+    """The variables each input of the join ``plan`` binds; a side that
+    reads ``nestedSrc`` is resolved through the enclosing applies."""
+    schemas = _schemas(env)
+    return [
+        defined_vars(side, schemas) or frozenset() for side in plan.children
+    ]
+
+
 def _split_join_conditions(conditions):
     """Separate hashable equality conditions from loop conditions."""
     hashable = []
@@ -668,25 +690,20 @@ def infer_sorted_vars(plan):
     """Variables the plan's output is (clustered-)sorted on.
 
     Conservative static inference: ``orderBy`` and ``rQ`` establish
-    order; tuple-preserving unary operators pass their input's order
-    through; ``join``/``semijoin`` preserve the streamed (probe/kept)
-    side's order; everything else yields no guarantee.
+    order; every other operator keeps the order of the input it streams
+    — the first of its :class:`~repro.algebra.operators.Output` rule's
+    inputs: its input, a join's left (probe) side, a semijoin's kept
+    side — as far as its output schema binds a prefix of it.  Leaves
+    (``mksrc``, ``nestedSrc``, ``empty``) and ``tD`` yield no guarantee.
     """
     if isinstance(plan, ops.OrderBy):
         return tuple(plan.variables)
     if isinstance(plan, ops.RelQuery):
         return tuple(plan.order_vars)
-    if isinstance(
-        plan,
-        (ops.Select, ops.GetD, ops.CrElt, ops.Cat, ops.Apply, ops.Project),
-    ):
-        return infer_sorted_vars(plan.input)
-    if isinstance(plan, ops.Join):
-        return infer_sorted_vars(plan.left)
-    if isinstance(plan, ops.SemiJoin):
-        kept = plan.left if plan.keep == "left" else plan.right
-        return infer_sorted_vars(kept)
-    if isinstance(plan, ops.GroupBy):
-        inherited = infer_sorted_vars(plan.input)
-        return tuple(v for v in inherited if v in plan.group_vars)
-    return ()
+    streamed = plan.output.inputs(plan)
+    if not streamed:
+        return ()
+    order = infer_sorted_vars(streamed[0])
+    if plan.output is ops.NARROW:  # the one rule that drops input variables
+        order = tuple(takewhile(defined_vars(plan).__contains__, order))
+    return order

@@ -18,7 +18,12 @@ from __future__ import annotations
 from functools import cached_property
 
 from repro.algebra import operators as ops
-from repro.algebra.plan import VarFactory, iter_operators
+from repro.algebra.plan import (
+    VarFactory,
+    defined_vars,
+    iter_operators,
+    nested_env,
+)
 from repro.xmltree.paths import Step
 
 
@@ -51,6 +56,29 @@ class RewriteContext:
     def vars(self):
         """A :class:`VarFactory` avoiding every name in the plan."""
         return VarFactory(self.root)
+
+    def defined_vars(self, node):
+        """The output schema of ``node``, a ``nestedSrc`` below it
+        resolved through the applies whose nested plans hold it."""
+        schema = defined_vars(node)
+        if schema is None:
+            schema = defined_vars(node, self._envs.get(node))
+        return schema
+
+    @cached_property
+    def _envs(self):
+        """``{node: env}`` for every node of a nested plan."""
+        envs = {}
+        stack = [(self.root, None)]
+        while stack:
+            node, env = stack.pop()
+            if env is not None:
+                envs[node] = env
+            stack.extend((child, env) for child in node.children)
+            if node.nested_plans:
+                inner = nested_env(node, env)
+                stack.extend((plan, inner) for plan in node.nested_plans)
+        return envs
 
     # -- labels ------------------------------------------------------------------
 

@@ -65,9 +65,8 @@ def _starts_with_list(path):
     )
 
 
-def _empty_for(node):
-    variables = defined_vars(node)
-    return ops.Empty(variables or ())
+def _empty_for(node, ctx):
+    return ops.Empty(ctx.defined_vars(node) or ())
 
 
 class ComposeMkSrcTD(Rule):
@@ -110,7 +109,7 @@ class GetDThroughCrElt(Rule):
             return None  # atomization of a constructed element: leave
         if head.kind == Step.LABEL and head.label != crelt.label:
             # Row 4: the path provably matches nothing.
-            return RuleResult(_empty_for(node))
+            return RuleResult(_empty_for(node, ctx))
         residual = path.residual()
         if residual.is_empty():
             # Row 2: the path addresses the constructed element itself;
@@ -146,10 +145,10 @@ class GetDThroughCat(Rule):
             return None
         path = node.path
         if not _starts_with_list(path):
-            return RuleResult(_empty_for(node))
+            return RuleResult(_empty_for(node, ctx))
         residual = path.residual()
         if residual.is_empty() or residual.steps[0].kind == Step.DATA:
-            return RuleResult(_empty_for(node))
+            return RuleResult(_empty_for(node, ctx))
 
         def operand_labels(var, single):
             if single:
@@ -165,7 +164,7 @@ class GetDThroughCat(Rule):
         if can_x and can_y:
             return None  # statically unresolvable: evaluate as-is
         if not can_x and not can_y:
-            return RuleResult(_empty_for(node))
+            return RuleResult(_empty_for(node, ctx))
         var, single = (
             (cat.x_var, cat.x_single) if can_x else (cat.y_var, cat.y_single)
         )
@@ -207,10 +206,10 @@ class GetDIntoApply(Rule):
             return None
         path = node.path
         if not _starts_with_list(path):
-            return RuleResult(_empty_for(node))
+            return RuleResult(_empty_for(node, ctx))
         residual = path.residual()
         if residual.is_empty():
-            return RuleResult(_empty_for(node))
+            return RuleResult(_empty_for(node, ctx))
 
         inner_td = apply_op.plan
         copy_body = _inline_nested(inner_td.input, apply_op.inp_var, gby.input)
@@ -429,10 +428,10 @@ class EmptyPropagation(Rule):
             kept = node.left if node.keep == "left" else node.right
             probe = node.right if node.keep == "left" else node.left
             if isinstance(kept, ops.Empty) or isinstance(probe, ops.Empty):
-                return RuleResult(_empty_for(node))
+                return RuleResult(_empty_for(node, ctx))
             return None
         if any(isinstance(c, ops.Empty) for c in children):
-            return RuleResult(_empty_for(node))
+            return RuleResult(_empty_for(node, ctx))
         return None
 
 

@@ -28,6 +28,7 @@ from repro.algebra import (
     plan_equal,
     rename_vars,
 )
+from repro.algebra.plan import nested_env, partition_schema
 from repro.algebra.plan import (
     VarFactory,
     all_vars,
@@ -120,6 +121,32 @@ class TestDefinedVars:
     def test_relquery(self):
         rq = RelQuery("s", "SELECT 1", [RQVar("$C", "customer", [(0, "id")], (0,))])
         assert defined_vars(rq) == {"$C"}
+
+    def test_nestedsrc_resolved_through_env(self):
+        plan = GetD("$A", Path.of("a", "b"), "$B", NestedSrc("$X"))
+        assert defined_vars(plan, {"$X": frozenset(["$A"])}) == {"$A", "$B"}
+        assert defined_vars(plan, {}) is None
+
+    def test_nested_env_holds_the_partition_schema(self):
+        grouped = GroupBy(("$C",), "$X", Join(
+            (), MkSrc("a", "$C"), GetD("$O", Path.of("o", "v"), "$V",
+                                       MkSrc("b", "$O")),
+        ))
+        apply = Apply(NestedSrc("$X"), "$X", "$Z",
+                      Select(Condition.var_const("$C", "=", 1), grouped))
+        assert nested_env(apply) == {"$X": {"$C", "$O", "$V"}}
+        assert defined_vars(apply.plan, nested_env(apply)) == {
+            "$C", "$O", "$V"}
+
+    def test_partition_schema_follows_the_streamed_inputs(self):
+        grouped = GroupBy(("$C",), "$X", MkSrc("a", "$C"))
+        kept = SemiJoin((), MkSrc("b", "$D"), grouped, "right")
+        assert partition_schema(kept, "$X") == {"$C"}
+        assert partition_schema(Project(("$C", "$X"), grouped), "$X") == {
+            "$C"}
+        # Bound by something other than a gBy, or not bound at all.
+        assert partition_schema(MkSrc("a", "$X"), "$X") is None
+        assert partition_schema(TD("$X", grouped), "$X") is None
 
 
 class TestTraversal:

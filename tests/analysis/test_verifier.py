@@ -16,7 +16,8 @@ from tests.conftest import Q1, make_paper_wrapper
 from repro import Mediator
 from repro.algebra.conditions import Condition
 from repro.algebra import operators as ops
-from repro.analysis import assert_plan_verifies, infer_schema, verify_plan
+from repro.algebra.plan import defined_vars
+from repro.analysis import assert_plan_verifies, verify_plan
 from repro.errors import PlanVerificationError
 from repro.sources import SourceCatalog
 from repro.xmltree.paths import Path
@@ -37,42 +38,42 @@ def catalog():
 
 class TestSchemaInference:
     def test_mksrc_binds_its_variable(self):
-        assert infer_schema(customers()) == frozenset(["$C"])
+        assert defined_vars(customers()) == frozenset(["$C"])
 
     def test_getd_adds_the_output_variable(self):
         plan = ops.GetD("$C", Path.of("customer", "id"), "$I", customers())
-        assert infer_schema(plan) == frozenset(["$C", "$I"])
+        assert defined_vars(plan) == frozenset(["$C", "$I"])
 
     def test_select_preserves_the_schema(self):
         plan = ops.Select(Condition.var_const("$C", "=", 1), customers())
-        assert infer_schema(plan) == frozenset(["$C"])
+        assert defined_vars(plan) == frozenset(["$C"])
 
     def test_project_narrows(self):
         plan = ops.Project(
             ("$C",),
             ops.GetD("$C", Path.of("customer", "id"), "$I", customers()),
         )
-        assert infer_schema(plan) == frozenset(["$C"])
+        assert defined_vars(plan) == frozenset(["$C"])
 
     def test_join_unions_disjoint_inputs(self):
         plan = ops.Join((), customers(), orders())
-        assert infer_schema(plan) == frozenset(["$C", "$O"])
+        assert defined_vars(plan) == frozenset(["$C", "$O"])
 
     def test_semijoin_keeps_one_side(self):
         left = ops.SemiJoin.right_semijoin((), customers(), orders())
         right = ops.SemiJoin.left_semijoin((), customers(), orders())
-        assert infer_schema(left) == frozenset(["$C"])
-        assert infer_schema(right) == frozenset(["$O"])
+        assert defined_vars(left) == frozenset(["$C"])
+        assert defined_vars(right) == frozenset(["$O"])
 
     def test_groupby_keeps_keys_plus_partition(self):
         plan = ops.GroupBy(("$C",), "$P", ops.Join((), customers(), orders()))
-        assert infer_schema(plan) == frozenset(["$C", "$P"])
+        assert defined_vars(plan) == frozenset(["$C", "$P"])
 
     def test_td_destroys_the_tuple_structure(self):
-        assert infer_schema(ops.TD("$C", customers())) == frozenset()
+        assert defined_vars(ops.TD("$C", customers())) == frozenset()
 
     def test_empty_declares_its_variables(self):
-        assert infer_schema(ops.Empty(("$A", "$B"))) == frozenset(
+        assert defined_vars(ops.Empty(("$A", "$B"))) == frozenset(
             ["$A", "$B"]
         )
 
@@ -81,7 +82,7 @@ class TestSchemaInference:
             "s", "SELECT id FROM customer",
             [ops.RQVar("$C", "customer", ((0, "id"),), (0,))],
         )
-        assert infer_schema(plan) == frozenset(["$C"])
+        assert defined_vars(plan) == frozenset(["$C"])
 
     def test_free_nestedsrc_is_unknown(self):
         # Standalone nested plans have no apply context: the schema is
@@ -89,7 +90,7 @@ class TestSchemaInference:
         plan = ops.GetD(
             "$X", Path.of("customer", "id"), "$I", ops.NestedSrc("$X")
         )
-        assert infer_schema(plan) is None
+        assert defined_vars(plan) is None
 
 
 class TestCleanPlans:
@@ -283,7 +284,7 @@ class TestGenericFallback:
             def local_defined_vars(self):
                 return frozenset([self.out_var])
 
-        assert infer_schema(Tag("$C", "$T", customers())) == frozenset(
+        assert defined_vars(Tag("$C", "$T", customers())) == frozenset(
             ["$C", "$T"]
         )
         diags = verify_plan(Tag("$GONE", "$T", customers()))
@@ -293,7 +294,7 @@ class TestGenericFallback:
         class Leaf(ops.Operator):
             opname = "leaf"
 
-        assert infer_schema(Leaf()) is None
+        assert defined_vars(Leaf()) is None
 
 
 class TestRemainingDuplicateChecks:

@@ -6,7 +6,18 @@ from repro import stats as statnames
 from repro.obs import Instrument
 from repro.xmltree import deep_equals
 from repro.xmltree.paths import Path
-from repro.algebra import GroupBy, MkSrc, GetD, OrderBy, TD
+from repro.algebra import (
+    Apply,
+    Condition,
+    GetD,
+    GroupBy,
+    Join,
+    MkSrc,
+    NestedSrc,
+    OrderBy,
+    Project,
+    TD,
+)
 from repro.algebra.translator import translate_query
 from repro.engine.eager import EagerEngine
 from repro.engine.lazy import LazyEngine, infer_sorted_vars
@@ -56,6 +67,38 @@ class TestEquivalence:
         lazy_tree = vnode_to_tree(VNode.root(lazy_root))
         eager_tree = EagerEngine(fresh_catalog()).evaluate_tree(plan)
         assert deep_equals(eager_tree, lazy_tree)
+
+
+class TestNestedJoin:
+    """A hash join inside a nested plan, one side reading nestedSrc."""
+
+    @staticmethod
+    def plan(nsrc_left):
+        sides = (
+            NestedSrc("$P"),
+            GetD("$O", Path.of("order", "cid"), "$J", MkSrc("root2", "$O")),
+        )
+        if not nsrc_left:
+            sides = sides[::-1]
+        nested = TD("$O", Join(
+            (Condition.var_var("$I", "=", "$J"),), *sides
+        ))
+        grouped = GroupBy(("$I",), "$P", GetD(
+            "$K", Path.of("customer", "id"), "$I", MkSrc("root1", "$K"),
+        ))
+        return TD("$R", Apply(nested, "$P", "$R", grouped), "res")
+
+    @pytest.mark.parametrize("nsrc_left", [True, False])
+    @pytest.mark.parametrize("width", [1, 8])
+    def test_lazy_equals_eager(self, nsrc_left, width):
+        plan = self.plan(nsrc_left)
+        eager_tree = EagerEngine(fresh_catalog()).evaluate_tree(plan)
+        lazy_root = LazyEngine(
+            fresh_catalog(), block_size=width
+        ).evaluate_tree(plan)
+        lazy_tree = vnode_to_tree(VNode.root(lazy_root))
+        assert deep_equals(eager_tree, lazy_tree)
+        assert [o.label for o in eager_tree.children] == ["order"] * 4
 
 
 class TestLaziness:
@@ -157,6 +200,14 @@ class TestSortednessInference:
 
     def test_mksrc_gives_nothing(self):
         assert infer_sorted_vars(MkSrc("d", "$X")) == ()
+
+    def test_project_keeps_the_prefix_it_binds(self):
+        sorted_xy = OrderBy(("$X", "$Y"), GetD(
+            "$X", Path.of("a"), "$Y", MkSrc("d", "$X")
+        ))
+        assert infer_sorted_vars(Project(("$X",), sorted_xy)) == ("$X",)
+        # Dropping the leading key leaves the rest unclustered.
+        assert infer_sorted_vars(Project(("$Y",), sorted_xy)) == ()
 
     def test_groupby_filters_inherited(self):
         plan = GroupBy(

@@ -302,3 +302,27 @@ class TestEmptyAndDeadElimination:
         crelt = CrElt("R", "f", ("$A",), "$A", True, "$V", source)
         plan = TD("$V", crelt)
         assert apply_rule(R.DeadOperatorElimination(), plan, node=crelt) is None
+
+
+class TestEmptyInsideNestedPlans:
+    def test_empty_keeps_the_partition_variables(self):
+        # getD($Z.zzz) over cat(list($A), list($B)) matches nothing
+        # (rows 5-8); the empty set minted below nestedSrc must still
+        # bind what the getD bound, or the nested tD reads an unbound $G.
+        from repro.analysis import verify_plan
+        from repro.rewriter.engine import Rewriter
+
+        nested = TD("$G", GetD(
+            "$Z", Path.of("zzz"), "$G",
+            Cat("$A", True, "$B", True, "$Z", NestedSrc("$P")),
+        ))
+        grouped = GroupBy(("$K",), "$P", GetD(
+            "$K", Path.of("c", "b"), "$B",
+            GetD("$K", Path.of("c", "a"), "$A", MkSrc("root1", "$K")),
+        ))
+        plan = TD("$R", Apply(nested, "$P", "$R", grouped), "r")
+        assert verify_plan(plan) == []
+        rewritten = Rewriter().rewrite(plan)
+        (empty,) = find_operators(rewritten, Empty)
+        assert set(empty.variables) >= {"$A", "$B", "$G", "$K"}
+        assert verify_plan(rewritten) == []
