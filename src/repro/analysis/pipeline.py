@@ -26,8 +26,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.analysis.diagnostics import Diagnostic, has_errors
-from repro.analysis.verifier import verify_plan
-from repro.errors import PlanVerificationError
+from repro.analysis.verifier import raise_on_errors, verify_plan
 
 
 class StageReport:
@@ -90,17 +89,7 @@ class PipelineReport:
     def raise_if_failed(self):
         """Raise :class:`PlanVerificationError` on the first bad stage."""
         for stage in self.stages:
-            if not stage.ok:
-                first = next(
-                    d for d in stage.diagnostics if d.is_error
-                )
-                raise PlanVerificationError(
-                    "plan verification failed after stage {!r}:"
-                    " {} {}".format(stage.name, first.code, first.message),
-                    diagnostics=stage.diagnostics,
-                    stage=stage.name,
-                    rule=stage.rule,
-                )
+            raise_on_errors(stage.diagnostics, stage.name, stage.rule)
         return self
 
     def __repr__(self):

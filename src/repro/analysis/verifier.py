@@ -64,6 +64,14 @@ def assert_plan_verifies(plan, catalog=None, stage=None, source=None,
     diagnostics = verify_plan(
         plan, catalog=catalog, stage=stage, source=source
     )
+    return raise_on_errors(diagnostics, stage, rule)
+
+
+def raise_on_errors(diagnostics, stage=None, rule=None):
+    """Raise :class:`repro.errors.PlanVerificationError` naming the
+    first error among ``diagnostics``, the ``stage`` they were found
+    after and the rewrite ``rule`` blamed for it; return
+    ``diagnostics`` when none is an error."""
     errors = [d for d in diagnostics if d.is_error]
     if errors:
         first = errors[0]

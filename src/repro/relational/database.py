@@ -189,15 +189,14 @@ class Database:
         if isinstance(stmt, ast.InsertStmt):
             table = self.table(stmt.table)
             return table.insert_many(stmt.rows)
-        if isinstance(stmt, ast.DeleteStmt):
-            table = self.table(stmt.table)
-            pred = self._row_predicate(table, stmt.predicates)
-            return table.delete_where(pred)
         if isinstance(stmt, ast.AnalyzeStmt):
             return self.analyze(stmt.table)
-        if isinstance(stmt, ast.UpdateStmt):
+        if isinstance(stmt, (ast.DeleteStmt, ast.UpdateStmt)):
             table = self.table(stmt.table)
             pred = self._row_predicate(table, stmt.predicates)
+            key = self._bound_key(table, stmt.predicates)
+            if isinstance(stmt, ast.DeleteStmt):
+                return table.delete_where(pred, key)
             assignments = [
                 (table.schema.column_index(col), lit.value)
                 for col, lit in stmt.assignments
@@ -209,8 +208,29 @@ class Database:
                     new_row[idx] = value
                 return new_row
 
-            return table.update_where(pred, updater)
+            return table.update_where(pred, updater, key)
         raise SqlError("unsupported statement {!r}".format(stmt))
+
+    @staticmethod
+    def _bound_key(table, predicates):
+        """The primary-key tuple a DML ``WHERE`` binds, each key column
+        by ``column = literal`` in either operand order, or ``None``.
+        With a key the row it names is the statement's only candidate;
+        the whole ``WHERE`` is still tested on that row, so other ANDed
+        predicates (or a second, different binding) still filter."""
+        key_columns = table.schema.primary_key
+        if not key_columns:
+            return None
+        bound = {}
+        for p in predicates:
+            if p.op != "=":
+                continue
+            for column, value in ((p.left, p.right), (p.right, p.left)):
+                if type(column) is ast.ColRef and type(value) is ast.Literal:
+                    bound.setdefault(column.column, value.value)
+        if not all(column in bound for column in key_columns):
+            return None
+        return tuple(bound[column] for column in key_columns)
 
     def _row_predicate(self, table, predicates):
         """Compile WHERE predicates into a single-row test for DML."""

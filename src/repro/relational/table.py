@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import threading
-from itertools import islice
+from bisect import bisect_left
+from itertools import compress, count, islice
 
 from repro.errors import IntegrityError, SchemaError
 from repro import stats as statnames
@@ -161,6 +162,7 @@ class Table:
         self._rows = []
         self._stats = stats
         self._key_index = {} if schema.primary_key else None
+        self._key_columns = tuple(schema.key_indexes())
         self._secondary = {}  # tuple(column names) -> {values: [positions]}
         self._lock = threading.Lock()
         self._paths = None
@@ -183,83 +185,184 @@ class Table:
         """Insert one row (a sequence of values in column order)."""
         row = self.schema.validate_row(values)
         with self._lock:
-            position = len(self._rows)
-            if self._key_index is not None:
-                key = tuple(row[i] for i in self.schema.key_indexes())
-                if key in self._key_index:
+            self._append([row])
+        return row
+
+    def insert_many(self, rows):
+        """Insert several rows; returns the number inserted.  Every row
+        and key is checked, within the batch and against the table,
+        before any row is appended: a batch that fails inserts nothing."""
+        rows = [self.schema.validate_row(values) for values in rows]
+        with self._lock:
+            self._append(rows)
+        return len(rows)
+
+    def _append(self, rows):
+        start = len(self._rows)
+        if self._key_index is not None:
+            keys = [self._key(row) for row in rows]
+            fresh = set()
+            for key in keys:
+                if key in self._key_index or key in fresh:
                     raise IntegrityError(
                         "duplicate primary key {!r} in table {!r}".format(
                             key, self.schema.name
                         )
                     )
+                fresh.add(key)
+            for position, key in enumerate(keys, start):
                 self._key_index[key] = position
-            self._rows.append(row)
-            self.version += 1
-            for columns, index in self._secondary.items():
+        self._rows.extend(rows)
+        self.version += len(rows)
+        for columns, index in self._secondary.items():
+            for position, row in enumerate(rows, start):
                 index.setdefault(self._index_key(columns, row), []).append(
                     position
                 )
-        return row
 
-    def insert_many(self, rows):
-        """Insert several rows; returns the number inserted."""
-        count = 0
-        for values in rows:
-            self.insert(values)
-            count += 1
-        return count
+    def delete_where(self, predicate, key=None):
+        """Delete the rows ``predicate`` accepts; returns their count.
 
-    def delete_where(self, predicate):
-        """Delete rows for which ``predicate(row)`` is true; returns count.
-
-        The write version bumps whether or not rows matched — every DML
-        statement invalidates, which can only over-invalidate.
+        ``key``, a primary-key tuple, makes the row that key names the
+        only candidate (``predicate`` is still tested on it); without
+        one every row is.  The write version bumps whether or not rows
+        matched — every DML statement invalidates, which can only
+        over-invalidate.
         """
         with self._lock:
-            self.version += 1
-            kept = [r for r in self._rows if not predicate(r)]
-            removed = len(self._rows) - len(kept)
-            if removed:
-                self._replace_rows(kept)
-        return removed
+            positions = self._locate(predicate, key)
+            self._edit(positions)
+        return len(positions)
 
-    def update_where(self, predicate, updater):
-        """Apply ``updater(row) -> new_row`` to matching rows."""
+    def update_where(self, predicate, updater, key=None):
+        """Replace each row ``predicate`` accepts by ``updater(row)``;
+        returns their count.  ``key`` as in :meth:`delete_where`."""
         with self._lock:
-            self.version += 1
-            changed = 0
-            new_rows = []
-            for row in self._rows:
-                if predicate(row):
-                    new_rows.append(self.schema.validate_row(updater(row)))
-                    changed += 1
-                else:
-                    new_rows.append(row)
-            if changed:
-                self._replace_rows(new_rows)
-        return changed
+            positions = self._locate(predicate, key)
+            rows = self._rows
+            self._edit(positions, [
+                self.schema.validate_row(updater(rows[pos]))
+                for pos in positions
+            ])
+        return len(positions)
 
-    def _replace_rows(self, rows):
-        """Swap in ``rows`` with freshly built indexes.  The old row
-        list and index dicts are left as they were (an open cursor may
-        still read them), and nothing is swapped when a key repeats."""
-        key_index = None
-        if self._key_index is not None:
-            key_index = {}
-            key_idx = self.schema.key_indexes()
-            for pos, row in enumerate(rows):
-                key = tuple(row[i] for i in key_idx)
-                if key in key_index:
-                    raise IntegrityError(
-                        "update produced duplicate key {!r} in {!r}".format(
-                            key, self.schema.name
+    def _locate(self, predicate, key):
+        """Ascending positions of the rows ``predicate`` accepts among
+        the candidates (see :meth:`delete_where`)."""
+        rows = self._rows
+        if key is None:
+            return list(compress(count(), map(predicate, rows)))
+        pos = self._key_index.get(key)
+        return [] if pos is None or not predicate(rows[pos]) else [pos]
+
+    def _edit(self, positions, new_rows=None):
+        """Swap in a new version with the rows at ``positions`` (ascending)
+        replaced by ``new_rows``, or removed when it is ``None``, and
+        bump the write version.
+
+        The row list is copied and only the located entries change.  A
+        captured :class:`AccessPaths` keeps the old structures, so the
+        key index is kept as it is while no key moves (an update keeps
+        every position, and inserts only add positions past an old
+        version's count) and edited on a copy otherwise; secondary
+        indexes change copy-on-write.  Every check runs before the
+        swap: a statement that fails changes nothing.
+        """
+        if positions:
+            if new_rows is None:
+                version = self._deleted(positions)
+            else:
+                version = self._replaced(positions, new_rows)
+            self._rows, self._key_index, self._secondary = version
+        self.version += 1
+
+    def _replaced(self, positions, new_rows):
+        """``(rows, key index, secondary indexes)`` with the rows at
+        ``positions`` replaced by ``new_rows``."""
+        old_rows = self._rows
+        key_index = self._key_index
+        if key_index is not None:
+            moved = [
+                (self._key(old_rows[pos]), self._key(row), pos)
+                for pos, row in zip(positions, new_rows)
+            ]
+            moved = [m for m in moved if m[0] != m[1]]
+            if moved:
+                key_index = key_index.copy()
+                for old_key, __, __ in moved:
+                    del key_index[old_key]
+                for __, new_key, pos in moved:
+                    if new_key in key_index:
+                        raise IntegrityError(
+                            "update produced duplicate key {!r} in {!r}"
+                            .format(new_key, self.schema.name)
                         )
-                    )
-                key_index[key] = pos
-        self._rows = rows
-        self._key_index = key_index
-        for columns in self._secondary:
-            self._secondary[columns] = self._build_secondary(columns)
+                    key_index[new_key] = pos
+        secondary = {}
+        for columns, index in self._secondary.items():
+            removed, added = {}, {}
+            for pos, row in zip(positions, new_rows):
+                old = self._index_key(columns, old_rows[pos])
+                new = self._index_key(columns, row)
+                if old != new:
+                    removed.setdefault(old, set()).add(pos)
+                    added.setdefault(new, []).append(pos)
+            if removed:
+                index = index.copy()
+                for bucket_key in removed.keys() | added.keys():
+                    gone = removed.get(bucket_key, ())
+                    bucket = [
+                        p for p in index.get(bucket_key, ()) if p not in gone
+                    ]
+                    bucket = sorted(bucket + added.get(bucket_key, []))
+                    if bucket:
+                        index[bucket_key] = bucket
+                    else:
+                        del index[bucket_key]
+            secondary[columns] = index
+        rows = old_rows.copy()
+        for pos, row in zip(positions, new_rows):
+            rows[pos] = row
+        return rows, key_index, secondary
+
+    def _deleted(self, positions):
+        """``(rows, key index, secondary indexes)`` without the rows at
+        ``positions``."""
+        old_rows = self._rows
+        first = positions[0]
+        rows = old_rows[:first]
+        for pos, end in zip(positions, positions[1:] + [len(old_rows)]):
+            rows += old_rows[pos + 1:end]
+        key_index = self._key_index
+        if key_index is not None:
+            key_index = key_index.copy()
+            for pos in positions:
+                del key_index[self._key(old_rows[pos])]
+            for pos in range(first, len(rows)):
+                key_index[self._key(rows[pos])] = pos
+        gone = set(positions)
+
+        def renumbered(bucket):
+            # Every bucket becomes a new list: the table shrank, and an
+            # insert appends to buckets in place at positions an older
+            # version still counts as its own.
+            if bucket[-1] < first:
+                return bucket.copy()
+            return [
+                p - bisect_left(positions, p) for p in bucket if p not in gone
+            ]
+
+        secondary = {}
+        for columns, index in self._secondary.items():
+            secondary[columns] = fresh = {}
+            for bucket_key, bucket in index.items():
+                bucket = renumbered(bucket)
+                if bucket:
+                    fresh[bucket_key] = bucket
+        return rows, key_index, secondary
+
+    def _key(self, row):
+        return tuple(row[i] for i in self._key_columns)
 
     # -- secondary indexes ------------------------------------------------------
 
@@ -267,7 +370,7 @@ class Table:
         """Create (or return) a hash index on ``columns``.
 
         Used by the executor for equality predicates; maintained on
-        insert and rebuilt on delete/update.
+        insert and edited copy-on-write on delete/update.
         """
         key = tuple(columns)
         for name in key:

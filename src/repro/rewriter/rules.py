@@ -38,7 +38,6 @@ from repro.algebra.conditions import Condition
 from repro.algebra.plan import (
     all_vars,
     clone_plan,
-    defined_vars,
     iter_operators,
     rename_vars,
     replace_operator,
@@ -261,8 +260,8 @@ class GetDPushdown(Rule):
             pushed = node.with_children((below.input,))
             return RuleResult(below.with_children((pushed,)))
         if isinstance(below, ops.Join):
-            left_def = defined_vars(below.left) or frozenset()
-            right_def = defined_vars(below.right) or frozenset()
+            left_def = ctx.defined_vars(below.left) or frozenset()
+            right_def = ctx.defined_vars(below.right) or frozenset()
             if node.in_var in left_def:
                 pushed = node.with_children((below.left,))
                 return RuleResult(
@@ -276,7 +275,7 @@ class GetDPushdown(Rule):
             return None
         if isinstance(below, ops.SemiJoin):
             kept = below.left if below.keep == "left" else below.right
-            kept_def = defined_vars(kept) or frozenset()
+            kept_def = ctx.defined_vars(kept) or frozenset()
             if node.in_var in kept_def:
                 pushed = node.with_children((kept,))
                 children = (
@@ -315,8 +314,8 @@ class SelectPushdown(Rule):
             pushed = node.with_children((below.input,))
             return RuleResult(below.with_children((pushed,)))
         if isinstance(below, ops.Join):
-            left_def = defined_vars(below.left) or frozenset()
-            right_def = defined_vars(below.right) or frozenset()
+            left_def = ctx.defined_vars(below.left) or frozenset()
+            right_def = ctx.defined_vars(below.right) or frozenset()
             if cond_vars <= left_def:
                 pushed = node.with_children((below.left,))
                 return RuleResult(below.with_children((pushed, below.right)))
@@ -332,8 +331,8 @@ class SelectPushdown(Rule):
                 return RuleResult(merged)
             return None
         if isinstance(below, ops.SemiJoin):
-            left_def = defined_vars(below.left) or frozenset()
-            right_def = defined_vars(below.right) or frozenset()
+            left_def = ctx.defined_vars(below.left) or frozenset()
+            right_def = ctx.defined_vars(below.right) or frozenset()
             if cond_vars <= left_def:
                 pushed = node.with_children((below.left,))
                 return RuleResult(below.with_children((pushed, below.right)))
@@ -361,8 +360,8 @@ class JoinToSemiJoin(Rule):
         if not isinstance(node, ops.Join):
             return None
         used = ctx.used_above(node)
-        left_def = defined_vars(node.left) or None
-        right_def = defined_vars(node.right) or None
+        left_def = ctx.defined_vars(node.left) or None
+        right_def = ctx.defined_vars(node.right) or None
         if left_def is None or right_def is None:
             return None
         if not (left_def & used):
@@ -398,7 +397,7 @@ class SemiJoinBelowGroupBy(Rule):
         gby = kept.input
         if not isinstance(gby, ops.GroupBy) or gby.out_var != kept.inp_var:
             return None
-        probe_def = defined_vars(probe) or frozenset()
+        probe_def = ctx.defined_vars(probe) or frozenset()
         for c in node.conditions:
             if not c.variables() <= (set(gby.group_vars) | probe_def):
                 return None

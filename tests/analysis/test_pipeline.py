@@ -188,6 +188,23 @@ class TestStrictMediator:
             mediator.prepare(Q1)
             assert mediator.stats.elapsed("verify") > 0.0
 
+    def test_strict_rewrite_failure_names_its_rule(self):
+        # A rule registered past certification breaks a plan: the error
+        # strict mode raises blames it in the message, as the verifier's
+        # own assert_plan_verifies does.
+        from tests.analysis.defect_rules import DropBindingRule
+
+        mediator = mediator_with(strict=True)
+        mediator._rewriter.register(DropBindingRule())
+        with pytest.raises(PlanVerificationError) as err:
+            mediator.query(Q1)
+        assert err.value.stage == "rewrite[defect-drop-binding]"
+        assert err.value.rule == "defect-drop-binding"
+        assert str(err.value).startswith(
+            "plan verification failed after stage "
+            "'rewrite[defect-drop-binding]' (rule 'defect-drop-binding'): "
+        )
+
     def test_strict_view_composition_verifies_all_rewrites(self):
         mediator = mediator_with(strict=True)
         mediator.define_view("rootv", VIEW_QUERY)

@@ -438,9 +438,10 @@ class TestCursorSnapshot:
 
 def test_streaming_readers_race_a_writer():
     """More threads than cores, short switch interval: every reader of
-    the order-preserving plan sees one table version (all values equal,
-    every group complete, key order) while a writer keeps replacing both
-    tables, and the lazily built structures never tear."""
+    the order-preserving plan sees one table version (all values equal
+    but the one order a key-addressed update negated, every group
+    complete, key order) while a writer keeps replacing both tables, and
+    the lazily built structures never tear."""
     import sys
     import threading
     import time
@@ -463,10 +464,15 @@ def test_streaming_readers_race_a_writer():
     reads = []
 
     def writer():
+        # A scan-path UPDATE sets every value; a key-addressed one then
+        # negates one order's, and the key-addressed DELETE removes the
+        # customer the INSERT added.
         value = 0
         while time.monotonic() < deadline:
             value += 1
             database.run("UPDATE o SET value = {}".format(value))
+            database.run("UPDATE o SET value = {} WHERE orid = {}".format(
+                -value, value % 36))
             database.run("INSERT INTO c VALUES (99)")
             database.run("DELETE FROM c WHERE id = 99")
 
@@ -483,7 +489,10 @@ def test_streaming_readers_race_a_writer():
                     rows += block
                 keys = [row[:2] for row in rows if row[0] != 99]
                 assert keys == expected, keys
-                assert len({row[2] for row in rows}) == 1, rows
+                value = max(row[2] for row in rows)
+                assert [row[1] for row in rows if row[2] != value] in (
+                    [], [value % 36]), rows
+                assert {row[2] for row in rows} <= {value, -value}, rows
                 count += 1
         except Exception as exc:  # reported by the main thread
             failures.append(exc)

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.errors import IntegrityError, SchemaError
+from repro.errors import (
+    IntegrityError,
+    SchemaError,
+    SqlError,
+    TypeMismatchError,
+)
+from repro.relational.executor import compare
+from repro.relational.parser import parse_sql
 from repro.relational import (
     Column,
     Database,
@@ -49,6 +56,26 @@ class TestInsert:
     def test_insert_many(self):
         table = make_table()
         assert table.insert_many([[1, "a"], [2, "b"]]) == 2
+
+    def test_failed_multi_row_insert_inserts_nothing(self):
+        db = Database("t")
+        db.run("CREATE TABLE t (id INT, v INT, PRIMARY KEY (id))")
+        db.run("CREATE INDEX tv ON t (v)")
+        table = db.table("t")
+        version = table.version
+        with pytest.raises(IntegrityError):
+            db.run("INSERT INTO t VALUES (1, 10), (2, 20), (1, 30)")
+        with pytest.raises(TypeMismatchError):
+            db.run("INSERT INTO t VALUES (3, 10), (4, 'x')")
+        assert table.rows_snapshot() == []
+        assert table.version == version
+        db.run("INSERT INTO t VALUES (5, 10)")
+        with pytest.raises(IntegrityError):
+            db.run("INSERT INTO t VALUES (6, 10), (5, 50)")
+        paths = table.access_paths()
+        assert list(paths.scan()) == [(5, 10)]
+        assert paths.lookup((6,)) is None
+        assert paths.index_rows(("v",), [10]) == [(5, 10)]
 
 
 class TestScan:
@@ -216,6 +243,38 @@ class TestAccessPaths:
         assert paths.lookup((2,)) == (2, "b")
         assert paths.index_rows(("name",), ["b"]) == [(2, "b")]
 
+    def test_failed_statements_change_nothing(self):
+        # A duplicate key from an update, a value of the wrong type and
+        # a boolean comparison, by either locate path.
+        table = make_table()
+        table.create_index(("name",))
+        table.insert_many([[1, "a"], [2, "b"]])
+        paths, version = table.access_paths(), table.version
+
+        def boolean(row):
+            return compare(True, "=", row[0])
+
+        def rekey(row):
+            return (1, row[1])
+
+        for error, statement in [
+            (SqlError, lambda: table.delete_where(boolean)),
+            (SqlError, lambda: table.delete_where(boolean, key=(2,))),
+            (TypeMismatchError, lambda: table.update_where(
+                lambda row: row[0] == 2, lambda row: ("x", row[1]))),
+            (IntegrityError, lambda: table.update_where(
+                lambda row: True, rekey)),
+            (IntegrityError, lambda: table.update_where(
+                lambda row: True, rekey, key=(2,))),
+        ]:
+            with pytest.raises(error):
+                statement()
+        assert table.version == version
+        assert table.rows_snapshot() == [(1, "a"), (2, "b")]
+        assert table.access_paths() is paths
+        assert paths.lookup((2,)) == (2, "b")
+        assert paths.index_rows(("name",), ["b"]) == [(2, "b")]
+
     def test_usable_indexes(self):
         table = make_table()
         table.create_index(("name", "id"))
@@ -225,3 +284,72 @@ class TestAccessPaths:
             (("id",), 1), (("name", "id"), 2)
         ]
         assert table.usable_indexes({"other"}) == []
+
+
+class TestKeyAddressedDml:
+    """A DELETE/UPDATE whose WHERE binds the primary key edits the row
+    the key index names; the answers are the scan's."""
+
+    @staticmethod
+    def database():
+        db = Database("k", stats=Instrument())
+        db.run("CREATE TABLE t (id INT, v INT, PRIMARY KEY (id))")
+        db.run("CREATE TABLE c (a INT, b TEXT, v INT, PRIMARY KEY (a, b))")
+        db.run("CREATE TABLE bag (id INT, v INT)")
+        db.run("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)")
+        return db
+
+    @pytest.mark.parametrize("table, where, key", [
+        ("t", "id = 1", (1,)),
+        ("t", "2 = id AND v > 5", (2,)),
+        ("t", "t.id = 3 AND id = 4", (3,)),
+        ("t", "id = 1.0", (1.0,)),
+        ("t", "id = '1'", ("1",)),
+        ("t", "id = NULL", (None,)),
+        ("t", "id > 1", None),
+        ("t", "v = 10", None),
+        ("t", "id = v", None),
+        ("c", "b = 'x' AND v = 1 AND a = 2", (2, "x")),
+        ("c", "a = 2", None),
+        ("bag", "id = 1", None),
+    ])
+    def test_which_where_names_a_key(self, table, where, key):
+        db = self.database()
+        stmt = parse_sql("DELETE FROM {} WHERE {}".format(table, where))
+        assert db._bound_key(db.table(table), stmt.predicates) == key
+
+    def test_counts_and_versions_are_the_scans(self):
+        db = self.database()
+        table = db.table("t")
+        version = table.version
+        assert db.run("UPDATE t SET v = 11 WHERE id = 1") == 1
+        assert db.run("UPDATE t SET v = 0 WHERE id = 3 AND v > 100") == 0
+        assert db.run("UPDATE t SET v = 12 WHERE id = 1.0") == 1
+        assert db.run("DELETE FROM t WHERE id = '2'") == 0
+        assert db.run("DELETE FROM t WHERE 2 = id") == 1
+        assert db.run("DELETE FROM t WHERE id = 2") == 0
+        assert table.version == version + 6
+        assert table.rows_snapshot() == [(1, 12), (3, 30)]
+        assert db.stats.get(statnames.ROWS_SCANNED) == 0
+
+    def test_key_changing_update_moves_the_key(self):
+        db = self.database()
+        assert db.run("UPDATE t SET id = 9 WHERE id = 2") == 1
+        with pytest.raises(IntegrityError):
+            db.run("UPDATE t SET id = 1 WHERE id = 3")
+        paths = db.table("t").access_paths()
+        assert paths.lookup((2,)) is None
+        assert paths.lookup((9,)) == (9, 20)
+        assert paths.lookup((3,)) == (3, 30)
+
+    def test_open_cursor_reads_the_version_before_the_write(self):
+        db = self.database()
+        cursor = db.execute("SELECT id, v FROM t")
+        assert cursor.fetchone() == (1, 10)
+        db.run("UPDATE t SET v = 99 WHERE id = 2")
+        db.run("DELETE FROM t WHERE id = 1")
+        db.run("INSERT INTO t VALUES (4, 40)")
+        assert cursor.fetchall() == [(2, 20), (3, 30)]
+        assert db.execute("SELECT id, v FROM t").fetchall() == [
+            (2, 99), (3, 30), (4, 40)
+        ]

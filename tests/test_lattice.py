@@ -177,7 +177,8 @@ queries = st.lists(
 changes = st.one_of(
     st.none(),
     st.tuples(st.just("dml"), st.lists(grid(
-        ("insert", "customer", "update", "delete"), range(len(CIDS)),
+        ("insert", "customer", "update", "delete", "update by key",
+         "delete by key"), range(len(CIDS)),
         (50, 700, 1500, 4000),
     ), min_size=1, max_size=3)),
     st.tuples(st.just("view"), st.integers(0, len(VIEWS) - 1)),
@@ -230,8 +231,8 @@ class Deployment:
             getattr(member, "database", member).run(sql)
 
     def dml(self, batch, next_key):
-        for kind, cid, value in batch:
-            cid = CIDS[cid]
+        for kind, index, value in batch:
+            cid = CIDS[index]
             if kind == "insert":
                 self.run("INSERT INTO orders VALUES ({}, '{}', {})".format(
                     next_key, cid, value), orid=next_key)
@@ -241,9 +242,17 @@ class Deployment:
             elif kind == "update":
                 self.run("UPDATE orders SET value = {} WHERE cid = '{}'"
                          .format(value, cid))
-            else:
+            elif kind == "delete":
                 self.run("DELETE FROM orders WHERE value > {}".format(
                     value * 2))
+            # The key-addressed statements name one of orders 0-3 (the
+            # customer draw's index); every member runs them, and only
+            # the one holding that order edits a row.
+            elif kind == "update by key":
+                self.run("UPDATE orders SET value = {} WHERE orid = {}"
+                         .format(value, index))
+            else:
+                self.run("DELETE FROM orders WHERE orid = {}".format(index))
             next_key += 1
         return next_key
 
