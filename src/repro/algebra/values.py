@@ -45,14 +45,11 @@ class VList(LazyPrefix):
 
     def lazy_concat(self, other):
         """Concatenation without forcing either operand."""
+        return CatList(self, other)
 
-        def tail():
-            for value in self:
-                yield value
-            for value in other:
-                yield value
-
-        return VList((), lazy_tail=tail())
+    def parts(self):
+        """The lists whose items, in order, are this list's."""
+        return (self,)
 
     def __repr__(self):
         if self._tail is not None:
@@ -63,6 +60,32 @@ class VList(LazyPrefix):
         return isinstance(other, VList) and values_equal_list(
             self.items, other.items
         )
+
+
+class CatList(VList):
+    """``cat``'s list: the items of ``left``, then those of ``right``.
+
+    It keeps its operands, so a constructed element over it holds them
+    (:meth:`parts`) and pulls its children from them directly; read as
+    a list, it pulls them through its own memoized prefix.
+    """
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
+
+        def tail():
+            for value in left:
+                yield value
+            for value in right:
+                yield value
+
+        VList.__init__(self, (), lazy_tail=tail())
+
+    def parts(self):
+        return self.left.parts() + self.right.parts()
 
 
 class Skolem:

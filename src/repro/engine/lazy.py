@@ -7,7 +7,8 @@ until the client starts navigating into it."  Here:
 * every operator's output is a pull stream of column blocks
   (:class:`~repro.engine.block.Block`);
 * values inside tuples are lazy too — constructed elements
-  (:class:`~repro.xmltree.tree.Node` with a lazy tail), lists
+  (:class:`~repro.xmltree.tree.ConstructedObject`, which holds its
+  child bindings until read), lists
   (:class:`~repro.algebra.values.VList`), and group partitions
   (:class:`~repro.engine.block.BlockSet`) are one memoized prefix,
   :class:`~repro.xmltree.tree.LazyPrefix`: each materializes its
@@ -48,7 +49,7 @@ from repro.resilience.stub import (
     degraded_stub,
     degrades,
 )
-from repro.xmltree.tree import Node, OidGenerator, atomize
+from repro.xmltree.tree import ConstructedObject, Node, OidGenerator, atomize
 from repro.algebra import operators as ops
 from repro.algebra.conditions import skolem_arg_of, KEY, VALUE
 from repro.algebra.plan import defined_vars, nested_env
@@ -452,19 +453,12 @@ class LazyEngine:
 
     def _build_element(self, plan, ch_value, args):
         oid = Skolem(plan.out_var, plan.fn, args, arg_vars=plan.skolem_args)
-        if plan.ch_is_list or isinstance(ch_value, Node):
+        if isinstance(ch_value, Node):
+            return ConstructedObject(oid, plan.label, (ch_value,))
+        if plan.ch_is_list:
             return Node(oid, plan.label, [ch_value])
         if isinstance(ch_value, VList):
-
-            def tail(source=ch_value):
-                for item in source:
-                    if isinstance(item, VList):
-                        for sub in item:
-                            yield sub
-                    else:
-                        yield item
-
-            return Node(oid, plan.label, lazy_tail=tail())
+            return ConstructedObject(oid, plan.label, ch_value.parts())
         raise EvaluationError(
             "crElt child variable {} bound to {!r}".format(
                 plan.ch_var, ch_value

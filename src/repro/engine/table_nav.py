@@ -22,6 +22,7 @@ from repro.errors import NavigationError
 from repro.xmltree.tree import Node
 from repro.algebra.bindings import BindingSet
 from repro.algebra.values import VList
+from repro.obs.instrument import NULL_SPAN
 
 
 class TableNode:
@@ -46,9 +47,7 @@ class TableNode:
     def _command(self, name):
         """Span of one Section-4 call arriving at this node (or a no-op)."""
         if self.obs is None:
-            from repro.engine.vtree import _NULL_CONTEXT
-
-            return _NULL_CONTEXT
+            return NULL_SPAN
         return self.obs.command_span(
             name, kind="navigation", table_node=self.kind
         )

@@ -19,20 +19,38 @@ from __future__ import annotations
 
 from repro.errors import NavigationError
 from repro.algebra.values import Skolem
+from repro.obs.instrument import NULL_SPAN
 from repro.stats import PREFETCH_HITS, QDOM_COMMANDS
 
 
-class _NullContext:
-    """Stand-in span context for VNodes without an instrument."""
+def command_span(obs, name, node):
+    """The span of one QDOM command ``name`` arriving at ``node``;
+    counts the command on ``obs`` (``None``: no instrument)."""
+    if obs is None:
+        return NULL_SPAN
+    obs.incr(QDOM_COMMANDS)
+    return obs.command_span(name, kind="navigation", oid=str(node.oid))
 
-    def __enter__(self):
-        return None
 
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_CONTEXT = _NullContext()
+def force_children(node, count, obs):
+    """The engine half of ``d_many``: force the first ``count`` children
+    of ``node`` (all when ``None``) and return how many of those are
+    materialized.  Children an earlier command forced count as
+    :data:`~repro.stats.PREFETCH_HITS`.  Wraps nothing: a bulk export
+    reads :meth:`~repro.xmltree.tree.Node.materialized_children`
+    afterwards, and a constructed object forced whole builds no child
+    list."""
+    already = node.materialized_child_count
+    if count is None:
+        if not node.fully_materialized:
+            node.materialize()
+        total = node.materialized_child_count
+    else:
+        node.prefetch_children(count, 0)
+        total = min(count, node.materialized_child_count)
+    if obs is not None and already:
+        obs.incr(PREFETCH_HITS, min(already, total))
+    return total
 
 
 class Provenance:
@@ -146,12 +164,7 @@ class VNode:
 
     def _command(self, name):
         """The span of one QDOM command arriving at this node."""
-        if self.obs is None:
-            return _NULL_CONTEXT
-        self.obs.incr(QDOM_COMMANDS)
-        return self.obs.command_span(
-            name, kind="navigation", oid=str(self.node.oid)
-        )
+        return command_span(self.obs, name, self.node)
 
     # -- the QDOM navigation commands (Section 2) -------------------------------------
 
@@ -177,24 +190,11 @@ class VNode:
         """``d_many(p, k)``: the first ``count`` children (all when
         ``None``) under **one** command span — the bulk-navigation
         command of block execution.  Children forced by an earlier
-        prefetch are counted as hits; the rest are forced in
-        ``prefetch``-sized steps."""
+        prefetch are counted as hits (:func:`force_children`)."""
         with self._command("d_many"):
             self.note_demand(self.prefetch if count is None else count)
             node = self.node
-            already = node.materialized_child_count
-            step = self.prefetch
-            if count is None:
-                while not node.fully_materialized:
-                    node.prefetch_children(
-                        node.materialized_child_count + step, 0
-                    )
-                total = node.materialized_child_count
-            else:
-                node.prefetch_children(count, 0)
-                total = min(count, node.materialized_child_count)
-            if self.obs is not None and already:
-                self.obs.incr(PREFETCH_HITS, min(already, total))
+            total = force_children(node, count, self.obs)
             return [
                 self._wrap_child(node.child(i), i) for i in range(total)
             ]

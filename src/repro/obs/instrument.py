@@ -153,7 +153,6 @@ class Instrument:
             if parent is None:
                 self._traces.append(span)
 
-    @contextmanager
     def operator_span(self, name, key=None, kind="operator", **attrs):
         """A merged child span under the current span (``None`` outside
         a trace, where nothing is recorded).
@@ -163,22 +162,21 @@ class Instrument:
         by one navigation is one span with ``calls=40``.  The engines
         key on the plan node's token and add the tuples the node
         produced to the span's ``rows``.
+
+        The engines open one per pulled block, so the returned context
+        is a plain class rather than a generator; it is meant to be
+        entered right away, as in ``with obs.operator_span(...)``.
         """
         stack = self._stack
         if not stack:
-            yield None
-            return
-        span = stack[-1].merged_child(
-            key or name, lambda: self._fresh_span(name, kind, attrs)
-        )
-        stack.append(span)
-        span.calls += 1
-        start = time.perf_counter()
-        try:
-            yield span
-        finally:
-            span.elapsed += time.perf_counter() - start
-            stack.pop()
+            return NULL_SPAN
+        parent = stack[-1]
+        span = parent._merged.get(key or name)
+        if span is None:
+            span = parent.merged_child(
+                key or name, lambda: self._fresh_span(name, kind, attrs)
+            )
+        return _Entered(stack, span)
 
     def event(self, name, detail=None, **attrs):
         """Record a point event on the active span (no-op outside one)."""
@@ -204,3 +202,43 @@ class Instrument:
             "{}={}".format(k, v) for k, v in sorted(self.snapshot().items())
         )
         return "Instrument({})".format(parts)
+
+
+class _Entered:
+    """The context of one entry into a merged span: pushed on the
+    thread's stack for the block, its time added on the way out."""
+
+    __slots__ = ("_stack", "_span", "_start")
+
+    def __init__(self, stack, span):
+        self._stack = stack
+        self._span = span
+
+    def __enter__(self):
+        span = self._span
+        self._stack.append(span)
+        span.calls += 1
+        self._start = time.perf_counter()
+        return span
+
+    def __exit__(self, *exc):
+        self._span.elapsed += time.perf_counter() - self._start
+        self._stack.pop()
+        return False
+
+
+class _NullSpan:
+    """A span context that records nothing and yields ``None``."""
+
+    __slots__ = ()
+
+    def __enter__(self):
+        return None
+
+    def __exit__(self, *exc):
+        return False
+
+
+#: The context of an operator span outside any trace, and of a command
+#: on a node without an instrument.
+NULL_SPAN = _NullSpan()

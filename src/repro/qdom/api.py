@@ -11,6 +11,8 @@ to, so that ``q(query, p)`` can decontextualize.
 
 from __future__ import annotations
 
+import sys
+
 
 class QdomNode:
     """A client handle on one node of a virtual query result.
@@ -122,11 +124,13 @@ class QdomNode:
         ``d``/``r``/``fl`` commands.  This is the deep lazy walk E-BLOCK
         measures, and what the server's ``walk`` op serves.
         """
-        from repro.engine.vtree import VNode
+        from repro.engine.vtree import command_span, force_children
 
         steps = []
-        remaining = [float("inf") if budget is None else budget]
+        append = steps.append
+        remaining = sys.maxsize if budget is None else budget
         vnode = self._vnode
+        obs = vnode.obs
         bulk = vnode.prefetch > 1
         vnode.note_demand(vnode.prefetch)
 
@@ -136,37 +140,43 @@ class QdomNode:
             # locally, with no further commands.  Only nodes still owing
             # a lazy tail cost a command (and its span), which forces no
             # more children than the budget left can land on.
-            if remaining[0] <= 0:
+            nonlocal remaining
+            if remaining <= 0:
                 return
             fields = node.row_fields
             if fields is not None:
                 # An unread tuple object: its field/value steps come
                 # straight from the row, within the budget.
                 for name, value in fields:
-                    for step in ([depth, name], [depth + 1, value]):
-                        if remaining[0] <= 0:
-                            return
-                        remaining[0] -= 1
-                        steps.append(step)
+                    if remaining < 2:
+                        if remaining:
+                            remaining = 0
+                            append([depth, name])
+                        return
+                    remaining -= 2
+                    append([depth, name])
+                    append([depth + 1, value])
                 return
             if not node.fully_materialized:
-                VNode(node, obs=vnode.obs, prefetch=vnode.prefetch).down_many(
-                    None if budget is None else remaining[0]
-                )
+                with command_span(obs, "d_many", node):
+                    force_children(
+                        node, None if budget is None else remaining, obs
+                    )
             for child in node.materialized_children():
-                if remaining[0] <= 0:
+                if remaining <= 0:
                     return
-                remaining[0] -= 1
-                steps.append([depth, child.label])
+                remaining -= 1
+                append([depth, child.label])
                 rec_bulk(child, depth + 1)
 
         def rec_seed(node, depth):
+            nonlocal remaining
             child = node.d()
-            while child is not None and remaining[0] > 0:
-                remaining[0] -= 1
-                steps.append([depth, child.fl()])
+            while child is not None and remaining > 0:
+                remaining -= 1
+                append([depth, child.fl()])
                 rec_seed(child, depth + 1)
-                if remaining[0] <= 0:
+                if remaining <= 0:
                     return
                 child = child.r()
 
@@ -180,7 +190,7 @@ class QdomNode:
             # pins ``vnode`` — the whole walked answer — until a full
             # collection, however long ago the client let go of it.
             rec_bulk = rec_seed = None
-        return steps, remaining[0] <= 0
+        return steps, remaining <= 0
 
     def find(self, label):
         """First child with the given label, or ``None``."""

@@ -233,35 +233,45 @@ class Database:
         return tuple(bound[column] for column in key_columns)
 
     def _row_predicate(self, table, predicates):
-        """Compile WHERE predicates into a single-row test for DML."""
-        compiled = []
-        for p in predicates:
-            left = self._dml_operand(table, p.left)
-            right = self._dml_operand(table, p.right)
-            compiled.append((left, p.op, right))
+        """Compile WHERE predicates into one single-row test for DML.
+
+        Each operand is resolved once, to a column index or a literal
+        value, so a row pays one call of the test and one
+        :func:`compare` per predicate."""
+        terms = [
+            (self._dml_operand(table, p.left), p.op,
+             self._dml_operand(table, p.right))
+            for p in predicates
+        ]
+        if len(terms) == 1:
+            (left, __), op, (right, value) = terms[0]
+            if left is not None and right is None:
+                return lambda row: compare(row[left], op, value)
 
         def test(row):
-            return all(
-                compare(lhs(row), op, rhs(row)) for lhs, op, rhs in compiled
-            )
+            for (left, literal), op, (right, value) in terms:
+                if not compare(literal if left is None else row[left], op,
+                               value if right is None else row[right]):
+                    return False
+            return True
 
         return test
 
     @staticmethod
     def _dml_operand(table, operand):
+        """``(column index, None)`` for a column, ``(None, value)`` for a
+        literal."""
         if isinstance(operand, ast.Param):
             raise SqlError("DML takes no parameters ({!r})".format(operand))
         if isinstance(operand, ast.Literal):
-            value = operand.value
-            return lambda row: value
+            return None, operand.value
         if operand.qualifier not in (None, table.schema.name):
             raise SchemaError(
                 "DML predicates may only reference {!r}".format(
                     table.schema.name
                 )
             )
-        idx = table.schema.column_index(operand.column)
-        return lambda row, i=idx: row[i]
+        return table.schema.column_index(operand.column), None
 
     def __repr__(self):
         return "Database({}, tables={})".format(self.name, self.table_names())

@@ -153,7 +153,9 @@ def prefix_has_error_stub(root):
     Walks only children that navigation has forced so far — nothing is
     pulled, so this is safe on live lazy trees — and never into a tuple
     object whose fields are unbuilt: no stub and no lazy tail live in
-    one, and reading them would build it.  The navigation memo
+    one, and reading them would build it.  An unbuilt constructed
+    object's children are read off its bindings
+    (``materialized_children``), building nothing.  The navigation memo
     uses it as a poison check: a degraded or failure-truncated prefix
     disqualifies a cached result even if the damage happened after the
     entry was stored.

@@ -84,9 +84,13 @@ def is_int(value):
 
 
 def encode_frame(obj):
-    """One reply/request dict to its wire bytes (JSON + newline)."""
-    return (json.dumps(obj, separators=(", ", ": "),
-                       ensure_ascii=False) + "\n").encode("utf-8")
+    """One reply/request dict to its wire bytes (JSON + newline).
+
+    No circularity check: every frame is built fresh from dicts, lists
+    and scalars, none shared with another, and the check's id tracking
+    was half the cost of a large ``walk`` reply."""
+    return (json.dumps(obj, separators=(", ", ": "), ensure_ascii=False,
+                       check_circular=False) + "\n").encode("utf-8")
 
 
 def decode_frame(data, max_bytes=MAX_FRAME_BYTES):

@@ -12,12 +12,13 @@ from repro.xmltree.tree import Node
 
 
 def _escape(text):
-    return (
-        str(text)
-        .replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-    )
+    text = str(text)
+    if "&" in text or "<" in text or ">" in text:
+        return (
+            text.replace("&", "&amp;").replace("<", "&lt;")
+            .replace(">", "&gt;")
+        )
+    return text
 
 
 def serialize(node, indent=None, show_oids=False):
@@ -37,15 +38,8 @@ def serialize(node, indent=None, show_oids=False):
 
 
 def _render(node, parts, indent, depth, show_oids):
-    fields = node.row_fields
-    if fields is not None and indent is None and not show_oids:
-        # An unread tuple object renders from its row, as its built
-        # field elements would: each is a one-leaf element.
-        tag = str(node.label)
-        parts.append("<{}>{}</{}>".format(tag, "".join([
-            "<{0}>{1}</{0}>".format(name, _escape(value))
-            for name, value in fields
-        ]), tag))
+    if indent is None and not show_oids:
+        _render_compact(node, parts)
         return
     pad = " " * (indent * depth) if indent is not None else ""
     oid_note = "<!--{}-->".format(node.oid) if show_oids else ""
@@ -64,6 +58,37 @@ def _render(node, parts, indent, depth, show_oids):
     for child in node.children:
         _render(child, parts, indent, depth + 1, show_oids)
     parts.append("{}</{}>".format(pad, tag))
+
+
+def _render_compact(node, parts):
+    """The single-line rendering.  Without padding or oid notes a
+    leaf-only element's text is its children's rendered one after the
+    other, so no child is asked whether it is a leaf before its turn:
+    each subtree is forced as it is rendered, in document order."""
+    fields = node.row_fields
+    if fields is not None:
+        # An unread tuple object renders from its row, as its built
+        # field elements would: each is a one-leaf element.
+        tag = str(node.label)
+        parts.append("<{}>{}</{}>".format(tag, "".join([
+            "<{0}>{1}</{0}>".format(name, _escape(value))
+            for name, value in fields
+        ]), tag))
+        return
+    if node.bindings is not None:
+        # An unbuilt constructed object renders from its bindings.
+        node.materialize()
+        children = node.materialized_children()
+    else:
+        children = node.children
+    if not children:
+        parts.append(_escape(node.label))
+        return
+    tag = str(node.label)
+    parts.append("<{}>".format(tag))
+    for child in children:
+        _render_compact(child, parts)
+    parts.append("</{}>".format(tag))
 
 
 def to_python(node):

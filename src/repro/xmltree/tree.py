@@ -183,6 +183,9 @@ class Node(LazyPrefix):
     #: The non-NULL ``(field, value)`` pairs of a :class:`TupleObject`
     #: whose field nodes are not built yet; ``None`` on every other node.
     row_fields = None
+    #: The child bindings of a :class:`ConstructedObject` whose child
+    #: list is not built yet; ``None`` on every other node.
+    bindings = None
 
     def __init__(self, oid, label, children=(), lazy_tail=None):
         if not isinstance(label, VALUE_TYPES):
@@ -203,6 +206,11 @@ class Node(LazyPrefix):
     prefetch_children = LazyPrefix.prefetch
     materialized_child_count = LazyPrefix.materialized_count
     materialized_children = LazyPrefix.materialized
+
+    def materialize(self):
+        """Force every child (the whole lazy tail) for a bulk reader,
+        which then reads :meth:`materialized_children`."""
+        self._force(None)
 
     def copy_subtree(self):
         """A fully materialized deep copy of this subtree (forces it).
@@ -366,6 +374,180 @@ class TupleObject(Node):
     @property
     def is_leaf(self):
         return not self.row_fields and not self._items
+
+    def append(self, child):
+        self._force(None)
+        return Node.append(self, child)
+
+
+#: The lazy tail of a :class:`ConstructedObject` whose bindings still
+#: owe children: never resumed — the build replaces it.
+_OWED = iter(())
+
+
+def _binding_prefix(bindings):
+    """The children ``bindings`` hold so far, in order, forcing nothing.
+
+    An element binding is one child; a list binding's items are
+    children, an item that is itself a list expanded one level.  The
+    prefix stops after the first list that is not complete: what a
+    pull through the bindings has produced.
+    """
+    out = []
+    for part in bindings:
+        if isinstance(part, Node):
+            out.append(part)
+            continue
+        for item in part._items:
+            if isinstance(item, Node):
+                out.append(item)
+            else:
+                out.extend(item._items)
+                if item._tail is not None:
+                    return out
+        if part._tail is not None:
+            return out
+    return out
+
+
+def _binding_children(bindings):
+    """The children of ``bindings`` as a lazy stream, pulled as the
+    bindings' lists are: the tail a built :class:`ConstructedObject`
+    forces."""
+    for part in bindings:
+        if isinstance(part, Node):
+            yield part
+            continue
+        for item in part:
+            if isinstance(item, Node):
+                yield item
+            else:
+                yield from item
+
+
+class ConstructedObject(Node):
+    """A ``crElt`` element that stays one node until something reads
+    its children.
+
+    It keeps its label, its skolem oid and the child *bindings* its
+    tuple bound — elements (tuple objects, constructed objects,
+    leaves) and lists (a ``cat``'s operands, an ``apply``'s lazy list)
+    — and builds its child list on the first read through the
+    :class:`Node` interface, under :data:`_FORCE_LOCK`, published once
+    so concurrent first readers get the same list.  Until then:
+
+    * :meth:`materialize` forces the bindings' lists and builds
+      nothing, and :meth:`materialized_children` reads the children
+      off the bindings — the bulk readers (compact serialization,
+      ``walk``, the memo's poison scans) use only these;
+    * it reports what the element it stands for would: materialized
+      while no binding owes a lazy tail and nothing is left to pull —
+      an element over lists has pulled nothing before its first read
+      or :meth:`materialize`; a failure raised while materializing is
+      latched, and the children pulled before it stay its prefix.
+
+    Every child is the binding's own node, so a build draws no oid and
+    the children are the same objects before and after it.
+    """
+
+    __slots__ = ("bindings",)
+
+    def __init__(self, oid, label, bindings):
+        self.oid = oid
+        self.label = label
+        # No list until the build: every reader of ``_items`` builds
+        # first (``_force``, :meth:`item`, :meth:`__iter__`).
+        self._items = ()
+        self._tail = None
+        for part in bindings:
+            if not isinstance(part, Node):
+                self._tail = _OWED
+                break
+        self._broken = None
+        self.bindings = bindings
+
+    def _build(self):
+        _FORCE_LOCK.acquire()
+        try:
+            bindings = self.bindings
+            if bindings is None:
+                return
+            if self._tail is None or self._broken is not None:
+                self._items = _binding_prefix(bindings)
+            else:
+                self._items = []
+                self._tail = _binding_children(bindings)
+            self.bindings = None
+        finally:
+            _FORCE_LOCK.release()
+
+    def _force(self, count):
+        if self.bindings is not None:
+            self._build()
+        if self._tail is not None:
+            LazyPrefix._force(self, count)
+
+    def item(self, index):
+        if self.bindings is not None:
+            self._build()
+        return LazyPrefix.item(self, index)
+
+    child = item
+
+    def __iter__(self):
+        if self.bindings is not None:
+            self._build()
+        return LazyPrefix.__iter__(self)
+
+    def materialize(self):
+        if self._tail is None:
+            return
+        _FORCE_LOCK.acquire()
+        try:
+            if self.bindings is None:
+                LazyPrefix._force(self, None)
+                return
+            if self._broken is not None:
+                raise self._broken
+            try:
+                for part in self.bindings:
+                    if isinstance(part, Node):
+                        continue
+                    # Pull by pull, forcing a list item whole before the
+                    # next pull, as the built child stream would.
+                    items = part._items
+                    index = 0
+                    while index < len(items) or part._pull():
+                        if index < len(items):
+                            item = items[index]
+                            index += 1
+                            if not isinstance(item, Node):
+                                item._force(None)
+            except Exception as exc:
+                self._broken = exc
+                raise
+            self._tail = None
+        finally:
+            _FORCE_LOCK.release()
+
+    @property
+    def materialized_count(self):
+        bindings = self.bindings
+        if bindings is None or (self._tail is not None
+                                and self._broken is None):
+            return len(self._items)
+        return len(_binding_prefix(bindings))
+
+    materialized_child_count = materialized_count
+
+    def materialized(self):
+        bindings = self.bindings
+        if bindings is None or (self._tail is not None
+                                and self._broken is None):
+            return list(self._items)
+        return _binding_prefix(bindings)
+
+    materialized_children = materialized
 
     def append(self, child):
         self._force(None)

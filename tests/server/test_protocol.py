@@ -73,6 +73,46 @@ class TestFrames:
         with pytest.raises(ProtocolError):
             protocol.decode_frame(protocol.encode_frame(frame))
 
+    def test_unchecked_encoding_matches_the_checked_one(self, monkeypatch):
+        """``encode_frame`` skips json's circularity check; on every
+        reply of a served session its bytes are the checked ones."""
+        from repro.server import LoopbackClient
+        from tests.server.conftest import make_service
+        from tests.server.test_unread_tuple_objects import (
+            JOIN_VIEW, REFINE,
+        )
+
+        replies = []
+        encode = protocol.encode_frame
+
+        def recorded(obj):
+            replies.append((obj, encode(obj)))
+            return replies[-1][1]
+
+        monkeypatch.setattr(protocol, "encode_frame", recorded)
+        with LoopbackClient(make_service()) as client:
+            session = client.call("open")["session"]
+            root = client.call("query", session=session,
+                               query=JOIN_VIEW)["node"]
+            record = client.call("d", session=session, node=root)["node"]
+            client.call("fl", session=session, node=record)
+            client.call("children", session=session, node=record)
+            client.call("walk", session=session, node=root)
+            refined = client.call("q", session=session, node=root,
+                                  query=REFINE)["node"]
+            client.call("tree", session=session, node=refined)
+            client.call("sql", statements=["SELECT * FROM orders"])
+            client.call("stats")
+            with pytest.raises(ServerReplyError):
+                client.call("d", session=session, node=10 ** 6)
+            client.call("close", session=session)
+        # The client encodes its requests through the same function.
+        assert sum("ok" in obj for obj, __ in replies) == 12
+        for obj, data in replies:
+            assert data == (json.dumps(
+                obj, separators=(", ", ": "), ensure_ascii=False,
+            ) + "\n").encode("utf-8")
+
     def test_recover_id_from_broken_frames(self):
         assert protocol.recover_id(b'{"id": 9, "op": 7}') == 9
         assert protocol.recover_id(b'{"id": "x", "op": "d"}') is None

@@ -1,9 +1,11 @@
-"""Bulk reads render relational tuple objects from their rows.
+"""Bulk reads render tuple and constructed objects from what they hold.
 
 A served ``walk`` and ``tree`` and the navigation memo's poison check
-never need a tuple object's field nodes, so a session made of them
-builds none (``TupleObject._build`` is counted).  A ``d`` into a tuple
-object does build, and lands on the oid the eager build would give.
+never need a tuple object's field nodes or a constructed element's
+child list, so a session made of them builds none
+(``TupleObject._build`` and ``ConstructedObject._build`` are counted).
+A ``d`` into either does build, and lands on the oid the eager build
+would give.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.server import LoopbackClient
-from repro.xmltree.tree import TupleObject
+from repro.xmltree.tree import ConstructedObject, TupleObject
 
 from tests.server.conftest import make_service
 
@@ -42,6 +44,22 @@ def builds(monkeypatch):
     return built
 
 
+@pytest.fixture
+def child_lists(monkeypatch):
+    """The labels of the constructed elements whose child list was
+    built while the test runs."""
+    built = []
+    original = ConstructedObject._build
+
+    def counted(self):
+        if self.bindings is not None:
+            built.append(self.label)
+        original(self)
+
+    monkeypatch.setattr(ConstructedObject, "_build", counted)
+    return built
+
+
 def deep_walk_session(client):
     session = client.call("open")["session"]
     root = client.call("query", session=session, query=JOIN_VIEW)["node"]
@@ -57,17 +75,19 @@ def deep_walk_session(client):
 
 
 @pytest.mark.parametrize("cache", [False, True])
-def test_a_deep_walk_session_builds_no_field_node(builds, cache):
+def test_a_deep_walk_session_builds_no_field_node(builds, child_lists,
+                                                  cache):
     with LoopbackClient(make_service(cache=cache)) as client:
         steps, xml = deep_walk_session(client)
         again = deep_walk_session(client)
     assert builds == []
+    assert child_lists == []
     assert (steps, xml) == again
     assert [2, "id"] in steps and [3, "XYZ"] in steps
     assert "<customer><id>XYZ</id><name>XYZInc.</name>" in xml
 
 
-def test_a_nav_memo_hit_checks_poison_without_building(builds):
+def test_a_nav_memo_hit_checks_poison_without_building(builds, child_lists):
     service = make_service(cache=True)
     memo = service.mediator.cache_stats
     with LoopbackClient(service) as client:
@@ -79,6 +99,7 @@ def test_a_nav_memo_hit_checks_poison_without_building(builds):
         client.call("close", session=session)
     assert memo()["nav_memo"]["hits"] == 2
     assert builds == []
+    assert child_lists == []
 
 
 def test_d_into_a_tuple_object_builds_it_with_the_eager_oids(builds):
@@ -94,3 +115,31 @@ def test_d_into_a_tuple_object_builds_it_with_the_eager_oids(builds):
     assert builds == ["id", "name", "addr"]
     assert (field["label"], value["label"]) == ("id", "XYZ")
     assert value["oid"] != field["oid"]
+
+
+@pytest.mark.parametrize("cache", [False, True])
+def test_navigation_builds_one_child_list_per_element_entered(child_lists,
+                                                              cache):
+    with LoopbackClient(make_service(cache=cache)) as client:
+        session = client.call("open")["session"]
+
+        def call(op, node):
+            return client.call(op, session=session, node=node)
+
+        root = client.call("query", session=session, query=JOIN_VIEW)
+        record = call("d", root["node"])
+        call("fl", record["node"])
+        record = call("r", record["node"])
+        assert child_lists == []
+        customer = call("d", record["node"])
+        assert child_lists == ["CustRec"]
+        info = call("r", customer["node"])
+        assert call("fl", info["node"])["label"] == "OrderInfo"
+        order = call("d", info["node"])
+        assert call("fv", order["node"])["value"] is None
+        field = call("d", order["node"])
+        call("r", field["node"])
+        assert child_lists == ["CustRec", "OrderInfo"]
+        call("d", customer["node"])
+        call("fl", record["node"])
+        assert child_lists == ["CustRec", "OrderInfo"]
