@@ -33,12 +33,13 @@ import itertools
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
 
 from repro.obs.span import Span
 
-#: Root traces retained per instrument (older ones are evicted).
-TRACE_CAPACITY = 256
+#: Root traces retained per instrument (older ones are evicted): about
+#: three ``deep_walk`` sessions of served requests.  Nothing in the
+#: mediator reads more than :meth:`Instrument.last_trace`.
+TRACE_CAPACITY = 32
 
 
 class Instrument:
@@ -90,16 +91,9 @@ class Instrument:
         del self._stack[:]
         self._traces.clear()
 
-    @contextmanager
     def timer(self, name):
         """Context manager accumulating wall-clock seconds under ``name``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            with self._lock:
-                self._timers[name] = self._timers.get(name, 0.0) + elapsed
+        return _Timer(self, name)
 
     def elapsed(self, name):
         """Total seconds accumulated by :meth:`timer` under ``name``."""
@@ -131,27 +125,21 @@ class Instrument:
             "s{}".format(next(self._span_ids)), name, kind, attrs
         )
 
-    @contextmanager
     def command_span(self, name, kind="navigation", **attrs):
         """One span per occurrence — QDOM commands and query stages.
 
         When no trace is active, the span becomes the root of a new
-        trace, recorded under :meth:`traces` on completion.
+        trace, recorded under :meth:`traces` on completion.  Like
+        :meth:`operator_span`, the returned context is a plain class
+        (one opens per served request and per QDOM command), to be
+        entered right away.
         """
+        stack = self._stack
         span = self._fresh_span(name, kind, attrs)
-        parent = self._stack[-1] if self._stack else None
-        if parent is not None:
-            parent.add_child(span)
-        self._stack.append(span)
-        span.calls += 1
-        start = time.perf_counter()
-        try:
-            yield span
-        finally:
-            span.elapsed += time.perf_counter() - start
-            self._stack.pop()
-            if parent is None:
-                self._traces.append(span)
+        if stack:
+            stack[-1].add_child(span)
+            return _Entered(stack, span)
+        return _Root(stack, span, self._traces)
 
     def operator_span(self, name, key=None, kind="operator", **attrs):
         """A merged child span under the current span (``None`` outside
@@ -224,6 +212,43 @@ class _Entered:
     def __exit__(self, *exc):
         self._span.elapsed += time.perf_counter() - self._start
         self._stack.pop()
+        return False
+
+
+class _Root(_Entered):
+    """The context of a root command span: on the way out, the span
+    joins the trace ring."""
+
+    __slots__ = ("_traces",)
+
+    def __init__(self, stack, span, traces):
+        _Entered.__init__(self, stack, span)
+        self._traces = traces
+
+    def __exit__(self, *exc):
+        _Entered.__exit__(self, *exc)
+        self._traces.append(self._span)
+        return False
+
+
+class _Timer:
+    """The context of one :meth:`Instrument.timer` block."""
+
+    __slots__ = ("_instrument", "_name", "_start")
+
+    def __init__(self, instrument, name):
+        self._instrument = instrument
+        self._name = name
+
+    def __enter__(self):
+        self._start = time.perf_counter()
+
+    def __exit__(self, *exc):
+        elapsed = time.perf_counter() - self._start
+        instrument, name = self._instrument, self._name
+        with instrument._lock:
+            timers = instrument._timers
+            timers[name] = timers.get(name, 0.0) + elapsed
         return False
 
 

@@ -15,9 +15,21 @@ Two kinds of children exist:
 * *merged* children (operator/source spans) are deduplicated by a key —
   a lazy operator pulled 40 times under one navigation shows up as one
   span with ``calls=40``, not 40 spans.
+
+Most spans record little: an operator span under a navigation gets a
+counter or two and no children, a leaf gets no events.  So a span owns
+a container only once it records into it; until then its fields are
+shared empties (``()`` and one read-only mapping), and a kept trace
+costs the collector what it holds, not five containers per span.
 """
 
 from __future__ import annotations
+
+from types import MappingProxyType
+
+#: The mapping every span reads for attributes, counters and merged
+#: children it has not recorded (read-only, so no span writes into it).
+_EMPTY = MappingProxyType({})
 
 
 class Span:
@@ -43,6 +55,11 @@ class Span:
             :func:`~repro.obs.tokens.node_token`); ``None`` otherwise.
         rows: tuples the operator's plan node produced while this span
             was current (``EXPLAIN ANALYZE`` sums them per ``key``).
+
+    ``children`` and ``events`` are a tuple, ``attributes`` and
+    ``counters`` a read-only mapping, until the span first records into
+    them; callers only read them, and record through the building
+    methods.
     """
 
     __slots__ = (
@@ -64,21 +81,27 @@ class Span:
         self.span_id = span_id
         self.name = name
         self.kind = kind
-        self.attributes = dict(attributes or {})
-        self.counters = {}
-        self.events = []
-        self.children = []
+        self.attributes = dict(attributes) if attributes else _EMPTY
+        self.counters = _EMPTY
+        self.events = ()
+        self.children = ()
         self.calls = 0
         self.elapsed = 0.0
         self.key = None
         self.rows = 0
-        self._merged = {}
+        self._merged = _EMPTY
 
     # -- building ---------------------------------------------------------------
+    #
+    # A container is empty only while it is the shared one: the span's
+    # own list or dict is made holding its first entry.
 
     def add_child(self, span):
         """Append a command child (one span per occurrence)."""
-        self.children.append(span)
+        if self.children:
+            self.children.append(span)
+        else:
+            self.children = [span]
         return span
 
     def merged_child(self, key, make_span):
@@ -87,17 +110,28 @@ class Span:
         if span is None:
             span = make_span()
             span.key = key
-            self._merged[key] = span
-            self.children.append(span)
+            if self._merged:
+                self._merged[key] = span
+            else:
+                self._merged = {key: span}
+            self.add_child(span)
         return span
 
     def bump(self, counter, amount=1):
         """Attribute a counter increment to this span."""
-        self.counters[counter] = self.counters.get(counter, 0) + amount
+        counters = self.counters
+        if counters:
+            counters[counter] = counters.get(counter, 0) + amount
+        else:
+            self.counters = {counter: amount}
 
     def add_event(self, name, detail=None, attrs=None):
         """Record a point event (e.g. ``("sql", "SELECT ...", {...})``)."""
-        self.events.append((name, detail, dict(attrs or {})))
+        event = (name, detail, dict(attrs or {}))
+        if self.events:
+            self.events.append(event)
+        else:
+            self.events = [event]
 
     # -- reading ----------------------------------------------------------------
 

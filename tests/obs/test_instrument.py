@@ -13,6 +13,7 @@ from repro.obs import (
     render_explain,
     trace_to_dict,
     trace_to_json,
+    traces_to_json,
 )
 
 
@@ -140,6 +141,19 @@ def test_trace_export_round_trips_through_json():
     assert decoded["children"][0]["attributes"]["sql"] == "SELECT 1"
     masked = trace_to_dict(inst.last_trace(), mask_times=True)
     assert masked["elapsed_ms"] is None
+
+
+def test_every_trace_of_the_ring_exports_oldest_first():
+    inst = Instrument(trace_capacity=2)
+    assert trace_to_json(inst) == "null"
+    for seq in range(3):
+        with inst.command_span("d", seq=seq):
+            inst.incr("qdom_commands")
+    exported = json.loads(traces_to_json(inst, mask_times=True))
+    assert [trace["attributes"]["seq"] for trace in exported] == [1, 2]
+    assert exported[-1] == trace_to_dict(inst, mask_times=True)
+    with pytest.raises(TypeError):
+        trace_to_dict("not a trace")
 
 
 # -- per-node numbers on operator spans, and stable tokens ---------------------------

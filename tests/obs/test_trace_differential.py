@@ -20,7 +20,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro import Database, Mediator, RelationalWrapper
-from repro.obs import Instrument
+from repro.obs import TRACE_CAPACITY, Instrument
 from repro.stats import SQL_QUERIES
 from repro.xmltree import deep_equals, serialize
 
@@ -61,9 +61,9 @@ workload_queries = st.sampled_from(
 )
 
 
-def build_mediator(customers, orders, lazy):
+def build_mediator(customers, orders, lazy, trace_capacity=TRACE_CAPACITY):
     """A mediator over a fresh instance, with its own instrument."""
-    inst = Instrument()
+    inst = Instrument(trace_capacity=trace_capacity)
     db = Database("diff", stats=inst)
     db.run(
         "CREATE TABLE customer (id TEXT, name TEXT, addr TEXT,"
@@ -149,13 +149,19 @@ def test_lazy_trace_sql_is_subset_of_statements_issued(
     customers, orders, query
 ):
     """Every SQL string a navigation trace claims was issued must have
-    actually reached the database (counted by ``sql_queries``)."""
-    inst, mediator = build_mediator(customers, orders, lazy=True)
+    actually reached the database (counted by ``sql_queries``).  The
+    ring holds one trace per command of the walk — a ``d`` and an ``r``
+    per answer child at most — so every trace is read."""
+    inst, mediator = build_mediator(
+        customers, orders, lazy=True,
+        trace_capacity=len(customers) + len(orders) + 1,
+    )
     root = mediator.query(query)
     inst.clear_traces()
-    node = root.d()
+    node, commands = root.d(), 1
     while node is not None:
-        node = node.r()
+        node, commands = node.r(), commands + 1
+    assert len(inst.traces()) == commands
     traced_sql = []
     for trace in inst.traces():
         for sql in trace.sql_statements():

@@ -6,14 +6,19 @@ record is the bounded trace ring, so once warm-up has filled the ring,
 200 more sessions must leave the memory held by allocations made in
 ``repro/obs`` where it was.  And a served request leaves no cyclic
 garbage: everything it built is freed by reference counting, so peak
-memory does not hang on when the cyclic collector happens to run.
+memory does not hang on when the cyclic collector happens to run.  What
+the ring keeps is light for the collector too: a span owns a container
+only once it records into it.
 """
 
 from __future__ import annotations
 
 import gc
 import tracemalloc
+from types import MappingProxyType
 
+from repro.obs import TRACE_CAPACITY
+from repro.obs.span import Span
 from repro.server import LoopbackClient
 
 from tests.server.conftest import make_service
@@ -46,7 +51,7 @@ RETURN $X
 """
 
 #: Sessions run before the first measurement: at 8 requests (traces) a
-#: session, three times what the 256-trace ring holds.
+#: session, many times what the trace ring holds.
 WARMUP = 100
 SESSIONS = 200
 #: Allowed drift, in bytes, of what ``repro/obs`` holds: a few traces'
@@ -87,7 +92,7 @@ def test_obs_memory_stays_flat_over_served_sessions():
             after = obs_bytes()
     finally:
         tracemalloc.stop()
-    assert len(service.obs.traces()) == 256  # the ring is full
+    assert len(service.obs.traces()) == TRACE_CAPACITY  # the ring is full
     assert after - before < SLACK, (
         "repro/obs kept {} more bytes after {} sessions".format(
             after - before, SESSIONS
@@ -122,3 +127,34 @@ def test_served_sessions_leave_no_cyclic_garbage():
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def tracked_per_span(traces):
+    """Objects reachable from ``traces`` through spans and their
+    containers that the collector tracks, per span."""
+    kept, todo = {}, list(traces)
+    while todo:
+        obj = todo.pop()
+        if id(obj) not in kept:
+            kept[id(obj)] = obj
+            todo.extend(
+                ref for ref in gc.get_referents(obj)
+                if isinstance(ref, (Span, list, tuple, dict, MappingProxyType))
+            )
+    spans = sum(isinstance(obj, Span) for obj in kept.values())
+    return sum(gc.is_tracked(obj) for obj in kept.values()) / spans
+
+
+def test_the_trace_ring_is_light_for_the_collector():
+    service = make_service(cache=False)
+    with LoopbackClient(service) as client:
+        for _ in range(TRACE_CAPACITY):
+            session = client.call("open")["session"]
+            root = client.call("query", session=session, query=JOIN_QUERY)
+            client.call("walk", session=session, node=root["node"])
+            client.call("tree", session=session, node=root["node"])
+            client.call("close", session=session)
+    traces = service.obs.traces()
+    assert len(traces) == TRACE_CAPACITY
+    gc.collect()
+    assert tracked_per_span(traces) <= 3
