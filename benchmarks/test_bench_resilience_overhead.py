@@ -59,7 +59,7 @@ def one_walk_time(wrap):
     gc.disable()
     try:
         start = time.perf_counter()
-        walk_fully(mediator.query(VIEW_QUERY).vnode)
+        walk_fully(mediator.query(VIEW_QUERY))
         return time.perf_counter() - start
     finally:
         gc.enable()

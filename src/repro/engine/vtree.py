@@ -8,9 +8,9 @@ mediator exports.  It supports the paper's navigation commands —
 * ``label()`` — ``fl(p)``: label fetch,
 * ``value()`` — ``fv(p)``: value fetch (leaves only) —
 
-and carries the Section-5 id payload: the variable the node was bound to
+and decodes the Section-5 id payload: the variable the node was bound to
 before ``tD`` and the group-by key values of every enclosing constructed
-element (accumulated from the skolem oids on the way down).  That payload
+element (read off the skolem oids of its parent chain).  That payload
 is exactly what :mod:`repro.composer` decodes to decontextualize a query
 issued from this node.
 """
@@ -97,16 +97,13 @@ class VNode:
     ramp pulls them.
     """
 
-    __slots__ = ("node", "parent", "index", "fixed", "is_root", "obs",
-                 "prefetch", "plan", "demand")
+    __slots__ = ("node", "parent", "index", "obs", "prefetch", "plan",
+                 "demand")
 
-    def __init__(self, node, parent=None, index=0, fixed=None, is_root=False,
-                 obs=None, prefetch=1):
+    def __init__(self, node, parent=None, index=0, obs=None, prefetch=1):
         self.node = node
         self.parent = parent
         self.index = index
-        self.fixed = dict(fixed or {})
-        self.is_root = is_root
         self.obs = obs
         self.prefetch = max(int(prefetch), 1)
         self.plan = None
@@ -123,7 +120,7 @@ class VNode:
         reached from here.  ``plan`` is the answer's
         :class:`~repro.cache.shapes.PreparedPlan`, if it has one.
         """
-        vnode = cls(node, is_root=True, obs=obs, prefetch=prefetch)
+        vnode = cls(node, obs=obs, prefetch=prefetch)
         vnode.plan = plan
         vnode.demand = None if plan is None else plan.demand
         return vnode
@@ -134,13 +131,7 @@ class VNode:
             self.plan.note_demand(min(reached, self.prefetch))
 
     def _wrap_child(self, child, index):
-        fixed = dict(self.fixed)
-        if isinstance(child.oid, Skolem):
-            fixed.update(child.oid.fixed_bindings())
-        return VNode(
-            child, parent=self, index=index, fixed=fixed, obs=self.obs,
-            prefetch=self.prefetch,
-        )
+        return VNode(child, self, index, self.obs, self.prefetch)
 
     def _child_prefetched(self, index):
         """``node.child(index)``, forcing ``prefetch`` children at once.
@@ -226,6 +217,10 @@ class VNode:
     def provenance(self):
         """The decontextualization payload of this node's id.
 
+        Its ``fixed`` bindings fold the skolem oids' group values from
+        the root's first-level node down to this one (the root itself
+        excluded), a deeper binding winning.  Then:
+
         * a constructed node (skolem oid) is addressed by its skolem
           variable;
         * a source element equal to one of the fixed group values is
@@ -234,19 +229,27 @@ class VNode:
         * anything else has ``var=None`` and cannot root an in-place
           query (the paper requires group-by values forming a key).
         """
+        skolems = []
+        vnode = self
+        while vnode.parent is not None:
+            if isinstance(vnode.node.oid, Skolem):
+                skolems.append(vnode.node.oid)
+            vnode = vnode.parent
+        fixed = {}
+        for skolem in reversed(skolems):
+            fixed.update(skolem.fixed_bindings())
         oid = self.node.oid
         if isinstance(oid, Skolem):
-            fixed = dict(self.fixed)
             return Provenance(oid.var, fixed)
-        for var, key in self.fixed.items():
+        for var, key in fixed.items():
             if str(key) == str(oid):
-                return Provenance(var, dict(self.fixed))
-        return Provenance(None, dict(self.fixed))
+                return Provenance(var, fixed)
+        return Provenance(None, fixed)
 
     def require_query_root(self):
         """Validate this node can root an in-place query; returns its
         :class:`Provenance` (raises :class:`NavigationError`)."""
-        if self.is_root:
+        if self.parent is None:
             return Provenance(None, {})
         prov = self.provenance()
         if prov.var is None:

@@ -3,60 +3,69 @@
 "In MIX's implementation the p_i's are really Java objects that are
 resident on the client's memory ... a thin client-side library associates
 with each p_i the object id of the corresponding object exported by the
-mediator."  :class:`QdomNode` is that thin handle: it wraps the engine's
-:class:`~repro.engine.vtree.VNode` (whose structured ids do the heavy
-lifting) together with the mediator and the view plan the node belongs
-to, so that ``q(query, p)`` can decontextualize.
+mediator."  :class:`QdomNode` is that thin handle.  In process it *is*
+the engine's :class:`~repro.engine.vtree.VNode` (whose structured ids do
+the heavy lifting), extended with the mediator and the view plan the
+node belongs to, so that ``q(query, p)`` can decontextualize: one object
+per navigated node.
 """
 
 from __future__ import annotations
 
 import sys
 
+from repro.engine.vtree import (
+    VNode, command_span, force_children, vnode_to_tree,
+)
 
-class QdomNode:
+
+class QdomNode(VNode):
     """A client handle on one node of a virtual query result.
 
     Navigation methods mirror the paper's command names: :meth:`d`
     (down), :meth:`r` (right), :meth:`fl` (label fetch), :meth:`fv`
     (value fetch), and :meth:`q` (query in place).  ``None`` plays the
-    paper's ``⊥``.
+    paper's ``⊥``.  Every node reached from a root carries the root's
+    ``mediator`` and ``view``.
     """
 
-    __slots__ = ("_mediator", "_vnode", "view")
+    __slots__ = ("mediator", "view")
 
-    def __init__(self, mediator, vnode, view):
-        self._mediator = mediator
-        self._vnode = vnode
-        #: The :class:`~repro.cache.shapes.BoundPlan` of the view this
-        #: node belongs to.  Every node of an answer shares it: the
-        #: literals an in-place query composes with ride here, not on
-        #: the root handle.
-        self.view = view
+    @classmethod
+    def root(cls, node, obs=None, prefetch=1, plan=None, mediator=None,
+             view=None):
+        """The handle on an answer root; ``view`` is the
+        :class:`~repro.cache.shapes.BoundPlan` of the view the answer
+        belongs to.  Every node of an answer shares it: the literals an
+        in-place query composes with ride here, not on the root."""
+        handle = super().root(node, obs=obs, prefetch=prefetch, plan=plan)
+        handle.mediator = mediator
+        handle.view = view
+        return handle
+
+    def _wrap_child(self, child, index):
+        handle = QdomNode(child, self, index, self.obs, self.prefetch)
+        handle.mediator = self.mediator
+        handle.view = self.view
+        return handle
 
     # -- navigation (Section 2) ----------------------------------------------------
 
     def d(self):
         """``d(p)``: the first child, or ``None`` on a leaf."""
-        child = self._vnode.down()
-        if child is None:
-            return None
-        return QdomNode(self._mediator, child, self.view)
+        return self.down()
 
     def r(self):
         """``r(p)``: the right sibling, or ``None``."""
-        sibling = self._vnode.right()
-        if sibling is None:
-            return None
-        return QdomNode(self._mediator, sibling, self.view)
+        return self.right()
 
     def fl(self):
         """``fl(p)``: the node's label."""
-        return self._vnode.label()
+        return self.label()
 
     def fv(self):
         """``fv(p)``: the leaf's value, or ``None`` on a non-leaf."""
-        return self._vnode.value()
+        return self.value()
 
     def q(self, query_text):
         """``q(query, p)``: run ``query`` with this node as its root.
@@ -64,7 +73,7 @@ class QdomNode:
         The query's ``document(root)`` refers to this node.  Returns the
         root :class:`QdomNode` of the new virtual answer.
         """
-        return self._mediator.query_from(self, query_text)
+        return self.mediator.query_from(self, query_text)
 
     def d_many(self, count=None):
         """``d_many(p, k)``: the first ``count`` children (all when
@@ -75,11 +84,7 @@ class QdomNode:
         ``block_size=1`` mediators it degrades to a single-step force
         per child but still costs only one command.
         """
-        children = self._vnode.down_many(count)
-        return [
-            QdomNode(self._mediator, child, self.view)
-            for child in children
-        ]
+        return self.down_many(count)
 
     # -- conveniences (not QDOM commands) --------------------------------------------
 
@@ -94,7 +99,7 @@ class QdomNode:
     @property
     def oid(self):
         """The node id the mediator exports for this node."""
-        return self._vnode.node.oid
+        return self.node.oid
 
     def children(self):
         """All children (forces them).
@@ -104,7 +109,7 @@ class QdomNode:
         one-command-per-hop ``d``/``r`` loop, keeping navigation
         transcripts and command counts seed-identical.
         """
-        if self._vnode.prefetch > 1:
+        if self.prefetch > 1:
             return self.d_many()
         out = []
         child = self.d()
@@ -124,15 +129,12 @@ class QdomNode:
         ``d``/``r``/``fl`` commands.  This is the deep lazy walk E-BLOCK
         measures, and what the server's ``walk`` op serves.
         """
-        from repro.engine.vtree import command_span, force_children
-
         steps = []
         append = steps.append
         remaining = sys.maxsize if budget is None else budget
-        vnode = self._vnode
-        obs = vnode.obs
-        bulk = vnode.prefetch > 1
-        vnode.note_demand(vnode.prefetch)
+        obs = self.obs
+        bulk = self.prefetch > 1
+        self.note_demand(self.prefetch)
 
         def rec_bulk(node, depth):
             # A bulk reply ships whole blocks: subtrees that earlier
@@ -182,13 +184,13 @@ class QdomNode:
 
         try:
             if bulk:
-                rec_bulk(vnode.node, 0)
+                rec_bulk(self.node, 0)
             else:
                 rec_seed(self, 0)
         finally:
             # A recursive closure refers to itself: left alone, the pair
-            # pins ``vnode`` — the whole walked answer — until a full
-            # collection, however long ago the client let go of it.
+            # and everything it closes over wait for the cyclic
+            # collector, however long ago the client let go of them.
             rec_bulk = rec_seed = None
         return steps, remaining <= 0
 
@@ -203,21 +205,15 @@ class QdomNode:
 
     def to_tree(self):
         """Materialize the subtree into a plain Node tree."""
-        from repro.engine.vtree import vnode_to_tree
-
-        return vnode_to_tree(self._vnode)
+        return vnode_to_tree(self)
 
     def export_node(self):
         """The subtree's own lazy node, for a bulk export that forces it
         in place: ``serialize(node.export_node())`` is
         ``serialize(node.to_tree())`` without the copy.  Records full
         demand, as :meth:`to_tree` does."""
-        self._vnode.note_demand(self._vnode.prefetch)
-        return self._vnode.node
-
-    def provenance(self):
-        """The decoded Section-5 payload of this node's id."""
-        return self._vnode.provenance()
+        self.note_demand(self.prefetch)
+        return self.node
 
     def last_trace(self):
         """The trace of the most recent command on this node's mediator.
@@ -225,11 +221,7 @@ class QdomNode:
         Each navigation command (``d``/``r``/``fl``/``fv``) completes one
         trace; the returned :class:`~repro.obs.Span` links the command to
         the lazy-operator work (and SQL) it caused."""
-        return self._mediator.stats.last_trace()
-
-    @property
-    def vnode(self):
-        return self._vnode
+        return self.mediator.stats.last_trace()
 
     def __repr__(self):
         return "QdomNode({}:{})".format(self.oid, self.fl())

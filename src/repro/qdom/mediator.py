@@ -28,7 +28,6 @@ from repro.analysis.verifier import assert_plan_verifies
 from repro.composer import compose_at_root, decontextualize
 from repro.engine.lazy import LazyEngine
 from repro.engine.eager import EagerEngine
-from repro.engine.vtree import VNode
 from repro.qdom.api import QdomNode
 from repro.resilience.stub import RAISE, degrades
 from repro.obs import Instrument, explain_analyze, explain_analyze_with_trace
@@ -348,9 +347,9 @@ class Mediator:
             query=_clip_query(query_text),
             oid=str(qdom_node.oid),
         ):
-            vnode = qdom_node.vnode
             provenance = (
-                None if vnode.is_root else vnode.require_query_root()
+                None if qdom_node.parent is None
+                else qdom_node.require_query_root()
             )
             composed, _status, _ = self._prepare(
                 query_text, view, provenance
@@ -362,11 +361,9 @@ class Mediator:
 
     def _handle(self, root, view):
         """The client handle on an answer root (recording demand)."""
-        return QdomNode(
-            self,
-            VNode.root(root, obs=self.stats, prefetch=self.block_size,
-                       plan=view.prepared),
-            view,
+        return QdomNode.root(
+            root, obs=self.stats, prefetch=self.block_size,
+            plan=view.prepared, mediator=self, view=view,
         )
 
     # -- pipeline stages ----------------------------------------------------------------

@@ -56,10 +56,10 @@ class Session:
     def breadcrumbs(self):
         """Labels from the view root down to the current node."""
         trail = []
-        vnode = self.current.vnode
-        while vnode is not None:
-            trail.append(str(vnode.label()))
-            vnode = vnode.parent
+        node = self.current
+        while node is not None:
+            trail.append(str(node.label()))
+            node = node.parent
         return list(reversed(trail))
 
     # -- opening and refining -------------------------------------------------------
@@ -121,14 +121,10 @@ class Session:
     def up(self):
         """Move to the parent (a session convenience; the paper's QDOM
         subset has no up command — the session's breadcrumbs provide it)."""
-        parent = self.current.vnode.parent
+        parent = self.current.parent
         if parent is None:
             raise NavigationError("already at the view root")
-        from repro.qdom.api import QdomNode
-
-        self._current = QdomNode(
-            self._mediator, parent, self.current.view
-        )
+        self._current = parent
         self._record("up", parent.label())
         return self
 

@@ -160,14 +160,7 @@ def prefix_has_error_stub(root):
     disqualifies a cached result even if the damage happened after the
     entry was stored.
     """
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if is_error_stub(node) or getattr(node, "is_broken", False):
-            return True
-        if node.row_fields is None:
-            stack.extend(node.materialized_children())
-    return False
+    return PrefixPoisonWatch(root).poisoned()
 
 
 class PrefixPoisonWatch:

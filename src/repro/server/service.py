@@ -197,7 +197,7 @@ class MediatorService:
             return {"node": None}
         return {
             "node": self.sessions.put(session, qdom_node),
-            "label": qdom_node.vnode.node.label,
+            "label": qdom_node.node.label,
             "oid": str(qdom_node.oid),
         }
 

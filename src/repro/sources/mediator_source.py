@@ -116,15 +116,17 @@ def _qdom_to_node(qdom_node):
 
     Children are produced by lower-mediator navigation commands only as
     the upper engine's navigation reaches them.  Leaves carry their
-    value as the label, per the shared data model.
+    value as the label, per the shared data model.  The ``d`` that tells
+    a leaf from an inner node is also the tail's first step, so each
+    lower node costs one ``d``.
     """
+    first = qdom_node.d()
+    if first is None:  # a leaf: label is the value
+        return Node(str(qdom_node.oid), qdom_node.fl())
 
-    def tail(start=qdom_node):
-        child = start.d()
+    def tail(child=first):
         while child is not None:
             yield _qdom_to_node(child)
             child = child.r()
 
-    if qdom_node.d() is None:  # a leaf: label is the value
-        return Node(str(qdom_node.oid), qdom_node.fl())
     return Node(str(qdom_node.oid), qdom_node.fl(), lazy_tail=tail())

@@ -355,9 +355,9 @@ def test_memo_is_keyed_on_shape_and_values():
     cached, _ = mediator_pair()
     first = cached.query(FILTER.format(100))
     first.children()
-    assert cached.query(FILTER.format(100)).vnode.node is first.vnode.node
+    assert cached.query(FILTER.format(100)).node is first.node
     other = cached.query(FILTER.format(20000))
-    assert other.vnode.node is not first.vnode.node
+    assert other.node is not first.node
     memo = cached.cache_stats()["nav_memo"]
     assert (memo["hits"], memo["misses"], memo["size"]) == (1, 2, 2)
 

@@ -47,12 +47,12 @@ def test_random_walks_keep_state_consistent(commands):
         crumbs = session.breadcrumbs()
         assert crumbs[0] == "list"
         assert crumbs[-1] == str(session.label())
-        # Breadcrumbs match the vnode ancestor chain exactly.
+        # Breadcrumbs match the node's ancestor chain exactly.
         depth = 0
-        vnode = session.current.vnode
-        while vnode is not None:
+        node = session.current
+        while node is not None:
             depth += 1
-            vnode = vnode.parent
+            node = node.parent
         assert depth == len(crumbs)
 
 

@@ -94,3 +94,38 @@ class TestFederatedQuerying:
             "FOR $R IN document(v2)/CustRec RETURN <Top> $R </Top>"
         )
         assert len(result.children()) == 3
+
+
+def label_shape(node):
+    """``(label, [children])`` of a whole plain subtree."""
+    return (node.label, [label_shape(c) for c in node.children])
+
+
+@pytest.mark.parametrize("block_size", [1, 64])
+def test_full_upper_walk_sends_one_lower_d_per_node(block_size):
+    # Each lower node costs one d: an inner node's d is both its leaf
+    # test and its first child, a leaf's answers None.  Every node
+    # below the lower root also costs one fl and one r (the last child's
+    # r answers None); the root itself costs one d.
+    reference = Mediator().add_source(make_paper_wrapper()).query(Q1)
+    lower_tree = reference.to_tree()
+    nodes = sum(1 for _ in lower_tree.iter_subtree())
+
+    lower_stats = Instrument(trace_capacity=10_000)
+    lower = Mediator(stats=lower_stats, block_size=block_size).add_source(
+        make_paper_wrapper()
+    )
+    upper = Mediator(block_size=block_size).add_source(
+        MediatorSource(lower).register_view("v", Q1)
+    )
+    answer = upper.query("FOR $R IN document(v)/CustRec RETURN $R")
+    before = lower_stats.get(statnames.QDOM_COMMANDS)
+    upper_tree = answer.to_tree()
+    commands = [span.name for span in lower_stats.traces()]
+
+    assert commands.count("d") == nodes
+    assert commands.count("r") == commands.count("fl") == nodes - 1
+    assert lower_stats.get(statnames.QDOM_COMMANDS) - before == (
+        3 * nodes - 2
+    )
+    assert label_shape(upper_tree) == label_shape(lower_tree)

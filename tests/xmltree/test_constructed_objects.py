@@ -14,7 +14,6 @@ import pytest
 
 from repro import Instrument
 from repro.algebra.values import Skolem, VList
-from repro.engine.vtree import VNode
 from repro.errors import TransientSourceError
 from repro.qdom.api import QdomNode
 from repro.resilience.stub import degrade_children, is_error_stub
@@ -103,7 +102,7 @@ def shape(node):
 
 
 def walk(node, budget):
-    return QdomNode(None, VNode.root(node, prefetch=64), None).walk(budget)
+    return QdomNode.root(node, prefetch=64).walk(budget)
 
 
 def unbuilt(node):

@@ -14,7 +14,6 @@ import pytest
 
 from repro import Database, Instrument, RelationalWrapper
 from repro.algebra import RQVar
-from repro.engine.vtree import VNode
 from repro.errors import MixError
 from repro.qdom.api import QdomNode
 from repro.sources import SqliteWrapper
@@ -113,7 +112,7 @@ def shape(node):
 
 
 def walk(node, budget):
-    return QdomNode(None, VNode.root(node, prefetch=64), None).walk(budget)
+    return QdomNode.root(node, prefetch=64).walk(budget)
 
 
 CASES = [
