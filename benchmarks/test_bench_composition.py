@@ -97,8 +97,9 @@ def test_composition_answers_agree(threshold, surviving_tenths):
     naive, optimized = composed_plans(threshold)
     __, naive_count = run_and_count(naive, push=False)
     __, opt_count = run_and_count(optimized, push=True)
-    # set semantics: the optimized plan deduplicates CustRecs that the
-    # multiset-faithful naive plan repeats per qualifying order.
+    # The answers agree as sets, the algebra's semantics: the naive
+    # Fig. 12 plan repeats a CustRec once per qualifying order, the
+    # rewritten plan's semijoin keeps it once.
     expected_customers = N_CUSTOMERS * surviving_tenths // 10
     assert opt_count == expected_customers
     assert naive_count >= opt_count

@@ -19,8 +19,8 @@ The three clauses translate separately and compose:
 Group-by fidelity note: when an element's group-by list covers all free
 variables of its content (the inner ``<OrderInfo>$O</OrderInfo>{$O}`` of
 Fig. 3), grouping is pure duplicate elimination.  The paper's Fig. 6 plan
-omits it (keys make duplicates impossible there); we do the same by
-default and emit an explicit ``gBy`` when ``dedup_groups=True``.
+omits it (keys make duplicates impossible there, and the algebra is
+set-based); we do the same.
 """
 
 from __future__ import annotations
@@ -45,15 +45,7 @@ class _Expr:
 
 
 class Translator:
-    """Translates parsed queries into XMAS plans.
-
-    Args:
-        dedup_groups: emit an explicit ``gBy`` for group-by lists that
-            only deduplicate (see module docstring).
-    """
-
-    def __init__(self, dedup_groups=False):
-        self.dedup_groups = dedup_groups
+    """Translates parsed queries into XMAS plans."""
 
     def translate(self, query, root_oid=None):
         """Translate ``query`` (a :class:`QueryExpr`) to a tD-rooted plan."""
@@ -221,7 +213,7 @@ class Translator:
         runs = _split_contents(elem.contents, set(group_vars))
         has_varying = any(kind == "varying" for kind, __ in runs)
         part_var = None
-        if has_varying or self.dedup_groups:
+        if has_varying:
             part_var = state.vars.fresh("$X")
             plan = ops.GroupBy(group_vars, part_var, plan)
         parts = []
@@ -392,12 +384,10 @@ def _flip(op):
     return {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}[op]
 
 
-def translate_query(query, root_oid=None, dedup_groups=False):
+def translate_query(query, root_oid=None):
     """Convenience: translate a parsed query (or query text) to a plan."""
     if isinstance(query, str):
         from repro.xquery.parser import parse_xquery
 
         query = parse_xquery(query)
-    return Translator(dedup_groups=dedup_groups).translate(
-        query, root_oid=root_oid
-    )
+    return Translator().translate(query, root_oid=root_oid)

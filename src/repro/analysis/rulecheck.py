@@ -66,7 +66,6 @@ from repro.rewriter.engine import Rewriter, apply_result
 from repro.rewriter.context import RewriteContext
 from repro.rewriter.rule import (
     declared_contract,
-    is_set_semantics,
     probed_at,
     rule_name,
     validate_rule,
@@ -294,14 +293,13 @@ class RuleReport:
     """Certification verdict for one rule."""
 
     __slots__ = (
-        "name", "contract", "set_semantics", "sites", "unknown_sites",
+        "name", "contract", "sites", "unknown_sites",
         "differential_fired", "diagnostics",
     )
 
-    def __init__(self, name, contract, set_semantics):
+    def __init__(self, name, contract):
         self.name = name
         self.contract = contract
-        self.set_semantics = set_semantics
         #: (plan index, node index) sites where the rule matches.
         self.sites = 0
         #: matching sites whose root schema is statically unknown.
@@ -319,7 +317,6 @@ class RuleReport:
         return {
             "name": self.name,
             "contract": self.contract,
-            "set_semantics": self.set_semantics,
             "sites": self.sites,
             "unknown_sites": self.unknown_sites,
             "differential_fired": self.differential_fired,
@@ -431,7 +428,7 @@ def certify_rules(extension_rules=(), focus=None):
     plans = generate_corpus()
 
     reports = {
-        n: RuleReport(n, declared_contract(r), is_set_semantics(r))
+        n: RuleReport(n, declared_contract(r))
         for n, r in zip(names, all_rules)
     }
     counts: Dict[tuple, int] = {}

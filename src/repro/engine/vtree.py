@@ -261,7 +261,9 @@ class VNode:
         return prov
 
     def __repr__(self):
-        return "VNode({}:{})".format(self.node.oid, self.node.label)
+        return "{}({}:{})".format(
+            type(self).__name__, self.node.oid, self.node.label
+        )
 
 
 def walk_fully(vnode):

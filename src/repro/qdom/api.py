@@ -222,6 +222,3 @@ class QdomNode(VNode):
         trace; the returned :class:`~repro.obs.Span` links the command to
         the lazy-operator work (and SQL) it caused."""
         return self.mediator.stats.last_trace()
-
-    def __repr__(self):
-        return "QdomNode({}:{})".format(self.oid, self.fl())

@@ -193,7 +193,7 @@ class Mediator:
                     raise RuleCertificationError(
                         "strict mediator refuses extension rule {!r}: "
                         "missing explicit certification metadata (name, "
-                        "schema_contract, set_semantics)".format(rule)
+                        "schema_contract)".format(rule)
                     )
             focus = [rule_name(r) for r in rules]
             report = certify_rules(extension_rules=rules, focus=focus)

@@ -53,14 +53,17 @@ class Session:
         """The recorded interaction, one ``(command, detail)`` per step."""
         return list(self._log)
 
+    def _trail(self):
+        """The nodes from the view root down to the current node."""
+        trail, node = [], self.current
+        while node is not None:
+            trail.append(node)
+            node = node.parent
+        return trail[::-1]
+
     def breadcrumbs(self):
         """Labels from the view root down to the current node."""
-        trail = []
-        node = self.current
-        while node is not None:
-            trail.append(str(node.label()))
-            node = node.parent
-        return list(reversed(trail))
+        return [str(node.label()) for node in self._trail()]
 
     # -- opening and refining -------------------------------------------------------
 
@@ -160,8 +163,10 @@ class Session:
         return self._mediator.stats.last_trace()
 
     def __repr__(self):
-        try:
-            where = " / ".join(self.breadcrumbs())
-        except NavigationError:
-            where = "<no view>"
-        return "Session(at {})".format(where)
+        if self._current is None:
+            return "Session(at <no view>)"
+        # The held labels: unlike breadcrumbs(), a repr issues no
+        # counted fl() command.
+        return "Session(at {})".format(
+            " / ".join(str(node.node.label) for node in self._trail())
+        )

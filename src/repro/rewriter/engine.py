@@ -9,8 +9,7 @@ repeats until no rule matches.
 
 Rules are first-class registrable objects (:mod:`repro.rewriter.rule`):
 :meth:`Rewriter.register` appends a validated rule to the priority
-order, rejecting duplicate names and filtering set-semantics-only rules
-when the rewriter runs in multiset mode.
+order, rejecting duplicate names.
 
 Three engine-level behaviors matter for cost and debuggability:
 
@@ -51,7 +50,6 @@ from repro.algebra.plan import (
 from repro.algebra.printer import render_plan
 from repro.rewriter.context import RewriteContext
 from repro.rewriter.rule import (
-    is_set_semantics,
     probed_at,
     rule_name,
     validate_rule,
@@ -99,12 +97,6 @@ class Rewriter:
             the full Table-2 set).  Registration order is application
             priority: at each step the first matching (node, rule) pair
             in (pre-order position, registration order) wins.
-        set_semantics: include rules sound only under the paper's
-            set-based algebra (``rule.set_semantics`` is ``True``,
-            currently join→semijoin).  With ``False`` such rules are
-            *silently skipped at registration* — including extension
-            rules registered later — so every rewrite preserves exact
-            multiset results, which the property tests rely on.
         max_steps: safety bound on rule applications.
         resume_scan: resume scanning near the last replacement instead
             of restarting from the root after every fire (see module
@@ -117,9 +109,7 @@ class Rewriter:
     in :meth:`register`, by replacement.
     """
 
-    def __init__(self, rules=None, set_semantics=True, max_steps=2000,
-                 resume_scan=True):
-        self.set_semantics = set_semantics
+    def __init__(self, rules=None, max_steps=2000, resume_scan=True):
         self.max_steps = max_steps
         self.resume_scan = resume_scan
         self.rules = ()
@@ -143,12 +133,9 @@ class Rewriter:
         (:func:`repro.rewriter.rule.validate_rule`) and rejects
         duplicate names — rule names are the provenance key in EXPLAIN
         and the per-stage verifier, so they must be unambiguous within
-        one rewriter.  Set-semantics-only rules are skipped when the
-        rewriter was built with ``set_semantics=False``.
+        one rewriter.
         """
         validate_rule(rule)
-        if is_set_semantics(rule) and not self.set_semantics:
-            return self
         name = rule_name(rule)
         if any(rule_name(r) == name for r in self.rules):
             raise RewriteError(
@@ -285,6 +272,6 @@ def apply_result(plan, node, result):
     return new_plan
 
 
-def rewrite_plan(plan, set_semantics=True, trace=None):
+def rewrite_plan(plan, trace=None):
     """Convenience wrapper around :class:`Rewriter`."""
-    return Rewriter(set_semantics=set_semantics).rewrite(plan, trace=trace)
+    return Rewriter().rewrite(plan, trace=trace)

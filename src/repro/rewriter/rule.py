@@ -4,7 +4,10 @@ A rule is any object with a ``name`` and an ``apply(node, ctx)`` method
 returning a :class:`RuleResult` or ``None``; subclassing :class:`Rule`
 is the convenient way to get the metadata defaults.  Beyond the
 callable itself, a rule *declares* two facts the engine and the
-certifier (:mod:`repro.analysis.rulecheck`) key on:
+certifier (:mod:`repro.analysis.rulecheck`) key on.  Every rule must
+be sound under the algebra's set semantics: the paper's XMAS algebra is
+set-based, and the mediator answers with the rewritten plan's records,
+compared as a set.
 
 ``schema_contract``
     What the rule promises about the root binding-list schema of any
@@ -19,11 +22,6 @@ certifier (:mod:`repro.analysis.rulecheck`) key on:
     * ``"none"`` — no static promise; the certifier falls back to the
       differential answer-preservation check exclusively.
 
-``set_semantics``
-    ``True`` for rules sound only under the paper's set-based algebra
-    (duplicates may be eliminated).  ``Rewriter(set_semantics=False)``
-    skips them so every rewrite preserves exact multiset results.
-
 ``matches``
     The operator types a match can be rooted at (``(ops.GetD,)``): the
     engine probes the rule only at nodes of those types.  A rule that
@@ -33,7 +31,8 @@ certifier (:mod:`repro.analysis.rulecheck`) key on:
 ``apply``, non-empty name, known contract string) — duck-typed rules
 with missing metadata are accepted with the defaults.
 :func:`is_certifiable` is the stricter test a ``Mediator(strict=True)``
-applies to extension rules: all metadata must be declared explicitly.
+applies to extension rules: the schema contract must be declared
+explicitly.
 """
 
 from __future__ import annotations
@@ -69,7 +68,6 @@ class Rule:
             verifier's ``rewrite[...]`` stages show).
         schema_contract: the declared root-schema promise (see module
             docstring); checked per firing by the certifier.
-        set_semantics: sound only under set semantics when ``True``.
         matches: operator types ``apply`` can return a result for, or
             ``None`` for "any"; ``apply`` must return ``None`` at every
             other node, because the engine no longer asks.
@@ -77,7 +75,6 @@ class Rule:
 
     name = ""
     schema_contract = "preserve"
-    set_semantics = False
     matches: Optional[Tuple[type, ...]] = None
 
     def apply(self, node, ctx):
@@ -98,11 +95,6 @@ def rule_name(rule):
 def declared_contract(rule):
     """The rule's schema contract; defaults to ``"preserve"``."""
     return getattr(rule, "schema_contract", "preserve")
-
-
-def is_set_semantics(rule):
-    """Whether the rule is sound only under set semantics."""
-    return bool(getattr(rule, "set_semantics", False))
 
 
 def probed_at(rule, op_type):
@@ -140,13 +132,11 @@ def validate_rule(rule):
 
 
 def is_certifiable(rule):
-    """Whether the rule declares the *full* metadata a strict mediator
-    demands of extension rules (no defaults assumed)."""
-    if not callable(getattr(rule, "apply", None)):
+    """Whether the rule passes :func:`validate_rule` and declares its
+    ``schema_contract`` explicitly, as a strict mediator demands of
+    extension rules (no default assumed)."""
+    try:
+        validate_rule(rule)
+    except RewriteError:
         return False
-    name = getattr(rule, "name", None)
-    if not isinstance(name, str) or not name:
-        return False
-    if getattr(rule, "schema_contract", None) not in SCHEMA_CONTRACTS:
-        return False
-    return isinstance(getattr(rule, "set_semantics", None), bool)
+    return hasattr(rule, "schema_contract")

@@ -49,7 +49,7 @@ __all__ = [
     "ComposeMkSrcTD", "DEFAULT_RULES", "DeadOperatorElimination",
     "EmptyPropagation", "GetDIntoApply", "GetDPushdown", "GetDThroughCat",
     "GetDThroughCrElt", "JoinToSemiJoin", "Rule", "RuleResult",
-    "SET_SEMANTICS_RULES", "SelectPushdown", "SemiJoinBelowGroupBy",
+    "SelectPushdown", "SemiJoinBelowGroupBy",
 ]
 
 LIST_STEP = Step(Step.LABEL, "list")
@@ -347,14 +347,13 @@ class JoinToSemiJoin(Rule):
     """Live-variable analysis: a join whose one side's bindings feed
     nothing downstream becomes a semijoin (Fig. 20).
 
-    Set-semantics rule: under multiset semantics this also eliminates
-    duplicates of the kept side (the paper's algebra is set-based).
+    Sound because the algebra is set-based: the semijoin keeps one
+    record per kept-side binding where the join kept one per witness.
     """
 
     name = "join-to-semijoin (live variables)"
     schema_contract = "narrow"  # drops the probe side's bindings
     matches = (ops.Join,)
-    set_semantics = True
 
     def apply(self, node, ctx):
         if not isinstance(node, ops.Join):
@@ -464,7 +463,3 @@ DEFAULT_RULES = (
     JoinToSemiJoin(),
     DeadOperatorElimination(),
 )
-
-#: Rules that are sound under multiset (duplicate-preserving) semantics
-#: only; the paper's algebra is set-based, so they are on by default.
-SET_SEMANTICS_RULES = (JoinToSemiJoin,)

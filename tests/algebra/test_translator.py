@@ -121,11 +121,6 @@ class TestReturnClause:
         assert inner_crelt.ch_is_list
         assert isinstance(inner_crelt.input, NestedSrc)
 
-    def test_dedup_groups_adds_inner_gby(self):
-        plan = translate_query(Q1, dedup_groups=True)
-        gbys = find_operators(plan, GroupBy)
-        assert len(gbys) == 2  # outer $C and inner dedup on $O
-
     def test_skolem_args_without_groupby(self):
         plan = translate_query(
             "FOR $A IN document(d)/x RETURN <R> $A </R>"

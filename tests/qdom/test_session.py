@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import stats as sn
 from repro.errors import NavigationError
 from repro.qdom import Mediator, Session
 from tests.conftest import Q1
@@ -107,3 +108,19 @@ class TestLog:
         assert "no view" in repr(session)
         session.open(Q1).down()
         assert "CustRec" in repr(session)
+
+    def test_repr_issues_no_command(self, session):
+        # repr reads the held labels; it must not count as navigation
+        # or push traces into the instrument's ring.
+        session.open(Q1).down().into("customer")
+        node = session.current
+        stats = node.mediator.stats
+        commands = stats.get(sn.QDOM_COMMANDS)
+        traces = len(stats.traces())
+        assert repr(session) == "Session(at list / CustRec / customer)"
+        assert repr(node).startswith("QdomNode(")
+        assert repr(node).endswith(":customer)")
+        assert stats.get(sn.QDOM_COMMANDS) == commands
+        assert len(stats.traces()) == traces
+        assert session.breadcrumbs() == ["list", "CustRec", "customer"]
+        assert stats.get(sn.QDOM_COMMANDS) == commands + 3

@@ -62,10 +62,6 @@ class TestRewriteDriver:
         assert custrec_ids(naive_tree) == custrec_ids(optimized_tree)
         assert custrec_ids(naive_tree) == {"ABC", "DEF"}
 
-    def test_multiset_mode_skips_semijoin_rule(self):
-        optimized = Rewriter(set_semantics=False).rewrite(composed_plan())
-        assert find_operators(optimized, SemiJoin) == []
-
     def test_set_mode_introduces_semijoin(self):
         optimized = Rewriter().rewrite(composed_plan())
         assert len(find_operators(optimized, SemiJoin)) >= 1

@@ -84,6 +84,17 @@ class TestValidation:
         validate_rule(Ducky())  # no explicit contract: fine non-strict
         assert not is_certifiable(Ducky())
 
+    def test_invalid_rule_is_not_certifiable(self):
+        class NoApply:
+            name = "no-apply"
+            schema_contract = "preserve"
+
+        assert not is_certifiable(NoApply())
+
+    def test_base_rule_apply_is_abstract(self):
+        with pytest.raises(NotImplementedError):
+            Rule().apply(getd_plan(), None)
+
     def test_default_rules_are_certifiable(self):
         for rule in DEFAULT_RULES:
             assert is_certifiable(rule), rule
@@ -121,24 +132,6 @@ class TestRegistration:
             rules=[TagRule("second", log2), TagRule("first", log2)]
         ).rewrite(select_plan())
         assert log2[0] == "second"
-
-    def test_multiset_mode_filters_set_semantics_extensions(self):
-        class SetOnly(Rule):
-            name = "ext-set-only"
-            schema_contract = "narrow"
-            set_semantics = True
-
-            def apply(self, node, ctx):
-                return None
-
-        strict_sets = Rewriter(set_semantics=True).register(SetOnly())
-        multiset = Rewriter(set_semantics=False).register(SetOnly())
-        set_names = [getattr(r, "name", "") for r in strict_sets.rules]
-        multi_names = [getattr(r, "name", "") for r in multiset.rules]
-        assert "ext-set-only" in set_names
-        assert "ext-set-only" not in multi_names
-        # The built-in set-semantics rule is filtered the same way.
-        assert not any("join-to-semijoin" in n for n in multi_names)
 
     def test_register_returns_self_for_chaining(self):
         log = []
