@@ -229,3 +229,35 @@ class BoundPlan:
 
     def compose_plan(self):
         return bind_plan(self.prepared.compose_plan, self.values)
+
+
+class DeferredView:
+    """A :class:`BoundPlan` compiled on first use: the view of an
+    in-place answer served from held nodes, whose composed plan only a
+    further ``q`` (or a reader of its plans) needs.  ``prepare()``
+    returns what the mediator's ``_prepare`` does."""
+
+    __slots__ = ("_prepare", "_bound")
+
+    def __init__(self, prepare):
+        self._prepare = prepare
+        self._bound = None
+
+    def _view(self):
+        if self._bound is None:
+            self._bound = self._prepare()[0]
+        return self._bound
+
+    @property
+    def prepared(self):
+        return self._view().prepared
+
+    @property
+    def values(self):
+        return self._view().values
+
+    def exec_plan(self):
+        return self._view().exec_plan()
+
+    def compose_plan(self):
+        return self._view().compose_plan()

@@ -74,6 +74,10 @@ from repro.obs.instrument import Instrument
 from repro.obs.tokens import node_token
 from repro.sources.relational import assemble
 
+#: The prefix of the surrogate oids an engine mints (``&L1``, ...): a
+#: ``tD`` without a root oid of its own takes the first.
+SURROGATES = "L"
+
 
 class LazyEngine:
     """Evaluates XMAS plans by navigation-driven pull.
@@ -108,7 +112,7 @@ class LazyEngine:
         self.block_size = block_size
         self.catalog = catalog
         self.stats = stats or Instrument()
-        self.oids = oids or OidGenerator("L")
+        self.oids = oids or OidGenerator(SURROGATES)
         self.force_stateful_gby = force_stateful_gby
         self._full = Width(block_size, block_size)
         self._ramp = self._full

@@ -125,6 +125,13 @@ class Span:
         else:
             self.counters = {counter: amount}
 
+    def set_attribute(self, name, value):
+        """Record a fact learnt after the span opened."""
+        if self.attributes:
+            self.attributes[name] = value
+        else:
+            self.attributes = {name: value}
+
     def add_event(self, name, detail=None, attrs=None):
         """Record a point event (e.g. ``("sql", "SELECT ...", {...})``)."""
         event = (name, detail, dict(attrs or {}))

@@ -174,6 +174,8 @@ class PrefixPoisonWatch:
     node not yet fully materialized — and the next scan resumes there,
     visiting only growth since last time.  Once the tree is fully
     materialized the frontier is empty and re-checks cost nothing.
+    A clean scan with an empty frontier is also the first fence of an
+    in-place ``q`` answered from held nodes (:meth:`complete`).
 
     Poison latches: a tree once poisoned never becomes clean again (a
     broken tail never resumes; a stub never changes label).
@@ -228,6 +230,11 @@ class PrefixPoisonWatch:
         if not self._poisoned:
             self._frontier = frontier
         return self._poisoned
+
+    def complete(self):
+        """Whether the tree is fully materialized and clean: no open
+        lazy tail, no broken tail, no stub (never forces)."""
+        return not self.poisoned() and not self._frontier
 
 
 def strip_error_stubs(root):

@@ -47,7 +47,6 @@ from repro.algebra.plan import (
     rename_shared,
     replace_operator,
 )
-from repro.algebra.printer import render_plan
 from repro.rewriter.context import RewriteContext
 from repro.rewriter.rule import (
     probed_at,
@@ -72,11 +71,6 @@ class RewriteStep:
         self.plan = plan
         self.fingerprint = fingerprint
         self.index = index
-
-    def render(self):
-        return "-- after {} --\n{}".format(
-            self.rule_name, render_plan(self.plan)
-        )
 
 
 def _operator_types():

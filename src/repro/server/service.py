@@ -309,6 +309,8 @@ class MediatorService:
             for name, value in self.obs.snapshot().items()
             if not name.startswith("time:")
         }
+        # Shown before the first one, so a client can tell "none yet".
+        counters.setdefault(statnames.Q_ANSWERED_LOCALLY, 0)
         return {
             "counters": counters,
             "cache": self.mediator.cache_stats(),

@@ -35,6 +35,7 @@ TABLES_ANALYZED = "tables_analyzed"    # tables profiled by ANALYZE
 BLOCKS_SHIPPED = "blocks_shipped"      # row batches fetched block-at-a-time
 PREFETCH_HITS = "prefetch_hits"        # d/r commands served from a prefetched prefix
 DEMAND_SIZED = "demand_sized"          # evaluations whose first pull started below block_size
+Q_ANSWERED_LOCALLY = "q_answered_locally"  # in-place q answered from held nodes
 
 # Sharding counters (see repro.sources.shard).  A pushed SQL statement
 # scatters to the shard members its predicates cannot rule out; pruned

@@ -155,6 +155,15 @@ def test_a_write_gives_the_span_its_own_container():
     assert busy._merged["gBy#1"].span_id == "s4"
 
 
+def test_an_attribute_set_later_gives_the_span_its_own_mapping():
+    bare, given = Span("s1", "q"), Span("s2", "q", attributes={"oid": "&X"})
+    bare.set_attribute("answer", "held")
+    given.set_attribute("answer", "held")
+    assert bare.attributes == {"answer": "held"}
+    assert given.attributes == {"oid": "&X", "answer": "held"}
+    assert len(Span("s3", "q").attributes) == 0
+
+
 def test_given_attributes_are_copied_not_shared():
     attrs = {"oid": "&X"}
     span = Span("s1", "d", attributes=attrs)

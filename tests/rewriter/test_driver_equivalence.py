@@ -333,7 +333,6 @@ def test_refine_compile_probes_a_third_of_the_parents(corpus):
 
 def test_untraced_rewrite_renders_nothing(corpus, monkeypatch):
     from repro.algebra import printer
-    from repro.rewriter import engine
 
     calls = []
 
@@ -342,7 +341,6 @@ def test_untraced_rewrite_renders_nothing(corpus, monkeypatch):
         return "rendered"
 
     monkeypatch.setattr(printer, "render_plan", counting)
-    monkeypatch.setattr(engine, "render_plan", counting)
     for _, plan in corpus:
         Rewriter().rewrite(plan)
     assert calls == []
