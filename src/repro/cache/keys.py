@@ -16,12 +16,17 @@ whitespace-collapsed text: two spaces inside a string literal are data.
 * :func:`data_fingerprint` — the write-versions of every registered
   source, or ``None`` when any source cannot version its data (an
   unversioned source makes result reuse unsound, so callers skip the
-  navigation memo entirely in that case).
+  navigation memo entirely in that case);
+* :func:`failure_epoch` — the source trouble an instrument has counted
+  (any movement may have left a truncated or degraded prefix in a tree
+  forced since).
 """
 
 from __future__ import annotations
 
 import re
+
+from repro import stats as statnames
 
 #: The pieces of a statement that white space separates, as the SQL
 #: tokenizer sees them: a string literal (one piece, spaces and all), a
@@ -63,3 +68,21 @@ def data_fingerprint(catalog):
             return None
         versions.append(version)
     return tuple(versions)
+
+
+def failure_epoch(obs):
+    """Cumulative source trouble counted on the instrument ``obs``
+    (``0`` without one): failures, timeouts and degraded results.
+
+    Any movement between producing an answer and reusing it may have
+    left a lazily truncated or degraded prefix inside its tree, so a
+    reuse stamped with another epoch is refused (conservative, never
+    stale).
+    """
+    if obs is None:
+        return 0
+    return (
+        obs.get(statnames.SOURCE_FAILURES)
+        + obs.get(statnames.SOURCE_TIMEOUTS)
+        + obs.get(statnames.DEGRADED_RESULTS)
+    )
