@@ -25,10 +25,7 @@ class BindingTuple:
     __slots__ = ("_bindings",)
 
     def __init__(self, bindings=()):
-        if isinstance(bindings, dict):
-            self._bindings = dict(bindings)
-        else:
-            self._bindings = dict(bindings)
+        self._bindings = dict(bindings)
         for var in self._bindings:
             _check_var(var)
 
@@ -165,27 +162,43 @@ def bindings_to_tree(binding_set, oids=None, root_label="list"):
     binding node has one child per variable, labeled with the variable
     name, whose single child is the value subtree (a list value becomes a
     ``list``-labeled node, a nested set recurses).
+
+    Every child list is a lazy tail, so the tree costs only what is read
+    of it: the root pulls one binding tuple per child read, a binding
+    builds its variable nodes as they are read, and a list or nested set
+    value is pulled only as far as it is read.  Oids are drawn from
+    ``oids`` as nodes are built, so their order follows the reads.
     """
     gen = oids or OidGenerator("b")
-    root = Node(gen.fresh(), root_label)
+    return Node(gen.fresh(), root_label,
+                lazy_tail=_binding_nodes(binding_set, gen))
+
+
+class BindingNode(Node):
+    """A ``binding`` node of the Fig.-5 tree (what ``f(p, $V)`` starts
+    from)."""
+
+    __slots__ = ()
+
+
+def _binding_nodes(binding_set, gen):
     for binding_tuple in binding_set:
-        bnode = Node(gen.fresh(), "binding")
-        for var in sorted(binding_tuple.variables()):
-            var_node = Node(gen.fresh(), var)
-            var_node.append(_value_to_tree(binding_tuple.get(var), gen))
-            bnode.append(var_node)
-        root.append(bnode)
-    return root
+        yield BindingNode(gen.fresh(), "binding",
+                          lazy_tail=_var_nodes(binding_tuple, gen))
+
+
+def _var_nodes(binding_tuple, gen):
+    for var in sorted(binding_tuple.variables()):
+        value = binding_tuple.get(var)
+        yield Node(gen.fresh(), var, (_value_to_tree(value, gen),))
 
 
 def _value_to_tree(value, gen):
     if isinstance(value, Node):
         return value
     if isinstance(value, VList):
-        list_node = Node(gen.fresh(), "list")
-        for item in value:
-            list_node.append(_value_to_tree(item, gen))
-        return list_node
+        return Node(gen.fresh(), "list",
+                    lazy_tail=(_value_to_tree(item, gen) for item in value))
     if isinstance(value, BindingSet):
         return bindings_to_tree(value, gen, root_label="set")
     raise MixError("not a XMAS value: {!r}".format(value))

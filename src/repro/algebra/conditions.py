@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from repro.errors import ParameterValueDemanded, PlanError
 from repro.relational.executor import compare
+from repro.relational.types import FLIPPED
 from repro.xmltree.tree import Node, atomize
 from repro.algebra.values import Skolem, value_key
 
 _OPS = ("=", "!=", "<", "<=", ">", ">=")
-_FLIPPED = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 #: Comparison modes.
 VALUE = "value"
@@ -175,7 +175,7 @@ class Condition:
     def flipped(self):
         """The same condition with operands swapped (`$a < $b` -> `$b > $a`)."""
         return Condition(
-            self.right, _FLIPPED[self.op], self.left, mode=self.mode
+            self.right, FLIPPED[self.op], self.left, mode=self.mode
         )
 
     def rename(self, mapping):

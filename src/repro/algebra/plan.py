@@ -141,6 +141,16 @@ def replace_operator(plan, target, replacement):
     return with_subplans(plan, replace_operator, target, replacement)
 
 
+def inline_nested(nested_body, inp_var, group_input):
+    """A copy of ``nested_body`` with each ``nestedSrc(inp_var)`` leaf
+    replaced by a copy of ``group_input``, the plan of the group."""
+    body = clone_plan(nested_body)
+    for node in list(iter_operators(body)):
+        if isinstance(node, ops.NestedSrc) and node.var == inp_var:
+            body = replace_operator(body, node, clone_plan(group_input))
+    return body
+
+
 def rename_shared(plan, mapping):
     """``plan`` with variables substituted per ``mapping``, like
     :func:`rename_vars`, but sharing with ``plan`` every subtree that

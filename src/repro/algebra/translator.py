@@ -30,6 +30,7 @@ from repro.xmltree.paths import Path, Step
 from repro.algebra import operators as ops
 from repro.algebra.conditions import Condition
 from repro.algebra.plan import VarFactory
+from repro.relational.types import FLIPPED
 from repro.xquery import ast as q
 
 _SKOLEM_NAMES = "fghijklmnopqrstuvwxyz"
@@ -149,7 +150,7 @@ class Translator:
             raise TranslationError("constant-only conditions are not useful")
         if lkind == "const":
             # Normalise to var-op-const.
-            condition = Condition.var_const(rval, _flip(op), lval)
+            condition = Condition.var_const(rval, FLIPPED[op], lval)
             expr = _expr_defining(exprs, rval, "<condition>")
             expr.plan = ops.Select(condition, expr.plan)
             return
@@ -378,10 +379,6 @@ def _content_free_vars(content):
     if isinstance(content, q.QueryExpr):
         return content.free_vars()
     return content.free_vars()
-
-
-def _flip(op):
-    return {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}[op]
 
 
 def translate_query(query, root_oid=None):

@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.analysis.diagnostics import Diagnostic
+from repro.relational.types import FLIPPED
 from repro.xmltree.paths import Step
 from repro.xquery import ast
 from repro.xquery.parser import parse_xquery
@@ -289,7 +290,7 @@ class _Linter:
             shape, literal, op = left, right, condition.op
             operand = condition.left
         elif isinstance(right, _Shape) and isinstance(left, ast.Literal):
-            shape, literal, op = right, left, _flip(condition.op)
+            shape, literal, op = right, left, FLIPPED[condition.op]
             operand = condition.right
         else:
             return
@@ -383,11 +384,6 @@ def _return_uses(ret):
     if isinstance(ret, ast.QueryExpr):
         return ret.free_vars()
     return set()
-
-
-def _flip(op):
-    """Mirror a relop so the path is always on the left."""
-    return {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
 
 
 def _interval(op, value) -> Optional[tuple]:

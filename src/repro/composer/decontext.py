@@ -28,7 +28,7 @@ from repro.errors import CompositionError
 from repro.xmltree.paths import Path, Step, WILDCARD
 from repro.algebra import operators as ops
 from repro.algebra.conditions import Condition
-from repro.algebra.plan import iter_operators, replace_operator
+from repro.algebra.plan import inline_nested, iter_operators, replace_operator
 from repro.composer.compose import (
     compose_at_root,
     freshen_against,
@@ -183,7 +183,7 @@ def _body_defining(view_body, var):
         gby = node.input
         if not isinstance(gby, ops.GroupBy) or gby.out_var != node.inp_var:
             continue
-        inlined = _inline_nested_src(nested_body, node.inp_var, gby.input)
+        inlined = inline_nested(nested_body, node.inp_var, gby.input)
         inlined_vars = defined_vars(inlined)
         if inlined_vars is not None and var in inlined_vars:
             return inlined
@@ -196,16 +196,6 @@ def _body_defining(view_body, var):
     raise CompositionError(
         "variable {} is not produced by the view plan".format(var)
     )
-
-
-def _inline_nested_src(nested_body, inp_var, group_input):
-    from repro.algebra.plan import clone_plan
-
-    body = clone_plan(nested_body)
-    for node in list(iter_operators(body)):
-        if isinstance(node, ops.NestedSrc) and node.var == inp_var:
-            body = replace_operator(body, node, clone_plan(group_input))
-    return body
 
 
 def _context_label(view_plan, var):

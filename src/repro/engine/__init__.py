@@ -14,11 +14,13 @@ Two engines share the same operator semantics:
 The lazy engine exposes results as a virtual tree
 (:mod:`repro.engine.vtree`) whose nodes carry the provenance information
 (variable + skolem ids) that decontextualization (Section 5) decodes.
+The same :class:`VNode` navigates one operator's Fig.-5 binding table
+(:mod:`repro.engine.table_nav`, Section 4's per-operator interface).
 """
 
 from repro.engine.eager import EagerEngine, evaluate_eager
 from repro.engine.lazy import LazyEngine
-from repro.engine.table_nav import OperatorTable, TableNode
+from repro.engine.table_nav import OperatorTable
 from repro.engine.vtree import VNode, Provenance
 
 __all__ = [
@@ -26,7 +28,6 @@ __all__ = [
     "LazyEngine",
     "OperatorTable",
     "Provenance",
-    "TableNode",
     "VNode",
     "evaluate_eager",
 ]

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from math import log2
 
+from repro.relational.types import FLIPPED
 from repro.optimizer.selectivity import (
     column_ndv,
     conjunction_selectivity,
@@ -40,9 +41,6 @@ from repro.optimizer.selectivity import (
 #: scan to be chosen (it walks the index's distinct keys, so a barely
 #: selective prefix can cost more than the scan it replaces).
 PARTIAL_PREFIX_THRESHOLD = 0.75
-
-_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
 
 class JoinStep:
     """One planned pipeline step: join ``alias`` into the stream.
@@ -478,7 +476,7 @@ def _column_literal_form(predicate):
     if predicate.left.column is not None and predicate.right.is_literal:
         return predicate.left.column, predicate.op, predicate.right.literal
     if predicate.right.column is not None and predicate.left.is_literal:
-        op = _FLIPPED.get(predicate.op, predicate.op)
+        op = FLIPPED.get(predicate.op, predicate.op)
         return predicate.right.column, op, predicate.left.literal
     return None, predicate.op, None
 

@@ -37,10 +37,10 @@ current is the mediator's to check
 
 from __future__ import annotations
 
-from repro.algebra.conditions import _FLIPPED
 from repro.algebra.plan import all_vars
 from repro.algebra.values import Skolem
 from repro.relational.executor import compare
+from repro.relational.types import FLIPPED
 from repro.xmltree.paths import Step
 from repro.xmltree.tree import Node, TupleObject
 from repro.xquery import ast as q
@@ -185,7 +185,7 @@ def selection(query):
     for comparison in query.conditions:
         left, op, right = comparison.left, comparison.op, comparison.right
         if isinstance(left, q.Literal):
-            left, op, right = right, _FLIPPED[op], left
+            left, op, right = right, FLIPPED[op], left
         if not (isinstance(right, q.Literal)
                 and isinstance(left, q.PathOperand)
                 and isinstance(left.root, q.VarRoot)

@@ -9,6 +9,10 @@ from __future__ import annotations
 
 from repro.errors import TypeMismatchError
 
+#: Each comparison operator mirrored, for moving a literal from the left
+#: operand to the right (``5 < x`` is ``x > 5``).
+FLIPPED = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
 
 class ColumnType:
     """A scalar column type with validation and coercion."""

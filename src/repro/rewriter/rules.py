@@ -35,13 +35,7 @@ from __future__ import annotations
 
 from repro.algebra import operators as ops
 from repro.algebra.conditions import Condition
-from repro.algebra.plan import (
-    all_vars,
-    clone_plan,
-    iter_operators,
-    rename_vars,
-    replace_operator,
-)
+from repro.algebra.plan import all_vars, inline_nested, rename_vars
 from repro.rewriter.rule import Rule, RuleResult
 from repro.xmltree.paths import Path, Step
 
@@ -211,7 +205,7 @@ class GetDIntoApply(Rule):
             return RuleResult(_empty_for(node, ctx))
 
         inner_td = apply_op.plan
-        copy_body = _inline_nested(inner_td.input, apply_op.inp_var, gby.input)
+        copy_body = inline_nested(inner_td.input, apply_op.inp_var, gby.input)
         # Rename every variable of the copy to a fresh primed name.
         rename = {
             var: ctx.vars.fresh(var + "_c")
@@ -224,15 +218,6 @@ class GetDIntoApply(Rule):
             Condition.key_equals(rename.get(g, g), g) for g in gby.group_vars
         )
         return RuleResult(ops.Join(conditions, left, apply_op))
-
-
-def _inline_nested(nested_body, inp_var, group_input):
-    """Replace the ``nestedSrc(inp_var)`` leaf with the group's input."""
-    body = clone_plan(nested_body)
-    for op in list(iter_operators(body)):
-        if isinstance(op, ops.NestedSrc) and op.var == inp_var:
-            body = replace_operator(body, op, clone_plan(group_input))
-    return body
 
 
 class GetDPushdown(Rule):
