@@ -6,8 +6,9 @@ depends on, and every fingerprint is version-based — never time-based.
 Keys are taken from the token structure of the question, never from a
 whitespace-collapsed text: two spaces inside a string literal are data.
 
-* the XQuery side is :mod:`repro.cache.shapes` (shape text + literals
-  of the *parsed* query);
+* the XQuery side is :mod:`repro.cache.shapes` (the query's token
+  sequence with its literals lifted out, by
+  :func:`~repro.xquery.parser.lex_query`, + those literals);
 * :func:`normalize_sql` — layout-insensitive identity of a pushed SQL
   statement;
 * :func:`catalog_shape` — which documents and SQL servers the mediator

@@ -6,12 +6,15 @@ One :class:`CacheManager` per :class:`~repro.qdom.Mediator` owns:
   catalog/view fingerprint to the
   :class:`~repro.cache.shapes.PreparedPlan` that
   parse → translate → rewrite → SQL-split produced, literals unbound.
+  The shape is keyed from the text's tokens
+  (:func:`~repro.xquery.parser.lex_query`), so a hit, a new text of a
+  known shape included, binds without a parse; only a miss parses.
   Plans carry no data, so a plan entry is valid until the catalog's
   shape or the view definitions change (both are part of the key;
   ``define_view`` additionally clears the caches so redefinitions are
   counted as invalidations, not silent key churn).  In front of it,
-  ``text_shapes`` remembers the shape and literals of the texts seen
-  last, so an exact repeat does not pay a parse;
+  ``text_shapes`` remembers the lexer's result for the texts seen
+  last, so an exact repeat does not even scan its text;
 * the **navigation memo** — the same key plus the request's literal
   values and the catalog's *data* fingerprint to the root
   :class:`~repro.xmltree.tree.Node` of a previous answer.  Because
@@ -86,8 +89,9 @@ class CacheManager:
         self.obs = obs
         self.plan_cache = LRUCache(maxsize, obs=obs, prefix="plan_cache")
         self.nav_memo = LRUCache(maxsize, obs=obs, prefix="nav_memo")
-        #: query text -> ``(shape text, literals)``; not a plan level,
-        #: so it counts nothing.
+        #: query text -> ``(shape key, literals, request shape against
+        #: no view)``, the lexer's result for an exact repeat; not a
+        #: plan level, so it counts nothing.
         self.text_shapes = LRUCache(maxsize)
         #: Plan hits that bound at least one literal into a shape.
         self.bound_hits = 0

@@ -5,8 +5,9 @@ a constant far more often than in structure, so the unit of compilation
 is the query **shape** — the query with the literals of its WHERE
 clauses taken out:
 
-* :func:`query_shape` splits a parsed query into the shape's text and
-  the literals, in text order;
+* :func:`~repro.xquery.parser.lex_query` splits a query text into the
+  shape's key — its token sequence with the literals lifted out — and
+  the literals, in text order, without a parse;
 * :func:`assign_slots` numbers the literals — equal ones (same type,
   same spelling) share a slot, so a compile step that compares two
   conditions sees what it would have seen with the constants inline —
@@ -29,10 +30,12 @@ identity.
 
 Not parametrised: the oids that pin an in-place query to its start node
 (they stay part of the key), the constants of ``define_view`` bodies
-(compiled once per definition), and any text whose compile reads a
-literal's value (:class:`~repro.errors.ParameterValueDemanded`) — the
-mediator compiles such a text with its literals inline and the entry is
-keyed on the values as well.
+(compiled once per definition), any text whose parse holds other
+literals than its key lifted (``= 7AND`` parses the literal ``7``), and
+any text whose compile reads a literal's value
+(:class:`~repro.errors.ParameterValueDemanded`) — the mediator compiles
+such a text with its literals inline and the entry is keyed on the
+values as well.
 """
 
 from __future__ import annotations
@@ -41,17 +44,6 @@ from repro.algebra import operators as ops
 from repro.algebra.conditions import Condition, ConstOperand, ParamOperand
 from repro.algebra.plan import with_subplans
 from repro.xquery import ast
-from repro.xquery.printer import render_query
-
-
-class _Hole:
-    """How a lifted literal prints in a shape's text."""
-
-    def __str__(self):
-        return "?"
-
-
-_HOLE = _Hole()
 
 
 def lift_literals(query, replace):
@@ -85,17 +77,6 @@ def _lift_content(item, replace):
             item.group_by, span=item.span,
         )
     return item
-
-
-def query_shape(query):
-    """``(shape text, literals)`` of a parsed query."""
-    literals = []
-
-    def hole(value):
-        literals.append(value)
-        return _HOLE
-
-    return render_query(lift_literals(query, hole)), tuple(literals)
 
 
 def assign_slots(literals, base=()):

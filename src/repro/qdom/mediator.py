@@ -26,7 +26,6 @@ from repro.cache.shapes import (
     DeferredView,
     PreparedPlan,
     parametrise,
-    query_shape,
     request_shape,
 )
 from repro.algebra.translator import Translator
@@ -42,7 +41,13 @@ from repro.obs import Instrument, explain_analyze, explain_analyze_with_trace
 from repro.rewriter import Rewriter, push_to_sources
 from repro.sources.catalog import SourceCatalog
 from repro.xmltree.tree import Node, OidGenerator
-from repro.xquery.parser import parse_xquery
+from repro.xquery.parser import (
+    lex_query,
+    literal_spans,
+    parse_xquery,
+    same_literals,
+)
+from repro.xquery.printer import render_query
 
 #: The :class:`Mediator` keywords that are read-only after ``__init__``.
 _SWITCHES = frozenset((
@@ -434,40 +439,42 @@ class Mediator:
 
     # -- pipeline stages ----------------------------------------------------------------
 
-    def _plan_key(self, query_text, view=None, provenance=None,
-                  parsed=None):
-        """``(key, values, parsed query)`` of a request, or ``None``
-        when it cannot be cached (cache off, or an unrenderable AST).
+    def _plan_key(self, query_text, view=None, provenance=None):
+        """``(key, values, literals)`` of a request, or ``None`` when it
+        cannot be cached (cache off, a text :func:`lex_query` cannot
+        key, or an AST whose text does not carry its literals).
 
         ``key`` binds everything the compiled plan depends on: the
-        query's shape, which of its literals are equal (to each other
-        and to the view's) and their types, the prepared view and
-        start-node context of an in-place query, the catalog's exported
-        documents and the view epoch.  The pipeline switches are fixed
-        at construction and the cache is this mediator's, so no switch
-        is in it.
+        query's shape (its token sequence, literals lifted out), which
+        of its literals are equal (to each other and to the view's) and
+        their types, the prepared view and start-node context of an
+        in-place query, the catalog's exported documents and the view
+        epoch.  The pipeline switches are fixed at construction and the
+        cache is this mediator's, so no switch is in it.
         ``values`` are the literals the plan is bound to — the view's
-        first.  The parsed query is ``None`` for an exact repeat of a
-        text, which does not pay a parse, unless it is ``parsed``
-        already.
+        first.  ``literals`` are the lexer's, which a miss checks its
+        parse against (``None`` for an AST, checked here).  Keying
+        parses nothing.
         """
         if self.cache is None:
             return None
-        query = parsed
-        if isinstance(query_text, str):
-            hit, entry = self.cache.text_shapes.lookup(query_text)
-            if not hit:
-                if query is None:
-                    query = parse_xquery(query_text)
-                entry = self._shape_entry(query)
-                self.cache.text_shapes.store(query_text, entry)
-        else:
+        text = query_text
+        if not isinstance(text, str):
             try:
-                query = query_text
-                entry = self._shape_entry(query)
+                text = render_query(query_text)
             except (AttributeError, TypeError):  # not a query AST
                 return None
+        hit, entry = self.cache.text_shapes.lookup(text)
+        if not hit:
+            lexed = lex_query(text)
+            if lexed is None:
+                return None
+            entry = lexed + (request_shape(*lexed),)
+            self.cache.text_shapes.store(text, entry)
         shape_text, literals, plain = entry
+        if text is not query_text:  # an AST: its text must carry them
+            if not same_literals(query_text, literals):
+                return None
         if view is not None and view.values:
             shape, values = request_shape(shape_text, literals, view.values)
         else:
@@ -484,15 +491,7 @@ class Mediator:
             catalog_shape(self.catalog),
             self._views_epoch,
         )
-        return key, values, query
-
-    @staticmethod
-    def _shape_entry(query):
-        """What ``text_shapes`` keeps of a parsed query: its shape
-        text, its literals, and its :func:`request_shape` against no
-        view (all a plain ``query`` needs)."""
-        shape_text, literals = query_shape(query)
-        return shape_text, literals, request_shape(shape_text, literals)
+        return key, values, literals if text is query_text else None
 
     def prepare(self, query_text):
         """Compile ``query_text`` to ``(exec_plan, compose_plan, status)``.
@@ -514,32 +513,39 @@ class Mediator:
         at its root) when ``view`` is given.  ``parsed`` is the text's
         AST when the caller has parsed it already.
 
-        With the cache on every text goes shape → lookup → (compile
-        once) → bind; its literals are compiled inline only when the
-        compile of its shape reads one
+        With the cache on every text goes shape → lookup → (parse and
+        compile once) → bind; its literals are compiled inline only
+        when its parse holds other literals than its key lifted
+        (:func:`~repro.xquery.parser.same_literals`) or the compile of
+        its shape reads one
         (:class:`~repro.errors.ParameterValueDemanded`).  With the
         cache off nothing is parametrised.
         """
-        request = self._plan_key(query_text, view, provenance, parsed)
+        request = self._plan_key(query_text, view, provenance)
+        query = query_text if parsed is None else parsed
         if request is None:
-            prepared, __ = self._compile(
-                query_text if parsed is None else parsed, view, provenance
-            )
+            prepared, __ = self._compile(query, view, provenance)
             status, memo_key, values = "off", None, ()
         else:
-            key, values, query = request
+            key, values, literals = request
             hit, prepared = self.cache.lookup_plan(key, values)
             status, memo_key = "hit" if hit else "miss", (key, values)
             if not hit:
-                if query is None:
-                    query = parse_xquery(query_text)
-                __, slots, __ = key[0]  # the request's shape
-                try:
-                    prepared, __ = self._compile(
-                        parametrise(query, slots), view, provenance,
-                        templated=True,
-                    )
-                except ParameterValueDemanded:
+                if isinstance(query, str):
+                    query = parse_xquery(query)
+                prepared = None
+                if literals is None or same_literals(
+                    query, literals, literal_spans(query_text)
+                ):
+                    __, slots, __ = key[0]  # the request's shape
+                    try:
+                        prepared, __ = self._compile(
+                            parametrise(query, slots), view, provenance,
+                            templated=True,
+                        )
+                    except ParameterValueDemanded:
+                        pass
+                if prepared is None:  # compiled for these values only
                     prepared, __ = self._compile(query, view, provenance)
                 self.cache.store_plan(key, prepared, values)
         # Verification and rewrite provenance are cached with the plan:

@@ -12,16 +12,31 @@ paper's own examples use:
   both spellings), and the argument may carry a ``&`` prefix.
 
 Keywords are recognised case-insensitively.
+
+:func:`lex_query` is the parser's lexer: it turns a text into the shape
+key the plan cache compiles once and the literals bound into it, with
+the scanner's own comment, white-space, name and number rules.
 """
 
 from __future__ import annotations
+
+import itertools
+import re
+from bisect import bisect_right
 
 from repro.errors import XQueryParseError
 from repro.xmltree.paths import Path, Step, DATA_STEP, WILDCARD
 from repro.xquery import ast
 
 _RELOPS = ("<=", ">=", "!=", "<>", "=", "<", ">")
-_KEYWORDS = {"FOR", "IN", "WHERE", "AND", "RETURN"}
+
+#: The lexical rules, each written once: the scanner reads with them and
+#: :func:`lex_query` tokenizes with them.
+_SPACE = re.compile(r"\s*")
+_NAME_CHARS = r"\w-"
+_NAME = re.compile("[{}]+".format(_NAME_CHARS))
+_NUMBER = re.compile(r"[+-]?\d*(?:\.\d*)?")
+_NUMBER_START = re.compile(r"[+\d-]")
 
 #: Nesting bound for elements/sub-queries.  The grammar is recursive, so
 #: without a bound adversarial input (``"<a>" * 10000``) overflows the
@@ -45,8 +60,6 @@ class _Scanner:
 
     def line_col(self, pos=None):
         """1-based (line, column) of ``pos`` (default: current)."""
-        from bisect import bisect_right
-
         if pos is None:
             pos = self.pos
         line = bisect_right(self._line_starts, pos)
@@ -76,8 +89,7 @@ class _Scanner:
     # -- primitives -------------------------------------------------------------
 
     def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self.pos = _SPACE.match(self.text, self.pos).end()
 
     def eof(self):
         self.skip_ws()
@@ -136,14 +148,11 @@ class _Scanner:
 
     def parse_name(self):
         self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] in "_-"
-        ):
-            self.pos += 1
-        if self.pos == start:
+        match = _NAME.match(self.text, self.pos)
+        if match is None:
             raise self.error("expected a name")
-        return self.text[start : self.pos]
+        self.pos = match.end()
+        return match.group()
 
     def parse_variable(self):
         self.skip_ws()
@@ -164,6 +173,126 @@ def _strip_comments(text):
         cut = line.find("%")
         lines.append(line if cut < 0 else line[:cut])
     return "\n".join(lines)
+
+
+# -- the lexer ------------------------------------------------------------------------
+
+#: How a literal lifted out of a shape key reads in it.
+HOLE = "?"
+
+#: One token after optional white space.  Every run the scanner reads
+#: without skipping white space is one token (group 1): ``data()``, a
+#: string, a word (a name, a number, or both glued: ``5a``, ``AND-5``,
+#: ``1.2.3``), ``</`` and the two-character relops.  Group 2 is a
+#: character the parser never reads outside a string.
+_TOKEN = re.compile(
+    r"{}(?:(data\(\)|\"[^\"]*\"|'[^']*'|[+.{}]+|</|{}|[$,()&/*{{}}])|(\S))"
+    .format(_SPACE.pattern, _NAME_CHARS, "|".join(_RELOPS))
+)
+
+#: The tokens a condition operand follows: the relops and every
+#: spelling of ``WHERE`` and ``AND`` (keywords ignore case).
+_OPENERS = frozenset(_RELOPS) | frozenset(
+    "".join(spelling)
+    for word in ("WHERE", "AND")
+    for spelling in itertools.product(*zip(word, word.lower()))
+)
+
+
+def lex_query(text):
+    """``(shape key, literals)`` of a query text, or ``None`` when the
+    text holds a character no query may hold outside a string.
+
+    The key is the text's token sequence, one space between tokens
+    whatever white space or comments stood there, with a :data:`HOLE`
+    for each string or number in a condition-operand position: after
+    ``WHERE``, ``AND`` or a relational operator, but not the label of
+    ``<5>``.  ``literals`` are the values of those holes, converted as
+    the parser converts them.  Texts with one key differ only in white
+    space between tokens and in the spelling of literals; a text whose
+    parse has other literals (``= 7AND`` reads the word ``7AND``) keeps
+    them in its key, which :func:`same_literals` tells.
+    """
+    lexed = _lex(_strip_comments(text).rstrip())
+    if lexed is None:
+        return None
+    pieces, literals = lexed
+    return " ".join(pieces), tuple(literals)
+
+
+def _lex(text):
+    """``(key pieces, literal values)`` of a comment-free text without
+    trailing white space (so that every position starts a token and
+    the scan is linear): one piece per token, :data:`HOLE` for a lifted
+    literal."""
+    pieces = []
+    literals = []
+    operand = False
+    for token, other in _TOKEN.findall(text):
+        if other:
+            return None
+        if operand:
+            value = _literal_value(token)
+            if value is not None:
+                pieces.append(HOLE)
+                literals.append(value)
+                label = token
+                operand = False
+                continue
+        elif token == ">" and pieces[-2:] == ["<", HOLE]:  # ``<5>``
+            pieces[-1] = label
+            literals.pop()
+        pieces.append(token)
+        operand = token in _OPENERS
+    return pieces, literals
+
+
+def _literal_value(token):
+    """The value of a string or number token, as the parser reads it;
+    ``None`` for any other token."""
+    if token[0] in "\"'":
+        return token[1:-1]
+    if _NUMBER_START.match(token) and _NUMBER.fullmatch(token):
+        return _number_value(token)
+    return None
+
+
+def literal_spans(text):
+    """The :class:`ast.Span` of each literal :func:`lex_query` lifts
+    from ``text``, as the parser spans it."""
+    scanner = _Scanner(text)
+    text = scanner.text.rstrip()
+    pieces, __ = _lex(text)
+    return [
+        ast.Span(*scanner.line_col(match.start(1)),
+                 *scanner.line_col(match.end(1)))
+        for match, piece in zip(_TOKEN.finditer(text), pieces)
+        if piece == HOLE
+    ]
+
+
+def same_literals(query, literals, spans=None):
+    """Whether the parsed ``query`` holds exactly ``literals`` (the
+    values :func:`lex_query` lifted), in order, type and value, and at
+    ``spans`` (:func:`literal_spans`) when they are given."""
+    found = list(_iter_literals(query))
+    return [(type(f.value), repr(f.value)) for f in found] == [
+        (type(value), repr(value)) for value in literals
+    ] and (spans is None or [f.span for f in found] == list(spans))
+
+
+def _iter_literals(item):
+    """The WHERE literals under ``item``, nested queries included, in
+    text order."""
+    if isinstance(item, ast.QueryExpr):
+        for condition in item.conditions:
+            for operand in (condition.left, condition.right):
+                if isinstance(operand, ast.Literal):
+                    yield operand
+        yield from _iter_literals(item.ret)
+    elif isinstance(item, ast.ElemExpr):
+        for content in item.contents:
+            yield from _iter_literals(content)
 
 
 def parse_xquery(text):
@@ -274,7 +403,7 @@ def _parse_condition_operand(scanner):
         value = scanner.text[scanner.pos : end]
         scanner.pos = end + 1
         return ast.Literal(value, span=scanner.span_from(start))
-    if ch.isdigit() or (ch in "+-"):
+    if _NUMBER_START.match(ch):
         value = _parse_number(scanner)
         return ast.Literal(value, span=scanner.span_from(start))
     operand = _parse_path_operand(scanner)
@@ -285,26 +414,22 @@ def _parse_condition_operand(scanner):
 
 def _parse_number(scanner):
     scanner.skip_ws()
-    start = scanner.pos
-    if scanner.pos >= len(scanner.text):
+    match = _NUMBER.match(scanner.text, scanner.pos)
+    scanner.pos = match.end()
+    value = _number_value(match.group())
+    if value is None:
         raise scanner.error("expected a number")
-    if scanner.text[scanner.pos] in "+-":
-        scanner.pos += 1
-    saw_dot = False
-    while scanner.pos < len(scanner.text):
-        ch = scanner.text[scanner.pos]
-        if ch.isdigit():
-            scanner.pos += 1
-        elif ch == "." and not saw_dot:
-            saw_dot = True
-            scanner.pos += 1
-        else:
-            break
-    literal = scanner.text[start : scanner.pos]
+    return value
+
+
+def _number_value(literal):
+    """The value a number literal's text spells: an ``int``, or a
+    ``float`` when it has a dot; ``None`` for the empty text, ``+``,
+    ``-``, ``.``, ``+.`` and ``-.``."""
     try:
-        return float(literal) if saw_dot else int(literal)
-    except ValueError:  # "+", "-", "+.", "-." or empty
-        raise scanner.error("expected a number")
+        return float(literal) if "." in literal else int(literal)
+    except ValueError:
+        return None
 
 
 def _parse_element(scanner):

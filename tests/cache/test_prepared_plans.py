@@ -21,20 +21,14 @@ from repro import Database, Mediator, RelationalWrapper, render_plan
 from repro.algebra import operators as ops
 from repro.algebra.conditions import Condition, ParamOperand
 from repro.algebra.plan import iter_operators
-from repro.cache.shapes import (
-    assign_slots,
-    bind_plan,
-    lift_literals,
-    query_shape,
-)
+from repro.cache.shapes import assign_slots, bind_plan, lift_literals
 from repro.errors import ParameterValueDemanded
 from repro.obs import Instrument
 from repro.rewriter.rule import Rule
 from repro.relational.ast import bind_sql
 from repro.server import LoopbackClient, MediatorService
 from repro.xmltree import serialize
-from repro.xquery.parser import parse_xquery
-from repro.xquery.printer import render_query
+from repro.xquery.parser import lex_query, literal_spans, parse_xquery
 
 from tests.conftest import Q1, Q12, make_paper_wrapper
 from tests.test_lattice import SHAPES, VIEWS, literals
@@ -93,12 +87,23 @@ def mediator_pair(**kwargs):
 
 
 def other_literals(text):
-    """``text`` with every literal changed (equal ones alike)."""
-
-    def other(value):
-        return value + "x" if isinstance(value, str) else value + 7
-
-    return render_query(lift_literals(parse_xquery(text), other))
+    """``text`` with every literal its shape key lifts changed (equal
+    ones alike) and every other character kept: the key is the text's
+    token sequence, so a re-rendered text (``source(`` printed as
+    ``document(``) may be another shape."""
+    starts = [0]
+    for line in text.splitlines(keepends=True):
+        starts.append(starts[-1] + len(line))
+    __, literals = lex_query(text)
+    for value, span in reversed(list(zip(literals, literal_spans(text)))):
+        start = starts[span.line - 1] + span.column - 1
+        end = starts[span.end_line - 1] + span.end_column - 1
+        if isinstance(value, str):
+            other = text[start] + value + "x" + text[start]
+        else:
+            other = str(value + 7)
+        text = text[:start] + other + text[end:]
+    return text
 
 
 def compiled(handle, mediator, any_root=False):
@@ -379,7 +384,26 @@ def test_an_exact_repeat_does_not_parse(monkeypatch):
     cached.query(FILTER.format(100)).q(REFINE.format(5))
     assert len(parses) == 2
     cached.query(FILTER.format(101))  # a new text of a known shape
+    assert len(parses) == 2
+    cached.query(FILTER.format('"101"'))  # a new shape
     assert len(parses) == 3
+
+
+def test_an_ast_is_keyed_by_its_rendered_text():
+    cached, cold = mediator_pair()
+    cached.query(FILTER.format(100))
+    hits, misses = plan_counts(cached)
+    query = parse_xquery(FILTER.format(300))
+    assert serialize(cached.query(query).to_tree()) == \
+        serialize(cold.query(query).to_tree())
+    assert plan_counts(cached) == (hits + 1, misses)
+    # A literal its rendered text cannot carry (``%`` starts a comment)
+    # is compiled without the cache.
+    odd = lift_literals(parse_xquery(FILTER.format('"x"')),
+                        lambda value: "50%")
+    assert cached.prepare(odd)[2] == "off"
+    assert serialize(cached.query(odd).to_tree()) == \
+        serialize(cold.query(odd).to_tree())
 
 
 def test_stats_report_shapes_and_bound_hits():
@@ -506,7 +530,7 @@ def test_query_shape_reaches_nested_queries():
         RETURN $O
     </Rec>
     """
-    shape_text, literals = query_shape(parse_xquery(text))
+    shape_text, literals = lex_query(text)
     assert literals == ("XYZ", 100)
     assert shape_text.count("?") == 2 and "XYZ" not in shape_text
     cached, cold = mediator_pair()
