@@ -37,9 +37,8 @@ def force_children(node, count, obs):
     of ``node`` (all when ``None``) and return how many of those are
     materialized.  Children an earlier command forced count as
     :data:`~repro.stats.PREFETCH_HITS`.  Wraps nothing: a bulk export
-    reads :meth:`~repro.xmltree.tree.Node.materialized_children`
-    afterwards, and a constructed object forced whole builds no child
-    list."""
+    reads :func:`~repro.xmltree.tree.held_children` afterwards, and a
+    constructed object forced whole builds no child list."""
     already = node.materialized_child_count
     if count is None:
         if not node.fully_materialized:

@@ -17,6 +17,7 @@ import sys
 from repro.engine.vtree import (
     VNode, command_span, force_children, vnode_to_tree,
 )
+from repro.xmltree.tree import held_children
 
 
 class QdomNode(VNode):
@@ -156,11 +157,16 @@ class QdomNode(VNode):
             nonlocal remaining
             if remaining <= 0:
                 return
-            fields = node.row_fields
-            if fields is not None:
-                # An unread tuple object: its field/value steps come
-                # straight from the row, within the budget.
-                for name, value in fields:
+            if not node.fully_materialized:
+                with command_span(obs, "d_many", node):
+                    force_children(
+                        node, None if budget is None else remaining, obs
+                    )
+            kids = held_children(node)
+            if kids and kids[0].__class__ is tuple:
+                # An unread tuple object's row pairs: each field's
+                # name/value steps, within the budget.
+                for name, value in kids:
                     if remaining < 2:
                         if remaining:
                             remaining = 0
@@ -170,12 +176,7 @@ class QdomNode(VNode):
                     append([depth, name])
                     append([depth + 1, value])
                 return
-            if not node.fully_materialized:
-                with command_span(obs, "d_many", node):
-                    force_children(
-                        node, None if budget is None else remaining, obs
-                    )
-            for child in node.materialized_children():
+            for child in kids:
                 if remaining <= 0:
                     return
                 remaining -= 1

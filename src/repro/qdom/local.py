@@ -28,10 +28,11 @@ them (EXPERIMENTS.md deviations 4 and 6):
   rule-9 join that reaches into them becomes a semijoin.
 
 Anything else is pushed (:class:`_Spread`).  The evaluator reads the
-held tree the way the bulk readers do: an unread tuple object's fields
-off its ``row_fields`` and an unbuilt constructed object's children off
-its bindings, building nothing.  Whether the tree is complete and
-current is the mediator's to check
+held tree as the bulk readers do, through
+:func:`~repro.xmltree.tree.held_children`, building nothing: a field
+of an unread tuple object is its row pair, its value read off the row
+with no node per field.  Whether the tree is complete and current is
+the mediator's to check
 (:meth:`repro.qdom.mediator.Mediator.query_from`).
 """
 
@@ -42,7 +43,7 @@ from repro.algebra.values import Skolem
 from repro.relational.executor import compare
 from repro.relational.types import FLIPPED
 from repro.xmltree.paths import Step
-from repro.xmltree.tree import Node, TupleObject
+from repro.xmltree.tree import Node, TupleObject, held_children
 from repro.xquery import ast as q
 
 
@@ -51,42 +52,28 @@ class _Spread(Exception):
     record once per node."""
 
 
-class _Field:
-    """A field element of an unread tuple object, read off its row."""
-
-    __slots__ = ("label", "value")
-    oid = row_fields = None
-
-    def __init__(self, label, value):
-        self.label = label
-        self.value = value
-
-    def materialized_children(self):
-        return (Node(None, self.value),)
-
-
 def _kids(node, label=None):
-    """A held node's children (those labeled ``label``, when given),
-    building nothing."""
-    fields = node.row_fields
-    if fields is None:
-        kids = node.materialized_children()
-        if label is None:
-            return kids
-        return [kid for kid in kids if kid.label == label]
-    return [
-        _Field(name, value) for name, value in fields
-        if label is None or name == label
-    ]
+    """A held node's children (those labeled ``label``, when given), as
+    :func:`~repro.xmltree.tree.held_children` gives them: a field of an
+    unread tuple object is its row pair ``(name, value)``, whose one
+    child is its value leaf."""
+    if node.__class__ is tuple:
+        kids = (Node(None, node[1]),)
+    else:
+        kids = held_children(node)
+    if label is None or not kids:
+        return kids
+    if kids[0].__class__ is tuple:
+        return [kid for kid in kids if kid[0] == label]
+    return [kid for kid in kids if kid.label == label]
 
 
 def _atom(node):
-    """``atomize``: the label of the node's ``data()`` leaf, or ``None``."""
-    if node.__class__ is _Field:
-        return node.value
-    if node.row_fields is not None:
-        return None  # a tuple object: its fields are elements
-    kids = node.materialized_children()
+    """``atomize``: the label of the node's ``data()`` leaf, or ``None``.
+    A field's is its value, off its row pair."""
+    if node.__class__ is tuple:
+        return node[1]
+    kids = held_children(node)
     if not kids:
         return node.label
     if len(kids) == 1 and not _kids(kids[0]):
@@ -115,7 +102,10 @@ def _reach(node, labels, spread=False):
 def _one_list(record, label):
     """Whether the record's ``label`` children are constructed elements
     of one skolem variable: one nested list."""
-    names = {getattr(child.oid, "var", None) for child in _kids(record, label)}
+    names = {
+        None if kid.__class__ is tuple else getattr(kid.oid, "var", None)
+        for kid in _kids(record, label)
+    }
     return None not in names and len(names) <= 1
 
 

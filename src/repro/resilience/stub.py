@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from repro import stats as statnames
 from repro.errors import CircuitOpenError, SourceError, TransientSourceError
-from repro.xmltree.tree import Node, OidGenerator
+from repro.xmltree.tree import Node, OidGenerator, held_children
 
 #: Label of the degradation stub element.
 ERROR_LABEL = "mix:error"
@@ -150,15 +150,13 @@ def prefix_has_error_stub(root):
     """Whether the *already materialized* part of ``root`` is poisoned:
     a ``<mix:error>`` stub, or a node whose lazy tail raised (broken).
 
-    Walks only children that navigation has forced so far — nothing is
-    pulled, so this is safe on live lazy trees — and never into a tuple
-    object whose fields are unbuilt: no stub and no lazy tail live in
-    one, and reading them would build it.  An unbuilt constructed
-    object's children are read off its bindings
-    (``materialized_children``), building nothing.  The navigation memo
-    uses it as a poison check: a degraded or failure-truncated prefix
-    disqualifies a cached result even if the damage happened after the
-    entry was stored.
+    Walks only children that navigation has forced so far, as held
+    (:func:`~repro.xmltree.tree.held_children`) — nothing is pulled or
+    built, so this is safe on live lazy trees — and never into an
+    unread tuple object's row pairs: no stub and no lazy tail live in
+    one.  The navigation memo uses it as a poison check: a degraded or
+    failure-truncated prefix disqualifies a cached result even if the
+    damage happened after the entry was stored.
     """
     return PrefixPoisonWatch(root).poisoned()
 
@@ -188,48 +186,41 @@ class PrefixPoisonWatch:
         self._frontier = None          # None = never scanned
         self._poisoned = False
 
-    def _scan_subtree(self, node, frontier):
-        """Full scan of a first-seen subtree's materialized prefix;
-        collects open-tailed nodes into ``frontier``."""
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            if is_error_stub(current) or getattr(
-                current, "is_broken", False
-            ):
-                return True
-            if current.row_fields is not None:
-                continue  # an unread tuple object: no stub, no tail
-            kids = current.materialized_children()
-            if not getattr(current, "fully_materialized", True):
-                frontier.append((current, len(kids)))
-            stack.extend(kids)
-        return False
-
     def poisoned(self):
         """Whether the materialized prefix is poisoned (never forces)."""
         if self._poisoned:
             return True
+        resume = self._frontier
+        if resume is None:
+            resume = ((self._root, 0),)
         frontier = []
-        if self._frontier is None:
-            self._poisoned = self._scan_subtree(self._root, frontier)
-        else:
-            for node, seen in self._frontier:
-                if getattr(node, "is_broken", False):
-                    self._poisoned = True
-                    break
-                kids = node.materialized_children()
-                for child in kids[seen:]:
-                    if self._scan_subtree(child, frontier):
-                        self._poisoned = True
-                        break
-                if self._poisoned:
-                    break
-                if not getattr(node, "fully_materialized", True):
-                    frontier.append((node, len(kids)))
-        if not self._poisoned:
-            self._frontier = frontier
-        return self._poisoned
+        for node, seen in resume:
+            if self._scan(node, seen, frontier):
+                self._poisoned = True
+                return True
+        self._frontier = frontier
+        return False
+
+    @staticmethod
+    def _scan(node, seen, frontier):
+        """Scan ``node`` and its held subtrees past its first ``seen``
+        children (:func:`~repro.xmltree.tree.held_children`); collects
+        open-tailed nodes into ``frontier``.  True on poison.  A tuple
+        object's row pairs hold no stub and no tail: the scan stops
+        above them."""
+        stack = [node]
+        while stack:
+            node = stack.pop()
+            if node.label == ERROR_LABEL or node.is_broken:
+                return True
+            open_tail = not node.fully_materialized  # read before the kids
+            kids = held_children(node)
+            if open_tail:
+                frontier.append((node, len(kids)))
+            if kids and kids[0].__class__ is not tuple:
+                stack.extend(kids[seen:] if seen else kids)
+            seen = 0
+        return False
 
     def complete(self):
         """Whether the tree is fully materialized and clean: no open

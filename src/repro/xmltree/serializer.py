@@ -8,11 +8,12 @@ their text form.
 
 from __future__ import annotations
 
-from repro.xmltree.tree import Node
+from repro.xmltree.tree import Node, held_children
 
 
 def _escape(text):
-    text = str(text)
+    if not isinstance(text, str):
+        return str(text)  # a number holds no markup character
     if "&" in text or "<" in text or ">" in text:
         return (
             text.replace("&", "&amp;").replace("<", "&lt;")
@@ -64,31 +65,24 @@ def _render_compact(node, parts):
     """The single-line rendering.  Without padding or oid notes a
     leaf-only element's text is its children's rendered one after the
     other, so no child is asked whether it is a leaf before its turn:
-    each subtree is forced as it is rendered, in document order."""
-    fields = node.row_fields
-    if fields is not None:
-        # An unread tuple object renders from its row, as its built
-        # field elements would: each is a one-leaf element.
-        tag = str(node.label)
-        parts.append("<{}>{}</{}>".format(tag, "".join([
-            "<{0}>{1}</{0}>".format(name, _escape(value))
-            for name, value in fields
-        ]), tag))
-        return
-    if node.bindings is not None:
-        # An unbuilt constructed object renders from its bindings.
+    each subtree is forced as it is rendered, in document order, and
+    read as held (:func:`~repro.xmltree.tree.held_children`), so an
+    unread tuple object or constructed element is rendered unbuilt."""
+    if not node.fully_materialized:
         node.materialize()
-        children = node.materialized_children()
-    else:
-        children = node.children
+    children = held_children(node)
     if not children:
         parts.append(_escape(node.label))
         return
     tag = str(node.label)
-    parts.append("<{}>".format(tag))
+    parts.append("<" + tag + ">")
     for child in children:
-        _render_compact(child, parts)
-    parts.append("</{}>".format(tag))
+        if child.__class__ is tuple:  # a field, as its row pair
+            name, value = child
+            parts.append("<%s>%s</%s>" % (name, _escape(value), name))
+        else:
+            _render_compact(child, parts)
+    parts.append("</" + tag + ">")
 
 
 def to_python(node):

@@ -184,7 +184,8 @@ class Node(LazyPrefix):
     #: whose field nodes are not built yet; ``None`` on every other node.
     row_fields = None
     #: The child bindings of a :class:`ConstructedObject` whose child
-    #: list is not built yet; ``None`` on every other node.
+    #: list is not built yet — once it is complete, the flat tuple of
+    #: its children; ``None`` on every other node.
     bindings = None
 
     def __init__(self, oid, label, children=(), lazy_tail=None):
@@ -209,7 +210,7 @@ class Node(LazyPrefix):
 
     def materialize(self):
         """Force every child (the whole lazy tail) for a bulk reader,
-        which then reads :meth:`materialized_children`."""
+        which then reads :func:`held_children`."""
         self._force(None)
 
     def copy_subtree(self):
@@ -314,9 +315,9 @@ class TupleObject(Node):
     building them at once would have drawn: field, then its leaf,
     column by column.  To every reader it is already materialized
     (``fully_materialized``, ``materialized_child_count`` = its field
-    count, ``is_leaf`` false); only bulk readers that can render a
-    field from its pair (compact serialization, ``walk``, the memo's
-    poison scan) look at :attr:`row_fields` and skip the build.
+    count, ``is_leaf`` false); only the bulk readers, which read a
+    held node through :func:`held_children`, get its fields as the
+    row's pairs and skip the build.
 
     The build runs under :data:`_FORCE_LOCK` and publishes the built
     list once, so concurrent first readers get the same nodes.
@@ -358,11 +359,7 @@ class TupleObject(Node):
         if self.row_fields is not None:
             self._build()
 
-    @property
-    def materialized_count(self):
-        fields = self.row_fields
-        return len(self._items) if fields is None else len(fields)
-
+    materialized_count = property(lambda self: len(held_children(self)))
     materialized_child_count = materialized_count
 
     def materialized(self):
@@ -425,6 +422,27 @@ def _binding_children(bindings):
                 yield from item
 
 
+def held_children(node):
+    """The children ``node`` holds now, building and forcing nothing:
+    the one reader of a held tree, shared by the bulk readers (``walk``,
+    compact serialization, the memo's poison scan, the held ``q``).
+    An unread :class:`TupleObject` gives its row's ``(name, value)``
+    pairs, each a field element over one value leaf — the only children
+    that are not nodes.  Read-only: a complete node gives its own
+    container (a constructed object's flat tuple), not a copy.
+    """
+    fields = node.row_fields
+    if fields is not None:
+        return fields
+    # The tail first: a constructed object publishes its flat tuple
+    # before it clears its tail, so no tail means no bindings' lists.
+    complete = node._tail is None
+    bindings = node.bindings
+    if bindings is None or not complete and node._broken is None:
+        return node._items if complete else list(node._items)
+    return bindings if complete else _binding_prefix(bindings)
+
+
 class ConstructedObject(Node):
     """A ``crElt`` element that stays one node until something reads
     its children.
@@ -437,9 +455,11 @@ class ConstructedObject(Node):
     so concurrent first readers get the same list.  Until then:
 
     * :meth:`materialize` forces the bindings' lists and builds
-      nothing, and :meth:`materialized_children` reads the children
-      off the bindings — the bulk readers (compact serialization,
-      ``walk``, the memo's poison scans) use only these;
+      nothing: it replaces the bindings with the flat tuple of the
+      children they hold, which :meth:`materialized_children` then
+      returns as it is (an element over elements only is flat from
+      the start) — the bulk readers (:func:`held_children`) use only
+      these;
     * it reports what the element it stands for would: materialized
       while no binding owes a lazy tail and nothing is left to pull —
       an element over lists has pulled nothing before its first read
@@ -464,7 +484,7 @@ class ConstructedObject(Node):
                 self._tail = _OWED
                 break
         self._broken = None
-        self.bindings = bindings
+        self.bindings = tuple(bindings)
 
     def _build(self):
         _FORCE_LOCK.acquire()
@@ -504,14 +524,17 @@ class ConstructedObject(Node):
             return
         _FORCE_LOCK.acquire()
         try:
-            if self.bindings is None:
+            bindings = self.bindings
+            if bindings is None or self._tail is None:
                 LazyPrefix._force(self, None)
                 return
             if self._broken is not None:
                 raise self._broken
+            children = []
             try:
-                for part in self.bindings:
+                for part in bindings:
                     if isinstance(part, Node):
+                        children.append(part)
                         continue
                     # Pull by pull, forcing a list item whole before the
                     # next pull, as the built child stream would.
@@ -521,31 +544,30 @@ class ConstructedObject(Node):
                         if index < len(items):
                             item = items[index]
                             index += 1
-                            if not isinstance(item, Node):
-                                item._force(None)
+                            if isinstance(item, Node):
+                                children.append(item)
+                            else:
+                                children += item._forced()
             except Exception as exc:
                 self._broken = exc
                 raise
+            # Published before the tail is cleared (see held_children).
+            self.bindings = tuple(children)
             self._tail = None
         finally:
             _FORCE_LOCK.release()
 
     @property
     def materialized_count(self):
-        bindings = self.bindings
-        if bindings is None or (self._tail is not None
-                                and self._broken is None):
+        if self._tail is not None and self._broken is None:
             return len(self._items)
-        return len(_binding_prefix(bindings))
+        return len(held_children(self))
 
     materialized_child_count = materialized_count
 
     def materialized(self):
-        bindings = self.bindings
-        if bindings is None or (self._tail is not None
-                                and self._broken is None):
-            return list(self._items)
-        return _binding_prefix(bindings)
+        held = held_children(self)
+        return list(held) if held is self._items else held
 
     materialized_children = materialized
 

@@ -1,7 +1,7 @@
-"""Two open defects of rule 9 (getD-into-apply), pinned until fixed.
+"""Three open defects of rule 9 (getD-into-apply), pinned until fixed.
 
-Both show on the pushed path of a root ``q`` over a constructed view, on
-a 3 customers x 3 orders instance; the held answer
+All show on the pushed path of a ``q`` over a constructed view, on a
+3 customers x 3 orders instance; the held answer
 (:mod:`repro.qdom.local`) is not involved, as nothing is walked first.
 Each test asserts the right answer and is a strict ``xfail``: the fix
 turns it into a pass that must be un-marked.
@@ -60,3 +60,18 @@ def test_a_re_mentioned_outer_variable_stays_bound():
     answer = root.q("FOR $R IN document(root)/P $U IN $R/Q/W RETURN $R")
     oids = [str(record.oid) for record in answer.children()]
     assert len(oids) == 3 and len(set(oids)) == 3, oids  # the held answer
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "decontextualization exports the constructed records of a "
+    "node-level q from rule 9's renamed copy branch: &($V6_c7,g(&0)) "
+    "for the view's &($V6,g(&0))"
+))
+def test_one_object_keeps_one_oid_across_answers():
+    record = mediator().query(JOIN_VIEW).d()
+    held = [str(child.oid) for child in record.children()
+            if child.fl() == "OrderInfo"]
+    assert held[0] == "&($V6,g(&0))", held
+    answer = record.q("FOR $O IN document(root)/OrderInfo RETURN $O")
+    oids = [str(child.oid) for child in answer.children()]
+    assert oids == held, oids
